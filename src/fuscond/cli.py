@@ -2,7 +2,9 @@
 verify the subring correspondence, and materialize built-in examples.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 unusable input,
-3 numerical degeneracy.
+3 numerical degeneracy.  ``--digits`` below DIGITS_FLOOR, the float64
+precision the Wedderburn split starts from, is unusable input: the
+residual checks at the default ``--tol`` cannot pass honestly below it.
 """
 from __future__ import annotations
 
@@ -24,6 +26,8 @@ from .ring import BasedRing
 from .ring import validate as validate_ring
 from .serialize import read_path, write_path
 from .wedderburn import SPLIT_SEED
+
+DIGITS_FLOOR = 15
 
 
 def _seed() -> int:
@@ -166,7 +170,8 @@ def main(argv=None) -> int:
     common.add_argument("--tol", type=float, default=1e-9,
                         help="residual tolerance (default 1e-9)")
     common.add_argument("--digits", type=int, default=64,
-                        help="working precision in decimal digits")
+                        help="working precision in decimal digits "
+                             f"(default 64, at least {DIGITS_FLOOR})")
 
     parser = argparse.ArgumentParser(
         prog="fuscond",
@@ -204,9 +209,13 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_indicators)
 
     args = parser.parse_args(argv)
-    mp.mp.dps = args.digits
+    if args.digits < DIGITS_FLOOR:
+        print(f"error: --digits must be at least {DIGITS_FLOOR}, got "
+              f"{args.digits}", file=sys.stderr)
+        return 2
     try:
-        return args.fn(args)
+        with mp.workdps(args.digits):
+            return args.fn(args)
     except SchemaError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -29,12 +29,7 @@ from .errors import (
 )
 from .modular import ModularData, dims as modular_dims, verlinde
 from .ring import BasedRing, DimVector, closure, element_product, fp_dims, validate
-from .wedderburn import (
-    SPLIT_SEED,
-    AssocAlgebra,
-    block_profiles,
-    normalized_block_trace,
-)
+from .wedderburn import SPLIT_SEED, AssocAlgebra, block_profiles, character_table
 
 MATCH_ACCEPT = 1e-6
 MATCH_REJECT = 1e-3
@@ -335,12 +330,8 @@ def schur_weyl(b: CondensationBundle, tol=1e-9, seed=SPLIT_SEED) -> SchurWeylRep
 
     e1 = e_sub(b, b.local)
     e1n = [as_mpc(c) for c in e1]
-    for i in range(ring.rank):
-        basis = [0] * ring.rank
-        basis[i] = 1
-        left = alg.mult(basis, e1n)
-        right = alg.mult(e1n, basis)
-        if max(abs(l - r) for l, r in zip(left, right)) > tol:
+    for i, resid in enumerate(alg.commutator_residuals(e1n)):
+        if resid > tol:
             raise TheoremViolationError(
                 f"local vacuum idempotent does not commute with basis element "
                 f"{ring.labels[i]}")
@@ -377,15 +368,7 @@ def schur_weyl(b: CondensationBundle, tol=1e-9, seed=SPLIT_SEED) -> SchurWeylRep
 
     # irreducible character of every block at every basis element; all
     # later trace computations are linear combinations of these
-    characters = []
-    for bp in blocks:
-        row = []
-        for z in range(ring.rank):
-            basis = [0] * ring.rank
-            basis[z] = 1
-            row.append(normalized_block_trace(alg, bp, basis))
-        characters.append(tuple(row))
-    characters = tuple(characters)
+    characters = character_table(alg, blocks)
 
     matched = [None] * len(blocks)
     matching_skipped = True

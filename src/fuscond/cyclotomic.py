@@ -105,13 +105,9 @@ def _euler_phi(n: int) -> int:
     return len(cyclotomic_polynomial(n)) - 1
 
 
-def _zeta_powers(order: int, prec: int):
-    # cached numeric zeta powers keyed by working precision
-    return _zeta_powers_cached(order, prec)
-
-
 @lru_cache(maxsize=64)
-def _zeta_powers_cached(order: int, prec: int):
+def _zeta_powers(order: int, prec: int):
+    # numeric zeta powers, cached per working precision
     with mp.workdps(prec):
         z = mp.e ** (2j * mp.pi / order)
         return tuple(z**k for k in range(order))
@@ -360,10 +356,6 @@ def as_mpc(x, prec: int | None = None) -> mp.mpc:
     if isinstance(x, numbers.Real) and not isinstance(x, float):
         return mp.mpc(float(x))
     return mp.mpc(x)
-
-
-def scalar_is_exact(x) -> bool:
-    return isinstance(x, (Cyc, int, Fraction))
 
 
 def exact_scalar(x):

@@ -8,11 +8,12 @@ lattice) consumes this shape.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .cyclotomic import as_mpc
+from .cyclotomic import Cyc, as_mpc
 from .errors import CapabilityError, NumericalDegeneracyError, SchemaError, ValidationReport
 
 SUBRING_RANK_CAP = 24
@@ -62,6 +63,10 @@ class BasedRing:
 
     def index(self, label: str) -> int:
         return self.labels.index(label)
+
+    @cached_property
+    def _rows(self) -> tuple:
+        return _nonzero_rows(self.fusion)
 
     def __repr__(self):
         return f"BasedRing(rank={self.rank}, labels={list(self.labels)})"
@@ -184,10 +189,6 @@ def closure(ring: BasedRing, seed) -> frozenset:
         s = nxt
 
 
-def subring_generated(ring: BasedRing, generators) -> frozenset:
-    return closure(ring, generators)
-
-
 def enumerate_subrings(ring: BasedRing, must_contain=()) -> list:
     """All based subrings containing ``must_contain``, as sorted index tuples.
 
@@ -222,26 +223,53 @@ def subring_dim(ring: BasedRing, subset, dims: DimVector | None = None):
     return sum(dims[i] * dims[i] for i in subset)
 
 
+def _nonzero_rows(tensor) -> tuple:
+    """The nonzero structure constants of a cubic tensor, grouped for
+    _sparse_product: rows[i] holds (j, ((k, c), ...)) for each j with some
+    c = T[i, j, k] != 0, in index order."""
+    rows = [{} for _ in range(tensor.shape[0])]
+    shared = {}  # one tuple per distinct (k, c), to keep the table small
+    idx = np.argwhere(tensor)
+    for (i, j, k), c in zip(idx.tolist(), tensor[tuple(idx.T)].tolist()):
+        kc = (k, int(c))
+        rows[i].setdefault(j, []).append(shared.setdefault(kc, kc))
+    return tuple(tuple((j, tuple(kc)) for j, kc in r.items()) for r in rows)
+
+
+def _is_zero(x) -> bool:
+    return x.is_zero() if isinstance(x, Cyc) else x == 0
+
+
+def _sparse_product(rows, a, b) -> list:
+    """The product of two coefficient vectors over the nonzero structure
+    constants in ``rows`` (see _nonzero_rows).
+
+    Coefficients may be of any scalar type that multiplies with itself and
+    with ints: ints, Fractions, exact cyclotomics, floats or mpmath
+    numbers.  Zero coefficients are skipped, and entries that receive no
+    term stay the int 0.
+    """
+    out = [0] * len(rows)
+    live_b = [not _is_zero(x) for x in b]
+    for i, ai in enumerate(a):
+        if _is_zero(ai):
+            continue
+        for j, targets in rows[i]:
+            if not live_b[j]:
+                continue
+            coef = ai * b[j]
+            for k, c in targets:
+                out[k] = out[k] + (coef if c == 1 else coef * c)
+    return out
+
+
 def element_product(ring: BasedRing, a, b) -> list:
     """Product of two ring elements given as coefficient vectors.
 
     Coefficients may be ints, Fractions, exact cyclotomics or floats; the
     arithmetic stays in whatever the inputs support.
     """
-    out = [0] * ring.rank
-    F = ring.fusion
-    for i, ai in enumerate(a):
-        if isinstance(ai, (int, float)) and ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            if isinstance(bj, (int, float)) and bj == 0:
-                continue
-            nz = np.nonzero(F[i, j])[0]
-            if nz.size:
-                coef = ai * bj
-                for k in nz:
-                    out[int(k)] = out[int(k)] + coef * int(F[i, j, k])
-    return out
+    return _sparse_product(ring._rows, a, b)
 
 
 def product_ring(a: BasedRing, b: BasedRing, sep=".") -> BasedRing:

@@ -1,16 +1,26 @@
 """Wedderburn decomposition of a finite dimensional associative algebra.
 
 The algebra is given by integer (or rational) structure constants with the
-unit at basis index 0.  We find the primitive central idempotents
-numerically at high working precision: the center is the nullspace of the
-stacked commutator constraints, and the center splits by eigen-decomposing
-multiplication by a random central element, interpolating spectral
-projectors and recursing until every factor is one dimensional.
+unit at basis index 0.  The primitive central idempotents are found float
+first and certified at the working precision (``mp.mp.dps``):
 
-All spectral work runs through mpmath at the module default of 64
-significant digits, which leaves a gap of forty-plus orders of magnitude
-between genuine zeros and the smallest structural eigenvalues seen in
-practice.
+- the center is the float64 nullspace of the stacked commutator
+  constraints, from a thin SVD;
+- a random central element with continuous coefficients acts on the
+  center with k = dim Z distinct eigenvalues, one per block; its
+  eigenvectors, scaled so that they sum to the unit, are the idempotents
+  to float64 accuracy (randomized central-element splitting, after
+  Eberly and Giesbrecht);
+- the Newton step e <- 3e^2 - 2e^3 refines each one at the working
+  precision;
+- certification checks e^2 = e, e != 0, sum e = 1 and that every e
+  commutes with every basis element.  With k = dim Z idempotents these
+  imply that they are orthogonal and primitive.
+
+A split whose eigenvalues are not separated, or whose idempotents fail
+certification, uses up one seeded attempt; a non-semisimple algebra fails
+every attempt.  Products at the working precision go through the same
+sparse kernel as ``ring.element_product``.
 """
 from __future__ import annotations
 
@@ -20,16 +30,20 @@ from dataclasses import dataclass
 import mpmath as mp
 import numpy as np
 
+from .cyclotomic import as_mpc
 from .errors import NotSemisimpleError, NumericalDegeneracyError, SchemaError
+from .ring import _nonzero_rows, _sparse_product
 
 mp.mp.dps = max(mp.mp.dps, 64)
 
 SPLIT_SEED = 0xC0FFEE
 _MAX_SPLIT_ATTEMPTS = 8
-_NULLSPACE_CUT = 1e-20
-_EIGEN_GAP = 1e-7
 _IDEM_TOL = 1e-9
 _TRACE_ROUND_TOL = 1e-6
+# Eigenvalues of the split closer than this, relative to their size, cannot
+# be told apart in float64 from a defective (non-semisimple) eigenvalue,
+# which a perturbation of eps splits by about sqrt(eps).
+_FLOAT_GAP = float(np.sqrt(np.finfo(np.float64).eps))
 
 
 class AssocAlgebra:
@@ -45,6 +59,7 @@ class AssocAlgebra:
             raise SchemaError("basis element 0 must be a two-sided unit")
         self.tensor = T
         self.n = n
+        self._rows = _nonzero_rows(T)
         # tr(L_a) = sum_i a_i * sum_k T[i, k, k]
         self._trace_vec = np.einsum("ijj->i", T)
 
@@ -52,154 +67,142 @@ class AssocAlgebra:
     def from_based_ring(cls, ring):
         return cls(ring.fusion)
 
-    def unit(self):
-        u = [mp.mpc(0)] * self.n
-        u[0] = mp.mpc(1)
-        return u
-
     def mult(self, a, b):
-        out = [mp.mpc(0)] * self.n
-        T = self.tensor
-        for i in range(self.n):
-            ai = a[i]
-            if ai == 0:
-                continue
-            for j in range(self.n):
-                bj = b[j]
-                if bj == 0:
-                    continue
-                row = T[i, j]
-                for k in np.nonzero(row)[0]:
-                    out[int(k)] += ai * bj * int(row[k])
-        return out
+        """The product a * b at the working precision: the sparse kernel
+        sums exact integer products of the mantissas, and each entry is
+        rounded once."""
+        ar, ai, ea = _mantissas(a)
+        br, bi, eb = _mantissas(b)
+        rr, ii, ri, ir = (_sparse_product(self._rows, x, y) for x, y in
+                          ((ar, br), (ai, bi), (ar, bi), (ai, br)))
+        e = ea + eb
+        return [mp.mpc(mp.mpf((r - i, e)), mp.mpf((x + y, e)))
+                for r, i, x, y in zip(rr, ii, ri, ir)]
 
     def trace_left_mult(self, a):
         return sum(a[i] * int(t) for i, t in enumerate(self._trace_vec) if a[i] != 0)
 
+    def commutator_residuals(self, a) -> list:
+        """max_k |(a b_i - b_i a)_k| for every basis element b_i, from one
+        exact pass over the nonzero structure constants."""
+        n = self.n
+        re, im, exp = _mantissas(a)
+        dre = [[0] * n for _ in range(n)]
+        dim = [[0] * n for _ in range(n)]
+        for i, row in enumerate(self._rows):
+            for j, targets in row:
+                for k, c in targets:
+                    # T[i, j, k] = c: a_i b_i b_j is a term of a b_j,
+                    # and a_j b_i b_j one of b_i a
+                    dre[j][k] += re[i] * c
+                    dre[i][k] -= re[j] * c
+                    dim[j][k] += im[i] * c
+                    dim[i][k] -= im[j] * c
+        worst = [max(x * x + y * y for x, y in zip(r, s))
+                 for r, s in zip(dre, dim)]
+        return [mp.sqrt(mp.mpf((w, 2 * exp))) for w in worst]
 
-def _inner(a, b):
-    return sum(mp.conj(x) * y for x, y in zip(a, b))
+
+def _mantissas(v):
+    """A coefficient vector as integer mantissas over one exponent, mp.prec
+    bits below its largest entry: v[i] = (re[i] + 1j * im[i]) * 2**exp."""
+    parts = [(x if isinstance(x, mp.mpc) else as_mpc(x))._mpc_ for x in v]
+    exp = max((p[2] + p[3] for z in parts for p in z if p[1]),
+              default=0) - mp.mp.prec
+
+    def scaled(p):
+        sign, man, e, _ = p
+        x = man << (e - exp) if e >= exp else man >> (exp - e)
+        return -x if sign else x
+    return [scaled(z[0]) for z in parts], [scaled(z[1]) for z in parts], exp
 
 
-def _norm(a):
-    return mp.sqrt(mp.re(_inner(a, a)))
+def _tolerance():
+    """Refinement and certification tolerance at the working precision:
+    eight digits short of mp.dps, and never looser than _IDEM_TOL."""
+    return min(mp.mpf(_IDEM_TOL), mp.mpf(10) ** (8 - mp.mp.dps))
 
 
-def _orthonormalize(vectors, drop_tol=1e-30):
-    basis = []
-    for v in vectors:
-        w = [mp.mpc(x) for x in v]
-        for b in basis:
-            c = _inner(b, w)
-            w = [wx - c * bx for wx, bx in zip(w, b)]
-        nw = _norm(w)
-        if nw > drop_tol:
-            basis.append([wx / nw for wx in w])
-    return basis
-
-
-def center_basis(alg: AssocAlgebra) -> list:
-    """Orthonormal basis of the center, via the nullspace of the stacked
-    commutator constraints z * b_i - b_i * z = 0."""
+def center_basis(alg: AssocAlgebra) -> np.ndarray:
+    """Orthonormal float64 basis of the center, one vector per row: the
+    nullspace of the stacked commutator constraints z * b_i - b_i * z = 0."""
     T = alg.tensor
-    n = alg.n
-    blocks = []
-    for i in range(n):
-        # rows (k), columns (j): coefficient of z_j in (z b_i - b_i z)_k
-        blocks.append(T[:, i, :].T - T[i, :, :].T)
-    C = np.concatenate(blocks, axis=0)
-    G = C.T.conj() @ C if np.iscomplexobj(C) else C.T @ C
-    E, Q = mp.eighe(mp.matrix(G.tolist()) * mp.mpc(1))
-    lam_max = max(mp.re(e) for e in E)
-    cut = _NULLSPACE_CUT * (1 + lam_max)
-    out = []
-    for idx in range(n):
-        if mp.re(E[idx]) < cut:
-            out.append([Q[i, idx] for i in range(n)])
-    return out
+    # rows (i, k), columns (j): coefficient of z_j in (z b_i - b_i z)_k
+    C = (T.transpose(1, 2, 0) - T.transpose(0, 2, 1)).reshape(-1, alg.n)
+    _, S, Vh = np.linalg.svd(C.astype(np.result_type(C, np.float64)),
+                             full_matrices=False)
+    cut = S.max(initial=0.0) * max(C.shape) * np.finfo(np.float64).eps
+    return Vh[int(np.count_nonzero(S > cut)):].conj()
 
 
-def _cluster(values, gap=_EIGEN_GAP):
-    vals = sorted(values, key=lambda z: (mp.re(z), mp.im(z)))
-    clusters = [[vals[0]]]
-    for v in vals[1:]:
-        if abs(v - clusters[-1][-1]) < gap:
-            clusters[-1].append(v)
-        else:
-            clusters.append([v])
-    # chain clustering along the sorted order can still leave two clusters
-    # whose means are close; merge until all means are separated
-    merged = True
-    while merged and len(clusters) > 1:
-        merged = False
-        for a in range(len(clusters) - 1):
-            ma = sum(clusters[a]) / len(clusters[a])
-            mb = sum(clusters[a + 1]) / len(clusters[a + 1])
-            if abs(ma - mb) < gap:
-                clusters[a] += clusters.pop(a + 1)
-                merged = True
-                break
-    return clusters
+def _float_split(alg: AssocAlgebra, Z, rng):
+    """Float64 guesses for the primitive central idempotents, or None when
+    the random central element does not separate the blocks."""
+    k = len(Z)
+    w = np.array([rng.uniform(-1.0, 1.0) for _ in range(k)]) @ Z
+    # L_w[k, j] = sum_i w_i T[i, j, k]; M is L_w restricted to the center
+    L = np.tensordot(w, alg.tensor, axes=(0, 0)).T
+    M = Z.conj() @ L @ Z.T
+    lam, V = np.linalg.eig(M)
+    scale = max(1.0, float(np.max(np.abs(lam))))
+    gaps = np.abs(lam[:, None] - lam[None, :]) + np.eye(k) * scale
+    if gaps.min() <= _FLOAT_GAP * scale:
+        return None
+    # the unit is the sum of the idempotents: solve for the eigenvector scales
+    try:
+        c = np.linalg.solve(V, Z.conj()[:, 0])
+    except np.linalg.LinAlgError:
+        return None
+    return [(V[:, b] * c[b]) @ Z for b in range(k)]
+
+
+def _refine(alg: AssocAlgebra, guess, tol):
+    """Newton's e <- 3e^2 - 2e^3 at the working precision from a float64
+    guess; the idempotent with |e^2 - e| <= tol, or None.  Convergence is
+    quadratic, so log2(mp.dps) steps reach tol from any float64 start."""
+    e = [mp.mpc(complex(x)) for x in guess]
+    for _ in range(mp.mp.dps.bit_length() + 1):
+        sq = alg.mult(e, e)
+        if max(abs(s - x) for s, x in zip(sq, e)) <= tol:
+            return e
+        cube = alg.mult(sq, e)
+        e = [3 * s - 2 * c for s, c in zip(sq, cube)]
+    return None
+
+
+def _certified(alg: AssocAlgebra, idems, dim_z, tol) -> bool:
+    """dim Z idempotents (e^2 = e is checked by _refine), each nonzero and
+    central, that sum to the unit."""
+    if len(idems) != dim_z or None in idems:
+        return False
+    if any(max(abs(x) for x in e) <= tol for e in idems):
+        return False
+    total = [sum(col) for col in zip(*idems)]
+    if max(abs(t - (i == 0)) for i, t in enumerate(total)) > tol:
+        return False
+    return all(max(alg.commutator_residuals(e)) <= tol for e in idems)
 
 
 def central_idempotents(alg: AssocAlgebra, seed=SPLIT_SEED) -> list:
     """Primitive central idempotents as coefficient vectors.
 
-    Raises NumericalDegeneracyError when no random central element manages
-    to split a factor whose center is bigger than one dimensional, which is
-    also what happens when the input algebra is not semisimple.
+    Raises NumericalDegeneracyError when no random central element gives a
+    certified split, which is also what happens when the input algebra is
+    not semisimple.
     """
     Z = center_basis(alg)
-    queue = [alg.unit()]
-    final = []
-    while queue:
-        e = queue.pop()
-        ez = _orthonormalize([alg.mult(e, z) for z in Z])
-        if len(ez) <= 1:
-            final.append(e)
+    tol = _tolerance()
+    for attempt in range(_MAX_SPLIT_ATTEMPTS):
+        guesses = _float_split(alg, Z, random.Random(seed + attempt))
+        if guesses is None:
             continue
-        split = None
-        for attempt in range(_MAX_SPLIT_ATTEMPTS):
-            rng = random.Random(seed + attempt)
-            coeffs = [rng.randint(-9, 9) for _ in Z]
-            w = [sum(c * z[i] for c, z in zip(coeffs, Z)) for i in range(alg.n)]
-            we = alg.mult(e, w)
-            k = len(ez)
-            M = mp.zeros(k, k)
-            for q in range(k):
-                img = alg.mult(we, ez[q])
-                for p in range(k):
-                    M[p, q] = _inner(ez[p], img)
-            eigenvalues = mp.eig(M, left=False, right=False)
-            clusters = _cluster(eigenvalues)
-            if len(clusters) < 2:
-                continue
-            means = [sum(c) / len(c) for c in clusters]
-            idems = []
-            ok = True
-            for ci, lam in enumerate(means):
-                v = list(e)
-                for cj, lam2 in enumerate(means):
-                    if cj == ci:
-                        continue
-                    vw = alg.mult(v, we)
-                    scale = 1 / (lam - lam2)
-                    v = [(a - lam2 * b) * scale for a, b in zip(vw, v)]
-                vv = alg.mult(v, v)
-                if max(abs(a - b) for a, b in zip(vv, v)) > _IDEM_TOL:
-                    ok = False
-                    break
-                idems.append(v)
-            if ok:
-                split = idems
-                break
-        if split is None:
-            raise NumericalDegeneracyError(
-                "failed to split a central factor after "
-                f"{_MAX_SPLIT_ATTEMPTS} seeded attempts; the algebra is "
-                "degenerate or not semisimple")
-        queue.extend(split)
-    return final
+        idems = [_refine(alg, g, tol) for g in guesses]
+        if _certified(alg, idems, len(Z), tol):
+            return idems
+    raise NumericalDegeneracyError(
+        "failed to split the center after "
+        f"{_MAX_SPLIT_ATTEMPTS} seeded attempts; the algebra is "
+        "degenerate or not semisimple")
 
 
 @dataclass(frozen=True)
@@ -234,6 +237,23 @@ def block_profiles(alg: AssocAlgebra, seed=SPLIT_SEED) -> list:
         out.append(BlockProfile(idempotent=tuple(e), block_dim=bd, m=m))
     out.sort(key=_profile_key)
     return out
+
+
+def character_table(alg: AssocAlgebra, blocks) -> tuple:
+    """Irreducible character of every block at every basis element:
+    chi_b(z) = (1/m) sum_i e_b[i] W[i, z] with the integer matrix
+    W[i, z] = sum_k T[i, z, k] tr(L_k) = tr(L_{b_i b_z})."""
+    W = np.einsum("izk,k->iz", alg.tensor, alg._trace_vec)
+    cols = [[(int(i), int(W[i, z])) for i in np.nonzero(W[:, z])[0]]
+            for z in range(alg.n)]
+    table = []
+    for bp in blocks:
+        re, im, exp = _mantissas(bp.idempotent)
+        table.append(tuple(
+            mp.mpc(mp.mpf((sum(re[i] * w for i, w in col), exp)),
+                   mp.mpf((sum(im[i] * w for i, w in col), exp))) / bp.m
+            for col in cols))
+    return tuple(table)
 
 
 def normalized_block_trace(alg: AssocAlgebra, block: BlockProfile, a):

@@ -10,7 +10,6 @@ from fuscond.ring import (
     fp_dims,
     group_ring,
     subring_dim,
-    subring_generated,
     validate,
 )
 
@@ -172,10 +171,10 @@ def test_structural_rejection():
 
 def test_closure_and_generated():
     ring = d3_xy_ring()
-    assert subring_generated(ring, (6,)) == frozenset({0, 1, 2, 6})
-    assert subring_generated(ring, ()) == frozenset({0})
+    assert closure(ring, (6,)) == frozenset({0, 1, 2, 6})
+    assert closure(ring, ()) == frozenset({0})
     assert closure(ring, {3}) == frozenset({0, 3})
-    assert subring_generated(ring, (3, 4)) == frozenset(range(6))
+    assert closure(ring, (3, 4)) == frozenset(range(6))
 
 
 @pytest.mark.parametrize("n", range(1, 9))

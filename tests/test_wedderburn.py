@@ -3,9 +3,11 @@ import random
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fuscond.errors import NumericalDegeneracyError, SchemaError
-from fuscond.ring import group_ring
+from fuscond.ring import BasedRing, group_ring, product_ring
 from fuscond.wedderburn import (
     AssocAlgebra,
     block_profiles,
@@ -138,3 +140,66 @@ def test_rank_one():
     alg = AssocAlgebra(T)
     blocks = block_profiles(alg)
     assert len(blocks) == 1 and blocks[0].m == 1
+
+
+# Small groups with their irreducible degrees; a product ring's degrees are
+# the pairwise products.
+PROPERTY_GROUPS = [
+    (cyclic(1), [1]),
+    (cyclic(2), [1, 1]),
+    (cyclic(3), [1, 1, 1]),
+    (cyclic(4), [1] * 4),
+    (cyclic(5), [1] * 5),
+    (symmetric(3), [1, 1, 2]),
+    (dihedral(4), [1, 1, 1, 1, 2]),
+    (dihedral(5), [1, 1, 2, 2]),
+    (quaternion(), [1, 1, 1, 1, 2]),
+    (alternating(4), [1, 1, 1, 3]),
+]
+_PROPERTY_RANK_CAP = 40
+
+
+def _relabel(ring, perm):
+    """The same ring with basis element i moved to perm[i]."""
+    n = ring.rank
+    F = np.zeros_like(ring.fusion)
+    p = np.array(perm)
+    F[np.ix_(p, p, p)] = ring.fusion
+    labels = [None] * n
+    dual = [None] * n
+    for i in range(n):
+        labels[perm[i]] = ring.labels[i]
+        dual[perm[i]] = perm[ring.dual[i]]
+    return BasedRing(labels=tuple(labels), fusion=F, dual=tuple(dual))
+
+
+@st.composite
+def group_rings(draw):
+    """A group ring or a product of two, with its basis shuffled (the unit
+    stays at index 0), and its irreducible degrees."""
+    parts = draw(st.lists(st.sampled_from(PROPERTY_GROUPS), min_size=1,
+                          max_size=2).filter(
+        lambda ps: np.prod([len(g[0][0]) for g in ps]) <= _PROPERTY_RANK_CAP))
+    ring = group_ring(*parts[0][0])
+    degrees = list(parts[0][1])
+    for grp, degs in parts[1:]:
+        ring = product_ring(ring, group_ring(*grp))
+        degrees = [a * b for a in degrees for b in degs]
+    rest = draw(st.permutations(range(1, ring.rank)))
+    return _relabel(ring, [0] + list(rest)), degrees
+
+
+@settings(max_examples=25, deadline=None)
+@given(group_rings(), st.integers(min_value=0, max_value=2 ** 32))
+def test_group_ring_split_properties(case, seed):
+    ring, degrees = case
+    with mp.workdps(64):
+        alg = AssocAlgebra.from_based_ring(ring)
+        blocks = block_profiles(alg, seed=seed)
+        assert sorted(b.m for b in blocks) == sorted(degrees)
+        assert sum(b.m * b.m for b in blocks) == ring.rank
+        tol = mp.mpf(10) ** -56
+        for b in blocks:
+            e = list(b.idempotent)
+            sq = alg.mult(e, e)
+            assert max(abs(x - y) for x, y in zip(sq, e)) <= tol
