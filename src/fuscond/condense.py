@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import mpmath as mp
 import numpy as np
 
-from .cyclotomic import as_mpc, exact_scalar
+from .cyclotomic import as_mpc
 from .errors import (
     CapabilityError,
     NumericalDegeneracyError,
@@ -28,7 +28,8 @@ from .errors import (
     ValidationReport,
 )
 from .modular import ModularData, dims as modular_dims, verlinde
-from .ring import BasedRing, DimVector, closure, element_product, fp_dims, validate
+from .ring import (BasedRing, DimVector, check_basis, closure, element_product,
+                   fp_dims, validate)
 from .wedderburn import SPLIT_SEED, AssocAlgebra, block_profiles, character_table
 
 MATCH_ACCEPT = 1e-6
@@ -48,16 +49,13 @@ class Ambient:
     modular: ModularData | None = None
 
     def __post_init__(self):
-        labels = tuple(str(x) for x in self.labels)
+        labels, dual = check_basis(self.labels, self.dual)
         object.__setattr__(self, "labels", labels)
-        r = len(labels)
-        dual = tuple(int(i) for i in self.dual)
         object.__setattr__(self, "dual", dual)
-        if sorted(dual) != list(range(r)) or any(dual[dual[i]] != i for i in range(r)):
-            raise SchemaError("ambient dual map must be an involutive permutation")
+        r = len(labels)
         d = self.dims
         if not isinstance(d, DimVector):
-            d = DimVector(values=tuple(d), source="given")
+            d = DimVector(values=tuple(d))
         object.__setattr__(self, "dims", d)
         if len(d) != r:
             raise SchemaError(f"need {r} ambient dims, got {len(d)}")
@@ -77,8 +75,6 @@ class Ambient:
 
     @classmethod
     def from_ring(cls, ring: BasedRing, dims, twists=None) -> "Ambient":
-        if not isinstance(dims, DimVector):
-            dims = DimVector(values=tuple(dims), source="given")
         return cls(labels=ring.labels, dual=ring.dual, dims=dims,
                    twists=twists, ring=ring)
 
@@ -95,10 +91,7 @@ class Ambient:
         return self.labels.index(label)
 
     def global_dim(self):
-        exact = [exact_scalar(v) for v in self.dims.values]
-        if all(e is not None for e in exact):
-            return sum(e * e for e in exact)
-        return sum(as_mpc(v).real ** 2 for v in self.dims.values)
+        return self.dims.total()
 
     def character_row(self, x: int):
         """The pattern y -> S(x*, y)/d(x) as numeric values.
@@ -148,10 +141,7 @@ class CondensableAlgebra:
                 f"{self.ambient.rank}")
 
     def dim(self):
-        exact = [exact_scalar(v) for v in self.ambient.dims.values]
-        if all(e is not None for e in exact):
-            return sum(n * e for n, e in zip(self.mult, exact))
-        return sum(n * as_mpc(v).real for n, v in zip(self.mult, self.ambient.dims.values))
+        return self.ambient.dims.dot(self.mult)
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,7 +155,7 @@ class CondensationBundle:
     def __post_init__(self):
         d = self.dA
         if not isinstance(d, DimVector):
-            d = DimVector(values=tuple(d), source="given")
+            d = DimVector(values=tuple(d))
         object.__setattr__(self, "dA", d)
         s = self.module_ring.rank
         if len(d) != s:
@@ -226,11 +216,11 @@ def check_bundle(b: CondensationBundle, tol=1e-9) -> ValidationReport:
         return rep
 
     dim_c = as_mpc(amb.global_dim()).real
-    dim_ca = sum(as_mpc(v).real ** 2 for v in b.dA.values)
+    dim_ca = as_mpc(b.dA.total()).real
     if not _near(dim_ca, dim_c / dA_alg, tol):
         rep.add(f"dim(C_A) = {float(dim_ca)} but dim(C)/d(A) = "
                 f"{float(dim_c / dA_alg)}")
-    dim_local = sum(as_mpc(b.dA[y]).real ** 2 for y in b.local)
+    dim_local = as_mpc(b.dA.total(b.local)).real
     if not _near(dim_local, dim_c / dA_alg ** 2, tol):
         rep.add(f"dim(local) = {float(dim_local)} but dim(C)/d(A)^2 = "
                 f"{float(dim_c / dA_alg ** 2)}")
@@ -252,8 +242,9 @@ def check_bundle(b: CondensationBundle, tol=1e-9) -> ValidationReport:
         if not np.array_equal(M[:, 0], np.asarray(mult)):
             rep.add("unit column of the induction matrix must equal the "
                     "algebra multiplicities")
+        da = [as_mpc(v).real for v in b.dA.values]
         for x in range(amb.rank):
-            lhs = sum(int(M[x, y]) * as_mpc(b.dA[y]).real for y in range(ring.rank))
+            lhs = sum(int(M[x, y]) * da[y] for y in np.nonzero(M[x])[0])
             rhs = as_mpc(amb.dims[x]).real
             if not _near(lhs, rhs, tol):
                 rep.add(f"induction adjunction fails at {amb.labels[x]}: "
@@ -271,14 +262,9 @@ def e_sub(b: CondensationBundle, sub) -> list:
     sub = tuple(sorted(int(i) for i in sub))
     if closure(ring, sub) != frozenset(sub):
         raise SchemaError(f"{sub} is not a subring of the module ring")
-    exact = [exact_scalar(v) for v in b.dA.values]
-    if all(e is not None for e in exact):
-        total = sum(exact[y] * exact[y] for y in sub)
-        vec = [exact[y] / total if y in sub else 0 for y in range(ring.rank)]
-    else:
-        total = sum(as_mpc(b.dA[y]).real ** 2 for y in sub)
-        vec = [as_mpc(b.dA[y]) / total if y in sub else mp.mpc(0)
-               for y in range(ring.rank)]
+    d = b.dA.scalars()
+    total = b.dA.total(sub)
+    vec = [d[y] / total if y in sub else 0 for y in range(ring.rank)]
     sq = element_product(ring, vec, vec)
     resid = max(abs(as_mpc(p) - as_mpc(v)) for p, v in zip(sq, vec))
     if resid > 1e-9:
@@ -452,6 +438,25 @@ def indicator(swr: SchurWeylReport, x, a):
         "(or ring with twists) plus the induction matrix")
 
 
+def block_dims(swr: SchurWeylReport, tol: float) -> dict:
+    """Ambient dimension of each ideal block, as an mpmath real at the
+    working precision: the matched simple's dimension, or the common
+    dimension of every x with n_x equal to the block size.  None marks a
+    block whose candidates differ by more than tol relative to the
+    largest."""
+    b = swr.bundle
+    out = {}
+    for bi, bp in enumerate(swr.blocks):
+        if not swr.in_ideal[bi]:
+            continue
+        xs = ([swr.matched[bi]] if swr.matched[bi] is not None
+              else [x for x, n in enumerate(b.mult) if n == bp.m])
+        cand = [as_mpc(b.ambient.dims[x]).real for x in xs]
+        agree = cand and max(cand) - min(cand) <= tol * max(1.0, max(cand))
+        out[bi] = cand[0] if agree else None
+    return out
+
+
 @dataclass(frozen=True)
 class CodegreeReport:
     entries: tuple
@@ -480,22 +485,13 @@ def codegree_check(swr: SchurWeylReport, tol=1e-9) -> CodegreeReport:
     d_alg = as_mpc(b.algebra.dim()).real
     entries = []
     worst = 0.0
-    for bi, (bp, flag) in enumerate(zip(swr.blocks, swr.in_ideal)):
-        if not flag:
+    for bi, dx in block_dims(swr, tol).items():
+        if dx is None:
+            rep.add(f"block {bi} (m={swr.blocks[bi].m}): candidate dimensions "
+                    "differ, cannot fix the expected codegree scalar")
             continue
-        if swr.matched[bi] is not None:
-            xi = swr.matched[bi]
-            dx = as_mpc(b.ambient.dims[xi]).real
-            name = b.ambient.labels[xi]
-        else:
-            cand = [as_mpc(b.ambient.dims[x]).real
-                    for x, n in enumerate(b.mult) if n == bp.m]
-            if not cand or max(cand) - min(cand) > tol:
-                rep.add(f"block {bi} (m={bp.m}): candidate dimensions differ, "
-                        "cannot fix the expected codegree scalar")
-                continue
-            dx = cand[0]
-            name = f"block[{bi}]"
+        xi = swr.matched[bi]
+        name = b.ambient.labels[xi] if xi is not None else f"block[{bi}]"
         scalar = dim_c / (dx * d_alg)
         chi = swr.characters[bi]
         phi = [chi[ring.dual[z]] for z in range(ring.rank)]

@@ -367,3 +367,19 @@ def exact_scalar(x):
     if isinstance(x, numbers.Rational):
         return Cyc.rational(Fraction(x))
     return None
+
+
+def exact_vector(values):
+    """Every value as a Cyc, or None unless all of them are exact.
+
+    This is the one scalar policy of the package: a computation over a
+    vector of scalars runs in exact cyclotomic arithmetic when this returns
+    a tuple, and in mpmath at the working precision otherwise.
+    """
+    out = []
+    for v in values:
+        e = exact_scalar(v)
+        if e is None:
+            return None
+        out.append(e)
+    return tuple(out)

@@ -13,7 +13,7 @@ from .condense import Ambient, CondensableAlgebra, CondensationBundle
 from .cyclotomic import Cyc
 from .errors import CapabilityError
 from .modular import ModularData, deligne, dims as modular_dims, verlinde
-from .ring import BasedRing, DimVector, element_product, product_ring
+from .ring import PRODUCT_SEP, BasedRing, DimVector, element_product, product_ring
 
 
 def ty_ring(m: int) -> BasedRing:
@@ -212,8 +212,7 @@ def a2n(n: int) -> CondensationBundle:
     amb_dims = tuple(da * db for da in dims for db in dims)
     ktw = _conjugate_twists(twists)
     amb_twists = tuple(ta * tb for ta in twists for tb in ktw)
-    amb = Ambient.from_ring(amb_ring,
-                            DimVector(values=amb_dims, source="exact"),
+    amb = Ambient.from_ring(amb_ring, DimVector(values=amb_dims),
                             twists=amb_twists)
 
     module = xy_module_ring(n)
@@ -256,8 +255,7 @@ def a2n(n: int) -> CondensationBundle:
 
     mult = tuple(int(M[x, 0]) for x in range(amb.rank))
     rt = Cyc.sqrt_int(m)
-    dA = DimVector(values=(Cyc.rational(1),) * (2 * m) + (rt, rt),
-                   source="exact")
+    dA = DimVector(values=(Cyc.rational(1),) * (2 * m) + (rt, rt))
     alg = CondensableAlgebra(ambient=amb, mult=mult)
     return CondensationBundle(algebra=alg, module_ring=module, dA=dA,
                               induction=M, local=(0,))
@@ -271,13 +269,12 @@ def a2nplus1(n: int) -> CondensationBundle:
         raise CapabilityError("family a2nplus1 is built for n = 1..6")
     labels, dual, dims, twists = half_table(n)
     r = len(labels)
-    amb_labels = tuple(f"{la}.{lb}" for la in labels for lb in labels)
+    amb_labels = tuple(f"{la}{PRODUCT_SEP}{lb}" for la in labels for lb in labels)
     amb_dual = tuple(dual[a] * r + dual[b] for a in range(r) for b in range(r))
     amb_dims = tuple(da * db for da in dims for db in dims)
     ktw = _conjugate_twists(twists)
     amb_twists = tuple(ta * tb for ta in twists for tb in ktw)
-    amb = Ambient.from_table(amb_labels, amb_dual,
-                             DimVector(values=amb_dims, source="exact"),
+    amb = Ambient.from_table(amb_labels, amb_dual, DimVector(values=amb_dims),
                              amb_twists)
 
     mult = [0] * amb.rank
@@ -294,8 +291,7 @@ def a2nplus1(n: int) -> CondensationBundle:
     module = xy2_module_ring(n)
     p = 2 * n + 2
     rt = Cyc.sqrt_int(n + 1)
-    dA = DimVector(values=(Cyc.rational(1),) * (2 * p) + (rt,) * 4,
-                   source="exact")
+    dA = DimVector(values=(Cyc.rational(1),) * (2 * p) + (rt,) * 4)
     alg = CondensableAlgebra(ambient=amb, mult=tuple(mult))
     return CondensationBundle(algebra=alg, module_ring=module, dA=dA,
                               induction=None, local=(0,))
@@ -308,16 +304,14 @@ def vlplus_orbifold(n: int) -> CondensationBundle:
     if n != 1:
         raise CapabilityError("family vlplus-orbifold is built for n = 1 only")
     ring, dims, twists = half_ring(1)
-    amb = Ambient.from_ring(ring, DimVector(values=dims, source="exact"),
-                            twists=twists)
+    amb = Ambient.from_ring(ring, DimVector(values=dims), twists=twists)
     module = ty_ring(3)
     M = np.array([[1, 0, 0, 0],
                   [1, 0, 0, 0],
                   [0, 1, 1, 0],
                   [0, 0, 0, 1],
                   [0, 0, 0, 1]], dtype=np.int64)
-    dA = DimVector(values=(Cyc.rational(1),) * 3 + (Cyc.sqrt_int(3),),
-                   source="exact")
+    dA = DimVector(values=(Cyc.rational(1),) * 3 + (Cyc.sqrt_int(3),))
     alg = CondensableAlgebra(ambient=amb, mult=(1, 1, 0, 0, 0))
     return CondensationBundle(algebra=alg, module_ring=module, dA=dA,
                               induction=M, local=(0, 1, 2))
@@ -346,7 +340,7 @@ def toric_code() -> CondensationBundle:
     F[0, 0, 0] = F[0, 1, 1] = F[1, 0, 1] = F[1, 1, 0] = 1
     module = BasedRing(labels=("1", "M"), fusion=F, dual=(0, 1))
     M = np.array([[1, 0], [1, 0], [0, 1], [0, 1]], dtype=np.int64)
-    dA = DimVector(values=(1, 1), source="exact")
+    dA = DimVector(values=(1, 1))
     alg = CondensableAlgebra(ambient=amb, mult=(1, 1, 0, 0))
     return CondensationBundle(algebra=alg, module_ring=module, dA=dA,
                               induction=M, local=(0,))

@@ -16,8 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 from mpmath import mp
 
-from .condense import CondensationBundle, SchurWeylReport, e_sub, schur_weyl
-from .cyclotomic import as_mpc, exact_scalar
+from .condense import (CondensationBundle, SchurWeylReport, block_dims, e_sub,
+                       schur_weyl)
+from .cyclotomic import as_mpc
 from .errors import NumericalDegeneracyError, TheoremViolationError
 from .ring import element_product, enumerate_subrings
 
@@ -28,14 +29,6 @@ def lattice(b: CondensationBundle) -> list:
     """All subrings of the module ring that contain the local part, as
     sorted index tuples.  Subject to the subring enumeration rank cap."""
     return enumerate_subrings(b.module_ring, must_contain=b.local)
-
-
-def _sub_dim(b: CondensationBundle, sub) -> float:
-    exact = [exact_scalar(v) for v in b.dA.values]
-    if all(e is not None for e in exact):
-        total = sum(exact[y] * exact[y] for y in sub)
-        return float(as_mpc(total).real)
-    return float(sum(as_mpc(b.dA[y]).real ** 2 for y in sub))
 
 
 def _trivial_block(swr: SchurWeylReport) -> int:
@@ -146,27 +139,6 @@ class GaloisReport:
         raise KeyError(f"no lattice entry for {key}")
 
 
-def _block_dims(swr: SchurWeylReport, tol: float):
-    """Ambient dimension attached to each ideal block: the matched simple's
-    dimension, or the common dimension of all candidates at that block
-    size.  None marks a block where no consistent dimension exists."""
-    b = swr.bundle
-    out = {}
-    for bi, bp in enumerate(swr.blocks):
-        if not swr.in_ideal[bi]:
-            continue
-        if swr.matched[bi] is not None:
-            out[bi] = float(as_mpc(b.ambient.dims[swr.matched[bi]]).real)
-            continue
-        cand = [float(as_mpc(b.ambient.dims[x]).real)
-                for x, n in enumerate(b.mult) if n == bp.m]
-        if cand and max(cand) - min(cand) <= tol * max(1.0, max(cand)):
-            out[bi] = cand[0]
-        else:
-            out[bi] = None
-    return out
-
-
 def verify_correspondence(b: CondensationBundle, tol: float = 1e-9,
                           swr: SchurWeylReport | None = None) -> GaloisReport:
     """Run the correspondence checks over the whole subring lattice.
@@ -187,7 +159,8 @@ def verify_correspondence(b: CondensationBundle, tol: float = 1e-9,
 
     dim_c = float(as_mpc(b.ambient.global_dim()).real)
     d_alg = float(as_mpc(b.algebra.dim()).real)
-    bdims = _block_dims(swr, tol)
+    bdims = {bi: None if d is None else float(d)
+             for bi, d in block_dims(swr, tol).items()}
     ideal_idx = tuple(bi for bi, f in enumerate(swr.in_ideal) if f)
     triv_pos = ideal_idx.index(trivial)
 
@@ -213,7 +186,7 @@ def verify_correspondence(b: CondensationBundle, tol: float = 1e-9,
             raise TheoremViolationError(
                 f"invariant subalgebra of {sub} has non-positive "
                 f"dimension {d_inv}")
-        dim_sub = _sub_dim(b, sub)
+        dim_sub = float(as_mpc(b.dA.total(sub)).real)
         if d_inv is None:
             residual = float("nan")
         else:

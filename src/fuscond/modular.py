@@ -14,11 +14,12 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 
-from .cyclotomic import Cyc, as_mpc, exact_scalar as _exact
+from .cyclotomic import Cyc, as_mpc, exact_scalar as _exact, exact_vector
 from .errors import NumericalDegeneracyError, SchemaError, ValidationReport
-from .ring import BasedRing, DimVector
+from .ring import PRODUCT_SEP, BasedRing, DimVector, check_basis
 
 TWIST_ORDER_CAP = 10000
+VERLINDE_TOL = 1e-6  # largest distance of a Verlinde coefficient from an integer
 
 
 def _conj(v):
@@ -37,17 +38,10 @@ class ModularData:
     twists: tuple[object, ...]
 
     def __post_init__(self):
-        labels = tuple(str(x) for x in self.labels)
+        labels, dual = check_basis(self.labels, self.dual)
         object.__setattr__(self, "labels", labels)
-        r = len(labels)
-        if len(set(labels)) != r or any(not s for s in labels):
-            raise SchemaError("labels must be distinct nonempty strings")
-        dual = tuple(int(i) for i in self.dual)
         object.__setattr__(self, "dual", dual)
-        if sorted(dual) != list(range(r)) or any(dual[dual[i]] != i for i in range(r)):
-            raise SchemaError("dual map must be an involutive permutation")
-        if dual[0] != 0:
-            raise SchemaError("the unit at index 0 must be self-dual")
+        r = len(labels)
         s = tuple(tuple(row) for row in self.s)
         object.__setattr__(self, "s", s)
         if len(s) != r or any(len(row) != r for row in s):
@@ -67,9 +61,6 @@ class ModularData:
     def s_numeric(self):
         return [[as_mpc(v) for v in row] for row in self.s]
 
-    def global_dim(self):
-        return sum(v * _conj(v) for v in self.s[0])
-
     def reverse(self) -> "ModularData":
         """Same fusion with the braiding reversed: conjugate S and twists."""
         s = tuple(tuple(_conj(v) for v in row) for row in self.s)
@@ -81,7 +72,7 @@ class ModularData:
 
 
 def dims(md: ModularData) -> DimVector:
-    return DimVector(values=tuple(md.s[0]), source="s-matrix")
+    return DimVector(values=tuple(md.s[0]))
 
 
 def _is_root_of_unity(t, tol):
@@ -150,12 +141,12 @@ def validate(md: ModularData, tol=1e-9) -> ValidationReport:
     return rep
 
 
-def verlinde(md: ModularData, tol=1e-6) -> BasedRing:
+def verlinde(md: ModularData) -> BasedRing:
     """Fusion ring recovered from the S-matrix.
 
     N[i][j][k] = (1/dim) sum_t S[i][t] S[j][t] conj(S[k][t]) / S[0][t],
     computed numerically at working precision and rounded; a residual above
-    tol means the data was not modular to begin with.
+    VERLINDE_TOL means the data was not modular to begin with.
     """
     r = md.rank
     S = md.s_numeric()
@@ -172,7 +163,7 @@ def verlinde(md: ModularData, tol=1e-6) -> BasedRing:
                 n = int(mp.nint(mp.re(val)))
                 err = abs(val - n)
                 worst = max(worst, float(err))
-                if err > tol:
+                if err > VERLINDE_TOL:
                     raise NumericalDegeneracyError(
                         f"verlinde coefficient ({i},{j},{k}) = {complex(val)} "
                         f"is not close to an integer")
@@ -184,44 +175,36 @@ def verlinde(md: ModularData, tol=1e-6) -> BasedRing:
     return BasedRing(labels=md.labels, fusion=F, dual=md.dual)
 
 
+def _s_matrix(md: ModularData) -> list:
+    """The S-matrix rows as exact Cyc when every entry is exact, else as
+    mpmath numbers at the working precision."""
+    r = md.rank
+    exact = exact_vector(v for row in md.s for v in row)
+    if exact is None:
+        return md.s_numeric()
+    return [exact[i * r:(i + 1) * r] for i in range(r)]
+
+
 def characters(md: ModularData) -> list:
     """Character table of the fusion ring: chi[x][y] = S[x][y] / S[0][x].
 
-    Exact cyclotomic values whenever the S entries are exact; numeric
-    otherwise.
+    Exact cyclotomic values when every S entry is exact; numeric otherwise.
     """
-    r = md.rank
-    out = []
-    for x in range(r):
-        dx = _exact(md.s[0][x])
-        row = []
-        for y in range(r):
-            v = _exact(md.s[x][y])
-            if dx is not None and v is not None and not dx.is_zero():
-                row.append(v / dx)
-            else:
-                row.append(as_mpc(md.s[x][y]) / as_mpc(md.s[0][x]))
-        out.append(row)
-    return out
+    S = _s_matrix(md)
+    return [[S[x][y] / S[0][x] for y in range(md.rank)] for x in range(md.rank)]
 
 
 def central_idempotent(md: ModularData, x: int) -> list:
     """Coefficients of the central idempotent attached to character x,
     c[z] = d(x) / dim * S[x][dual(z)]."""
-    r = md.rank
-    exact_ok = all(_exact(v) is not None for row in md.s for v in row)
-    if exact_ok:
-        dim = sum(_exact(v) * _exact(v).conj() for v in md.s[0])
-        dx = _exact(md.s[0][x])
-        return [dx * _exact(md.s[x][md.dual[z]]) / dim for z in range(r)]
-    S = md.s_numeric()
-    dim = sum(abs(v) ** 2 for v in S[0])
-    return [S[0][x] * S[x][md.dual[z]] / dim for z in range(r)]
+    S = _s_matrix(md)
+    dim = dims(md).total()
+    return [S[0][x] * S[x][md.dual[z]] / dim for z in range(md.rank)]
 
 
-def deligne(a: ModularData, b: ModularData, sep=".") -> ModularData:
+def deligne(a: ModularData, b: ModularData) -> ModularData:
     """Product theory: labels pair up, S entries and twists multiply."""
-    labels = tuple(f"{la}{sep}{lb}" for la in a.labels for lb in b.labels)
+    labels = tuple(f"{la}{PRODUCT_SEP}{lb}" for la in a.labels for lb in b.labels)
     rb = b.rank
     dual = tuple(a.dual[i] * rb + b.dual[j]
                  for i in range(a.rank) for j in range(b.rank))

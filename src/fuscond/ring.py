@@ -13,11 +13,28 @@ from functools import cached_property
 
 import numpy as np
 
-from .cyclotomic import Cyc, as_mpc
+from .cyclotomic import Cyc, as_mpc, exact_vector
 from .errors import CapabilityError, NumericalDegeneracyError, SchemaError, ValidationReport
 
 SUBRING_RANK_CAP = 24
+PRODUCT_SEP = "."  # joins the factor labels of a product basis
+FP_TOL, FP_MAX_ITER = 1e-12, 10000  # fp_dims power iteration
 _MAX_REPORTED = 5
+
+
+def check_basis(labels, dual) -> tuple:
+    """Labels as distinct nonempty strings and dual as an involutive
+    permutation that fixes the unit at index 0, both returned as tuples."""
+    labels = tuple(str(x) for x in labels)
+    r = len(labels)
+    if len(set(labels)) != r or any(not s for s in labels):
+        raise SchemaError("labels must be distinct nonempty strings")
+    dual = tuple(int(i) for i in dual)
+    if sorted(dual) != list(range(r)) or any(dual[dual[i]] != i for i in range(r)):
+        raise SchemaError("dual map must be an involutive permutation")
+    if not dual or dual[0] != 0:
+        raise SchemaError("the unit at index 0 must be self-dual")
+    return labels, dual
 
 
 @dataclass(frozen=True, eq=False)
@@ -27,12 +44,11 @@ class BasedRing:
     dual: tuple[int, ...]
 
     def __post_init__(self):
-        labels = tuple(str(x) for x in self.labels)
+        labels, dual = check_basis(self.labels, self.dual)
         object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "dual", dual)
         fusion = np.asarray(self.fusion)
         r = len(labels)
-        if len(set(labels)) != r or any(not s for s in labels):
-            raise SchemaError("labels must be distinct nonempty strings")
         if fusion.ndim != 3 or fusion.shape != (r, r, r):
             raise SchemaError(
                 f"fusion tensor must have shape ({r}, {r}, {r}), got {fusion.shape}")
@@ -44,22 +60,10 @@ class BasedRing:
             raise SchemaError("fusion multiplicities must be nonnegative")
         fusion.setflags(write=False)
         object.__setattr__(self, "fusion", fusion)
-        dual = tuple(int(i) for i in self.dual)
-        object.__setattr__(self, "dual", dual)
-        if sorted(dual) != list(range(r)):
-            raise SchemaError("dual map must be a permutation of the basis")
-        if any(dual[dual[i]] != i for i in range(r)):
-            raise SchemaError("dual map must be an involution")
-        if dual[0] != 0:
-            raise SchemaError("the unit at index 0 must be self-dual")
 
     @property
     def rank(self) -> int:
         return len(self.labels)
-
-    @property
-    def unit(self) -> int:
-        return 0
 
     def index(self, label: str) -> int:
         return self.labels.index(label)
@@ -74,13 +78,13 @@ class BasedRing:
 
 @dataclass(frozen=True)
 class DimVector:
-    """Basis dimensions together with where they came from.
+    """Basis dimensions, as floats or exact scalars.
 
-    Values may be floats or exact scalars; total() is the global dimension
-    sum of d_i^2 in whatever arithmetic the entries support.
+    total() and dot() are the dimension sums of the package.  Both follow
+    one scalar policy: exact Cyc arithmetic when every value is exact, else
+    mpmath reals at the working precision.
     """
     values: tuple
-    source: str = "given"
 
     def __len__(self):
         return len(self.values)
@@ -91,8 +95,27 @@ class DimVector:
     def __iter__(self):
         return iter(self.values)
 
-    def total(self):
-        return sum(d * d for d in self.values)
+    @cached_property
+    def exact(self):
+        """The values as Cyc, or None unless every value is exact."""
+        return exact_vector(self.values)
+
+    def scalars(self):
+        """The values in the arithmetic of the sums: exact Cyc, or mpmath
+        reals at the working precision."""
+        if self.exact is not None:
+            return self.exact
+        return [as_mpc(v).real for v in self.values]
+
+    def total(self, subset=None):
+        """Sum of d_i^2 over the indices in subset (default: all)."""
+        d = self.scalars()
+        idx = range(len(d)) if subset is None else subset
+        return sum(d[i] * d[i] for i in idx)
+
+    def dot(self, weights):
+        """Sum of w_i d_i."""
+        return sum(w * d for w, d in zip(weights, self.scalars()))
 
     def as_floats(self) -> np.ndarray:
         out = np.empty(len(self.values), dtype=np.float64)
@@ -149,7 +172,7 @@ def validate(ring: BasedRing) -> ValidationReport:
     return rep
 
 
-def fp_dims(ring: BasedRing, tol=1e-12, max_iter=10000) -> DimVector:
+def fp_dims(ring: BasedRing) -> DimVector:
     """Perron-Frobenius dimensions by power iteration on the summed left
     multiplication matrix.  The matrix is primitive for any based ring that
     satisfies the axioms, so the iteration converges to the unique positive
@@ -158,21 +181,21 @@ def fp_dims(ring: BasedRing, tol=1e-12, max_iter=10000) -> DimVector:
     M = ring.fusion.sum(axis=0).T.astype(np.float64)
     v = np.ones(ring.rank)
     v /= np.linalg.norm(v)
-    for _ in range(max_iter):
+    for _ in range(FP_MAX_ITER):
         w = M @ v
         nw = np.linalg.norm(w)
         if nw == 0:
             raise NumericalDegeneracyError("power iteration collapsed to zero")
         w /= nw
-        if np.max(np.abs(w - v)) < tol:
+        if np.max(np.abs(w - v)) < FP_TOL:
             v = w
             break
         v = w
     else:
         raise NumericalDegeneracyError(
-            f"power iteration did not converge within {max_iter} steps")
+            f"power iteration did not converge within {FP_MAX_ITER} steps")
     d = v / v[0]
-    return DimVector(values=tuple(float(x) for x in d), source="perron")
+    return DimVector(values=tuple(float(x) for x in d))
 
 
 def closure(ring: BasedRing, seed) -> frozenset:
@@ -214,13 +237,6 @@ def enumerate_subrings(ring: BasedRing, must_contain=()) -> list:
                 found.add(t)
                 stack.append(t)
     return sorted((tuple(sorted(s)) for s in found), key=lambda t: (len(t), t))
-
-
-def subring_dim(ring: BasedRing, subset, dims: DimVector | None = None):
-    """Sum of d_i^2 over the subset."""
-    if dims is None:
-        dims = fp_dims(ring)
-    return sum(dims[i] * dims[i] for i in subset)
 
 
 def _nonzero_rows(tensor) -> tuple:
@@ -272,10 +288,10 @@ def element_product(ring: BasedRing, a, b) -> list:
     return _sparse_product(ring._rows, a, b)
 
 
-def product_ring(a: BasedRing, b: BasedRing, sep=".") -> BasedRing:
+def product_ring(a: BasedRing, b: BasedRing) -> BasedRing:
     """Tensor product of two based rings: pairs of labels, products of
     structure constants.  Index (i, j) maps to i*b.rank + j."""
-    labels = tuple(f"{la}{sep}{lb}" for la in a.labels for lb in b.labels)
+    labels = tuple(f"{la}{PRODUCT_SEP}{lb}" for la in a.labels for lb in b.labels)
     dual = tuple(a.dual[i] * b.rank + b.dual[j]
                  for i in range(a.rank) for j in range(b.rank))
     n = a.rank * b.rank

@@ -99,12 +99,11 @@ def _need(obj, key, kind, where):
 
 def _int_list(obj, key, where):
     val = _need(obj, key, list, where)
-    out = []
-    for v in val:
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise SchemaError(f"{where}: field {key!r} must hold integers")
-        out.append(v)
-    return out
+    # json.loads yields exactly int for integers; the exact type test also
+    # rejects bool, a subclass of int
+    if not all(type(v) is int for v in val):
+        raise SchemaError(f"{where}: field {key!r} must hold integers")
+    return val
 
 
 # ------------------------------------------------------------------ ring.v1
@@ -186,9 +185,7 @@ def _emit_ambient(amb: Ambient) -> dict:
 
 
 def _parse_dims(raw, where) -> DimVector:
-    vals = [parse_scalar(v, where) for v in raw]
-    source = "exact" if all(isinstance(v, Cyc) for v in vals) else "given"
-    return DimVector(values=tuple(vals), source=source)
+    return DimVector(values=tuple(parse_scalar(v, where) for v in raw))
 
 
 def _parse_ambient(obj) -> Ambient:
@@ -241,8 +238,7 @@ def parse_bundle(obj) -> CondensationBundle:
     module = parse_ring(_need(obj, "module_ring", dict, where))
     raw_da = obj.get("dA")
     if raw_da is None:
-        dA = DimVector(values=tuple(float(v) for v in fp_dims(module)),
-                       source="fp")
+        dA = fp_dims(module)
     else:
         dA = _parse_dims(raw_da, f"{where}: dA")
     raw_m = obj.get("induction")

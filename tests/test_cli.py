@@ -190,6 +190,59 @@ def test_verdict_is_seed_independent(tmp_path, monkeypatch, capsys,
     assert all(s == seen[0] for s in seen[1:])
 
 
+def _floats(obj):
+    """The JSON object with every exact cyclotomic scalar re-encoded as
+    {"re", "im"} floats."""
+    if isinstance(obj, dict):
+        if set(obj) == {"cyclotomic"}:
+            return serialize.emit_scalar(complex(serialize.parse_scalar(obj)))
+        return {k: _floats(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_floats(v) for v in obj]
+    return obj
+
+
+def _stable_lines(out):
+    """Output lines without the header, residual magnitudes and match
+    fits, which depend on the arithmetic."""
+    keep = []
+    for line in out.splitlines()[1:]:
+        if line.startswith("- ") and "residual" in line:
+            continue
+        if line.startswith("|"):  # galois table: drop the residual column
+            line = line.rsplit("|", 2)[0]
+        keep.append(line.split(" (fit ")[0].split(" (best fit ")[0])
+    return keep
+
+
+@pytest.mark.parametrize("family,n", SMALL_MEMBERS,
+                         ids=[f"{f}-{n}" for f, n in SMALL_MEMBERS])
+def test_float_encoding_gives_the_exact_verdict(tmp_path, capsys, family, n):
+    exact = _emit(tmp_path, family, n)
+    with open(exact, encoding="utf-8") as fh:
+        obj = _floats(json.load(fh))
+    floats = tmp_path / "floats.json"
+    floats.write_text(json.dumps(obj), encoding="utf-8")
+    assert "cyclotomic" not in floats.read_text(encoding="utf-8")
+    for verb in ("analyze", "galois"):
+        capsys.readouterr()
+        code = main([verb, exact])
+        want = _stable_lines(capsys.readouterr().out)
+        assert main([verb, str(floats)]) == code
+        assert _stable_lines(capsys.readouterr().out) == want
+
+
+@pytest.mark.parametrize("verb", ["validate", "analyze"])
+def test_table_ambient_rejects_bad_labels(tmp_path, capsys, verb):
+    obj = serialize.emit_bundle(families.build("a2nplus1", n=1))
+    labels = obj["ambient"]["table"]["labels"]
+    labels[5], labels[6] = "1.1", ""
+    path = tmp_path / "bad.json"
+    path.write_text(serialize.dumps(obj), encoding="utf-8")
+    assert main([verb, str(path)]) == 2
+    assert "labels must be distinct" in capsys.readouterr().err
+
+
 # Integer coefficients (randint(-9, 9)) for the random central element
 # can make eigenvalues coincide exactly on the Z[sqrt 2] centers of
 # a2nplus1: with them n=1 fails to split at seed 7, and n=3 failed at seed

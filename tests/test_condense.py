@@ -13,7 +13,7 @@ from fuscond.condense import (
     schur_weyl,
 )
 from fuscond.cyclotomic import Cyc, as_mpc
-from fuscond.errors import CapabilityError, TheoremViolationError
+from fuscond.errors import CapabilityError, SchemaError, TheoremViolationError
 from fuscond.ring import BasedRing, group_ring
 from fuscond.wedderburn import normalized_block_trace
 
@@ -304,3 +304,8 @@ def test_self_duality_checked():
     rep = check_bundle(b)
     assert not rep.ok
     assert any("self-dual" in p for p in rep.problems)
+
+
+def test_table_ambient_needs_a_self_dual_unit():
+    with pytest.raises(SchemaError, match="unit at index 0 must be self-dual"):
+        Ambient.from_table(("1", "a"), (1, 0), (1, 1), (1, 1))

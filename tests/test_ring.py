@@ -1,6 +1,8 @@
+import mpmath as mp
 import numpy as np
 import pytest
 
+from fuscond.cyclotomic import Cyc
 from fuscond.errors import CapabilityError, SchemaError
 from fuscond.ring import (
     BasedRing,
@@ -9,7 +11,6 @@ from fuscond.ring import (
     enumerate_subrings,
     fp_dims,
     group_ring,
-    subring_dim,
     validate,
 )
 
@@ -229,11 +230,10 @@ def test_must_contain_filter():
 
 
 def test_subring_dim():
-    ring = d3_xy_ring()
-    d = fp_dims(ring)
-    assert abs(subring_dim(ring, (0, 1, 2, 6), d) - 6.0) < 1e-9
-    assert abs(subring_dim(ring, (0, 1, 2), d) - 3.0) < 1e-9
-    assert abs(subring_dim(ring, tuple(range(8)), d) - 12.0) < 1e-9
+    d = fp_dims(d3_xy_ring())
+    assert abs(d.total((0, 1, 2, 6)) - 6.0) < 1e-9
+    assert abs(d.total((0, 1, 2)) - 3.0) < 1e-9
+    assert abs(d.total(tuple(range(8))) - 12.0) < 1e-9
 
 
 def test_rank_cap():
@@ -243,7 +243,26 @@ def test_rank_cap():
 
 
 def test_dim_vector_floats():
-    dv = DimVector(values=(1.0, 2.0), source="given")
+    dv = DimVector(values=(1.0, 2.0))
     assert dv.total() == 5.0
     assert list(dv) == [1.0, 2.0]
     assert dv.as_floats().dtype == np.float64
+
+
+def test_dim_vector_sums_exact_when_every_value_is_exact():
+    rt2 = Cyc.sqrt_int(2)
+    dv = DimVector(values=(1, Cyc.rational(1), rt2))
+    assert dv.exact == (Cyc.rational(1), Cyc.rational(1), rt2)
+    assert isinstance(dv.total(), Cyc) and dv.total() == 4
+    assert isinstance(dv.total((0, 2)), Cyc) and dv.total((0, 2)) == 3
+    dot = dv.dot((1, 2, 3))
+    assert isinstance(dot, Cyc) and dot == 3 + 3 * rt2
+
+
+def test_dim_vector_sums_numeric_when_any_value_is_a_float():
+    dv = DimVector(values=(Cyc.rational(1), 2.0, Cyc.sqrt_int(2)))
+    assert dv.exact is None
+    for value, want in [(dv.total(), 7), (dv.total((1, 2)), 6),
+                        (dv.dot((1, 0, 2)), 1 + 2 * mp.sqrt(2))]:
+        assert isinstance(value, mp.mpf)
+        assert abs(value - want) < mp.mpf(10) ** (8 - mp.mp.dps)

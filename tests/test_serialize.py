@@ -174,6 +174,16 @@ def test_bundle_rejects_bad_induction():
         parse_bundle(obj)
 
 
+@pytest.mark.parametrize("bad", [True, 1.0, "1"], ids=["bool", "float", "str"])
+@pytest.mark.parametrize("field", ["fusion", "dual", "local", "mult"])
+def test_integer_fields_reject_other_types(field, bad):
+    obj = json.loads(dumps(emit_bundle(bundle("toric-code"))))
+    holder = obj["module_ring"] if field in ("fusion", "dual") else obj
+    holder[field][-1] = bad
+    with pytest.raises(SchemaError, match=f"{field!r} must hold integers"):
+        parse_bundle(obj)
+
+
 # ------------------------------------------------------------------ generic
 
 
