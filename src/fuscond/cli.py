@@ -17,6 +17,7 @@ import mpmath as mp
 from . import families
 from .condense import (CondensationBundle, check_bundle, codegree_check,
                        indicator, schur_weyl)
+from .cyclotomic import TOL
 from .errors import (CapabilityError, NumericalDegeneracyError, SchemaError,
                      TheoremViolationError)
 from .galois import hasse_dot, markdown_table, verify_correspondence
@@ -167,8 +168,8 @@ def cmd_indicators(args) -> int:
 
 def main(argv=None) -> int:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=1e-9,
-                        help="residual tolerance (default 1e-9)")
+    common.add_argument("--tol", type=float, default=TOL,
+                        help="residual tolerance (default %(default)g)")
     common.add_argument("--digits", type=int, default=64,
                         help="working precision in decimal digits "
                              f"(default 64, at least {DIGITS_FLOOR})")
@@ -216,10 +217,7 @@ def main(argv=None) -> int:
     try:
         with mp.workdps(args.digits):
             return args.fn(args)
-    except SchemaError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except CapabilityError as err:
+    except (SchemaError, CapabilityError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except TheoremViolationError as err:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import mpmath as mp
 import numpy as np
 
-from .cyclotomic import as_mpc
+from .cyclotomic import TOL, as_mpc
 from .errors import (
     CapabilityError,
     NumericalDegeneracyError,
@@ -67,6 +67,7 @@ class Ambient:
         if self.ring is not None and (self.ring.labels != labels
                                       or self.ring.dual != dual):
             raise SchemaError("ambient ring labels/dual disagree with the table")
+        object.__setattr__(self, "_numeric", {})
 
     @classmethod
     def from_modular(cls, md: ModularData) -> "Ambient":
@@ -109,8 +110,13 @@ class Ambient:
             return [as_mpc(s[xs][y]) / dx for y in range(self.rank)]
         if self.ring is not None and self.twists is not None:
             F = self.ring.fusion
-            th = [as_mpc(t) for t in self.twists]
-            dv = [as_mpc(v) for v in self.dims.values]
+            # twists and dims converted once per working precision, so
+            # that no value leaks from one context into another
+            if mp.mp.prec not in self._numeric:
+                self._numeric[mp.mp.prec] = (
+                    [as_mpc(t) for t in self.twists],
+                    [as_mpc(v) for v in self.dims.values])
+            th, dv = self._numeric[mp.mp.prec]
             dx = dv[xs]
             row = []
             for y in range(self.rank):
@@ -189,7 +195,7 @@ def _near(a, b, tol):
     return abs(as_mpc(a) - as_mpc(b)) <= tol * max(1.0, abs(as_mpc(b)))
 
 
-def check_bundle(b: CondensationBundle, tol=1e-9) -> ValidationReport:
+def check_bundle(b: CondensationBundle, tol=TOL) -> ValidationReport:
     """Every necessary condition that finite data can see, as a report."""
     rep = ValidationReport()
     amb = b.ambient
@@ -267,7 +273,7 @@ def e_sub(b: CondensationBundle, sub) -> list:
     vec = [d[y] / total if y in sub else 0 for y in range(ring.rank)]
     sq = element_product(ring, vec, vec)
     resid = max(abs(as_mpc(p) - as_mpc(v)) for p, v in zip(sq, vec))
-    if resid > 1e-9:
+    if resid > TOL:
         raise NumericalDegeneracyError(
             f"e_sub for {sub} failed the idempotent check, residual {float(resid)}")
     return vec
@@ -304,7 +310,7 @@ class SchurWeylReport:
         return tot
 
 
-def schur_weyl(b: CondensationBundle, tol=1e-9, seed=SPLIT_SEED) -> SchurWeylReport:
+def schur_weyl(b: CondensationBundle, tol=TOL, seed=SPLIT_SEED) -> SchurWeylReport:
     """Decompose K(C_A), cut out the ideal of the local vacuum idempotent,
     and verify the commutant picture: ideal dimension sum n_x^2, block size
     multiset {n_x}, and (with enough ambient data) the block-to-x matching.
@@ -468,7 +474,7 @@ class CodegreeReport:
         return self.report.ok
 
 
-def codegree_check(swr: SchurWeylReport, tol=1e-9) -> CodegreeReport:
+def codegree_check(swr: SchurWeylReport, tol=TOL) -> CodegreeReport:
     """Formal codegree identity: phi_x = sum_Y chi_x(Y) Y*, built from the
     trace chi_x on the simple block module W_x, acts on W_x as the scalar
     dim(C)/(d(x) d(A)) and as zero on every other block, including the

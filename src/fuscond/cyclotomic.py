@@ -3,8 +3,10 @@
 Elements of Q(zeta_N) are stored as polynomials in zeta_N reduced modulo the
 N-th cyclotomic polynomial, with fractions.Fraction coefficients.  Binary
 operations lift both operands to the lcm order; when that order would exceed
-ORDER_CAP the operation falls back to high-precision complex floats
-(mpmath, at whatever working precision the caller has configured).
+ORDER_CAP the operation falls back to high-precision complex floats at the
+caller's working precision (``mp.mp.dps``), which nothing in the package
+sets.  The package's tolerances are defined here: TOL for residual checks,
+ROUND_TOL for values read off as integers, and working_tol().
 """
 from __future__ import annotations
 
@@ -15,7 +17,13 @@ from functools import lru_cache
 
 import mpmath as mp
 
+from .errors import NumericalDegeneracyError
+
 ORDER_CAP = 2400
+TOL = 1e-9
+# Absolute, not derived from mp.dps: float64-encoded inputs carry about
+# 1e-15 of error whatever the working precision.
+ROUND_TOL = 1e-6
 
 Poly = tuple  # little-endian Fraction coefficients
 
@@ -107,10 +115,24 @@ def _euler_phi(n: int) -> int:
 
 @lru_cache(maxsize=64)
 def _zeta_powers(order: int, prec: int):
-    # numeric zeta powers, cached per working precision
-    with mp.workdps(prec):
-        z = mp.e ** (2j * mp.pi / order)
-        return tuple(z**k for k in range(order))
+    # numeric zeta powers at the working precision, which prec keys
+    z = mp.e ** (2j * mp.pi / order)
+    return tuple(z**k for k in range(order))
+
+
+def working_tol():
+    """Tolerance at the working precision: eight digits short of mp.dps."""
+    return mp.mpf(10) ** (8 - mp.mp.dps)
+
+
+def round_int(val, what: str) -> int:
+    """The integer nearest to the numeric value val, which must lie within
+    ROUND_TOL of it; what names the value in the error."""
+    n = int(mp.nint(mp.re(val)))
+    if abs(val - n) > ROUND_TOL:
+        raise NumericalDegeneracyError(
+            f"{what} = {complex(val)} is not within {ROUND_TOL} of an integer")
+    return n
 
 
 class Cyc:
@@ -183,15 +205,13 @@ class Cyc:
             raise ValueError("not a rational number")
         return self.coeffs[0] if self.coeffs else _ZERO
 
-    def to_mpc(self, prec: int | None = None) -> mp.mpc:
-        prec = prec or mp.mp.dps
-        zp = _zeta_powers(self.order, prec)
-        with mp.workdps(prec):
-            total = mp.mpc(0)
-            for k, c in enumerate(self.coeffs):
-                if c:
-                    total += mp.mpf(c.numerator) / c.denominator * zp[k]
-            return total
+    def to_mpc(self) -> mp.mpc:
+        zp = _zeta_powers(self.order, mp.mp.prec)
+        total = mp.mpc(0)
+        for k, c in enumerate(self.coeffs):
+            if c:
+                total += mp.mpf(c.numerator) / c.denominator * zp[k]
+        return total
 
     def __complex__(self) -> complex:
         return complex(self.to_mpc())
@@ -304,7 +324,7 @@ class Cyc:
             return NotImplemented
         pair = Cyc._common(self, o)
         if pair is None:
-            return abs(self.to_mpc() - o.to_mpc()) < mp.mpf(10) ** (-mp.mp.dps + 8)
+            return abs(self.to_mpc() - o.to_mpc()) < working_tol()
         _, a, b = pair
         return a == b
 
@@ -345,10 +365,10 @@ def _prime_factors(n: int):
     return out
 
 
-def as_mpc(x, prec: int | None = None) -> mp.mpc:
+def as_mpc(x) -> mp.mpc:
     """Coerce any supported scalar to an mpmath complex number."""
     if isinstance(x, Cyc):
-        return x.to_mpc(prec)
+        return x.to_mpc()
     if isinstance(x, Fraction):
         return mp.mpc(mp.mpf(x.numerator) / x.denominator)
     if isinstance(x, numbers.Integral):

@@ -14,15 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from mpmath import mp
 
 from .condense import (CondensationBundle, SchurWeylReport, block_dims, e_sub,
                        schur_weyl)
-from .cyclotomic import as_mpc
+from .cyclotomic import TOL, as_mpc, round_int
 from .errors import NumericalDegeneracyError, TheoremViolationError
 from .ring import element_product, enumerate_subrings
-
-N_PRIME_TOL = 1e-6
 
 
 def lattice(b: CondensationBundle) -> list:
@@ -35,7 +32,7 @@ def _trivial_block(swr: SchurWeylReport) -> int:
     """The ideal block whose character is the dimension function itself:
     the block of the invariant subalgebra of the full module ring."""
     b = swr.bundle
-    dv = [float(as_mpc(v).real) for v in b.dA.values]
+    dv = b.dA.as_floats()
     best, best_gap = None, None
     for bi, bp in enumerate(swr.blocks):
         if not swr.in_ideal[bi]:
@@ -76,12 +73,8 @@ def invariant_subalgebra(swr: SchurWeylReport, sub) -> InvariantSubalgebra:
     for bi, bp in enumerate(swr.blocks):
         if not swr.in_ideal[bi]:
             continue
-        val = swr.block_value(bi, evec)
-        n = int(mp.nint(val.real))
-        if abs(val - n) > N_PRIME_TOL:
-            raise NumericalDegeneracyError(
-                f"block multiplicity {complex(val)} for subring {sub} does "
-                f"not round to an integer within {N_PRIME_TOL}")
+        n = round_int(swr.block_value(bi, evec),
+                      f"block multiplicity for subring {sub}")
         if not 0 <= n <= bp.m:
             raise TheoremViolationError(
                 f"block multiplicity {n} outside [0, {bp.m}] for "
@@ -139,7 +132,7 @@ class GaloisReport:
         raise KeyError(f"no lattice entry for {key}")
 
 
-def verify_correspondence(b: CondensationBundle, tol: float = 1e-9,
+def verify_correspondence(b: CondensationBundle, tol: float = TOL,
                           swr: SchurWeylReport | None = None) -> GaloisReport:
     """Run the correspondence checks over the whole subring lattice.
 
@@ -275,7 +268,7 @@ class GroupQuotient:
         return self.table is not None
 
 
-def group_quotient(swr: SchurWeylReport, tol: float = 1e-9) -> GroupQuotient:
+def group_quotient(swr: SchurWeylReport, tol: float = TOL) -> GroupQuotient:
     b = swr.bundle
     ring = b.module_ring
     r = ring.rank
@@ -305,7 +298,7 @@ def group_quotient(swr: SchurWeylReport, tol: float = 1e-9) -> GroupQuotient:
         for y in c:
             coset_of[y] = ci
 
-    dv = np.array([float(as_mpc(v).real) for v in b.dA.values])
+    dv = b.dA.as_floats()
     e1 = [float(as_mpc(c).real) for c in swr.e1]
     ebar = []
     for c in cosets:
@@ -336,8 +329,8 @@ def group_quotient(swr: SchurWeylReport, tol: float = 1e-9) -> GroupQuotient:
 
     def single_target(i, j):
         row = coeffs[i, j]
-        hits = [ci for ci in range(k) if abs(row[ci] - 1.0) <= 1e-9]
-        if len(hits) == 1 and all(abs(row[ci]) <= 1e-9
+        hits = [ci for ci in range(k) if abs(row[ci] - 1.0) <= TOL]
+        if len(hits) == 1 and all(abs(row[ci]) <= TOL
                                   for ci in range(k) if ci != hits[0]):
             return hits[0]
         return None

@@ -14,12 +14,12 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 
-from .cyclotomic import Cyc, as_mpc, exact_scalar as _exact, exact_vector
+from .cyclotomic import (TOL, Cyc, as_mpc, exact_scalar as _exact,
+                         exact_vector, round_int)
 from .errors import NumericalDegeneracyError, SchemaError, ValidationReport
 from .ring import PRODUCT_SEP, BasedRing, DimVector, check_basis
 
 TWIST_ORDER_CAP = 10000
-VERLINDE_TOL = 1e-6  # largest distance of a Verlinde coefficient from an integer
 
 
 def _conj(v):
@@ -55,9 +55,6 @@ class ModularData:
     def rank(self) -> int:
         return len(self.labels)
 
-    def index(self, label: str) -> int:
-        return self.labels.index(label)
-
     def s_numeric(self):
         return [[as_mpc(v) for v in row] for row in self.s]
 
@@ -91,7 +88,7 @@ def _is_root_of_unity(t, tol):
     return False
 
 
-def validate(md: ModularData, tol=1e-9) -> ValidationReport:
+def validate(md: ModularData, tol=TOL) -> ValidationReport:
     """Axioms for unnormalized pseudounitary modular data."""
     rep = ValidationReport()
     r = md.rank
@@ -146,7 +143,7 @@ def verlinde(md: ModularData) -> BasedRing:
 
     N[i][j][k] = (1/dim) sum_t S[i][t] S[j][t] conj(S[k][t]) / S[0][t],
     computed numerically at working precision and rounded; a residual above
-    VERLINDE_TOL means the data was not modular to begin with.
+    ROUND_TOL means the data was not modular to begin with.
     """
     r = md.rank
     S = md.s_numeric()
@@ -154,19 +151,12 @@ def verlinde(md: ModularData) -> BasedRing:
     # ratios conj(S[k][t]) / S[0][t], reused across (i, j)
     ratio = [[S[k][t].conjugate() / S[0][t] for t in range(r)] for k in range(r)]
     F = np.zeros((r, r, r), dtype=np.int64)
-    worst = 0.0
     for i in range(r):
         for j in range(i, r):
             row = [S[i][t] * S[j][t] for t in range(r)]
             for k in range(r):
                 val = sum(row[t] * ratio[k][t] for t in range(r)) / dim
-                n = int(mp.nint(mp.re(val)))
-                err = abs(val - n)
-                worst = max(worst, float(err))
-                if err > VERLINDE_TOL:
-                    raise NumericalDegeneracyError(
-                        f"verlinde coefficient ({i},{j},{k}) = {complex(val)} "
-                        f"is not close to an integer")
+                n = round_int(val, f"verlinde coefficient ({i},{j},{k})")
                 if n < 0:
                     raise NumericalDegeneracyError(
                         f"verlinde coefficient ({i},{j},{k}) rounds to {n} < 0")

@@ -65,9 +65,6 @@ class BasedRing:
     def rank(self) -> int:
         return len(self.labels)
 
-    def index(self, label: str) -> int:
-        return self.labels.index(label)
-
     @cached_property
     def _rows(self) -> tuple:
         return _nonzero_rows(self.fusion)

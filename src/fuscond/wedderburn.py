@@ -30,16 +30,12 @@ from dataclasses import dataclass
 import mpmath as mp
 import numpy as np
 
-from .cyclotomic import as_mpc
+from .cyclotomic import TOL, as_mpc, round_int, working_tol
 from .errors import NotSemisimpleError, NumericalDegeneracyError, SchemaError
 from .ring import _nonzero_rows, _sparse_product
 
-mp.mp.dps = max(mp.mp.dps, 64)
-
 SPLIT_SEED = 0xC0FFEE
 _MAX_SPLIT_ATTEMPTS = 8
-_IDEM_TOL = 1e-9
-_TRACE_ROUND_TOL = 1e-6
 # Eigenvalues of the split closer than this, relative to their size, cannot
 # be told apart in float64 from a defective (non-semisimple) eigenvalue,
 # which a perturbation of eps splits by about sqrt(eps).
@@ -117,12 +113,6 @@ def _mantissas(v):
     return [scaled(z[0]) for z in parts], [scaled(z[1]) for z in parts], exp
 
 
-def _tolerance():
-    """Refinement and certification tolerance at the working precision:
-    eight digits short of mp.dps, and never looser than _IDEM_TOL."""
-    return min(mp.mpf(_IDEM_TOL), mp.mpf(10) ** (8 - mp.mp.dps))
-
-
 def center_basis(alg: AssocAlgebra) -> np.ndarray:
     """Orthonormal float64 basis of the center, one vector per row: the
     nullspace of the stacked commutator constraints z * b_i - b_i * z = 0."""
@@ -191,7 +181,8 @@ def central_idempotents(alg: AssocAlgebra, seed=SPLIT_SEED) -> list:
     not semisimple.
     """
     Z = center_basis(alg)
-    tol = _tolerance()
+    # refinement and certification tolerance, never looser than TOL
+    tol = min(mp.mpf(TOL), working_tol())
     for attempt in range(_MAX_SPLIT_ATTEMPTS):
         guesses = _float_split(alg, Z, random.Random(seed + attempt))
         if guesses is None:
@@ -225,11 +216,7 @@ def block_profiles(alg: AssocAlgebra, seed=SPLIT_SEED) -> list:
     dimension of its ideal and the matrix size m."""
     out = []
     for e in central_idempotents(alg, seed=seed):
-        tr = alg.trace_left_mult(e)
-        bd = int(mp.nint(mp.re(tr)))
-        if abs(tr - bd) > _TRACE_ROUND_TOL:
-            raise NumericalDegeneracyError(
-                f"block dimension trace {complex(tr)} is not close to an integer")
+        bd = round_int(alg.trace_left_mult(e), "block dimension trace")
         m = int(round(bd ** 0.5))
         if m * m != bd:
             raise NotSemisimpleError(

@@ -1,11 +1,16 @@
 """End-to-end tests of the fuscond command line, run in-process."""
 import json
+import os
+import subprocess
+import sys
 
 import mpmath as mp
 import pytest
 
+import fuscond
 from fuscond import families, serialize
 from fuscond.cli import DIGITS_FLOOR, main
+from fuscond.condense import schur_weyl
 from fuscond.wedderburn import (SPLIT_SEED, AssocAlgebra, _profile_key,
                                 block_profiles)
 
@@ -258,3 +263,43 @@ def test_a2nplus1_splits_at_collision_prone_seeds(tmp_path, monkeypatch,
     monkeypatch.setenv("FUSCOND_SEED", str(seed))
     assert main(["analyze", path]) == 0
     assert _verdict_lines(capsys.readouterr().out) == want
+
+
+# Every built-in bundle, at every size its family accepts.
+ALL_MEMBERS = ([("a2n", n) for n in range(1, 7)]
+               + [("a2nplus1", n) for n in range(1, 7)]
+               + [("vlplus-orbifold", 1), ("toric-code", None),
+                  ("ising-square", None)])
+ALL_IDS = [f"{f}-{n}" for f, n in ALL_MEMBERS]
+
+
+def test_import_leaves_the_callers_precision_alone():
+    src = os.path.dirname(os.path.dirname(fuscond.__file__))
+    code = ("import mpmath; d = mpmath.mp.dps; import fuscond; "
+            "assert mpmath.mp.dps == d, mpmath.mp.dps")
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+@pytest.mark.parametrize("family,n", ALL_MEMBERS, ids=ALL_IDS)
+def test_schur_weyl_is_precision_independent(family, n):
+    b = families.build(family, n=n)
+    seen = []
+    for digits in (DIGITS_FLOOR, 64):
+        with mp.workdps(digits):
+            swr = schur_weyl(b)
+            seen.append(([_profile_key(bp) for bp in swr.blocks],
+                         swr.in_ideal, swr.matched))
+    assert seen[0] == seen[1]
+
+
+@pytest.mark.parametrize("family,n", ALL_MEMBERS, ids=ALL_IDS)
+def test_analyze_is_precision_independent(tmp_path, capsys, family, n):
+    path = _emit(tmp_path, family, n)
+    seen = []
+    for digits in (DIGITS_FLOOR, 64, 128):
+        capsys.readouterr()
+        code = main(["analyze", path, "--digits", str(digits)])
+        seen.append((code, _stable_lines(capsys.readouterr().out)))
+    assert seen[0][0] == 0 and seen[0][1]
+    assert seen[1] == seen[0] and seen[2] == seen[0]

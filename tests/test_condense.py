@@ -12,6 +12,7 @@ from fuscond.condense import (
     indicator,
     schur_weyl,
 )
+from fuscond import families
 from fuscond.cyclotomic import Cyc, as_mpc
 from fuscond.errors import CapabilityError, SchemaError, TheoremViolationError
 from fuscond.ring import BasedRing, group_ring
@@ -309,3 +310,16 @@ def test_self_duality_checked():
 def test_table_ambient_needs_a_self_dual_unit():
     with pytest.raises(SchemaError, match="unit at index 0 must be self-dual"):
         Ambient.from_table(("1", "a"), (1, 0), (1, 1), (1, 1))
+
+
+def test_character_row_follows_the_working_precision():
+    # a2n's ambient has a fusion ring and twists but no S-matrix, so its
+    # rows come from the balancing identity over the converted dims
+    amb = families.build("a2n", n=2).ambient
+    assert amb.modular is None and amb.twists is not None
+    with mp.workdps(64):
+        amb.character_row(1)
+    with mp.workdps(30):
+        fresh = families.build("a2n", n=2).ambient
+        for x in range(amb.rank):
+            assert amb.character_row(x) == fresh.character_row(x)

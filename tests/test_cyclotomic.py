@@ -4,8 +4,6 @@ from fractions import Fraction
 
 from fuscond.cyclotomic import Cyc, as_mpc, cyclotomic_polynomial
 
-mp.mp.dps = 64
-
 
 def test_cyclotomic_polynomials():
     # frozen textbook polynomials, little-endian
@@ -34,6 +32,7 @@ def test_sqrt_perfect_squares(m, expect):
 
 
 @pytest.mark.parametrize("m", [2, 3, 5, 6, 7, 11, 12, 13, 15])
+@mp.workdps(64)
 def test_sqrt_squares_back(m):
     s = Cyc.sqrt_int(m)
     assert s * s == m
@@ -70,6 +69,7 @@ def test_float_fallback_above_order_cap():
     assert abs(out - want) < mp.mpf("1e-50")
 
 
+@mp.workdps(64)
 def test_as_mpc_coercions():
     assert abs(as_mpc(Fraction(1, 3)) - mp.mpf(1) / 3) < mp.mpf("1e-60")
     assert abs(as_mpc(2) - 2) == 0

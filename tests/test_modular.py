@@ -1,7 +1,9 @@
+import mpmath as mp
 import numpy as np
 import pytest
 
 from fuscond.cyclotomic import Cyc, as_mpc
+from fuscond.errors import NumericalDegeneracyError
 from fuscond.modular import (
     ModularData,
     central_idempotent,
@@ -71,6 +73,24 @@ def test_ising_verlinde_frozen():
     expected[1, 2, 2] = expected[2, 1, 2] = 1
     expected[2, 2, 0] = expected[2, 2, 1] = 1
     assert np.array_equal(ring.fusion, expected)
+
+
+def test_verlinde_rounding_is_absolute():
+    # float64-encoded Ising data (sqrt 2 off by ~1e-16) still rounds at 64
+    # digits; an S entry moved by 1e-2 puts coefficients off the integers
+    exact = ising_data()
+    floats = [[complex(v) for v in row] for row in exact.s]
+    moved = [row[:] for row in floats]
+    moved[1][1] += 0.01
+    with mp.workdps(64):
+        md = ModularData(labels=exact.labels, dual=exact.dual, s=floats,
+                         twists=exact.twists)
+        assert np.array_equal(verlinde(md).fusion, verlinde(exact).fusion)
+        md = ModularData(labels=exact.labels, dual=exact.dual, s=moved,
+                         twists=exact.twists)
+        with pytest.raises(NumericalDegeneracyError,
+                           match="not within 1e-06 of an integer"):
+            verlinde(md)
 
 
 def test_characters_are_ring_homs():

@@ -2,7 +2,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from fuscond.cyclotomic import Cyc
+from fuscond.cyclotomic import Cyc, working_tol
 from fuscond.errors import CapabilityError, SchemaError
 from fuscond.ring import (
     BasedRing,
@@ -265,4 +265,4 @@ def test_dim_vector_sums_numeric_when_any_value_is_a_float():
     for value, want in [(dv.total(), 7), (dv.total((1, 2)), 6),
                         (dv.dot((1, 0, 2)), 1 + 2 * mp.sqrt(2))]:
         assert isinstance(value, mp.mpf)
-        assert abs(value - want) < mp.mpf(10) ** (8 - mp.mp.dps)
+        assert abs(value - want) < working_tol()

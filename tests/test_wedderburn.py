@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fuscond.errors import NumericalDegeneracyError, SchemaError
+from fuscond.families import ty_ring
 from fuscond.ring import BasedRing, group_ring, product_ring
 from fuscond.wedderburn import (
     AssocAlgebra,
@@ -50,6 +51,7 @@ def test_center_dimension_counts_conjugacy_classes():
         assert len(center_basis(alg)) == classes
 
 
+@mp.workdps(64)
 def test_idempotents_orthogonal_and_complete():
     alg = AssocAlgebra.from_based_ring(group_ring(*symmetric(3)))
     idems = central_idempotents(alg)
@@ -63,6 +65,7 @@ def test_idempotents_orthogonal_and_complete():
             assert max(abs(prod[k] - want[k]) for k in range(alg.n)) < 1e-20
 
 
+@mp.workdps(64)
 def test_trace_identity():
     rng = random.Random(11)
     for ring in (group_ring(*symmetric(3)), d3_xy_ring()):
@@ -86,6 +89,7 @@ def test_determinism():
     assert runs[0] == runs[1]
 
 
+@mp.workdps(64)
 def test_d3_xy_blocks():
     ring = d3_xy_ring()
     alg = AssocAlgebra.from_based_ring(ring)
@@ -117,6 +121,16 @@ def test_ising_ring_blocks():
     s = [0, 0, 1]
     vals = sorted(float(mp.re(normalized_block_trace(alg, b, s))) for b in blocks)
     assert np.allclose(vals, [-(2 ** 0.5), 0.0, 2 ** 0.5], atol=1e-12)
+
+
+@pytest.mark.parametrize("m", range(2, 13))
+def test_ty_ring_splits_into_linear_blocks(m):
+    # K(TY(Z_m)) is commutative of rank m + 1: the m - 1 nontrivial
+    # characters of Z_m kill T, and the trivial one extends by T = +-sqrt(m)
+    alg = AssocAlgebra.from_based_ring(ty_ring(m))
+    for digits in (15, 64):
+        with mp.workdps(digits):
+            assert [b.m for b in block_profiles(alg)] == [1] * (m + 1)
 
 
 def test_nilpotent_algebra_fails_to_split():
