@@ -27,7 +27,8 @@ from .errors import (
     TheoremViolationError,
     ValidationReport,
 )
-from .modular import ModularData, dims as modular_dims, verlinde
+from .modular import (ModularData, dims as modular_dims,
+                      validate as validate_modular, verlinde)
 from .ring import (BasedRing, DimVector, check_basis, closure, element_product,
                    fp_dims, validate)
 from .wedderburn import SPLIT_SEED, AssocAlgebra, block_profiles, character_table
@@ -201,6 +202,8 @@ def check_bundle(b: CondensationBundle, tol=TOL) -> ValidationReport:
     amb = b.ambient
     ring = b.module_ring
     rep.extend(validate(ring), prefix="module ring: ")
+    if amb.modular is not None:
+        rep.extend(validate_modular(amb.modular, tol), prefix="ambient: ")
 
     mult = b.mult
     if any(n < 0 for n in mult):

@@ -14,8 +14,8 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 
-from .cyclotomic import (TOL, Cyc, as_mpc, exact_scalar as _exact,
-                         exact_vector, round_int)
+from .cyclotomic import (ROUND_TOL, TOL, Cyc, as_mpc, exact_scalar as _exact,
+                         exact_vector)
 from .errors import NumericalDegeneracyError, SchemaError, ValidationReport
 from .ring import PRODUCT_SEP, BasedRing, DimVector, check_basis
 
@@ -142,27 +142,31 @@ def verlinde(md: ModularData) -> BasedRing:
     """Fusion ring recovered from the S-matrix.
 
     N[i][j][k] = (1/dim) sum_t S[i][t] S[j][t] conj(S[k][t]) / S[0][t],
-    computed numerically at working precision and rounded; a residual above
-    ROUND_TOL means the data was not modular to begin with.
+    dim = sum_t |S[0][t]|^2, as one float64 (rank^2, rank) @ (rank, rank)
+    product.  The outputs are integers, so float64 suffices at any working
+    precision: the first coefficient, in (i, j, k) order, that lies beyond
+    ROUND_TOL of an integer (the rule of cyclotomic.round_int) or rounds
+    below 0 is refused, since then the data was not modular to begin with.
     """
     r = md.rank
-    S = md.s_numeric()
-    dim = sum(abs(v) ** 2 for v in S[0])
-    # ratios conj(S[k][t]) / S[0][t], reused across (i, j)
-    ratio = [[S[k][t].conjugate() / S[0][t] for t in range(r)] for k in range(r)]
-    F = np.zeros((r, r, r), dtype=np.int64)
-    for i in range(r):
-        for j in range(i, r):
-            row = [S[i][t] * S[j][t] for t in range(r)]
-            for k in range(r):
-                val = sum(row[t] * ratio[k][t] for t in range(r)) / dim
-                n = round_int(val, f"verlinde coefficient ({i},{j},{k})")
-                if n < 0:
-                    raise NumericalDegeneracyError(
-                        f"verlinde coefficient ({i},{j},{k}) rounds to {n} < 0")
-                F[i, j, k] = n
-                F[j, i, k] = n
-    return BasedRing(labels=md.labels, fusion=F, dual=md.dual)
+    S = np.array(md.s_numeric(), dtype=complex)
+    dim = np.sum(np.abs(S[0]) ** 2)
+    # a zero dimension gives inf or nan, which the residual test rejects
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pairs = (S[:, None, :] * S[None, :, :]).reshape(r * r, r)
+        N = (pairs @ (S.conj() / S[0]).T / dim).reshape(r, r, r)
+    F = np.rint(N.real)
+    off = ~(np.abs(N - F) <= ROUND_TOL)
+    bad = np.argwhere(off | (F < 0))
+    if len(bad):
+        i, j, k = bad[0]
+        what = f"verlinde coefficient ({i},{j},{k})"
+        if off[i, j, k]:
+            raise NumericalDegeneracyError(
+                f"{what} = {complex(N[i, j, k])} is not within {ROUND_TOL} "
+                f"of an integer")
+        raise NumericalDegeneracyError(f"{what} rounds to {int(F[i, j, k])} < 0")
+    return BasedRing(labels=md.labels, fusion=F.astype(np.int64), dual=md.dual)
 
 
 def _s_matrix(md: ModularData) -> list:

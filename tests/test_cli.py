@@ -303,3 +303,45 @@ def test_analyze_is_precision_independent(tmp_path, capsys, family, n):
         seen.append((code, _stable_lines(capsys.readouterr().out)))
     assert seen[0][0] == 0 and seen[0][1]
     assert seen[1] == seen[0] and seen[2] == seen[0]
+
+
+def _twist_m(mtc):
+    mtc["twists"][2] = serialize.emit_scalar(0.5)
+
+
+def _move_s(mtc):
+    mtc["s_matrix"][1][1] = serialize.emit_scalar(1.01)
+
+
+# A broken modular ambient in a toric-code bundle.  A twist off the roots
+# of unity (n_m = 0, so only the ambient's own axioms see it) is a failed
+# check; an S entry moved by 0.01 is refused when the bundle is parsed,
+# since its Verlinde coefficients are not integers.
+BROKEN_AMBIENT = [
+    (_twist_m, "validate", 1,
+     "- FAIL: ambient: twist 2 is not a root of unity (order cap 10000)"),
+    (_twist_m, "analyze", 1,
+     "- FAIL: ambient: twist 2 is not a root of unity (order cap 10000)"),
+    (_move_s, "validate", 3, "verlinde coefficient (0,0,1) = "),
+    (_move_s, "analyze", 3, "verlinde coefficient (0,0,1) = "),
+    (_move_s, "galois", 3, "verlinde coefficient (0,0,1) = "),
+]
+
+
+@pytest.mark.parametrize("edit,verb,code,text", BROKEN_AMBIENT,
+                         ids=[f"{e.__name__[1:]}-{v}"
+                              for e, v, _, _ in BROKEN_AMBIENT])
+def test_broken_modular_ambient_exit_codes(tmp_path, capsys, edit, verb,
+                                           code, text):
+    obj = serialize.emit_bundle(families.toric_code())
+    edit(obj["ambient"]["mtc"])
+    path = tmp_path / "broken.json"
+    path.write_text(serialize.dumps(obj), encoding="utf-8")
+    capsys.readouterr()
+    assert main([verb, str(path)]) == code
+    captured = capsys.readouterr()
+    if code == 1:
+        assert text in captured.out.splitlines()
+    else:
+        assert text in captured.err
+        assert "is not within 1e-06 of an integer" in captured.err

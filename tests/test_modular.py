@@ -13,7 +13,7 @@ from fuscond.modular import (
     validate,
     verlinde,
 )
-from fuscond.ring import element_product, fp_dims, group_ring
+from fuscond.ring import element_product, fp_dims, group_ring, product_ring
 
 from grouptables import cyclic
 
@@ -212,3 +212,71 @@ def test_verlinde_on_cyclic_group_data():
     ring = verlinde(md)
     oracle = group_ring(*cyclic(3))
     assert np.array_equal(ring.fusion, oracle.fusion)
+
+
+def su2_data(k):
+    """SU(2)_k with simples j = 0..k, exact: S_ij = sin(pi (i+1)(j+1) / n)
+    / sin(pi / n) and theta_j = zeta_{4n}^(j(j+2)), n = k + 2."""
+    n = k + 2
+
+    def sin(m):  # 2i sin(pi m / n); the 2i cancels in the ratio
+        return Cyc.zeta(2 * n, m) - Cyc.zeta(2 * n, -m)
+
+    s = tuple(tuple(sin((i + 1) * (j + 1)) / sin(1) for j in range(k + 1))
+              for i in range(k + 1))
+    tw = tuple(Cyc.zeta(4 * n, j * (j + 2)) for j in range(k + 1))
+    return ModularData(labels=tuple(str(j) for j in range(k + 1)),
+                       dual=tuple(range(k + 1)), s=s, twists=tw)
+
+
+def clebsch_gordan(k):
+    """Truncated Clebsch-Gordan rule of SU(2)_k: N_ij^l = 1 iff
+    |i - j| <= l <= min(i + j, 2k - i - j) and i + j + l is even."""
+    F = np.zeros((k + 1, k + 1, k + 1), dtype=np.int64)
+    for i in range(k + 1):
+        for j in range(k + 1):
+            for l in range(abs(i - j), min(i + j, 2 * k - i - j) + 1, 2):
+                F[i, j, l] = 1
+    return F
+
+
+@pytest.mark.parametrize("dps", [15, 64])
+@pytest.mark.parametrize("k", range(1, 7))
+def test_su2_verlinde_is_truncated_clebsch_gordan(k, dps):
+    with mp.workdps(dps):
+        md = su2_data(k)
+        assert validate(md).ok, str(validate(md))
+        assert np.array_equal(verlinde(md).fusion, clebsch_gordan(k))
+
+
+PRODUCT_CASES = ([(f"su2-{k}", lambda k=k: su2_data(k)) for k in range(1, 6)]
+                 + [("toric", toric_data), ("ising", ising_data)])
+
+
+@pytest.mark.parametrize("dps", [15, 64])
+@pytest.mark.parametrize("name,make", PRODUCT_CASES,
+                         ids=[name for name, _ in PRODUCT_CASES])
+def test_verlinde_of_deligne_product_is_product_ring(name, make, dps):
+    # the coset ambient U x U-bar, up to rank 36 for SU(2)_5
+    with mp.workdps(dps):
+        md = make()
+        ring = verlinde(deligne(md, md.reverse()))
+        want = product_ring(verlinde(md), verlinde(md))
+    assert ring.labels == want.labels and ring.dual == want.dual
+    assert np.array_equal(ring.fusion, want.fusion)
+
+
+# S-matrices that are not modular: a zero dimension (inf and nan in the
+# product), and rows whose Verlinde coefficients are the integer -1
+REFUSED = [
+    ([[1.0, 0.0], [1.0, -1.0]], r"\(0,0,0\) = \(nan\+nanj\) is not within 1e-06"),
+    ([[1.0, 1.0], [-1.0, -1.0]], r"\(0,0,1\) rounds to -1 < 0"),
+]
+
+
+@pytest.mark.parametrize("s,message", REFUSED, ids=["zero-dim", "negative"])
+def test_verlinde_refuses_non_modular_s(s, message):
+    md = ModularData(labels=("1", "x"), dual=(0, 1), s=s, twists=(1.0, 1.0))
+    with pytest.raises(NumericalDegeneracyError,
+                       match="verlinde coefficient " + message):
+        verlinde(md)
