@@ -76,6 +76,15 @@ def _load_bundle(path) -> CondensationBundle:
     return value
 
 
+def _checks_fail(b, args, header) -> bool:
+    """Run check_bundle; on failure print header and the problems."""
+    problems = check_bundle(b, tol=args.tol).problems
+    if problems:
+        print(header)
+        _print_problems(problems)
+    return bool(problems)
+
+
 def _print_schur_weyl(b, swr) -> None:
     print(f"- kernel_dim: {swr.kernel_dim}")
     lines = []
@@ -113,6 +122,8 @@ def cmd_analyze(args) -> int:
 
 def cmd_galois(args) -> int:
     b = _load_bundle(args.input)
+    if _checks_fail(b, args, f"## galois {args.input}"):
+        return 1
     swr = schur_weyl(b, tol=args.tol, seed=_seed())
     rep = verify_correspondence(b, tol=args.tol, swr=swr)
     print(f"## galois {args.input}")
@@ -151,6 +162,8 @@ def cmd_example(args) -> int:
 
 def cmd_indicators(args) -> int:
     b = _load_bundle(args.input)
+    if _checks_fail(b, args, f"## indicators {args.input} x={args.x}"):
+        return 1
     swr = schur_weyl(b, tol=args.tol, seed=_seed())
     try:
         xi = b.ambient.labels.index(args.x)

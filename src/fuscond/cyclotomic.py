@@ -10,6 +10,7 @@ ROUND_TOL for values read off as integers, and working_tol().
 """
 from __future__ import annotations
 
+import cmath
 import math
 import numbers
 from fractions import Fraction
@@ -108,16 +109,17 @@ def cyclotomic_polynomial(n: int) -> Poly:
     return tuple(poly)
 
 
-@lru_cache(maxsize=None)
-def _euler_phi(n: int) -> int:
-    return len(cyclotomic_polynomial(n)) - 1
-
-
 @lru_cache(maxsize=64)
 def _zeta_powers(order: int, prec: int):
     # numeric zeta powers at the working precision, which prec keys
     z = mp.e ** (2j * mp.pi / order)
     return tuple(z**k for k in range(order))
+
+
+@lru_cache(maxsize=None)
+def _zeta_floats(order: int) -> tuple:
+    # complex128 zeta powers; unlike _zeta_powers they ignore mp.dps
+    return tuple(cmath.exp(2j * cmath.pi * k / order) for k in range(order))
 
 
 def working_tol():
@@ -376,6 +378,16 @@ def as_mpc(x) -> mp.mpc:
     if isinstance(x, numbers.Real) and not isinstance(x, float):
         return mp.mpc(float(x))
     return mp.mpc(x)
+
+
+def as_complex(x) -> complex:
+    """Any supported scalar as a complex128; a Cyc sums its rational
+    coefficients over float64 roots of unity, at no mpmath precision."""
+    if isinstance(x, Cyc):
+        z = _zeta_floats(x.order)
+        return sum([c.numerator / c.denominator * z[k]
+                    for k, c in enumerate(x.coeffs) if c], 0j)
+    return complex(x)
 
 
 def exact_scalar(x):

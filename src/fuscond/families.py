@@ -3,7 +3,7 @@
 Two infinite families coming from lattice VOAs fixed by a dihedral group
 (the orbifolds of V_{A_m} for m even and odd), the small rank-5 orbifold
 bundle, two exactly-solvable oracles (toric code, squared Ising), and the
-diagonal coset construction over any modular datum.
+diagonal coset construction over any modular datum, built in for SU(2)_k.
 """
 from __future__ import annotations
 
@@ -331,6 +331,24 @@ def ising_modular() -> ModularData:
                        s=s, twists=(one, -one, Cyc.zeta(16)))
 
 
+def su2(k: int) -> ModularData:
+    """SU(2)_k with simples j = 0..k, all self-dual, exact:
+    S_ij = [(i+1)(j+1)]_q / [1]_q with [m]_q = z^m - z^-m, z = zeta_{2(k+2)},
+    so S[0] holds the quantum dimensions; theta_j = zeta_{4(k+2)}^(j(j+2))."""
+    if k < 1:
+        raise CapabilityError(f"SU(2)_k needs k >= 1, got {k}")
+    n = 2 * (k + 2)
+
+    def q(m):
+        return Cyc.zeta(n, m) - Cyc.zeta(n, -m)
+
+    s = tuple(tuple(q((i + 1) * (j + 1)) / q(1) for j in range(k + 1))
+              for i in range(k + 1))
+    twists = tuple(Cyc.zeta(2 * n, j * (j + 2)) for j in range(k + 1))
+    return ModularData(labels=tuple(str(j) for j in range(k + 1)),
+                       dual=tuple(range(k + 1)), s=s, twists=twists)
+
+
 def toric_code() -> CondensationBundle:
     """The charge boson condensed in the toric-code double: two module
     simples, trivial local part beyond the vacuum."""
@@ -370,6 +388,13 @@ def ising_square() -> CondensationBundle:
     return coset_diagonal(ising_modular())
 
 
+def coset_su2(k: int) -> CondensationBundle:
+    """Diagonal coset bundle of SU(2)_k, ambient rank (k+1)^2."""
+    if not 1 <= k <= 10:
+        raise CapabilityError("family coset-su2 is built for n = 1..10")
+    return coset_diagonal(su2(k))
+
+
 FAMILIES = {
     "a2n": {"build": a2n, "needs": "n"},
     "a2nplus1": {"build": a2nplus1, "needs": "n"},
@@ -377,6 +402,7 @@ FAMILIES = {
     "toric-code": {"build": toric_code, "needs": None},
     "ising-square": {"build": ising_square, "needs": None},
     "coset-diagonal": {"build": coset_diagonal, "needs": "mtc"},
+    "coset-su2": {"build": coset_su2, "needs": "n"},
 }
 
 

@@ -14,8 +14,8 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 
-from .cyclotomic import (ROUND_TOL, TOL, Cyc, as_mpc, exact_scalar as _exact,
-                         exact_vector)
+from .cyclotomic import (ROUND_TOL, TOL, Cyc, as_complex, as_mpc,
+                         exact_scalar as _exact, exact_vector)
 from .errors import NumericalDegeneracyError, SchemaError, ValidationReport
 from .ring import PRODUCT_SEP, BasedRing, DimVector, check_basis
 
@@ -58,6 +58,11 @@ class ModularData:
     def s_numeric(self):
         return [[as_mpc(v) for v in row] for row in self.s]
 
+    def s_complex(self) -> np.ndarray:
+        """The S-matrix as one complex128 array, whatever mp.dps is."""
+        return np.array([[as_complex(v) for v in row] for row in self.s],
+                        dtype=complex)
+
     def reverse(self) -> "ModularData":
         """Same fusion with the braiding reversed: conjugate S and twists."""
         s = tuple(tuple(_conj(v) for v in row) for row in self.s)
@@ -88,48 +93,55 @@ def _is_root_of_unity(t, tol):
     return False
 
 
+def _bad_pairs(mask) -> list:
+    """The first five True positions of mask, row-major, as int pairs."""
+    return [(int(i), int(j)) for i, j in np.argwhere(mask)[:5]]
+
+
 def validate(md: ModularData, tol=TOL) -> ValidationReport:
-    """Axioms for unnormalized pseudounitary modular data."""
+    """Axioms for unnormalized pseudounitary modular data.
+
+    The unit, dimension and twist checks touch R values and run at the
+    working precision.  Symmetry, unitarity (S conj(S)^T = dim I) and
+    duality (S^2 = dim C) run in float64 on s_complex(): their bound
+    tol * max(1, dim) is far above the float64 error, about
+    R max|S|^2 eps (1e-11 at R = 121).  The comparisons are NaN-safe, so
+    a NaN entry fails them.
+    """
     rep = ValidationReport()
     r = md.rank
-    S = md.s_numeric()
+    row0 = [as_mpc(v) for v in md.s[0]]
 
-    u = S[0][0]
+    u = row0[0]
     if abs(u - 1) > tol:
         rep.add(f"unit dimension S[0][0] must be 1, got {complex(u)}")
     for j in range(r):
-        v = S[0][j]
+        v = row0[j]
         if abs(mp.im(v)) > tol or mp.re(v) <= tol:
             rep.add(f"dimension S[0][{j}] must be positive real, got {complex(v)}")
             if len(rep.problems) > 8:
                 break
 
-    bad = [(i, j) for i in range(r) for j in range(i + 1, r)
-           if abs(S[i][j] - S[j][i]) > tol]
+    S = md.s_complex()
+    bad = _bad_pairs(np.triu(~(np.abs(S - S.T) <= tol), 1))
     if bad:
-        rep.add(f"s matrix is not symmetric at {bad[:5]}")
+        rep.add(f"s matrix is not symmetric at {bad}")
 
-    dim = sum(abs(v) ** 2 for v in S[0])
-    if dim > tol:
-        bad = []
-        for i in range(r):
-            for j in range(r):
-                g = sum(S[i][t] * S[j][t].conjugate() for t in range(r))
-                want = dim if i == j else 0
-                if abs(g - want) > tol * max(1, dim):
-                    bad.append((i, j))
+    dim = float(np.sum(np.abs(S[0]) ** 2))
+    if not dim <= tol:
+        bound = tol * max(1, dim)
+        idx = np.arange(r)
+        gram = S @ S.conj().T
+        gram[idx, idx] -= dim
+        bad = _bad_pairs(~(np.abs(gram) <= bound))
         if bad:
-            rep.add(f"S * conj(S)^T is not dim * identity at {bad[:5]}")
+            rep.add(f"S * conj(S)^T is not dim * identity at {bad}")
 
-        bad = []
-        for i in range(r):
-            for j in range(r):
-                g = sum(S[i][t] * S[t][j] for t in range(r))
-                want = dim if md.dual[i] == j else 0
-                if abs(g - want) > tol * max(1, dim):
-                    bad.append((i, j))
+        gram = S @ S
+        gram[idx, md.dual] -= dim
+        bad = _bad_pairs(~(np.abs(gram) <= bound))
         if bad:
-            rep.add(f"S^2 does not implement the declared duality at {bad[:5]}")
+            rep.add(f"S^2 does not implement the declared duality at {bad}")
 
     for j, t in enumerate(md.twists):
         if not _is_root_of_unity(t, tol):
@@ -149,7 +161,7 @@ def verlinde(md: ModularData) -> BasedRing:
     below 0 is refused, since then the data was not modular to begin with.
     """
     r = md.rank
-    S = np.array(md.s_numeric(), dtype=complex)
+    S = md.s_complex()
     dim = np.sum(np.abs(S[0]) ** 2)
     # a zero dimension gives inf or nan, which the residual test rejects
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -6,6 +6,7 @@ emit is byte-identical.
 """
 from __future__ import annotations
 
+import cmath
 import json
 from fractions import Fraction
 
@@ -38,6 +39,8 @@ def parse_scalar(obj, where: str = "scalar"):
     if isinstance(obj, int):
         return Cyc.rational(obj)
     if isinstance(obj, float):
+        if not cmath.isfinite(obj):
+            raise SchemaError(f"{where}: scalar must be finite, got {obj}")
         return obj
     if isinstance(obj, dict) and set(obj) == {"cyclotomic"}:
         body = obj["cyclotomic"]
@@ -53,6 +56,8 @@ def parse_scalar(obj, where: str = "scalar"):
             z = complex(float(obj["re"]), float(obj["im"]))
         except (TypeError, ValueError):
             raise SchemaError(f"{where}: re/im must be numbers")
+        if not cmath.isfinite(z):
+            raise SchemaError(f"{where}: scalar must be finite, got {z}")
         return z.real if z.imag == 0.0 else z
     raise SchemaError(f"{where}: not a recognized scalar encoding")
 

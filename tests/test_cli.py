@@ -345,3 +345,37 @@ def test_broken_modular_ambient_exit_codes(tmp_path, capsys, edit, verb,
     else:
         assert text in captured.err
         assert "is not within 1e-06 of an integer" in captured.err
+
+
+@pytest.mark.parametrize("argv", [["galois"], ["indicators", "--x", "1"]],
+                         ids=["galois", "indicators"])
+def test_galois_and_indicators_run_check_bundle(tmp_path, capsys, argv):
+    obj = serialize.emit_bundle(families.toric_code())
+    _twist_m(obj["ambient"]["mtc"])
+    path = tmp_path / "broken.json"
+    path.write_text(serialize.dumps(obj), encoding="utf-8")
+    capsys.readouterr()
+    assert main([argv[0], str(path)] + argv[1:]) == 1
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "- FAIL: ambient: twist 2 is not a root of unity (order cap 10000)"]
+
+
+@pytest.mark.parametrize("verb", ["validate", "analyze", "galois"])
+def test_non_finite_dimension_is_exit_2(tmp_path, capsys, verb):
+    # json reads NaN; the parser refuses it before any check sees it
+    obj = serialize.emit_bundle(families.a2n(1))
+    obj["dA"][1] = {"re": float("nan"), "im": 0.0}
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    capsys.readouterr()
+    assert main([verb, str(path)]) == 2
+    assert "scalar must be finite, got (nan+0j)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_coset_su2_runs_every_verb(tmp_path, capsys, k):
+    path = str(tmp_path / "coset.json")
+    assert main(["example", "coset-su2", "--n", str(k), "--emit", path]) == 0
+    for verb in ("validate", "analyze", "galois"):
+        capsys.readouterr()
+        assert main([verb, path]) == 0, capsys.readouterr()

@@ -390,15 +390,20 @@ def test_coset_induction_unit_column():
 
 def test_registry_names():
     assert set(FAMILIES) == {"a2n", "a2nplus1", "vlplus-orbifold",
-                             "toric-code", "ising-square", "coset-diagonal"}
+                             "toric-code", "ising-square", "coset-diagonal",
+                             "coset-su2"}
 
 
 def test_build_dispatch():
     assert build("toric-code").ambient.rank == 4
     assert build("a2n", n=2).module_ring.rank == 12
     assert build("coset-diagonal", mtc=ising_modular()).ambient.rank == 9
+    assert build("coset-su2", n=2).ambient.rank == 9
     with pytest.raises(CapabilityError):
         build("nope")
+    for k in (0, 11):
+        with pytest.raises(CapabilityError, match="built for n = 1..10"):
+            build("coset-su2", n=k)
     with pytest.raises(CapabilityError):
         build("a2n")
     with pytest.raises(CapabilityError):

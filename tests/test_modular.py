@@ -1,11 +1,17 @@
+import importlib.util
+from pathlib import Path
+
 import mpmath as mp
 import numpy as np
 import pytest
 
-from fuscond.cyclotomic import Cyc, as_mpc
-from fuscond.errors import NumericalDegeneracyError
+from fuscond import families
+from fuscond.cyclotomic import TOL, Cyc, as_complex, as_mpc
+from fuscond.errors import NumericalDegeneracyError, ValidationReport
 from fuscond.modular import (
+    TWIST_ORDER_CAP,
     ModularData,
+    _is_root_of_unity,
     central_idempotent,
     characters,
     deligne,
@@ -280,3 +286,139 @@ def test_verlinde_refuses_non_modular_s(s, message):
     with pytest.raises(NumericalDegeneracyError,
                        match="verlinde coefficient " + message):
         verlinde(md)
+
+
+def test_families_su2_matches_both_generators():
+    # the benchmark keeps its own copy; all three must give the same Cyc
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "su2.py"
+    spec = importlib.util.spec_from_file_location("perfbench_su2", path)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    for k in range(1, 9):
+        got, mine, theirs = families.su2(k), su2_data(k), bench.su2(k)
+        for other in (mine, theirs):
+            assert got.labels == other.labels and got.dual == other.dual
+            for row, want in zip(got.s, other.s):
+                assert all(a.order == b.order and a.coeffs == b.coeffs
+                           for a, b in zip(row, want))
+            assert all(a.order == b.order and a.coeffs == b.coeffs
+                       for a, b in zip(got.twists, other.twists))
+
+
+def reference_validate(md, tol=TOL):
+    """modular.validate as it was with its mpmath Gram loops at the working
+    precision, the reference for the float64 products.  The comparisons are
+    written NaN-safe (not x <= bound), as the float64 checks are."""
+    rep = ValidationReport()
+    r = md.rank
+    S = md.s_numeric()
+    u = S[0][0]
+    if abs(u - 1) > tol:
+        rep.add(f"unit dimension S[0][0] must be 1, got {complex(u)}")
+    for j in range(r):
+        v = S[0][j]
+        if abs(mp.im(v)) > tol or mp.re(v) <= tol:
+            rep.add(f"dimension S[0][{j}] must be positive real, got {complex(v)}")
+            if len(rep.problems) > 8:
+                break
+    bad = [(i, j) for i in range(r) for j in range(i + 1, r)
+           if not abs(S[i][j] - S[j][i]) <= tol]
+    if bad:
+        rep.add(f"s matrix is not symmetric at {bad[:5]}")
+    dim = sum(abs(v) ** 2 for v in S[0])
+    if not dim <= tol:
+        bad = []
+        for i in range(r):
+            for j in range(r):
+                g = sum(S[i][t] * S[j][t].conjugate() for t in range(r))
+                want = dim if i == j else 0
+                if not abs(g - want) <= tol * max(1, dim):
+                    bad.append((i, j))
+        if bad:
+            rep.add(f"S * conj(S)^T is not dim * identity at {bad[:5]}")
+        bad = []
+        for i in range(r):
+            for j in range(r):
+                g = sum(S[i][t] * S[t][j] for t in range(r))
+                want = dim if md.dual[i] == j else 0
+                if not abs(g - want) <= tol * max(1, dim):
+                    bad.append((i, j))
+        if bad:
+            rep.add(f"S^2 does not implement the declared duality at {bad[:5]}")
+    for j, t in enumerate(md.twists):
+        if not _is_root_of_unity(t, tol):
+            rep.add(f"twist {j} is not a root of unity (order cap {TWIST_ORDER_CAP})")
+    return rep
+
+
+def _with_s(md, s, dual=None):
+    return ModularData(labels=md.labels, dual=md.dual if dual is None else dual,
+                       s=s, twists=md.twists)
+
+
+def _moved(md, i, j, by):
+    s = [list(row) for row in md.s]
+    s[i][j] = as_complex(s[i][j]) + by
+    return _with_s(md, s)
+
+
+def _z3(dual):
+    z = Cyc.zeta(3)
+    s = tuple(tuple(z ** (j * k) for k in range(3)) for j in range(3))
+    return ModularData(labels=("0", "1", "2"), dual=dual, s=s,
+                       twists=(z ** 0, z, z))
+
+
+THEORIES = ([("toric", toric_data), ("ising", ising_data)]
+            + [(f"su2-{k}", lambda k=k: su2_data(k)) for k in range(1, 7)])
+
+
+def _pinning_cases():
+    out = []
+    for name, make in THEORIES:
+        md = make()
+        for tag, m in ((name, md), (f"{name}-product",
+                                    deligne(md, md.reverse()))):
+            r = m.rank
+            out.append((tag, m, True))
+            if r <= 25:  # the reference loops are O(r^3) in mpmath
+                out.append((f"{tag}-moved", _moved(m, r - 1, 1, 1e-3), False))
+    asym = ((1.0, 1.0), (2.0, 1.0))
+    pair = ModularData(labels=("1", "x"), dual=(0, 1), s=asym,
+                       twists=(1.0, 1.0))
+    out += [("asymmetric", pair, False),
+            ("asymmetric-transposed", _with_s(pair, tuple(zip(*asym))), False),
+            ("z3", _z3((0, 2, 1)), True),
+            ("z3-wrong-dual", _z3((0, 1, 2)), False),
+            ("su2-3-wrong-dual", _with_s(su2_data(3), su2_data(3).s,
+                                         dual=(0, 3, 2, 1)), False)]
+    for i, j in ((1, 2), (0, 1), (0, 0)):
+        s = [list(row) for row in su2_data(2).s]
+        s[i][j] = float("nan")
+        out.append((f"nan-at-{i}{j}", _with_s(su2_data(2), s), False))
+    return out
+
+
+PINNING = _pinning_cases()
+
+
+@pytest.mark.parametrize("dps", [15, 64])
+@pytest.mark.parametrize("name,md,ok", PINNING, ids=[c[0] for c in PINNING])
+def test_float64_validate_matches_mpmath_reference(name, md, ok, dps):
+    with mp.workdps(dps):
+        got = validate(md).problems
+        want = reference_validate(md).problems
+    assert got == want
+    assert (not got) == ok, got
+
+
+@pytest.mark.parametrize("dps", [15, 64])
+def test_s_complex_matches_s_numeric(dps):
+    with mp.workdps(dps):
+        for name, md, _ in PINNING:
+            if name.startswith("nan"):
+                continue
+            want = np.array(md.s_numeric(), dtype=complex)
+            got = md.s_complex()
+            assert got.dtype == np.complex128
+            assert np.max(np.abs(got - want)) <= 1e-12, name

@@ -64,6 +64,13 @@ def test_scalar_rejects_garbage():
             parse_scalar(bad)
 
 
+@pytest.mark.parametrize("x", [float("nan"), float("inf"), float("-inf")])
+def test_scalar_rejects_non_finite(x):
+    for bad in (x, {"re": x, "im": 0.0}, {"re": 0.0, "im": x}):
+        with pytest.raises(SchemaError, match="scalar must be finite"):
+            parse_scalar(bad)
+
+
 def test_canonical_float_formatting():
     text = dumps({"x": 0.1})
     assert text == '{"x": 0.10000000000000001}\n'
