@@ -15,11 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .condense import (CondensationBundle, SchurWeylReport, block_dims, e_sub,
-                       schur_weyl)
+from .condense import CondensationBundle, SchurWeylReport, block_dims, e_sub
 from .cyclotomic import TOL, as_mpc, round_int
 from .errors import NumericalDegeneracyError, TheoremViolationError
-from .ring import element_product, enumerate_subrings
+from .ring import enumerate_subrings
 
 
 def lattice(b: CondensationBundle) -> list:
@@ -32,16 +31,11 @@ def _trivial_block(swr: SchurWeylReport) -> int:
     """The ideal block whose character is the dimension function itself:
     the block of the invariant subalgebra of the full module ring."""
     b = swr.bundle
-    dv = b.dA.as_floats()
-    best, best_gap = None, None
-    for bi, bp in enumerate(swr.blocks):
-        if not swr.in_ideal[bi]:
-            continue
-        gap = sum(abs(complex(swr.characters[bi][y]) - dv[y])
-                  for y in range(b.module_ring.rank))
-        if best_gap is None or gap < best_gap:
-            best, best_gap = bi, gap
-    if best is None or best_gap > 1e-6 * b.module_ring.rank:
+    chi = np.array(swr.characters, dtype=complex)
+    gap = np.where(swr.in_ideal,
+                   np.abs(chi - b.dA.as_floats()).sum(axis=1), np.inf)
+    best = int(np.argmin(gap))
+    if gap[best] > 1e-6 * b.module_ring.rank:
         raise TheoremViolationError(
             "no block carries the dimension character; the ideal cut by the "
             "algebra idempotent must contain the trivial block")
@@ -132,16 +126,14 @@ class GaloisReport:
         raise KeyError(f"no lattice entry for {key}")
 
 
-def verify_correspondence(b: CondensationBundle, tol: float = TOL,
-                          swr: SchurWeylReport | None = None) -> GaloisReport:
+def verify_correspondence(b: CondensationBundle, tol: float = TOL, *,
+                          swr: SchurWeylReport) -> GaloisReport:
     """Run the correspondence checks over the whole subring lattice.
 
     Fails are collected in the report rather than raised, except for the
     hard ones: a non-positive invariant dimension and the errors
     invariant_subalgebra itself raises.
     """
-    if swr is None:
-        swr = schur_weyl(b, tol=tol)
     subs = lattice(b)
     problems = []
     trivial = _trivial_block(swr)
@@ -271,97 +263,53 @@ class GroupQuotient:
 def group_quotient(swr: SchurWeylReport, tol: float = TOL) -> GroupQuotient:
     b = swr.bundle
     ring = b.module_ring
+    F = ring.fusion
     r = ring.rank
-    parent = list(range(r))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i, j):
-        parent[find(i)] = find(j)
-
-    for l in b.local:
-        for y in range(r):
-            for z in np.nonzero(ring.fusion[l, y])[0]:
-                union(y, int(z))
-    groups = {}
-    for y in range(r):
-        groups.setdefault(find(y), []).append(y)
-    cosets = sorted((tuple(sorted(v)) for v in groups.values()),
-                    key=lambda c: c[0])
+    # the local part is a fusion subring, so the support of local * y is
+    # the coset of y, and the cosets partition the basis
+    cosets = sorted({tuple(np.flatnonzero(row).tolist())
+                     for row in F[list(b.local)].sum(axis=0) > 0})
+    if sum(len(c) for c in cosets) != r:
+        raise TheoremViolationError(
+            "local orbits overlap or miss basis elements; the cosets of the "
+            "local part do not partition the module ring")
     k = len(cosets)
-    coset_of = {}
+    coset_of = np.empty(r, dtype=int)
     for ci, c in enumerate(cosets):
-        for y in c:
-            coset_of[y] = ci
+        coset_of[list(c)] = ci
+    reps = [c[0] for c in cosets]
 
-    dv = b.dA.as_floats()
-    e1 = [float(as_mpc(c).real) for c in swr.e1]
-    ebar = []
-    for c in cosets:
-        rep = c[0]
-        vec = [0.0] * r
-        vec[rep] = 1.0
-        prod = element_product(ring, e1, vec)
-        ebar.append(np.array([float(x) for x in prod]) / dv[rep])
-
-    residual = 0.0
-    coeffs = np.zeros((k, k, k))
-    for i in range(k):
-        for j in range(k):
-            p = np.array([float(x) for x in
-                          element_product(ring, list(ebar[i]), list(ebar[j]))])
-            recon = np.zeros(r)
-            for ci in range(k):
-                num = float(p @ ebar[ci])
-                den = float(ebar[ci] @ ebar[ci])
-                c = num / den
-                coeffs[i, j, ci] = c
-                recon += c * ebar[ci]
-            residual = max(residual, float(np.max(np.abs(p - recon))))
+    # normalized cosets e1 * rep / d(rep), their products, and the
+    # projection of each product onto the (disjointly supported) cosets
+    e1 = np.array([float(as_mpc(c).real) for c in swr.e1])
+    E = np.einsum("a,ack->ck", e1, F[:, reps, :]) / b.dA.as_floats()[reps, None]
+    prod = np.einsum("jb,ibc->ijc", E, np.tensordot(E, F, (1, 0)))
+    coeffs = (prod @ E.T) / np.einsum("ck,ck->c", E, E)
+    residual = float(np.max(np.abs(prod - coeffs @ E)))
     if residual > tol:
         raise NumericalDegeneracyError(
             f"coset products do not decompose over cosets (residual "
             f"{residual:.3e})")
 
-    def single_target(i, j):
-        row = coeffs[i, j]
-        hits = [ci for ci in range(k) if abs(row[ci] - 1.0) <= TOL]
-        if len(hits) == 1 and all(abs(row[ci]) <= TOL
-                                  for ci in range(k) if ci != hits[0]):
-            return hits[0]
-        return None
+    # target[i, j] is the one coset the product of i and j hits with
+    # coefficient 1, or -1 when the product is not a single coset
+    hit = np.abs(coeffs - 1.0) <= TOL
+    single = (hit.sum(axis=2) == 1) & (hit | (np.abs(coeffs) <= TOL)).all(axis=2)
+    target = np.where(single, hit.argmax(axis=2), -1)
+    table = (tuple(tuple(row) for row in target.tolist())
+             if single.all() else None)
 
-    table = []
-    is_group = True
-    for i in range(k):
-        table.append(tuple(single_target(i, j) for j in range(k)))
-        if any(t is None for t in table[-1]):
-            is_group = False
-    table = tuple(table) if is_group else None
-
-    unit_coset = coset_of[0]
-    pointed = []
-    for i, c in enumerate(cosets):
-        idual = coset_of[ring.dual[c[0]]]
-        if single_target(i, idual) == unit_coset:
-            pointed.append(i)
-    pointed = tuple(pointed)
-    ptable = []
-    for i in pointed:
-        row = []
-        for j in pointed:
-            t = single_target(i, j)
-            if t is None or t not in pointed:
-                raise TheoremViolationError(
-                    "pointed cosets do not close under multiplication")
-            row.append(t)
-        ptable.append(tuple(row))
-    return GroupQuotient(cosets=tuple(cosets), table=table, pointed=pointed,
-                         pointed_table=tuple(ptable), residual=residual)
+    idual = coset_of[np.asarray(ring.dual)[reps]]
+    pointed = np.flatnonzero(target[np.arange(k), idual] == coset_of[0])
+    ptable = target[np.ix_(pointed, pointed)]
+    if not np.isin(ptable, pointed).all():
+        raise TheoremViolationError(
+            "pointed cosets do not close under multiplication")
+    return GroupQuotient(cosets=tuple(cosets), table=table,
+                         pointed=tuple(pointed.tolist()),
+                         pointed_table=tuple(tuple(row)
+                                             for row in ptable.tolist()),
+                         residual=residual)
 
 
 # ------------------------------------------------------------------- output
@@ -388,22 +336,20 @@ def hasse_dot(report: GaloisReport) -> str:
     annotated with its dimension and its invariant subalgebra."""
     b = report.bundle
     entries = report.entries
-    n = len(entries)
-    below = [[set(entries[i].sub) < set(entries[j].sub) for j in range(n)]
-             for i in range(n)]
+    member = np.zeros((len(entries), b.module_ring.rank), dtype=bool)
+    for i, e in enumerate(entries):
+        member[i, list(e.sub)] = True
+    size = member.sum(axis=1)
+    below = ((member[:, None, :] <= member[None, :, :]).all(axis=2)
+             & (size[:, None] < size[None, :]))
     lines = ["digraph lattice {", "  rankdir=BT;", "  node [shape=box];"]
     for i, e in enumerate(entries):
         d = "?" if e.d_invariant is None else f"{e.d_invariant:g}"
         label = (f"{_sub_name(b, e.sub)} (dim {e.dim_sub:g})"
                  f"\\ninv {_invariant_name(b, e)} (d {d})")
         lines.append(f'  n{i} [label="{label}"];')
-    for i in range(n):
-        for j in range(n):
-            if not below[i][j]:
-                continue
-            if any(below[i][m] and below[m][j] for m in range(n)):
-                continue
-            lines.append(f"  n{i} -> n{j};")
+    for i, j in np.argwhere(below & ~(below @ below)):
+        lines.append(f"  n{i} -> n{j};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

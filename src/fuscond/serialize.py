@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 from .condense import Ambient, CondensableAlgebra, CondensationBundle
-from .cyclotomic import Cyc, as_mpc, exact_scalar
+from .cyclotomic import ORDER_CAP, Cyc, as_mpc, exact_scalar
 from .errors import SchemaError
 from .modular import ModularData
 from .ring import BasedRing, DimVector, fp_dims
@@ -47,8 +47,13 @@ def parse_scalar(obj, where: str = "scalar"):
         if not isinstance(body, dict) or set(body) != {"order", "coeffs"}:
             raise SchemaError(f"{where}: cyclotomic needs order and coeffs")
         try:
-            return Cyc(int(body["order"]),
-                       [Fraction(str(c)) for c in body["coeffs"]])
+            order = int(body["order"])
+            # a larger order could only ever take the float fallback, and
+            # building its cyclotomic polynomial alone takes seconds
+            if order > ORDER_CAP:
+                raise SchemaError(f"{where}: cyclotomic order {order} "
+                                  f"exceeds the cap {ORDER_CAP}")
+            return Cyc(order, [Fraction(str(c)) for c in body["coeffs"]])
         except (ValueError, ZeroDivisionError) as err:
             raise SchemaError(f"{where}: bad cyclotomic value ({err})")
     if isinstance(obj, dict) and set(obj) == {"re", "im"}:

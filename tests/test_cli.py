@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import mpmath as mp
 import pytest
@@ -379,3 +380,21 @@ def test_coset_su2_runs_every_verb(tmp_path, capsys, k):
     for verb in ("validate", "analyze", "galois"):
         capsys.readouterr()
         assert main([verb, path]) == 0, capsys.readouterr()
+
+
+@pytest.mark.parametrize("order,code", [(4, 0), (2401, 2)])
+def test_cyclotomic_order_is_capped_at_parse(tmp_path, capsys, order, code):
+    # the value is 1 at any order; an order above the cap is refused
+    # before its cyclotomic polynomial is built, which takes seconds for
+    # composite orders near the cap
+    obj = serialize.emit_modular(families.toric_modular())
+    obj["twists"][1] = {"cyclotomic": {"order": order, "coeffs": [1]}}
+    path = tmp_path / "mtc.json"
+    path.write_text(serialize.dumps(obj), encoding="utf-8")
+    capsys.readouterr()
+    start = time.perf_counter()
+    assert main(["validate", str(path)]) == code
+    assert time.perf_counter() - start < 1.0
+    if code == 2:
+        assert "cyclotomic order 2401 exceeds the cap 2400" in \
+            capsys.readouterr().err

@@ -1,3 +1,5 @@
+import dataclasses
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -12,7 +14,8 @@ from fuscond.condense import (
     indicator,
     schur_weyl,
 )
-from fuscond import families
+from fuscond import families, serialize
+from fuscond.cli import main
 from fuscond.cyclotomic import Cyc, as_mpc
 from fuscond.errors import CapabilityError, SchemaError, TheoremViolationError
 from fuscond.ring import BasedRing, group_ring
@@ -275,6 +278,60 @@ def test_bad_mult_violates_theorem():
     assert not rep.ok
     with pytest.raises(TheoremViolationError):
         schur_weyl(b)
+
+
+def _mult(b, mult):
+    return dataclasses.replace(
+        b, algebra=CondensableAlgebra(ambient=b.ambient, mult=mult))
+
+
+def _zero_induction_row(b, x):
+    M = np.array(b.induction)
+    M[x] = 0
+    return dataclasses.replace(b, induction=M)
+
+
+# One mutation of a valid bundle per failure branch of check_bundle, with
+# the problems it must report.
+CHECK_BUNDLE_FAILURES = [
+    ("negative-mult", lambda: _mult(families.toric_code(), (1, -1, 0, 0)),
+     ["algebra multiplicities must be nonnegative",
+      "algebra dimension 0.0 is not positive"]),
+    ("unit-dim", lambda: dataclasses.replace(families.toric_code(),
+                                             dA=(2, 1)),
+     ["module unit must have dimension 1, got 2"]),
+    ("perron-frobenius", lambda: dataclasses.replace(families.toric_code(),
+                                                     dA=(1, 2)),
+     ["module dims deviate from the Perron-Frobenius dimensions"]),
+    ("local-unit", lambda: dataclasses.replace(families.toric_code(),
+                                               local=(1,)),
+     ["local part must contain the unit",
+      "local part is not closed under fusion and duals"]),
+    ("adjunction", lambda: _zero_induction_row(families.toric_code(), 2),
+     ["induction adjunction fails at m: sum M d_A = 0.0, d(x) = 1.0"]),
+    ("local-closure", lambda: dataclasses.replace(families.a2n(1),
+                                                  local=(0, 6)),
+     ["local part is not closed under fusion and duals"]),
+]
+
+
+@pytest.mark.parametrize("mutate,messages",
+                         [case[1:] for case in CHECK_BUNDLE_FAILURES],
+                         ids=[case[0] for case in CHECK_BUNDLE_FAILURES])
+def test_check_bundle_failure_branches(mutate, messages):
+    problems = check_bundle(mutate()).problems
+    for message in messages:
+        assert message in problems
+
+
+def test_validate_exits_1_on_a_failed_adjunction(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    serialize.write_path(_zero_induction_row(families.toric_code(), 2),
+                         str(path))
+    capsys.readouterr()
+    assert main(["validate", str(path)]) == 1
+    assert ("- FAIL: induction adjunction fails at m: sum M d_A = 0.0, "
+            "d(x) = 1.0") in capsys.readouterr().out.splitlines()
 
 
 def test_twist_condition_checked():

@@ -5,13 +5,22 @@ The expected values were computed by hand from the defining fusion data:
 averaging idempotents evaluated in explicit block characters, and dimension
 counts via dim(B) * d(A^B) * d(A) = dim(C).
 """
+import dataclasses
+import functools
+
+import mpmath as mp
 import numpy as np
 import pytest
 
-from fuscond.condense import e_sub
-from fuscond.cyclotomic import as_mpc
-from fuscond.errors import SchemaError
+from fuscond.condense import e_sub, schur_weyl
+from fuscond.cyclotomic import TOL, as_mpc
+from fuscond.errors import (CapabilityError, NumericalDegeneracyError,
+                            SchemaError, TheoremViolationError)
 from fuscond.galois import (
+    GroupQuotient,
+    _invariant_name,
+    _sub_name,
+    _trivial_block,
     group_quotient,
     hasse_dot,
     invariant_subalgebra,
@@ -19,7 +28,7 @@ from fuscond.galois import (
     markdown_table,
     verify_correspondence,
 )
-from fuscond.ring import element_product
+from fuscond.ring import BasedRing, element_product
 
 from cached_bundles import bundle, swr
 
@@ -253,3 +262,181 @@ def test_markdown_table_contents():
     assert lines[0].startswith("| subring | dim |")
     assert len(lines) == 2 + 9
     assert "| {1,r1,r2,X} | 6 | 1.1 + j.1 | 2 |" in md
+
+
+# ------------------------------------------------------- loop reference pins
+#
+# The loop versions that group_quotient, _trivial_block and hasse_dot had
+# before they became array operations, kept here as references.
+
+
+def _loop_trivial_block(swr):
+    b = swr.bundle
+    dv = b.dA.as_floats()
+    best, best_gap = None, None
+    for bi, bp in enumerate(swr.blocks):
+        if not swr.in_ideal[bi]:
+            continue
+        gap = sum(abs(complex(swr.characters[bi][y]) - dv[y])
+                  for y in range(b.module_ring.rank))
+        if best_gap is None or gap < best_gap:
+            best, best_gap = bi, gap
+    if best is None or best_gap > 1e-6 * b.module_ring.rank:
+        raise TheoremViolationError("no block carries the dimension character")
+    return best
+
+
+def _loop_group_quotient(swr, tol=TOL):
+    b = swr.bundle
+    ring = b.module_ring
+    r = ring.rank
+    parent = list(range(r))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for l in b.local:
+        for y in range(r):
+            for z in np.nonzero(ring.fusion[l, y])[0]:
+                parent[find(y)] = find(int(z))
+    groups = {}
+    for y in range(r):
+        groups.setdefault(find(y), []).append(y)
+    cosets = sorted((tuple(sorted(v)) for v in groups.values()),
+                    key=lambda c: c[0])
+    k = len(cosets)
+    coset_of = {y: ci for ci, c in enumerate(cosets) for y in c}
+
+    dv = b.dA.as_floats()
+    e1 = [float(as_mpc(c).real) for c in swr.e1]
+    ebar = []
+    for c in cosets:
+        vec = [0.0] * r
+        vec[c[0]] = 1.0
+        prod = element_product(ring, e1, vec)
+        ebar.append(np.array([float(x) for x in prod]) / dv[c[0]])
+
+    residual = 0.0
+    coeffs = np.zeros((k, k, k))
+    for i in range(k):
+        for j in range(k):
+            p = np.array([float(x) for x in
+                          element_product(ring, list(ebar[i]), list(ebar[j]))])
+            recon = np.zeros(r)
+            for ci in range(k):
+                c = float(p @ ebar[ci]) / float(ebar[ci] @ ebar[ci])
+                coeffs[i, j, ci] = c
+                recon += c * ebar[ci]
+            residual = max(residual, float(np.max(np.abs(p - recon))))
+    if residual > tol:
+        raise NumericalDegeneracyError("coset products do not decompose")
+
+    def single_target(i, j):
+        row = coeffs[i, j]
+        hits = [ci for ci in range(k) if abs(row[ci] - 1.0) <= TOL]
+        if len(hits) == 1 and all(abs(row[ci]) <= TOL
+                                  for ci in range(k) if ci != hits[0]):
+            return hits[0]
+        return None
+
+    table = tuple(tuple(single_target(i, j) for j in range(k))
+                  for i in range(k))
+    if any(t is None for row in table for t in row):
+        table = None
+    pointed = tuple(i for i, c in enumerate(cosets)
+                    if single_target(i, coset_of[ring.dual[c[0]]])
+                    == coset_of[0])
+    ptable = []
+    for i in pointed:
+        row = []
+        for j in pointed:
+            t = single_target(i, j)
+            if t is None or t not in pointed:
+                raise TheoremViolationError("pointed cosets do not close")
+            row.append(t)
+        ptable.append(tuple(row))
+    return GroupQuotient(cosets=tuple(cosets), table=table, pointed=pointed,
+                         pointed_table=tuple(ptable), residual=residual)
+
+
+def _loop_hasse_dot(report):
+    b = report.bundle
+    entries = report.entries
+    n = len(entries)
+    below = [[set(entries[i].sub) < set(entries[j].sub) for j in range(n)]
+             for i in range(n)]
+    lines = ["digraph lattice {", "  rankdir=BT;", "  node [shape=box];"]
+    for i, e in enumerate(entries):
+        d = "?" if e.d_invariant is None else f"{e.d_invariant:g}"
+        label = (f"{_sub_name(b, e.sub)} (dim {e.dim_sub:g})"
+                 f"\\ninv {_invariant_name(b, e)} (d {d})")
+        lines.append(f'  n{i} [label="{label}"];')
+    for i in range(n):
+        for j in range(n):
+            if not below[i][j]:
+                continue
+            if any(below[i][m] and below[m][j] for m in range(n)):
+                continue
+            lines.append(f"  n{i} -> n{j};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+# Every built-in bundle, and the diagonal cosets of SU(2)_1..6.
+PINNED = ([("a2n", n) for n in range(1, 7)]
+          + [("a2nplus1", n) for n in range(1, 7)]
+          + [("vlplus-orbifold", 1), ("toric-code", None),
+             ("ising-square", None)]
+          + [("coset-su2", k) for k in range(1, 7)])
+
+
+@functools.lru_cache(maxsize=None)
+def _swr_at(family, n, dps):
+    if dps == 15:
+        return swr(family, n)
+    with mp.workdps(dps):
+        return schur_weyl(bundle(family, n))
+
+
+def _python_ints(value):
+    if isinstance(value, tuple):
+        return all(_python_ints(v) for v in value)
+    return type(value) is int
+
+
+@pytest.mark.parametrize("dps", [15, 64])
+@pytest.mark.parametrize("family,n", PINNED,
+                         ids=[f"{f}-{n}" for f, n in PINNED])
+def test_array_bookkeeping_matches_the_loops(family, n, dps):
+    r = _swr_at(family, n, dps)
+    with mp.workdps(dps):
+        got, want = group_quotient(r), _loop_group_quotient(r)
+        assert _trivial_block(r) == _loop_trivial_block(r)
+        try:
+            rep = verify_correspondence(r.bundle, swr=r)
+        except CapabilityError:
+            rep = None
+    for field in ("cosets", "table", "pointed", "pointed_table"):
+        assert getattr(got, field) == getattr(want, field), field
+        assert getattr(got, field) is None or _python_ints(getattr(got, field))
+    assert abs(got.residual - want.residual) <= 1e-12
+    if rep is not None:
+        assert hasse_dot(rep).encode() == _loop_hasse_dot(rep).encode()
+
+
+def test_overlapping_local_orbits_are_refused():
+    # local (0, 1) with 1 * 1 = 0 + 2 and 1 * 2 = 0: the orbits {0, 1},
+    # {0, 1, 2} and {2} overlap, which no based ring allows
+    F = np.zeros((3, 3, 3), dtype=np.int64)
+    for y in range(3):
+        F[0, y, y] = F[y, 0, y] = 1
+    F[1, 1, 0] = F[1, 1, 2] = 1
+    ring = BasedRing(labels=("1", "a", "b"), fusion=F, dual=(0, 1, 2))
+    base = swr("ising-square")
+    b = dataclasses.replace(base.bundle, module_ring=ring, dA=(1, 1, 1),
+                            induction=None, local=(0, 1))
+    with pytest.raises(TheoremViolationError, match="partition"):
+        group_quotient(dataclasses.replace(base, bundle=b))
