@@ -272,8 +272,8 @@ def e_sub(b: CondensationBundle, sub) -> list:
     if closure(ring, sub) != frozenset(sub):
         raise SchemaError(f"{sub} is not a subring of the module ring")
     d = b.dA.scalars()
-    total = b.dA.total(sub)
-    vec = [d[y] / total if y in sub else 0 for y in range(ring.rank)]
+    inv = 1 / b.dA.total(sub)
+    vec = [d[y] * inv if y in sub else 0 for y in range(ring.rank)]
     sq = element_product(ring, vec, vec)
     resid = max(abs(as_mpc(p) - as_mpc(v)) for p, v in zip(sq, vec))
     if resid > TOL:

@@ -1,12 +1,16 @@
-"""Exact cyclotomic arithmetic over rational coefficient vectors.
+"""Exact cyclotomic arithmetic over integer numerators.
 
-Elements of Q(zeta_N) are stored as polynomials in zeta_N reduced modulo the
-N-th cyclotomic polynomial, with fractions.Fraction coefficients.  Binary
-operations lift both operands to the lcm order; when that order would exceed
-ORDER_CAP the operation falls back to high-precision complex floats at the
-caller's working precision (``mp.mp.dps``), which nothing in the package
-sets.  The package's tolerances are defined here: TOL for residual checks,
-ROUND_TOL for values read off as integers, and working_tol().
+Elements of Q(zeta_N) are stored as integer polynomials in zeta_N, reduced
+modulo the N-th cyclotomic polynomial, over one positive denominator, in
+lowest terms.  Products are integer convolutions folded modulo x^N - 1 and
+then reduced by long division by the monic integer Phi_N, so no fraction
+is built on the arithmetic paths; only Cyc.inverse runs an extended gcd
+over Fraction polynomials.  Binary operations lift both operands to the lcm
+order; when that order would exceed ORDER_CAP the operation falls back to
+high-precision complex floats at the caller's working precision
+(``mp.mp.dps``), which nothing in the package sets.  The package's
+tolerances are defined here: TOL for residual checks, ROUND_TOL for values
+read off as integers, and working_tol().
 """
 from __future__ import annotations
 
@@ -26,7 +30,9 @@ TOL = 1e-9
 # 1e-15 of error whatever the working precision.
 ROUND_TOL = 1e-6
 
-Poly = tuple  # little-endian Fraction coefficients
+# Little-endian coefficients: ints for cyclotomic polynomials and Cyc
+# numerators, Fractions inside Cyc.inverse's extended gcd.
+Poly = tuple
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -38,6 +44,7 @@ def _trim(c: list) -> list:
     return c
 
 
+# -- Fraction polynomials, used only by Cyc.inverse -------------------------
 def _padd(a, b):
     n = max(len(a), len(b))
     out = [_ZERO] * n
@@ -77,10 +84,6 @@ def _pdivmod(a, b):
     return _trim(q), a
 
 
-def _pmod(a, b):
-    return _pdivmod(a, b)[1]
-
-
 def _pxgcd(a, b):
     # extended gcd over Q[x]: returns (g, u, v) with u*a + v*b = g
     r0, r1 = list(a), list(b)
@@ -94,19 +97,63 @@ def _pxgcd(a, b):
     return r0, u0, v0
 
 
+# -- integer kernel -----------------------------------------------------------
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> Poly:
-    """Coefficients of the n-th cyclotomic polynomial, little-endian."""
+    """Integer coefficients of the n-th cyclotomic polynomial,
+    little-endian."""
     if n == 1:
-        return (Fraction(-1), Fraction(1))
-    f = [_ZERO] * (n + 1)
-    f[0], f[n] = Fraction(-1), Fraction(1)
-    poly = f
-    for d in range(1, n):
-        if n % d == 0:
-            poly, rem = _pdivmod(poly, list(cyclotomic_polynomial(d)))
-            assert not rem
+        return (-1, 1)
+    # Phi_n = prod over d | n of (1 - x^d)^mu(n/d) for n > 1.  Each factor
+    # is a unit of Z[[x]], so the product is computed exactly in power
+    # series cut off past the degree phi(n); only squarefree n/d count.
+    primes = _prime_factors(n)
+    size = n * math.prod(p - 1 for p in primes) // math.prod(primes) + 1
+    poly = [1] + [0] * (size - 1)
+    for mask in range(1 << len(primes)):
+        sub = [p for i, p in enumerate(primes) if mask >> i & 1]
+        d = n // math.prod(sub)
+        if len(sub) % 2:  # divide by 1 - x^d
+            for i in range(d, size):
+                poly[i] += poly[i - d]
+        else:  # multiply by 1 - x^d
+            for i in range(size - 1, d - 1, -1):
+                poly[i] -= poly[i - d]
     return tuple(poly)
+
+
+@lru_cache(maxsize=None)
+def _phi_terms(n: int):
+    # degree of Phi_n and its nonzero terms below the leading one
+    phi = cyclotomic_polynomial(n)
+    return len(phi) - 1, tuple((i, c) for i, c in enumerate(phi[:-1]) if c)
+
+
+def _reduce(c: list, n: int) -> list:
+    """The integer polynomial c modulo Phi_n, in place and trimmed.  Phi_n is
+    monic, so the long division never leaves the integers."""
+    deg, terms = _phi_terms(n)
+    for k in range(len(c) - 1, deg - 1, -1):
+        q = c[k]
+        if q:
+            base = k - deg
+            for i, p in terms:
+                c[base + i] -= q * p
+    del c[deg:]
+    return _trim(c)
+
+
+def _cyclic_product(a, b, n: int) -> list:
+    """Product of two integer polynomials modulo x^n - 1, which Phi_n
+    divides."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for k, y in enumerate(b, i):
+                out[k] += x * y
+    for k in range(len(out) - 1, n - 1, -1):
+        out[k - n] += out.pop()
+    return out
 
 
 @lru_cache(maxsize=64)
@@ -138,36 +185,50 @@ def round_int(val, what: str) -> int:
 
 
 class Cyc:
-    """An element of the cyclotomic field Q(zeta_order)."""
+    """An element of the cyclotomic field Q(zeta_order): the numerators num
+    (ints, reduced modulo Phi_order and trimmed) over the denominator den,
+    with den > 0 and gcd(den, *num) == 1, so equal values at one order have
+    equal fields."""
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "num", "den")
     __hash__ = None
 
     def __init__(self, order: int, coeffs, reduce: bool = True):
         if order < 1:
             raise ValueError("cyclotomic order must be positive")
         c = [Fraction(x) for x in coeffs]
-        if reduce:
-            c = _pmod(c, list(cyclotomic_polynomial(order)))
-        self.coeffs = tuple(c)
+        den = math.lcm(*(x.denominator for x in c))
+        num = [x.numerator * (den // x.denominator) for x in c]
+        self._set(order, _reduce(num, order) if reduce else num, den)
+
+    def _set(self, order: int, num: list, den: int) -> None:
+        _trim(num)
+        g = math.gcd(den, *num)
+        if g != 1:
+            num = [c // g for c in num]
+            den //= g
         # collapse rational values to order 1 so lcm growth stays small
-        if order > 1 and all(x == 0 for x in self.coeffs[1:]):
-            self.order = 1
-            self.coeffs = self.coeffs[:1]
-        else:
-            self.order = order
+        self.order = order if len(num) > 1 else 1
+        self.num = tuple(num)
+        self.den = den
+
+    @staticmethod
+    def _make(order: int, num: list, den: int) -> "Cyc":
+        # the internal constructor: num is reduced, den positive
+        out = object.__new__(Cyc)
+        out._set(order, num, den)
+        return out
 
     # -- constructors ----------------------------------------------------
     @staticmethod
     def rational(q) -> "Cyc":
         q = Fraction(q)
-        return Cyc(1, [q] if q else [], reduce=False)
+        return Cyc._make(1, [q.numerator], q.denominator)
 
     @staticmethod
     def zeta(n: int, k: int = 1) -> "Cyc":
         k %= n
-        poly = [_ZERO] * k + [_ONE]
-        return Cyc(n, poly)
+        return Cyc._make(n, _reduce([0] * k + [1], n), 1)
 
     @staticmethod
     def sqrt_int(m: int) -> "Cyc":
@@ -196,8 +257,13 @@ class Cyc:
         return out
 
     # -- queries ----------------------------------------------------------
+    @property
+    def coeffs(self) -> tuple:
+        """The reduced coefficients as Fractions, little-endian."""
+        return tuple(Fraction(c, self.den) for c in self.num)
+
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     def is_rational(self) -> bool:
         return self.order == 1
@@ -205,51 +271,48 @@ class Cyc:
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("not a rational number")
-        return self.coeffs[0] if self.coeffs else _ZERO
+        return Fraction(self.num[0], self.den) if self.num else _ZERO
 
     def to_mpc(self) -> mp.mpc:
         zp = _zeta_powers(self.order, mp.mp.prec)
         total = mp.mpc(0)
-        for k, c in enumerate(self.coeffs):
+        for k, c in enumerate(self.num):
             if c:
-                total += mp.mpf(c.numerator) / c.denominator * zp[k]
+                # divide the reduced pair: mpf(c) alone rounds once c is
+                # wider than the working precision
+                g = math.gcd(c, self.den)
+                total += mp.mpf(c // g) / (self.den // g) * zp[k]
         return total
 
     def __complex__(self) -> complex:
         return complex(self.to_mpc())
 
     # -- structure --------------------------------------------------------
-    def _lift_coeffs(self, order: int) -> list:
-        """Reduced coefficient list of this element viewed in Q(zeta_order)."""
-        if order == self.order:
-            return list(self.coeffs)
+    def _lift(self, order: int) -> list:
+        """Reduced numerators of this element viewed in Q(zeta_order), over
+        the same denominator."""
+        if order == self.order or not self.num:
+            return list(self.num)
         step = order // self.order
-        poly = [_ZERO] * (len(self.coeffs) * step or 1)
-        for k, c in enumerate(self.coeffs):
-            poly[k * step] = c
-        return _pmod(poly, list(cyclotomic_polynomial(order)))
-
-    @staticmethod
-    def _common(a: "Cyc", b: "Cyc"):
-        n = math.lcm(a.order, b.order)
-        if n > ORDER_CAP:
-            return None
-        return n, a._lift_coeffs(n), b._lift_coeffs(n)
+        c = [0] * ((len(self.num) - 1) * step + 1)
+        c[::step] = self.num
+        return _reduce(c, order)
 
     def conj(self) -> "Cyc":
         if self.order == 1:
             return self
-        poly = [_ZERO] * self.order
-        for k, c in enumerate(self.coeffs):
-            poly[(self.order - k) % self.order] += c
-        return Cyc(self.order, poly)
+        n = self.order
+        c = [0] * n
+        for k, x in enumerate(self.num):
+            c[-k % n] = x
+        return Cyc._make(n, _reduce(_trim(c), n), self.den)
 
     # -- arithmetic ---------------------------------------------------------
     def _coerce(self, other):
         if isinstance(other, Cyc):
             return other
         if isinstance(other, numbers.Integral):  # int and numpy ints
-            return Cyc.rational(int(other))
+            return Cyc._make(1, [int(other)], 1)
         if isinstance(other, numbers.Rational):
             return Cyc.rational(Fraction(other))
         return None
@@ -258,16 +321,26 @@ class Cyc:
         o = self._coerce(other)
         if o is None:
             return self.to_mpc() + other
-        pair = Cyc._common(self, o)
-        if pair is None:
+        n = math.lcm(self.order, o.order)
+        if n > ORDER_CAP:
             return self.to_mpc() + o.to_mpc()
-        n, a, b = pair
-        return Cyc(n, _padd(a, b), reduce=False)
+        a, b = self._lift(n), o._lift(n)
+        den = self.den
+        if o.den != den:
+            g = math.gcd(den, o.den)
+            a = [x * (o.den // g) for x in a]
+            b = [y * (den // g) for y in b]
+            den = den // g * o.den
+        if len(a) < len(b):
+            a, b = b, a
+        for i, y in enumerate(b):
+            a[i] += y
+        return Cyc._make(n, a, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyc(self.order, [-c for c in self.coeffs], reduce=False)
+        return Cyc._make(self.order, [-c for c in self.num], self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -282,19 +355,19 @@ class Cyc:
         o = self._coerce(other)
         if o is None:
             return self.to_mpc() * other
-        pair = Cyc._common(self, o)
-        if pair is None:
+        n = math.lcm(self.order, o.order)
+        if n > ORDER_CAP:
             return self.to_mpc() * o.to_mpc()
-        n, a, b = pair
-        return Cyc(n, _pmul(a, b))
+        return Cyc._make(n, _reduce(_cyclic_product(
+            self._lift(n), o._lift(n), n), n), self.den * o.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyc":
         if self.is_zero():
             raise ZeroDivisionError("cyclotomic division by zero")
-        g, u, _ = _pxgcd(list(self.coeffs), list(cyclotomic_polynomial(self.order)))
-        scale = 1 / g[0]
+        g, u, _ = _pxgcd(self.num, cyclotomic_polynomial(self.order))
+        scale = Fraction(self.den) / g[0]
         return Cyc(self.order, [c * scale for c in u])
 
     def __truediv__(self, other):
@@ -324,11 +397,11 @@ class Cyc:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        pair = Cyc._common(self, o)
-        if pair is None:
+        n = math.lcm(self.order, o.order)
+        if n > ORDER_CAP:
             return abs(self.to_mpc() - o.to_mpc()) < working_tol()
-        _, a, b = pair
-        return a == b
+        # both sides are in lowest terms, and lifting keeps them so
+        return self.den == o.den and self._lift(n) == o._lift(n)
 
     def __repr__(self):
         if self.is_rational():
@@ -385,8 +458,7 @@ def as_complex(x) -> complex:
     coefficients over float64 roots of unity, at no mpmath precision."""
     if isinstance(x, Cyc):
         z = _zeta_floats(x.order)
-        return sum([c.numerator / c.denominator * z[k]
-                    for k, c in enumerate(x.coeffs) if c], 0j)
+        return sum([c / x.den * z[k] for k, c in enumerate(x.num) if c], 0j)
     return complex(x)
 
 

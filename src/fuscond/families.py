@@ -342,7 +342,8 @@ def su2(k: int) -> ModularData:
     def q(m):
         return Cyc.zeta(n, m) - Cyc.zeta(n, -m)
 
-    s = tuple(tuple(q((i + 1) * (j + 1)) / q(1) for j in range(k + 1))
+    inv = 1 / q(1)
+    s = tuple(tuple(q((i + 1) * (j + 1)) * inv for j in range(k + 1))
               for i in range(k + 1))
     twists = tuple(Cyc.zeta(2 * n, j * (j + 2)) for j in range(k + 1))
     return ModularData(labels=tuple(str(j) for j in range(k + 1)),

@@ -62,7 +62,8 @@ def invariant_subalgebra(swr: SchurWeylReport, sub) -> InvariantSubalgebra:
     """
     b = swr.bundle
     sub = tuple(sorted(int(i) for i in sub))
-    evec = e_sub(b, sub)
+    # numeric once for all blocks; exact zeros stay 0 so block_value skips them
+    evec = [0 if c == 0 else as_mpc(c) for c in e_sub(b, sub)]
     block_indices, n_prime = [], []
     for bi, bp in enumerate(swr.blocks):
         if not swr.in_ideal[bi]:

@@ -48,8 +48,7 @@ def parse_scalar(obj, where: str = "scalar"):
             raise SchemaError(f"{where}: cyclotomic needs order and coeffs")
         try:
             order = int(body["order"])
-            # a larger order could only ever take the float fallback, and
-            # building its cyclotomic polynomial alone takes seconds
+            # a larger order could only ever take the float fallback
             if order > ORDER_CAP:
                 raise SchemaError(f"{where}: cyclotomic order {order} "
                                   f"exceeds the cap {ORDER_CAP}")

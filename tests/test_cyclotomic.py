@@ -1,8 +1,15 @@
+import cmath
+import math
+from fractions import Fraction
+from functools import lru_cache
+
 import mpmath as mp
 import pytest
-from fractions import Fraction
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from fuscond.cyclotomic import Cyc, as_mpc, cyclotomic_polynomial
+from fuscond.cyclotomic import Cyc, as_complex, as_mpc, cyclotomic_polynomial
+from fuscond.serialize import emit_scalar, parse_scalar
 
 
 def test_cyclotomic_polynomials():
@@ -81,3 +88,200 @@ def test_numpy_integers_stay_exact():
     x = Cyc.sqrt_int(3) * np.int64(2)
     assert isinstance(x, Cyc)
     assert x * x == 12
+
+
+# -- reference: the Fraction-coefficient kernel the integer one replaced ------
+# An element is (order, coeffs) with coeffs a tuple of Fractions, reduced
+# modulo Phi_order, trimmed, and of order 1 when rational.
+
+def _ref_trim(c):
+    while c and c[-1] == 0:
+        c.pop()
+    return c
+
+
+def _ref_mod(a, b):
+    # remainder of a modulo b over Q
+    a = [Fraction(x) for x in a]
+    while True:
+        _ref_trim(a)
+        if len(a) < len(b):
+            return a
+        d = len(a) - len(b)
+        c = a[-1] / b[-1]
+        for i, y in enumerate(b):
+            a[d + i] -= c * y
+
+
+@lru_cache(maxsize=None)
+def _ref_phi(n):
+    # x^n - 1 divided by the monic Phi_d of every proper divisor d of n
+    poly = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d == 0:
+            phi = _ref_phi(d)
+            quot = [0] * (len(poly) - len(phi) + 1)
+            for e in range(len(quot) - 1, -1, -1):
+                c = quot[e] = poly[e + len(phi) - 1]
+                for i, y in enumerate(phi):
+                    poly[e + i] -= c * y
+            assert not any(poly)
+            poly = quot
+    return tuple(poly)
+
+
+def _ref_canon(order, coeffs):
+    c = _ref_mod(coeffs, _ref_phi(order))
+    if len(c) <= 1:
+        return 1, tuple(c)
+    return order, tuple(c)
+
+
+def _ref_lift(x, n):
+    order, coeffs = x
+    step = n // order
+    poly = [Fraction(0)] * (len(coeffs) * step)
+    for k, c in enumerate(coeffs):
+        poly[k * step] = c
+    return _ref_mod(poly, _ref_phi(n))
+
+
+def _ref_add(x, y):
+    n = math.lcm(x[0], y[0])
+    a, b = _ref_lift(x, n), _ref_lift(y, n)
+    size = max(len(a), len(b))
+    a += [Fraction(0)] * (size - len(a))
+    b += [Fraction(0)] * (size - len(b))
+    return _ref_canon(n, [u + v for u, v in zip(a, b)])
+
+
+def _ref_neg(x):
+    return x[0], tuple(-c for c in x[1])
+
+
+def _ref_mul(x, y):
+    n = math.lcm(x[0], y[0])
+    a, b = _ref_lift(x, n), _ref_lift(y, n)
+    out = [Fraction(0)] * max(0, len(a) + len(b) - 1)
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            out[i + j] += u * v
+    return _ref_canon(n, out)
+
+
+def _ref_conj(x):
+    order, coeffs = x
+    poly = [Fraction(0)] * order
+    for k, c in enumerate(coeffs):
+        poly[-k % order] += c
+    return _ref_canon(order, poly)
+
+
+def _ref_eq(x, y):
+    n = math.lcm(x[0], y[0])
+    return _ref_lift(x, n) == _ref_lift(y, n)
+
+
+def _ref_mpc(x):
+    order, coeffs = x
+    z = mp.e ** (2j * mp.pi / order)
+    total = mp.mpc(0)
+    for k, c in enumerate(coeffs):
+        if c:
+            total += mp.mpf(c.numerator) / c.denominator * z**k
+    return total
+
+
+def _ref_complex(x):
+    order, coeffs = x
+    z = [cmath.exp(2j * cmath.pi * k / order) for k in range(order)]
+    return sum([c.numerator / c.denominator * z[k]
+                for k, c in enumerate(coeffs) if c], 0j)
+
+
+_ONE_REF = (1, (Fraction(1),))
+ORDERS = (1, 2, 3, 4, 5, 8, 12, 13, 24, 28, 44, 60)
+_fractions = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
+
+
+@st.composite
+def _elements(draw):
+    order = draw(st.sampled_from(ORDERS))
+    # up to order coefficients, so the input is often unreduced
+    coeffs = draw(st.lists(_fractions, max_size=order))
+    return Cyc(order, coeffs), _ref_canon(order, coeffs)
+
+
+def _assert_matches(got, ref):
+    """got is the Cyc whose value the reference element ref holds."""
+    assert (got.order, got.coeffs) == ref
+    assert got.den > 0 and math.gcd(got.den, *got.num) == 1
+    assert got == Cyc(*ref)
+    for dps in (15, 64):
+        with mp.workdps(dps):
+            assert got.to_mpc() == _ref_mpc(ref)
+    assert as_complex(got) == _ref_complex(ref)
+    emitted = emit_scalar(got)
+    assert emitted == {"cyclotomic": {"order": ref[0],
+                                      "coeffs": [str(c) for c in ref[1]]}}
+    back = parse_scalar(emitted)
+    assert (back.order, back.coeffs) == ref
+
+
+@settings(max_examples=60, deadline=None)
+@given(_elements(), _elements(), st.integers(-2, 3))
+def test_kernel_matches_the_fraction_reference(xr, yr, k):
+    (x, xref), (y, yref) = xr, yr
+    _assert_matches(x, xref)
+    _assert_matches(x + y, _ref_add(xref, yref))
+    _assert_matches(x - y, _ref_add(xref, _ref_neg(yref)))
+    _assert_matches(x * y, _ref_mul(xref, yref))
+    _assert_matches(x.conj(), _ref_conj(xref))
+    assert (x == y) is _ref_eq(xref, yref)
+    if x.is_zero():
+        return
+    inv = x.inverse()
+    # the inverse is unique and the reduced form canonical, so a canonical
+    # element whose reference product with x is 1 is the reference inverse
+    assert _ref_canon(inv.order, list(inv.coeffs)) == (inv.order, inv.coeffs)
+    assert inv.order in (1, x.order)
+    assert _ref_mul(xref, (inv.order, inv.coeffs)) == _ONE_REF
+    _assert_matches(inv, (inv.order, inv.coeffs))
+    power = _ONE_REF
+    for _ in range(abs(k)):
+        power = _ref_mul(power, xref)
+    got = x ** k
+    if k >= 0:
+        _assert_matches(got, power)
+    else:
+        assert _ref_mul(power, (got.order, got.coeffs)) == _ONE_REF
+        _assert_matches(got, (got.order, got.coeffs))
+
+
+# numerators up to 2**40 over denominators of about 2**31: the common
+# denominator passes 2**53, so the scaled numerators are wider than a
+# float64 mantissa while each reduced Fraction's numerator is not
+_wide_fractions = st.builds(Fraction, st.integers(-2**40, 2**40),
+                            st.integers(2**30, 2**31))
+
+
+@st.composite
+def _wide_elements(draw):
+    order = draw(st.sampled_from(ORDERS[1:]))
+    coeffs = draw(st.lists(_wide_fractions, min_size=2, max_size=order))
+    return Cyc(order, coeffs), _ref_canon(order, coeffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_wide_elements(), _wide_elements())
+def test_numerics_over_a_wide_common_denominator(xr, yr):
+    (x, xref), (y, yref) = xr, yr
+    assume(x.den > 2**53)
+    _assert_matches(x, xref)
+    _assert_matches(x + y, _ref_add(xref, yref))
+    _assert_matches(x * y, _ref_mul(xref, yref))
+
+
+def test_cyclotomic_polynomials_match_the_reference():
+    for n in range(1, 301):
+        assert cyclotomic_polynomial(n) == _ref_phi(n), n
