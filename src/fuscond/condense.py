@@ -15,6 +15,7 @@ identified by its character against the ambient S-matrix row of x.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 import mpmath as mp
 import numpy as np
@@ -31,7 +32,8 @@ from .modular import (ModularData, dims as modular_dims,
                       validate as validate_modular, verlinde)
 from .ring import (BasedRing, DimVector, check_basis, closure, element_product,
                    fp_dims, validate)
-from .wedderburn import SPLIT_SEED, AssocAlgebra, block_profiles, character_table
+from .wedderburn import (SPLIT_SEED, AssocAlgebra, _mantissas, _quotient,
+                         block_profiles, character_table, character_values)
 
 MATCH_ACCEPT = 1e-6
 MATCH_REJECT = 1e-3
@@ -105,26 +107,38 @@ class Ambient:
         neither route has enough data.
         """
         xs = self.dual[x]
+        # values converted once per working precision, so that no value
+        # leaks from one context into another
+        cache = self._numeric.setdefault(mp.mp.prec, {})
         if self.modular is not None:
-            s = self.modular.s
-            dx = as_mpc(s[0][xs])
-            return [as_mpc(s[xs][y]) / dx for y in range(self.rank)]
+            if xs not in cache:
+                s = self.modular.s
+                cache[xs] = [as_mpc(v) for v in s[xs]], as_mpc(s[0][xs])
+            srow, dx = cache[xs]
+            return [v / dx for v in srow]
         if self.ring is not None and self.twists is not None:
-            F = self.ring.fusion
-            # twists and dims converted once per working precision, so
-            # that no value leaks from one context into another
-            if mp.mp.prec not in self._numeric:
-                self._numeric[mp.mp.prec] = (
-                    [as_mpc(t) for t in self.twists],
-                    [as_mpc(v) for v in self.dims.values])
-            th, dv = self._numeric[mp.mp.prec]
-            dx = dv[xs]
+            if "ring" not in cache:
+                th = [as_mpc(t) for t in self.twists]
+                dv = [as_mpc(v) for v in self.dims.values]
+                cache["ring"] = (th, dv,
+                                 _mantissas([t * d for t, d in zip(th, dv)]),
+                                 _mantissas([1 / t for t in th]))
+            th, dv, (tre, tim, texp), (ire, iim, iexp) = cache["ring"]
+            # sum_z N[x*, y, z] theta_z d_z, exact over the mantissas
+            F = self.ring.fusion[xs]
+            ys, zs = np.nonzero(F)
+            nre, nim = [0] * self.rank, [0] * self.rank
+            for y, z, c in zip(ys.tolist(), zs.tolist(), F[ys, zs].tolist()):
+                nre[y] += c * tre[z]
+                nim[y] += c * tim[z]
+            # times 1/theta_y and 1/(theta_x* d_x*), one rounding per part
+            (sre,), (sim,), sexp = _mantissas([1 / (th[xs] * dv[xs])])
+            exp = texp + iexp + sexp
             row = []
-            for y in range(self.rank):
-                tot = mp.mpc(0)
-                for z in np.nonzero(F[xs, y])[0]:
-                    tot += int(F[xs, y, z]) * th[int(z)] * dv[int(z)]
-                row.append(tot / (th[xs] * th[y] * dx))
+            for a, b, c, d in zip(nre, nim, ire, iim):
+                re, im = a * c - b * d, a * d + b * c
+                row.append(mp.mpc(mp.mpf((re * sre - im * sim, exp)),
+                                  mp.mpf((re * sim + im * sre, exp))))
             return row
         return None
 
@@ -290,6 +304,7 @@ class SchurWeylReport:
     blocks: tuple
     in_ideal: tuple
     characters: tuple
+    character_mantissas: tuple
     matched: tuple
     kernel_dim: int
     matching_skipped: bool
@@ -309,7 +324,7 @@ class SchurWeylReport:
         for z, c in enumerate(a):
             if isinstance(c, (int, float)) and c == 0:
                 continue
-            tot += as_mpc(c) * row[z]
+            tot += (c if isinstance(c, mp.mpc) else as_mpc(c)) * row[z]
         return tot
 
 
@@ -361,9 +376,11 @@ def schur_weyl(b: CondensationBundle, tol=TOL, seed=SPLIT_SEED) -> SchurWeylRepo
     notes.append(f"kernel_dim = {kernel_dim} = rank - sum n_x^2")
     notes.append(f"block sizes {got} match multiplicities")
 
-    # irreducible character of every block at every basis element; all
-    # later trace computations are linear combinations of these
-    characters = character_table(alg, blocks)
+    # irreducible character of every block at every basis element, as exact
+    # mantissas; all later trace computations are linear combinations of
+    # these
+    table = character_table(alg, blocks)
+    characters = character_values(table, blocks)
 
     matched = [None] * len(blocks)
     matching_skipped = True
@@ -378,22 +395,35 @@ def schur_weyl(b: CondensationBundle, tol=TOL, seed=SPLIT_SEED) -> SchurWeylRepo
                 patterns[x] = row
         if patterns is not None:
             matching_skipped = False
+            re, im, exp = table
+            # the patterns' mantissas, aligned with the table's at one
+            # exponent f <= exp
+            pat = {x: _mantissas(row) for x, row in patterns.items()}
+            f = min([exp] + [e for _, _, e in pat.values()])
+            pat = {x: ([v << (e - f) for v in pr], [v << (e - f) for v in pi])
+                   for x, (pr, pi, e) in pat.items()}
+            M = b.induction
+            ind = [[(int(z), int(M[y, z])) for z in np.nonzero(M[y])[0]]
+                   for y in range(amb.rank)]
             for bi, (bp, flag) in enumerate(zip(blocks, in_ideal)):
                 if not flag:
                     continue
-                chi = characters[bi]
-                v = []
-                for y in range(amb.rank):
-                    tot = mp.mpc(0)
-                    for z in np.nonzero(b.induction[y])[0]:
-                        tot += int(b.induction[y, z]) * chi[int(z)]
-                    v.append(tot / bp.m)
+                # m (M chi)_y = sum_z M[y, z] (re + 1j im)[z] 2**exp; the
+                # fit of x is sqrt(sum_y |(M chi)_y / m - row_y|^2 / rank),
+                # whose terms are exact integers times 2**(2f) / m**4
+                mre = [sum(c * re[bi][z] for z, c in r) << (exp - f)
+                       for r in ind]
+                mim = [sum(c * im[bi][z] for z, c in r) << (exp - f)
+                       for r in ind]
+                m2 = bp.m * bp.m
                 scored = []
-                for x, row in patterns.items():
+                for x, (pr, pi) in pat.items():
                     if b.mult[x] != bp.m:
                         continue
-                    d2 = sum(abs(a - p) ** 2 for a, p in zip(v, row))
-                    scored.append((float(mp.sqrt(d2 / amb.rank)), x))
+                    d2 = (sum((a - m2 * p) ** 2 for a, p in zip(mre, pr))
+                          + sum((a - m2 * p) ** 2 for a, p in zip(mim, pi)))
+                    fit = mp.sqrt(_quotient(d2, 2 * f, m2 * m2 * amb.rank))
+                    scored.append((float(fit), x))
                 scored.sort()
                 if not scored:
                     continue
@@ -419,8 +449,9 @@ def schur_weyl(b: CondensationBundle, tol=TOL, seed=SPLIT_SEED) -> SchurWeylRepo
     return SchurWeylReport(
         bundle=b, alg=alg, e1=tuple(e1), blocks=tuple(blocks),
         in_ideal=tuple(in_ideal), characters=characters,
-        matched=tuple(matched), kernel_dim=kernel_dim,
-        matching_skipped=matching_skipped, notes=tuple(notes))
+        character_mantissas=table, matched=tuple(matched),
+        kernel_dim=kernel_dim, matching_skipped=matching_skipped,
+        notes=tuple(notes))
 
 
 def _resolve_x(swr: SchurWeylReport, x):
@@ -477,6 +508,26 @@ class CodegreeReport:
         return self.report.ok
 
 
+def codegree_row(swr: SchurWeylReport, bi: int) -> list:
+    """The codegree element phi = sum_Y chi_bi(Y) Y* of block bi on each
+    block bj, sum_z chi_bi(z*) chi_bj(z) / m_bj.  Over the character
+    mantissas this is s 2**(2 exp) / (m_bi m_bj^2) with the exact integer
+    s = sum_z num_bi(z*) num_bj(z), rounded once."""
+    re, im, exp = swr.character_mantissas
+    dual = swr.bundle.module_ring.dual
+    ar = [re[bi][z] for z in dual]
+    ai = [im[bi][z] for z in dual]
+    m = swr.blocks[bi].m
+    out = []
+    for br, bim, bp in zip(re, im, swr.blocks):
+        den = m * bp.m * bp.m
+        sre = sum(map(mul, ar, br)) - sum(map(mul, ai, bim))
+        sim = sum(map(mul, ar, bim)) + sum(map(mul, ai, br))
+        out.append(mp.mpc(_quotient(sre, 2 * exp, den),
+                          _quotient(sim, 2 * exp, den)))
+    return out
+
+
 def codegree_check(swr: SchurWeylReport, tol=TOL) -> CodegreeReport:
     """Formal codegree identity: phi_x = sum_Y chi_x(Y) Y*, built from the
     trace chi_x on the simple block module W_x, acts on W_x as the scalar
@@ -488,7 +539,6 @@ def codegree_check(swr: SchurWeylReport, tol=TOL) -> CodegreeReport:
     bundled family.
     """
     b = swr.bundle
-    ring = b.module_ring
     rep = ValidationReport()
     dim_c = as_mpc(b.ambient.global_dim()).real
     d_alg = as_mpc(b.algebra.dim()).real
@@ -502,16 +552,13 @@ def codegree_check(swr: SchurWeylReport, tol=TOL) -> CodegreeReport:
         xi = swr.matched[bi]
         name = b.ambient.labels[xi] if xi is not None else f"block[{bi}]"
         scalar = dim_c / (dx * d_alg)
-        chi = swr.characters[bi]
-        phi = [chi[ring.dual[z]] for z in range(ring.rank)]
-        for bj, bp2 in enumerate(swr.blocks):
-            val = swr.block_value(bj, phi) / bp2.m
+        for bj, val in enumerate(codegree_row(swr, bi)):
             want = scalar if bj == bi else 0
             resid = float(abs(val - want))
             worst = max(worst, resid)
             if resid > tol:
                 rep.add(
                     f"codegree of {name} acts on block {bj} as {complex(val)}, "
-                    f"expected {complex(as_mpc(want))}")
+                    f"expected {complex(want)}")
         entries.append((name, float(scalar)))
     return CodegreeReport(entries=tuple(entries), residual=worst, report=rep)

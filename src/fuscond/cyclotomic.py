@@ -226,6 +226,14 @@ class Cyc:
         return Cyc._make(1, [q.numerator], q.denominator)
 
     @staticmethod
+    def from_numerators(order: int, num, den: int) -> "Cyc":
+        """sum_k num[k] zeta_order^k / den for ints num and an int den > 0;
+        the one constructor that reduces without building a Fraction."""
+        if order < 1:
+            raise ValueError("cyclotomic order must be positive")
+        return Cyc._make(order, _reduce(list(num), order), den)
+
+    @staticmethod
     def zeta(n: int, k: int = 1) -> "Cyc":
         k %= n
         return Cyc._make(n, _reduce([0] * k + [1], n), 1)

@@ -195,17 +195,22 @@ def characters(md: ModularData) -> list:
     """Character table of the fusion ring: chi[x][y] = S[x][y] / S[0][x].
 
     Exact cyclotomic values when every S entry is exact; numeric otherwise.
+    Each divisor is inverted once.
     """
     S = _s_matrix(md)
-    return [[S[x][y] / S[0][x] for y in range(md.rank)] for x in range(md.rank)]
+    out = []
+    for x in range(md.rank):
+        inv = 1 / S[0][x]
+        out.append([v * inv for v in S[x]])
+    return out
 
 
 def central_idempotent(md: ModularData, x: int) -> list:
     """Coefficients of the central idempotent attached to character x,
     c[z] = d(x) / dim * S[x][dual(z)]."""
     S = _s_matrix(md)
-    dim = dims(md).total()
-    return [S[0][x] * S[x][md.dual[z]] / dim for z in range(md.rank)]
+    scale = S[0][x] / dims(md).total()
+    return [scale * S[x][md.dual[z]] for z in range(md.rank)]
 
 
 def deligne(a: ModularData, b: ModularData) -> ModularData:

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import cmath
 import json
+import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -22,6 +24,19 @@ SCHEMAS = ("ring.v1", "mtc.v1", "bundle.v1")
 
 
 # ------------------------------------------------------------------ scalars
+
+# The coefficient forms emit_scalar writes, "p" and "p/q" with q > 0; every
+# other string Fraction accepts goes through Fraction.
+_RATIO = re.compile(r"(-?[0-9]+)(?:/([0-9]*[1-9][0-9]*))?")
+
+
+def _ratio(text: str) -> tuple:
+    """A coefficient string as (numerator, positive denominator)."""
+    m = _RATIO.fullmatch(text)
+    if m is None:
+        q = Fraction(text)
+        return q.numerator, q.denominator
+    return int(m[1]), int(m[2] or 1)
 
 
 def emit_scalar(x) -> dict:
@@ -52,7 +67,10 @@ def parse_scalar(obj, where: str = "scalar"):
             if order > ORDER_CAP:
                 raise SchemaError(f"{where}: cyclotomic order {order} "
                                   f"exceeds the cap {ORDER_CAP}")
-            return Cyc(order, [Fraction(str(c)) for c in body["coeffs"]])
+            pairs = [_ratio(str(c)) for c in body["coeffs"]]
+            den = math.lcm(*(q for _, q in pairs))
+            return Cyc.from_numerators(
+                order, [p * (den // q) for p, q in pairs], den)
         except (ValueError, ZeroDivisionError) as err:
             raise SchemaError(f"{where}: bad cyclotomic value ({err})")
     if isinstance(obj, dict) and set(obj) == {"re", "im"}:
@@ -110,7 +128,7 @@ def _int_list(obj, key, where):
     val = _need(obj, key, list, where)
     # json.loads yields exactly int for integers; the exact type test also
     # rejects bool, a subclass of int
-    if not all(type(v) is int for v in val):
+    if not set(map(type, val)) <= {int}:
         raise SchemaError(f"{where}: field {key!r} must hold integers")
     return val
 

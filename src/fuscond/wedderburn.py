@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
+from mpmath.libmp import from_int, from_man_exp, mpf_div, round_nearest
 
 from .cyclotomic import TOL, as_mpc, round_int, working_tol
 from .errors import NotSemisimpleError, NumericalDegeneracyError, SchemaError
@@ -111,6 +112,12 @@ def _mantissas(v):
         x = man << (e - exp) if e >= exp else man >> (exp - e)
         return -x if sign else x
     return [scaled(z[0]) for z in parts], [scaled(z[1]) for z in parts], exp
+
+
+def _quotient(num: int, exp: int, den: int) -> mp.mpf:
+    """num * 2**exp / den, rounded once at the working precision."""
+    return mp.mp.make_mpf(mpf_div(from_man_exp(num, exp), from_int(den),
+                                  mp.mp.prec, round_nearest))
 
 
 def center_basis(alg: AssocAlgebra) -> np.ndarray:
@@ -227,20 +234,34 @@ def block_profiles(alg: AssocAlgebra, seed=SPLIT_SEED) -> list:
 
 
 def character_table(alg: AssocAlgebra, blocks) -> tuple:
-    """Irreducible character of every block at every basis element:
-    chi_b(z) = (1/m) sum_i e_b[i] W[i, z] with the integer matrix
-    W[i, z] = sum_k T[i, z, k] tr(L_k) = tr(L_{b_i b_z})."""
+    """Irreducible character of every block at every basis element, as
+    exact integer mantissas over one exponent: (re, im, exp) with
+    m chi_b(z) = (re[b][z] + 1j * im[b][z]) * 2**exp.  Here
+    chi_b(z) = (1/m) sum_i e_b[i] W[i, z], with the integer matrix
+    W[i, z] = sum_k T[i, z, k] tr(L_k) = tr(L_{b_i b_z}), and the sums run
+    over the mantissas of each idempotent, so they are exact."""
     W = np.einsum("izk,k->iz", alg.tensor, alg._trace_vec)
     cols = [[(int(i), int(W[i, z])) for i in np.nonzero(W[:, z])[0]]
             for z in range(alg.n)]
-    table = []
+    rows = []
     for bp in blocks:
         re, im, exp = _mantissas(bp.idempotent)
-        table.append(tuple(
-            mp.mpc(mp.mpf((sum(re[i] * w for i, w in col), exp)),
-                   mp.mpf((sum(im[i] * w for i, w in col), exp))) / bp.m
-            for col in cols))
-    return tuple(table)
+        rows.append((exp, [sum(re[i] * w for i, w in col) for col in cols],
+                     [sum(im[i] * w for i, w in col) for col in cols]))
+    exp = min((e for e, _, _ in rows), default=0)
+    return (tuple(tuple(x << (e - exp) for x in re) for e, re, _ in rows),
+            tuple(tuple(x << (e - exp) for x in im) for e, _, im in rows),
+            exp)
+
+
+def character_values(table, blocks) -> tuple:
+    """The characters of character_table as mpmath numbers:
+    chi_b(z) = mpc(re 2**exp, im 2**exp) / m."""
+    re, im, exp = table
+    return tuple(
+        tuple(mp.mpc(mp.mpf((r, exp)), mp.mpf((i, exp))) / bp.m
+              for r, i in zip(rr, ii))
+        for rr, ii, bp in zip(re, im, blocks))
 
 
 def normalized_block_trace(alg: AssocAlgebra, block: BlockProfile, a):

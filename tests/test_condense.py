@@ -5,23 +5,28 @@ import numpy as np
 import pytest
 
 from fuscond.condense import (
+    MATCH_ACCEPT,
+    MATCH_REJECT,
     Ambient,
     CondensableAlgebra,
     CondensationBundle,
+    block_dims,
     check_bundle,
     codegree_check,
+    codegree_row,
     e_sub,
     indicator,
     schur_weyl,
 )
 from fuscond import families, serialize
 from fuscond.cli import main
-from fuscond.cyclotomic import Cyc, as_mpc
+from fuscond.cyclotomic import TOL, Cyc, as_mpc, working_tol
 from fuscond.errors import CapabilityError, SchemaError, TheoremViolationError
 from fuscond.ring import BasedRing, group_ring
 from fuscond.wedderburn import normalized_block_trace
 
 from grouptables import cyclic
+from cached_bundles import bundle, swr
 from test_modular import ising_data, toric_data
 
 
@@ -380,3 +385,187 @@ def test_character_row_follows_the_working_precision():
         fresh = families.build("a2n", n=2).ambient
         for x in range(amb.rank):
             assert amb.character_row(x) == fresh.character_row(x)
+
+
+# -- the exact contractions against the per-term mpmath loops they replace --
+
+
+def _loop_character_row(amb, x):
+    """Ambient.character_row as one rounded mpmath operation per term."""
+    xs = amb.dual[x]
+    if amb.modular is not None:
+        s = amb.modular.s
+        dx = as_mpc(s[0][xs])
+        return [as_mpc(s[xs][y]) / dx for y in range(amb.rank)]
+    F = amb.ring.fusion
+    th = [as_mpc(t) for t in amb.twists]
+    dv = [as_mpc(v) for v in amb.dims.values]
+    dx = dv[xs]
+    row = []
+    for y in range(amb.rank):
+        tot = mp.mpc(0)
+        for z in np.nonzero(F[xs, y])[0]:
+            tot += int(F[xs, y, z]) * th[int(z)] * dv[int(z)]
+        row.append(tot / (th[xs] * th[y] * dx))
+    return row
+
+
+def _loop_fits(r):
+    """The sorted (fit, x) candidates of every ideal block, from v = M chi / m
+    and the fit sqrt(sum_y |v_y - row_y|^2 / rank) in mpmath."""
+    b = r.bundle
+    amb = b.ambient
+    patterns = {x: _loop_character_row(amb, x)
+                for x, n in enumerate(b.mult) if n > 0}
+    out = {}
+    for bi, (bp, flag) in enumerate(zip(r.blocks, r.in_ideal)):
+        if not flag:
+            continue
+        chi = r.characters[bi]
+        v = []
+        for y in range(amb.rank):
+            tot = mp.mpc(0)
+            for z in np.nonzero(b.induction[y])[0]:
+                tot += int(b.induction[y, z]) * chi[int(z)]
+            v.append(tot / bp.m)
+        scored = []
+        for x, row in patterns.items():
+            if b.mult[x] != bp.m:
+                continue
+            d2 = sum(abs(a - p) ** 2 for a, p in zip(v, row))
+            scored.append((float(mp.sqrt(d2 / amb.rank)), x))
+        out[bi] = sorted(scored)
+    return out
+
+
+def _loop_matched(r, fits):
+    matched = [None] * len(r.blocks)
+    for bi, scored in fits.items():
+        if not scored:
+            continue
+        best, x = scored[0]
+        second = scored[1][0] if len(scored) > 1 else None
+        if best < MATCH_ACCEPT and (second is None or second > MATCH_REJECT):
+            matched[bi] = x
+    return tuple(matched)
+
+
+def _loop_codegree(r, tol=TOL):
+    """The codegree entries, the value of each block's phi on every block
+    and the residual, through one mpmath product per term."""
+    b = r.bundle
+    ring = b.module_ring
+    dim_c = as_mpc(b.ambient.global_dim()).real
+    d_alg = as_mpc(b.algebra.dim()).real
+    entries, values, worst = [], {}, 0.0
+    for bi, dx in block_dims(r, tol).items():
+        xi = r.matched[bi]
+        name = b.ambient.labels[xi] if xi is not None else f"block[{bi}]"
+        scalar = dim_c / (dx * d_alg)
+        chi = r.characters[bi]
+        phi = [chi[ring.dual[z]] for z in range(ring.rank)]
+        values[bi] = []
+        for bj, bp in enumerate(r.blocks):
+            tot = mp.mpc(0)
+            for z, c in enumerate(phi):
+                tot += as_mpc(c) * r.characters[bj][z]
+            values[bi].append(tot / bp.m)
+            worst = max(worst, float(abs(tot / bp.m
+                                         - (scalar if bj == bi else 0))))
+        entries.append((name, float(scalar)))
+    return tuple(entries), values, worst
+
+
+# Every built-in bundle, and the diagonal cosets of SU(2)_1..4.
+CONTRACTION_CASES = ([("a2n", n) for n in range(1, 7)]
+                     + [("a2nplus1", n) for n in range(1, 7)]
+                     + [("vlplus-orbifold", 1), ("toric-code", None),
+                        ("ising-square", None)]
+                     + [("coset-su2", k) for k in range(1, 5)])
+
+
+def _row_terms(amb, x, dv):
+    """The size of the terms the reference sums for each entry of
+    character_row(x), with dv the absolute ambient dimensions."""
+    xs = amb.dual[x]
+    if amb.modular is not None:
+        return [abs(as_mpc(v)) / dv[xs] for v in amb.modular.s[xs]]
+    F = amb.ring.fusion[xs]
+    return [sum(int(F[y, z]) * dv[z] for z in np.nonzero(F[y])[0]) / dv[xs]
+            for y in range(amb.rank)]
+
+
+@pytest.mark.parametrize("dps", [15, 64, 128])
+@pytest.mark.parametrize("family,n", CONTRACTION_CASES,
+                         ids=[f"{f}-{n}" for f, n in CONTRACTION_CASES])
+def test_exact_contractions_match_the_mpmath_loops(family, n, dps):
+    # Each value moves from the loop's by a few ulps of the terms the loop
+    # sums.  The fits and the codegree residual then stay below
+    # working_tol() wherever the loop's do; they do not everywhere, since
+    # the Newton refinement stops once |e^2 - e| <= working_tol(), and the
+    # idempotent's error, not round-off, sets their size there.
+    with mp.workdps(dps):
+        r = schur_weyl(bundle(family, n))
+        ulp = mp.mpf(2) ** (1 - mp.mp.prec)
+        tol = working_tol()
+        b = r.bundle
+        amb = b.ambient
+        # a2nplus1 n >= 2 has a table ambient, so no matching
+        assert r.matching_skipped == (amb.ring is None)
+        if not r.matching_skipped:
+            dv = [abs(as_mpc(d)) for d in amb.dims.values]
+            row_terms = {x: _row_terms(amb, x, dv)
+                         for x, m in enumerate(b.mult) if m}
+            for x, terms in row_terms.items():
+                got = amb.character_row(x)
+                ref = _loop_character_row(amb, x)
+                for y, t in enumerate(terms):
+                    assert abs(got[y] - ref[y]) <= 8 * ulp * t, (x, y)
+
+            fits = _loop_fits(r)
+            assert r.matched == _loop_matched(r, fits)
+            ideal = [bi for bi, f in enumerate(r.in_ideal) if f]
+            shown = [float(note.rsplit("fit ", 1)[1][:-1]) for note in r.notes
+                     if "(fit " in note]
+            assert len(shown) == len(ideal)
+            for bi, got in zip(ideal, shown):
+                ref, x = fits[bi][0]
+                chi = r.characters[bi]
+                terms = max(sum(int(c) * abs(chi[z])
+                                for z, c in enumerate(b.induction[y]))
+                            / r.blocks[bi].m + row_terms[x][y]
+                            for y in range(amb.rank))
+                # the note shows three digits
+                assert abs(got - ref) <= 8 * ulp * terms + 0.005 * got, bi
+                assert got < tol or ref >= tol, bi
+
+        entries, values, ref_resid = _loop_codegree(r)
+        cg = codegree_check(r)
+        assert cg.ok and cg.entries == entries
+        worst_terms = 0
+        for bi, ref in values.items():
+            got = codegree_row(r, bi)
+            chi_i = r.characters[bi]
+            for bj, (g, w) in enumerate(zip(got, ref)):
+                terms = sum(abs(chi_i[d]) * abs(c) for d, c in
+                            zip(b.module_ring.dual, r.characters[bj]))
+                terms /= r.blocks[bj].m
+                worst_terms = max(worst_terms, terms)
+                assert abs(g - w) <= 4 * ulp * terms, (bi, bj)
+        assert abs(cg.residual - ref_resid) <= 4 * ulp * worst_terms
+        assert cg.residual < tol or ref_resid >= tol
+
+
+def test_codegree_row_divides_by_the_block_size():
+    # a2n n=1 has an ideal block of size m = 2, whose codegree scalar
+    # needs the 1 / m_bj of sum_z chi_bi(z*) chi_bj(z) / m_bj
+    r = swr("a2n", 1)
+    b = r.bundle
+    dim_c = as_mpc(b.ambient.global_dim()).real
+    d_alg = as_mpc(b.algebra.dim()).real
+    dims = block_dims(r, TOL)
+    assert 2 in [r.blocks[bi].m for bi in dims]
+    for bi, dx in dims.items():
+        for bj, val in enumerate(codegree_row(r, bi)):
+            want = dim_c / (dx * d_alg) if bj == bi else 0
+            assert abs(val - want) < working_tol(), (bi, bj)

@@ -422,3 +422,19 @@ def test_s_complex_matches_s_numeric(dps):
             got = md.s_complex()
             assert got.dtype == np.complex128
             assert np.max(np.abs(got - want)) <= 1e-12, name
+
+
+@pytest.mark.parametrize("md", [families.su2(k) for k in range(1, 7)]
+                         + [toric_data(), ising_data()],
+                         ids=[f"su2-{k}" for k in range(1, 7)]
+                         + ["toric", "ising"])
+def test_divisors_inverted_once_give_the_quotients(md):
+    # characters and central_idempotent multiply by one inverse per
+    # divisor; exact arithmetic makes that the per-entry quotient
+    r = md.rank
+    dim = dims(md).total()
+    chi = characters(md)
+    for x in range(r):
+        assert chi[x] == [md.s[x][y] / md.s[0][x] for y in range(r)]
+        assert central_idempotent(md, x) == [
+            md.s[0][x] * md.s[x][md.dual[z]] / dim for z in range(r)]

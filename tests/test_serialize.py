@@ -1,6 +1,7 @@
 """Schema emit/parse: canonical form, byte-identical round trips, and
 rejection of malformed input."""
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -62,6 +63,29 @@ def test_scalar_rejects_garbage():
                 {"cyclotomic": {"order": 4, "coeffs": ["1/0"]}}):
         with pytest.raises(SchemaError):
             parse_scalar(bad)
+
+
+@pytest.mark.parametrize("coeffs", [
+    ["1/2", "-3/4", "0", "5"], ["0.5", "-0.75", " 3 ", "+2"],
+    ["1e-3", "1_000", "-0", "6/4"], ["007", "-12/36"], []])
+@pytest.mark.parametrize("order", [1, 4, 5, 12])
+def test_cyclotomic_coefficients_parse_as_fractions(order, coeffs):
+    # every string Fraction reads gives the Cyc built from the Fractions
+    got = parse_scalar({"cyclotomic": {"order": order, "coeffs": coeffs}})
+    want = Cyc(order, [Fraction(c) for c in coeffs])
+    assert (got.order, got.num, got.den) == (want.order, want.num, want.den)
+
+
+@pytest.mark.parametrize("bad", ["1/0", "3/-4", "1/ 2", "0x10", "", "x",
+                                 "1/00", True])
+def test_bad_cyclotomic_coefficients_keep_the_fraction_message(bad):
+    try:
+        Fraction(str(bad))
+    except (ValueError, ZeroDivisionError) as err:
+        message = f"scalar: bad cyclotomic value ({err})"
+    with pytest.raises(SchemaError) as info:
+        parse_scalar({"cyclotomic": {"order": 4, "coeffs": ["1", bad]}})
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("x", [float("nan"), float("inf"), float("-inf")])
