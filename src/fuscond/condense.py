@@ -107,23 +107,22 @@ class Ambient:
         neither route has enough data.
         """
         xs = self.dual[x]
-        # values converted once per working precision, so that no value
-        # leaks from one context into another
-        cache = self._numeric.setdefault(mp.mp.prec, {})
         if self.modular is not None:
-            if xs not in cache:
-                s = self.modular.s
-                cache[xs] = [as_mpc(v) for v in s[xs]], as_mpc(s[0][xs])
-            srow, dx = cache[xs]
-            return [v / dx for v in srow]
+            s = self.modular.s
+            dx = as_mpc(s[0][xs])
+            return [as_mpc(s[xs][y]) / dx for y in range(self.rank)]
         if self.ring is not None and self.twists is not None:
-            if "ring" not in cache:
+            # twists and dims converted once per working precision, so
+            # that no value leaks from one context into another, and the
+            # theta d mantissas shared by every x of one analysis
+            if mp.mp.prec not in self._numeric:
                 th = [as_mpc(t) for t in self.twists]
                 dv = [as_mpc(v) for v in self.dims.values]
-                cache["ring"] = (th, dv,
-                                 _mantissas([t * d for t, d in zip(th, dv)]),
-                                 _mantissas([1 / t for t in th]))
-            th, dv, (tre, tim, texp), (ire, iim, iexp) = cache["ring"]
+                self._numeric[mp.mp.prec] = (
+                    th, dv, _mantissas([t * d for t, d in zip(th, dv)]),
+                    _mantissas([1 / t for t in th]))
+            cached = self._numeric[mp.mp.prec]
+            th, dv, (tre, tim, texp), (ire, iim, iexp) = cached
             # sum_z N[x*, y, z] theta_z d_z, exact over the mantissas
             F = self.ring.fusion[xs]
             ys, zs = np.nonzero(F)

@@ -194,11 +194,16 @@ class Cyc:
     __hash__ = None
 
     def __init__(self, order: int, coeffs, reduce: bool = True):
-        if order < 1:
-            raise ValueError("cyclotomic order must be positive")
         c = [Fraction(x) for x in coeffs]
         den = math.lcm(*(x.denominator for x in c))
         num = [x.numerator * (den // x.denominator) for x in c]
+        self._set_numerators(order, num, den, reduce)
+
+    def _set_numerators(self, order: int, num: list, den: int,
+                        reduce: bool = True) -> None:
+        # the one path from ints num over den > 0 to the reduced fields
+        if order < 1:
+            raise ValueError("cyclotomic order must be positive")
         self._set(order, _reduce(num, order) if reduce else num, den)
 
     def _set(self, order: int, num: list, den: int) -> None:
@@ -228,10 +233,11 @@ class Cyc:
     @staticmethod
     def from_numerators(order: int, num, den: int) -> "Cyc":
         """sum_k num[k] zeta_order^k / den for ints num and an int den > 0;
-        the one constructor that reduces without building a Fraction."""
-        if order < 1:
-            raise ValueError("cyclotomic order must be positive")
-        return Cyc._make(order, _reduce(list(num), order), den)
+        Cyc(order, coeffs) is this over the lcm of the coefficients'
+        denominators."""
+        out = object.__new__(Cyc)
+        out._set_numerators(order, list(num), den)
+        return out
 
     @staticmethod
     def zeta(n: int, k: int = 1) -> "Cyc":

@@ -9,7 +9,6 @@ from __future__ import annotations
 import cmath
 import json
 import math
-import re
 from fractions import Fraction
 
 import numpy as np
@@ -24,19 +23,6 @@ SCHEMAS = ("ring.v1", "mtc.v1", "bundle.v1")
 
 
 # ------------------------------------------------------------------ scalars
-
-# The coefficient forms emit_scalar writes, "p" and "p/q" with q > 0; every
-# other string Fraction accepts goes through Fraction.
-_RATIO = re.compile(r"(-?[0-9]+)(?:/([0-9]*[1-9][0-9]*))?")
-
-
-def _ratio(text: str) -> tuple:
-    """A coefficient string as (numerator, positive denominator)."""
-    m = _RATIO.fullmatch(text)
-    if m is None:
-        q = Fraction(text)
-        return q.numerator, q.denominator
-    return int(m[1]), int(m[2] or 1)
 
 
 def emit_scalar(x) -> dict:
@@ -67,10 +53,11 @@ def parse_scalar(obj, where: str = "scalar"):
             if order > ORDER_CAP:
                 raise SchemaError(f"{where}: cyclotomic order {order} "
                                   f"exceeds the cap {ORDER_CAP}")
-            pairs = [_ratio(str(c)) for c in body["coeffs"]]
-            den = math.lcm(*(q for _, q in pairs))
+            # each coefficient string is read once, as one Fraction
+            qs = [Fraction(str(c)) for c in body["coeffs"]]
+            den = math.lcm(*(q.denominator for q in qs))
             return Cyc.from_numerators(
-                order, [p * (den // q) for p, q in pairs], den)
+                order, [q.numerator * (den // q.denominator) for q in qs], den)
         except (ValueError, ZeroDivisionError) as err:
             raise SchemaError(f"{where}: bad cyclotomic value ({err})")
     if isinstance(obj, dict) and set(obj) == {"re", "im"}:
