@@ -32,8 +32,9 @@ from .modular import (ModularData, dims as modular_dims,
                       validate as validate_modular, verlinde)
 from .ring import (BasedRing, DimVector, check_basis, closure, element_product,
                    fp_dims, validate)
-from .wedderburn import (SPLIT_SEED, AssocAlgebra, _mantissas, _quotient,
-                         block_profiles, character_table, character_values)
+from .wedderburn import (SPLIT_SEED, AssocAlgebra, _cmp_tol, _combine,
+                         _mantissas, _quotient, _sup, block_profiles,
+                         character_table, character_values)
 
 MATCH_ACCEPT = 1e-6
 MATCH_REJECT = 1e-3
@@ -338,9 +339,9 @@ def schur_weyl(b: CondensationBundle, tol=TOL, seed=SPLIT_SEED) -> SchurWeylRepo
     notes = []
 
     e1 = e_sub(b, b.local)
-    e1n = [as_mpc(c) for c in e1]
-    for i, resid in enumerate(alg.commutator_residuals(e1n)):
-        if resid > tol:
+    e1m = _mantissas(e1)
+    for i, resid in enumerate(alg.commutator_residuals(e1m)):
+        if _cmp_tol(resid, 2 * e1m[2], tol) > 0:
             raise TheoremViolationError(
                 f"local vacuum idempotent does not commute with basis element "
                 f"{ring.labels[i]}")
@@ -348,17 +349,19 @@ def schur_weyl(b: CondensationBundle, tol=TOL, seed=SPLIT_SEED) -> SchurWeylRepo
     blocks = block_profiles(alg, seed=seed)
     in_ideal = []
     for bp in blocks:
-        prod = alg.mult(list(bp.idempotent), e1n)
-        to_e = max(abs(p - c) for p, c in zip(prod, bp.idempotent))
-        to_zero = max(abs(p) for p in prod)
-        if to_e < tol:
+        # e_b e1 against e_b and against 0, exactly over the mantissas
+        prod = alg.product(bp.mantissas, e1m)
+        to_e = _sup(_combine(prod, 1, bp.mantissas, -1))
+        to_zero = _sup(prod)
+        if _cmp_tol(*to_e, tol) < 0:
             in_ideal.append(True)
-        elif to_zero < tol:
+        elif _cmp_tol(*to_zero, tol) < 0:
             in_ideal.append(False)
         else:
+            resid = [float(mp.sqrt(mp.mpf(w))) for w in (to_e, to_zero)]
             raise NumericalDegeneracyError(
                 "a block idempotent is neither inside nor orthogonal to the "
-                f"local ideal (residuals {float(to_e)}, {float(to_zero)})")
+                f"local ideal (residuals {resid[0]}, {resid[1]})")
 
     ideal_dim = sum(bp.block_dim for bp, f in zip(blocks, in_ideal) if f)
     kernel_dim = ring.rank - ideal_dim

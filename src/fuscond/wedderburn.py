@@ -19,13 +19,23 @@ first and certified at the working precision (``mp.mp.dps``):
 
 A split whose eigenvalues are not separated, or whose idempotents fail
 certification, uses up one seeded attempt; a non-semisimple algebra fails
-every attempt.  Products at the working precision go through the same
-sparse kernel as ``ring.element_product``.
+every attempt.
+
+From the float64 guess on, each idempotent is held as integer mantissas
+over one fixed exponent, (re, im, exp) with e[i] = (re[i] + 1j im[i]) 2**exp,
+one bit finer than mp.prec bits below its largest entry.  Products are
+exact integer sums from the same sparse kernel as ``ring.element_product``,
+and each Newton step rounds back to the fixed exponent once per entry.
+The refinement's stopping rule, every certification check and the block
+traces compare exact integers against the tolerance; mpmath numbers are
+built once per entry, for ``BlockProfile.idempotent``.
 """
 from __future__ import annotations
 
+import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property, reduce
 
 import mpmath as mp
 import numpy as np
@@ -56,34 +66,51 @@ class AssocAlgebra:
             raise SchemaError("basis element 0 must be a two-sided unit")
         self.tensor = T
         self.n = n
-        self._rows = _nonzero_rows(T)
         # tr(L_a) = sum_i a_i * sum_k T[i, k, k]
         self._trace_vec = np.einsum("ijj->i", T)
 
+    @cached_property
+    def _rows(self) -> tuple:
+        return _nonzero_rows(self.tensor)
+
     @classmethod
     def from_based_ring(cls, ring):
-        return cls(ring.fusion)
+        alg = cls(ring.fusion)
+        # the ring's own table of nonzero structure constants, built once
+        alg._rows = ring._rows
+        return alg
+
+    def product(self, a, b) -> tuple:
+        """The exact product of two mantissa vectors (re, im, exp): the
+        integer sums of the sparse kernel over the exponent ea + eb.
+        Products with an all-zero imaginary part are skipped."""
+        (ar, ai, ea), (br, bi, eb) = a, b
+        rows = self._rows
+        re = _sparse_product(rows, ar, br)
+        im = [0] * self.n
+        if any(bi):
+            im = _sparse_product(rows, ar, bi)
+        if any(ai):
+            im = [x + y for x, y in zip(im, _sparse_product(rows, ai, br))]
+            if any(bi):
+                re = [x - y for x, y in
+                      zip(re, _sparse_product(rows, ai, bi))]
+        return re, im, ea + eb
 
     def mult(self, a, b):
-        """The product a * b at the working precision: the sparse kernel
-        sums exact integer products of the mantissas, and each entry is
-        rounded once."""
-        ar, ai, ea = _mantissas(a)
-        br, bi, eb = _mantissas(b)
-        rr, ii, ri, ir = (_sparse_product(self._rows, x, y) for x, y in
-                          ((ar, br), (ai, bi), (ar, bi), (ai, br)))
-        e = ea + eb
-        return [mp.mpc(mp.mpf((r - i, e)), mp.mpf((x + y, e)))
-                for r, i, x, y in zip(rr, ii, ri, ir)]
+        """The product a * b at the working precision: the exact integer
+        product of the mantissas, each entry rounded once."""
+        return _values(self.product(_mantissas(a), _mantissas(b)))
 
     def trace_left_mult(self, a):
         return sum(a[i] * int(t) for i, t in enumerate(self._trace_vec) if a[i] != 0)
 
-    def commutator_residuals(self, a) -> list:
-        """max_k |(a b_i - b_i a)_k| for every basis element b_i, from one
-        exact pass over the nonzero structure constants."""
+    def commutator_residuals(self, v) -> list:
+        """max_k |(a b_i - b_i a)_k|^2 for every basis element b_i, where a
+        is the mantissa vector v = (re, im, exp): exact integers over the
+        exponent 2 exp, from one pass over the nonzero structure constants."""
         n = self.n
-        re, im, exp = _mantissas(a)
+        re, im, _ = v
         dre = [[0] * n for _ in range(n)]
         dim = [[0] * n for _ in range(n)]
         for i, row in enumerate(self._rows):
@@ -95,9 +122,8 @@ class AssocAlgebra:
                     dre[i][k] -= re[j] * c
                     dim[j][k] += im[i] * c
                     dim[i][k] -= im[j] * c
-        worst = [max(x * x + y * y for x, y in zip(r, s))
-                 for r, s in zip(dre, dim)]
-        return [mp.sqrt(mp.mpf((w, 2 * exp))) for w in worst]
+        return [max(x * x + y * y for x, y in zip(r, s))
+                for r, s in zip(dre, dim)]
 
 
 def _mantissas(v):
@@ -112,6 +138,67 @@ def _mantissas(v):
         x = man << (e - exp) if e >= exp else man >> (exp - e)
         return -x if sign else x
     return [scaled(z[0]) for z in parts], [scaled(z[1]) for z in parts], exp
+
+
+def _values(v) -> list:
+    """The mantissa vector v = (re, im, exp) as mpmath numbers, each entry
+    rounded once to the working precision."""
+    re, im, exp = v
+    return [mp.mpc(mp.mpf((r, exp)), mp.mpf((i, exp))) for r, i in zip(re, im)]
+
+
+def _shift(x: int, s: int) -> int:
+    """x * 2**s rounded to the nearest integer."""
+    return x << s if s >= 0 else (x + (1 << (-s - 1))) >> -s
+
+
+def _float_mantissas(v) -> tuple:
+    """A float64 or complex128 vector as mantissas over one exponent, one
+    bit finer than mp.prec bits below its largest entry.  The guard bit
+    keeps the step no coarser than that if Newton moves the largest entry
+    just below a power of two."""
+    parts = [(z.real, z.imag) for z in map(complex, v)]
+    top = max((math.frexp(x)[1] for z in parts for x in z if x), default=0)
+    exp = top - mp.mp.prec - 1
+
+    def scaled(x):
+        num, den = x.as_integer_ratio()
+        return _shift(num, -exp - (den.bit_length() - 1))
+    return ([scaled(x) for x, _ in parts], [scaled(y) for _, y in parts], exp)
+
+
+def _rescale(v, exp: int) -> tuple:
+    """The mantissa vector v over the exponent exp, each entry rounded to
+    the nearest once."""
+    re, im, e = v
+    return ([_shift(x, e - exp) for x in re], [_shift(x, e - exp) for x in im],
+            exp)
+
+
+def _combine(a, ca: int, b, cb: int) -> tuple:
+    """ca * a + cb * b for mantissa vectors a and b, exactly, over the
+    smaller of their exponents."""
+    (ar, ai, ea), (br, bi, eb) = a, b
+    e = min(ea, eb)
+    ca, cb = ca << (ea - e), cb << (eb - e)
+    return ([ca * x + cb * y for x, y in zip(ar, br)],
+            [ca * x + cb * y for x, y in zip(ai, bi)], e)
+
+
+def _sup(v) -> tuple:
+    """max_i |v_i|^2 of a mantissa vector, as the integer w and exponent
+    wexp with max_i |v_i|^2 = w * 2**wexp."""
+    re, im, exp = v
+    return max((x * x + y * y for x, y in zip(re, im)), default=0), 2 * exp
+
+
+def _cmp_tol(w: int, wexp: int, tol) -> int:
+    """The sign of w * 2**wexp - tol**2, from exact integers, for w >= 0
+    and an mpmath or float tolerance tol >= 0."""
+    _, man, texp, _ = mp.mpf(tol)._mpf_
+    d = wexp - 2 * texp
+    lhs, rhs = (w << d, man * man) if d >= 0 else (w, (man * man) << -d)
+    return (lhs > rhs) - (lhs < rhs)
 
 
 def _quotient(num: int, exp: int, den: int) -> mp.mpf:
@@ -150,20 +237,24 @@ def _float_split(alg: AssocAlgebra, Z, rng):
         c = np.linalg.solve(V, Z.conj()[:, 0])
     except np.linalg.LinAlgError:
         return None
-    return [(V[:, b] * c[b]) @ Z for b in range(k)]
+    guesses = [(V[:, b] * c[b]) @ Z for b in range(k)]
+    # scales that overflowed float64 are a failed split
+    return guesses if np.isfinite(guesses).all() else None
 
 
 def _refine(alg: AssocAlgebra, guess, tol):
     """Newton's e <- 3e^2 - 2e^3 at the working precision from a float64
-    guess; the idempotent with |e^2 - e| <= tol, or None.  Convergence is
-    quadratic, so log2(mp.dps) steps reach tol from any float64 start."""
-    e = [mp.mpc(complex(x)) for x in guess]
+    guess; the idempotent with |e^2 - e| <= tol as a mantissa vector, or
+    None.  Convergence is quadratic, so log2(mp.dps) steps reach tol from
+    any float64 start."""
+    e = _float_mantissas(guess)
+    exp = e[2]
     for _ in range(mp.mp.dps.bit_length() + 1):
-        sq = alg.mult(e, e)
-        if max(abs(s - x) for s, x in zip(sq, e)) <= tol:
+        sq = alg.product(e, e)
+        if _cmp_tol(*_sup(_combine(sq, 1, e, -1)), tol) <= 0:
             return e
-        cube = alg.mult(sq, e)
-        e = [3 * s - 2 * c for s, c in zip(sq, cube)]
+        sq = _rescale(sq, exp)
+        e = _rescale(_combine(sq, 3, alg.product(sq, e), -2), exp)
     return None
 
 
@@ -172,21 +263,18 @@ def _certified(alg: AssocAlgebra, idems, dim_z, tol) -> bool:
     central, that sum to the unit."""
     if len(idems) != dim_z or None in idems:
         return False
-    if any(max(abs(x) for x in e) <= tol for e in idems):
+    if any(_cmp_tol(*_sup(e), tol) <= 0 for e in idems):
         return False
-    total = [sum(col) for col in zip(*idems)]
-    if max(abs(t - (i == 0)) for i, t in enumerate(total)) > tol:
+    unit = ([1] + [0] * (alg.n - 1), [0] * alg.n, 0)
+    total = reduce(lambda a, b: _combine(a, 1, b, 1), idems)
+    if _cmp_tol(*_sup(_combine(total, 1, unit, -1)), tol) > 0:
         return False
-    return all(max(alg.commutator_residuals(e)) <= tol for e in idems)
+    return all(_cmp_tol(max(alg.commutator_residuals(e)), 2 * e[2], tol) <= 0
+               for e in idems)
 
 
-def central_idempotents(alg: AssocAlgebra, seed=SPLIT_SEED) -> list:
-    """Primitive central idempotents as coefficient vectors.
-
-    Raises NumericalDegeneracyError when no random central element gives a
-    certified split, which is also what happens when the input algebra is
-    not semisimple.
-    """
+def _split(alg: AssocAlgebra, seed) -> list:
+    """The certified primitive central idempotents as mantissa vectors."""
     Z = center_basis(alg)
     # refinement and certification tolerance, never looser than TOL
     tol = min(mp.mpf(TOL), working_tol())
@@ -203,12 +291,25 @@ def central_idempotents(alg: AssocAlgebra, seed=SPLIT_SEED) -> list:
         "degenerate or not semisimple")
 
 
+def central_idempotents(alg: AssocAlgebra, seed=SPLIT_SEED) -> list:
+    """Primitive central idempotents as coefficient vectors.
+
+    Raises NumericalDegeneracyError when no random central element gives a
+    certified split, which is also what happens when the input algebra is
+    not semisimple.
+    """
+    return [_values(e) for e in _split(alg, seed)]
+
+
 @dataclass(frozen=True)
 class BlockProfile:
-    """One matrix block of the Wedderburn decomposition."""
+    """One matrix block of the Wedderburn decomposition: the idempotent as
+    mpmath numbers and as the exact mantissa vector they were rounded
+    from."""
     idempotent: tuple
     block_dim: int
     m: int
+    mantissas: tuple = field(compare=False, repr=False)
 
 
 def _profile_key(b: BlockProfile):
@@ -222,13 +323,17 @@ def block_profiles(alg: AssocAlgebra, seed=SPLIT_SEED) -> list:
     """Sorted block profiles: each primitive central idempotent with the
     dimension of its ideal and the matrix size m."""
     out = []
-    for e in central_idempotents(alg, seed=seed):
-        bd = round_int(alg.trace_left_mult(e), "block dimension trace")
+    for e in _split(alg, seed):
+        re, im, exp = e
+        tr = mp.mpc(mp.mpf((alg.trace_left_mult(re), exp)),
+                    mp.mpf((alg.trace_left_mult(im), exp)))
+        bd = round_int(tr, "block dimension trace")
         m = int(round(bd ** 0.5))
         if m * m != bd:
             raise NotSemisimpleError(
                 f"block dimension {bd} is not a perfect square")
-        out.append(BlockProfile(idempotent=tuple(e), block_dim=bd, m=m))
+        out.append(BlockProfile(idempotent=tuple(_values(e)), block_dim=bd,
+                                m=m, mantissas=(tuple(re), tuple(im), exp)))
     out.sort(key=_profile_key)
     return out
 
@@ -245,7 +350,7 @@ def character_table(alg: AssocAlgebra, blocks) -> tuple:
             for z in range(alg.n)]
     rows = []
     for bp in blocks:
-        re, im, exp = _mantissas(bp.idempotent)
+        re, im, exp = bp.mantissas
         rows.append((exp, [sum(re[i] * w for i, w in col) for col in cols],
                      [sum(im[i] * w for i, w in col) for col in cols]))
     exp = min((e for e, _, _ in rows), default=0)

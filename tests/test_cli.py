@@ -196,6 +196,21 @@ def test_verdict_is_seed_independent(tmp_path, monkeypatch, capsys,
     assert all(s == seen[0] for s in seen[1:])
 
 
+def test_analyze_builds_no_mpc_products(tmp_path, monkeypatch, capsys):
+    # the split, its certification and the ideal test run on integer
+    # mantissas; the public mpc product is not on the analyze path
+    calls = []
+    mult = AssocAlgebra.mult
+
+    def counted(self, a, b):
+        calls.append(1)
+        return mult(self, a, b)
+    monkeypatch.setattr(AssocAlgebra, "mult", counted)
+    assert main(["analyze", _emit(tmp_path, "vlplus-orbifold", 1)]) == 0
+    assert "kernel_dim" in capsys.readouterr().out
+    assert calls == []
+
+
 def _floats(obj):
     """The JSON object with every exact cyclotomic scalar re-encoded as
     {"re", "im"} floats."""

@@ -25,7 +25,7 @@ from fuscond.errors import CapabilityError, SchemaError, TheoremViolationError
 from fuscond.ring import BasedRing, group_ring
 from fuscond.wedderburn import normalized_block_trace
 
-from grouptables import cyclic
+from grouptables import cyclic, symmetric
 from cached_bundles import bundle, swr
 from test_modular import ising_data, toric_data
 
@@ -275,6 +275,20 @@ def test_bad_local_violates_theorem():
     assert not rep.ok
     with pytest.raises(TheoremViolationError):
         schur_weyl(bad)
+
+
+def test_nonnormal_local_subgroup_does_not_commute():
+    # In the S3 group ring the subgroup {1, s} of a transposition is closed
+    # but not normal, so its averaging idempotent (1 + s)/2 is not central
+    table, inverse = symmetric(3)
+    s = next(g for g in range(1, len(table)) if inverse[g] == g)
+    b = CondensationBundle(
+        algebra=CondensableAlgebra(
+            ambient=Ambient.from_table(("1",), (0,), (1,), (1,)), mult=(1,)),
+        module_ring=group_ring(table, inverse), dA=(1,) * len(table),
+        induction=None, local=(0, s))
+    with pytest.raises(TheoremViolationError, match="does not commute"):
+        schur_weyl(b)
 
 
 def test_bad_mult_violates_theorem():

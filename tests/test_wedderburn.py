@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -6,11 +7,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fuscond import families
+from fuscond.cyclotomic import TOL, round_int, working_tol
 from fuscond.errors import NumericalDegeneracyError, SchemaError
 from fuscond.families import ty_ring
 from fuscond.ring import BasedRing, group_ring, product_ring
 from fuscond.wedderburn import (
+    SPLIT_SEED,
     AssocAlgebra,
+    BlockProfile,
+    _certified,
+    _float_split,
+    _mantissas,
+    _profile_key,
+    _split,
     block_profiles,
     center_basis,
     central_idempotents,
@@ -217,3 +227,83 @@ def test_group_ring_split_properties(case, seed):
             e = list(b.idempotent)
             sq = alg.mult(e, e)
             assert max(abs(x - y) for x, y in zip(sq, e)) <= tol
+
+
+# The refinement loop as it ran over mpmath numbers: Newton over alg.mult,
+# stopped by the entrywise abs of e^2 - e.
+def _mpc_refine(alg, guess, tol):
+    e = [mp.mpc(complex(x)) for x in guess]
+    for _ in range(mp.mp.dps.bit_length() + 1):
+        sq = alg.mult(e, e)
+        if max(abs(s - x) for s, x in zip(sq, e)) <= tol:
+            return e
+        cube = alg.mult(sq, e)
+        e = [3 * s - 2 * c for s, c in zip(sq, cube)]
+    return None
+
+
+REFINE_RINGS = {
+    "z3": lambda: group_ring(*cyclic(3)),
+    "s3": lambda: group_ring(*symmetric(3)),
+    "d4": lambda: group_ring(*dihedral(4)),
+    "a4": lambda: group_ring(*alternating(4)),
+    "ty5": lambda: ty_ring(5),
+    "vlplus": lambda: families.build("vlplus-orbifold", n=1).module_ring,
+}
+
+
+@pytest.mark.parametrize("digits", [15, 64, 128])
+@pytest.mark.parametrize("name", sorted(REFINE_RINGS))
+def test_integer_refinement_matches_the_mpc_loop(name, digits):
+    alg = AssocAlgebra.from_based_ring(REFINE_RINGS[name]())
+    with mp.workdps(digits):
+        tol = min(mp.mpf(TOL), working_tol())
+        guesses = _float_split(alg, center_basis(alg),
+                               random.Random(SPLIT_SEED))
+        want = [_mpc_refine(alg, g, tol) for g in guesses]
+        assert None not in want
+        ref = []
+        for e in want:
+            bd = round_int(alg.trace_left_mult(e), "block dimension trace")
+            ref.append(BlockProfile(idempotent=tuple(e), block_dim=bd,
+                                    m=int(round(bd ** 0.5)), mantissas=None))
+        ref.sort(key=_profile_key)
+        blocks = block_profiles(alg)
+        assert [_profile_key(b) for b in blocks] == [_profile_key(b) for b in ref]
+        for b, r in zip(blocks, ref):
+            assert (b.m, b.block_dim) == (r.m, r.block_dim)
+            assert max(abs(x - y) for x, y in
+                       zip(b.idempotent, r.idempotent)) <= working_tol()
+            e = list(b.idempotent)
+            assert max(abs(s - x) for s, x in zip(alg.mult(e, e), e)) <= tol
+
+
+def _s3_and_involution():
+    table, inverse = symmetric(3)
+    s = next(g for g in range(1, len(table)) if inverse[g] == g)
+    return AssocAlgebra.from_based_ring(group_ring(table, inverse)), s
+
+
+def test_certification_refuses_a_noncentral_idempotent():
+    # (1 + s)/2 and (1 - s)/2 are nonzero idempotents summing to the unit,
+    # so only the commutator check can refuse them
+    alg, s = _s3_and_involution()
+    half = Fraction(1, 2)
+    plus, minus = [0] * alg.n, [0] * alg.n
+    plus[0] = minus[0] = half
+    plus[s], minus[s] = half, -half
+    idems = [_mantissas(plus), _mantissas(minus)]
+    tol = min(mp.mpf(TOL), working_tol())
+    assert not _certified(alg, idems, 2, tol)
+
+
+def test_certification_refuses_a_partial_set_and_a_zero_vector():
+    alg, _ = _s3_and_involution()
+    tol = min(mp.mpf(TOL), working_tol())
+    idems = _split(alg, SPLIT_SEED)
+    assert _certified(alg, idems, len(idems), tol)
+    # one idempotent dropped: the rest do not sum to the unit
+    assert not _certified(alg, idems[1:], len(idems) - 1, tol)
+    # a zero vector added: idempotent, central, the sum unchanged
+    zero = ([0] * alg.n, [0] * alg.n, idems[0][2])
+    assert not _certified(alg, idems + [zero], len(idems) + 1, tol)
