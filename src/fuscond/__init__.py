@@ -16,9 +16,8 @@ from .galois import (GaloisReport, group_quotient, hasse_dot,
 from .modular import ModularData, deligne, verlinde
 from .modular import dims as modular_dims
 from .modular import validate as validate_modular
-from .ring import (SUBRING_RANK_CAP, BasedRing, DimVector, closure,
-                   element_product, enumerate_subrings, fp_dims, group_ring,
-                   product_ring)
+from .ring import (BasedRing, DimVector, closure, element_product,
+                   enumerate_subrings, fp_dims, group_ring, product_ring)
 from .ring import validate as validate_ring
 from .serialize import dumps, parse_any, read_path, write_path
 from .wedderburn import (SPLIT_SEED, AssocAlgebra, block_profiles,
@@ -28,9 +27,9 @@ __all__ = [
     "Ambient", "AssocAlgebra", "BasedRing", "CapabilityError",
     "CondensableAlgebra", "CondensationBundle", "Cyc", "DimVector",
     "FAMILIES", "GaloisReport", "ModularData", "NotSemisimpleError",
-    "NumericalDegeneracyError", "SPLIT_SEED", "SUBRING_RANK_CAP",
-    "SchemaError", "SchurWeylReport", "TheoremViolationError",
-    "ValidationReport", "as_mpc", "block_profiles", "build", "central_idempotents",
+    "NumericalDegeneracyError", "SPLIT_SEED", "SchemaError",
+    "SchurWeylReport", "TheoremViolationError", "ValidationReport",
+    "as_mpc", "block_profiles", "build", "central_idempotents",
     "check_bundle", "closure", "codegree_check", "deligne", "dumps", "e_sub",
     "element_product", "enumerate_subrings", "exact_scalar", "fp_dims",
     "group_quotient", "group_ring", "hasse_dot", "indicator",

@@ -30,7 +30,7 @@ from .errors import (
 )
 from .modular import (ModularData, dims as modular_dims,
                       validate as validate_modular, verlinde)
-from .ring import (BasedRing, DimVector, check_basis, closure, element_product,
+from .ring import (BasedRing, DimVector, _sparse_product, check_basis, closure,
                    fp_dims, validate)
 from .wedderburn import (SPLIT_SEED, AssocAlgebra, _cmp_tol, _combine,
                          _mantissas, _quotient, _sup, block_profiles,
@@ -275,25 +275,48 @@ def check_bundle(b: CondensationBundle, tol=TOL) -> ValidationReport:
     return rep
 
 
+def _dim_mantissas(dA: DimVector) -> tuple:
+    """The module dims as d_y = w_y 2**f: integer mantissas w over one
+    exponent f (the real parts; the dims are real)."""
+    w, _, f = _mantissas(dA.values)
+    return w, f
+
+
+def _check_averaging(ring: BasedRing, sub: tuple, dims) -> int:
+    """Check that sub is a subring whose averaging idempotent
+    e_B = sum_{y in B} d_y y / sum_{y in B} d_y^2 satisfies e_B^2 = e_B
+    within TOL, and return D = sum_{y in B} w_y^2 for the mantissas
+    dims = (w, f) of d.  With P = w_B * w_B, exactly,
+    (e_B^2 - e_B)_k D^2 = P_k 2**(-2f) - w_k D 2**(-f)."""
+    if closure(ring, sub) != frozenset(sub):
+        raise SchemaError(f"{sub} is not a subring of the module ring")
+    w, f = dims
+    wb = [0] * ring.rank
+    for y in sub:
+        wb[y] = w[y]
+    D = sum(w[y] * w[y] for y in sub)
+    zero = [0] * ring.rank
+    resid = _sup(_combine((_sparse_product(ring._rows, wb, wb), zero, -2 * f),
+                          1, (wb, zero, -f), -D))
+    if _cmp_tol(*resid, TOL, D * D) > 0:
+        value = mp.sqrt(_quotient(resid[0], resid[1], D ** 4))
+        raise NumericalDegeneracyError(
+            f"e_sub for {sub} failed the idempotent check, residual {float(value)}")
+    return D
+
+
 def e_sub(b: CondensationBundle, sub) -> list:
     """The integral idempotent of a subring: (1/dim sub) sum d_A(Y) Y.
 
     Exact coefficients whenever dA is exact.  Verified idempotent under the
-    module ring multiplication.
+    module ring multiplication by _check_averaging.
     """
     ring = b.module_ring
     sub = tuple(sorted(int(i) for i in sub))
-    if closure(ring, sub) != frozenset(sub):
-        raise SchemaError(f"{sub} is not a subring of the module ring")
+    _check_averaging(ring, sub, _dim_mantissas(b.dA))
     d = b.dA.scalars()
     inv = 1 / b.dA.total(sub)
-    vec = [d[y] * inv if y in sub else 0 for y in range(ring.rank)]
-    sq = element_product(ring, vec, vec)
-    resid = max(abs(as_mpc(p) - as_mpc(v)) for p, v in zip(sq, vec))
-    if resid > TOL:
-        raise NumericalDegeneracyError(
-            f"e_sub for {sub} failed the idempotent check, residual {float(resid)}")
-    return vec
+    return [d[y] * inv if y in sub else 0 for y in range(ring.rank)]
 
 
 @dataclass(frozen=True, eq=False)

@@ -13,17 +13,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import mpmath as mp
 import numpy as np
 
-from .condense import CondensationBundle, SchurWeylReport, block_dims, e_sub
-from .cyclotomic import TOL, as_mpc, round_int
+from .condense import (CondensationBundle, SchurWeylReport, _check_averaging,
+                       _dim_mantissas, block_dims)
+from .cyclotomic import ROUND_TOL, TOL, as_mpc
 from .errors import NumericalDegeneracyError, TheoremViolationError
 from .ring import enumerate_subrings
+from .wedderburn import _cmp_tol, _quotient
 
 
 def lattice(b: CondensationBundle) -> list:
     """All subrings of the module ring that contain the local part, as
-    sorted index tuples.  Subject to the subring enumeration rank cap."""
+    sorted index tuples.  A lattice of more than ring.SUBRING_BUDGET
+    subrings is refused with CapabilityError."""
     return enumerate_subrings(b.module_ring, must_contain=b.local)
 
 
@@ -51,8 +55,29 @@ class InvariantSubalgebra:
     ambient_vector: tuple | None
 
 
-def invariant_subalgebra(swr: SchurWeylReport, sub) -> InvariantSubalgebra:
+def _round_quotient(re: int, im: int, exp: int, den: int, what: str) -> int:
+    """The integer nearest to v = (re + 1j im) 2**exp / den, for den > 0,
+    which must lie within ROUND_TOL of it: round_int's test as one exact
+    integer comparison."""
+    s = max(exp, 0)
+    re, im, den = re << s, im << s, den << (s - exp)
+    n = (2 * re + den) // (2 * den)
+    if _cmp_tol((re - n * den) ** 2 + im * im, 0, ROUND_TOL, den) > 0:
+        val = mp.mpc(_quotient(re, 0, den), _quotient(im, 0, den))
+        raise NumericalDegeneracyError(
+            f"{what} = {complex(val)} is not within {ROUND_TOL} of an integer")
+    return n
+
+
+def invariant_subalgebra(swr: SchurWeylReport, sub,
+                         dims=None) -> InvariantSubalgebra:
     """Multiplicities n'_b = chi_b(e_B) of the invariant subalgebra.
+
+    With the module dims as d_y = w_y 2**f (dims, as from _dim_mantissas;
+    computed here when not given) and m chi_b(y) = (re + 1j im)_b[y] 2**exp
+    from the character table,
+    n'_b = sum_{y in B} w_y (re + 1j im)_b[y] 2**(exp - f)
+    / (m sum_{y in B} w_y^2), read off from exact integer sums.
 
     Each value must round to an integer between 0 and the block size; a
     fuzzy value is a numerical failure, an out-of-range one contradicts the
@@ -62,14 +87,18 @@ def invariant_subalgebra(swr: SchurWeylReport, sub) -> InvariantSubalgebra:
     """
     b = swr.bundle
     sub = tuple(sorted(int(i) for i in sub))
-    # numeric once for all blocks; exact zeros stay 0 so block_value skips them
-    evec = [0 if c == 0 else as_mpc(c) for c in e_sub(b, sub)]
+    if dims is None:
+        dims = _dim_mantissas(b.dA)
+    D = _check_averaging(b.module_ring, sub, dims)
+    w, f = dims
+    re, im, exp = swr.character_mantissas
     block_indices, n_prime = [], []
     for bi, bp in enumerate(swr.blocks):
         if not swr.in_ideal[bi]:
             continue
-        n = round_int(swr.block_value(bi, evec),
-                      f"block multiplicity for subring {sub}")
+        n = _round_quotient(sum(w[y] * re[bi][y] for y in sub),
+                            sum(w[y] * im[bi][y] for y in sub), exp - f,
+                            bp.m * D, f"block multiplicity for subring {sub}")
         if not 0 <= n <= bp.m:
             raise TheoremViolationError(
                 f"block multiplicity {n} outside [0, {bp.m}] for "
@@ -150,9 +179,10 @@ def verify_correspondence(b: CondensationBundle, tol: float = TOL, *,
     ideal_idx = tuple(bi for bi, f in enumerate(swr.in_ideal) if f)
     triv_pos = ideal_idx.index(trivial)
 
+    dims = _dim_mantissas(b.dA)
     entries = []
     for sub in subs:
-        inv = invariant_subalgebra(swr, sub)
+        inv = invariant_subalgebra(swr, sub, dims)
         if inv.n_prime[triv_pos] != 1:
             problems.append(
                 f"subring {sub}: trivial-block multiplicity is "

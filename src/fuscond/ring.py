@@ -16,7 +16,7 @@ import numpy as np
 from .cyclotomic import Cyc, as_mpc, exact_vector
 from .errors import CapabilityError, NumericalDegeneracyError, SchemaError, ValidationReport
 
-SUBRING_RANK_CAP = 24
+SUBRING_BUDGET = 1000  # subrings enumerate_subrings finds before refusing
 PRODUCT_SEP = "."  # joins the factor labels of a product basis
 FP_TOL, FP_MAX_ITER = 1e-12, 10000  # fp_dims power iteration
 _MAX_REPORTED = 5
@@ -68,6 +68,20 @@ class BasedRing:
     @cached_property
     def _rows(self) -> tuple:
         return _nonzero_rows(self.fusion)
+
+    @cached_property
+    def _closure_table(self) -> tuple:
+        """_rows as bitmasks for closure: pairs[x] holds (1 << y, the
+        support of x*y and of y*x) for each y with a nonzero product, and
+        duals[x] is the bit of x's dual."""
+        pairs = [{} for _ in range(self.rank)]
+        for i, row in enumerate(self._rows):
+            for j, targets in row:
+                mask = _mask(k for k, _ in targets)
+                pairs[i][1 << j] = pairs[i].get(1 << j, 0) | mask
+                pairs[j][1 << i] = pairs[j].get(1 << i, 0) | mask
+        return (tuple(tuple(p.items()) for p in pairs),
+                tuple(1 << self.dual[i] for i in range(self.rank)))
 
     def __repr__(self):
         return f"BasedRing(rank={self.rank}, labels={list(self.labels)})"
@@ -195,18 +209,40 @@ def fp_dims(ring: BasedRing) -> DimVector:
     return DimVector(values=tuple(float(x) for x in d))
 
 
+def _grow(table, s: int, new: int) -> int:
+    """The closure of the bitmask s | new under fusion products and duals,
+    given that s alone is closed: each newly added element is multiplied,
+    on both sides, with every element added so far, until nothing new
+    appears."""
+    pairs, duals = table
+    s |= new
+    while new:
+        add = 0
+        while new:
+            low = new & -new
+            new ^= low
+            x = low.bit_length() - 1
+            add |= duals[x]
+            for bit, mask in pairs[x]:
+                if s & bit:
+                    add |= mask
+        new = add & ~s
+        s |= new
+    return s
+
+
+def _mask(indices) -> int:
+    return sum({1 << int(i) for i in indices})
+
+
+def _members(mask: int) -> tuple:
+    return tuple(i for i, c in enumerate(reversed(bin(mask))) if c == "1")
+
+
 def closure(ring: BasedRing, seed) -> frozenset:
     """Smallest subset containing the unit and the seed that is closed under
     fusion products and duals."""
-    s = set(int(i) for i in seed)
-    s.add(0)
-    while True:
-        idx = np.fromiter(sorted(s), dtype=np.int64)
-        prods = np.nonzero(ring.fusion[np.ix_(idx, idx)].sum(axis=(0, 1)))[0]
-        nxt = s | {int(k) for k in prods} | {ring.dual[i] for i in s}
-        if nxt == s:
-            return frozenset(s)
-        s = nxt
+    return frozenset(_members(_grow(ring._closure_table, 0, _mask(seed) | 1)))
 
 
 def enumerate_subrings(ring: BasedRing, must_contain=()) -> list:
@@ -214,26 +250,29 @@ def enumerate_subrings(ring: BasedRing, must_contain=()) -> list:
 
     Works by closure-driven search: grow each known subring by one extra
     basis element and close up.  Every subring of the given ring arises this
-    way, so the enumeration is exhaustive.  Rings above the rank cap are
-    refused rather than risking a combinatorial blowup.
+    way, so the enumeration is exhaustive.  A lattice of more than
+    SUBRING_BUDGET subrings is refused rather than enumerated to the end.
     """
-    if ring.rank > SUBRING_RANK_CAP:
-        raise CapabilityError(
-            f"subring enumeration supports rank <= {SUBRING_RANK_CAP}, "
-            f"got {ring.rank}")
-    base = closure(ring, must_contain)
+    table = ring._closure_table
+    base = _grow(table, 0, _mask(must_contain) | 1)
     found = {base}
     stack = [base]
+    full = (1 << ring.rank) - 1
     while stack:
         s = stack.pop()
-        for x in range(ring.rank):
-            if x in s:
-                continue
-            t = closure(ring, s | {x})
+        rest = full & ~s
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            t = _grow(table, s, low)
             if t not in found:
                 found.add(t)
+                if len(found) > SUBRING_BUDGET:
+                    raise CapabilityError(
+                        "subring enumeration stops at a budget of "
+                        f"{SUBRING_BUDGET} subrings; this ring has more")
                 stack.append(t)
-    return sorted((tuple(sorted(s)) for s in found), key=lambda t: (len(t), t))
+    return sorted(map(_members, found), key=lambda t: (len(t), t))
 
 
 def _nonzero_rows(tensor) -> tuple:

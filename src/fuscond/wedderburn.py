@@ -192,12 +192,13 @@ def _sup(v) -> tuple:
     return max((x * x + y * y for x, y in zip(re, im)), default=0), 2 * exp
 
 
-def _cmp_tol(w: int, wexp: int, tol) -> int:
-    """The sign of w * 2**wexp - tol**2, from exact integers, for w >= 0
-    and an mpmath or float tolerance tol >= 0."""
+def _cmp_tol(w: int, wexp: int, tol, den: int = 1) -> int:
+    """The sign of w * 2**wexp - (tol * den)**2, from exact integers, for
+    w >= 0, an mpmath or float tolerance tol >= 0 and an integer den."""
     _, man, texp, _ = mp.mpf(tol)._mpf_
     d = wexp - 2 * texp
-    lhs, rhs = (w << d, man * man) if d >= 0 else (w, (man * man) << -d)
+    t2 = (man * den) ** 2
+    lhs, rhs = (w << d, t2) if d >= 0 else (w, t2 << -d)
     return (lhs > rhs) - (lhs < rhs)
 
 
@@ -244,17 +245,18 @@ def _float_split(alg: AssocAlgebra, Z, rng):
 
 def _refine(alg: AssocAlgebra, guess, tol):
     """Newton's e <- 3e^2 - 2e^3 at the working precision from a float64
-    guess; the idempotent with |e^2 - e| <= tol as a mantissa vector, or
-    None.  Convergence is quadratic, so log2(mp.dps) steps reach tol from
-    any float64 start."""
+    guess, as a mantissa vector, or None.  Once |e^2 - e| <= tol, one more
+    step takes e from there to round-off.  Convergence is quadratic, so
+    log2(mp.dps) steps reach tol from any float64 start."""
     e = _float_mantissas(guess)
     exp = e[2]
     for _ in range(mp.mp.dps.bit_length() + 1):
         sq = alg.product(e, e)
-        if _cmp_tol(*_sup(_combine(sq, 1, e, -1)), tol) <= 0:
-            return e
+        done = _cmp_tol(*_sup(_combine(sq, 1, e, -1)), tol) <= 0
         sq = _rescale(sq, exp)
         e = _rescale(_combine(sq, 3, alg.product(sq, e), -2), exp)
+        if done:
+            return e
     return None
 
 

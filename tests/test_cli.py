@@ -1,6 +1,8 @@
 """End-to-end tests of the fuscond command line, run in-process."""
+import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -10,8 +12,10 @@ import pytest
 
 import fuscond
 from fuscond import families, serialize
+from fuscond import ring as ring_module
 from fuscond.cli import DIGITS_FLOOR, main
 from fuscond.condense import schur_weyl
+from fuscond.cyclotomic import working_tol
 from fuscond.wedderburn import (SPLIT_SEED, AssocAlgebra, _profile_key,
                                 block_profiles)
 
@@ -319,6 +323,73 @@ def test_analyze_is_precision_independent(tmp_path, capsys, family, n):
         seen.append((code, _stable_lines(capsys.readouterr().out)))
     assert seen[0][0] == 0 and seen[0][1]
     assert seen[1] == seen[0] and seen[2] == seen[0]
+
+
+# The 15 built-in bundles and coset SU(2)_1..4.
+RESIDUAL_MEMBERS = ALL_MEMBERS + [("coset-su2", k) for k in range(1, 5)]
+
+
+@pytest.mark.parametrize("family,n", RESIDUAL_MEMBERS,
+                         ids=[f"{f}-{n}" for f, n in RESIDUAL_MEMBERS])
+def test_printed_residuals_are_below_working_tol(tmp_path, capsys, family,
+                                                 n):
+    # the idempotents are refined to round-off, so no printed match fit or
+    # codegree residual carries the refinement's stopping tolerance
+    path = _emit(tmp_path, family, n)
+    for digits in (DIGITS_FLOOR, 64, 128):
+        capsys.readouterr()
+        assert main(["analyze", path, "--digits", str(digits)]) == 0
+        out = capsys.readouterr().out
+        shown = re.findall(r"fit ([^)]+)\)", out) + re.findall(
+            r"^- codegree residual: (\S+)$", out, re.M)
+        assert shown
+        with mp.workdps(digits):
+            tol = working_tol()
+            assert all(mp.mpf(v) < tol for v in shown), (digits, shown)
+
+
+# sha256 of `galois b.json --digits D --dot l.dot` stdout followed by the
+# bytes of l.dot, the same at D = 15, 64 and 128, for each member whose
+# lattice the subring rank cap of 24 allowed.  Recorded before closure
+# moved onto bitmasks and n' onto the character mantissas.
+GALOIS_GOLDEN = {
+    ("a2n", 1): "d51703bc2a58a79b0de6cb109c404f428a8a7002ee759bc57c5222c15b08904a",
+    ("a2n", 2): "d06a9ce952e2547ed0bc35a22d85f7e3fc0778d7ba808606c170786253840e9a",
+    ("a2n", 3): "6c93d6d045f11767a915511af70319f4e3ec1dad23af0ee2d88b3d9607d2726c",
+    ("a2n", 4): "1ce5b5ff6895c669708003aa0bfc3707e99a98bba4e2e671198b6901fe5107ea",
+    ("a2n", 5): "86e74967a71097c88925842f6dc031756950591763847f769882eb6dc1de22ff",
+    ("a2nplus1", 1): "6d3035db84eefc949417060a3e25f223a8ee65a32ba5e5ce22f8e4206515c2d2",
+    ("a2nplus1", 2): "358ba8523b27f99f1e8cbe3602323b8426c8d2778f3350da81b6559f8d39c61e",
+    ("a2nplus1", 3): "3b57980b54d61635766ddd442c2014a5507901ad2edd059e3d5d343ffd2ef952",
+    ("a2nplus1", 4): "5c9fcf2a7f7ff661301b09d57d26a38c991e0173067e094d75b8d8fb75108d91",
+    ("vlplus-orbifold", 1): "747e637f649998f2699aa65df6ef2c96d8c0823971c2299311d3561ad2df8b33",
+    ("toric-code", None): "a2300627172d1d8d357582c1ce8575a15fc8b54f4aea1ca413354709c5e8ac0b",
+    ("ising-square", None): "a3ccaae2c4804b87c3f632d734c3bd4d0c78dc58d5567599ef629c6a34f50f27",
+}
+
+
+@pytest.mark.parametrize("family,n", list(GALOIS_GOLDEN),
+                         ids=[f"{f}-{n}" for f, n in GALOIS_GOLDEN])
+def test_galois_bytes_are_pinned(tmp_path, monkeypatch, capsys, family, n):
+    monkeypatch.chdir(tmp_path)
+    serialize.write_path(families.build(family, n=n), "b.json")
+    for digits in (DIGITS_FLOOR, 64, 128):
+        capsys.readouterr()
+        code = main(["galois", "b.json", "--digits", str(digits),
+                     "--dot", "l.dot"])
+        out, err = capsys.readouterr()
+        digest = hashlib.sha256(out.encode("utf-8")
+                                + (tmp_path / "l.dot").read_bytes())
+        assert (code, err, digest.hexdigest()) == \
+            (0, "", GALOIS_GOLDEN[family, n]), digits
+
+
+def test_galois_refuses_a_lattice_over_the_budget(a2n1_path, monkeypatch,
+                                                  capsys):
+    # a2n n=1 has 9 subrings over its local part
+    monkeypatch.setattr(ring_module, "SUBRING_BUDGET", 8)
+    assert main(["galois", a2n1_path]) == 2
+    assert "budget of 8 subrings" in capsys.readouterr().err
 
 
 def _twist_m(mtc):

@@ -514,10 +514,8 @@ def _row_terms(amb, x, dv):
                          ids=[f"{f}-{n}" for f, n in CONTRACTION_CASES])
 def test_exact_contractions_match_the_mpmath_loops(family, n, dps):
     # Each value moves from the loop's by a few ulps of the terms the loop
-    # sums.  The fits and the codegree residual then stay below
-    # working_tol() wherever the loop's do; they do not everywhere, since
-    # the Newton refinement stops once |e^2 - e| <= working_tol(), and the
-    # idempotent's error, not round-off, sets their size there.
+    # sums.  The idempotents are refined to round-off, so the fits and the
+    # codegree residual lie below working_tol().
     with mp.workdps(dps):
         r = schur_weyl(bundle(family, n))
         ulp = mp.mpf(2) ** (1 - mp.mp.prec)
@@ -551,7 +549,7 @@ def test_exact_contractions_match_the_mpmath_loops(family, n, dps):
                             for y in range(amb.rank))
                 # the note shows three digits
                 assert abs(got - ref) <= 8 * ulp * terms + 0.005 * got, bi
-                assert got < tol or ref >= tol, bi
+                assert got < tol, bi
 
         entries, values, ref_resid = _loop_codegree(r)
         cg = codegree_check(r)
@@ -567,7 +565,7 @@ def test_exact_contractions_match_the_mpmath_loops(family, n, dps):
                 worst_terms = max(worst_terms, terms)
                 assert abs(g - w) <= 4 * ulp * terms, (bi, bj)
         assert abs(cg.residual - ref_resid) <= 4 * ulp * worst_terms
-        assert cg.residual < tol or ref_resid >= tol
+        assert cg.residual < tol
 
 
 def test_codegree_row_divides_by_the_block_size():

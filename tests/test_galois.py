@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from fuscond.condense import e_sub, schur_weyl
-from fuscond.cyclotomic import TOL, as_mpc
+from fuscond.cyclotomic import TOL, as_mpc, round_int
 from fuscond.errors import (CapabilityError, NumericalDegeneracyError,
                             SchemaError, TheoremViolationError)
 from fuscond.galois import (
@@ -440,3 +440,93 @@ def test_overlapping_local_orbits_are_refused():
                             induction=None, local=(0, 1))
     with pytest.raises(TheoremViolationError, match="partition"):
         group_quotient(dataclasses.replace(base, bundle=b))
+
+
+# ------------------------------------------- n' from the character mantissas
+
+# The members of the galois-lattice benchmark workload.
+LATTICE_MEMBERS = ([("a2n", n) for n in range(1, 6)]
+                   + [("a2nplus1", n) for n in range(1, 5)]
+                   + [("vlplus-orbifold", 1), ("toric-code", None),
+                      ("ising-square", None)])
+
+
+def _mpmath_invariant(r, sub):
+    """n' and the ambient vector as computed before the integer path: the
+    exact averaging idempotent, converted to mpmath numbers and evaluated
+    in each ideal block's character by block_value."""
+    b = r.bundle
+    d = b.dA.scalars()
+    inv = 1 / b.dA.total(sub)
+    evec = [as_mpc(d[y] * inv) if y in sub else 0
+            for y in range(b.module_ring.rank)]
+    ideal = [bi for bi, f in enumerate(r.in_ideal) if f]
+    n_prime = tuple(round_int(r.block_value(bi, evec), "n'") for bi in ideal)
+    vec = None
+    if all(r.matched[bi] is not None for bi in ideal):
+        v = [0] * b.ambient.rank
+        for bi, n in zip(ideal, n_prime):
+            v[r.matched[bi]] = n
+        vec = tuple(v)
+    return n_prime, vec
+
+
+@pytest.mark.parametrize("dps", [15, 64, 128])
+@pytest.mark.parametrize("family,n", LATTICE_MEMBERS,
+                         ids=[f"{f}-{n}" for f, n in LATTICE_MEMBERS])
+def test_invariant_subalgebra_matches_the_mpmath_path(family, n, dps):
+    r = _swr_at(family, n, dps)
+    with mp.workdps(dps):
+        for sub in lattice(r.bundle):
+            inv = invariant_subalgebra(r, sub)
+            assert (inv.n_prime, inv.ambient_vector) == \
+                _mpmath_invariant(r, sub), sub
+            assert all(type(x) is int for x in inv.n_prime)
+
+
+def test_perturbed_dims_fail_the_idempotent_check():
+    r = swr("a2n", 1)
+    values = list(r.bundle.dA.values)
+    values[1] = float(as_mpc(values[1]).real) + 1e-6
+    b = dataclasses.replace(r.bundle, dA=values)
+    full = tuple(range(b.module_ring.rank))
+    with pytest.raises(NumericalDegeneracyError,
+                       match="failed the idempotent check"):
+        invariant_subalgebra(dataclasses.replace(r, bundle=b), full)
+    with pytest.raises(NumericalDegeneracyError,
+                       match="failed the idempotent check"):
+        e_sub(b, full)
+
+
+def _scaled_block(r, bi, factor):
+    """The report with block bi's character mantissas times factor."""
+    re, im, exp = r.character_mantissas
+    re = tuple(tuple(x * factor for x in row) if i == bi else row
+               for i, row in enumerate(re))
+    im = tuple(tuple(x * factor for x in row) if i == bi else row
+               for i, row in enumerate(im))
+    return dataclasses.replace(r, character_mantissas=(re, im, exp))
+
+
+def test_out_of_range_multiplicity_is_a_theorem_violation():
+    # on the local subring n' is the block size; a negated character
+    # makes it -m
+    r = swr("a2n", 1)
+    bi = r.in_ideal.index(True)
+    with pytest.raises(TheoremViolationError, match=r"outside \[0, "):
+        invariant_subalgebra(_scaled_block(r, bi, -1), r.bundle.local)
+
+
+def test_fuzzy_multiplicity_is_a_numerical_failure():
+    # a block of size 1 taken for one of size 2 gives n' = 1/2 on the
+    # local subring
+    r = swr("a2n", 1)
+    bi = next(bi for bi, f in enumerate(r.in_ideal)
+              if f and r.blocks[bi].m == 1)
+    blocks = list(r.blocks)
+    blocks[bi] = dataclasses.replace(blocks[bi], m=2)
+    with pytest.raises(NumericalDegeneracyError,
+                       match=r"= \(0\.5\+0j\) is not within 1e-06 of an "
+                             "integer"):
+        invariant_subalgebra(dataclasses.replace(r, blocks=tuple(blocks)),
+                             r.bundle.local)

@@ -1,9 +1,13 @@
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fuscond import ring as ring_module
 from fuscond.cyclotomic import Cyc, working_tol
 from fuscond.errors import CapabilityError, SchemaError
+from fuscond.families import ty_ring
 from fuscond.ring import (
     BasedRing,
     DimVector,
@@ -11,10 +15,11 @@ from fuscond.ring import (
     enumerate_subrings,
     fp_dims,
     group_ring,
+    product_ring,
     validate,
 )
 
-from grouptables import cyclic, symmetric
+from grouptables import cyclic, dihedral, quaternion, symmetric
 
 
 def fibonacci_ring():
@@ -236,10 +241,84 @@ def test_subring_dim():
     assert abs(d.total(tuple(range(8))) - 12.0) < 1e-9
 
 
-def test_rank_cap():
-    ring = group_ring(*cyclic(25))
-    with pytest.raises(CapabilityError):
+def test_lattice_over_the_budget_is_refused(monkeypatch):
+    # (Z/2)^3 has 16 subgroups: refused under a budget of 15, not of 16
+    z2 = group_ring(*cyclic(2))
+    ring = product_ring(product_ring(z2, z2), z2)
+    monkeypatch.setattr(ring_module, "SUBRING_BUDGET", 16)
+    assert len(enumerate_subrings(ring)) == 16
+    monkeypatch.setattr(ring_module, "SUBRING_BUDGET", 15)
+    with pytest.raises(CapabilityError, match="budget of 15 subrings"):
         enumerate_subrings(ring)
+
+
+# ------------------------------------ closure against an exhaustive search
+
+
+def _shuffled(ring, perm):
+    """The same ring with basis element i moved to perm[i]."""
+    F = np.zeros_like(ring.fusion)
+    p = np.array(perm)
+    F[np.ix_(p, p, p)] = ring.fusion
+    labels, dual = [None] * ring.rank, [None] * ring.rank
+    for i in range(ring.rank):
+        labels[perm[i]] = ring.labels[i]
+        dual[perm[i]] = perm[ring.dual[i]]
+    return BasedRing(labels=tuple(labels), fusion=F, dual=tuple(dual))
+
+
+_SMALL_RINGS = [
+    lambda: group_ring(*cyclic(2)), lambda: group_ring(*cyclic(3)),
+    lambda: group_ring(*cyclic(4)), lambda: group_ring(*cyclic(5)),
+    lambda: group_ring(*symmetric(3)), lambda: group_ring(*dihedral(4)),
+    lambda: group_ring(*quaternion()), lambda: ty_ring(2),
+    lambda: ty_ring(3), lambda: ty_ring(4), fibonacci_ring, ising_ring,
+    d3_xy_ring,
+]
+
+
+@st.composite
+def small_rings(draw):
+    """A group ring, a Tambara-Yamagami ring or a small fusion ring, or a
+    product of two, of rank at most 10, with its basis shuffled (the unit
+    stays at index 0)."""
+    parts = draw(st.lists(st.sampled_from(_SMALL_RINGS), min_size=1,
+                          max_size=2))
+    ring = parts[0]()
+    for make in parts[1:]:
+        other = make()
+        if ring.rank * other.rank <= 10:
+            ring = product_ring(ring, other)
+    rest = draw(st.permutations(range(1, ring.rank)))
+    return _shuffled(ring, [0] + list(rest))
+
+
+def _closed_subsets(ring):
+    """Every subset containing the unit that is closed under products and
+    duals, found by testing all of them."""
+    r = ring.rank
+    out = []
+    for bits in range(2 ** (r - 1)):
+        member = np.array([True] + [bool(bits >> i & 1) for i in range(r - 1)])
+        idx = np.flatnonzero(member)
+        hit = ring.fusion[np.ix_(idx, idx)].any(axis=(0, 1))
+        if member[np.array(ring.dual)[idx]].all() and not (hit & ~member).any():
+            out.append(tuple(idx.tolist()))
+    return sorted(out, key=lambda t: (len(t), t))
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_rings(), st.sets(st.integers(min_value=0, max_value=9),
+                              max_size=3))
+def test_closure_and_subrings_match_exhaustive_search(ring, seed):
+    seed = {i for i in seed if i < ring.rank}
+    closed = _closed_subsets(ring)
+    assert enumerate_subrings(ring) == closed
+    assert enumerate_subrings(ring, must_contain=seed) == [
+        s for s in closed if seed <= set(s)]
+    # the closure is the smallest closed subset containing the seed
+    assert closure(ring, seed) == min(
+        (frozenset(s) for s in closed if seed <= set(s)), key=len)
 
 
 def test_dim_vector_floats():
