@@ -255,13 +255,15 @@ def test_lattice_over_the_budget_is_refused(monkeypatch):
 # ------------------------------------ closure against an exhaustive search
 
 
-def _shuffled(ring, perm):
+def _relabel(ring, perm):
     """The same ring with basis element i moved to perm[i]."""
+    n = ring.rank
     F = np.zeros_like(ring.fusion)
     p = np.array(perm)
     F[np.ix_(p, p, p)] = ring.fusion
-    labels, dual = [None] * ring.rank, [None] * ring.rank
-    for i in range(ring.rank):
+    labels = [None] * n
+    dual = [None] * n
+    for i in range(n):
         labels[perm[i]] = ring.labels[i]
         dual[perm[i]] = perm[ring.dual[i]]
     return BasedRing(labels=tuple(labels), fusion=F, dual=tuple(dual))
@@ -290,7 +292,7 @@ def small_rings(draw):
         if ring.rank * other.rank <= 10:
             ring = product_ring(ring, other)
     rest = draw(st.permutations(range(1, ring.rank)))
-    return _shuffled(ring, [0] + list(rest))
+    return _relabel(ring, [0] + list(rest))
 
 
 def _closed_subsets(ring):

@@ -11,7 +11,7 @@ from fuscond import families
 from fuscond.cyclotomic import TOL, round_int, working_tol
 from fuscond.errors import NumericalDegeneracyError, SchemaError
 from fuscond.families import ty_ring
-from fuscond.ring import BasedRing, group_ring, product_ring
+from fuscond.ring import group_ring, product_ring
 from fuscond.wedderburn import (
     SPLIT_SEED,
     AssocAlgebra,
@@ -28,7 +28,7 @@ from fuscond.wedderburn import (
 )
 
 from grouptables import alternating, cyclic, dihedral, quaternion, symmetric
-from test_ring import d3_xy_ring, ising_ring
+from test_ring import _relabel, d3_xy_ring, ising_ring
 
 # Irreducible degrees of small groups, from the standard character tables.
 GROUP_DEGREES = [
@@ -181,20 +181,6 @@ PROPERTY_GROUPS = [
     (alternating(4), [1, 1, 1, 3]),
 ]
 _PROPERTY_RANK_CAP = 40
-
-
-def _relabel(ring, perm):
-    """The same ring with basis element i moved to perm[i]."""
-    n = ring.rank
-    F = np.zeros_like(ring.fusion)
-    p = np.array(perm)
-    F[np.ix_(p, p, p)] = ring.fusion
-    labels = [None] * n
-    dual = [None] * n
-    for i in range(n):
-        labels[perm[i]] = ring.labels[i]
-        dual[perm[i]] = perm[ring.dual[i]]
-    return BasedRing(labels=tuple(labels), fusion=F, dual=tuple(dual))
 
 
 @st.composite
