@@ -20,8 +20,7 @@ from .ring import (BasedRing, DimVector, closure, element_product,
                    enumerate_subrings, fp_dims, group_ring, product_ring)
 from .ring import validate as validate_ring
 from .serialize import dumps, parse_any, read_path, write_path
-from .wedderburn import (SPLIT_SEED, AssocAlgebra, block_profiles,
-                         central_idempotents, normalized_block_trace)
+from .wedderburn import SPLIT_SEED, AssocAlgebra, block_profiles
 
 __all__ = [
     "Ambient", "AssocAlgebra", "BasedRing", "CapabilityError",
@@ -29,12 +28,11 @@ __all__ = [
     "FAMILIES", "GaloisReport", "ModularData", "NotSemisimpleError",
     "NumericalDegeneracyError", "SPLIT_SEED", "SchemaError",
     "SchurWeylReport", "TheoremViolationError", "ValidationReport",
-    "as_mpc", "block_profiles", "build", "central_idempotents",
-    "check_bundle", "closure", "codegree_check", "deligne", "dumps", "e_sub",
-    "element_product", "enumerate_subrings", "exact_scalar", "fp_dims",
-    "group_quotient", "group_ring", "hasse_dot", "indicator",
-    "invariant_subalgebra", "lattice", "markdown_table", "modular_dims",
-    "normalized_block_trace", "parse_any", "product_ring", "read_path",
-    "schur_weyl", "validate_modular", "validate_ring", "verify_correspondence",
-    "verlinde", "write_path",
+    "as_mpc", "block_profiles", "build", "check_bundle", "closure",
+    "codegree_check", "deligne", "dumps", "e_sub", "element_product",
+    "enumerate_subrings", "exact_scalar", "fp_dims", "group_quotient",
+    "group_ring", "hasse_dot", "indicator", "invariant_subalgebra",
+    "lattice", "markdown_table", "modular_dims", "parse_any", "product_ring",
+    "read_path", "schur_weyl", "validate_modular", "validate_ring",
+    "verify_correspondence", "verlinde", "write_path",
 ]

@@ -164,11 +164,11 @@ def cmd_indicators(args) -> int:
     b = _load_bundle(args.input)
     if _checks_fail(b, args, f"## indicators {args.input} x={args.x}"):
         return 1
-    swr = schur_weyl(b, tol=args.tol, seed=_seed())
     try:
         xi = b.ambient.labels.index(args.x)
     except ValueError:
         raise SchemaError(f"no ambient label {args.x!r}")
+    swr = schur_weyl(b, tol=args.tol, seed=_seed())
     print(f"## indicators {args.input} x={args.x}")
     rank = b.module_ring.rank
     for y in range(rank):

@@ -15,6 +15,7 @@ identified by its character against the ambient S-matrix row of x.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from operator import mul
 
 import mpmath as mp
@@ -96,6 +97,14 @@ class Ambient:
         return self.labels.index(label)
 
     def global_dim(self):
+        """dim(C) = sum_x d_x^2.  Exact dims are summed once per ambient;
+        numeric ones at each call, at the working precision."""
+        if self.dims.exact is None:
+            return self.dims.total()
+        return self._exact_global_dim
+
+    @cached_property
+    def _exact_global_dim(self):
         return self.dims.total()
 
     def character_row(self, x: int):

@@ -193,18 +193,17 @@ class Cyc:
     __slots__ = ("order", "num", "den")
     __hash__ = None
 
-    def __init__(self, order: int, coeffs, reduce: bool = True):
+    def __init__(self, order: int, coeffs):
         c = [Fraction(x) for x in coeffs]
         den = math.lcm(*(x.denominator for x in c))
         num = [x.numerator * (den // x.denominator) for x in c]
-        self._set_numerators(order, num, den, reduce)
+        self._set_numerators(order, num, den)
 
-    def _set_numerators(self, order: int, num: list, den: int,
-                        reduce: bool = True) -> None:
+    def _set_numerators(self, order: int, num: list, den: int) -> None:
         # the one path from ints num over den > 0 to the reduced fields
         if order < 1:
             raise ValueError("cyclotomic order must be positive")
-        self._set(order, _reduce(num, order) if reduce else num, den)
+        self._set(order, _reduce(num, order), den)
 
     def _set(self, order: int, num: list, den: int) -> None:
         _trim(num)

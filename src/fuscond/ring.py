@@ -125,8 +125,8 @@ class DimVector:
         return sum(d[i] * d[i] for i in idx)
 
     def dot(self, weights):
-        """Sum of w_i d_i."""
-        return sum(w * d for w, d in zip(weights, self.scalars()))
+        """Sum of w_i d_i over the nonzero weights."""
+        return sum(w * d for w, d in zip(weights, self.scalars()) if w)
 
     def as_floats(self) -> np.ndarray:
         out = np.empty(len(self.values), dtype=np.float64)
@@ -257,10 +257,12 @@ def enumerate_subrings(ring: BasedRing, must_contain=()) -> list:
     base = _grow(table, 0, _mask(must_contain) | 1)
     found = {base}
     stack = [base]
-    full = (1 << ring.rank) - 1
+    # a closed s holds x exactly when it holds x*, and s with x or with x*
+    # closes to the same subring, so one of each dual pair is tried
+    firsts = _mask(x for x, d in enumerate(ring.dual) if x <= d)
     while stack:
         s = stack.pop()
-        rest = full & ~s
+        rest = firsts & ~s
         while rest:
             low = rest & -rest
             rest ^= low

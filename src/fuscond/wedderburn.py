@@ -97,11 +97,6 @@ class AssocAlgebra:
                       zip(re, _sparse_product(rows, ai, bi))]
         return re, im, ea + eb
 
-    def mult(self, a, b):
-        """The product a * b at the working precision: the exact integer
-        product of the mantissas, each entry rounded once."""
-        return _values(self.product(_mantissas(a), _mantissas(b)))
-
     def trace_left_mult(self, a):
         return sum(a[i] * int(t) for i, t in enumerate(self._trace_vec) if a[i] != 0)
 
@@ -293,16 +288,6 @@ def _split(alg: AssocAlgebra, seed) -> list:
         "degenerate or not semisimple")
 
 
-def central_idempotents(alg: AssocAlgebra, seed=SPLIT_SEED) -> list:
-    """Primitive central idempotents as coefficient vectors.
-
-    Raises NumericalDegeneracyError when no random central element gives a
-    certified split, which is also what happens when the input algebra is
-    not semisimple.
-    """
-    return [_values(e) for e in _split(alg, seed)]
-
-
 @dataclass(frozen=True)
 class BlockProfile:
     """One matrix block of the Wedderburn decomposition: the idempotent as
@@ -323,7 +308,12 @@ def _profile_key(b: BlockProfile):
 
 def block_profiles(alg: AssocAlgebra, seed=SPLIT_SEED) -> list:
     """Sorted block profiles: each primitive central idempotent with the
-    dimension of its ideal and the matrix size m."""
+    dimension of its ideal and the matrix size m.
+
+    Raises NumericalDegeneracyError when no random central element gives a
+    certified split, which is also what happens when the input algebra is
+    not semisimple.
+    """
     out = []
     for e in _split(alg, seed):
         re, im, exp = e
@@ -369,10 +359,3 @@ def character_values(table, blocks) -> tuple:
         tuple(mp.mpc(mp.mpf((r, exp)), mp.mpf((i, exp))) / bp.m
               for r, i in zip(rr, ii))
         for rr, ii, bp in zip(re, im, blocks))
-
-
-def normalized_block_trace(alg: AssocAlgebra, block: BlockProfile, a):
-    """Character of the block: (1/m) tr(L_{e a}) equals the irreducible
-    trace of a in the m x m matrix factor."""
-    ea = alg.mult(block.idempotent, a)
-    return alg.trace_left_mult(ea) / block.m

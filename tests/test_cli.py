@@ -12,10 +12,12 @@ import pytest
 
 import fuscond
 from fuscond import families, serialize
+from fuscond import condense as condense_module
 from fuscond import ring as ring_module
 from fuscond.cli import DIGITS_FLOOR, main
 from fuscond.condense import schur_weyl
 from fuscond.cyclotomic import working_tol
+from fuscond.ring import DimVector
 from fuscond.wedderburn import (SPLIT_SEED, AssocAlgebra, _profile_key,
                                 block_profiles)
 
@@ -200,18 +202,37 @@ def test_verdict_is_seed_independent(tmp_path, monkeypatch, capsys,
     assert all(s == seen[0] for s in seen[1:])
 
 
-def test_analyze_builds_no_mpc_products(tmp_path, monkeypatch, capsys):
-    # the split, its certification and the ideal test run on integer
-    # mantissas; the public mpc product is not on the analyze path
-    calls = []
-    mult = AssocAlgebra.mult
+@pytest.mark.parametrize("verb", ["analyze", "galois"])
+def test_each_global_dimension_is_summed_once(tmp_path, monkeypatch, capsys,
+                                              verb):
+    # check_bundle, codegree_check and verify_correspondence all need the
+    # ambient's exact sum of d_x^2; it is formed once per bundle
+    summed = []
+    total = DimVector.total
 
-    def counted(self, a, b):
+    def counted(self, subset=None):
+        if subset is None:
+            summed.append(self)
+        return total(self, subset)
+    monkeypatch.setattr(DimVector, "total", counted)
+    assert main([verb, _emit(tmp_path, "a2n", 1)]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+    # one sum for the ambient's dims and one for the module's
+    assert len(summed) == len({id(d) for d in summed}) == 2
+
+
+def test_indicators_bad_label_splits_nothing(tmp_path, monkeypatch, capsys):
+    calls = []
+    split = condense_module.block_profiles
+
+    def counted(*args, **kwargs):
         calls.append(1)
-        return mult(self, a, b)
-    monkeypatch.setattr(AssocAlgebra, "mult", counted)
-    assert main(["analyze", _emit(tmp_path, "vlplus-orbifold", 1)]) == 0
-    assert "kernel_dim" in capsys.readouterr().out
+        return split(*args, **kwargs)
+    monkeypatch.setattr(condense_module, "block_profiles", counted)
+    path = _emit(tmp_path, "a2n", 1)
+    capsys.readouterr()
+    assert main(["indicators", path, "--x", "nope"]) == 2
+    assert "error: no ambient label 'nope'" in capsys.readouterr().err
     assert calls == []
 
 
@@ -291,6 +312,10 @@ ALL_MEMBERS = ([("a2n", n) for n in range(1, 7)]
                + [("vlplus-orbifold", 1), ("toric-code", None),
                   ("ising-square", None)])
 ALL_IDS = [f"{f}-{n}" for f, n in ALL_MEMBERS]
+
+
+def test_every_public_name_resolves():
+    assert [n for n in fuscond.__all__ if not hasattr(fuscond, n)] == []
 
 
 def test_import_leaves_the_callers_precision_alone():

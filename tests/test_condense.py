@@ -23,11 +23,11 @@ from fuscond.cli import main
 from fuscond.cyclotomic import TOL, Cyc, as_mpc, working_tol
 from fuscond.errors import CapabilityError, SchemaError, TheoremViolationError
 from fuscond.ring import BasedRing, group_ring
-from fuscond.wedderburn import normalized_block_trace
 
 from grouptables import cyclic, symmetric
 from cached_bundles import bundle, swr
 from test_modular import ising_data, toric_data
+from test_wedderburn import block_trace, mpc_product
 
 
 def toric_bundle(mult=(1, 1, 0, 0), ambient=None):
@@ -139,7 +139,7 @@ def test_toric_schur_weyl():
     assert matched_labels == ["1", "e"]
     # the sign block is the one where M acts by -1
     for bi, x in swr.matched_pairs():
-        val = normalized_block_trace(swr.alg, swr.blocks[bi], [0, 1])
+        val = block_trace(swr.alg, swr.blocks[bi], [0, 1])
         want = 1.0 if swr.bundle.ambient.labels[x] == "1" else -1.0
         assert abs(complex(val) - want) < 1e-12
 
@@ -201,7 +201,7 @@ def test_ty_schur_weyl():
     assert labels == ["1", "j"]
     # block matched to the unit has chi(T) = +sqrt(3)
     for bi, x in swr.matched_pairs():
-        val = normalized_block_trace(swr.alg, swr.blocks[bi], [0, 0, 0, 1])
+        val = block_trace(swr.alg, swr.blocks[bi], [0, 0, 0, 1])
         want = 3 ** 0.5 if swr.bundle.ambient.labels[x] == "1" else -(3 ** 0.5)
         assert abs(complex(val) - want) < 1e-10
 
@@ -225,7 +225,7 @@ def test_indicator_trace_sum_identity():
             for bi, x in swr.matched_pairs():
                 n_x = bundle.mult[x]
                 total += n_x * indicator(swr, x, a)
-            e1a = swr.alg.mult(e1, a)
+            e1a = mpc_product(swr.alg, e1, a)
             rhs = swr.alg.trace_left_mult(e1a)
             assert abs(total - rhs) < 1e-9
 

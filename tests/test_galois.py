@@ -141,8 +141,9 @@ def test_a2nplus1_lattice_runs_without_matching():
 
 
 @pytest.mark.parametrize("family,n", [
-    ("a2n", 1), ("a2n", 2), ("a2nplus1", 1), ("a2nplus1", 2),
-    ("vlplus-orbifold", 1), ("toric-code", None), ("ising-square", None),
+    ("a2n", 1), ("a2n", 2), ("a2n", 6), ("a2nplus1", 1), ("a2nplus1", 2),
+    ("a2nplus1", 5), ("a2nplus1", 6), ("vlplus-orbifold", 1),
+    ("toric-code", None), ("ising-square", None),
 ])
 def test_correspondence_clean_everywhere(family, n):
     rep = verify_correspondence(bundle(family, n), swr=swr(family, n))
