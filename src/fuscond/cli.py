@@ -16,7 +16,7 @@ import mpmath as mp
 
 from . import families
 from .condense import (CondensationBundle, check_bundle, codegree_check,
-                       indicator, schur_weyl)
+                       indicator, indicator_refusal, schur_weyl)
 from .cyclotomic import TOL
 from .errors import (CapabilityError, NumericalDegeneracyError, SchemaError,
                      TheoremViolationError)
@@ -162,14 +162,19 @@ def cmd_example(args) -> int:
 
 def cmd_indicators(args) -> int:
     b = _load_bundle(args.input)
-    if _checks_fail(b, args, f"## indicators {args.input} x={args.x}"):
+    header = f"## indicators {args.input} x={args.x}"
+    if _checks_fail(b, args, header):
         return 1
     try:
         xi = b.ambient.labels.index(args.x)
     except ValueError:
         raise SchemaError(f"no ambient label {args.x!r}")
-    swr = schur_weyl(b, tol=args.tol, seed=_seed())
-    print(f"## indicators {args.input} x={args.x}")
+    # an x that no block can match is refused without the split
+    refusal = indicator_refusal(b, xi)
+    swr = None if refusal else schur_weyl(b, tol=args.tol, seed=_seed())
+    print(header)
+    if refusal:
+        raise refusal
     rank = b.module_ring.rank
     for y in range(rank):
         vec = [0] * rank

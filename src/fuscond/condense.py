@@ -30,12 +30,12 @@ from .errors import (
     ValidationReport,
 )
 from .modular import (ModularData, dims as modular_dims,
-                      validate as validate_modular, verlinde)
+                      validate as validate_modular)
 from .ring import (BasedRing, DimVector, _sparse_product, check_basis, closure,
                    fp_dims, validate)
 from .wedderburn import (SPLIT_SEED, AssocAlgebra, _cmp_tol, _combine,
                          _mantissas, _quotient, _sup, block_profiles,
-                         character_table, character_values)
+                         character_table)
 
 MATCH_ACCEPT = 1e-6
 MATCH_REJECT = 1e-3
@@ -45,7 +45,8 @@ MATCH_REJECT = 1e-3
 class Ambient:
     """What we know about the ambient category, at one of three levels:
     full modular data, fusion ring plus dims and twists, or a bare table of
-    labels, dims and twists."""
+    labels, dims and twists.  A modular ambient holds no fusion ring:
+    nothing reads one, and modular.validate checks Verlinde integrality."""
     labels: tuple
     dual: tuple
     dims: DimVector
@@ -77,7 +78,7 @@ class Ambient:
     @classmethod
     def from_modular(cls, md: ModularData) -> "Ambient":
         return cls(labels=md.labels, dual=md.dual, dims=modular_dims(md),
-                   twists=md.twists, ring=verlinde(md), modular=md)
+                   twists=md.twists, modular=md)
 
     @classmethod
     def from_ring(cls, ring: BasedRing, dims, twists=None) -> "Ambient":
@@ -107,49 +108,54 @@ class Ambient:
     def _exact_global_dim(self):
         return self.dims.total()
 
+    @property
+    def has_character_rows(self) -> bool:
+        """Modular data, or a ring with twists: character_row's inputs."""
+        return self.modular is not None or (self.ring is not None
+                                            and self.twists is not None)
+
     def character_row(self, x: int):
         """The pattern y -> S(x*, y)/d(x) as numeric values.
 
         With full modular data this is an S-matrix row.  With only a fusion
         ring, dims and twists it is recovered through the balancing
         identity S(a,b) = (1/(theta_a theta_b)) sum_c N[a,b,c] theta_c d_c,
-        which is what the ribbon structure forces.  Returns None when
-        neither route has enough data.
+        which is what the ribbon structure forces.  Returns None without
+        character rows.
         """
+        if not self.has_character_rows:
+            return None
         xs = self.dual[x]
         if self.modular is not None:
             s = self.modular.s
             dx = as_mpc(s[0][xs])
             return [as_mpc(s[xs][y]) / dx for y in range(self.rank)]
-        if self.ring is not None and self.twists is not None:
-            # twists and dims converted once per working precision, so
-            # that no value leaks from one context into another, and the
-            # theta d mantissas shared by every x of one analysis
-            if mp.mp.prec not in self._numeric:
-                th = [as_mpc(t) for t in self.twists]
-                dv = [as_mpc(v) for v in self.dims.values]
-                self._numeric[mp.mp.prec] = (
-                    th, dv, _mantissas([t * d for t, d in zip(th, dv)]),
-                    _mantissas([1 / t for t in th]))
-            cached = self._numeric[mp.mp.prec]
-            th, dv, (tre, tim, texp), (ire, iim, iexp) = cached
-            # sum_z N[x*, y, z] theta_z d_z, exact over the mantissas
-            F = self.ring.fusion[xs]
-            ys, zs = np.nonzero(F)
-            nre, nim = [0] * self.rank, [0] * self.rank
-            for y, z, c in zip(ys.tolist(), zs.tolist(), F[ys, zs].tolist()):
-                nre[y] += c * tre[z]
-                nim[y] += c * tim[z]
-            # times 1/theta_y and 1/(theta_x* d_x*), one rounding per part
-            (sre,), (sim,), sexp = _mantissas([1 / (th[xs] * dv[xs])])
-            exp = texp + iexp + sexp
-            row = []
-            for a, b, c, d in zip(nre, nim, ire, iim):
-                re, im = a * c - b * d, a * d + b * c
-                row.append(mp.mpc(mp.mpf((re * sre - im * sim, exp)),
-                                  mp.mpf((re * sim + im * sre, exp))))
-            return row
-        return None
+        # twists and dims converted once per working precision, so that no
+        # value leaks from one context into another, and the theta d
+        # mantissas shared by every x of one analysis
+        if mp.mp.prec not in self._numeric:
+            th = [as_mpc(t) for t in self.twists]
+            dv = [as_mpc(v) for v in self.dims.values]
+            self._numeric[mp.mp.prec] = (
+                th, dv, _mantissas([t * d for t, d in zip(th, dv)]),
+                _mantissas([1 / t for t in th]))
+        th, dv, (tre, tim, texp), (ire, iim, iexp) = self._numeric[mp.mp.prec]
+        # sum_z N[x*, y, z] theta_z d_z, exact over the mantissas
+        F = self.ring.fusion[xs]
+        ys, zs = np.nonzero(F)
+        nre, nim = [0] * self.rank, [0] * self.rank
+        for y, z, c in zip(ys.tolist(), zs.tolist(), F[ys, zs].tolist()):
+            nre[y] += c * tre[z]
+            nim[y] += c * tim[z]
+        # times 1/theta_y and 1/(theta_x* d_x*), one rounding per part
+        (sre,), (sim,), sexp = _mantissas([1 / (th[xs] * dv[xs])])
+        exp = texp + iexp + sexp
+        row = []
+        for a, b, c, d in zip(nre, nim, ire, iim):
+            re, im = a * c - b * d, a * d + b * c
+            row.append(mp.mpc(mp.mpf((re * sre - im * sim, exp)),
+                              mp.mpf((re * sim + im * sre, exp))))
+        return row
 
     def __repr__(self):
         kind = ("modular" if self.modular is not None
@@ -284,22 +290,15 @@ def check_bundle(b: CondensationBundle, tol=TOL) -> ValidationReport:
     return rep
 
 
-def _dim_mantissas(dA: DimVector) -> tuple:
-    """The module dims as d_y = w_y 2**f: integer mantissas w over one
-    exponent f (the real parts; the dims are real)."""
-    w, _, f = _mantissas(dA.values)
-    return w, f
-
-
 def _check_averaging(ring: BasedRing, sub: tuple, dims) -> int:
     """Check that sub is a subring whose averaging idempotent
     e_B = sum_{y in B} d_y y / sum_{y in B} d_y^2 satisfies e_B^2 = e_B
     within TOL, and return D = sum_{y in B} w_y^2 for the mantissas
-    dims = (w, f) of d.  With P = w_B * w_B, exactly,
-    (e_B^2 - e_B)_k D^2 = P_k 2**(-2f) - w_k D 2**(-f)."""
+    dims = _mantissas(d) = (w, _, f) of the real d.  With P = w_B * w_B,
+    exactly, (e_B^2 - e_B)_k D^2 = P_k 2**(-2f) - w_k D 2**(-f)."""
     if closure(ring, sub) != frozenset(sub):
         raise SchemaError(f"{sub} is not a subring of the module ring")
-    w, f = dims
+    w, _, f = dims
     wb = [0] * ring.rank
     for y in sub:
         wb[y] = w[y]
@@ -322,7 +321,7 @@ def e_sub(b: CondensationBundle, sub) -> list:
     """
     ring = b.module_ring
     sub = tuple(sorted(int(i) for i in sub))
-    _check_averaging(ring, sub, _dim_mantissas(b.dA))
+    _check_averaging(ring, sub, _mantissas(b.dA.values))
     d = b.dA.scalars()
     inv = 1 / b.dA.total(sub)
     return [d[y] * inv if y in sub else 0 for y in range(ring.rank)]
@@ -335,7 +334,6 @@ class SchurWeylReport:
     e1: tuple
     blocks: tuple
     in_ideal: tuple
-    characters: tuple
     character_mantissas: tuple
     matched: tuple
     kernel_dim: int
@@ -347,6 +345,16 @@ class SchurWeylReport:
 
     def matched_pairs(self):
         return [(i, x) for i, x in enumerate(self.matched) if x is not None]
+
+    @cached_property
+    def characters(self) -> tuple:
+        """The character table as mpmath numbers at the working precision
+        of the first read: chi_b(z) = mpc(re 2**exp, im 2**exp) / m."""
+        re, im, exp = self.character_mantissas
+        return tuple(
+            tuple(mp.mpc(mp.mpf((r, exp)), mp.mpf((i, exp))) / bp.m
+                  for r, i in zip(rr, ii))
+            for rr, ii, bp in zip(re, im, self.blocks))
 
     def block_value(self, bi: int, a) -> mp.mpc:
         """Irreducible character of block bi at the element a, computed
@@ -414,84 +422,83 @@ def schur_weyl(b: CondensationBundle, tol=TOL, seed=SPLIT_SEED) -> SchurWeylRepo
     # mantissas; all later trace computations are linear combinations of
     # these
     table = character_table(alg, blocks)
-    characters = character_values(table, blocks)
 
     matched = [None] * len(blocks)
-    matching_skipped = True
-    if b.induction is not None:
-        patterns = {}
-        for x, n in enumerate(b.mult):
-            if n > 0:
-                row = amb.character_row(x)
-                if row is None:
-                    patterns = None
-                    break
-                patterns[x] = row
-        if patterns is not None:
-            matching_skipped = False
-            re, im, exp = table
-            # the patterns' mantissas, aligned with the table's at one
-            # exponent f <= exp
-            pat = {x: _mantissas(row) for x, row in patterns.items()}
-            f = min([exp] + [e for _, _, e in pat.values()])
-            pat = {x: ([v << (e - f) for v in pr], [v << (e - f) for v in pi])
-                   for x, (pr, pi, e) in pat.items()}
-            M = b.induction
-            ind = [[(int(z), int(M[y, z])) for z in np.nonzero(M[y])[0]]
-                   for y in range(amb.rank)]
-            for bi, (bp, flag) in enumerate(zip(blocks, in_ideal)):
-                if not flag:
-                    continue
-                # m (M chi)_y = sum_z M[y, z] (re + 1j im)[z] 2**exp; the
-                # fit of x is sqrt(sum_y |(M chi)_y / m - row_y|^2 / rank),
-                # whose terms are exact integers times 2**(2f) / m**4
-                mre = [sum(c * re[bi][z] for z, c in r) << (exp - f)
-                       for r in ind]
-                mim = [sum(c * im[bi][z] for z, c in r) << (exp - f)
-                       for r in ind]
-                m2 = bp.m * bp.m
-                scored = []
-                for x, (pr, pi) in pat.items():
-                    if b.mult[x] != bp.m:
-                        continue
-                    d2 = (sum((a - m2 * p) ** 2 for a, p in zip(mre, pr))
-                          + sum((a - m2 * p) ** 2 for a, p in zip(mim, pi)))
-                    fit = mp.sqrt(_quotient(d2, 2 * f, m2 * m2 * amb.rank))
-                    scored.append((float(fit), x))
-                scored.sort()
-                if not scored:
-                    continue
-                best, x_best = scored[0]
-                second = scored[1][0] if len(scored) > 1 else None
-                if best < MATCH_ACCEPT and (second is None or second > MATCH_REJECT):
-                    matched[bi] = x_best
-                    notes.append(
-                        f"block m={bp.m} matched {amb.labels[x_best]} "
-                        f"(fit {best:.2e})")
-                else:
-                    notes.append(
-                        f"block m={bp.m} left unmatched (best fit {best:.2e})")
-            taken = [x for x in matched if x is not None]
-            if len(set(taken)) != len(taken):
-                raise TheoremViolationError(
-                    "two blocks matched the same ambient simple; "
-                    "Theorem blocks must be distinct")
+    matching_skipped = b.induction is None or not amb.has_character_rows
     if matching_skipped:
         notes.append("matching skipped: needs induction plus ambient "
                      "S-matrix or fusion ring with twists")
+    else:
+        re, im, exp = table
+        # the patterns' mantissas, aligned with the table's at one
+        # exponent f <= exp
+        pat = {x: _mantissas(amb.character_row(x))
+               for x, n in enumerate(b.mult) if n > 0}
+        f = min([exp] + [e for _, _, e in pat.values()])
+        pat = {x: ([v << (e - f) for v in pr], [v << (e - f) for v in pi])
+               for x, (pr, pi, e) in pat.items()}
+        M = b.induction
+        ind = [[(int(z), int(M[y, z])) for z in np.nonzero(M[y])[0]]
+               for y in range(amb.rank)]
+        for bi, (bp, flag) in enumerate(zip(blocks, in_ideal)):
+            if not flag:
+                continue
+            # m (M chi)_y = sum_z M[y, z] (re + 1j im)[z] 2**exp; the
+            # fit of x is sqrt(sum_y |(M chi)_y / m - row_y|^2 / rank),
+            # whose terms are exact integers times 2**(2f) / m**4
+            mre = [sum(c * re[bi][z] for z, c in r) << (exp - f) for r in ind]
+            mim = [sum(c * im[bi][z] for z, c in r) << (exp - f) for r in ind]
+            m2 = bp.m * bp.m
+            scored = []
+            for x, (pr, pi) in pat.items():
+                if b.mult[x] != bp.m:
+                    continue
+                d2 = (sum((a - m2 * p) ** 2 for a, p in zip(mre, pr))
+                      + sum((a - m2 * p) ** 2 for a, p in zip(mim, pi)))
+                fit = mp.sqrt(_quotient(d2, 2 * f, m2 * m2 * amb.rank))
+                scored.append((float(fit), x))
+            scored.sort()
+            if not scored:
+                continue
+            best, x_best = scored[0]
+            second = scored[1][0] if len(scored) > 1 else None
+            if best < MATCH_ACCEPT and (second is None or second > MATCH_REJECT):
+                matched[bi] = x_best
+                notes.append(
+                    f"block m={bp.m} matched {amb.labels[x_best]} "
+                    f"(fit {best:.2e})")
+            else:
+                notes.append(
+                    f"block m={bp.m} left unmatched (best fit {best:.2e})")
+        taken = [x for x in matched if x is not None]
+        if len(set(taken)) != len(taken):
+            raise TheoremViolationError(
+                "two blocks matched the same ambient simple; "
+                "Theorem blocks must be distinct")
 
     return SchurWeylReport(
         bundle=b, alg=alg, e1=tuple(e1), blocks=tuple(blocks),
-        in_ideal=tuple(in_ideal), characters=characters,
-        character_mantissas=table, matched=tuple(matched),
-        kernel_dim=kernel_dim, matching_skipped=matching_skipped,
-        notes=tuple(notes))
+        in_ideal=tuple(in_ideal), character_mantissas=table,
+        matched=tuple(matched), kernel_dim=kernel_dim,
+        matching_skipped=matching_skipped, notes=tuple(notes))
 
 
-def _resolve_x(swr: SchurWeylReport, x):
-    if isinstance(x, str):
-        x = swr.bundle.ambient.index(x)
-    return int(x)
+def _unmatched(amb: Ambient, xi: int) -> CapabilityError:
+    return CapabilityError(
+        f"no block is matched to {amb.labels[xi]}; matching needs ambient "
+        "S-matrix (or ring with twists) plus the induction matrix")
+
+
+def indicator_refusal(b: CondensationBundle, xi: int):
+    """The error indicator raises for the ambient index xi whatever the
+    split, or None: xi does not occur in the algebra, or the bundle cannot
+    match any block."""
+    if b.mult[xi] == 0:
+        return SchemaError(f"{b.ambient.labels[xi]} does not occur in the "
+                           "algebra")
+    if b.induction is None or not b.ambient.has_character_rows:
+        return _unmatched(b.ambient, xi)
+    return None
 
 
 def indicator(swr: SchurWeylReport, x, a):
@@ -499,17 +506,14 @@ def indicator(swr: SchurWeylReport, x, a):
     the normalized trace of a in the block matched to x.  At the unit this
     is n_x; on local elements it is n_x d_A; on an induction column alpha(y)
     it reproduces n_x S(x*, y)/d(x)."""
-    xi = _resolve_x(swr, x)
-    if swr.bundle.mult[xi] == 0:
-        raise SchemaError(
-            f"{swr.bundle.ambient.labels[xi]} does not occur in the algebra")
+    xi = swr.bundle.ambient.index(x) if isinstance(x, str) else int(x)
+    refusal = indicator_refusal(swr.bundle, xi)
+    if refusal is not None:
+        raise refusal
     for bi, xm in swr.matched_pairs():
         if xm == xi:
             return swr.block_value(bi, a)
-    raise CapabilityError(
-        "no block is matched to "
-        f"{swr.bundle.ambient.labels[xi]}; matching needs ambient S-matrix "
-        "(or ring with twists) plus the induction matrix")
+    raise _unmatched(swr.bundle.ambient, xi)
 
 
 def block_dims(swr: SchurWeylReport, tol: float) -> dict:

@@ -22,8 +22,6 @@ from functools import lru_cache
 
 import mpmath as mp
 
-from .errors import NumericalDegeneracyError
-
 ORDER_CAP = 2400
 TOL = 1e-9
 # Absolute, not derived from mp.dps: float64-encoded inputs carry about
@@ -172,16 +170,6 @@ def _zeta_floats(order: int) -> tuple:
 def working_tol():
     """Tolerance at the working precision: eight digits short of mp.dps."""
     return mp.mpf(10) ** (8 - mp.mp.dps)
-
-
-def round_int(val, what: str) -> int:
-    """The integer nearest to the numeric value val, which must lie within
-    ROUND_TOL of it; what names the value in the error."""
-    n = int(mp.nint(mp.re(val)))
-    if abs(val - n) > ROUND_TOL:
-        raise NumericalDegeneracyError(
-            f"{what} = {complex(val)} is not within {ROUND_TOL} of an integer")
-    return n
 
 
 class Cyc:

@@ -13,15 +13,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import mpmath as mp
 import numpy as np
 
 from .condense import (CondensationBundle, SchurWeylReport, _check_averaging,
-                       _dim_mantissas, block_dims)
-from .cyclotomic import ROUND_TOL, TOL, as_mpc
+                       block_dims)
+from .cyclotomic import TOL, as_mpc
 from .errors import NumericalDegeneracyError, TheoremViolationError
 from .ring import enumerate_subrings
-from .wedderburn import _cmp_tol, _quotient
+from .wedderburn import _mantissas, _round_quotient
 
 
 def lattice(b: CondensationBundle) -> list:
@@ -35,7 +34,13 @@ def _trivial_block(swr: SchurWeylReport) -> int:
     """The ideal block whose character is the dimension function itself:
     the block of the invariant subalgebra of the full module ring."""
     b = swr.bundle
-    chi = np.array(swr.characters, dtype=complex)
+    # chi_b(z) = (re + 1j im)_b[z] 2**exp / m_b in float64, each part one
+    # correctly rounded integer division
+    re, im, exp = swr.character_mantissas
+    s = max(exp, 0)
+    dens = [bp.m << (s - exp) for bp in swr.blocks]
+    chi = [[complex((r << s) / d, (i << s) / d) for r, i in zip(rr, ii)]
+           for rr, ii, d in zip(re, im, dens)]
     gap = np.where(swr.in_ideal,
                    np.abs(chi - b.dA.as_floats()).sum(axis=1), np.inf)
     best = int(np.argmin(gap))
@@ -55,25 +60,11 @@ class InvariantSubalgebra:
     ambient_vector: tuple | None
 
 
-def _round_quotient(re: int, im: int, exp: int, den: int, what: str) -> int:
-    """The integer nearest to v = (re + 1j im) 2**exp / den, for den > 0,
-    which must lie within ROUND_TOL of it: round_int's test as one exact
-    integer comparison."""
-    s = max(exp, 0)
-    re, im, den = re << s, im << s, den << (s - exp)
-    n = (2 * re + den) // (2 * den)
-    if _cmp_tol((re - n * den) ** 2 + im * im, 0, ROUND_TOL, den) > 0:
-        val = mp.mpc(_quotient(re, 0, den), _quotient(im, 0, den))
-        raise NumericalDegeneracyError(
-            f"{what} = {complex(val)} is not within {ROUND_TOL} of an integer")
-    return n
-
-
 def invariant_subalgebra(swr: SchurWeylReport, sub,
                          dims=None) -> InvariantSubalgebra:
     """Multiplicities n'_b = chi_b(e_B) of the invariant subalgebra.
 
-    With the module dims as d_y = w_y 2**f (dims, as from _dim_mantissas;
+    With the module dims as d_y = w_y 2**f (dims = _mantissas(b.dA.values),
     computed here when not given) and m chi_b(y) = (re + 1j im)_b[y] 2**exp
     from the character table,
     n'_b = sum_{y in B} w_y (re + 1j im)_b[y] 2**(exp - f)
@@ -88,9 +79,9 @@ def invariant_subalgebra(swr: SchurWeylReport, sub,
     b = swr.bundle
     sub = tuple(sorted(int(i) for i in sub))
     if dims is None:
-        dims = _dim_mantissas(b.dA)
+        dims = _mantissas(b.dA.values)
     D = _check_averaging(b.module_ring, sub, dims)
-    w, f = dims
+    w, _, f = dims
     re, im, exp = swr.character_mantissas
     block_indices, n_prime = [], []
     for bi, bp in enumerate(swr.blocks):
@@ -179,7 +170,7 @@ def verify_correspondence(b: CondensationBundle, tol: float = TOL, *,
     ideal_idx = tuple(bi for bi, f in enumerate(swr.in_ideal) if f)
     triv_pos = ideal_idx.index(trivial)
 
-    dims = _dim_mantissas(b.dA)
+    dims = _mantissas(b.dA.values)
     entries = []
     for sub in subs:
         inv = invariant_subalgebra(swr, sub, dims)

@@ -106,7 +106,8 @@ def validate(md: ModularData, tol=TOL) -> ValidationReport:
     duality (S^2 = dim C) run in float64 on s_complex(): their bound
     tol * max(1, dim) is far above the float64 error, about
     R max|S|^2 eps (1e-11 at R = 121).  The comparisons are NaN-safe, so
-    a NaN entry fails them.
+    a NaN entry fails them.  The last check is Verlinde integrality: the
+    coefficient verlinde refuses is one more problem.
     """
     rep = ValidationReport()
     r = md.rank
@@ -147,6 +148,10 @@ def validate(md: ModularData, tol=TOL) -> ValidationReport:
         if not _is_root_of_unity(t, tol):
             rep.add(f"twist {j} is not a root of unity (order cap {TWIST_ORDER_CAP})")
 
+    try:
+        verlinde(md)
+    except NumericalDegeneracyError as err:
+        rep.add(str(err))
     return rep
 
 
@@ -157,8 +162,8 @@ def verlinde(md: ModularData) -> BasedRing:
     dim = sum_t |S[0][t]|^2, as one float64 (rank^2, rank) @ (rank, rank)
     product.  The outputs are integers, so float64 suffices at any working
     precision: the first coefficient, in (i, j, k) order, that lies beyond
-    ROUND_TOL of an integer (the rule of cyclotomic.round_int) or rounds
-    below 0 is refused, since then the data was not modular to begin with.
+    ROUND_TOL of an integer or rounds below 0 is refused, since then the
+    data was not modular to begin with.
     """
     r = md.rank
     S = md.s_complex()

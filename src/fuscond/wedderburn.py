@@ -41,7 +41,7 @@ import mpmath as mp
 import numpy as np
 from mpmath.libmp import from_int, from_man_exp, mpf_div, round_nearest
 
-from .cyclotomic import TOL, as_mpc, round_int, working_tol
+from .cyclotomic import ROUND_TOL, TOL, as_mpc, working_tol
 from .errors import NotSemisimpleError, NumericalDegeneracyError, SchemaError
 from .ring import _nonzero_rows, _sparse_product
 
@@ -203,6 +203,20 @@ def _quotient(num: int, exp: int, den: int) -> mp.mpf:
                                   mp.mp.prec, round_nearest))
 
 
+def _round_quotient(re: int, im: int, exp: int, den: int, what: str) -> int:
+    """The integer nearest to v = (re + 1j im) 2**exp / den, for den > 0,
+    which must lie within ROUND_TOL of it, tested as one exact integer
+    comparison; what names the value in the error."""
+    s = max(exp, 0)
+    re, im, den = re << s, im << s, den << (s - exp)
+    n = (2 * re + den) // (2 * den)
+    if _cmp_tol((re - n * den) ** 2 + im * im, 0, ROUND_TOL, den) > 0:
+        val = mp.mpc(_quotient(re, 0, den), _quotient(im, 0, den))
+        raise NumericalDegeneracyError(
+            f"{what} = {complex(val)} is not within {ROUND_TOL} of an integer")
+    return n
+
+
 def center_basis(alg: AssocAlgebra) -> np.ndarray:
     """Orthonormal float64 basis of the center, one vector per row: the
     nullspace of the stacked commutator constraints z * b_i - b_i * z = 0."""
@@ -317,9 +331,8 @@ def block_profiles(alg: AssocAlgebra, seed=SPLIT_SEED) -> list:
     out = []
     for e in _split(alg, seed):
         re, im, exp = e
-        tr = mp.mpc(mp.mpf((alg.trace_left_mult(re), exp)),
-                    mp.mpf((alg.trace_left_mult(im), exp)))
-        bd = round_int(tr, "block dimension trace")
+        bd = _round_quotient(alg.trace_left_mult(re), alg.trace_left_mult(im),
+                             exp, 1, "block dimension trace")
         m = int(round(bd ** 0.5))
         if m * m != bd:
             raise NotSemisimpleError(
@@ -349,13 +362,3 @@ def character_table(alg: AssocAlgebra, blocks) -> tuple:
     return (tuple(tuple(x << (e - exp) for x in re) for e, re, _ in rows),
             tuple(tuple(x << (e - exp) for x in im) for e, _, im in rows),
             exp)
-
-
-def character_values(table, blocks) -> tuple:
-    """The characters of character_table as mpmath numbers:
-    chi_b(z) = mpc(re 2**exp, im 2**exp) / m."""
-    re, im, exp = table
-    return tuple(
-        tuple(mp.mpc(mp.mpf((r, exp)), mp.mpf((i, exp))) / bp.m
-              for r, i in zip(rr, ii))
-        for rr, ii, bp in zip(re, im, blocks))

@@ -17,6 +17,7 @@ from fuscond import ring as ring_module
 from fuscond.cli import DIGITS_FLOOR, main
 from fuscond.condense import schur_weyl
 from fuscond.cyclotomic import working_tol
+from fuscond.modular import ModularData
 from fuscond.ring import DimVector
 from fuscond.wedderburn import (SPLIT_SEED, AssocAlgebra, _profile_key,
                                 block_profiles)
@@ -236,6 +237,31 @@ def test_indicators_bad_label_splits_nothing(tmp_path, monkeypatch, capsys):
     assert calls == []
 
 
+@pytest.mark.parametrize("x,message", [
+    ("1.1", "error: no block is matched to 1.1; matching needs ambient "
+            "S-matrix (or ring with twists) plus the induction matrix"),
+    ("j.c+", "error: j.c+ does not occur in the algebra"),
+], ids=["unmatchable", "not-in-algebra"])
+def test_indicators_refusal_splits_nothing(tmp_path, monkeypatch, capsys, x,
+                                           message):
+    # a2nplus1 has a table ambient and no induction matrix, so no block
+    # can be matched to any x; n_x = 0 for j.c+
+    calls = []
+    split = condense_module.block_profiles
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return split(*args, **kwargs)
+    monkeypatch.setattr(condense_module, "block_profiles", counted)
+    path = _emit(tmp_path, "a2nplus1", 1)
+    capsys.readouterr()
+    assert main(["indicators", path, "--x", x]) == 2
+    out, err = capsys.readouterr()
+    assert out == f"## indicators {path} x={x}\n"
+    assert err == message + "\n"
+    assert calls == []
+
+
 def _floats(obj):
     """The JSON object with every exact cyclotomic scalar re-encoded as
     {"re", "im"} floats."""
@@ -425,18 +451,23 @@ def _move_s(mtc):
     mtc["s_matrix"][1][1] = serialize.emit_scalar(1.01)
 
 
+_VERLINDE_FAIL = ("- FAIL: ambient: verlinde coefficient (0,0,1) = "
+                  "(0.0024999999999999467+0j) is not within 1e-06 of an "
+                  "integer")
+
 # A broken modular ambient in a toric-code bundle.  A twist off the roots
 # of unity (n_m = 0, so only the ambient's own axioms see it) is a failed
-# check; an S entry moved by 0.01 is refused when the bundle is parsed,
-# since its Verlinde coefficients are not integers.
+# check; so is an S entry moved by 0.01, whose Verlinde coefficients are
+# not integers.
 BROKEN_AMBIENT = [
     (_twist_m, "validate", 1,
      "- FAIL: ambient: twist 2 is not a root of unity (order cap 10000)"),
     (_twist_m, "analyze", 1,
      "- FAIL: ambient: twist 2 is not a root of unity (order cap 10000)"),
-    (_move_s, "validate", 3, "verlinde coefficient (0,0,1) = "),
-    (_move_s, "analyze", 3, "verlinde coefficient (0,0,1) = "),
-    (_move_s, "galois", 3, "verlinde coefficient (0,0,1) = "),
+    (_move_s, "validate", 1, _VERLINDE_FAIL),
+    (_move_s, "analyze", 1, _VERLINDE_FAIL),
+    (_move_s, "galois", 1, _VERLINDE_FAIL),
+    (_move_s, "indicators", 1, _VERLINDE_FAIL),
 ]
 
 
@@ -450,13 +481,28 @@ def test_broken_modular_ambient_exit_codes(tmp_path, capsys, edit, verb,
     path = tmp_path / "broken.json"
     path.write_text(serialize.dumps(obj), encoding="utf-8")
     capsys.readouterr()
-    assert main([verb, str(path)]) == code
+    extra = ["--x", "1"] if verb == "indicators" else []
+    assert main([verb, str(path)] + extra) == code
     captured = capsys.readouterr()
-    if code == 1:
-        assert text in captured.out.splitlines()
-    else:
-        assert text in captured.err
-        assert "is not within 1e-06 of an integer" in captured.err
+    assert text in captured.out.splitlines()
+    assert captured.err == ""
+
+
+def test_non_integral_verlinde_fails_validate(tmp_path, capsys):
+    # unit, symmetry, unitarity, S^2 and the twists all pass; only the
+    # Verlinde coefficient N_xx^x = 5/6 shows the data is not modular
+    md = ModularData(labels=("1", "x"), dual=(0, 1),
+                     s=((1.0, 1.5), (1.5, -1.0)), twists=(1.0, -1.0))
+    path = str(tmp_path / "mtc.json")
+    serialize.write_path(md, path)
+    capsys.readouterr()
+    assert main(["validate", path]) == 1
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "- FAIL: verlinde coefficient (1,1,1) = (0.8333333333333334+0j) is "
+        "not within 1e-06 of an integer"]
+    # the coset bundle needs the module ring, which such data cannot give
+    assert main(["example", "coset-diagonal", "--mtc", path]) == 3
+    assert "verlinde coefficient (1,1,1)" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [["galois"], ["indicators", "--x", "1"]],

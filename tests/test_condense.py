@@ -22,6 +22,7 @@ from fuscond import families, serialize
 from fuscond.cli import main
 from fuscond.cyclotomic import TOL, Cyc, as_mpc, working_tol
 from fuscond.errors import CapabilityError, SchemaError, TheoremViolationError
+from fuscond.modular import verlinde
 from fuscond.ring import BasedRing, group_ring
 
 from grouptables import cyclic, symmetric
@@ -50,7 +51,7 @@ def trivial_toric_bundle():
     ambient = Ambient.from_modular(toric_data())
     return CondensationBundle(
         algebra=CondensableAlgebra(ambient=ambient, mult=(1, 0, 0, 0)),
-        module_ring=ambient.ring,
+        module_ring=verlinde(toric_data()),
         dA=(1, 1, 1, 1),
         induction=np.eye(4, dtype=np.int64),
         local=(0, 1, 2, 3),
@@ -376,7 +377,7 @@ def test_self_duality_checked():
     ambient = Ambient.from_modular(md)
     b = CondensationBundle(
         algebra=CondensableAlgebra(ambient=ambient, mult=(1, 1, 0)),
-        module_ring=ambient.ring, dA=(1, 1, 1), induction=None,
+        module_ring=verlinde(md), dA=(1, 1, 1), induction=None,
         local=(0, 1, 2))
     rep = check_bundle(b)
     assert not rep.ok
@@ -522,8 +523,9 @@ def test_exact_contractions_match_the_mpmath_loops(family, n, dps):
         tol = working_tol()
         b = r.bundle
         amb = b.ambient
-        # a2nplus1 n >= 2 has a table ambient, so no matching
-        assert r.matching_skipped == (amb.ring is None)
+        # a2nplus1 has a table ambient and no induction, so no matching
+        assert r.matching_skipped == (b.induction is None
+                                      or not amb.has_character_rows)
         if not r.matching_skipped:
             dv = [abs(as_mpc(d)) for d in amb.dims.values]
             row_terms = {x: _row_terms(amb, x, dv)

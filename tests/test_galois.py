@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from fuscond.condense import e_sub, schur_weyl
-from fuscond.cyclotomic import TOL, as_mpc, round_int
+from fuscond.cyclotomic import TOL, as_mpc
 from fuscond.errors import (NumericalDegeneracyError, SchemaError,
                             TheoremViolationError)
 from fuscond.galois import (
@@ -31,6 +31,7 @@ from fuscond.galois import (
 from fuscond.ring import BasedRing, element_product
 
 from cached_bundles import bundle, swr
+from test_wedderburn import round_int
 
 
 def named_vector(b, entry):

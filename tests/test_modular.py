@@ -308,7 +308,8 @@ def test_families_su2_matches_both_generators():
 def reference_validate(md, tol=TOL):
     """modular.validate as it was with its mpmath Gram loops at the working
     precision, the reference for the float64 products.  The comparisons are
-    written NaN-safe (not x <= bound), as the float64 checks are."""
+    written NaN-safe (not x <= bound), as the float64 checks are.  The
+    Verlinde integrality check is the package's own."""
     rep = ValidationReport()
     r = md.rank
     S = md.s_numeric()
@@ -348,6 +349,10 @@ def reference_validate(md, tol=TOL):
     for j, t in enumerate(md.twists):
         if not _is_root_of_unity(t, tol):
             rep.add(f"twist {j} is not a root of unity (order cap {TWIST_ORDER_CAP})")
+    try:
+        verlinde(md)
+    except NumericalDegeneracyError as err:
+        rep.add(str(err))
     return rep
 
 
@@ -386,7 +391,11 @@ def _pinning_cases():
     asym = ((1.0, 1.0), (2.0, 1.0))
     pair = ModularData(labels=("1", "x"), dual=(0, 1), s=asym,
                        twists=(1.0, 1.0))
+    # passes every check but Verlinde integrality: N_xx^x = 5/6
+    fake = ModularData(labels=("1", "x"), dual=(0, 1),
+                       s=((1.0, 1.5), (1.5, -1.0)), twists=(1.0, -1.0))
     out += [("asymmetric", pair, False),
+            ("non-integral-verlinde", fake, False),
             ("asymmetric-transposed", _with_s(pair, tuple(zip(*asym))), False),
             ("z3", _z3((0, 2, 1)), True),
             ("z3-wrong-dual", _z3((0, 1, 2)), False),

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fuscond import families
-from fuscond.cyclotomic import TOL, round_int, working_tol
+from fuscond.cyclotomic import ROUND_TOL, TOL, working_tol
 from fuscond.errors import NumericalDegeneracyError, SchemaError
 from fuscond.families import ty_ring
 from fuscond.ring import group_ring, product_ring
@@ -49,6 +49,17 @@ def mpc_product(alg, a, b):
     for i, j, k in np.argwhere(alg.tensor).tolist():
         out[k] += a[i] * b[j] * int(alg.tensor[i, j, k])
     return out
+
+
+def round_int(val, what):
+    """The integer nearest to the mpmath value val, which must lie within
+    ROUND_TOL of it: the rounding rule in mpmath numbers, a reference apart
+    from the exact integer comparison of the package."""
+    n = int(mp.nint(mp.re(val)))
+    if abs(val - n) > ROUND_TOL:
+        raise NumericalDegeneracyError(
+            f"{what} = {complex(val)} is not within {ROUND_TOL} of an integer")
+    return n
 
 
 def block_trace(alg, block, a):
