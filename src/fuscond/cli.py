@@ -25,7 +25,7 @@ from .modular import ModularData
 from .modular import validate as validate_modular
 from .ring import BasedRing
 from .ring import validate as validate_ring
-from .serialize import read_path, write_path
+from .serialize import read_path, read_tagged, write_path
 from .wedderburn import SPLIT_SEED
 
 DIGITS_FLOOR = 15
@@ -57,13 +57,13 @@ def _print_problems(problems) -> None:
 
 
 def cmd_validate(args) -> int:
-    value = read_path(args.input)
+    kind, value = read_tagged(args.input)
     if isinstance(value, BasedRing):
-        kind, problems = "ring.v1", validate_ring(value).problems
+        problems = validate_ring(value).problems
     elif isinstance(value, ModularData):
-        kind, problems = "mtc.v1", validate_modular(value, tol=args.tol).problems
+        problems = validate_modular(value, tol=args.tol).problems
     else:
-        kind, problems = "bundle.v1", check_bundle(value, tol=args.tol).problems
+        problems = check_bundle(value, tol=args.tol).problems
     print(f"## validate {args.input} ({kind})")
     _print_problems(problems)
     return 1 if problems else 0
@@ -144,14 +144,21 @@ def cmd_galois(args) -> int:
 
 
 def cmd_example(args) -> int:
+    header = f"## example {args.name}" + (f" n={args.n}" if args.n else "")
     mtc = None
     if args.mtc is not None:
         value = read_path(args.mtc)
         if not isinstance(value, ModularData):
             raise SchemaError(f"{args.mtc} does not hold an mtc.v1 object")
+        # invalid modular data is refused before anything is built or written
+        problems = validate_modular(value, tol=args.tol).problems
+        if problems:
+            print(header)
+            _print_problems(problems)
+            return 1
         mtc = value
     b = families.build(args.name, n=args.n, mtc=mtc)
-    print(f"## example {args.name}" + (f" n={args.n}" if args.n else ""))
+    print(header)
     print(f"- ambient rank {b.ambient.rank}, module rank "
           f"{b.module_ring.rank}, |local| {len(b.local)}")
     if args.emit:

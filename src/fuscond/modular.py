@@ -149,7 +149,7 @@ def validate(md: ModularData, tol=TOL) -> ValidationReport:
             rep.add(f"twist {j} is not a root of unity (order cap {TWIST_ORDER_CAP})")
 
     try:
-        verlinde(md)
+        _verlinde_tensor(S)
     except NumericalDegeneracyError as err:
         rep.add(str(err))
     return rep
@@ -165,8 +165,13 @@ def verlinde(md: ModularData) -> BasedRing:
     ROUND_TOL of an integer or rounds below 0 is refused, since then the
     data was not modular to begin with.
     """
-    r = md.rank
-    S = md.s_complex()
+    return BasedRing(labels=md.labels, fusion=_verlinde_tensor(md.s_complex()),
+                     dual=md.dual)
+
+
+def _verlinde_tensor(S: np.ndarray) -> np.ndarray:
+    """verlinde's integer tensor from the complex128 S-matrix."""
+    r = len(S)
     dim = np.sum(np.abs(S[0]) ** 2)
     # a zero dimension gives inf or nan, which the residual test rejects
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -183,7 +188,7 @@ def verlinde(md: ModularData) -> BasedRing:
                 f"{what} = {complex(N[i, j, k])} is not within {ROUND_TOL} "
                 f"of an integer")
         raise NumericalDegeneracyError(f"{what} rounds to {int(F[i, j, k])} < 0")
-    return BasedRing(labels=md.labels, fusion=F.astype(np.int64), dual=md.dual)
+    return F.astype(np.int64)
 
 
 def _s_matrix(md: ModularData) -> list:

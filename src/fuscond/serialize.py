@@ -1,8 +1,14 @@
-"""Structured-text schemas ring.v1, mtc.v1 and bundle.v1.
+"""Structured-text schemas ring.v1, ring.v2, mtc.v1 and bundle.v1.
 
 Emission is canonical: fixed key order, floats printed with 17 significant
 digits, exact scalars as cyclotomic coefficient vectors.  emit -> parse ->
 emit is byte-identical.
+
+A ring's fusion tensor is written in whichever encoding holds fewer
+integers.  ring.v1 lists all rank**3 entries row-major; ring.v2 lists the
+nonzero entries as [i, j, k, N] quadruples in strictly increasing (i, j, k)
+order, and is written exactly when 4 * nnz < rank**3.  A ring nested in a
+bundle carries its own tag, so bundle.v1 holds either.
 """
 from __future__ import annotations
 
@@ -10,6 +16,7 @@ import cmath
 import json
 import math
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -19,7 +26,8 @@ from .errors import SchemaError
 from .modular import ModularData
 from .ring import BasedRing, DimVector, fp_dims
 
-SCHEMAS = ("ring.v1", "mtc.v1", "bundle.v1")
+SCHEMAS = ("ring.v1", "ring.v2", "mtc.v1", "bundle.v1")
+FUSION_ENTRY_CAP = 1 << 26  # rank**3 a ring.v2 file may ask to allocate
 
 
 # ------------------------------------------------------------------ scalars
@@ -120,32 +128,86 @@ def _int_list(obj, key, where):
     return val
 
 
-# ------------------------------------------------------------------ ring.v1
+def _int64(values, where) -> np.ndarray:
+    try:
+        return np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        raise SchemaError(f"{where}: integers must fit in 64 bits")
+
+
+# ---------------------------------------------------------- ring.v1, ring.v2
 
 
 def emit_ring(ring: BasedRing) -> dict:
     r = ring.rank
-    flat = [int(v) for v in np.asarray(ring.fusion).reshape(r * r * r)]
-    return {"schema": "ring.v1", "rank": r, "labels": list(ring.labels),
-            "unit": 0, "dual": list(ring.dual), "fusion": flat}
+    flat = np.asarray(ring.fusion).reshape(r * r * r)
+    nz = np.flatnonzero(flat)
+    if 4 * len(nz) < r * r * r:
+        i, j, k = np.unravel_index(nz, (r, r, r))
+        schema, fusion = "ring.v2", np.stack([i, j, k, flat[nz]], 1).tolist()
+    else:
+        schema, fusion = "ring.v1", flat.tolist()
+    return {"schema": schema, "rank": r, "labels": list(ring.labels),
+            "unit": 0, "dual": list(ring.dual), "fusion": fusion}
+
+
+def _sparse_fusion(rows, r, where) -> np.ndarray:
+    """The flat rank**3 tensor of ring.v2 quadruples, each check one
+    C-level or array pass over all of them."""
+    if r ** 3 > FUSION_ENTRY_CAP:
+        raise SchemaError(f"{where}: rank {r} exceeds the cap of "
+                          f"{FUSION_ENTRY_CAP} fusion entries")
+    if not (set(map(type, rows)) <= {list} and set(map(len, rows)) <= {4}):
+        raise SchemaError(f"{where}: fusion rows must be [i, j, k, N] lists")
+    # the exact type test also rejects bool, a subclass of int
+    if not set(map(type, chain.from_iterable(rows))) <= {int}:
+        raise SchemaError(f"{where}: field 'fusion' must hold integers")
+    try:
+        q = np.fromiter(chain.from_iterable(rows), dtype=np.int64,
+                        count=4 * len(rows)).reshape(len(rows), 4)
+    except OverflowError:
+        raise SchemaError(f"{where}: integers must fit in 64 bits")
+    idx, n = q[:, :3], q[:, 3]
+    bad = np.flatnonzero(((idx < 0) | (idx >= r)).any(axis=1))
+    if len(bad):
+        raise SchemaError(f"{where}: fusion row {bad[0]} has an index "
+                          f"outside [0, {r})")
+    bad = np.flatnonzero(n <= 0)
+    if len(bad):
+        raise SchemaError(f"{where}: fusion row {bad[0]} has N <= 0")
+    key = (idx[:, 0] * r + idx[:, 1]) * r + idx[:, 2]
+    bad = np.flatnonzero(np.diff(key) <= 0)
+    if len(bad):
+        raise SchemaError(f"{where}: fusion row {bad[0] + 1} repeats or "
+                          f"precedes the (i, j, k) before it")
+    flat = np.zeros(r * r * r, dtype=np.int64)
+    flat[key] = n
+    return flat
 
 
 def parse_ring(obj) -> BasedRing:
-    where = "ring.v1"
     if not isinstance(obj, dict):
-        raise SchemaError(f"{where}: expected an object")
+        raise SchemaError("ring.v1: expected an object")
+    # a ring without a tag is ring.v1
+    where = obj.get("schema", "ring.v1")
+    if where not in ("ring.v1", "ring.v2"):
+        raise SchemaError(f"unknown ring schema {where!r}")
     r = _need(obj, "rank", int, where)
     labels = _need(obj, "labels", list, where)
     if obj.get("unit", 0) != 0:
         raise SchemaError(f"{where}: unit must be index 0")
     dual = _int_list(obj, "dual", where)
-    flat = _int_list(obj, "fusion", where)
+    sparse = where == "ring.v2"
+    flat = (_need(obj, "fusion", list, where) if sparse
+            else _int_list(obj, "fusion", where))
     if len(labels) != r or len(dual) != r:
         raise SchemaError(f"{where}: labels/dual length disagrees with rank")
-    if len(flat) != r * r * r:
+    if sparse:
+        flat = _sparse_fusion(flat, r, where)
+    elif len(flat) != r * r * r:
         raise SchemaError(f"{where}: fusion needs rank^3 entries, got "
                           f"{len(flat)}")
-    fusion = np.array(flat, dtype=np.int64).reshape(r, r, r)
+    fusion = _int64(flat, where).reshape(r, r, r)
     return BasedRing(labels=tuple(str(x) for x in labels), fusion=fusion,
                      dual=tuple(dual))
 
@@ -264,7 +326,7 @@ def parse_bundle(obj) -> CondensationBundle:
                 or any(isinstance(v, bool) or not isinstance(v, int)
                        for row in raw_m for v in row)):
             raise SchemaError(f"{where}: induction must be an integer matrix")
-        induction = np.array(raw_m, dtype=np.int64)
+        induction = _int64(raw_m, where)
     local = tuple(_int_list(obj, "local", where))
     alg = CondensableAlgebra(ambient=amb, mult=mult)
     return CondensationBundle(algebra=alg, module_ring=module, dA=dA,
@@ -292,7 +354,8 @@ def detect(obj) -> str:
     raise SchemaError("object matches no known schema")
 
 
-_PARSERS = {"ring.v1": parse_ring, "mtc.v1": parse_modular,
+_PARSERS = {"ring.v1": parse_ring, "ring.v2": parse_ring,
+            "mtc.v1": parse_modular,
             "bundle.v1": parse_bundle}
 _EMITTERS = {BasedRing: emit_ring, ModularData: emit_modular,
              CondensationBundle: emit_bundle}
@@ -310,17 +373,28 @@ def emit_any(value) -> dict:
     raise SchemaError(f"cannot emit {type(value).__name__}")
 
 
-def loads(text: str):
+def _loads_tagged(text: str) -> tuple:
+    """(schema tag, value): the tag is the one the text was read as."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as err:
         raise SchemaError(f"not valid JSON: {err}")
-    return parse_any(obj)
+    tag = detect(obj)
+    return tag, _PARSERS[tag](obj)
+
+
+def loads(text: str):
+    return _loads_tagged(text)[1]
+
+
+def read_tagged(path) -> tuple:
+    """(schema tag, value) of a file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return _loads_tagged(fh.read())
 
 
 def read_path(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads(fh.read())
+    return read_tagged(path)[1]
 
 
 def write_path(value, path) -> None:

@@ -500,9 +500,15 @@ def test_non_integral_verlinde_fails_validate(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[1:] == [
         "- FAIL: verlinde coefficient (1,1,1) = (0.8333333333333334+0j) is "
         "not within 1e-06 of an integer"]
-    # the coset bundle needs the module ring, which such data cannot give
-    assert main(["example", "coset-diagonal", "--mtc", path]) == 3
-    assert "verlinde coefficient (1,1,1)" in capsys.readouterr().err
+    # example coset-diagonal validates its --mtc input first: the same
+    # problem, exit 1, and no bundle written
+    out = tmp_path / "b.json"
+    assert main(["example", "coset-diagonal", "--mtc", path,
+                 "--emit", str(out)]) == 1
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "- FAIL: verlinde coefficient (1,1,1) = (0.8333333333333334+0j) is "
+        "not within 1e-06 of an integer"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [["galois"], ["indicators", "--x", "1"]],

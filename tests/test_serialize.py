@@ -1,17 +1,23 @@
 """Schema emit/parse: canonical form, byte-identical round trips, and
 rejection of malformed input."""
+import hashlib
 import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fuscond.cli import main
 from fuscond.condense import check_bundle
 from fuscond.cyclotomic import Cyc
 from fuscond.errors import SchemaError
-from fuscond.families import ising_modular, toric_modular
-from fuscond.ring import group_ring
+from fuscond.families import ising_modular, su2, toric_modular
+from fuscond.modular import verlinde
+from fuscond.ring import BasedRing, group_ring
 from fuscond.serialize import (
+    FUSION_ENTRY_CAP,
     detect,
     dumps,
     emit_bundle,
@@ -134,6 +140,220 @@ def test_ring_rejects_bad_shapes():
         parse_ring(bad)
 
 
+def _dense(ring):
+    """The ring as a ring.v1 object, whatever emit_ring would choose."""
+    return {"schema": "ring.v1", "rank": ring.rank,
+            "labels": list(ring.labels), "unit": 0, "dual": list(ring.dual),
+            "fusion": np.asarray(ring.fusion).reshape(-1).tolist()}
+
+
+@st.composite
+def random_rings(draw):
+    """A rank 1..7 tensor with random support and multiplicities 1..3, and
+    a random involution fixing the unit; no ring axiom is imposed."""
+    r = draw(st.integers(1, 7))
+    cells = draw(st.dictionaries(st.tuples(*[st.integers(0, r - 1)] * 3),
+                                 st.integers(1, 3), max_size=r ** 3))
+    fusion = np.zeros((r, r, r), dtype=np.int64)
+    for ijk, n in cells.items():
+        fusion[ijk] = n
+    rest = draw(st.permutations(range(1, r)))
+    dual = list(range(r))
+    for t in range(draw(st.integers(0, (r - 1) // 2))):
+        a, b = rest[2 * t], rest[2 * t + 1]
+        dual[a], dual[b] = b, a
+    return BasedRing(labels=tuple(f"x{i}" for i in range(r)), fusion=fusion,
+                     dual=tuple(dual))
+
+
+_MEMBERS = ([("a2n", n) for n in (1, 3, 6)] + [("a2nplus1", n) for n in (1, 6)]
+            + [("vlplus-orbifold", 1), ("ising-square", None)]
+            + [("coset-su2", k) for k in (1, 5, 6, 10)])
+
+
+def _check_both_encodings(ring):
+    # dense v1 -> parse -> emit -> parse gives the same tensor
+    back = parse_ring(_dense(ring))
+    obj = emit_ring(back)
+    again = parse_ring(json.loads(dumps(obj)))
+    assert np.array_equal(again.fusion, ring.fusion)
+    assert (again.labels, again.dual) == (ring.labels, ring.dual)
+    # the emitted encoding is the one with fewer integers
+    nnz = int(np.count_nonzero(ring.fusion))
+    sparse = 4 * nnz < ring.rank ** 3
+    assert obj["schema"] == ("ring.v2" if sparse else "ring.v1")
+    assert len(obj["fusion"]) == (nnz if sparse else ring.rank ** 3)
+    # emit -> parse -> emit is byte-identical in both encodings
+    for text in (dumps(_dense(ring)), dumps(obj)):
+        assert dumps(emit_ring(loads(text))) == dumps(obj)
+        assert dumps(_dense(loads(text))) == dumps(_dense(ring))
+
+
+@settings(max_examples=80, deadline=None)
+@given(random_rings())
+def test_random_rings_round_trip_in_both_encodings(ring):
+    _check_both_encodings(ring)
+
+
+@pytest.mark.parametrize("family,n", _MEMBERS)
+def test_builtin_rings_round_trip_in_both_encodings(family, n):
+    b = bundle(family, n)
+    for ring in (b.module_ring, b.ambient.ring):
+        if ring is not None:
+            _check_both_encodings(ring)
+
+
+def test_sparse_ring_form():
+    # Z5: 25 nonzero entries, 4 * 25 < 125
+    obj = emit_ring(group_ring(*cyclic(5)))
+    assert obj["schema"] == "ring.v2"
+    rows = obj["fusion"]
+    assert len(rows) == 25 and rows[0] == [0, 0, 0, 1]
+    assert rows == sorted(rows)
+    assert detect(obj) == "ring.v2"
+    _check_both_encodings(group_ring(*cyclic(5)))
+
+
+def test_toric_ring_on_the_boundary_stays_dense():
+    ring = verlinde(toric_modular())
+    assert 4 * np.count_nonzero(ring.fusion) == ring.rank ** 3 == 64
+    obj = emit_ring(ring)
+    assert obj["schema"] == "ring.v1"
+    assert len(obj["fusion"]) == 64
+    _check_both_encodings(ring)
+
+
+def _sparse_z5():
+    return json.loads(dumps(emit_ring(group_ring(*cyclic(5)))))
+
+
+_MALFORMED_V2 = {
+    "row-too-short": (lambda rows: rows.__setitem__(3, [0, 3, 3]),
+                      "rows must be"),
+    "row-too-long": (lambda rows: rows.__setitem__(3, [0, 3, 3, 1, 0]),
+                     "rows must be"),
+    "row-not-a-list": (lambda rows: rows.__setitem__(3, 7), "rows must be"),
+    "float-entry": (lambda rows: rows[3].__setitem__(3, 1.5),
+                    "must hold integers"),
+    "bool-entry": (lambda rows: rows[3].__setitem__(3, True),
+                   "must hold integers"),
+    "str-index": (lambda rows: rows[3].__setitem__(0, "0"),
+                  "must hold integers"),
+    "index-negative": (lambda rows: rows[-1].__setitem__(2, -1),
+                       "outside"),
+    "index-at-rank": (lambda rows: rows[-1].__setitem__(2, 5), "outside"),
+    "N-zero": (lambda rows: rows[3].__setitem__(3, 0), "N <= 0"),
+    "N-negative": (lambda rows: rows[3].__setitem__(3, -2), "N <= 0"),
+    "duplicate": (lambda rows: rows.insert(4, list(rows[3])), "repeats"),
+    "unsorted": (lambda rows: rows.insert(0, rows.pop(3)), "repeats"),
+    "overflow": (lambda rows: rows[3].__setitem__(3, 2 ** 63), "64 bits"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_V2))
+def test_sparse_ring_rejects_malformed_rows(case, tmp_path, capsys):
+    obj = _sparse_z5()
+    spoil, message = _MALFORMED_V2[case]
+    spoil(obj["fusion"])
+    with pytest.raises(SchemaError, match=message):
+        parse_ring(obj)
+    path = tmp_path / "ring.json"
+    path.write_text(dumps(obj), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["validate", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where", ["fusion", "induction"])
+def test_dense_integers_beyond_64_bits_are_refused(where, tmp_path, capsys):
+    obj = json.loads(dumps(emit_bundle(bundle("toric-code"))))
+    if where == "fusion":
+        obj["module_ring"]["fusion"][1] = 2 ** 63
+    else:
+        obj["induction"][0][0] = 2 ** 63
+    with pytest.raises(SchemaError, match="must fit in 64 bits"):
+        parse_bundle(obj)
+    path = tmp_path / "b.json"
+    path.write_text(dumps(obj), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["validate", str(path)]) == 2
+    assert "must fit in 64 bits" in capsys.readouterr().err
+
+
+def test_sparse_ring_refuses_a_rank_beyond_the_entry_cap():
+    r = round(FUSION_ENTRY_CAP ** (1 / 3)) + 1
+    assert r ** 3 > FUSION_ENTRY_CAP
+    obj = {"schema": "ring.v2", "rank": r,
+           "labels": [str(i) for i in range(r)], "unit": 0,
+           "dual": list(range(r)), "fusion": [[0, 0, 0, 1]]}
+    with pytest.raises(SchemaError, match="exceeds the cap"):
+        parse_ring(obj)
+
+
+def test_nested_ring_with_an_unknown_tag_is_refused():
+    obj = emit_bundle(bundle("toric-code"))
+    obj["module_ring"]["schema"] = "ring.v9"
+    with pytest.raises(SchemaError, match="unknown ring schema"):
+        parse_bundle(obj)
+
+
+def test_validate_prints_the_schema_read(tmp_path, capsys):
+    for name, ring, tag in [("z5", group_ring(*cyclic(5)), "ring.v2"),
+                            ("z3", group_ring(*cyclic(3)), "ring.v1")]:
+        path = tmp_path / f"{name}.json"
+        write_path(ring, path)
+        capsys.readouterr()
+        assert main(["validate", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[0] == f"## validate {path} ({tag})"
+
+
+# Recorded before ring.v2 existed: every coset module ring has
+# 4 * nnz >= rank**3, so these bundles keep their ring.v1 bytes.
+_COSET_SHA256 = {
+    "su2-1": "5fd9709dca899e5927f5d155c5b98214b8f2b803c1c863193dac0ad303dccf40",
+    "su2-2": "cfd8a3a9b626138bb337caf57a33784f8a75c59e038e87beb28b6e640626735e",
+    "su2-3": "dd63d9ce30edb324395af30d286add0ebdb17bf2a4a93b4a6bef6e2655c2b9dd",
+    "su2-4": "4bac2b4cbabcd93d66309793fcb9d3ac9785b5802c7fb576b439ace92ad78e8c",
+    "toric": "2e799da9c9b2ed3adf75e6e7b618dcf2267c10b870a9c03a63761cb31041e695",
+    "ising": "3b7938c44d40012ad24d4b97320bb80b0fb2d4b51f53727b8efac6017950d64d",
+}
+
+
+def _coset_mtc(name):
+    if name == "toric":
+        return toric_modular()
+    if name == "ising":
+        return ising_modular()
+    return su2(int(name.split("-")[1]))
+
+
+@pytest.mark.parametrize("name", sorted(_COSET_SHA256))
+def test_coset_diagonal_emits_pinned_bytes(name, tmp_path, capsys):
+    mtc, out = tmp_path / "m.json", tmp_path / "b.json"
+    write_path(_coset_mtc(name), mtc)
+    assert main(["example", "coset-diagonal", "--mtc", str(mtc),
+                 "--emit", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _COSET_SHA256[name]
+
+
+def test_coset_diagonal_refuses_invalid_modular_data(tmp_path, capsys):
+    obj = emit_modular(toric_modular())
+    obj["twists"][2] = emit_scalar(0.5)
+    mtc, out = tmp_path / "m.json", tmp_path / "b.json"
+    mtc.write_text(dumps(obj), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["validate", str(mtc)]) == 1
+    problems = capsys.readouterr().out.splitlines()[1:]
+    assert problems == [
+        "- FAIL: twist 2 is not a root of unity (order cap 10000)"]
+    assert main(["example", "coset-diagonal", "--mtc", str(mtc),
+                 "--emit", str(out)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "## example coset-diagonal"] + problems
+    assert not out.exists()
+
+
 # --------------------------------------------------------------------- mtcs
 
 
@@ -221,6 +441,7 @@ def test_integer_fields_reject_other_types(field, bad):
 def test_detect_by_tag_and_shape():
     ring_obj = emit_ring(group_ring(*cyclic(2)))
     assert detect(ring_obj) == "ring.v1"
+    assert detect(emit_ring(group_ring(*cyclic(5)))) == "ring.v2"
     untagged = {k: v for k, v in ring_obj.items() if k != "schema"}
     assert detect(untagged) == "ring.v1"
     assert detect(emit_modular(toric_modular())) == "mtc.v1"
