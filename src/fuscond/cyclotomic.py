@@ -176,9 +176,10 @@ class Cyc:
     """An element of the cyclotomic field Q(zeta_order): the numerators num
     (ints, reduced modulo Phi_order and trimmed) over the denominator den,
     with den > 0 and gcd(den, *num) == 1, so equal values at one order have
-    equal fields."""
+    equal fields.  to_mpc keeps its last value, with the precision it was
+    summed at, in _mpc."""
 
-    __slots__ = ("order", "num", "den")
+    __slots__ = ("order", "num", "den", "_mpc")
     __hash__ = None
 
     def __init__(self, order: int, coeffs):
@@ -203,6 +204,7 @@ class Cyc:
         self.order = order if len(num) > 1 else 1
         self.num = tuple(num)
         self.den = den
+        self._mpc = None
 
     @staticmethod
     def _make(order: int, num: list, den: int) -> "Cyc":
@@ -275,7 +277,11 @@ class Cyc:
         return Fraction(self.num[0], self.den) if self.num else _ZERO
 
     def to_mpc(self) -> mp.mpc:
-        zp = _zeta_powers(self.order, mp.mp.prec)
+        prec = mp.mp.prec
+        cached = self._mpc
+        if cached is not None and cached[0] == prec:
+            return cached[1]
+        zp = _zeta_powers(self.order, prec)
         total = mp.mpc(0)
         for k, c in enumerate(self.num):
             if c:
@@ -283,6 +289,7 @@ class Cyc:
                 # wider than the working precision
                 g = math.gcd(c, self.den)
                 total += mp.mpf(c // g) / (self.den // g) * zp[k]
+        self._mpc = (prec, total)
         return total
 
     def __complex__(self) -> complex:

@@ -17,6 +17,7 @@ import json
 import math
 from fractions import Fraction
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -33,16 +34,50 @@ FUSION_ENTRY_CAP = 1 << 26  # rank**3 a ring.v2 file may ask to allocate
 # ------------------------------------------------------------------ scalars
 
 
+def _ratio(c: int, den: int) -> str:
+    # str(Fraction(c, den)) for den > 0, without building the Fraction
+    g = math.gcd(c, den)
+    return str(c // g) if g == den else f"{c // g}/{den // g}"
+
+
 def emit_scalar(x) -> dict:
     ex = exact_scalar(x)
     if ex is not None:
         return {"cyclotomic": {"order": ex.order,
-                               "coeffs": [str(c) for c in ex.coeffs]}}
+                               "coeffs": [_ratio(c, ex.den) for c in ex.num]}}
     z = as_mpc(x)
     return {"re": float(z.real), "im": float(z.imag)}
 
 
-def parse_scalar(obj, where: str = "scalar"):
+def _read_cyclotomic(body, where: str, memo: dict) -> Cyc:
+    if not isinstance(body, dict) or set(body) != {"order", "coeffs"}:
+        raise SchemaError(f"{where}: cyclotomic needs order and coeffs")
+    order, coeffs = body["order"], body["coeffs"]
+    # the exact type test also rejects bool, a subclass of int
+    if type(order) is not int or type(coeffs) is not list:
+        raise SchemaError(f"{where}: cyclotomic order must be an integer "
+                          f"and coeffs a list")
+    # a larger order could only ever take the float fallback
+    if order > ORDER_CAP:
+        raise SchemaError(f"{where}: cyclotomic order {order} "
+                          f"exceeds the cap {ORDER_CAP}")
+    # keyed on the strings, not the JSON values: ("1", True) == ("1", 1)
+    key = (order, tuple(map(str, coeffs)))
+    out = memo.get(key)
+    if out is None:
+        try:
+            # each coefficient string is read once, as one Fraction
+            qs = [Fraction(c) for c in key[1]]
+            den = math.lcm(*(q.denominator for q in qs))
+            out = Cyc.from_numerators(
+                order, [q.numerator * (den // q.denominator) for q in qs], den)
+        except (ValueError, ZeroDivisionError) as err:
+            raise SchemaError(f"{where}: bad cyclotomic value ({err})")
+        memo[key] = out
+    return out
+
+
+def _parse_scalar(obj, where: str, memo: dict):
     if isinstance(obj, bool):
         raise SchemaError(f"{where}: booleans are not scalars")
     if isinstance(obj, int):
@@ -52,22 +87,7 @@ def parse_scalar(obj, where: str = "scalar"):
             raise SchemaError(f"{where}: scalar must be finite, got {obj}")
         return obj
     if isinstance(obj, dict) and set(obj) == {"cyclotomic"}:
-        body = obj["cyclotomic"]
-        if not isinstance(body, dict) or set(body) != {"order", "coeffs"}:
-            raise SchemaError(f"{where}: cyclotomic needs order and coeffs")
-        try:
-            order = int(body["order"])
-            # a larger order could only ever take the float fallback
-            if order > ORDER_CAP:
-                raise SchemaError(f"{where}: cyclotomic order {order} "
-                                  f"exceeds the cap {ORDER_CAP}")
-            # each coefficient string is read once, as one Fraction
-            qs = [Fraction(str(c)) for c in body["coeffs"]]
-            den = math.lcm(*(q.denominator for q in qs))
-            return Cyc.from_numerators(
-                order, [q.numerator * (den // q.denominator) for q in qs], den)
-        except (ValueError, ZeroDivisionError) as err:
-            raise SchemaError(f"{where}: bad cyclotomic value ({err})")
+        return _read_cyclotomic(obj["cyclotomic"], where, memo)
     if isinstance(obj, dict) and set(obj) == {"re", "im"}:
         try:
             z = complex(float(obj["re"]), float(obj["im"]))
@@ -79,27 +99,49 @@ def parse_scalar(obj, where: str = "scalar"):
     raise SchemaError(f"{where}: not a recognized scalar encoding")
 
 
+def parse_scalar(obj, where: str = "scalar"):
+    return _parse_scalar(obj, where, {})
+
+
+def _scalars(raw, where: str) -> list:
+    """The scalars of a list of encodings.  Equal cyclotomic encodings are
+    read once and give one shared Cyc, so its to_mpc cache serves them all;
+    the memo lives for this one call."""
+    if not isinstance(raw, list):
+        raise SchemaError(f"{where}: expected a list of scalars")
+    memo = {}
+    return [_parse_scalar(v, where, memo) for v in raw]
+
+
 # ---------------------------------------------------------------- canonical
 
 
 def _canon(obj) -> str:
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, float):
-        return f"{obj:.17g}"
-    if isinstance(obj, str):
-        return json.dumps(obj)
+    t = type(obj)
+    # the exact JSON types first; None, bool, numpy ints, floats and
+    # subclasses take the isinstance chain below
+    if t is str:
+        return encode_basestring_ascii(obj)
+    if t is int:
+        return str(obj)
+    if t is not list and t is not tuple and t is not dict:
+        if obj is None:
+            return "null"
+        if isinstance(obj, bool):
+            return "true" if obj else "false"
+        if isinstance(obj, (int, np.integer)):
+            return str(int(obj))
+        if isinstance(obj, float):
+            return f"{obj:.17g}"
+        if isinstance(obj, str):
+            return encode_basestring_ascii(obj)
+        if not isinstance(obj, (dict, list, tuple)):
+            raise SchemaError(f"cannot serialize {type(obj).__name__}")
     if isinstance(obj, dict):
-        inner = ", ".join(f"{json.dumps(str(k))}: {_canon(v)}"
+        inner = ", ".join(f"{encode_basestring_ascii(str(k))}: {_canon(v)}"
                           for k, v in obj.items())
         return "{" + inner + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_canon(v) for v in obj) + "]"
-    raise SchemaError(f"cannot serialize {type(obj).__name__}")
+    return "[" + ", ".join(map(_canon, obj)) + "]"
 
 
 def dumps(obj) -> str:
@@ -238,9 +280,9 @@ def parse_modular(obj) -> ModularData:
         raise SchemaError(f"{where}: s_matrix must be rank x rank")
     if len(twists) != r:
         raise SchemaError(f"{where}: need one twist per label")
-    s = tuple(tuple(parse_scalar(v, f"{where}: s_matrix") for v in row)
-              for row in s_rows)
-    tw = tuple(parse_scalar(t, f"{where}: twists") for t in twists)
+    flat = _scalars([v for row in s_rows for v in row], f"{where}: s_matrix")
+    s = tuple(tuple(flat[i:i + r]) for i in range(0, r * r, r))
+    tw = tuple(_scalars(twists, f"{where}: twists"))
     return ModularData(labels=tuple(str(x) for x in labels),
                        dual=tuple(dual), s=s, twists=tw)
 
@@ -261,7 +303,7 @@ def _emit_ambient(amb: Ambient) -> dict:
 
 
 def _parse_dims(raw, where) -> DimVector:
-    return DimVector(values=tuple(parse_scalar(v, where) for v in raw))
+    return DimVector(values=tuple(_scalars(raw, where)))
 
 
 def _parse_ambient(obj) -> Ambient:
@@ -275,7 +317,7 @@ def _parse_ambient(obj) -> Ambient:
         dims = _parse_dims(_need(obj, "dims", list, where), where)
         tw = obj["twists"]
         twists = (None if tw is None
-                  else tuple(parse_scalar(t, f"{where}: twists") for t in tw))
+                  else tuple(_scalars(tw, f"{where}: twists")))
         return Ambient.from_ring(ring, dims, twists=twists)
     if set(obj) == {"table"}:
         t = obj["table"]
@@ -286,7 +328,7 @@ def _parse_ambient(obj) -> Ambient:
         dims = _parse_dims(_need(t, "dims", list, where), where)
         tw = t.get("twists")
         twists = (None if tw is None
-                  else tuple(parse_scalar(x, f"{where}: twists") for x in tw))
+                  else tuple(_scalars(tw, f"{where}: twists")))
         if twists is None:
             raise SchemaError(f"{where}: a bare table needs twists")
         return Ambient.from_table(labels, dual, dims, twists)

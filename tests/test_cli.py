@@ -435,6 +435,102 @@ def test_galois_bytes_are_pinned(tmp_path, monkeypatch, capsys, family, n):
             (0, "", GALOIS_GOLDEN[family, n]), digits
 
 
+# sha256 of `analyze b.json --digits D` stdout at D = 15, 64 and 128, for
+# each built-in bundle.  Recorded before equal scalars of one document
+# shared one Cyc and its cached to_mpc value.
+ANALYZE_GOLDEN = {
+    ('a2n', 1): (
+        "519268de2471ca46b51b0754909b2b3734076ecefb36a0cfc38215496d34e3c7",
+        "2f63a2b21376dade5cba684a5ab9753763d2d70b38d9ccd9f1e7176e9ae67566",
+        "adcf298062901aff43e0588df8aeafa8ece4d9bc4fb7e0b6812c6580b02f22ee",
+    ),
+    ('a2n', 2): (
+        "2c0adde0bbd3d160d08aebc17674e242094ccb8e9c692730f507793902260679",
+        "cfbb18eded2988b4289eaf70ad341ab751df588f51164f9591a4046cb645ca2d",
+        "4ea0c9348b440528991fde72b6ad1f285f49696f341ee2471676b69ab68abfa3",
+    ),
+    ('a2n', 3): (
+        "e7b35278f55c47e2221083ad75ec321222addbbf9d8a15d5dee7f2e55138be9b",
+        "7750b18ca6823173e46607e7192ab9c6239542eb7d0eef8b3c315c11068e2fee",
+        "1f54e98b43f079cc62e9d943aaaab4847e5bedbb61a9229cbb1229d81c973dc4",
+    ),
+    ('a2n', 4): (
+        "15835969a3a2cc591d95020fb26856db695642f3cee6f63b4cae3ef62fb61dea",
+        "6581d81d6a06e2a4844b92ea1acdc70777149c1f52a720c268d470e1ff83a7ec",
+        "9ccd9129791ea6775947dc43b06f9be8ac445c804805e322edcd3081339cf858",
+    ),
+    ('a2n', 5): (
+        "29b329ac568688a2d7c243c4f5685210b71a5c93f5917cf1548c6548c76341a7",
+        "88210a603eebe75645b6e16ee473465eff2aa8a6b3cfe205fde89da7e35a66ac",
+        "9a73e6016b08ec49efcd16013039e7e1f214b05aa5bc5af5347ca4910ba39e9f",
+    ),
+    ('a2n', 6): (
+        "b32b06b349ad9a862ab8dc11b4396264ca2787f5860732550596a643cbcf026c",
+        "e6e09ccc89e7ab3d2170126fe1257181b9c230453cc0c3dc564fa6efc0a11d45",
+        "19b6b373ec12efc74a27bc7b9d93498b92b4e4a4a6370231d29f4e153fe92a8d",
+    ),
+    ('a2nplus1', 1): (
+        "6346b3adaa5bfc2830f63da95bb51d7dae536f55fff98ae99b748298e0ef9190",
+        "2c5c1a433bb947f72dd27e4e44efcdbb9ac2802025403940f5b9c1f634951e2a",
+        "7f9b2cbcdb4d7b166cc35107e0aa31ee201da0518c16a1fc6b267d8bcfe0ea5c",
+    ),
+    ('a2nplus1', 2): (
+        "44e189360fe3752901d77fcea2bc83ce8a37006c65ce303c2210f766b534188b",
+        "bb11127e862a1f20670db884b40dbc1fc2199d583281e12306390f3347eb6628",
+        "7dec4ec90dedbd5a6b48402209364ce35323b68be157985692f870424585c6a1",
+    ),
+    ('a2nplus1', 3): (
+        "3521ec5392aaa0e83a888b9c5b9b8337b662eaa0b18099e6fde98d341e9a86c4",
+        "eb1aa7ab81e0164cdc61bcdedacc4d800672ad144171ea7252d02beb3e3facdd",
+        "c5c41f77a05388eac7a60c84dd882c4cfeab1d0477c94fc09a199b90df9dc7df",
+    ),
+    ('a2nplus1', 4): (
+        "7973b739ff1c47944e0930d00b9e60311b223d0fb34a81f1ef77b27d0e7f1060",
+        "5e81b7fafa1a5431a8b04b9fb686265acf789a416bcf41c3a154655de45514c6",
+        "e63421a3c7f8594c4e62e97492d4181bd018cf6ccd31b17e7dc79068c0e337c9",
+    ),
+    ('a2nplus1', 5): (
+        "1205c36bf01135e824154c6bd643036323e5e2839a127074856a00995c921b9b",
+        "eb3f042f2169385a2f6ccf7bed05dd577e4d5eac55730c65a35b22711300c306",
+        "0c2d83fa24f917ab4b348d65c7a8049efb370515b8d011b31fa86693e6d55265",
+    ),
+    ('a2nplus1', 6): (
+        "deb400772dac461f5d687bbee871e7b903edfa54d632a64ec61f4617a7ddf7ba",
+        "c71b95f4e779c4db2ff171f1a67cbde91d596697d1f6a17bcf2dd1b3f0cb00da",
+        "f272147098b39a2dc6ea755139990455fd61c47de1e7de02b8bdad03bc4214c4",
+    ),
+    ('vlplus-orbifold', 1): (
+        "853e3d7d8b9afd7e7e88324a56e5448ff7db6a9ccf0d9474760a335b953903e2",
+        "cf1ef1295a6c9072667d275bf5149031f8f8babbfbc1809b771f77231b054e38",
+        "59930cc7c24dfde990a91a64f1cdddc434ca5e7eb59520a0ed168c5966ca239a",
+    ),
+    ('toric-code', None): (
+        "52142a60fbcf6195a8d3dd395519a355b8097d6e80f8781dcfefd4f51fb6ac30",
+        "52142a60fbcf6195a8d3dd395519a355b8097d6e80f8781dcfefd4f51fb6ac30",
+        "52142a60fbcf6195a8d3dd395519a355b8097d6e80f8781dcfefd4f51fb6ac30",
+    ),
+    ('ising-square', None): (
+        "050ebe9be241ce3d3649851c32a441698599e44ff0f69c4b47f6ae0052d79697",
+        "f553636800b9ce8bf3accb3c4d522b9b50b609812fdeea4aedbf86a9c3b241e6",
+        "9d776557c1589e46669dad086b0d331a9247f515412ad197a637707260b764b9",
+    ),
+}
+
+
+@pytest.mark.parametrize("family,n", ALL_MEMBERS, ids=ALL_IDS)
+def test_analyze_bytes_are_pinned(tmp_path, monkeypatch, capsys, family, n):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("FUSCOND_SEED", raising=False)
+    serialize.write_path(families.build(family, n=n), "b.json")
+    for digits, want in zip((DIGITS_FLOOR, 64, 128),
+                            ANALYZE_GOLDEN[family, n]):
+        capsys.readouterr()
+        code = main(["analyze", "b.json", "--digits", str(digits)])
+        out, err = capsys.readouterr()
+        digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+        assert (code, err, digest) == (0, "", want), digits
+
+
 def test_galois_refuses_a_lattice_over_the_budget(a2n1_path, monkeypatch,
                                                   capsys):
     # a2n n=1 has 9 subrings over its local part

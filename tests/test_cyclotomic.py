@@ -285,3 +285,22 @@ def test_numerics_over_a_wide_common_denominator(xr, yr):
 def test_cyclotomic_polynomials_match_the_reference():
     for n in range(1, 301):
         assert cyclotomic_polynomial(n) == _ref_phi(n), n
+
+
+def _bits(z):
+    return z.real._mpf_, z.imag._mpf_
+
+
+@pytest.mark.parametrize("coeffs", [
+    [Fraction(1, 3), 2, Fraction(-5, 7), 0, Fraction(11, 13)],
+    [Fraction(1, 2**80 + 1), 1], [Fraction(-7, 4)]])
+def test_to_mpc_cache_follows_the_precision(coeffs):
+    # one Cyc converted at 15, 64 and 15 digits again (and at 128) gives
+    # the bits a fresh equal Cyc gives at each precision
+    x = Cyc(12, coeffs)
+    for digits in (15, 64, 15, 128, 64):
+        with mp.workdps(digits):
+            got = x.to_mpc()
+            assert _bits(got) == _bits(Cyc(12, coeffs).to_mpc()), digits
+            assert _bits(as_mpc(x)) == _bits(got)
+            assert x.to_mpc() is got

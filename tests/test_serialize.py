@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fuscond.cli import main
@@ -31,6 +31,8 @@ from fuscond.serialize import (
     parse_scalar,
     read_path,
     write_path,
+    _ratio,
+    _scalars,
 )
 
 from grouptables import cyclic
@@ -82,16 +84,126 @@ def test_cyclotomic_coefficients_parse_as_fractions(order, coeffs):
     assert (got.order, got.num, got.den) == (want.order, want.num, want.den)
 
 
-@pytest.mark.parametrize("bad", ["1/0", "3/-4", "1/ 2", "0x10", "", "x",
-                                 "1/00", True])
-def test_bad_cyclotomic_coefficients_keep_the_fraction_message(bad):
+_BAD_COEFFS = ["1/0", "3/-4", "1/ 2", "0x10", "", "x", "1/00", True]
+
+
+def _fraction_message(bad, where="scalar"):
     try:
         Fraction(str(bad))
     except (ValueError, ZeroDivisionError) as err:
-        message = f"scalar: bad cyclotomic value ({err})"
+        return f"{where}: bad cyclotomic value ({err})"
+
+
+def _cyc(order, coeffs):
+    return {"cyclotomic": {"order": order, "coeffs": coeffs}}
+
+
+@pytest.mark.parametrize("bad", _BAD_COEFFS)
+def test_bad_cyclotomic_coefficients_keep_the_fraction_message(bad):
     with pytest.raises(SchemaError) as info:
         parse_scalar({"cyclotomic": {"order": 4, "coeffs": ["1", bad]}})
-    assert str(info.value) == message
+    assert str(info.value) == _fraction_message(bad)
+
+
+@pytest.mark.parametrize("bad", _BAD_COEFFS)
+def test_bad_coefficient_after_a_valid_duplicate_keeps_the_message(bad):
+    # ["1", 1] == ["1", True] as JSON values; the memo keys on strings
+    raw = [_cyc(4, ["1", 1]), _cyc(4, ["1", 1]), _cyc(4, ["1", bad])]
+    with pytest.raises(SchemaError) as info:
+        _scalars(raw, "scalar")
+    assert str(info.value) == _fraction_message(bad)
+
+
+def test_memo_does_not_confuse_one_with_true():
+    with pytest.raises(SchemaError) as info:
+        _scalars([_cyc(1, ["1", 1]), _cyc(1, ["1", True])], "scalar")
+    assert str(info.value) == _fraction_message(True)
+
+
+def test_equal_encodings_in_one_call_share_one_cyc():
+    raw = json.loads(json.dumps([_cyc(8, ["0", "1"]), _cyc(8, ["0", "1/2"]),
+                                 _cyc(8, ["0", "1"]), 3, _cyc(8, ["0", "1"]),
+                                 _cyc(8, ["0", "2/4"])]))
+    got = _scalars(raw, "x")
+    assert got[0] is got[2] is got[4]
+    assert got[0] == Cyc.zeta(8) and got[1] == Cyc.zeta(8) / 2
+    # equal values under different strings are read apart
+    assert got[5] == got[1] and got[5] is not got[1]
+    assert got[3] == 3
+
+
+def test_one_cyc_per_distinct_encoding_of_a_document():
+    obj = json.loads(dumps(emit_modular(su2(4))))
+    md = parse_modular(obj)
+    encodings = {json.dumps(v) for row in obj["s_matrix"] for v in row}
+    assert len({id(v) for row in md.s for v in row}) == len(encodings)
+
+
+def test_two_loads_share_no_cyc():
+    text = dumps(emit_modular(su2(4)))
+    a, b = loads(text), loads(text)
+    ids = [{id(v) for row in md.s for v in row} | set(map(id, md.twists))
+           for md in (a, b)]
+    assert not ids[0] & ids[1]
+    assert dumps(emit_modular(a)) == dumps(emit_modular(b)) == text
+
+
+_MALFORMED_CYC = {
+    "coeffs-int": {"order": 1, "coeffs": 5},
+    "coeffs-str": {"order": 1, "coeffs": "12"},
+    "coeffs-object": {"order": 1, "coeffs": {"1": 1}},
+    "order-list": {"order": [1], "coeffs": ["1"]},
+    "order-float": {"order": 1.5, "coeffs": ["1"]},
+    "order-bool": {"order": True, "coeffs": ["1"]},
+    "order-str": {"order": "1", "coeffs": ["1"]},
+    "order-null": {"order": None, "coeffs": ["1"]},
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_CYC))
+def test_malformed_cyclotomic_fields_are_refused(case, tmp_path, capsys):
+    # the unit's twist of the toric code is 1; order 1.5 or true was read
+    # as order 1 and passed, a list order or an int coeffs crashed
+    obj = json.loads(dumps(emit_modular(toric_modular())))
+    obj["twists"][0] = {"cyclotomic": _MALFORMED_CYC[case]}
+    message = "order must be an integer and coeffs a list"
+    with pytest.raises(SchemaError, match=message):
+        parse_modular(obj)
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["validate", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["dA", "twists"])
+def test_scalar_lists_must_be_lists(field):
+    obj = json.loads(dumps(emit_bundle(bundle("a2n", 1))))
+    holder = obj if field == "dA" else obj["ambient"]
+    holder[field] = 5
+    with pytest.raises(SchemaError, match="expected a list of scalars"):
+        parse_bundle(obj)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-10**40, 10**40), st.integers(1, 10**25))
+@example(0, 1)
+@example(0, 7)
+@example(-6, 4)
+@example(5, 1)
+def test_coefficient_strings_are_the_fraction_strings(c, den):
+    assert _ratio(c, den) == str(Fraction(c, den))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([1, 3, 4, 8, 12]),
+       st.lists(st.integers(-10**20, 10**20), max_size=12),
+       st.integers(1, 10**12))
+def test_emitted_coefficients_are_the_fraction_strings(order, num, den):
+    x = Cyc.from_numerators(order, num, den)
+    coeffs = emit_scalar(x)["cyclotomic"]["coeffs"]
+    assert coeffs == [str(q) for q in x.coeffs]
+    assert parse_scalar(emit_scalar(x)) == x
 
 
 @pytest.mark.parametrize("x", [float("nan"), float("inf"), float("-inf")])
@@ -105,6 +217,68 @@ def test_canonical_float_formatting():
     text = dumps({"x": 0.1})
     assert text == '{"x": 0.10000000000000001}\n'
     assert json.loads(text)["x"] == 0.1
+
+
+def _reference_canon(obj) -> str:
+    """The isinstance chain _canon was before it dispatched on exact
+    types."""
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, float):
+        return f"{obj:.17g}"
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, dict):
+        inner = ", ".join(f"{json.dumps(str(k))}: {_reference_canon(v)}"
+                          for k, v in obj.items())
+        return "{" + inner + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join(_reference_canon(v) for v in obj) + "]"
+    raise SchemaError(f"cannot serialize {type(obj).__name__}")
+
+
+class _Str(str):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+_JSON_LEAVES = (st.none() | st.booleans() | st.integers()
+                | st.floats() | st.text()
+                | st.integers(-2**63, 2**63 - 1).map(np.int64))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.recursive(
+    _JSON_LEAVES,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(st.text() | st.integers(), inner,
+                                     max_size=4)),
+    max_leaves=20))
+def test_dumps_matches_the_isinstance_chain(value):
+    assert dumps(value) == _reference_canon(value) + "\n"
+
+
+def test_dumps_matches_the_isinstance_chain_on_nested_values():
+    value = {"ascii": "plain", "zeta": "ζ₈ é \u2028 \"q\" \\ \n\t\x00",
+             3: [1, -2, 2**70, True, False, None, 0.1, -0.0, 1e300,
+                 np.int64(-7), np.int32(5), (1, "x", (2.5, [])), {}],
+             np.int64(4): {"nested": [[], [[]], ("", {5: "five"})]},
+             _Str("sub"): [_Str("str subclass"), _Int(9), np.uint8(200)]}
+    assert dumps(value) == _reference_canon(value) + "\n"
+    for bad in (object(), {1, 2}, [1, b"x"]):
+        with pytest.raises(SchemaError) as got:
+            dumps(bad)
+        with pytest.raises(SchemaError) as want:
+            _reference_canon(bad)
+        assert str(got.value) == str(want.value)
 
 
 # ------------------------------------------------------------------- rings
