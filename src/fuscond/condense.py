@@ -16,12 +16,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from operator import mul
 
 import mpmath as mp
 import numpy as np
 
-from .cyclotomic import TOL, as_mpc
+from .cyclotomic import TOL, as_mpc, pair_products
 from .errors import (
     CapabilityError,
     NumericalDegeneracyError,
@@ -32,7 +33,7 @@ from .errors import (
 from .modular import (ModularData, dims as modular_dims,
                       validate as validate_modular)
 from .ring import (BasedRing, DimVector, _sparse_product, check_basis, closure,
-                   fp_dims, validate)
+                   fp_dims, product_basis, validate)
 from .wedderburn import (SPLIT_SEED, AssocAlgebra, _cmp_tol, _combine,
                          _mantissas, _quotient, _sup, block_profiles,
                          character_table)
@@ -46,13 +47,18 @@ class Ambient:
     """What we know about the ambient category, at one of three levels:
     full modular data, fusion ring plus dims and twists, or a bare table of
     labels, dims and twists.  A modular ambient holds no fusion ring:
-    nothing reads one, and modular.validate checks Verlinde integrality."""
+    nothing reads one, and modular.validate checks Verlinde integrality.
+
+    A product ambient (from_product) keeps its two ring or table factors
+    in factors and no flat ring; its labels, dual, dims and twists are the
+    flat tuples of the product, index (a, b) at a * rank_b + b."""
     labels: tuple
     dual: tuple
     dims: DimVector
     twists: tuple | None = None
     ring: BasedRing | None = None
     modular: ModularData | None = None
+    factors: tuple | None = None
 
     def __post_init__(self):
         labels, dual = check_basis(self.labels, self.dual)
@@ -90,6 +96,23 @@ class Ambient:
         return cls(labels=tuple(labels), dual=tuple(dual), dims=dims,
                    twists=tuple(twists))
 
+    @classmethod
+    def from_product(cls, a: "Ambient", b: "Ambient") -> "Ambient":
+        """The product of two ring or table ambients: labels la.lb, duals
+        and values paired, each distinct pair of factor values multiplied
+        once.  Twists only when both factors have them."""
+        for i, f in enumerate((a, b)):
+            if f.modular is not None or f.factors is not None:
+                raise SchemaError(f"ambient factor {i} must be a ring or "
+                                  "a table")
+        labels, dual = product_basis(a, b)
+        twists = None
+        if a.twists is not None and b.twists is not None:
+            twists = chain.from_iterable(pair_products(a.twists, b.twists))
+        dims = chain.from_iterable(pair_products(a.dims.values, b.dims.values))
+        return cls(labels=labels, dual=dual, dims=DimVector(values=tuple(dims)),
+                   twists=twists, factors=(a, b))
+
     @property
     def rank(self) -> int:
         return len(self.labels)
@@ -110,9 +133,13 @@ class Ambient:
 
     @property
     def has_character_rows(self) -> bool:
-        """Modular data, or a ring with twists: character_row's inputs."""
-        return self.modular is not None or (self.ring is not None
-                                            and self.twists is not None)
+        """Modular data, or a ring (or two ring factors) with twists:
+        character_row's inputs."""
+        if self.modular is not None:
+            return True
+        rings = ((self.ring,) if self.factors is None
+                 else tuple(f.ring for f in self.factors))
+        return self.twists is not None and None not in rings
 
     def character_row(self, x: int):
         """The pattern y -> S(x*, y)/d(x) as numeric values.
@@ -121,7 +148,8 @@ class Ambient:
         ring, dims and twists it is recovered through the balancing
         identity S(a,b) = (1/(theta_a theta_b)) sum_c N[a,b,c] theta_c d_c,
         which is what the ribbon structure forces.  Returns None without
-        character rows.
+        character rows.  A product ambient takes the slice N[x*] as the
+        Kronecker product of its factors' slices.
         """
         if not self.has_character_rows:
             return None
@@ -141,7 +169,12 @@ class Ambient:
                 _mantissas([1 / t for t in th]))
         th, dv, (tre, tim, texp), (ire, iim, iexp) = self._numeric[mp.mp.prec]
         # sum_z N[x*, y, z] theta_z d_z, exact over the mantissas
-        F = self.ring.fusion[xs]
+        if self.factors is None:
+            F = self.ring.fusion[xs]
+        else:
+            fa, fb = self.factors
+            F = np.kron(fa.ring.fusion[xs // fb.rank],
+                        fb.ring.fusion[xs % fb.rank])
         ys, zs = np.nonzero(F)
         nre, nim = [0] * self.rank, [0] * self.rank
         for y, z, c in zip(ys.tolist(), zs.tolist(), F[ys, zs].tolist()):
@@ -159,6 +192,7 @@ class Ambient:
 
     def __repr__(self):
         kind = ("modular" if self.modular is not None
+                else "product" if self.factors is not None
                 else "ring" if self.ring is not None else "table")
         return f"Ambient(rank={self.rank}, kind={kind})"
 
@@ -226,13 +260,20 @@ def _near(a, b, tol):
 
 
 def check_bundle(b: CondensationBundle, tol=TOL) -> ValidationReport:
-    """Every necessary condition that finite data can see, as a report."""
+    """Every necessary condition that finite data can see, as a report.
+
+    The based-ring axioms are checked on the module ring and on each ring
+    factor of a product ambient.  A flat ambient ring is not checked: its
+    associativity test holds rank**4 integers in memory."""
     rep = ValidationReport()
     amb = b.ambient
     ring = b.module_ring
     rep.extend(validate(ring), prefix="module ring: ")
     if amb.modular is not None:
         rep.extend(validate_modular(amb.modular, tol), prefix="ambient: ")
+    for i, f in enumerate(amb.factors or ()):
+        if f.ring is not None:
+            rep.extend(validate(f.ring), prefix=f"ambient factor {i}: ")
 
     mult = b.mult
     if any(n < 0 for n in mult):

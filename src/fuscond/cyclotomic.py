@@ -481,6 +481,36 @@ def exact_scalar(x):
     return None
 
 
+def _value_key(x) -> tuple:
+    # equal keys mean equal values of one type; a Cyc by its reduced
+    # fields, floats by repr, which tells 0.0 from -0.0
+    if isinstance(x, Cyc):
+        return (Cyc, x.order, x.num, x.den)
+    return (type(x), repr(x) if isinstance(x, (float, complex)) else x)
+
+
+def pair_products(xs, ys) -> list:
+    """The rows [x * y for y in ys] for each x in xs.
+
+    Each distinct pair of values is multiplied once, and equal products
+    are one shared object, so a Cyc among them converts to mpmath once.
+    """
+    kx = [_value_key(x) for x in xs]
+    ky = [_value_key(y) for y in ys]
+    memo, shared = {}, {}
+    out = []
+    for x, a in zip(xs, kx):
+        row = []
+        for y, b in zip(ys, ky):
+            p = memo.get((a, b))
+            if p is None:
+                p = x * y
+                p = memo[(a, b)] = shared.setdefault(_value_key(p), p)
+            row.append(p)
+        out.append(row)
+    return out
+
+
 def exact_vector(values):
     """Every value as a Cyc, or None unless all of them are exact.
 

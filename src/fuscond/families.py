@@ -13,7 +13,9 @@ from .condense import Ambient, CondensableAlgebra, CondensationBundle
 from .cyclotomic import Cyc
 from .errors import CapabilityError
 from .modular import ModularData, deligne, dims as modular_dims, verlinde
-from .ring import PRODUCT_SEP, BasedRing, DimVector, element_product, product_ring
+from .ring import BasedRing, DimVector, element_product
+
+FAMILY_CAP = 12  # the largest n of the a2n and a2nplus1 families
 
 
 def ty_ring(m: int) -> BasedRing:
@@ -203,17 +205,16 @@ def _conjugate_twists(twists):
 
 def a2n(n: int) -> CondensationBundle:
     """Holomorphic extension bundle over the square of the A_{2n} half
-    ring.  The module ring is the dihedral group of order 2(2n+1) with two
+    ring, kept as a product ambient of the half ring and its conjugate-twist
+    copy.  The module ring is the dihedral group of order 2(2n+1) with two
     extra central objects; induction is built from the two half maps."""
-    if not 1 <= n <= 6:
-        raise CapabilityError("family a2n is built for n = 1..6")
+    if not 1 <= n <= FAMILY_CAP:
+        raise CapabilityError(f"family a2n is built for n = 1..{FAMILY_CAP}")
     ring, dims, twists = half_ring(n)
-    amb_ring = product_ring(ring, ring)
-    amb_dims = tuple(da * db for da in dims for db in dims)
-    ktw = _conjugate_twists(twists)
-    amb_twists = tuple(ta * tb for ta in twists for tb in ktw)
-    amb = Ambient.from_ring(amb_ring, DimVector(values=amb_dims),
-                            twists=amb_twists)
+    dims = DimVector(values=dims)
+    amb = Ambient.from_product(
+        Ambient.from_ring(ring, dims, twists=twists),
+        Ambient.from_ring(ring, dims, twists=_conjugate_twists(twists)))
 
     module = xy_module_ring(n)
     m = 2 * n + 1
@@ -263,19 +264,18 @@ def a2n(n: int) -> CondensationBundle:
 
 def a2nplus1(n: int) -> CondensationBundle:
     """Holomorphic extension bundle over the square of the A_{2n+1} half
-    table.  Only the ambient table is available, so the bundle carries no
-    induction matrix and block matching is skipped downstream."""
-    if not 1 <= n <= 6:
-        raise CapabilityError("family a2nplus1 is built for n = 1..6")
+    table, kept as a product ambient of two tables.  Only the ambient table
+    is available, so the bundle carries no induction matrix and block
+    matching is skipped downstream."""
+    if not 1 <= n <= FAMILY_CAP:
+        raise CapabilityError(
+            f"family a2nplus1 is built for n = 1..{FAMILY_CAP}")
     labels, dual, dims, twists = half_table(n)
     r = len(labels)
-    amb_labels = tuple(f"{la}{PRODUCT_SEP}{lb}" for la in labels for lb in labels)
-    amb_dual = tuple(dual[a] * r + dual[b] for a in range(r) for b in range(r))
-    amb_dims = tuple(da * db for da in dims for db in dims)
-    ktw = _conjugate_twists(twists)
-    amb_twists = tuple(ta * tb for ta in twists for tb in ktw)
-    amb = Ambient.from_table(amb_labels, amb_dual, DimVector(values=amb_dims),
-                             amb_twists)
+    dims = DimVector(values=dims)
+    amb = Ambient.from_product(
+        Ambient.from_table(labels, dual, dims, twists),
+        Ambient.from_table(labels, dual, dims, _conjugate_twists(twists)))
 
     mult = [0] * amb.rank
     for a in (0, 1):

@@ -10,14 +10,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 import mpmath as mp
 import numpy as np
 
 from .cyclotomic import (ROUND_TOL, TOL, Cyc, as_complex, as_mpc,
-                         exact_scalar as _exact, exact_vector)
+                         exact_scalar as _exact, exact_vector, pair_products)
 from .errors import NumericalDegeneracyError, SchemaError, ValidationReport
-from .ring import PRODUCT_SEP, BasedRing, DimVector, check_basis
+from .ring import BasedRing, DimVector, check_basis, product_basis
 
 TWIST_ORDER_CAP = 10000
 
@@ -224,15 +225,15 @@ def central_idempotent(md: ModularData, x: int) -> list:
 
 
 def deligne(a: ModularData, b: ModularData) -> ModularData:
-    """Product theory: labels pair up, S entries and twists multiply."""
-    labels = tuple(f"{la}{PRODUCT_SEP}{lb}" for la in a.labels for lb in b.labels)
-    rb = b.rank
-    dual = tuple(a.dual[i] * rb + b.dual[j]
-                 for i in range(a.rank) for j in range(b.rank))
+    """Product theory: labels pair up, S entries and twists multiply, each
+    distinct pair of factor values once."""
+    labels, dual = product_basis(a, b)
+    ra, rb = a.rank, b.rank
+    # P[i ra + k][j rb + l] = S_a[i][k] S_b[j][l]
+    P = pair_products([v for row in a.s for v in row],
+                      [v for row in b.s for v in row])
     s = tuple(
-        tuple(a.s[i][k] * b.s[j][l]
-              for k in range(a.rank) for l in range(b.rank))
-        for i in range(a.rank) for j in range(b.rank))
-    twists = tuple(a.twists[i] * b.twists[j]
-                   for i in range(a.rank) for j in range(b.rank))
+        tuple(P[i * ra + k][j * rb + l] for k in range(ra) for l in range(rb))
+        for i in range(ra) for j in range(rb))
+    twists = tuple(chain.from_iterable(pair_products(a.twists, b.twists)))
     return ModularData(labels=labels, dual=dual, s=s, twists=twists)

@@ -326,12 +326,19 @@ def element_product(ring: BasedRing, a, b) -> list:
     return _sparse_product(ring._rows, a, b)
 
 
+def product_basis(a, b) -> tuple:
+    """The labels la.lb and the dual map of the product of two bases, each
+    given by its labels and dual.  Index (i, j) maps to i * rank_b + j."""
+    rb = len(b.labels)
+    labels = tuple(f"{la}{PRODUCT_SEP}{lb}" for la in a.labels for lb in b.labels)
+    dual = tuple(da * rb + db for da in a.dual for db in b.dual)
+    return labels, dual
+
+
 def product_ring(a: BasedRing, b: BasedRing) -> BasedRing:
     """Tensor product of two based rings: pairs of labels, products of
     structure constants.  Index (i, j) maps to i*b.rank + j."""
-    labels = tuple(f"{la}{PRODUCT_SEP}{lb}" for la in a.labels for lb in b.labels)
-    dual = tuple(a.dual[i] * b.rank + b.dual[j]
-                 for i in range(a.rank) for j in range(b.rank))
+    labels, dual = product_basis(a, b)
     n = a.rank * b.rank
     fusion = np.einsum("ijk,abc->iajbkc", a.fusion, b.fusion).reshape(n, n, n)
     return BasedRing(labels=labels, fusion=fusion, dual=dual)

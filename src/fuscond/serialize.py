@@ -4,6 +4,10 @@ Emission is canonical: fixed key order, floats printed with 17 significant
 digits, exact scalars as cyclotomic coefficient vectors.  emit -> parse ->
 emit is byte-identical.
 
+A bundle's ambient is written in one of four forms: {"mtc": ...},
+{"ring": ..., "dims": ..., "twists": ...}, {"table": ...}, or
+{"product": [A, B]} with A and B each a ring or table form.
+
 A ring's fusion tensor is written in whichever encoding holds fewer
 integers.  ring.v1 lists all rank**3 entries row-major; ring.v2 lists the
 nonzero entries as [i, j, k, N] quadruples in strictly increasing (i, j, k)
@@ -293,6 +297,8 @@ def parse_modular(obj) -> ModularData:
 def _emit_ambient(amb: Ambient) -> dict:
     if amb.modular is not None:
         return {"mtc": emit_modular(amb.modular)}
+    if amb.factors is not None:
+        return {"product": [_emit_ambient(f) for f in amb.factors]}
     dims = [emit_scalar(v) for v in amb.dims.values]
     twists = (None if amb.twists is None
               else [emit_scalar(t) for t in amb.twists])
@@ -310,6 +316,12 @@ def _parse_ambient(obj) -> Ambient:
     where = "bundle.v1: ambient"
     if not isinstance(obj, dict):
         raise SchemaError(f"{where}: expected an object")
+    if set(obj) == {"product"}:
+        pair = obj["product"]
+        if type(pair) is not list or len(pair) != 2:
+            raise SchemaError(f"{where}: product must be a list of two "
+                              "factors")
+        return Ambient.from_product(*map(_parse_ambient, pair))
     if set(obj) == {"mtc"}:
         return Ambient.from_modular(parse_modular(obj["mtc"]))
     if set(obj) == {"ring", "dims", "twists"}:
@@ -332,7 +344,7 @@ def _parse_ambient(obj) -> Ambient:
         if twists is None:
             raise SchemaError(f"{where}: a bare table needs twists")
         return Ambient.from_table(labels, dual, dims, twists)
-    raise SchemaError(f"{where}: expected mtc, ring or table form")
+    raise SchemaError(f"{where}: expected mtc, ring, table or product form")
 
 
 def emit_bundle(b: CondensationBundle) -> dict:

@@ -15,12 +15,15 @@ from fuscond import families, serialize
 from fuscond import condense as condense_module
 from fuscond import ring as ring_module
 from fuscond.cli import DIGITS_FLOOR, main
-from fuscond.condense import schur_weyl
+from fuscond.condense import (CondensableAlgebra, CondensationBundle,
+                              schur_weyl)
 from fuscond.cyclotomic import working_tol
 from fuscond.modular import ModularData
-from fuscond.ring import DimVector
+from fuscond.ring import BasedRing, DimVector
 from fuscond.wedderburn import (SPLIT_SEED, AssocAlgebra, _profile_key,
                                 block_profiles)
+
+from test_condense import flat_ambient
 
 
 @pytest.fixture
@@ -306,13 +309,87 @@ def test_float_encoding_gives_the_exact_verdict(tmp_path, capsys, family, n):
 
 @pytest.mark.parametrize("verb", ["validate", "analyze"])
 def test_table_ambient_rejects_bad_labels(tmp_path, capsys, verb):
+    # a2nplus1's ambient is a product of two tables
     obj = serialize.emit_bundle(families.build("a2nplus1", n=1))
-    labels = obj["ambient"]["table"]["labels"]
+    labels = obj["ambient"]["product"][0]["table"]["labels"]
     labels[5], labels[6] = "1.1", ""
     path = tmp_path / "bad.json"
     path.write_text(serialize.dumps(obj), encoding="utf-8")
     assert main([verb, str(path)]) == 2
     assert "labels must be distinct" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("family,n", [("a2n", 1), ("a2n", 6),
+                                      ("a2nplus1", 1)])
+def test_flat_ambient_file_gives_the_same_analysis(tmp_path, capsys, family,
+                                                   n):
+    # the flat form a product ambient had before it was kept factored
+    # still reads, and gives the factored file's analysis line for line
+    b = families.build(family, n=n)
+    flat = CondensationBundle(
+        algebra=CondensableAlgebra(ambient=flat_ambient(b.ambient),
+                                   mult=b.mult),
+        module_ring=b.module_ring, dA=b.dA, induction=b.induction,
+        local=b.local)
+    path = str(tmp_path / "b.json")
+    seen = []
+    for value in (flat, b):
+        serialize.write_path(value, path)
+        capsys.readouterr()
+        code = main(["analyze", path])
+        seen.append((code, capsys.readouterr()))
+    form = json.loads(serialize.dumps(serialize.emit_bundle(flat)))["ambient"]
+    assert set(form) == ({"ring", "dims", "twists"} if family == "a2n"
+                         else {"table"})
+    assert seen[0] == seen[1] and seen[0][0] == 0
+
+
+def test_broken_factor_ring_fails_the_checks(tmp_path, capsys):
+    # m1 m1 = 1 + j + 2 m1 in the first factor of a2n n=1 keeps the unit
+    # and duality axioms but breaks associativity: (m1 m1) s+ = 3 s+ + 3 s-
+    # while m1 (m1 s+) = 2 s+ + 2 s-
+    obj = serialize.emit_bundle(families.build("a2n", n=1))
+    factor = obj["ambient"]["product"][0]
+    ring = serialize.parse_ring(factor["ring"])
+    F = ring.fusion.copy()
+    F[2, 2, 2] = 2
+    factor["ring"] = serialize.emit_ring(
+        BasedRing(labels=ring.labels, fusion=F, dual=ring.dual))
+    path = tmp_path / "bad.json"
+    path.write_text(serialize.dumps(obj), encoding="utf-8")
+    for verb in ("validate", "analyze"):
+        capsys.readouterr()
+        assert main([verb, str(path)]) == 1
+        out = capsys.readouterr().out
+        assert "- FAIL: ambient factor 0: associativity fails at " in out
+        assert "ambient factor 1" not in out
+
+
+def test_analyze_builds_no_flat_ambient_ring(tmp_path, monkeypatch):
+    # the rings analyze builds for a2n n=6: two rank-10 factors and the
+    # rank-28 module ring, never the rank-100 product
+    path = _emit(tmp_path, "a2n", 6)
+    ranks = []
+    init = ring_module.BasedRing.__post_init__
+
+    def record(self):
+        ranks.append(len(self.labels))
+        init(self)
+    monkeypatch.setattr(ring_module.BasedRing, "__post_init__", record)
+    assert main(["analyze", path]) == 0
+    assert sorted(set(ranks)) == [10, 28]
+
+
+@pytest.mark.parametrize("family", ["a2n", "a2nplus1"])
+def test_family_cap_member_runs_and_the_next_is_refused(tmp_path, capsys,
+                                                        family):
+    n = families.FAMILY_CAP
+    path = _emit(tmp_path, family, n)
+    for verb in ("analyze", "galois"):
+        assert main([verb, path]) == 0
+    capsys.readouterr()
+    assert main(["example", family, "--n", str(n + 1)]) == 2
+    assert f"built for n = 1..{n}" in capsys.readouterr().err
 
 
 # Integer coefficients (randint(-9, 9)) for the random central element

@@ -23,7 +23,7 @@ from fuscond.cli import main
 from fuscond.cyclotomic import TOL, Cyc, as_mpc, working_tol
 from fuscond.errors import CapabilityError, SchemaError, TheoremViolationError
 from fuscond.modular import verlinde
-from fuscond.ring import BasedRing, group_ring
+from fuscond.ring import BasedRing, DimVector, group_ring, product_ring
 
 from grouptables import cyclic, symmetric
 from cached_bundles import bundle, swr
@@ -402,11 +402,84 @@ def test_character_row_follows_the_working_precision():
             assert amb.character_row(x) == fresh.character_row(x)
 
 
+# -- product ambients against their flat form --
+
+
+def flat_ambient(amb):
+    """The flat form of a product ambient: labels la.lb, duals and values
+    paired, and the product_ring of two ring factors (else a table)."""
+    a, b = amb.factors
+    r = b.rank
+    labels = tuple(f"{la}.{lb}" for la in a.labels for lb in b.labels)
+    dual = tuple(a.dual[i] * r + b.dual[j]
+                 for i in range(a.rank) for j in range(r))
+    dims = DimVector(values=tuple(da * db for da in a.dims for db in b.dims))
+    twists = tuple(ta * tb for ta in a.twists for tb in b.twists)
+    if a.ring is not None and b.ring is not None:
+        return Ambient.from_ring(product_ring(a.ring, b.ring), dims,
+                                 twists=twists)
+    return Ambient.from_table(labels, dual, dims, twists)
+
+
+PRODUCT_CASES = ([("a2n", n) for n in range(1, 7)]
+                 + [("a2nplus1", n) for n in range(1, 7)])
+
+
+@pytest.mark.parametrize("family,n", PRODUCT_CASES,
+                         ids=[f"{f}-{n}" for f, n in PRODUCT_CASES])
+def test_product_ambient_matches_the_flat_form(family, n):
+    amb = bundle(family, n).ambient
+    assert amb.ring is None and amb.modular is None
+    assert [f.rank ** 2 for f in amb.factors] == [amb.rank] * 2
+    flat = flat_ambient(amb)
+    assert (amb.labels, amb.dual) == (flat.labels, flat.dual)
+    assert list(amb.dims) == list(flat.dims)
+    assert list(amb.twists) == list(flat.twists)
+    assert amb.global_dim() == flat.global_dim()
+    assert amb.has_character_rows == flat.has_character_rows
+    assert amb.has_character_rows == (family == "a2n")
+
+
+@pytest.mark.parametrize("dps", [15, 64, 128])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_product_character_rows_equal_the_flat_rows(n, dps):
+    amb = bundle("a2n", n).ambient
+    flat = flat_ambient(amb)
+    with mp.workdps(dps):
+        for x in range(amb.rank):
+            assert amb.character_row(x) == flat.character_row(x), x
+
+
+def test_product_shares_equal_values():
+    # each distinct value of the product is one object
+    amb = bundle("a2n", 3).ambient
+    for values in (amb.dims.values, amb.twists):
+        by_value = {}
+        for v in values:
+            key = (v.order, v.num, v.den)
+            assert by_value.setdefault(key, v) is v
+
+
+def test_product_factors_are_rings_or_tables():
+    ring = Ambient.from_ring(families.half_ring(1)[0], (1,) * 5)
+    modular = Ambient.from_modular(toric_data())
+    nested = Ambient.from_product(ring, ring)
+    for bad in (modular, nested):
+        with pytest.raises(SchemaError, match="ring or a table"):
+            Ambient.from_product(ring, bad)
+    # a factor without twists leaves the product without them
+    assert Ambient.from_product(ring, ring).twists is None
+    assert not Ambient.from_product(ring, ring).has_character_rows
+
+
 # -- the exact contractions against the per-term mpmath loops they replace --
 
 
 def _loop_character_row(amb, x):
-    """Ambient.character_row as one rounded mpmath operation per term."""
+    """Ambient.character_row as one rounded mpmath operation per term,
+    over the flat form of a product ambient."""
+    if amb.factors is not None:
+        amb = flat_ambient(amb)
     xs = amb.dual[x]
     if amb.modular is not None:
         s = amb.modular.s
@@ -502,6 +575,8 @@ CONTRACTION_CASES = ([("a2n", n) for n in range(1, 7)]
 def _row_terms(amb, x, dv):
     """The size of the terms the reference sums for each entry of
     character_row(x), with dv the absolute ambient dimensions."""
+    if amb.factors is not None:
+        amb = flat_ambient(amb)
     xs = amb.dual[x]
     if amb.modular is not None:
         return [abs(as_mpc(v)) / dv[xs] for v in amb.modular.s[xs]]

@@ -11,6 +11,7 @@ from fuscond.cyclotomic import Cyc, as_mpc, exact_scalar
 from fuscond.errors import CapabilityError
 from fuscond.families import (
     FAMILIES,
+    FAMILY_CAP,
     a2n,
     a2nplus1,
     build,
@@ -194,7 +195,7 @@ def test_a2n_indicator_spot_values():
 
 
 def test_a2n_builds_at_cap():
-    for n in (5, 6):
+    for n in (FAMILY_CAP - 1, FAMILY_CAP):
         b = a2n(n)
         assert not check_bundle(b).problems
 
@@ -202,8 +203,8 @@ def test_a2n_builds_at_cap():
 def test_a2n_range():
     with pytest.raises(CapabilityError):
         a2n(0)
-    with pytest.raises(CapabilityError):
-        a2n(7)
+    with pytest.raises(CapabilityError, match="built for n = 1..12"):
+        a2n(FAMILY_CAP + 1)
 
 
 # ------------------------------------------------------------ a2nplus1 family
@@ -268,8 +269,8 @@ def test_a2nplus1_n1_nongroup_inventory():
 def test_a2nplus1_range():
     with pytest.raises(CapabilityError):
         a2nplus1(0)
-    with pytest.raises(CapabilityError):
-        a2nplus1(7)
+    with pytest.raises(CapabilityError, match="built for n = 1..12"):
+        a2nplus1(FAMILY_CAP + 1)
 
 
 def test_half_table_shape():

@@ -13,9 +13,10 @@ from fuscond.cli import main
 from fuscond.condense import check_bundle
 from fuscond.cyclotomic import Cyc
 from fuscond.errors import SchemaError
-from fuscond.families import ising_modular, su2, toric_modular
+from fuscond import families
+from fuscond.families import FAMILY_CAP, ising_modular, su2, toric_modular
 from fuscond.modular import verlinde
-from fuscond.ring import BasedRing, group_ring
+from fuscond.ring import BasedRing, group_ring, product_ring
 from fuscond.serialize import (
     FUSION_ENTRY_CAP,
     detect,
@@ -179,7 +180,7 @@ def test_malformed_cyclotomic_fields_are_refused(case, tmp_path, capsys):
 @pytest.mark.parametrize("field", ["dA", "twists"])
 def test_scalar_lists_must_be_lists(field):
     obj = json.loads(dumps(emit_bundle(bundle("a2n", 1))))
-    holder = obj if field == "dA" else obj["ambient"]
+    holder = obj if field == "dA" else obj["ambient"]["product"][0]
     holder[field] = 5
     with pytest.raises(SchemaError, match="expected a list of scalars"):
         parse_bundle(obj)
@@ -371,8 +372,14 @@ def test_random_rings_round_trip_in_both_encodings(ring):
 
 @pytest.mark.parametrize("family,n", _MEMBERS)
 def test_builtin_rings_round_trip_in_both_encodings(family, n):
+    # the module ring, the ambient ring or the ring factors of a product
+    # ambient, and the flat product_ring of those factors
     b = bundle(family, n)
-    for ring in (b.module_ring, b.ambient.ring):
+    amb = b.ambient
+    factors = [f.ring for f in amb.factors or () if f.ring is not None]
+    if len(factors) == 2:
+        factors.append(product_ring(*factors))
+    for ring in [b.module_ring, amb.ring] + factors:
         if ring is not None:
             _check_both_encodings(ring)
 
@@ -577,9 +584,58 @@ def test_bundle_round_trip_byte_identical(family, n):
 
 def test_bundle_ambient_forms():
     assert set(emit_bundle(bundle("toric-code"))["ambient"]) == {"mtc"}
-    assert set(emit_bundle(bundle("a2n", 1))["ambient"]) == {
-        "ring", "dims", "twists"}
-    assert set(emit_bundle(bundle("a2nplus1", 1))["ambient"]) == {"table"}
+    assert set(emit_bundle(bundle("ising-square"))["ambient"]) == {"mtc"}
+    amb = emit_bundle(bundle("a2n", 1))["ambient"]
+    assert set(amb) == {"product"}
+    assert [set(f) for f in amb["product"]] == [{"ring", "dims", "twists"}] * 2
+    amb = emit_bundle(bundle("a2nplus1", 1))["ambient"]
+    assert set(amb) == {"product"}
+    assert [set(f) for f in amb["product"]] == [{"table"}] * 2
+
+
+@pytest.mark.parametrize("n", range(1, FAMILY_CAP + 1))
+@pytest.mark.parametrize("family", ["a2n", "a2nplus1"])
+def test_product_bundles_round_trip_byte_identical(family, n):
+    text = dumps(emit_bundle(families.build(family, n=n)))
+    assert dumps(emit_bundle(loads(text))) == text
+
+
+_MALFORMED_PRODUCT = {
+    "not-a-list": (lambda amb: amb.__setitem__("product", {"a": 1}),
+                   "list of two factors"),
+    "one-factor": (lambda amb: amb["product"].pop(), "list of two factors"),
+    "three-factors": (lambda amb: amb["product"].append(amb["product"][0]),
+                      "list of two factors"),
+    "modular-factor": (lambda amb: amb["product"].__setitem__(
+        1, {"mtc": emit_modular(toric_modular())}),
+        "ambient factor 1 must be a ring or a table"),
+    "nested-product": (lambda amb: amb["product"].__setitem__(
+        1, {"product": list(amb["product"])}),
+        "ambient factor 1 must be a ring or a table"),
+    "factor-not-an-object": (lambda amb: amb["product"].__setitem__(0, 5),
+                             "expected an object"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_PRODUCT) + ["collision"])
+def test_malformed_product_ambient_is_exit_2(case, tmp_path, capsys):
+    obj = json.loads(dumps(emit_bundle(bundle("a2nplus1", 1))))
+    if case == "collision":
+        # x . y.z and x.y . z both join to x.y.z
+        a, b = (f["table"]["labels"] for f in obj["ambient"]["product"])
+        a[1], a[2], b[1], b[2] = "x", "x.y", "y.z", "z"
+        message = "labels must be distinct"
+    else:
+        edit, message = _MALFORMED_PRODUCT[case]
+        edit(obj["ambient"])
+    with pytest.raises(SchemaError, match=message):
+        parse_bundle(obj)
+    path = tmp_path / "b.json"
+    path.write_text(dumps(obj), encoding="utf-8")
+    for verb in ("validate", "analyze"):
+        capsys.readouterr()
+        assert main([verb, str(path)]) == 2
+        assert message in capsys.readouterr().err
 
 
 def test_bundle_computes_missing_dims():
