@@ -264,7 +264,7 @@ def check_bundle(b: CondensationBundle, tol=TOL) -> ValidationReport:
 
     The based-ring axioms are checked on the module ring and on each ring
     factor of a product ambient.  A flat ambient ring is not checked: its
-    associativity test holds rank**4 integers in memory."""
+    associativity test holds a rank**4 mask in memory."""
     rep = ValidationReport()
     amb = b.ambient
     ring = b.module_ring

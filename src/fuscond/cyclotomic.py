@@ -4,9 +4,11 @@ Elements of Q(zeta_N) are stored as integer polynomials in zeta_N, reduced
 modulo the N-th cyclotomic polynomial, over one positive denominator, in
 lowest terms.  Products are integer convolutions folded modulo x^N - 1 and
 then reduced by long division by the monic integer Phi_N, so no fraction
-is built on the arithmetic paths; only Cyc.inverse runs an extended gcd
-over Fraction polynomials.  Binary operations lift both operands to the lcm
-order; when that order would exceed ORDER_CAP the operation falls back to
+is built on the arithmetic paths.  Cyc.galois applies sigma_k: zeta_N ->
+zeta_N^k by permuting exponents, and Cyc.inverse divides the product of
+the other Galois conjugates by the rational norm, on the same integer
+kernel.  Binary operations lift both operands to the lcm order; when
+that order would exceed ORDER_CAP the operation falls back to
 high-precision complex floats at the caller's working precision
 (``mp.mp.dps``), which nothing in the package sets.  The package's
 tolerances are defined here: TOL for residual checks, ROUND_TOL for values
@@ -28,71 +30,15 @@ TOL = 1e-9
 # 1e-15 of error whatever the working precision.
 ROUND_TOL = 1e-6
 
-# Little-endian coefficients: ints for cyclotomic polynomials and Cyc
-# numerators, Fractions inside Cyc.inverse's extended gcd.
+# Little-endian integer coefficients: cyclotomic polynomials and Cyc
+# numerators.
 Poly = tuple
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def _trim(c: list) -> list:
     while c and c[-1] == 0:
         c.pop()
     return c
-
-
-# -- Fraction polynomials, used only by Cyc.inverse -------------------------
-def _padd(a, b):
-    n = max(len(a), len(b))
-    out = [_ZERO] * n
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, x in enumerate(b):
-        out[i] += x
-    return _trim(out)
-
-
-def _pmul(a, b):
-    if not a or not b:
-        return []
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return _trim(out)
-
-
-def _pdivmod(a, b):
-    # exact division with remainder over Q; b must be nonzero
-    a = list(a)
-    q = [_ZERO] * max(0, len(a) - len(b) + 1)
-    inv_lead = 1 / Fraction(b[-1])
-    while True:
-        _trim(a)
-        if not a or len(a) < len(b):
-            break
-        d = len(a) - len(b)
-        c = a[-1] * inv_lead
-        q[d] = c
-        for i, y in enumerate(b):
-            a[d + i] -= c * y
-    return _trim(q), a
-
-
-def _pxgcd(a, b):
-    # extended gcd over Q[x]: returns (g, u, v) with u*a + v*b = g
-    r0, r1 = list(a), list(b)
-    u0, u1 = [_ONE], []
-    v0, v1 = [], [_ONE]
-    while _trim(list(r1)):
-        q, r = _pdivmod(r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, _padd(u0, [-c for c in _pmul(q, u1)])
-        v0, v1 = v1, _padd(v0, [-c for c in _pmul(q, v1)])
-    return r0, u0, v0
 
 
 # -- integer kernel -----------------------------------------------------------
@@ -274,7 +220,7 @@ class Cyc:
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("not a rational number")
-        return Fraction(self.num[0], self.den) if self.num else _ZERO
+        return Fraction(self.num[0] if self.num else 0, self.den)
 
     def to_mpc(self) -> mp.mpc:
         prec = mp.mp.prec
@@ -306,14 +252,21 @@ class Cyc:
         c[::step] = self.num
         return _reduce(c, order)
 
-    def conj(self) -> "Cyc":
-        if self.order == 1:
-            return self
+    def galois(self, k: int) -> "Cyc":
+        """The automorphism sigma_k: zeta_order -> zeta_order^k of
+        Q(zeta_order), for k a unit modulo the order."""
         n = self.order
+        if math.gcd(k, n) != 1:
+            raise ValueError(f"{k} is not a unit modulo the order {n}")
+        if n == 1:
+            return self
         c = [0] * n
-        for k, x in enumerate(self.num):
-            c[-k % n] = x
+        for e, x in enumerate(self.num):
+            c[e * k % n] = x
         return Cyc._make(n, _reduce(_trim(c), n), self.den)
+
+    def conj(self) -> "Cyc":
+        return self.galois(-1)
 
     # -- arithmetic ---------------------------------------------------------
     def _coerce(self, other):
@@ -372,11 +325,23 @@ class Cyc:
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyc":
+        """1/alpha = prod_{k != 1} sigma_k(alpha) / N(alpha), where the norm
+        N(alpha) = alpha prod_{k != 1} sigma_k(alpha) is rational; k runs
+        over the units modulo the order."""
         if self.is_zero():
             raise ZeroDivisionError("cyclotomic division by zero")
-        g, u, _ = _pxgcd(self.num, cyclotomic_polynomial(self.order))
-        scale = Fraction(self.den) / g[0]
-        return Cyc(self.order, [c * scale for c in u])
+        if self.order == 1:
+            q = self.num[0]
+            return Cyc._make(1, [self.den if q > 0 else -self.den], abs(q))
+        n = self.order
+        cof = Cyc.rational(1)
+        for k in range(2, n):
+            if math.gcd(k, n) == 1:
+                cof = cof * self.galois(k)
+        norm = self * cof
+        if not norm.is_rational():
+            raise ArithmeticError(f"the norm of {self!r} is not rational")
+        return cof * norm.inverse()
 
     def __truediv__(self, other):
         o = self._coerce(other)

@@ -173,10 +173,14 @@ def validate(ring: BasedRing) -> ValidationReport:
     if bad.any():
         rep.add("transpose-duality fails at (i, j, k): " + _offenders(bad))
 
+    # (i j) k against i (j k), one slice i at a time: only the bool mask is
+    # rank^4
     Ff = F.astype(np.float64)
-    lhs = np.tensordot(Ff, Ff, axes=([2], [0]))
-    rhs = np.tensordot(Ff, Ff, axes=([2], [1])).transpose(2, 0, 1, 3)
-    bad = lhs != rhs
+    left, right = Ff.reshape(r, r * r), Ff.reshape(r * r, r)
+    bad = np.empty((r,) * 4, dtype=bool)
+    for i in range(r):
+        np.not_equal((Ff[i] @ left).reshape(r, r, r),
+                     (right @ Ff[i]).reshape(r, r, r), out=bad[i])
     if bad.any():
         rep.add("associativity fails at (i, j, k, l): " + _offenders(bad))
 

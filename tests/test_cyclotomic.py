@@ -258,6 +258,63 @@ def test_kernel_matches_the_fraction_reference(xr, yr, k):
         _assert_matches(got, (got.order, got.coeffs))
 
 
+def _units(n):
+    return [k for k in range(1, n + 1) if math.gcd(k, n) == 1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_elements(), st.data())
+def test_galois_composes_and_conjugates(xr, data):
+    x, xref = xr
+    n = x.order
+    _assert_matches(x.galois(-1), _ref_conj(xref))
+    assert x.galois(1) == x and x.galois(n + 1) == x
+    j = data.draw(st.sampled_from(_units(n)))
+    k = data.draw(st.sampled_from(_units(n)))
+    assert x.galois(k).galois(j) == x.galois(j * k)
+
+
+def test_galois_needs_a_unit():
+    x = Cyc.zeta(12) + 2
+    for k in (0, 2, 3, 4, 6, 12, -9):
+        with pytest.raises(ValueError):
+            x.galois(k)
+    assert Cyc.rational(Fraction(3, 7)).galois(5) == Fraction(3, 7)
+
+
+# the orders that divide ORDER_CAP = 2400, up to 240
+_DIVISOR_ORDERS = [n for n in range(1, 241) if 2400 % n == 0]
+
+
+@st.composite
+def _sparse_elements(draw):
+    order = draw(st.sampled_from(_DIVISOR_ORDERS))
+    terms = draw(st.dictionaries(st.integers(0, order - 1), _fractions,
+                                 min_size=1, max_size=5))
+    coeffs = [0] * order
+    for k, c in terms.items():
+        coeffs[k] = c
+    return Cyc(order, coeffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_sparse_elements())
+def test_inverse_over_orders_dividing_the_cap(x):
+    assume(not x.is_zero())
+    inv = x.inverse()
+    assert x * inv == 1 and inv * x == 1
+    assert inv.order in (1, x.order)
+    assert inv.inverse() == x
+
+
+def test_inverse_at_order_1200():
+    x = 2 + 3 * Cyc.zeta(1200, 7) - Cyc.zeta(1200, 400) + 5 * Cyc.zeta(1200, 1111)
+    assert x.order == 1200
+    inv = x.inverse()
+    assert x * inv == 1
+    assert inv.order == 1200
+
+
 # numerators up to 2**40 over denominators of about 2**31: the common
 # denominator passes 2**53, so the scaled numerators are wider than a
 # float64 mantissa while each reduced Fraction's numerator is not

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from fuscond import ring as ring_module
 from fuscond.cyclotomic import Cyc, working_tol
 from fuscond.errors import CapabilityError, SchemaError
-from fuscond.families import ty_ring
+from fuscond.families import ty_ring, xy2_module_ring
 from fuscond.ring import (
     BasedRing,
     DimVector,
@@ -144,6 +144,56 @@ def test_associativity_violation_reported():
     rep = validate(bad)
     assert not rep.ok
     assert any("associativity" in p for p in rep.problems)
+
+
+def _ref_associativity_offenders(F):
+    # both bracketings as whole rank^4 tensors, and where they differ
+    Ff = F.astype(np.float64)
+    lhs = np.tensordot(Ff, Ff, axes=([2], [0]))
+    rhs = np.tensordot(Ff, Ff, axes=([2], [1])).transpose(2, 0, 1, 3)
+    return np.argwhere(lhs != rhs)
+
+
+def _broken_z3():
+    ring = group_ring(*cyclic(3))
+    F = ring.fusion.copy()
+    F[1, 1, :] = 0
+    F[1, 1, 1] = 1
+    return ring, F
+
+
+def _broken_s3():
+    ring = group_ring(*symmetric(3))
+    F = ring.fusion.copy()
+    F[1, 2, :] = F[2, 1, :]
+    return ring, F
+
+
+def _broken_d3_xy():
+    ring = d3_xy_ring()
+    F = ring.fusion.copy()
+    F[2, 2, 3] += 1
+    return ring, F
+
+
+def _broken_xy2():
+    ring = xy2_module_ring(3)
+    F = ring.fusion.copy()
+    F[3, 5, :] = F[5, 3, :] = F[3, 4, :]
+    return ring, F
+
+
+@pytest.mark.parametrize(
+    "broken", [_broken_z3, _broken_s3, _broken_d3_xy, _broken_xy2])
+def test_associativity_report_lists_the_offenders(broken):
+    ring, F = broken()
+    idx = _ref_associativity_offenders(F)
+    assert len(idx) > 5
+    shown = ", ".join(str(tuple(int(x) for x in row)) for row in idx[:5])
+    want = (f"associativity fails at (i, j, k, l): {shown}, "
+            f"and {len(idx) - 5} more")
+    rep = validate(BasedRing(labels=ring.labels, fusion=F, dual=ring.dual))
+    assert [p for p in rep.problems if p.startswith("associativity")] == [want]
 
 
 def test_transpose_duality_violation_reported():
