@@ -32,8 +32,8 @@ from .errors import (
 )
 from .modular import (ModularData, dims as modular_dims,
                       validate as validate_modular)
-from .ring import (BasedRing, DimVector, _sparse_product, check_basis, closure,
-                   fp_dims, product_basis, validate)
+from .ring import (BasedRing, DimVector, _sparse_product, basis_indices,
+                   check_basis, fp_dims, is_closed, product_basis, validate)
 from .wedderburn import (SPLIT_SEED, AssocAlgebra, _cmp_tol, _combine,
                          _mantissas, _quotient, _sup, block_profiles,
                          character_table)
@@ -313,7 +313,7 @@ def check_bundle(b: CondensationBundle, tol=TOL) -> ValidationReport:
 
     if 0 not in b.local:
         rep.add("local part must contain the unit")
-    if closure(ring, b.local) != frozenset(b.local):
+    if not is_closed(ring, b.local):
         rep.add("local part is not closed under fusion and duals")
 
     if b.induction is not None:
@@ -337,16 +337,23 @@ def _check_averaging(ring: BasedRing, sub: tuple, dims) -> int:
     within TOL, and return D = sum_{y in B} w_y^2 for the mantissas
     dims = _mantissas(d) = (w, _, f) of the real d.  With P = w_B * w_B,
     exactly, (e_B^2 - e_B)_k D^2 = P_k 2**(-2f) - w_k D 2**(-f)."""
-    if closure(ring, sub) != frozenset(sub):
-        raise SchemaError(f"{sub} is not a subring of the module ring")
     w, _, f = dims
     wb = [0] * ring.rank
-    for y in sub:
+    for y in basis_indices(ring, sub):
         wb[y] = w[y]
+    P = _sparse_product(ring._rows, wb, wb)
+    if all(wb[y] > 0 for y in sub):
+        # with every weight positive and F >= 0, P_k != 0 exactly when k
+        # is in the support of a product of two members
+        closed = (wb[0] and all(wb[ring.dual[y]] for y in sub)
+                  and all(wb[k] for k, p in enumerate(P) if p))
+    else:
+        closed = is_closed(ring, sub)
+    if not closed:
+        raise SchemaError(f"{sub} is not a subring of the module ring")
     D = sum(w[y] * w[y] for y in sub)
     zero = [0] * ring.rank
-    resid = _sup(_combine((_sparse_product(ring._rows, wb, wb), zero, -2 * f),
-                          1, (wb, zero, -f), -D))
+    resid = _sup(_combine((P, zero, -2 * f), 1, (wb, zero, -f), -D))
     if _cmp_tol(*resid, TOL, D * D) > 0:
         value = mp.sqrt(_quotient(resid[0], resid[1], D ** 4))
         raise NumericalDegeneracyError(

@@ -71,17 +71,29 @@ class BasedRing:
 
     @cached_property
     def _closure_table(self) -> tuple:
-        """_rows as bitmasks for closure: pairs[x] holds (1 << y, the
-        support of x*y and of y*x) for each y with a nonzero product, and
-        duals[x] is the bit of x's dual."""
-        pairs = [{} for _ in range(self.rank)]
+        """Bitmask tables for closure, one per basis element x and 4-bit
+        chunk c of the basis (elements 4c..4c+3): entry v of chunks[x][c]
+        is the union of the supports of x*y and y*x over the y of chunk c
+        whose bits are set in v.  duals[x] is the bit of x's dual."""
+        r = self.rank
+        # prod[x][y]: the support of x*y and of y*x, padded to whole chunks
+        prod = [[0] * (r + 3) for _ in range(r)]
         for i, row in enumerate(self._rows):
             for j, targets in row:
                 mask = _mask(k for k, _ in targets)
-                pairs[i][1 << j] = pairs[i].get(1 << j, 0) | mask
-                pairs[j][1 << i] = pairs[j].get(1 << i, 0) | mask
-        return (tuple(tuple(p.items()) for p in pairs),
-                tuple(1 << self.dual[i] for i in range(self.rank)))
+                prod[i][j] |= mask
+                prod[j][i] |= mask
+        chunks = []
+        for px in prod:
+            tables = []
+            for c in range(0, r, 4):
+                t = [0] * 16
+                for v in range(1, 16):
+                    low = v & -v
+                    t[v] = t[v ^ low] | px[c + low.bit_length() - 1]
+                tables.append(tuple(t))
+            chunks.append(tuple(tables))
+        return tuple(chunks), tuple(1 << self.dual[i] for i in range(r))
 
     def __repr__(self):
         return f"BasedRing(rank={self.rank}, labels={list(self.labels)})"
@@ -118,10 +130,19 @@ class DimVector:
             return self.exact
         return [as_mpc(v).real for v in self.values]
 
+    @cached_property
+    def _exact_squares(self) -> tuple:
+        return tuple(d * d for d in self.exact)
+
     def total(self, subset=None):
-        """Sum of d_i^2 over the indices in subset (default: all)."""
+        """Sum of d_i^2 over the indices in subset (default: all).  Exact
+        squares are formed once per vector, so each exact sum is additions
+        only."""
+        idx = range(len(self.values)) if subset is None else subset
+        if self.exact is not None:
+            sq = self._exact_squares
+            return sum(sq[i] for i in idx)
         d = self.scalars()
-        idx = range(len(d)) if subset is None else subset
         return sum(d[i] * d[i] for i in idx)
 
     def dot(self, weights):
@@ -215,21 +236,28 @@ def fp_dims(ring: BasedRing) -> DimVector:
 
 def _grow(table, s: int, new: int) -> int:
     """The closure of the bitmask s | new under fusion products and duals,
-    given that s alone is closed: each newly added element is multiplied,
-    on both sides, with every element added so far, until nothing new
-    appears."""
-    pairs, duals = table
+    given that s alone is closed: each newly added element x is multiplied,
+    on both sides, with every element added so far, by one lookup in x's
+    table per nonzero 4-bit chunk of s, until nothing new appears."""
+    chunks, duals = table
     s |= new
     while new:
+        parts = []
+        rest, c = s, 0
+        while rest:
+            if rest & 15:
+                parts.append((c, rest & 15))
+            rest >>= 4
+            c += 1
         add = 0
         while new:
             low = new & -new
             new ^= low
             x = low.bit_length() - 1
+            tx = chunks[x]
             add |= duals[x]
-            for bit, mask in pairs[x]:
-                if s & bit:
-                    add |= mask
+            for c, v in parts:
+                add |= tx[c][v]
         new = add & ~s
         s |= new
     return s
@@ -243,10 +271,33 @@ def _members(mask: int) -> tuple:
     return tuple(i for i, c in enumerate(reversed(bin(mask))) if c == "1")
 
 
+def basis_indices(ring: BasedRing, indices) -> list:
+    """indices as ints, each of which must be a basis index of ring."""
+    out = [int(i) for i in indices]
+    for i in out:
+        if not 0 <= i < ring.rank:
+            raise SchemaError(f"index {i} is not a basis index of a ring "
+                              f"of rank {ring.rank}")
+    return out
+
+
 def closure(ring: BasedRing, seed) -> frozenset:
     """Smallest subset containing the unit and the seed that is closed under
-    fusion products and duals."""
-    return frozenset(_members(_grow(ring._closure_table, 0, _mask(seed) | 1)))
+    fusion products and duals.  A seed index outside the basis raises
+    SchemaError."""
+    seed = _mask(basis_indices(ring, seed)) | 1
+    return frozenset(_members(_grow(ring._closure_table, 0, seed)))
+
+
+def is_closed(ring: BasedRing, sub) -> bool:
+    """Whether sub holds the unit and the dual of each member, and every
+    product of two members is supported inside sub.  Builds no closure
+    table."""
+    inside = np.zeros(ring.rank, dtype=bool)
+    inside[basis_indices(ring, sub)] = True
+    idx = np.flatnonzero(inside)
+    return bool(inside[0] and inside[np.asarray(ring.dual)[idx]].all()
+                and not ring.fusion[np.ix_(idx, idx, ~inside)].any())
 
 
 def enumerate_subrings(ring: BasedRing, must_contain=()) -> list:
@@ -258,7 +309,7 @@ def enumerate_subrings(ring: BasedRing, must_contain=()) -> list:
     SUBRING_BUDGET subrings is refused rather than enumerated to the end.
     """
     table = ring._closure_table
-    base = _grow(table, 0, _mask(must_contain) | 1)
+    base = _grow(table, 0, _mask(basis_indices(ring, must_contain)) | 1)
     found = {base}
     stack = [base]
     # a closed s holds x exactly when it holds x*, and s with x or with x*

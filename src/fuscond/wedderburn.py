@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 
 import mpmath as mp
 import numpy as np
@@ -187,10 +187,17 @@ def _sup(v) -> tuple:
     return max((x * x + y * y for x, y in zip(re, im)), default=0), 2 * exp
 
 
+@lru_cache
+def _tol_parts(tol, prec: int) -> tuple:
+    """The mantissa and exponent of mpf(tol) at precision prec."""
+    _, man, texp, _ = mp.mpf(tol)._mpf_
+    return man, texp
+
+
 def _cmp_tol(w: int, wexp: int, tol, den: int = 1) -> int:
     """The sign of w * 2**wexp - (tol * den)**2, from exact integers, for
     w >= 0, an mpmath or float tolerance tol >= 0 and an integer den."""
-    _, man, texp, _ = mp.mpf(tol)._mpf_
+    man, texp = _tol_parts(tol, mp.mp.prec)
     d = wexp - 2 * texp
     t2 = (man * den) ** 2
     lhs, rhs = (w << d, t2) if d >= 0 else (w, t2 << -d)

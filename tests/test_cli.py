@@ -477,19 +477,23 @@ def test_printed_residuals_are_below_working_tol(tmp_path, capsys, family,
 
 
 # sha256 of `galois b.json --digits D --dot l.dot` stdout followed by the
-# bytes of l.dot, the same at D = 15, 64 and 128, for each member whose
-# lattice the subring rank cap of 24 allowed.  Recorded before closure
-# moved onto bitmasks and n' onto the character mantissas.
+# bytes of l.dot, the same at D = 15, 64 and 128.  The members whose
+# lattice the old subring rank cap of 24 allowed were recorded before
+# closure moved onto bitmasks and n' onto the character mantissas; a2n 6
+# and a2nplus1 5 and 6 before closure moved onto 4-bit chunk tables.
 GALOIS_GOLDEN = {
     ("a2n", 1): "d51703bc2a58a79b0de6cb109c404f428a8a7002ee759bc57c5222c15b08904a",
     ("a2n", 2): "d06a9ce952e2547ed0bc35a22d85f7e3fc0778d7ba808606c170786253840e9a",
     ("a2n", 3): "6c93d6d045f11767a915511af70319f4e3ec1dad23af0ee2d88b3d9607d2726c",
     ("a2n", 4): "1ce5b5ff6895c669708003aa0bfc3707e99a98bba4e2e671198b6901fe5107ea",
     ("a2n", 5): "86e74967a71097c88925842f6dc031756950591763847f769882eb6dc1de22ff",
+    ("a2n", 6): "cc73c674e41e30886228a13d1a573f9c5610d00b72ce001f410d1d75516e3285",
     ("a2nplus1", 1): "6d3035db84eefc949417060a3e25f223a8ee65a32ba5e5ce22f8e4206515c2d2",
     ("a2nplus1", 2): "358ba8523b27f99f1e8cbe3602323b8426c8d2778f3350da81b6559f8d39c61e",
     ("a2nplus1", 3): "3b57980b54d61635766ddd442c2014a5507901ad2edd059e3d5d343ffd2ef952",
     ("a2nplus1", 4): "5c9fcf2a7f7ff661301b09d57d26a38c991e0173067e094d75b8d8fb75108d91",
+    ("a2nplus1", 5): "c39f2720821ea61a5f55ab62ae7b2659c95253d4a59160efaeb0ba3281d0f315",
+    ("a2nplus1", 6): "2cb8cad3d66f2e60122bcbe0c565857b32aa884d9d43923bcb86096d82aa8a55",
     ("vlplus-orbifold", 1): "747e637f649998f2699aa65df6ef2c96d8c0823971c2299311d3561ad2df8b33",
     ("toric-code", None): "a2300627172d1d8d357582c1ce8575a15fc8b54f4aea1ca413354709c5e8ac0b",
     ("ising-square", None): "a3ccaae2c4804b87c3f632d734c3bd4d0c78dc58d5567599ef629c6a34f50f27",

@@ -4,12 +4,14 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from fuscond import condense as condense_module
 from fuscond.condense import (
     MATCH_ACCEPT,
     MATCH_REJECT,
     Ambient,
     CondensableAlgebra,
     CondensationBundle,
+    _check_averaging,
     block_dims,
     check_bundle,
     codegree_check,
@@ -21,9 +23,12 @@ from fuscond.condense import (
 from fuscond import families, serialize
 from fuscond.cli import main
 from fuscond.cyclotomic import TOL, Cyc, as_mpc, working_tol
-from fuscond.errors import CapabilityError, SchemaError, TheoremViolationError
+from fuscond.errors import (CapabilityError, NumericalDegeneracyError,
+                             SchemaError, TheoremViolationError)
 from fuscond.modular import verlinde
-from fuscond.ring import BasedRing, DimVector, group_ring, product_ring
+from fuscond.ring import (BasedRing, DimVector, group_ring, is_closed,
+                          product_ring)
+from fuscond.wedderburn import _mantissas
 
 from grouptables import cyclic, symmetric
 from cached_bundles import bundle, swr
@@ -190,6 +195,56 @@ def test_ty_e_sub():
         c == 0 or (isinstance(c, Cyc) and c.is_zero()) for c in unit[1:])
     whole = e_sub(b, (0, 1, 2, 3))
     assert whole[0] == Cyc.rational(1) / 6
+
+
+def _recording_is_closed(monkeypatch):
+    calls = []
+
+    def record(ring, sub):
+        calls.append(tuple(sub))
+        return is_closed(ring, sub)
+    monkeypatch.setattr(condense_module, "is_closed", record)
+    return calls
+
+
+@pytest.mark.parametrize("sub", [(0, 1), (0, 3), (1, 2), (0, 1, 3)])
+def test_check_averaging_refuses_a_sub_that_is_not_closed(monkeypatch, sub):
+    b = ty_bundle()
+    calls = _recording_is_closed(monkeypatch)
+    # positive dims: closedness is read off the support of w_B * w_B
+    with pytest.raises(SchemaError, match="is not a subring"):
+        _check_averaging(b.module_ring, sub, _mantissas(b.dA.values))
+    assert calls == []
+    # a module dim of 0 inside sub: is_closed decides
+    dA = list(b.dA.values)
+    dA[sub[-1]] = 0
+    with pytest.raises(SchemaError, match="is not a subring"):
+        e_sub(dataclasses.replace(b, dA=dA), sub)
+    assert calls == [sub]
+
+
+def test_check_averaging_with_a_non_positive_dim_passes_a_closed_sub(
+        monkeypatch):
+    b = ty_bundle()
+    calls = _recording_is_closed(monkeypatch)
+    dA = list(b.dA.values)
+    dA[1] = 0
+    # closed, so only the idempotent check can fail
+    with pytest.raises(NumericalDegeneracyError, match="idempotent check"):
+        e_sub(dataclasses.replace(b, dA=dA), (0, 1, 2))
+    assert calls == [(0, 1, 2)]
+
+
+def test_e_sub_refuses_an_index_outside_the_basis():
+    with pytest.raises(SchemaError, match="index 4 is not a basis index"):
+        e_sub(ty_bundle(), (0, 4))
+
+
+def test_verdict_path_builds_no_closure_table():
+    b = ty_bundle()
+    assert check_bundle(b).ok
+    schur_weyl(b)
+    assert "_closure_table" not in vars(b.module_ring)
 
 
 def test_ty_schur_weyl():

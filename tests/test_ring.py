@@ -1,13 +1,13 @@
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fuscond import ring as ring_module
 from fuscond.cyclotomic import Cyc, working_tol
 from fuscond.errors import CapabilityError, SchemaError
-from fuscond.families import ty_ring, xy2_module_ring
+from fuscond.families import ty_ring, xy2_module_ring, xy_module_ring
 from fuscond.ring import (
     BasedRing,
     DimVector,
@@ -15,6 +15,7 @@ from fuscond.ring import (
     enumerate_subrings,
     fp_dims,
     group_ring,
+    is_closed,
     product_ring,
     validate,
 )
@@ -371,6 +372,91 @@ def test_closure_and_subrings_match_exhaustive_search(ring, seed):
     # the closure is the smallest closed subset containing the seed
     assert closure(ring, seed) == min(
         (frozenset(s) for s in closed if seed <= set(s)), key=len)
+
+
+@pytest.mark.parametrize("bad", [8, -1, 100])
+def test_indices_outside_the_basis_are_refused(bad):
+    ring = d3_xy_ring()
+    for call in (lambda: closure(ring, (1, bad)),
+                 lambda: enumerate_subrings(ring, must_contain=(bad,)),
+                 lambda: is_closed(ring, (0, bad))):
+        with pytest.raises(SchemaError, match=f"index {bad} is not a basis "
+                           "index of a ring of rank 8"):
+            call()
+
+
+# ------------------------- closure past one 4-bit chunk and past 64 bits
+
+
+def _fixed_point_closure(ring, seed):
+    """The unit and the seed, with duals and product supports added until
+    nothing changes, as bool arrays over the whole basis."""
+    member = np.zeros(ring.rank, dtype=bool)
+    member[[0, *seed]] = True
+    support = ring.fusion > 0
+    dual = np.asarray(ring.dual)
+    while True:
+        idx = np.flatnonzero(member)
+        grown = member | support[np.ix_(idx, idx)].any(axis=(0, 1))
+        grown[dual[idx]] = True
+        if (grown == member).all():
+            return frozenset(idx.tolist())
+        member = grown
+
+
+_xy_module_ring_24 = xy_module_ring(24)
+
+
+@st.composite
+def larger_rings(draw):
+    """A product of two or three of the small rings, of rank 11 to 100 and
+    with its basis shuffled, or xy_module_ring(24) (rank 100)."""
+    if draw(st.integers(min_value=0, max_value=5)) == 0:
+        return _xy_module_ring_24
+    parts = draw(st.lists(st.sampled_from(_SMALL_RINGS), min_size=2,
+                          max_size=3))
+    ring = parts[0]()
+    for make in parts[1:]:
+        other = make()
+        if ring.rank * other.rank <= 100:
+            ring = product_ring(ring, other)
+    assume(ring.rank >= 11)
+    rest = draw(st.permutations(range(1, ring.rank)))
+    return _relabel(ring, [0] + list(rest))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: product_ring(ty_ring(4), group_ring(*cyclic(3))),
+    lambda: product_ring(group_ring(*symmetric(3)), ising_ring()),
+    lambda: product_ring(ty_ring(4), group_ring(*cyclic(5))),
+    lambda: product_ring(product_ring(ising_ring(), ising_ring()),
+                         ising_ring()),
+    lambda: _relabel(product_ring(d3_xy_ring(), ty_ring(3)),
+                     [0] + list(range(31, 0, -1))),
+    lambda: product_ring(d3_xy_ring(), d3_xy_ring()),
+    lambda: product_ring(product_ring(ty_ring(4), ty_ring(4)), ising_ring()),
+    lambda: _xy_module_ring_24,
+], ids=["rank15", "rank18", "rank25", "rank27", "rank32-reversed", "rank64",
+        "rank75", "xy24-rank100"])
+def test_closure_of_each_basis_element_matches_a_fixed_point(make):
+    ring = make()
+    for x in range(ring.rank):
+        got = closure(ring, (x,))
+        assert got == _fixed_point_closure(ring, (x,)), x
+        assert is_closed(ring, got)
+
+
+@settings(max_examples=40, deadline=None)
+@given(larger_rings(), st.data())
+def test_closure_matches_a_fixed_point_closure(ring, data):
+    seed = data.draw(st.sets(st.integers(min_value=0,
+                                         max_value=ring.rank - 1),
+                             max_size=3))
+    got = closure(ring, seed)
+    assert got == _fixed_point_closure(ring, seed)
+    assert is_closed(ring, got)
+    for s in (seed, got, got - {max(got)}, seed | {0}):
+        assert is_closed(ring, s) == (closure(ring, s) == frozenset(s))
 
 
 def test_dim_vector_floats():
