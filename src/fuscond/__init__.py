@@ -20,10 +20,10 @@ from .ring import (BasedRing, DimVector, closure, element_product,
                    enumerate_subrings, fp_dims, group_ring, product_ring)
 from .ring import validate as validate_ring
 from .serialize import dumps, parse_any, read_path, write_path
-from .wedderburn import SPLIT_SEED, AssocAlgebra, block_profiles
+from .wedderburn import SPLIT_SEED, block_profiles
 
 __all__ = [
-    "Ambient", "AssocAlgebra", "BasedRing", "CapabilityError",
+    "Ambient", "BasedRing", "CapabilityError",
     "CondensableAlgebra", "CondensationBundle", "Cyc", "DimVector",
     "FAMILIES", "GaloisReport", "ModularData", "NotSemisimpleError",
     "NumericalDegeneracyError", "SPLIT_SEED", "SchemaError",

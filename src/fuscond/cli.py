@@ -172,10 +172,7 @@ def cmd_indicators(args) -> int:
     header = f"## indicators {args.input} x={args.x}"
     if _checks_fail(b, args, header):
         return 1
-    try:
-        xi = b.ambient.labels.index(args.x)
-    except ValueError:
-        raise SchemaError(f"no ambient label {args.x!r}")
+    xi = b.ambient.index(args.x)
     # an x that no block can match is refused without the split
     refusal = indicator_refusal(b, xi)
     swr = None if refusal else schur_weyl(b, tol=args.tol, seed=_seed())

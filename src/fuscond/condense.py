@@ -34,9 +34,9 @@ from .modular import (ModularData, dims as modular_dims,
                       validate as validate_modular)
 from .ring import (BasedRing, DimVector, _sparse_product, basis_indices,
                    check_basis, fp_dims, is_closed, product_basis, validate)
-from .wedderburn import (SPLIT_SEED, AssocAlgebra, _cmp_tol, _combine,
-                         _mantissas, _quotient, _sup, block_profiles,
-                         character_table)
+from .wedderburn import (SPLIT_SEED, _cmp_tol, _combine,
+                         _commutator_residuals, _mantissas, _product,
+                         _quotient, _sup, block_profiles, character_table)
 
 MATCH_ACCEPT = 1e-6
 MATCH_REJECT = 1e-3
@@ -118,6 +118,8 @@ class Ambient:
         return len(self.labels)
 
     def index(self, label: str) -> int:
+        if label not in self.labels:
+            raise SchemaError(f"no ambient label {label!r}")
         return self.labels.index(label)
 
     def global_dim(self):
@@ -341,6 +343,8 @@ def _check_averaging(ring: BasedRing, sub: tuple, dims) -> int:
     wb = [0] * ring.rank
     for y in basis_indices(ring, sub):
         wb[y] = w[y]
+    if len(set(sub)) != len(sub):
+        raise SchemaError(f"{sub} repeats a basis index")
     P = _sparse_product(ring._rows, wb, wb)
     if all(wb[y] > 0 for y in sub):
         # with every weight positive and F >= 0, P_k != 0 exactly when k
@@ -378,7 +382,6 @@ def e_sub(b: CondensationBundle, sub) -> list:
 @dataclass(frozen=True, eq=False)
 class SchurWeylReport:
     bundle: CondensationBundle
-    alg: AssocAlgebra
     e1: tuple
     blocks: tuple
     in_ideal: tuple
@@ -423,22 +426,21 @@ def schur_weyl(b: CondensationBundle, tol=TOL, seed=SPLIT_SEED) -> SchurWeylRepo
     """
     ring = b.module_ring
     amb = b.ambient
-    alg = AssocAlgebra.from_based_ring(ring)
     notes = []
 
     e1 = e_sub(b, b.local)
     e1m = _mantissas(e1)
-    for i, resid in enumerate(alg.commutator_residuals(e1m)):
+    for i, resid in enumerate(_commutator_residuals(ring._rows, e1m)):
         if _cmp_tol(resid, 2 * e1m[2], tol) > 0:
             raise TheoremViolationError(
                 f"local vacuum idempotent does not commute with basis element "
                 f"{ring.labels[i]}")
 
-    blocks = block_profiles(alg, seed=seed)
+    blocks = block_profiles(ring, seed=seed)
     in_ideal = []
     for bp in blocks:
         # e_b e1 against e_b and against 0, exactly over the mantissas
-        prod = alg.product(bp.mantissas, e1m)
+        prod = _product(ring._rows, bp.mantissas, e1m)
         to_e = _sup(_combine(prod, 1, bp.mantissas, -1))
         to_zero = _sup(prod)
         if _cmp_tol(*to_e, tol) < 0:
@@ -469,7 +471,7 @@ def schur_weyl(b: CondensationBundle, tol=TOL, seed=SPLIT_SEED) -> SchurWeylRepo
     # irreducible character of every block at every basis element, as exact
     # mantissas; all later trace computations are linear combinations of
     # these
-    table = character_table(alg, blocks)
+    table = character_table(ring, blocks)
 
     matched = [None] * len(blocks)
     matching_skipped = b.induction is None or not amb.has_character_rows
@@ -525,7 +527,7 @@ def schur_weyl(b: CondensationBundle, tol=TOL, seed=SPLIT_SEED) -> SchurWeylRepo
                 "Theorem blocks must be distinct")
 
     return SchurWeylReport(
-        bundle=b, alg=alg, e1=tuple(e1), blocks=tuple(blocks),
+        bundle=b, e1=tuple(e1), blocks=tuple(blocks),
         in_ideal=tuple(in_ideal), character_mantissas=table,
         matched=tuple(matched), kernel_dim=kernel_dim,
         matching_skipped=matching_skipped, notes=tuple(notes))
@@ -558,6 +560,10 @@ def indicator(swr: SchurWeylReport, x, a):
     refusal = indicator_refusal(swr.bundle, xi)
     if refusal is not None:
         raise refusal
+    rank = swr.bundle.module_ring.rank
+    if len(a) != rank:
+        raise SchemaError(f"the element has {len(a)} coefficients, but the "
+                          f"module ring has rank {rank}")
     for bi, xm in swr.matched_pairs():
         if xm == xi:
             return swr.block_value(bi, a)

@@ -1,8 +1,9 @@
-"""Wedderburn decomposition of a finite dimensional associative algebra.
+"""Wedderburn decomposition of a based ring over C.
 
-The algebra is given by integer (or rational) structure constants with the
-unit at basis index 0.  The primitive central idempotents are found float
-first and certified at the working precision (``mp.mp.dps``):
+The ring is a ``BasedRing``: nonnegative integer structure constants
+N[i, j, k], read from its fusion tensor and its table of nonzero entries,
+with the unit at basis index 0.  The primitive central idempotents are
+found float first and certified at the working precision (``mp.mp.dps``):
 
 - the center is the float64 nullspace of the stacked commutator
   constraints, from a thin SVD;
@@ -18,7 +19,7 @@ first and certified at the working precision (``mp.mp.dps``):
   imply that they are orthogonal and primitive.
 
 A split whose eigenvalues are not separated, or whose idempotents fail
-certification, uses up one seeded attempt; a non-semisimple algebra fails
+certification, uses up one seeded attempt; a non-semisimple ring fails
 every attempt.
 
 From the float64 guess on, each idempotent is held as integer mantissas
@@ -27,14 +28,15 @@ one bit finer than mp.prec bits below its largest entry.  Products are
 exact integer sums from the same sparse kernel as ``ring.element_product``,
 and each Newton step rounds back to the fixed exponent once per entry.
 The refinement's stopping rule, every certification check and the block
-traces compare exact integers against the tolerance; mpmath numbers are
-built once per entry, for ``BlockProfile.idempotent``.
+traces compare exact integers against the tolerance.  A ``BlockProfile``
+holds only the mantissas; its mpmath ``idempotent`` is built on first
+read, and nothing on the verdict path reads it.
 """
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 
 import mpmath as mp
@@ -43,7 +45,7 @@ from mpmath.libmp import from_int, from_man_exp, mpf_div, round_nearest
 
 from .cyclotomic import ROUND_TOL, TOL, as_mpc, working_tol
 from .errors import NotSemisimpleError, NumericalDegeneracyError, SchemaError
-from .ring import _nonzero_rows, _sparse_product
+from .ring import BasedRing, _sparse_product
 
 SPLIT_SEED = 0xC0FFEE
 _MAX_SPLIT_ATTEMPTS = 8
@@ -53,72 +55,42 @@ _MAX_SPLIT_ATTEMPTS = 8
 _FLOAT_GAP = float(np.sqrt(np.finfo(np.float64).eps))
 
 
-class AssocAlgebra:
-    """Structure constants T[i, j, k]: coefficient of k in basis_i * basis_j."""
-
-    def __init__(self, tensor):
-        T = np.asarray(tensor)
-        if T.ndim != 3 or T.shape[0] != T.shape[1] or T.shape[0] != T.shape[2]:
-            raise SchemaError(f"structure tensor must be cubic, got {T.shape}")
-        n = T.shape[0]
-        eye = np.eye(n)
-        if not (np.allclose(T[0], eye) and np.allclose(T[:, 0, :], eye)):
-            raise SchemaError("basis element 0 must be a two-sided unit")
-        self.tensor = T
-        self.n = n
-        # tr(L_a) = sum_i a_i * sum_k T[i, k, k]
-        self._trace_vec = np.einsum("ijj->i", T)
-
-    @cached_property
-    def _rows(self) -> tuple:
-        return _nonzero_rows(self.tensor)
-
-    @classmethod
-    def from_based_ring(cls, ring):
-        alg = cls(ring.fusion)
-        # the ring's own table of nonzero structure constants, built once
-        alg._rows = ring._rows
-        return alg
-
-    def product(self, a, b) -> tuple:
-        """The exact product of two mantissa vectors (re, im, exp): the
-        integer sums of the sparse kernel over the exponent ea + eb.
-        Products with an all-zero imaginary part are skipped."""
-        (ar, ai, ea), (br, bi, eb) = a, b
-        rows = self._rows
-        re = _sparse_product(rows, ar, br)
-        im = [0] * self.n
+def _product(rows, a, b) -> tuple:
+    """The exact product of two mantissa vectors (re, im, exp) over the
+    nonzero structure constants rows: the integer sums of the sparse
+    kernel over the exponent ea + eb.  Products with an all-zero imaginary
+    part are skipped."""
+    (ar, ai, ea), (br, bi, eb) = a, b
+    re = _sparse_product(rows, ar, br)
+    im = [0] * len(ar)
+    if any(bi):
+        im = _sparse_product(rows, ar, bi)
+    if any(ai):
+        im = [x + y for x, y in zip(im, _sparse_product(rows, ai, br))]
         if any(bi):
-            im = _sparse_product(rows, ar, bi)
-        if any(ai):
-            im = [x + y for x, y in zip(im, _sparse_product(rows, ai, br))]
-            if any(bi):
-                re = [x - y for x, y in
-                      zip(re, _sparse_product(rows, ai, bi))]
-        return re, im, ea + eb
+            re = [x - y for x, y in zip(re, _sparse_product(rows, ai, bi))]
+    return re, im, ea + eb
 
-    def trace_left_mult(self, a):
-        return sum(a[i] * int(t) for i, t in enumerate(self._trace_vec) if a[i] != 0)
 
-    def commutator_residuals(self, v) -> list:
-        """max_k |(a b_i - b_i a)_k|^2 for every basis element b_i, where a
-        is the mantissa vector v = (re, im, exp): exact integers over the
-        exponent 2 exp, from one pass over the nonzero structure constants."""
-        n = self.n
-        re, im, _ = v
-        dre = [[0] * n for _ in range(n)]
-        dim = [[0] * n for _ in range(n)]
-        for i, row in enumerate(self._rows):
-            for j, targets in row:
-                for k, c in targets:
-                    # T[i, j, k] = c: a_i b_i b_j is a term of a b_j,
-                    # and a_j b_i b_j one of b_i a
-                    dre[j][k] += re[i] * c
-                    dre[i][k] -= re[j] * c
-                    dim[j][k] += im[i] * c
-                    dim[i][k] -= im[j] * c
-        return [max(x * x + y * y for x, y in zip(r, s))
-                for r, s in zip(dre, dim)]
+def _commutator_residuals(rows, v) -> list:
+    """max_k |(a b_i - b_i a)_k|^2 for every basis element b_i, where a is
+    the mantissa vector v = (re, im, exp): exact integers over the exponent
+    2 exp, from one pass over the nonzero structure constants rows."""
+    re, im, _ = v
+    n = len(re)
+    dre = [[0] * n for _ in range(n)]
+    dim = [[0] * n for _ in range(n)]
+    for i, row in enumerate(rows):
+        for j, targets in row:
+            for k, c in targets:
+                # N[i, j, k] = c: a_i b_i b_j is a term of a b_j,
+                # and a_j b_i b_j one of b_i a
+                dre[j][k] += re[i] * c
+                dre[i][k] -= re[j] * c
+                dim[j][k] += im[i] * c
+                dim[i][k] -= im[j] * c
+    return [max(x * x + y * y for x, y in zip(r, s))
+            for r, s in zip(dre, dim)]
 
 
 def _mantissas(v):
@@ -133,13 +105,6 @@ def _mantissas(v):
         x = man << (e - exp) if e >= exp else man >> (exp - e)
         return -x if sign else x
     return [scaled(z[0]) for z in parts], [scaled(z[1]) for z in parts], exp
-
-
-def _values(v) -> list:
-    """The mantissa vector v = (re, im, exp) as mpmath numbers, each entry
-    rounded once to the working precision."""
-    re, im, exp = v
-    return [mp.mpc(mp.mpf((r, exp)), mp.mpf((i, exp))) for r, i in zip(re, im)]
 
 
 def _shift(x: int, s: int) -> int:
@@ -224,26 +189,25 @@ def _round_quotient(re: int, im: int, exp: int, den: int, what: str) -> int:
     return n
 
 
-def center_basis(alg: AssocAlgebra) -> np.ndarray:
+def center_basis(ring: BasedRing) -> np.ndarray:
     """Orthonormal float64 basis of the center, one vector per row: the
     nullspace of the stacked commutator constraints z * b_i - b_i * z = 0."""
-    T = alg.tensor
+    F = ring.fusion
     # rows (i, k), columns (j): coefficient of z_j in (z b_i - b_i z)_k
-    C = (T.transpose(1, 2, 0) - T.transpose(0, 2, 1)).reshape(-1, alg.n)
-    _, S, Vh = np.linalg.svd(C.astype(np.result_type(C, np.float64)),
-                             full_matrices=False)
+    C = (F.transpose(1, 2, 0) - F.transpose(0, 2, 1)).reshape(-1, ring.rank)
+    _, S, Vh = np.linalg.svd(C.astype(np.float64), full_matrices=False)
     cut = S.max(initial=0.0) * max(C.shape) * np.finfo(np.float64).eps
-    return Vh[int(np.count_nonzero(S > cut)):].conj()
+    return Vh[int(np.count_nonzero(S > cut)):]
 
 
-def _float_split(alg: AssocAlgebra, Z, rng):
+def _float_split(ring: BasedRing, Z, rng):
     """Float64 guesses for the primitive central idempotents, or None when
     the random central element does not separate the blocks."""
     k = len(Z)
     w = np.array([rng.uniform(-1.0, 1.0) for _ in range(k)]) @ Z
-    # L_w[k, j] = sum_i w_i T[i, j, k]; M is L_w restricted to the center
-    L = np.tensordot(w, alg.tensor, axes=(0, 0)).T
-    M = Z.conj() @ L @ Z.T
+    # L_w[k, j] = sum_i w_i N[i, j, k]; M is L_w restricted to the center
+    L = np.tensordot(w, ring.fusion, axes=(0, 0)).T
+    M = Z @ L @ Z.T
     lam, V = np.linalg.eig(M)
     scale = max(1.0, float(np.max(np.abs(lam))))
     gaps = np.abs(lam[:, None] - lam[None, :]) + np.eye(k) * scale
@@ -251,7 +215,7 @@ def _float_split(alg: AssocAlgebra, Z, rng):
         return None
     # the unit is the sum of the idempotents: solve for the eigenvector scales
     try:
-        c = np.linalg.solve(V, Z.conj()[:, 0])
+        c = np.linalg.solve(V, Z[:, 0])
     except np.linalg.LinAlgError:
         return None
     guesses = [(V[:, b] * c[b]) @ Z for b in range(k)]
@@ -259,49 +223,52 @@ def _float_split(alg: AssocAlgebra, Z, rng):
     return guesses if np.isfinite(guesses).all() else None
 
 
-def _refine(alg: AssocAlgebra, guess, tol):
+def _refine(ring: BasedRing, guess, tol):
     """Newton's e <- 3e^2 - 2e^3 at the working precision from a float64
     guess, as a mantissa vector, or None.  Once |e^2 - e| <= tol, one more
     step takes e from there to round-off.  Convergence is quadratic, so
     log2(mp.dps) steps reach tol from any float64 start."""
+    rows = ring._rows
     e = _float_mantissas(guess)
     exp = e[2]
     for _ in range(mp.mp.dps.bit_length() + 1):
-        sq = alg.product(e, e)
+        sq = _product(rows, e, e)
         done = _cmp_tol(*_sup(_combine(sq, 1, e, -1)), tol) <= 0
         sq = _rescale(sq, exp)
-        e = _rescale(_combine(sq, 3, alg.product(sq, e), -2), exp)
+        e = _rescale(_combine(sq, 3, _product(rows, sq, e), -2), exp)
         if done:
             return e
     return None
 
 
-def _certified(alg: AssocAlgebra, idems, dim_z, tol) -> bool:
+def _certified(ring: BasedRing, idems, dim_z, tol) -> bool:
     """dim Z idempotents (e^2 = e is checked by _refine), each nonzero and
     central, that sum to the unit."""
     if len(idems) != dim_z or None in idems:
         return False
     if any(_cmp_tol(*_sup(e), tol) <= 0 for e in idems):
         return False
-    unit = ([1] + [0] * (alg.n - 1), [0] * alg.n, 0)
+    n = ring.rank
+    unit = ([1] + [0] * (n - 1), [0] * n, 0)
     total = reduce(lambda a, b: _combine(a, 1, b, 1), idems)
     if _cmp_tol(*_sup(_combine(total, 1, unit, -1)), tol) > 0:
         return False
-    return all(_cmp_tol(max(alg.commutator_residuals(e)), 2 * e[2], tol) <= 0
-               for e in idems)
+    return all(
+        _cmp_tol(max(_commutator_residuals(ring._rows, e)), 2 * e[2], tol) <= 0
+        for e in idems)
 
 
-def _split(alg: AssocAlgebra, seed) -> list:
+def _split(ring: BasedRing, seed) -> list:
     """The certified primitive central idempotents as mantissa vectors."""
-    Z = center_basis(alg)
+    Z = center_basis(ring)
     # refinement and certification tolerance, never looser than TOL
     tol = min(mp.mpf(TOL), working_tol())
     for attempt in range(_MAX_SPLIT_ATTEMPTS):
-        guesses = _float_split(alg, Z, random.Random(seed + attempt))
+        guesses = _float_split(ring, Z, random.Random(seed + attempt))
         if guesses is None:
             continue
-        idems = [_refine(alg, g, tol) for g in guesses]
-        if _certified(alg, idems, len(Z), tol):
+        idems = [_refine(ring, g, tol) for g in guesses]
+        if _certified(ring, idems, len(Z), tol):
             return idems
     raise NumericalDegeneracyError(
         "failed to split the center after "
@@ -312,54 +279,72 @@ def _split(alg: AssocAlgebra, seed) -> list:
 @dataclass(frozen=True)
 class BlockProfile:
     """One matrix block of the Wedderburn decomposition: the idempotent as
-    mpmath numbers and as the exact mantissa vector they were rounded
-    from."""
-    idempotent: tuple
+    its exact mantissa vector (re, im, exp), the dimension of its ideal and
+    the matrix size m."""
+    mantissas: tuple
     block_dim: int
     m: int
-    mantissas: tuple = field(compare=False, repr=False)
+
+    @cached_property
+    def idempotent(self) -> tuple:
+        """The idempotent as mpmath numbers at the working precision of
+        the first read, each entry rounded once."""
+        re, im, exp = self.mantissas
+        return tuple(mp.mpc(mp.mpf((r, exp)), mp.mpf((i, exp)))
+                     for r, i in zip(re, im))
 
 
 def _profile_key(b: BlockProfile):
-    coeffs = tuple(
-        (round(float(mp.re(c)), 9) + 0.0, round(float(mp.im(c)), 9) + 0.0)
-        for c in b.idempotent)
-    return (b.m, coeffs)
+    """The matrix size, then each coefficient of the idempotent as float64,
+    rounded once from the mantissas, and then to 9 decimals."""
+    re, im, exp = b.mantissas
+
+    def rounded(x):
+        return round(x / 2 ** -exp if exp < 0 else float(x << exp), 9) + 0.0
+    return (b.m, tuple((rounded(r), rounded(i)) for r, i in zip(re, im)))
 
 
-def block_profiles(alg: AssocAlgebra, seed=SPLIT_SEED) -> list:
+def block_profiles(ring: BasedRing, seed=SPLIT_SEED) -> list:
     """Sorted block profiles: each primitive central idempotent with the
     dimension of its ideal and the matrix size m.
 
-    Raises NumericalDegeneracyError when no random central element gives a
-    certified split, which is also what happens when the input algebra is
-    not semisimple.
+    Raises SchemaError unless basis element 0 is a two-sided unit, and
+    NumericalDegeneracyError when no random central element gives a
+    certified split, which is also what happens when the ring is not
+    semisimple.
     """
+    F = ring.fusion
+    eye = np.eye(ring.rank)
+    if not (np.array_equal(F[0], eye) and np.array_equal(F[:, 0, :], eye)):
+        raise SchemaError("basis element 0 must be a two-sided unit")
+    # tr(L_i) = sum_k N[i, k, k]
+    tr = [(i, int(t)) for i, t in enumerate(np.einsum("ijj->i", F)) if t]
     out = []
-    for e in _split(alg, seed):
-        re, im, exp = e
-        bd = _round_quotient(alg.trace_left_mult(re), alg.trace_left_mult(im),
-                             exp, 1, "block dimension trace")
+    for re, im, exp in _split(ring, seed):
+        bd = _round_quotient(sum(re[i] * t for i, t in tr),
+                             sum(im[i] * t for i, t in tr), exp, 1,
+                             "block dimension trace")
         m = int(round(bd ** 0.5))
         if m * m != bd:
             raise NotSemisimpleError(
                 f"block dimension {bd} is not a perfect square")
-        out.append(BlockProfile(idempotent=tuple(_values(e)), block_dim=bd,
-                                m=m, mantissas=(tuple(re), tuple(im), exp)))
+        out.append(BlockProfile(mantissas=(tuple(re), tuple(im), exp),
+                                block_dim=bd, m=m))
     out.sort(key=_profile_key)
     return out
 
 
-def character_table(alg: AssocAlgebra, blocks) -> tuple:
+def character_table(ring: BasedRing, blocks) -> tuple:
     """Irreducible character of every block at every basis element, as
     exact integer mantissas over one exponent: (re, im, exp) with
     m chi_b(z) = (re[b][z] + 1j * im[b][z]) * 2**exp.  Here
     chi_b(z) = (1/m) sum_i e_b[i] W[i, z], with the integer matrix
-    W[i, z] = sum_k T[i, z, k] tr(L_k) = tr(L_{b_i b_z}), and the sums run
+    W[i, z] = sum_k N[i, z, k] tr(L_k) = tr(L_{b_i b_z}), and the sums run
     over the mantissas of each idempotent, so they are exact."""
-    W = np.einsum("izk,k->iz", alg.tensor, alg._trace_vec)
+    F = ring.fusion
+    W = np.einsum("izk,k->iz", F, np.einsum("ijj->i", F))
     cols = [[(int(i), int(W[i, z])) for i in np.nonzero(W[:, z])[0]]
-            for z in range(alg.n)]
+            for z in range(ring.rank)]
     rows = []
     for bp in blocks:
         re, im, exp = bp.mantissas

@@ -17,7 +17,7 @@ from fuscond.galois import group_quotient, verify_correspondence
 from fuscond.modular import central_idempotent, verlinde
 from fuscond.ring import element_product, enumerate_subrings, fp_dims, \
     group_ring
-from fuscond.wedderburn import AssocAlgebra, block_profiles
+from fuscond.wedderburn import block_profiles
 
 
 def _conclude(num, problems, detail):
@@ -195,8 +195,7 @@ def test_criterion_7_oracles():
         (symmetric(4), [1, 1, 2, 3, 3]),
     ]
     for (table, inverse), want in degrees:
-        alg = AssocAlgebra.from_based_ring(group_ring(table, inverse))
-        ms = sorted(b.m for b in block_profiles(alg))
+        ms = sorted(b.m for b in block_profiles(group_ring(table, inverse)))
         if ms != want:
             problems.append(f"group of order {len(table)}: degrees {ms}")
     _conclude(7, problems,

@@ -20,8 +20,7 @@ from fuscond.condense import (CondensableAlgebra, CondensationBundle,
 from fuscond.cyclotomic import working_tol
 from fuscond.modular import ModularData
 from fuscond.ring import BasedRing, DimVector
-from fuscond.wedderburn import (SPLIT_SEED, AssocAlgebra, _profile_key,
-                                block_profiles)
+from fuscond.wedderburn import SPLIT_SEED, _profile_key, block_profiles
 
 from test_condense import flat_ambient
 
@@ -189,7 +188,6 @@ def test_verdict_is_seed_independent(tmp_path, monkeypatch, capsys,
     b = families.build(family, n=n)
     assert b.module_ring.rank <= 20
     path = _emit(tmp_path, family, n)
-    alg = AssocAlgebra.from_based_ring(b.module_ring)
     seen = []
     for seed in SEEDS:
         if seed is None:
@@ -200,7 +198,8 @@ def test_verdict_is_seed_independent(tmp_path, monkeypatch, capsys,
         code = main(["analyze", path])
         lines = _verdict_lines(capsys.readouterr().out)
         profile = [_profile_key(bp) for bp in
-                   block_profiles(alg, seed=SPLIT_SEED if seed is None else seed)]
+                   block_profiles(b.module_ring,
+                                  seed=SPLIT_SEED if seed is None else seed)]
         seen.append((code, lines, profile))
     assert seen[0][0] == 0 and seen[0][1]
     assert all(s == seen[0] for s in seen[1:])
@@ -223,6 +222,24 @@ def test_each_global_dimension_is_summed_once(tmp_path, monkeypatch, capsys,
     assert "FAIL" not in capsys.readouterr().out
     # one sum for the ambient's dims and one for the module's
     assert len(summed) == len({id(d) for d in summed}) == 2
+
+
+@pytest.mark.parametrize("family,n", [("vlplus-orbifold", 1), ("a2n", 1)])
+def test_analyze_builds_no_mpmath_idempotent(tmp_path, monkeypatch, capsys,
+                                             family, n):
+    # every verdict reads the exact mantissas of each block
+    blocks = []
+    split = condense_module.block_profiles
+
+    def recorded(*args, **kwargs):
+        out = split(*args, **kwargs)
+        blocks.extend(out)
+        return out
+    monkeypatch.setattr(condense_module, "block_profiles", recorded)
+    assert main(["analyze", _emit(tmp_path, family, n)]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+    assert blocks
+    assert not any("idempotent" in vars(bp) for bp in blocks)
 
 
 def test_indicators_bad_label_splits_nothing(tmp_path, monkeypatch, capsys):

@@ -33,7 +33,7 @@ from fuscond.wedderburn import _mantissas
 from grouptables import cyclic, symmetric
 from cached_bundles import bundle, swr
 from test_modular import ising_data, toric_data
-from test_wedderburn import block_trace, mpc_product
+from test_wedderburn import block_trace, left_trace, mpc_product
 
 
 def toric_bundle(mult=(1, 1, 0, 0), ambient=None):
@@ -145,7 +145,7 @@ def test_toric_schur_weyl():
     assert matched_labels == ["1", "e"]
     # the sign block is the one where M acts by -1
     for bi, x in swr.matched_pairs():
-        val = block_trace(swr.alg, swr.blocks[bi], [0, 1])
+        val = block_trace(swr.bundle.module_ring, swr.blocks[bi], [0, 1])
         want = 1.0 if swr.bundle.ambient.labels[x] == "1" else -1.0
         assert abs(complex(val) - want) < 1e-12
 
@@ -159,6 +159,20 @@ def test_toric_indicators():
     assert abs(complex(indicator(swr, "e", col)) + 1) < 1e-12
     # local elements scale by d_A
     assert abs(complex(indicator(swr, "1", [1, 0])) - 1) < 1e-12
+
+
+@pytest.mark.parametrize("a", [[1], [1, 0, 0, 0, 0, 0]], ids=["short", "long"])
+def test_indicator_refuses_an_element_of_the_wrong_length(a):
+    swr = schur_weyl(toric_bundle())
+    with pytest.raises(SchemaError, match="module ring has rank 2"):
+        indicator(swr, 0, a)
+
+
+def test_ambient_index_refuses_an_unknown_label():
+    amb = toric_bundle().ambient
+    assert amb.index("e") == amb.labels.index("e")
+    with pytest.raises(SchemaError, match="no ambient label 'x'"):
+        amb.index("x")
 
 
 def test_toric_codegrees():
@@ -247,6 +261,18 @@ def test_verdict_path_builds_no_closure_table():
     assert "_closure_table" not in vars(b.module_ring)
 
 
+def test_schur_weyl_builds_no_mpmath_idempotent():
+    swr = schur_weyl(ty_bundle())
+    assert swr.blocks
+    assert not any("idempotent" in vars(bp) for bp in swr.blocks)
+
+
+def test_e_sub_refuses_a_repeated_index():
+    # a repeated index would count its weight twice in sum w_y^2
+    with pytest.raises(SchemaError, match=r"\(0, 0\) repeats a basis index"):
+        e_sub(toric_bundle(), (0, 0))
+
+
 def test_ty_schur_weyl():
     swr = schur_weyl(ty_bundle())
     assert swr.kernel_dim == 2
@@ -257,7 +283,7 @@ def test_ty_schur_weyl():
     assert labels == ["1", "j"]
     # block matched to the unit has chi(T) = +sqrt(3)
     for bi, x in swr.matched_pairs():
-        val = block_trace(swr.alg, swr.blocks[bi], [0, 0, 0, 1])
+        val = block_trace(swr.bundle.module_ring, swr.blocks[bi], [0, 0, 0, 1])
         want = 3 ** 0.5 if swr.bundle.ambient.labels[x] == "1" else -(3 ** 0.5)
         assert abs(complex(val) - want) < 1e-10
 
@@ -281,8 +307,7 @@ def test_indicator_trace_sum_identity():
             for bi, x in swr.matched_pairs():
                 n_x = bundle.mult[x]
                 total += n_x * indicator(swr, x, a)
-            e1a = mpc_product(swr.alg, e1, a)
-            rhs = swr.alg.trace_left_mult(e1a)
+            rhs = left_trace(ring, mpc_product(ring, e1, a))
             assert abs(total - rhs) < 1e-9
 
 

@@ -188,6 +188,11 @@ def test_invariant_subalgebra_rejects_non_closed_sets():
         invariant_subalgebra(swr("a2n", 1), (0, 3, 4))
 
 
+def test_invariant_subalgebra_rejects_a_repeated_index():
+    with pytest.raises(SchemaError, match=r"\(0, 0\) repeats a basis index"):
+        invariant_subalgebra(swr("toric-code"), (0, 0))
+
+
 def test_trivial_block_has_multiplicity_one_everywhere():
     rep = verify_correspondence(bundle("a2nplus1", 2), swr=swr("a2nplus1", 2))
     ideal_idx = [bi for bi, f in enumerate(swr("a2nplus1", 2).in_ideal) if f]

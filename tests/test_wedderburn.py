@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -11,11 +12,9 @@ from fuscond import families
 from fuscond.cyclotomic import ROUND_TOL, TOL, working_tol
 from fuscond.errors import NumericalDegeneracyError, SchemaError
 from fuscond.families import ty_ring
-from fuscond.ring import group_ring, product_ring
+from fuscond.ring import BasedRing, group_ring, product_ring
 from fuscond.wedderburn import (
     SPLIT_SEED,
-    AssocAlgebra,
-    BlockProfile,
     _certified,
     _float_split,
     _mantissas,
@@ -42,13 +41,21 @@ GROUP_DEGREES = [
 ]
 
 
-def mpc_product(alg, a, b):
+def mpc_product(ring, a, b):
     """a * b in mpmath numbers, term by term over the nonzero structure
-    constants of the tensor: a reference apart from the sparse kernel."""
-    out = [mp.mpc(0)] * alg.n
-    for i, j, k in np.argwhere(alg.tensor).tolist():
-        out[k] += a[i] * b[j] * int(alg.tensor[i, j, k])
+    constants of the fusion tensor: a reference apart from the sparse
+    kernel."""
+    F = ring.fusion
+    out = [mp.mpc(0)] * ring.rank
+    for i, j, k in np.argwhere(F).tolist():
+        out[k] += a[i] * b[j] * int(F[i, j, k])
     return out
+
+
+def left_trace(ring, a):
+    """tr(L_a) = sum_i a_i sum_k N[i, k, k]."""
+    tr = np.einsum("ijj->i", ring.fusion)
+    return sum(c * int(t) for c, t in zip(a, tr) if c != 0)
 
 
 def round_int(val, what):
@@ -62,18 +69,17 @@ def round_int(val, what):
     return n
 
 
-def block_trace(alg, block, a):
+def block_trace(ring, block, a):
     """(1/m) tr(L_{e a}): the irreducible trace of a in the block's m x m
     matrix factor."""
-    return alg.trace_left_mult(mpc_product(alg, block.idempotent, a)) / block.m
+    return left_trace(ring, mpc_product(ring, block.idempotent, a)) / block.m
 
 
 @pytest.mark.parametrize("grp,degrees", GROUP_DEGREES,
                          ids=[f"g{i}" for i in range(len(GROUP_DEGREES))])
 def test_group_algebra_block_degrees(grp, degrees):
     table, inverse = grp
-    alg = AssocAlgebra.from_based_ring(group_ring(table, inverse))
-    blocks = block_profiles(alg)
+    blocks = block_profiles(group_ring(table, inverse))
     assert sorted(b.m for b in blocks) == sorted(degrees)
     assert sum(b.block_dim for b in blocks) == len(table)
 
@@ -81,41 +87,40 @@ def test_group_algebra_block_degrees(grp, degrees):
 def test_center_dimension_counts_conjugacy_classes():
     cases = [(symmetric(3), 3), (quaternion(), 5), (alternating(4), 4)]
     for (table, inverse), classes in cases:
-        alg = AssocAlgebra.from_based_ring(group_ring(table, inverse))
-        assert len(center_basis(alg)) == classes
+        assert len(center_basis(group_ring(table, inverse))) == classes
 
 
 @mp.workdps(64)
 def test_idempotents_orthogonal_and_complete():
-    alg = AssocAlgebra.from_based_ring(group_ring(*symmetric(3)))
-    idems = [b.idempotent for b in block_profiles(alg)]
+    ring = group_ring(*symmetric(3))
+    n = ring.rank
+    idems = [b.idempotent for b in block_profiles(ring)]
     total = [sum(col) for col in zip(*idems)]
     assert abs(total[0] - 1) < 1e-20
-    assert all(abs(total[k]) < 1e-20 for k in range(1, alg.n))
+    assert all(abs(total[k]) < 1e-20 for k in range(1, n))
     for i, e in enumerate(idems):
         for j, f in enumerate(idems):
-            prod = mpc_product(alg, e, f)
-            want = e if i == j else [0] * alg.n
-            assert max(abs(prod[k] - want[k]) for k in range(alg.n)) < 1e-20
+            prod = mpc_product(ring, e, f)
+            want = e if i == j else [0] * n
+            assert max(abs(prod[k] - want[k]) for k in range(n)) < 1e-20
 
 
 @mp.workdps(64)
 def test_trace_identity():
     rng = random.Random(11)
     for ring in (group_ring(*symmetric(3)), d3_xy_ring()):
-        alg = AssocAlgebra.from_based_ring(ring)
-        blocks = block_profiles(alg)
-        a = [rng.randint(-5, 5) for _ in range(alg.n)]
-        lhs = sum(b.m * block_trace(alg, b, a) for b in blocks)
-        rhs = alg.trace_left_mult(a)
+        blocks = block_profiles(ring)
+        a = [rng.randint(-5, 5) for _ in range(ring.rank)]
+        lhs = sum(b.m * block_trace(ring, b, a) for b in blocks)
+        rhs = left_trace(ring, a)
         assert abs(lhs - rhs) < 1e-20
 
 
 def test_determinism():
-    alg = AssocAlgebra.from_based_ring(group_ring(*dihedral(6)))
+    ring = group_ring(*dihedral(6))
     runs = []
     for _ in range(2):
-        blocks = block_profiles(alg)
+        blocks = block_profiles(ring)
         runs.append([
             (b.m, tuple(round(float(mp.re(c)), 9) for c in b.idempotent))
             for b in blocks
@@ -126,14 +131,13 @@ def test_determinism():
 @mp.workdps(64)
 def test_d3_xy_blocks():
     ring = d3_xy_ring()
-    alg = AssocAlgebra.from_based_ring(ring)
-    blocks = block_profiles(alg)
+    blocks = block_profiles(ring)
     assert sorted(b.m for b in blocks) == [1, 1, 1, 1, 2]
     x = [0] * 8
     x[6] = 1
     vals = []
     for b in blocks:
-        tr = block_trace(alg, b, x)
+        tr = block_trace(ring, b, x)
         assert abs(mp.im(tr)) < 1e-15
         vals.append(float(mp.re(tr)))
     two_dim = [v for b, v in zip(blocks, vals) if b.m == 2]
@@ -145,15 +149,15 @@ def test_d3_xy_blocks():
     s0 = [0] * 8
     s0[3] = 1
     b2 = next(b for b in blocks if b.m == 2)
-    assert abs(block_trace(alg, b2, s0)) < 1e-15
+    assert abs(block_trace(ring, b2, s0)) < 1e-15
 
 
 def test_ising_ring_blocks():
-    alg = AssocAlgebra.from_based_ring(ising_ring())
-    blocks = block_profiles(alg)
+    ring = ising_ring()
+    blocks = block_profiles(ring)
     assert [b.m for b in blocks] == [1, 1, 1]
     s = [0, 0, 1]
-    vals = sorted(float(mp.re(block_trace(alg, b, s))) for b in blocks)
+    vals = sorted(float(mp.re(block_trace(ring, b, s))) for b in blocks)
     assert np.allclose(vals, [-(2 ** 0.5), 0.0, 2 ** 0.5], atol=1e-12)
 
 
@@ -161,33 +165,46 @@ def test_ising_ring_blocks():
 def test_ty_ring_splits_into_linear_blocks(m):
     # K(TY(Z_m)) is commutative of rank m + 1: the m - 1 nontrivial
     # characters of Z_m kill T, and the trivial one extends by T = +-sqrt(m)
-    alg = AssocAlgebra.from_based_ring(ty_ring(m))
+    ring = ty_ring(m)
     for digits in (15, 64):
         with mp.workdps(digits):
-            assert [b.m for b in block_profiles(alg)] == [1] * (m + 1)
+            assert [b.m for b in block_profiles(ring)] == [1] * (m + 1)
+
+
+def _unit_and_x(x_squared):
+    """The structure constants of C[x] / (x^2 - x_squared * 1) on the
+    basis (1, x)."""
+    T = np.zeros((2, 2, 2), dtype=np.result_type(x_squared, np.int64))
+    T[0, 0, 0] = T[0, 1, 1] = T[1, 0, 1] = 1
+    T[1, 1, 0] = x_squared
+    return T
 
 
 def test_nilpotent_algebra_fails_to_split():
     # C[x] / x^2: commutative but not semisimple
-    T = np.zeros((2, 2, 2), dtype=np.int64)
-    T[0, 0, 0] = T[0, 1, 1] = T[1, 0, 1] = 1
-    alg = AssocAlgebra(T)
-    assert len(center_basis(alg)) == 2
+    ring = BasedRing(("1", "x"), _unit_and_x(0), (0, 1))
+    assert len(center_basis(ring)) == 2
     with pytest.raises(NumericalDegeneracyError):
-        block_profiles(alg)
+        block_profiles(ring)
 
 
 def test_unit_required():
-    T = np.zeros((2, 2, 2), dtype=np.int64)
-    with pytest.raises(SchemaError):
-        AssocAlgebra(T)
+    ring = BasedRing(("a", "b"), np.zeros((2, 2, 2), dtype=np.int64), (0, 1))
+    with pytest.raises(SchemaError, match="two-sided unit"):
+        block_profiles(ring)
 
 
 def test_rank_one():
-    T = np.ones((1, 1, 1), dtype=np.int64)
-    alg = AssocAlgebra(T)
-    blocks = block_profiles(alg)
+    ring = BasedRing(("1",), np.ones((1, 1, 1), dtype=np.int64), (0,))
+    blocks = block_profiles(ring)
     assert len(blocks) == 1 and blocks[0].m == 1
+
+
+def test_non_integer_structure_constants_are_refused():
+    # C[x] / (x^2 - 1/2) is semisimple, but a constant of 1/2 is no fusion
+    # multiplicity; it is refused rather than truncated to 0
+    with pytest.raises(SchemaError, match="must be integers"):
+        BasedRing(("1", "x"), _unit_and_x(0.5), (0, 1))
 
 
 # Small groups with their irreducible degrees; a product ring's degrees are
@@ -228,28 +245,33 @@ def group_rings(draw):
 def test_group_ring_split_properties(case, seed):
     ring, degrees = case
     with mp.workdps(64):
-        alg = AssocAlgebra.from_based_ring(ring)
-        blocks = block_profiles(alg, seed=seed)
+        blocks = block_profiles(ring, seed=seed)
         assert sorted(b.m for b in blocks) == sorted(degrees)
         assert sum(b.m * b.m for b in blocks) == ring.rank
         tol = mp.mpf(10) ** -56
         for b in blocks:
             e = list(b.idempotent)
-            sq = mpc_product(alg, e, e)
+            sq = mpc_product(ring, e, e)
             assert max(abs(x - y) for x, y in zip(sq, e)) <= tol
 
 
 # The refinement loop as it ran over mpmath numbers: Newton over the mpc
-# product, stopped by the entrywise abs of e^2 - e.
-def _mpc_refine(alg, guess, tol):
+# product, stopped by the entrywise abs of e^2 - e; and the block order key
+# as it was read off those mpmath numbers.
+def _mpc_refine(ring, guess, tol):
     e = [mp.mpc(complex(x)) for x in guess]
     for _ in range(mp.mp.dps.bit_length() + 1):
-        sq = mpc_product(alg, e, e)
+        sq = mpc_product(ring, e, e)
         if max(abs(s - x) for s, x in zip(sq, e)) <= tol:
             return e
-        cube = mpc_product(alg, sq, e)
+        cube = mpc_product(ring, sq, e)
         e = [3 * s - 2 * c for s, c in zip(sq, cube)]
     return None
+
+
+def _mpc_profile_key(m, e):
+    return (m, tuple((round(float(mp.re(c)), 9) + 0.0,
+                      round(float(mp.im(c)), 9) + 0.0) for c in e))
 
 
 REFINE_RINGS = {
@@ -265,55 +287,111 @@ REFINE_RINGS = {
 @pytest.mark.parametrize("digits", [15, 64, 128])
 @pytest.mark.parametrize("name", sorted(REFINE_RINGS))
 def test_integer_refinement_matches_the_mpc_loop(name, digits):
-    alg = AssocAlgebra.from_based_ring(REFINE_RINGS[name]())
+    ring = REFINE_RINGS[name]()
     with mp.workdps(digits):
         tol = min(mp.mpf(TOL), working_tol())
-        guesses = _float_split(alg, center_basis(alg),
+        guesses = _float_split(ring, center_basis(ring),
                                random.Random(SPLIT_SEED))
-        want = [_mpc_refine(alg, g, tol) for g in guesses]
+        want = [_mpc_refine(ring, g, tol) for g in guesses]
         assert None not in want
         ref = []
         for e in want:
-            bd = round_int(alg.trace_left_mult(e), "block dimension trace")
-            ref.append(BlockProfile(idempotent=tuple(e), block_dim=bd,
-                                    m=int(round(bd ** 0.5)), mantissas=None))
-        ref.sort(key=_profile_key)
-        blocks = block_profiles(alg)
-        assert [_profile_key(b) for b in blocks] == [_profile_key(b) for b in ref]
-        for b, r in zip(blocks, ref):
-            assert (b.m, b.block_dim) == (r.m, r.block_dim)
+            bd = round_int(left_trace(ring, e), "block dimension trace")
+            ref.append((int(round(bd ** 0.5)), bd, e))
+        ref.sort(key=lambda r: _mpc_profile_key(r[0], r[2]))
+        blocks = block_profiles(ring)
+        assert ([_profile_key(b) for b in blocks]
+                == [_mpc_profile_key(m, e) for m, _, e in ref])
+        for b, (m, bd, e) in zip(blocks, ref):
+            assert (b.m, b.block_dim) == (m, bd)
             assert max(abs(x - y) for x, y in
-                       zip(b.idempotent, r.idempotent)) <= working_tol()
+                       zip(b.idempotent, e)) <= working_tol()
             e = list(b.idempotent)
-            assert max(abs(s - x) for s, x in zip(mpc_product(alg, e, e), e)) <= tol
+            assert max(abs(s - x) for s, x in
+                       zip(mpc_product(ring, e, e), e)) <= tol
 
 
 def _s3_and_involution():
     table, inverse = symmetric(3)
     s = next(g for g in range(1, len(table)) if inverse[g] == g)
-    return AssocAlgebra.from_based_ring(group_ring(table, inverse)), s
+    return group_ring(table, inverse), s
 
 
 def test_certification_refuses_a_noncentral_idempotent():
     # (1 + s)/2 and (1 - s)/2 are nonzero idempotents summing to the unit,
     # so only the commutator check can refuse them
-    alg, s = _s3_and_involution()
+    ring, s = _s3_and_involution()
     half = Fraction(1, 2)
-    plus, minus = [0] * alg.n, [0] * alg.n
+    plus, minus = [0] * ring.rank, [0] * ring.rank
     plus[0] = minus[0] = half
     plus[s], minus[s] = half, -half
     idems = [_mantissas(plus), _mantissas(minus)]
     tol = min(mp.mpf(TOL), working_tol())
-    assert not _certified(alg, idems, 2, tol)
+    assert not _certified(ring, idems, 2, tol)
 
 
 def test_certification_refuses_a_partial_set_and_a_zero_vector():
-    alg, _ = _s3_and_involution()
+    ring, _ = _s3_and_involution()
+    n = ring.rank
     tol = min(mp.mpf(TOL), working_tol())
-    idems = _split(alg, SPLIT_SEED)
-    assert _certified(alg, idems, len(idems), tol)
+    idems = _split(ring, SPLIT_SEED)
+    assert _certified(ring, idems, len(idems), tol)
     # one idempotent dropped: the rest do not sum to the unit
-    assert not _certified(alg, idems[1:], len(idems) - 1, tol)
+    assert not _certified(ring, idems[1:], len(idems) - 1, tol)
     # a zero vector added: idempotent, central, the sum unchanged
-    zero = ([0] * alg.n, [0] * alg.n, idems[0][2])
-    assert not _certified(alg, idems + [zero], len(idems) + 1, tol)
+    zero = ([0] * n, [0] * n, idems[0][2])
+    assert not _certified(ring, idems + [zero], len(idems) + 1, tol)
+
+
+# Digests of the mpmath idempotents as block_profiles once built them
+# eagerly, at the working precision of the split: each block's
+# (m, block_dim, entries as mpf tuples), in block order.  Read on demand
+# at the same precision, BlockProfile.idempotent must give the same bits.
+EAGER_IDEMPOTENT_DIGESTS = {
+    ("a2n-2", 15): "3da02b98a4599b0f",
+    ("a2n-2", 64): "0b82226580be9050",
+    ("a2n-2", 128): "c34076adca9920ec",
+    ("a2nplus1-2", 15): "25f787fd5dfdbcef",
+    ("a2nplus1-2", 64): "426fab2236cd25b1",
+    ("a2nplus1-2", 128): "469bbba80d112cb7",
+    ("d3xy", 15): "7f82779b6ffaf959",
+    ("d3xy", 64): "9af2b38fad6d5642",
+    ("d3xy", 128): "18a5396893011c4e",
+    ("d6", 15): "ff2ba83848c034ba",
+    ("d6", 64): "3d38d5b242f04970",
+    ("d6", 128): "8fa275a8e80eec71",
+    ("ising", 15): "33aaaea88f5a9d64",
+    ("ising", 64): "d761684945edd3aa",
+    ("ising", 128): "cfba3008961db1f6",
+    ("s3", 15): "1c6d2d8a120d0f87",
+    ("s3", 64): "a39eb08923df1343",
+    ("s3", 128): "22cc4ab8de324acc",
+    ("ty5", 15): "8ed96960f20d55bc",
+    ("ty5", 64): "cfb81b5869d9ba9e",
+    ("ty5", 128): "35ee7971f009d0b8",
+    ("vlplus", 15): "c3516e45162f6885",
+    ("vlplus", 64): "1e8d1cfe2828b122",
+    ("vlplus", 128): "d5ba3fd1b03869c1",
+}
+DIGEST_RINGS = {
+    "a2n-2": lambda: families.build("a2n", n=2).module_ring,
+    "a2nplus1-2": lambda: families.build("a2nplus1", n=2).module_ring,
+    "d3xy": d3_xy_ring,
+    "d6": lambda: group_ring(*dihedral(6)),
+    "ising": ising_ring,
+    "s3": lambda: group_ring(*symmetric(3)),
+    "ty5": lambda: ty_ring(5),
+    "vlplus": lambda: families.build("vlplus-orbifold", n=1).module_ring,
+}
+
+
+@pytest.mark.parametrize("name,digits", sorted(EAGER_IDEMPOTENT_DIGESTS))
+def test_idempotent_read_on_demand_matches_the_eager_values(name, digits):
+    with mp.workdps(digits):
+        blocks = block_profiles(DIGEST_RINGS[name]())
+        assert not any("idempotent" in vars(b) for b in blocks)
+        entries = [(b.m, b.block_dim,
+                    [tuple((p[0], int(p[1]), p[2], p[3]) for p in c._mpc_)
+                     for c in b.idempotent]) for b in blocks]
+    digest = hashlib.sha256(repr(entries).encode()).hexdigest()[:16]
+    assert digest == EAGER_IDEMPOTENT_DIGESTS[name, digits]
