@@ -5,10 +5,13 @@ Exit codes: 0 all checks pass, 1 a check failed, 2 unusable input,
 3 numerical degeneracy.  ``--digits`` below DIGITS_FLOOR, the float64
 precision the Wedderburn split starts from, is unusable input: the
 residual checks at the default ``--tol`` cannot pass honestly below it.
+So is a ``--tol`` that is not a finite number above 0, and a path that
+cannot be read or written.
 """
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -236,10 +239,14 @@ def main(argv=None) -> int:
         print(f"error: --digits must be at least {DIGITS_FLOOR}, got "
               f"{args.digits}", file=sys.stderr)
         return 2
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        print(f"error: --tol must be a finite number above 0, got "
+              f"{args.tol}", file=sys.stderr)
+        return 2
     try:
         with mp.workdps(args.digits):
             return args.fn(args)
-    except (SchemaError, CapabilityError) as err:
+    except (SchemaError, CapabilityError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except TheoremViolationError as err:

@@ -410,6 +410,10 @@ class SchurWeylReport:
     def block_value(self, bi: int, a) -> mp.mpc:
         """Irreducible character of block bi at the element a, computed
         from the per-basis character table by linearity."""
+        rank = self.bundle.module_ring.rank
+        if len(a) != rank:
+            raise SchemaError(f"the element has {len(a)} coefficients, but "
+                              f"the module ring has rank {rank}")
         row = self.characters[bi]
         tot = mp.mpc(0)
         for z, c in enumerate(a):
@@ -560,10 +564,6 @@ def indicator(swr: SchurWeylReport, x, a):
     refusal = indicator_refusal(swr.bundle, xi)
     if refusal is not None:
         raise refusal
-    rank = swr.bundle.module_ring.rank
-    if len(a) != rank:
-        raise SchemaError(f"the element has {len(a)} coefficients, but the "
-                          f"module ring has rank {rank}")
     for bi, xm in swr.matched_pairs():
         if xm == xi:
             return swr.block_value(bi, a)

@@ -13,109 +13,74 @@ from .condense import Ambient, CondensableAlgebra, CondensationBundle
 from .cyclotomic import Cyc
 from .errors import CapabilityError
 from .modular import ModularData, deligne, dims as modular_dims, verlinde
-from .ring import BasedRing, DimVector, element_product
+from .ring import BasedRing, DimVector, group_ring
 
 FAMILY_CAP = 12  # the largest n of the a2n and a2nplus1 families
+
+
+def _coset_ring(table, cosets, labels) -> BasedRing:
+    """The group ring of a Cayley table plus one object X_c per coset c of
+    a normal subgroup H = cosets[0]: g X_c = X_{gc}, X_c g = X_{cg},
+    X_c X_d = the sum of the coset cdH, and X_c* = X_{c^-1}."""
+    group = group_ring(table)
+    n, k = group.rank, len(cosets)
+    table = np.asarray(table)
+    coset_of = np.empty(n, dtype=np.int64)
+    for c, members in enumerate(cosets):
+        coset_of[list(members)] = c
+    reps = np.array([members[0] for members in cosets])
+    g, c = np.arange(n)[:, None], np.arange(k)[None, :]
+    F = np.zeros((n + k,) * 3, dtype=np.int64)
+    F[:n, :n, :n] = group.fusion
+    F[g, n + c, n + coset_of[table[:, reps]]] = 1
+    F[n + c.T, g.T, n + coset_of[table[reps]]] = 1
+    F[n:, n:, :n] = coset_of[table[np.ix_(reps, reps)]][:, :, None] == coset_of
+    dual = group.dual + tuple(n + int(coset_of[group.dual[r]]) for r in reps)
+    return BasedRing(labels=labels, fusion=F, dual=dual)
+
+
+def _dihedral(m: int) -> np.ndarray:
+    """Cayley table of the dihedral group of order 2m: rotations 0..m-1,
+    then m + a for rotation^a * flip."""
+    rot, flip = np.arange(2 * m) % m, np.arange(2 * m) // m
+    sign = 1 - 2 * flip[:, None]
+    return (rot[:, None] + sign * rot) % m + m * (flip[:, None] ^ flip)
+
+
+def _dihedral_labels(m: int) -> tuple:
+    return (("1",) + tuple(f"r{a}" for a in range(1, m))
+            + tuple(f"s{a}" for a in range(m)))
 
 
 def ty_ring(m: int) -> BasedRing:
     """Tambara-Yamagami ring over Z_m: the group plus one object T with
     gT = Tg = T and T^2 = sum of the group."""
-    r = m + 1
-    F = np.zeros((r, r, r), dtype=np.int64)
-    for a in range(m):
-        for b in range(m):
-            F[a, b, (a + b) % m] = 1
-        F[a, m, m] = F[m, a, m] = 1
-    for a in range(m):
-        F[m, m, a] = 1
-    dual = tuple((-a) % m for a in range(m)) + (m,)
+    table = np.add.outer(np.arange(m), np.arange(m)) % m
     labels = ("1",) + tuple(f"g{a}" for a in range(1, m)) + ("T",)
-    return BasedRing(labels=labels, fusion=F, dual=dual)
-
-
-def _dihedral_indices(m: int):
-    """Index layout used by the module rings: rotations 0..m-1 then
-    reflections m..2m-1 (reflection a stands for rotation^a * flip)."""
-    def rot(a):
-        return a % m
-
-    def refl(a):
-        return m + (a % m)
-
-    return rot, refl
-
-
-def _fill_dihedral(F, m: int):
-    rot, refl = _dihedral_indices(m)
-    for a in range(m):
-        for b in range(m):
-            F[rot(a), rot(b), rot(a + b)] = 1
-            F[rot(a), refl(b), refl(a + b)] = 1
-            F[refl(a), rot(b), refl(a - b)] = 1
-            F[refl(a), refl(b), rot(a - b)] = 1
+    return _coset_ring(table, [range(m)], labels)
 
 
 def xy_module_ring(n: int) -> BasedRing:
     """Fusion ring with basis the dihedral group of order 2(2n+1) plus two
-    central objects X, Y of dimension sqrt(2n+1): rotations fix X and Y,
-    reflections swap them, X^2 = Y^2 = sum of rotations, XY = sum of
-    reflections."""
+    central objects X, Y of dimension sqrt(2n+1), one per coset of the
+    rotations: rotations fix X and Y, reflections swap them, X^2 = Y^2 =
+    sum of rotations, XY = sum of reflections."""
     m = 2 * n + 1
-    r = 2 * m + 2
-    X, Y = 2 * m, 2 * m + 1
-    rot, refl = _dihedral_indices(m)
-    F = np.zeros((r, r, r), dtype=np.int64)
-    _fill_dihedral(F, m)
-    for a in range(m):
-        F[rot(a), X, X] = F[X, rot(a), X] = 1
-        F[rot(a), Y, Y] = F[Y, rot(a), Y] = 1
-        F[refl(a), X, Y] = F[X, refl(a), Y] = 1
-        F[refl(a), Y, X] = F[Y, refl(a), X] = 1
-    for a in range(m):
-        F[X, X, rot(a)] = F[Y, Y, rot(a)] = 1
-        F[X, Y, refl(a)] = F[Y, X, refl(a)] = 1
-    dual = tuple(rot(-a) for a in range(m)) + tuple(refl(a) for a in range(m)) + (X, Y)
-    labels = (("1",) + tuple(f"r{a}" for a in range(1, m))
-              + tuple(f"s{a}" for a in range(m)) + ("X", "Y"))
-    return BasedRing(labels=labels, fusion=F, dual=dual)
+    return _coset_ring(_dihedral(m), [range(m), range(m, 2 * m)],
+                       _dihedral_labels(m) + ("X", "Y"))
 
 
 def xy2_module_ring(n: int) -> BasedRing:
     """Fusion ring with basis the dihedral group of order 2(2n+2) plus four
-    central objects X1, X2, Y1, Y2 of dimension sqrt(n+1).  Odd rotations
-    swap X1, X2 (and Y1, Y2); reflections exchange the X and Y pairs with
-    the same parity rule; Xi^2 = sum of even rotations."""
+    central objects X1, X2, Y1, Y2 of dimension sqrt(n+1), one per coset of
+    the even rotations: the even rotations, the odd rotations, the even
+    and the odd reflections.  Odd rotations swap X1, X2 (and Y1, Y2);
+    reflections exchange the X and Y pairs with the same parity rule;
+    Xi^2 = sum of even rotations."""
     p = 2 * n + 2
-    r = 2 * p + 4
-    rot, refl = _dihedral_indices(p)
-    X = (2 * p, 2 * p + 1)
-    Y = (2 * p + 2, 2 * p + 3)
-    F = np.zeros((r, r, r), dtype=np.int64)
-    _fill_dihedral(F, p)
-    for a in range(p):
-        for i in range(2):
-            F[rot(a), X[i], X[(i + a) % 2]] = F[X[i], rot(a), X[(i + a) % 2]] = 1
-            F[rot(a), Y[i], Y[(i + a) % 2]] = F[Y[i], rot(a), Y[(i + a) % 2]] = 1
-            F[refl(a), X[i], Y[(i + a) % 2]] = F[X[i], refl(a), Y[(i + a) % 2]] = 1
-            F[refl(a), Y[i], X[(i + a) % 2]] = F[Y[i], refl(a), X[(i + a) % 2]] = 1
-    even = [rot(2 * t) for t in range(n + 1)]
-    odd = [rot(2 * t + 1) for t in range(n + 1)]
-    even_f = [refl(2 * t) for t in range(n + 1)]
-    odd_f = [refl(2 * t + 1) for t in range(n + 1)]
-    for i in range(2):
-        for j in range(2):
-            targets = even if i == j else odd
-            for t in targets:
-                F[X[i], X[j], t] = F[Y[i], Y[j], t] = 1
-            ftargets = even_f if i == j else odd_f
-            for t in ftargets:
-                F[X[i], Y[j], t] = F[Y[i], X[j], t] = 1
-    dual = (tuple(rot(-a) for a in range(p))
-            + tuple(refl(a) for a in range(p)) + X + Y)
-    labels = (("1",) + tuple(f"r{a}" for a in range(1, p))
-              + tuple(f"s{a}" for a in range(p)) + ("X1", "X2", "Y1", "Y2"))
-    return BasedRing(labels=labels, fusion=F, dual=dual)
+    cosets = [range(start, start + p, 2) for start in (0, 1, p, p + 1)]
+    return _coset_ring(_dihedral(p), cosets,
+                       _dihedral_labels(p) + ("X1", "X2", "Y1", "Y2"))
 
 
 def half_ring(n: int):
@@ -219,40 +184,18 @@ def a2n(n: int) -> CondensationBundle:
     module = xy_module_ring(n)
     m = 2 * n + 1
     X, Y = 2 * m, 2 * m + 1
-    rank_h = ring.rank
-
-    def unit_vec():
-        v = [0] * module.rank
-        v[0] = 1
-        return v
-
-    def rot_pair(i):
-        v = [0] * module.rank
-        v[i % m] += 1
-        v[(-i) % m] += 1
-        return v
-
-    img_L, img_K = [], []
-    for i in range(rank_h):
-        if i in (0, 1):
-            img_L.append(unit_vec())
-            img_K.append(unit_vec())
-        elif i < 2 + n:
-            img_L.append(rot_pair(i - 1))
-            img_K.append(rot_pair(i - 1))
-        else:
-            vl = [0] * module.rank
-            vl[Y] = 1
-            img_L.append(vl)
-            vk = [0] * module.rank
-            vk[X] = 1
-            img_K.append(vk)
-
-    M = np.zeros((amb.rank, module.rank), dtype=np.int64)
-    for a in range(rank_h):
-        for b in range(rank_h):
-            prod = element_product(module, img_L[a], img_K[b])
-            M[a * rank_h + b] = [int(c) for c in prod]
+    # the half maps: 1, j -> 1; m_i -> r_i + r_-i; s+, s- -> Y under L
+    # and X under K
+    L = np.zeros((ring.rank, module.rank), dtype=np.int64)
+    L[[0, 1], 0] = 1
+    i = np.arange(1, n + 1)
+    L[1 + i, i] = L[1 + i, m - i] = 1
+    K = L.copy()
+    L[[n + 2, n + 3], Y] = 1
+    K[[n + 2, n + 3], X] = 1
+    # M[(a, b)] = L(a) K(b) in the module ring
+    M = np.einsum("bj,ajk->abk", K, np.tensordot(L, module.fusion, 1))
+    M = M.reshape(amb.rank, module.rank)
 
     mult = tuple(int(M[x, 0]) for x in range(amb.rank))
     rt = Cyc.sqrt_int(m)
@@ -355,9 +298,7 @@ def toric_code() -> CondensationBundle:
     simples, trivial local part beyond the vacuum."""
     md = toric_modular()
     amb = Ambient.from_modular(md)
-    F = np.zeros((2, 2, 2), dtype=np.int64)
-    F[0, 0, 0] = F[0, 1, 1] = F[1, 0, 1] = F[1, 1, 0] = 1
-    module = BasedRing(labels=("1", "M"), fusion=F, dual=(0, 1))
+    module = group_ring([[0, 1], [1, 0]], labels=("1", "M"))
     M = np.array([[1, 0], [1, 0], [0, 1], [0, 1]], dtype=np.int64)
     dA = DimVector(values=(1, 1))
     alg = CondensableAlgebra(ambient=amb, mult=(1, 1, 0, 0))

@@ -401,19 +401,15 @@ def product_ring(a: BasedRing, b: BasedRing) -> BasedRing:
 
 def group_ring(table, inverse=None, labels=None) -> BasedRing:
     """Based ring of a finite group given as a Cayley table with identity 0."""
+    table = np.asarray(table)
     n = len(table)
-    if any(table[0][i] != i or table[i][0] != i for i in range(n)):
+    idx = np.arange(n)
+    if (table[0] != idx).any() or (table[:, 0] != idx).any():
         raise SchemaError("Cayley table must have the identity at index 0")
     F = np.zeros((n, n, n), dtype=np.int64)
-    for i in range(n):
-        for j in range(n):
-            F[i, j, table[i][j]] = 1
+    F[idx[:, None], idx, table] = 1
     if inverse is None:
-        inverse = [0] * n
-        for i in range(n):
-            for j in range(n):
-                if table[i][j] == 0:
-                    inverse[i] = j
+        inverse = np.argmax(table == 0, axis=1).tolist()
     if labels is None:
         labels = tuple(f"g{i}" for i in range(n))
     return BasedRing(labels=tuple(labels), fusion=F, dual=tuple(inverse))

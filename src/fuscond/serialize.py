@@ -444,7 +444,11 @@ def loads(text: str):
 def read_tagged(path) -> tuple:
     """(schema tag, value) of a file."""
     with open(path, "r", encoding="utf-8") as fh:
-        return _loads_tagged(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as err:
+            raise SchemaError(f"{path} is not UTF-8 text: {err}")
+    return _loads_tagged(text)
 
 
 def read_path(path):

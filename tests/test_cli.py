@@ -99,6 +99,69 @@ def test_analyze_wants_a_bundle(tmp_path):
     assert main(["galois", str(p)]) == 2
 
 
+READING_VERBS = [["validate"], ["analyze"], ["galois"],
+                 ["indicators", "--x", "1"]]
+
+
+def _unreadable(tmp_path, kind):
+    if kind == "missing":
+        return tmp_path / "missing.json"
+    if kind == "directory":
+        return tmp_path
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"schema": "ring.v1", "labels": ["\xe9"]}')
+    return path
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "non-utf8"])
+@pytest.mark.parametrize("argv", READING_VERBS, ids=lambda a: a[0])
+def test_unreadable_path_is_exit_2(tmp_path, capsys, argv, kind):
+    path = str(_unreadable(tmp_path, kind))
+    capsys.readouterr()
+    assert main([argv[0], path] + argv[1:]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    if kind == "non-utf8":
+        assert "is not UTF-8 text" in err
+
+
+def test_unreadable_mtc_is_exit_2(tmp_path, capsys):
+    path = str(_unreadable(tmp_path, "non-utf8"))
+    capsys.readouterr()
+    assert main(["example", "coset-diagonal", "--mtc", path]) == 2
+    assert "is not UTF-8 text" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["example", "toric-code", "--emit"],
+    ["galois", "--dot"],
+], ids=["example-emit", "galois-dot"])
+def test_unwritable_path_is_exit_2(tmp_path, capsys, argv):
+    bundle = _emit(tmp_path, "toric-code", None)
+    target = str(tmp_path / "no-such-dir" / "out")
+    if argv[0] == "galois":
+        argv = ["galois", bundle, "--dot"]
+    capsys.readouterr()
+    assert main(argv + [target]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "No such file or directory" in err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+@pytest.mark.parametrize("verb", ["validate", "analyze", "galois",
+                                  "indicators", "example"])
+def test_tol_must_be_finite_and_positive(tmp_path, capsys, verb, tol):
+    path = _emit(tmp_path, "toric-code", None)
+    argv = {"indicators": ["indicators", path, "--x", "1"],
+            "example": ["example", "toric-code"]}.get(verb, [verb, path])
+    capsys.readouterr()
+    assert main(argv + [f"--tol={tol}"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: --tol must be a finite number above 0, got "
+                   f"{float(tol)}\n")
+
+
 def test_example_missing_n_is_exit_2(capsys):
     assert main(["example", "a2n"]) == 2
     assert "error" in capsys.readouterr().err

@@ -168,6 +168,13 @@ def test_indicator_refuses_an_element_of_the_wrong_length(a):
         indicator(swr, 0, a)
 
 
+@pytest.mark.parametrize("a", [[1], [1, 0, 0, 0, 0, 0]], ids=["short", "long"])
+def test_block_value_refuses_an_element_of_the_wrong_length(a):
+    swr = schur_weyl(toric_bundle())
+    with pytest.raises(SchemaError, match="module ring has rank 2"):
+        swr.block_value(0, a)
+
+
 def test_ambient_index_refuses_an_unknown_label():
     amb = toric_bundle().ambient
     assert amb.index("e") == amb.labels.index("e")

@@ -3,6 +3,8 @@
 Expected numbers come from hand calculations on the defining data (fusion
 rules, twists, dimension counts), not from the code under test.
 """
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -12,12 +14,14 @@ from fuscond.errors import CapabilityError
 from fuscond.families import (
     FAMILIES,
     FAMILY_CAP,
+    _dihedral,
     a2n,
     a2nplus1,
     build,
     half_ring,
     half_table,
     ising_modular,
+    toric_code,
     toric_modular,
     ty_ring,
     vlplus_orbifold,
@@ -25,8 +29,10 @@ from fuscond.families import (
     xy_module_ring,
 )
 from fuscond.ring import enumerate_subrings, fp_dims, validate
+from fuscond.serialize import dumps, emit_any
 
 from cached_bundles import bundle, swr
+from grouptables import dihedral
 
 
 def basis_vec(rank, i):
@@ -384,6 +390,71 @@ def test_coset_induction_unit_column():
     M = np.asarray(b.induction)
     for j in range(md.rank):
         assert list(M[j * md.rank + 0]) == basis_vec(md.rank, j)
+
+
+# ------------------------------------------------------------- pinned bytes
+
+
+def _ring_digest(rings):
+    h = hashlib.sha256()
+    for r in rings:
+        h.update(repr((r.labels, r.dual, r.fusion.shape)).encode())
+        h.update(np.ascontiguousarray(r.fusion, dtype=np.int64).tobytes())
+    return h.hexdigest()
+
+
+def _bundle_digest(bundles):
+    h = hashlib.sha256()
+    for b in bundles:
+        h.update(dumps(emit_any(b)).encode())
+    return h.hexdigest()
+
+
+# sha256 of the labels, dual and fusion bytes of each module ring, and of
+# the emitted bundle bytes, over the sizes named; recorded when every
+# module ring was still filled entry by entry
+BUILT_SHA256 = {
+    "ty_ring": ("58e8f40c40737839ba3d4f8fe23f51e5"
+                "4fcde9eacbde4cc200d3aa8a0e6ea7ef"),
+    "xy_module_ring": ("cf5fbf399e3014b3f4aad02b08e03c5a"
+                       "d341d56abc11f32f5989ffe6dd73b962"),
+    "xy2_module_ring": ("a4a3fa1d5208dbf401fe6f4ca5885abe"
+                        "2dc389b6f8026a6d4a18c2bb91b8f907"),
+    "toric module ring": ("c9d03cac340f59e6461a4d5fcbf161dd"
+                          "ae2cfde5706fcd3723e95b67a1c4c0bf"),
+    "a2n": ("63787b8a036e800b13d59efa63628faf"
+            "44d560df5d4b14b4d9fad6421b927797"),
+    "a2nplus1": ("3714301896791cafc151b1766b5190e2"
+                 "e8a70a38b835c09629e0be3d34763f30"),
+    "vlplus-orbifold": ("d8db8f21da16eb1f1322d761375dfb5a"
+                        "4ed14886f6db57f48219c64fc7374235"),
+    "toric-code": ("453260808f461ed3f75fc793dbae0ca1"
+                   "dd2847e135ca817aad81714c0b1131db"),
+}
+
+BUILT = {
+    "ty_ring": lambda: _ring_digest(ty_ring(m) for m in range(1, 13)),
+    "xy_module_ring": lambda: _ring_digest(
+        xy_module_ring(n) for n in range(13)),
+    "xy2_module_ring": lambda: _ring_digest(
+        xy2_module_ring(n) for n in range(13)),
+    "toric module ring": lambda: _ring_digest([toric_code().module_ring]),
+    "a2n": lambda: _bundle_digest(a2n(n) for n in range(1, 13)),
+    "a2nplus1": lambda: _bundle_digest(a2nplus1(n) for n in range(1, 13)),
+    "vlplus-orbifold": lambda: _bundle_digest([vlplus_orbifold(1)]),
+    "toric-code": lambda: _bundle_digest([toric_code()]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILT_SHA256))
+def test_built_rings_and_bundles_are_pinned(name):
+    assert BUILT[name]() == BUILT_SHA256[name]
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_dihedral_table_matches_the_independent_one(m):
+    table, _ = dihedral(m)
+    assert np.array_equal(_dihedral(m), np.array(table))
 
 
 # ------------------------------------------------------------------ registry
