@@ -72,47 +72,47 @@ def cmd_validate(args) -> int:
     return 1 if problems else 0
 
 
-def _load_bundle(path) -> CondensationBundle:
-    value = read_path(path)
-    if not isinstance(value, CondensationBundle):
-        raise SchemaError(f"{path} does not hold a bundle.v1 object")
-    return value
-
-
-def _checks_fail(b, args, header) -> bool:
-    """Run check_bundle; on failure print header and the problems."""
+def _gate(args, target=None, summary=False):
+    """Read, check, refuse and split a reading verb's bundle.  Prints the
+    header (with summary, the ranks and a passing verdict too); returns
+    None after failed checks (exit 1), else the bundle and its
+    SchurWeylReport.  Once the checks pass, an unknown --x and an
+    unwritable target are refused before anything is printed or split."""
+    b = read_path(args.input)
+    if not isinstance(b, CondensationBundle):
+        raise SchemaError(f"{args.input} does not hold a bundle.v1 object")
     problems = check_bundle(b, tol=args.tol).problems
-    if problems:
-        print(header)
+    x = getattr(args, "x", None)
+    xi = None if x is None or problems else b.ambient.index(x)
+    if target and not problems:
+        open(target, "w", encoding="utf-8").close()
+    print(f"## {args.verb} {args.input}" + ("" if x is None else f" x={x}"))
+    if summary:
+        print(f"- ambient rank {b.ambient.rank}, module rank "
+              f"{b.module_ring.rank}, |local| {len(b.local)}")
+    if problems or summary:
         _print_problems(problems)
-    return bool(problems)
-
-
-def _print_schur_weyl(b, swr) -> None:
-    print(f"- kernel_dim: {swr.kernel_dim}")
-    lines = []
-    for bi, bp in enumerate(swr.blocks):
-        if not swr.in_ideal[bi]:
-            continue
-        x = swr.matched[bi]
-        tag = b.ambient.labels[x] if x is not None else "(unmatched)"
-        lines.append(f"m={bp.m} -> {tag}")
-    print(f"- blocks: {', '.join(lines)}")
-    for note in swr.notes:
-        print(f"- note: {note}")
+    if problems:
+        return None
+    refusal = xi is not None and indicator_refusal(b, xi)
+    if refusal:
+        raise refusal
+    return b, schur_weyl(b, tol=args.tol, seed=_seed())
 
 
 def cmd_analyze(args) -> int:
-    b = _load_bundle(args.input)
-    print(f"## analyze {args.input}")
-    print(f"- ambient rank {b.ambient.rank}, module rank "
-          f"{b.module_ring.rank}, |local| {len(b.local)}")
-    rep = check_bundle(b, tol=args.tol)
-    _print_problems(rep.problems)
-    if rep.problems:
+    gate = _gate(args, summary=True)
+    if gate is None:
         return 1
-    swr = schur_weyl(b, tol=args.tol, seed=_seed())
-    _print_schur_weyl(b, swr)
+    b, swr = gate
+    print(f"- kernel_dim: {swr.kernel_dim}")
+    blocks = [f"m={bp.m} -> " + ("(unmatched)" if x is None
+                                  else b.ambient.labels[x])
+              for bp, x, ideal in zip(swr.blocks, swr.matched, swr.in_ideal)
+              if ideal]
+    print(f"- blocks: {', '.join(blocks)}")
+    for note in swr.notes:
+        print(f"- note: {note}")
     cg = codegree_check(swr, tol=args.tol)
     for name, scalar in cg.entries:
         print(f"- codegree {name}: {_fmt(scalar)}")
@@ -124,12 +124,11 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_galois(args) -> int:
-    b = _load_bundle(args.input)
-    if _checks_fail(b, args, f"## galois {args.input}"):
+    gate = _gate(args, target=args.dot)
+    if gate is None:
         return 1
-    swr = schur_weyl(b, tol=args.tol, seed=_seed())
+    b, swr = gate
     rep = verify_correspondence(b, tol=args.tol, swr=swr)
-    print(f"## galois {args.input}")
     print(markdown_table(rep), end="")
     if rep.injective:
         print("- subring -> multiplicity map is injective here")
@@ -160,6 +159,9 @@ def cmd_example(args) -> int:
             _print_problems(problems)
             return 1
         mtc = value
+    if args.emit:
+        # an unwritable path is refused before anything is built or printed
+        open(args.emit, "w", encoding="utf-8").close()
     b = families.build(args.name, n=args.n, mtc=mtc)
     print(header)
     print(f"- ambient rank {b.ambient.rank}, module rank "
@@ -171,23 +173,15 @@ def cmd_example(args) -> int:
 
 
 def cmd_indicators(args) -> int:
-    b = _load_bundle(args.input)
-    header = f"## indicators {args.input} x={args.x}"
-    if _checks_fail(b, args, header):
+    gate = _gate(args)
+    if gate is None:
         return 1
-    xi = b.ambient.index(args.x)
-    # an x that no block can match is refused without the split
-    refusal = indicator_refusal(b, xi)
-    swr = None if refusal else schur_weyl(b, tol=args.tol, seed=_seed())
-    print(header)
-    if refusal:
-        raise refusal
-    rank = b.module_ring.rank
-    for y in range(rank):
-        vec = [0] * rank
+    b, swr = gate
+    labels = b.module_ring.labels
+    for y, label in enumerate(labels):
+        vec = [0] * len(labels)
         vec[y] = 1
-        val = indicator(swr, xi, vec)
-        print(f"- {b.module_ring.labels[y]}: {_fmt(val)}")
+        print(f"- {label}: {_fmt(indicator(swr, args.x, vec))}")
     return 0
 
 

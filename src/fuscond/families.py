@@ -94,42 +94,26 @@ def half_ring(n: int):
     """
     m = 2 * n + 1
     r = n + 4
-    one, jj = 0, 1
-    sp, sm = n + 2, n + 3
-
-    def mid(u):
-        u = u % m
-        if u == 0:
-            raise ValueError("middle-object index collapsed to the unit")
-        return 1 + min(u, m - u)
-
+    mids, odd = slice(2, n + 2), slice(n + 2, r)
+    # m_u for u mod m as a basis vector: m_0 = 1 + j and m_{-u} = m_u
+    u = np.arange(1, m)
+    M = np.zeros((m, r), dtype=np.int64)
+    M[0, :2] = 1
+    M[u, 1 + np.minimum(u, m - u)] = 1
     F = np.zeros((r, r, r), dtype=np.int64)
-    for a in range(r):
-        F[one, a, a] = F[a, one, a] = 1
-    F[jj, jj, one] = 1
-    F[jj, sp, sm] = F[sp, jj, sm] = 1
-    F[jj, sm, sp] = F[sm, jj, sp] = 1
-    for i in range(1, n + 1):
-        mi = 1 + i
-        F[jj, mi, mi] = F[mi, jj, mi] = 1
-        for j in range(1, n + 1):
-            mj = 1 + j
-            if i == j:
-                F[mi, mi, one] += 1
-                F[mi, mi, jj] += 1
-                F[mi, mi, mid(2 * i)] += 1
-            else:
-                F[mi, mj, mid(i + j)] += 1
-                F[mi, mj, mid(i - j)] += 1
-        for t in (sp, sm):
-            F[mi, t, sp] = F[mi, t, sm] = 1
-            F[t, mi, sp] = F[t, mi, sm] = 1
-    for t in (sp, sm):
-        F[sp, t, one if t == sp else jj] = 1
-        F[sm, t, one if t == sm else jj] = 1
-        for i in range(1, n + 1):
-            F[sp, t, 1 + i] = 1
-            F[sm, t, 1 + i] = 1
+    every = np.arange(r)
+    # j swaps 1 and j, fixes each m_u and swaps s+ and s-
+    jx = np.r_[1, 0, every[mids], r - 1, r - 2]
+    F[0, every, every] = F[every, 0, every] = 1
+    F[1, every, jx] = F[every, 1, jx] = 1
+    # the even part is Rep(D_m): m_a m_b = m_{a+b} + m_{a-b}
+    a = np.arange(1, n + 1)
+    F[mids, mids] = M[(a[:, None] + a) % m] + M[(a[:, None] - a) % m]
+    # m_u s = s m_u = s+ + s-; s s' = 1 (s' = s) or j (s' != s) + sum m_u
+    F[mids, odd, odd] = F[odd, mids, odd] = 1
+    F[odd, odd, 0] = np.eye(2, dtype=np.int64)
+    F[odd, odd, 1] = 1 - np.eye(2, dtype=np.int64)
+    F[odd, odd, mids] = 1
     labels = ("1", "j") + tuple(f"m{i}" for i in range(1, n + 1)) + ("s+", "s-")
     ring = BasedRing(labels=labels, fusion=F, dual=tuple(range(r)))
 

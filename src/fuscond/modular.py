@@ -104,11 +104,11 @@ def validate(md: ModularData, tol=TOL) -> ValidationReport:
 
     The unit, dimension and twist checks touch R values and run at the
     working precision.  Symmetry, unitarity (S conj(S)^T = dim I) and
-    duality (S^2 = dim C) run in float64 on s_complex(): their bound
-    tol * max(1, dim) is far above the float64 error, about
-    R max|S|^2 eps (1e-11 at R = 121).  The comparisons are NaN-safe, so
-    a NaN entry fails them.  The last check is Verlinde integrality: the
-    coefficient verlinde refuses is one more problem.
+    duality (S^2 = dim C) run in float64 on s_complex(); the last two are
+    bounded by max(tol, 16 R eps) * max(1, dim), so a tol below the
+    float64 rounding error does not fail exact data.  The comparisons are
+    NaN-safe, so a NaN entry fails them.  The last check is Verlinde
+    integrality: the coefficient verlinde refuses is one more problem.
     """
     rep = ValidationReport()
     r = md.rank
@@ -131,7 +131,12 @@ def validate(md: ModularData, tol=TOL) -> ValidationReport:
 
     dim = float(np.sum(np.abs(S[0]) ** 2))
     if not dim <= tol:
-        bound = tol * max(1, dim)
+        # Each entry sums R products, and for unitary S Cauchy-Schwarz
+        # gives sum_t |S_it||S_tj| <= dim.  Rounding the entries, the
+        # products, the sums and dim itself then moves an entry of
+        # S conj(S)^T - dim I or of S^2 - dim C by at most about
+        # (R + 4) eps dim <= 5 R eps dim; 16 R eps leaves a factor of three.
+        bound = max(tol, 16 * r * np.finfo(float).eps) * max(1, dim)
         idx = np.arange(r)
         gram = S @ S.conj().T
         gram[idx, idx] -= dim

@@ -132,19 +132,35 @@ def test_unreadable_mtc_is_exit_2(tmp_path, capsys):
     assert "is not UTF-8 text" in capsys.readouterr().err
 
 
+def _count_calls(monkeypatch, module, name, calls):
+    """Replace module.name by a wrapper that appends name to calls."""
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+    monkeypatch.setattr(module, name, counted)
+
+
 @pytest.mark.parametrize("argv", [
     ["example", "toric-code", "--emit"],
     ["galois", "--dot"],
 ], ids=["example-emit", "galois-dot"])
-def test_unwritable_path_is_exit_2(tmp_path, capsys, argv):
+def test_unwritable_path_is_exit_2(tmp_path, monkeypatch, capsys, argv):
+    # the target is opened before anything is built, split or printed
     bundle = _emit(tmp_path, "toric-code", None)
     target = str(tmp_path / "no-such-dir" / "out")
     if argv[0] == "galois":
         argv = ["galois", bundle, "--dot"]
+    calls = []
+    _count_calls(monkeypatch, condense_module, "block_profiles", calls)
+    _count_calls(monkeypatch, families, "build", calls)
     capsys.readouterr()
     assert main(argv + [target]) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
     assert err.startswith("error: ") and "No such file or directory" in err
+    assert calls == []
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
@@ -307,12 +323,7 @@ def test_analyze_builds_no_mpmath_idempotent(tmp_path, monkeypatch, capsys,
 
 def test_indicators_bad_label_splits_nothing(tmp_path, monkeypatch, capsys):
     calls = []
-    split = condense_module.block_profiles
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return split(*args, **kwargs)
-    monkeypatch.setattr(condense_module, "block_profiles", counted)
+    _count_calls(monkeypatch, condense_module, "block_profiles", calls)
     path = _emit(tmp_path, "a2n", 1)
     capsys.readouterr()
     assert main(["indicators", path, "--x", "nope"]) == 2
@@ -330,12 +341,7 @@ def test_indicators_refusal_splits_nothing(tmp_path, monkeypatch, capsys, x,
     # a2nplus1 has a table ambient and no induction matrix, so no block
     # can be matched to any x; n_x = 0 for j.c+
     calls = []
-    split = condense_module.block_profiles
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return split(*args, **kwargs)
-    monkeypatch.setattr(condense_module, "block_profiles", counted)
+    _count_calls(monkeypatch, condense_module, "block_profiles", calls)
     path = _emit(tmp_path, "a2nplus1", 1)
     capsys.readouterr()
     assert main(["indicators", path, "--x", x]) == 2
@@ -692,6 +698,50 @@ def test_analyze_bytes_are_pinned(tmp_path, monkeypatch, capsys, family, n):
         assert (code, err, digest) == (0, "", want), digits
 
 
+# sha256 of `indicators b.json --x X --digits D` stdout at D = 15, 64 and
+# 128 (the same at each), for one matched x per block size m.  Recorded
+# before the reading verbs shared one load-check-split gate.
+INDICATORS_GOLDEN = {
+    ("toric-code", None, "e"):
+        "0d3b77d2315e92ab3a5ff0a9aa7010c80010a2259ec07233257f1450648d4f8d",
+    ("ising-square", None, "p.p"):
+        "7e263ae83e7f8d6e8c7f97201327db81b0afedbc86635ade999f9aa94525f267",
+    ("vlplus-orbifold", 1, "j"):
+        "fbe3f1603d3dc61d69aa9d60e0e393242d11ff1d1a027ec7e5df0a4df53cb78c",
+    ("a2n", 1, "1.j"):
+        "19d6db519fff4c760509e66ee51ea122fef9ab78a8f5fc97642ed3b9b63d43f2",
+    ("a2n", 1, "m1.m1"):
+        "1f85874cc548b89b583541519857685d4a55119e9884ff0a860841a7dafc17ec",
+    ("a2n", 2, "1.j"):
+        "c07565c8d9f2c8a1e144160e5ee081da328565bf081e317634591a6c0805d67b",
+    ("a2n", 2, "m2.m2"):
+        "490b3e26709ab9921faa3ff4a44dbfc067f58cfe76675e20f6a98d7461f1c345",
+    ("coset-su2", 1, "1.1"):
+        "a5c852d0883bb9e9672aa7a8d1931d5ba78bfa7cfa44698763c63b266947b78b",
+    ("coset-su2", 2, "2.2"):
+        "e63001b29ba39e20c66fb892eeeda86a1bcf74c9ad6460fb6240f6beb2adcb23",
+    ("coset-su2", 3, "3.3"):
+        "4e1e80efbb3cabdcc9bb2bf3b4953bc617a4957e7399f76ad58fe9631651d543",
+}
+
+
+@pytest.mark.parametrize("family,n,x", list(INDICATORS_GOLDEN),
+                         ids=[f"{f}-{n}-{x}" for f, n, x in INDICATORS_GOLDEN])
+def test_indicators_bytes_are_pinned(tmp_path, monkeypatch, capsys, family,
+                                     n, x):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("FUSCOND_SEED", raising=False)
+    serialize.write_path(families.build(family, n=n), "b.json")
+    for digits in (DIGITS_FLOOR, 64, 128):
+        capsys.readouterr()
+        code = main(["indicators", "b.json", "--x", x,
+                     "--digits", str(digits)])
+        out, err = capsys.readouterr()
+        digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+        want = INDICATORS_GOLDEN[family, n, x]
+        assert (code, err, digest) == (0, "", want), digits
+
+
 def test_galois_refuses_a_lattice_over_the_budget(a2n1_path, monkeypatch,
                                                   capsys):
     # a2n n=1 has 9 subrings over its local part
@@ -737,12 +787,29 @@ def test_broken_modular_ambient_exit_codes(tmp_path, capsys, edit, verb,
     edit(obj["ambient"]["mtc"])
     path = tmp_path / "broken.json"
     path.write_text(serialize.dumps(obj), encoding="utf-8")
-    capsys.readouterr()
     extra = ["--x", "1"] if verb == "indicators" else []
-    assert main([verb, str(path)] + extra) == code
-    captured = capsys.readouterr()
-    assert text in captured.out.splitlines()
-    assert captured.err == ""
+    # a tol below float64 resolution must not hide the broken data
+    for tol in ([], ["--tol", "1e-16"]):
+        capsys.readouterr()
+        assert main([verb, str(path)] + extra + tol) == code
+        captured = capsys.readouterr()
+        assert text in captured.out.splitlines()
+        assert captured.err == ""
+
+
+@pytest.mark.parametrize("tol", ["1e-16", "1e-20"])
+@pytest.mark.parametrize("verb", ["validate", "analyze"])
+@pytest.mark.parametrize("family,n", [("ising-square", None),
+                                      ("coset-su2", 3), ("coset-su2", 10)])
+def test_tol_below_float64_rounding_passes_exact_data(tmp_path, capsys,
+                                                      family, n, verb, tol):
+    # the float64 unitarity and S^2 residuals of this exact data are
+    # 2.2e-15 (Ising) to 1.5e-11 (SU(2)_10); the bound never goes below
+    # the rounding error they can carry
+    path = _emit(tmp_path, family, n)
+    capsys.readouterr()
+    assert main([verb, path, "--tol", tol]) == 0
+    assert "FAIL" not in capsys.readouterr().out
 
 
 def test_non_integral_verlinde_fails_validate(tmp_path, capsys):
