@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,6 +69,10 @@ class BasedRing:
     @cached_property
     def _rows(self) -> tuple:
         return _nonzero_rows(self.fusion)
+
+    @cached_property
+    def _plan(self) -> "_Plan":
+        return _term_plan(self.fusion)
 
     @cached_property
     def _closure_table(self) -> tuple:
@@ -343,6 +348,87 @@ def _nonzero_rows(tensor) -> tuple:
         kc = (k, int(c))
         rows[i].setdefault(j, []).append(shared.setdefault(kc, kc))
     return tuple(tuple((j, tuple(kc)) for j, kc in r.items()) for r in rows)
+
+
+class _Sums(NamedTuple):
+    """Sums of scaled columns of an array X, as array passes.  X is
+    extended by the columns X[:, scale_cols] * scale_coef, one per distinct
+    (column, coefficient) with a coefficient other than 1; output s is then
+    the sum of the extended columns pick[t] over the terms t in
+    starts[s]:starts[s + 1], and targets[s] is its column."""
+    scale_cols: np.ndarray
+    scale_coef: np.ndarray
+    pick: np.ndarray
+    targets: np.ndarray
+    starts: np.ndarray
+
+
+def _sums(cols, coef, targets, width: int) -> _Sums:
+    """The terms coef[t] * X[:, cols[t]] of output targets[t], given sorted
+    by target, for an X of width columns."""
+    scaled = coef != 1
+    keys, inverse = np.unique(np.stack([cols[scaled], coef[scaled]]), axis=1,
+                              return_inverse=True)
+    pick = cols.copy()
+    pick[scaled] = width + inverse.ravel()
+    targets, starts = np.unique(targets, return_index=True)
+    return _Sums(keys[0], np.array(keys[1].tolist(), dtype=object), pick,
+                 targets, starts)
+
+
+class _Terms(NamedTuple):
+    """A bilinear map over the basis: the products a[left[p]] * b[right[p]]
+    of its distinct pairs p, summed by sums into the output columns."""
+    left: np.ndarray
+    right: np.ndarray
+    sums: _Sums
+
+
+class _Commutators(NamedTuple):
+    """The nonzero T[j, i, k] = N[j, i, k] - N[i, j, k], so that
+    (a b_i - b_i a)_k = sum_j a_j T[j, i, k]: sums takes a to the nonzero
+    positions (i, k), and the positions of basis element basis[u] run from
+    basis_starts[u] to the next."""
+    sums: _Sums
+    basis: np.ndarray
+    basis_starts: np.ndarray
+
+
+class _Plan(NamedTuple):
+    """The structure constants as array passes: product for a * b, square
+    for a * a over the unordered pairs i <= j, and the commutators."""
+    product: _Terms
+    square: _Terms
+    commutator: _Commutators
+
+
+def _bilinear_terms(T) -> _Terms:
+    """The terms T[i, j, k] * a_i * b_j of output column k."""
+    i, j, k = np.nonzero(T)
+    order = np.lexsort((j, i, k))
+    i, j, k = i[order], j[order], k[order]
+    r = len(T)
+    pairs, pair = np.unique(i * r + j, return_inverse=True)
+    return _Terms(pairs // r, pairs % r,
+                  _sums(pair.ravel(), T[i, j, k], k, len(pairs)))
+
+
+def _term_plan(F) -> _Plan:
+    r = len(F)
+    # (a a)_k = sum_{i <= j} a_i a_j S[i, j, k] with S = N + N^T off the
+    # diagonal and N on it
+    S = F + F.transpose(1, 0, 2)
+    diag = np.arange(r)
+    S[diag, diag] = F[diag, diag]
+    S *= np.triu(np.ones((r, r), dtype=S.dtype))[:, :, None]
+    T = F - F.transpose(1, 0, 2)
+    j, i, k = np.nonzero(T)
+    order = np.lexsort((j, k, i))
+    j, i, k = j[order], i[order], k[order]
+    sums = _sums(j, T[j, i, k], i * r + k, r)
+    basis, basis_starts = np.unique(sums.targets // r, return_index=True)
+    return _Plan(_bilinear_terms(F), _bilinear_terms(S),
+                 _Commutators(sums, basis, basis_starts))
 
 
 def _is_zero(x) -> bool:

@@ -1,7 +1,7 @@
 """Wedderburn decomposition of a based ring over C.
 
 The ring is a ``BasedRing``: nonnegative integer structure constants
-N[i, j, k], read from its fusion tensor and its table of nonzero entries,
+N[i, j, k], read from its fusion tensor and its term plan,
 with the unit at basis index 0.  The primitive central idempotents are
 found float first and certified at the working precision (``mp.mp.dps``):
 
@@ -12,7 +12,7 @@ found float first and certified at the working precision (``mp.mp.dps``):
   eigenvectors, scaled so that they sum to the unit, are the idempotents
   to float64 accuracy (randomized central-element splitting, after
   Eberly and Giesbrecht);
-- the Newton step e <- 3e^2 - 2e^3 refines each one at the working
+- the Newton step e <- 3e^2 - 2e^3 refines them at the working
   precision;
 - certification checks e^2 = e, e != 0, sum e = 1 and that every e
   commutes with every basis element.  With k = dim Z idempotents these
@@ -24,20 +24,27 @@ every attempt.
 
 From the float64 guess on, each idempotent is held as integer mantissas
 over one fixed exponent, (re, im, exp) with e[i] = (re[i] + 1j im[i]) 2**exp,
-one bit finer than mp.prec bits below its largest entry.  Products are
-exact integer sums from the same sparse kernel as ``ring.element_product``,
-and each Newton step rounds back to the fixed exponent once per entry.
-The refinement's stopping rule, every certification check and the block
-traces compare exact integers against the tolerance.  A ``BlockProfile``
-holds only the mantissas; its mpmath ``idempotent`` is built on first
-read, and nothing on the verdict path reads it.
+one bit finer than mp.prec bits below its largest entry.  The idempotents
+of one split attempt are refined and certified together as a stack: numpy
+object arrays of Python ints, one row per idempotent, with one exponent per
+row.  Every product is a few array passes over the ring's term plan
+(``BasedRing._plan``): one multiplication per distinct pair of basis
+elements, a gather of the terms sorted by target and one np.add.reduceat.
+A square runs over the unordered pairs only, and the commutators with
+every basis element are one pass over the nonzeros of N[i, j, k] -
+N[j, i, k].  The sums are exact integers, and each Newton step rounds
+back to the fixed exponent once per entry.  The refinement's stopping
+rule, every certification check and the block traces compare exact
+integers against the tolerance.  A ``BlockProfile`` holds only the
+mantissas; its mpmath ``idempotent`` is built on first read, and nothing
+on the verdict path reads it.
 """
 from __future__ import annotations
 
 import math
 import random
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 
 import mpmath as mp
 import numpy as np
@@ -45,7 +52,7 @@ from mpmath.libmp import from_int, from_man_exp, mpf_div, round_nearest
 
 from .cyclotomic import ROUND_TOL, TOL, as_mpc, working_tol
 from .errors import NotSemisimpleError, NumericalDegeneracyError, SchemaError
-from .ring import BasedRing, _sparse_product
+from .ring import BasedRing
 
 SPLIT_SEED = 0xC0FFEE
 _MAX_SPLIT_ATTEMPTS = 8
@@ -55,42 +62,70 @@ _MAX_SPLIT_ATTEMPTS = 8
 _FLOAT_GAP = float(np.sqrt(np.finfo(np.float64).eps))
 
 
-def _product(rows, a, b) -> tuple:
-    """The exact product of two mantissa vectors (re, im, exp) over the
-    nonzero structure constants rows: the integer sums of the sparse
-    kernel over the exponent ea + eb.  Products with an all-zero imaginary
-    part are skipped."""
+def _stack(vectors) -> tuple:
+    """Mantissa vectors (re, im, exp) as one stack (re, im, exps): row r of
+    the object arrays re and im holds the Python-int mantissas of vector r,
+    over the exponent exps[r]."""
+    def rows(part):
+        return np.array([v[part] for v in vectors], dtype=object)
+    return rows(0), rows(1), [v[2] for v in vectors]
+
+
+def _take(a, rows) -> tuple:
+    re, im, exps = a
+    return re[rows], im[rows], [exps[r] for r in rows]
+
+
+def _summed(sums, X) -> np.ndarray:
+    """The sums of the plan over the columns of X, row by row, exactly."""
+    if len(sums.scale_cols):
+        X = np.hstack([X, X[:, sums.scale_cols] * sums.scale_coef])
+    return np.add.reduceat(X[:, sums.pick], sums.starts, axis=1)
+
+
+def _bilinear(terms, A, B) -> np.ndarray:
+    """Row r is A[r] times B[r] through the terms of the ring's plan, as
+    exact integer sums: one product per pair, then one reduceat over the
+    output columns."""
+    out = np.zeros(A.shape, dtype=object)
+    if len(terms.left):
+        out[:, terms.sums.targets] = _summed(
+            terms.sums, A[:, terms.left] * B[:, terms.right])
+    return out
+
+
+def _product(terms, a, b) -> tuple:
+    """The exact row-wise products of two stacks over terms, which is
+    ring._plan.product, or ring._plan.square when a is b.  Row r is over
+    the exponent ea[r] + eb[r].  An all-real pair of stacks takes one real
+    product; otherwise Gauss's three real products give the real and
+    imaginary parts."""
     (ar, ai, ea), (br, bi, eb) = a, b
-    re = _sparse_product(rows, ar, br)
-    im = [0] * len(ar)
-    if any(bi):
-        im = _sparse_product(rows, ar, bi)
-    if any(ai):
-        im = [x + y for x, y in zip(im, _sparse_product(rows, ai, br))]
-        if any(bi):
-            re = [x - y for x, y in zip(re, _sparse_product(rows, ai, bi))]
-    return re, im, ea + eb
+    exps = [x + y for x, y in zip(ea, eb)]
+    if not (ai.any() or bi.any()):
+        return _bilinear(terms, ar, br), np.zeros(ar.shape, dtype=object), exps
+    m = len(ar)
+    p = _bilinear(terms, np.vstack([ar, ai, ar + ai]),
+                  np.vstack([br, bi, br + bi]))
+    rr, ii = p[:m], p[m:2 * m]
+    return rr - ii, p[2 * m:] - rr - ii, exps
 
 
-def _commutator_residuals(rows, v) -> list:
-    """max_k |(a b_i - b_i a)_k|^2 for every basis element b_i, where a is
-    the mantissa vector v = (re, im, exp): exact integers over the exponent
-    2 exp, from one pass over the nonzero structure constants rows."""
-    re, im, _ = v
-    n = len(re)
-    dre = [[0] * n for _ in range(n)]
-    dim = [[0] * n for _ in range(n)]
-    for i, row in enumerate(rows):
-        for j, targets in row:
-            for k, c in targets:
-                # N[i, j, k] = c: a_i b_i b_j is a term of a b_j,
-                # and a_j b_i b_j one of b_i a
-                dre[j][k] += re[i] * c
-                dre[i][k] -= re[j] * c
-                dim[j][k] += im[i] * c
-                dim[i][k] -= im[j] * c
-    return [max(x * x + y * y for x, y in zip(r, s))
-            for r, s in zip(dre, dim)]
+def _commutators(ring: BasedRing, a) -> np.ndarray:
+    """max_k |(v b_i - b_i v)_k|^2 for every row v of the stack a and every
+    basis element b_i: exact integers, row r over the exponent 2 exps[r],
+    from one pass over the nonzeros of N[j, i, k] - N[i, j, k]."""
+    re, im, _ = a
+    t = ring._plan.commutator
+    out = np.zeros(re.shape, dtype=object)
+    if len(t.basis):
+        m = len(re)
+        D = _summed(t.sums, np.vstack([re, im]) if im.any() else re)
+        W = D[:m] * D[:m]
+        if len(D) > m:
+            W += D[m:] * D[m:]
+        out[:, t.basis] = np.maximum.reduceat(W, t.basis_starts, axis=1)
+    return out
 
 
 def _mantissas(v):
@@ -127,29 +162,43 @@ def _float_mantissas(v) -> tuple:
     return ([scaled(x) for x, _ in parts], [scaled(y) for _, y in parts], exp)
 
 
-def _rescale(v, exp: int) -> tuple:
-    """The mantissa vector v over the exponent exp, each entry rounded to
-    the nearest once."""
-    re, im, e = v
-    return ([_shift(x, e - exp) for x in re], [_shift(x, e - exp) for x in im],
-            exp)
+def _shifted(X, shifts) -> np.ndarray:
+    """Row r of X times 2**shifts[r], rounded to the nearest integer as
+    _shift rounds."""
+    out = X.copy()
+    for r, s in enumerate(shifts):
+        if s > 0:
+            out[r] = X[r] << s
+        elif s < 0:
+            out[r] = (X[r] + (1 << (-s - 1))) >> -s
+    return out
+
+
+def _rescale(a, exps) -> tuple:
+    """The stack a over the row exponents exps, each entry rounded to the
+    nearest once."""
+    re, im, e = a
+    s = [x - y for x, y in zip(e, exps)]
+    return _shifted(re, s), _shifted(im, s), list(exps)
 
 
 def _combine(a, ca: int, b, cb: int) -> tuple:
-    """ca * a + cb * b for mantissa vectors a and b, exactly, over the
-    smaller of their exponents."""
+    """ca * a + cb * b for stacks a and b, row by row and exactly, over the
+    smaller of the two row exponents."""
     (ar, ai, ea), (br, bi, eb) = a, b
-    e = min(ea, eb)
-    ca, cb = ca << (ea - e), cb << (eb - e)
-    return ([ca * x + cb * y for x, y in zip(ar, br)],
-            [ca * x + cb * y for x, y in zip(ai, bi)], e)
+    e = [min(x, y) for x, y in zip(ea, eb)]
+    sa = [x - y for x, y in zip(ea, e)]
+    sb = [x - y for x, y in zip(eb, e)]
+    return (ca * _shifted(ar, sa) + cb * _shifted(br, sb),
+            ca * _shifted(ai, sa) + cb * _shifted(bi, sb), e)
 
 
-def _sup(v) -> tuple:
-    """max_i |v_i|^2 of a mantissa vector, as the integer w and exponent
-    wexp with max_i |v_i|^2 = w * 2**wexp."""
-    re, im, exp = v
-    return max((x * x + y * y for x, y in zip(re, im)), default=0), 2 * exp
+def _sups(a) -> list:
+    """max_i |v_i|^2 for every row v of the stack a, as the integer w and
+    exponent wexp with max_i |v_i|^2 = w * 2**wexp."""
+    re, im, exps = a
+    return list(zip((re * re + im * im).max(axis=1).tolist(),
+                    [2 * x for x in exps]))
 
 
 @lru_cache
@@ -223,39 +272,50 @@ def _float_split(ring: BasedRing, Z, rng):
     return guesses if np.isfinite(guesses).all() else None
 
 
-def _refine(ring: BasedRing, guess, tol):
-    """Newton's e <- 3e^2 - 2e^3 at the working precision from a float64
-    guess, as a mantissa vector, or None.  Once |e^2 - e| <= tol, one more
-    step takes e from there to round-off.  Convergence is quadratic, so
-    log2(mp.dps) steps reach tol from any float64 start."""
-    rows = ring._rows
-    e = _float_mantissas(guess)
-    exp = e[2]
+def _newton(ring: BasedRing, guesses, tol):
+    """Newton's e <- 3e^2 - 2e^3 at the working precision from float64
+    guesses, all refined together as one stack, as a list of mantissa
+    vectors, or None if some guess does not converge.  Once
+    |e^2 - e| <= tol, one more step takes e from there to round-off and e
+    leaves the stack.  Convergence is quadratic, so log2(mp.dps) steps
+    reach tol from any float64 start."""
+    plan = ring._plan
+    e = _stack([_float_mantissas(g) for g in guesses])
+    out = [None] * len(guesses)
+    live = list(range(len(guesses)))
     for _ in range(mp.mp.dps.bit_length() + 1):
-        sq = _product(rows, e, e)
-        done = _cmp_tol(*_sup(_combine(sq, 1, e, -1)), tol) <= 0
-        sq = _rescale(sq, exp)
-        e = _rescale(_combine(sq, 3, _product(rows, sq, e), -2), exp)
-        if done:
-            return e
+        exps = e[2]
+        sq = _product(plan.square, e, e)
+        done = [_cmp_tol(*w, tol) <= 0 for w in _sups(_combine(sq, 1, e, -1))]
+        sq = _rescale(sq, exps)
+        e = _rescale(_combine(sq, 3, _product(plan.product, sq, e), -2), exps)
+        for r, d in enumerate(done):
+            if d:
+                out[live[r]] = (e[0][r].tolist(), e[1][r].tolist(), exps[r])
+        rest = [r for r, d in enumerate(done) if not d]
+        if not rest:
+            return out
+        live = [live[r] for r in rest]
+        e = _take(e, rest)
     return None
 
 
 def _certified(ring: BasedRing, idems, dim_z, tol) -> bool:
-    """dim Z idempotents (e^2 = e is checked by _refine), each nonzero and
+    """dim Z idempotents (e^2 = e is checked by _newton), each nonzero and
     central, that sum to the unit."""
-    if len(idems) != dim_z or None in idems:
+    if len(idems) != dim_z:
         return False
-    if any(_cmp_tol(*_sup(e), tol) <= 0 for e in idems):
+    e = _stack(idems)
+    if any(_cmp_tol(*w, tol) <= 0 for w in _sups(e)):
         return False
-    n = ring.rank
-    unit = ([1] + [0] * (n - 1), [0] * n, 0)
-    total = reduce(lambda a, b: _combine(a, 1, b, 1), idems)
-    if _cmp_tol(*_sup(_combine(total, 1, unit, -1)), tol) > 0:
+    lo = min(e[2] + [0])
+    s = [x - lo for x in e[2]]
+    re, im = _shifted(e[0], s).sum(axis=0), _shifted(e[1], s).sum(axis=0)
+    re[0] -= 1 << -lo
+    if _cmp_tol(*_sups(_stack([(re, im, lo)]))[0], tol) > 0:
         return False
-    return all(
-        _cmp_tol(max(_commutator_residuals(ring._rows, e)), 2 * e[2], tol) <= 0
-        for e in idems)
+    return all(_cmp_tol(w, 2 * x, tol) <= 0 for w, x in
+               zip(_commutators(ring, e).max(axis=1).tolist(), e[2]))
 
 
 def _split(ring: BasedRing, seed) -> list:
@@ -267,8 +327,8 @@ def _split(ring: BasedRing, seed) -> list:
         guesses = _float_split(ring, Z, random.Random(seed + attempt))
         if guesses is None:
             continue
-        idems = [_refine(ring, g, tol) for g in guesses]
-        if _certified(ring, idems, len(Z), tol):
+        idems = _newton(ring, guesses, tol)
+        if idems is not None and _certified(ring, idems, len(Z), tol):
             return idems
     raise NumericalDegeneracyError(
         "failed to split the center after "

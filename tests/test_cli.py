@@ -451,6 +451,28 @@ def test_broken_factor_ring_fails_the_checks(tmp_path, capsys):
         assert "ambient factor 1" not in out
 
 
+def test_zero_module_ring_fails_the_checks(tmp_path, capsys):
+    # an all-zero module ring breaks the unit and duality axioms; the
+    # Perron-Frobenius comparison, whose power iteration would collapse to
+    # zero on it, is skipped
+    obj = serialize.emit_bundle(families.toric_code())
+    obj["module_ring"]["fusion"] = [0] * len(obj["module_ring"]["fusion"])
+    path = tmp_path / "zero.json"
+    path.write_text(serialize.dumps(obj), encoding="utf-8")
+    for verb in ("validate", "analyze"):
+        capsys.readouterr()
+        assert main([verb, str(path)]) == 1
+        fails = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("- FAIL")]
+        assert fails == [
+            "- FAIL: module ring: unit axiom fails on the left at (j, k): "
+            "(0, 0), (1, 1)",
+            "- FAIL: module ring: unit axiom fails on the right at (i, k): "
+            "(0, 0), (1, 1)",
+            "- FAIL: module ring: duality axiom fails at (i, j): "
+            "(0, 0), (1, 1)"]
+
+
 def test_analyze_builds_no_flat_ambient_ring(tmp_path, monkeypatch):
     # the rings analyze builds for a2n n=6: two rank-10 factors and the
     # rank-28 module ring, never the rank-100 product

@@ -1,6 +1,7 @@
 import hashlib
 import random
 from fractions import Fraction
+from functools import reduce
 
 import mpmath as mp
 import numpy as np
@@ -12,18 +13,26 @@ from fuscond import families
 from fuscond.cyclotomic import ROUND_TOL, TOL, working_tol
 from fuscond.errors import NumericalDegeneracyError, SchemaError
 from fuscond.families import ty_ring
-from fuscond.ring import BasedRing, group_ring, product_ring
+from fuscond.ring import BasedRing, _sparse_product, group_ring, product_ring
 from fuscond.wedderburn import (
     SPLIT_SEED,
+    _MAX_SPLIT_ATTEMPTS,
     _certified,
+    _cmp_tol,
+    _commutators,
+    _float_mantissas,
     _float_split,
     _mantissas,
+    _newton,
     _profile_key,
+    _shift,
     _split,
+    _stack,
     block_profiles,
     center_basis,
 )
 
+from cached_bundles import bundle
 from grouptables import alternating, cyclic, dihedral, quaternion, symmetric
 from test_ring import _relabel, d3_xy_ring, ising_ring
 
@@ -309,6 +318,143 @@ def test_integer_refinement_matches_the_mpc_loop(name, digits):
             e = list(b.idempotent)
             assert max(abs(s - x) for s, x in
                        zip(mpc_product(ring, e, e), e)) <= tol
+
+
+# The split as it ran one idempotent at a time: each Newton product from
+# the sparse kernel of ring.element_product, and each commutator check as
+# one Python pass over the nonzero structure constants.
+def _old_product(rows, a, b):
+    (ar, ai, ea), (br, bi, eb) = a, b
+    re = _sparse_product(rows, ar, br)
+    im = [0] * len(ar)
+    if any(bi):
+        im = _sparse_product(rows, ar, bi)
+    if any(ai):
+        im = [x + y for x, y in zip(im, _sparse_product(rows, ai, br))]
+        if any(bi):
+            re = [x - y for x, y in zip(re, _sparse_product(rows, ai, bi))]
+    return re, im, ea + eb
+
+
+def _old_combine(a, ca, b, cb):
+    (ar, ai, ea), (br, bi, eb) = a, b
+    e = min(ea, eb)
+    ca, cb = ca << (ea - e), cb << (eb - e)
+    return ([ca * x + cb * y for x, y in zip(ar, br)],
+            [ca * x + cb * y for x, y in zip(ai, bi)], e)
+
+
+def _old_sup(v):
+    re, im, exp = v
+    return max(x * x + y * y for x, y in zip(re, im)), 2 * exp
+
+
+def _old_rescale(v, exp):
+    re, im, e = v
+    return ([_shift(x, e - exp) for x in re], [_shift(x, e - exp) for x in im],
+            exp)
+
+
+def _old_refine(ring, guess, tol):
+    rows = ring._rows
+    e = _float_mantissas(guess)
+    exp = e[2]
+    for _ in range(mp.mp.dps.bit_length() + 1):
+        sq = _old_product(rows, e, e)
+        done = _cmp_tol(*_old_sup(_old_combine(sq, 1, e, -1)), tol) <= 0
+        sq = _old_rescale(sq, exp)
+        e = _old_rescale(_old_combine(sq, 3, _old_product(rows, sq, e), -2),
+                         exp)
+        if done:
+            return e
+    return None
+
+
+def _old_commutator_residuals(rows, v):
+    re, im, _ = v
+    n = len(re)
+    dre = [[0] * n for _ in range(n)]
+    dim = [[0] * n for _ in range(n)]
+    for i, row in enumerate(rows):
+        for j, targets in row:
+            for k, c in targets:
+                dre[j][k] += re[i] * c
+                dre[i][k] -= re[j] * c
+                dim[j][k] += im[i] * c
+                dim[i][k] -= im[j] * c
+    return [max(x * x + y * y for x, y in zip(r, s))
+            for r, s in zip(dre, dim)]
+
+
+def _old_certified(ring, idems, dim_z, tol):
+    if len(idems) != dim_z or None in idems:
+        return False
+    if any(_cmp_tol(*_old_sup(e), tol) <= 0 for e in idems):
+        return False
+    n = ring.rank
+    unit = ([1] + [0] * (n - 1), [0] * n, 0)
+    total = reduce(lambda a, b: _old_combine(a, 1, b, 1), idems)
+    if _cmp_tol(*_old_sup(_old_combine(total, 1, unit, -1)), tol) > 0:
+        return False
+    return all(
+        _cmp_tol(max(_old_commutator_residuals(ring._rows, e)), 2 * e[2],
+                 tol) <= 0 for e in idems)
+
+
+def a4_character_ring():
+    """The representation ring of A4: 1' 1' = 1'', 1' 1'' = 1, 1' 3 = 3 and
+    3 3 = 1 + 1' + 1'' + 2 * 3."""
+    F = np.zeros((4, 4, 4), dtype=np.int64)
+    for a in range(3):
+        for b in range(3):
+            F[a, b, (a + b) % 3] = 1
+        F[a, 3, 3] = F[3, a, 3] = 1
+    F[3, 3] = [1, 1, 1, 2]
+    return BasedRing(labels=("1", "1p", "1pp", "3"), fusion=F, dual=(0, 2, 1, 3))
+
+
+BATCH_RINGS = dict(
+    REFINE_RINGS,
+    a4char=a4_character_ring,
+    # noncommutative, with structure constants 2 and commutator terms +-2
+    a4char_s3=lambda: product_ring(a4_character_ring(),
+                                   group_ring(*symmetric(3))),
+    **{f"{family}-{n}": (lambda f=family, n=n: bundle(f, n).module_ring)
+       for family in ("a2n", "a2nplus1") for n in range(1, 7)})
+
+
+def test_plan_scales_the_structure_constants_above_one():
+    assert a4_character_ring()._plan.product.sums.scale_coef.tolist() == [2]
+    coef = BATCH_RINGS["a4char_s3"]()._plan.commutator.sums.scale_coef
+    assert {-2, -1, 2} <= set(coef.tolist())
+
+
+@pytest.mark.parametrize("digits", [15, 64, 128])
+@pytest.mark.parametrize("name", sorted(BATCH_RINGS))
+def test_batched_split_matches_the_per_idempotent_loop(name, digits):
+    ring = BATCH_RINGS[name]()
+    with mp.workdps(digits):
+        tol = min(mp.mpf(TOL), working_tol())
+        Z = center_basis(ring)
+        want = None
+        for attempt in range(_MAX_SPLIT_ATTEMPTS):
+            guesses = _float_split(ring, Z, random.Random(SPLIT_SEED + attempt))
+            if guesses is None:
+                continue
+            old = [_old_refine(ring, g, tol) for g in guesses]
+            new = _newton(ring, guesses, tol)
+            assert new == (None if None in old else old)
+            if new is None:
+                continue
+            assert (_commutators(ring, _stack(old)).tolist()
+                    == [_old_commutator_residuals(ring._rows, e) for e in old])
+            certified = _old_certified(ring, old, len(Z), tol)
+            assert _certified(ring, new, len(Z), tol) == certified
+            if certified:
+                want = old
+                break
+        assert want is not None
+        assert _split(ring, SPLIT_SEED) == want
 
 
 def _s3_and_involution():
