@@ -358,9 +358,9 @@ def _check_averaging(ring: BasedRing, sub: tuple, dims) -> int:
     if not closed:
         raise SchemaError(f"{sub} is not a subring of the module ring")
     D = sum(w[y] * w[y] for y in sub)
-    zero = [0] * ring.rank
-    resid = _sups(_combine(_stack([(P, zero, -2 * f)]), 1,
-                           _stack([(wb, zero, -f)]), -D))[0]
+    e = min(-2 * f, -f)
+    resid = max((((p << (-2 * f - e)) - D * (x << (-f - e))) ** 2
+                 for p, x in zip(P, wb))), 2 * e
     if _cmp_tol(*resid, TOL, D * D) > 0:
         value = mp.sqrt(_quotient(resid[0], resid[1], D ** 4))
         raise NumericalDegeneracyError(

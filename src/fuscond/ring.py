@@ -71,7 +71,7 @@ class BasedRing:
         return _nonzero_rows(self.fusion)
 
     @cached_property
-    def _plan(self) -> "_Plan":
+    def _plan(self) -> _Plan:
         return _term_plan(self.fusion)
 
     @cached_property

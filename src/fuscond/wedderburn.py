@@ -72,6 +72,7 @@ def _stack(vectors) -> tuple:
 
 
 def _take(a, rows) -> tuple:
+    """The stack of the rows of the stack a at the indices rows."""
     re, im, exps = a
     return re[rows], im[rows], [exps[r] for r in rows]
 
