@@ -358,6 +358,7 @@ def _check_averaging(ring: BasedRing, sub: tuple, dims) -> int:
     if not closed:
         raise SchemaError(f"{sub} is not a subring of the module ring")
     D = sum(w[y] * w[y] for y in sub)
+    # max_k of the square of that difference, exactly over the exponent e
     e = min(-2 * f, -f)
     resid = max((((p << (-2 * f - e)) - D * (x << (-f - e))) ** 2
                  for p, x in zip(P, wb))), 2 * e
