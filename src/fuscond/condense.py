@@ -32,7 +32,7 @@ from .errors import (
 )
 from .modular import (ModularData, dims as modular_dims,
                       validate as validate_modular)
-from .ring import (BasedRing, DimVector, _sparse_product, basis_indices,
+from .ring import (BasedRing, DimVector, _bilinear, basis_indices,
                    check_basis, fp_dims, is_closed, product_basis, validate)
 from .wedderburn import (SPLIT_SEED, _cmp_tol, _combine, _commutators,
                          _mantissas, _product, _quotient, _stack, _sups,
@@ -134,7 +134,7 @@ class Ambient:
         return self.dims.total()
 
     @property
-    def has_character_rows(self) -> bool:
+    def has_characters(self) -> bool:
         """Modular data, or a ring (or two ring factors) with twists:
         character_row's inputs."""
         if self.modular is not None:
@@ -153,7 +153,7 @@ class Ambient:
         character rows.  A product ambient takes the slice N[x*] as the
         Kronecker product of its factors' slices.
         """
-        if not self.has_character_rows:
+        if not self.has_characters:
             return None
         xs = self.dual[x]
         if self.modular is not None:
@@ -335,38 +335,41 @@ def check_bundle(b: CondensationBundle, tol=TOL) -> ValidationReport:
     return rep
 
 
-def _check_averaging(ring: BasedRing, sub: tuple, dims) -> int:
-    """Check that sub is a subring whose averaging idempotent
+def _check_averaging(ring: BasedRing, subs, dims) -> list:
+    """Check that each sub in subs is a subring whose averaging idempotent
     e_B = sum_{y in B} d_y y / sum_{y in B} d_y^2 satisfies e_B^2 = e_B
-    within TOL, and return D = sum_{y in B} w_y^2 for the mantissas
-    dims = _mantissas(d) = (w, _, f) of the real d.  With P = w_B * w_B,
-    exactly, (e_B^2 - e_B)_k D^2 = P_k 2**(-2f) - w_k D 2**(-f)."""
+    within TOL, and return D = sum_{y in B} w_y^2 for each, given the
+    mantissas dims = _mantissas(d) = (w, _, f) of the real d.  With
+    P = w_B * w_B, exactly, (e_B^2 - e_B)_k D^2 = P_k 2**(-2f) - w_k D 2**(-f).
+    The weight rows w_B of all subs are squared in one pass over
+    ring._plan.square."""
     w, _, f = dims
-    wb = [0] * ring.rank
-    for y in basis_indices(ring, sub):
-        wb[y] = w[y]
-    if len(set(sub)) != len(sub):
-        raise SchemaError(f"{sub} repeats a basis index")
-    P = _sparse_product(ring._rows, wb, wb)
-    if all(wb[y] > 0 for y in sub):
-        # with every weight positive and F >= 0, P_k != 0 exactly when k
-        # is in the support of a product of two members
-        closed = (wb[0] and all(wb[ring.dual[y]] for y in sub)
-                  and all(wb[k] for k, p in enumerate(P) if p))
-    else:
-        closed = is_closed(ring, sub)
-    if not closed:
-        raise SchemaError(f"{sub} is not a subring of the module ring")
-    D = sum(w[y] * w[y] for y in sub)
+    inside = np.zeros((len(subs), ring.rank), dtype=bool)
+    for r, sub in enumerate(subs):
+        inside[r, basis_indices(ring, sub)] = True
+        if np.count_nonzero(inside[r]) != len(sub):
+            raise SchemaError(f"{sub} repeats a basis index")
+    W = np.where(inside, np.array(w, dtype=object), 0)
+    P = _bilinear(ring._plan.square, W, W)
+    # with every weight of sub positive and F >= 0, P_k != 0 exactly when
+    # k is in the support of a product of two members
+    positive = ~(inside & (W <= 0)).any(axis=1)
+    closed = (inside[:, 0] & (inside == inside[:, list(ring.dual)]).all(axis=1)
+              & ~((P != 0) & ~inside).any(axis=1))
+    for sub, pos, c in zip(subs, positive, closed):
+        if not (c if pos else is_closed(ring, sub)):
+            raise SchemaError(f"{sub} is not a subring of the module ring")
+    D = (W * W).sum(axis=1)
     # max_k of the square of that difference, exactly over the exponent e
     e = min(-2 * f, -f)
-    resid = max((((p << (-2 * f - e)) - D * (x << (-f - e))) ** 2
-                 for p, x in zip(P, wb))), 2 * e
-    if _cmp_tol(*resid, TOL, D * D) > 0:
-        value = mp.sqrt(_quotient(resid[0], resid[1], D ** 4))
-        raise NumericalDegeneracyError(
-            f"e_sub for {sub} failed the idempotent check, residual {float(value)}")
-    return D
+    R = (P << (-2 * f - e)) - D[:, None] * (W << (-f - e))
+    for sub, d, resid in zip(subs, D.tolist(), (R * R).max(axis=1).tolist()):
+        if _cmp_tol(resid, 2 * e, TOL, d * d) > 0:
+            value = mp.sqrt(_quotient(resid, 2 * e, d ** 4))
+            raise NumericalDegeneracyError(
+                f"e_sub for {sub} failed the idempotent check, residual "
+                f"{float(value)}")
+    return D.tolist()
 
 
 def e_sub(b: CondensationBundle, sub) -> list:
@@ -377,7 +380,7 @@ def e_sub(b: CondensationBundle, sub) -> list:
     """
     ring = b.module_ring
     sub = tuple(sorted(int(i) for i in sub))
-    _check_averaging(ring, sub, _mantissas(b.dA.values))
+    _check_averaging(ring, [sub], _mantissas(b.dA.values))
     d = b.dA.scalars()
     inv = 1 / b.dA.total(sub)
     return [d[y] * inv if y in sub else 0 for y in range(ring.rank)]
@@ -481,7 +484,7 @@ def schur_weyl(b: CondensationBundle, tol=TOL, seed=SPLIT_SEED) -> SchurWeylRepo
     table = character_table(ring, blocks)
 
     matched = [None] * len(blocks)
-    matching_skipped = b.induction is None or not amb.has_character_rows
+    matching_skipped = b.induction is None or not amb.has_characters
     if matching_skipped:
         notes.append("matching skipped: needs induction plus ambient "
                      "S-matrix or fusion ring with twists")
@@ -514,19 +517,25 @@ def schur_weyl(b: CondensationBundle, tol=TOL, seed=SPLIT_SEED) -> SchurWeylRepo
                       + sum((a - m2 * p) ** 2 for a, p in zip(mim, pi)))
                 fit = mp.sqrt(_quotient(d2, 2 * f, m2 * m2 * amb.rank))
                 scored.append((float(fit), x))
+            # the multiset check above leaves every block a candidate
             scored.sort()
-            if not scored:
-                continue
             best, x_best = scored[0]
             second = scored[1][0] if len(scored) > 1 else None
-            if best < MATCH_ACCEPT and (second is None or second > MATCH_REJECT):
-                matched[bi] = x_best
-                notes.append(
-                    f"block m={bp.m} matched {amb.labels[x_best]} "
-                    f"(fit {best:.2e})")
-            else:
-                notes.append(
-                    f"block m={bp.m} left unmatched (best fit {best:.2e})")
+            if best > MATCH_REJECT:
+                raise TheoremViolationError(
+                    f"block m={bp.m} matches no ambient simple with n_x = "
+                    f"{bp.m} (best fit {best:.2e} at "
+                    f"{amb.labels[x_best]})")
+            if best >= MATCH_ACCEPT or (second is not None
+                                        and second <= MATCH_REJECT):
+                runner = "" if second is None else f", runner-up {second:.2e}"
+                raise NumericalDegeneracyError(
+                    f"block m={bp.m} is matched ambiguously: best fit "
+                    f"{best:.2e} at {amb.labels[x_best]}{runner}")
+            matched[bi] = x_best
+            notes.append(
+                f"block m={bp.m} matched {amb.labels[x_best]} "
+                f"(fit {best:.2e})")
         taken = [x for x in matched if x is not None]
         if len(set(taken)) != len(taken):
             raise TheoremViolationError(
@@ -553,7 +562,7 @@ def indicator_refusal(b: CondensationBundle, xi: int):
     if b.mult[xi] == 0:
         return SchemaError(f"{b.ambient.labels[xi]} does not occur in the "
                            "algebra")
-    if b.induction is None or not b.ambient.has_character_rows:
+    if b.induction is None or not b.ambient.has_characters:
         return _unmatched(b.ambient, xi)
     return None
 

@@ -76,11 +76,18 @@ def invariant_subalgebra(swr: SchurWeylReport, sub,
     the result is also expressed as an ambient multiplicity vector, which
     must be self-dual.
     """
-    b = swr.bundle
     sub = tuple(sorted(int(i) for i in sub))
     if dims is None:
-        dims = _mantissas(b.dA.values)
-    D = _check_averaging(b.module_ring, sub, dims)
+        dims = _mantissas(swr.bundle.dA.values)
+    D, = _check_averaging(swr.bundle.module_ring, [sub], dims)
+    return _invariant(swr, sub, dims, D)
+
+
+def _invariant(swr: SchurWeylReport, sub: tuple, dims,
+               D: int) -> InvariantSubalgebra:
+    """invariant_subalgebra for a sorted sub that _check_averaging has
+    passed with D = sum_{y in B} w_y^2."""
+    b = swr.bundle
     w, _, f = dims
     re, im, exp = swr.character_mantissas
     block_indices, n_prime = [], []
@@ -172,8 +179,8 @@ def verify_correspondence(b: CondensationBundle, tol: float = TOL, *,
 
     dims = _mantissas(b.dA.values)
     entries = []
-    for sub in subs:
-        inv = invariant_subalgebra(swr, sub, dims)
+    for sub, D in zip(subs, _check_averaging(b.module_ring, subs, dims)):
+        inv = _invariant(swr, sub, dims, D)
         if inv.n_prime[triv_pos] != 1:
             problems.append(
                 f"subring {sub}: trivial-block multiplicity is "

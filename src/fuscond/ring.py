@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cyclotomic import Cyc, as_mpc, exact_vector
+from .cyclotomic import as_mpc, exact_vector
 from .errors import CapabilityError, NumericalDegeneracyError, SchemaError, ValidationReport
 
 SUBRING_BUDGET = 1000  # subrings enumerate_subrings finds before refusing
@@ -67,10 +67,6 @@ class BasedRing:
         return len(self.labels)
 
     @cached_property
-    def _rows(self) -> tuple:
-        return _nonzero_rows(self.fusion)
-
-    @cached_property
     def _plan(self) -> _Plan:
         return _term_plan(self.fusion)
 
@@ -79,15 +75,14 @@ class BasedRing:
         """Bitmask tables for closure, one per basis element x and 4-bit
         chunk c of the basis (elements 4c..4c+3): entry v of chunks[x][c]
         is the union of the supports of x*y and y*x over the y of chunk c
-        whose bits are set in v.  duals[x] is the bit of x's dual."""
+        whose bits are set in v, read off the nonzero N[x, y, k] of the
+        fusion tensor.  duals[x] is the bit of x's dual."""
         r = self.rank
         # prod[x][y]: the support of x*y and of y*x, padded to whole chunks
         prod = [[0] * (r + 3) for _ in range(r)]
-        for i, row in enumerate(self._rows):
-            for j, targets in row:
-                mask = _mask(k for k, _ in targets)
-                prod[i][j] |= mask
-                prod[j][i] |= mask
+        for i, j, k in zip(*(a.tolist() for a in np.nonzero(self.fusion))):
+            prod[i][j] |= 1 << k
+            prod[j][i] |= 1 << k
         chunks = []
         for px in prod:
             tables = []
@@ -337,19 +332,6 @@ def enumerate_subrings(ring: BasedRing, must_contain=()) -> list:
     return sorted(map(_members, found), key=lambda t: (len(t), t))
 
 
-def _nonzero_rows(tensor) -> tuple:
-    """The nonzero structure constants of a cubic tensor, grouped for
-    _sparse_product: rows[i] holds (j, ((k, c), ...)) for each j with some
-    c = T[i, j, k] != 0, in index order."""
-    rows = [{} for _ in range(tensor.shape[0])]
-    shared = {}  # one tuple per distinct (k, c), to keep the table small
-    idx = np.argwhere(tensor)
-    for (i, j, k), c in zip(idx.tolist(), tensor[tuple(idx.T)].tolist()):
-        kc = (k, int(c))
-        rows[i].setdefault(j, []).append(shared.setdefault(kc, kc))
-    return tuple(tuple((j, tuple(kc)) for j, kc in r.items()) for r in rows)
-
-
 class _Sums(NamedTuple):
     """Sums of scaled columns of an array X, as array passes.  X is
     extended by the columns X[:, scale_cols] * scale_coef, one per distinct
@@ -431,40 +413,41 @@ def _term_plan(F) -> _Plan:
                  _Commutators(sums, basis, basis_starts))
 
 
-def _is_zero(x) -> bool:
-    return x.is_zero() if isinstance(x, Cyc) else x == 0
+def _summed(sums, X) -> np.ndarray:
+    """The sums of the plan over the columns of X, row by row, in the
+    arithmetic of X's entries."""
+    if len(sums.scale_cols):
+        X = np.hstack([X, X[:, sums.scale_cols] * sums.scale_coef])
+    return np.add.reduceat(X[:, sums.pick], sums.starts, axis=1)
 
 
-def _sparse_product(rows, a, b) -> list:
-    """The product of two coefficient vectors over the nonzero structure
-    constants in ``rows`` (see _nonzero_rows).
-
-    Coefficients may be of any scalar type that multiplies with itself and
-    with ints: ints, Fractions, exact cyclotomics, floats or mpmath
-    numbers.  Zero coefficients are skipped, and entries that receive no
-    term stay the int 0.
-    """
-    out = [0] * len(rows)
-    live_b = [not _is_zero(x) for x in b]
-    for i, ai in enumerate(a):
-        if _is_zero(ai):
-            continue
-        for j, targets in rows[i]:
-            if not live_b[j]:
-                continue
-            coef = ai * b[j]
-            for k, c in targets:
-                out[k] = out[k] + (coef if c == 1 else coef * c)
+def _bilinear(terms, A, B) -> np.ndarray:
+    """Row r is A[r] times B[r] through the terms of a ring's plan: one
+    product per pair, then one reduceat over the output columns.  Columns
+    that receive no term stay the int 0."""
+    out = np.zeros(A.shape, dtype=object)
+    if len(terms.left):
+        out[:, terms.sums.targets] = _summed(
+            terms.sums, A[:, terms.left] * B[:, terms.right])
     return out
 
 
 def element_product(ring: BasedRing, a, b) -> list:
     """Product of two ring elements given as coefficient vectors.
 
-    Coefficients may be ints, Fractions, exact cyclotomics or floats; the
-    arithmetic stays in whatever the inputs support.
+    Coefficients may be ints, Fractions, exact cyclotomics, floats or
+    mpmath numbers; the arithmetic stays in whatever the inputs support.
+    Each output entry sums its terms a_i b_j N[i, j, k] in (i, j) order.
+    A vector of another length than the rank raises SchemaError.
     """
-    return _sparse_product(ring._rows, a, b)
+    def row(v):
+        if len(v) != ring.rank:
+            raise SchemaError(f"the element has {len(v)} coefficients, but "
+                              f"the ring has rank {ring.rank}")
+        out = np.empty((1, ring.rank), dtype=object)
+        out[0, :] = list(v)
+        return out
+    return _bilinear(ring._plan.product, row(a), row(b))[0].tolist()
 
 
 def product_basis(a, b) -> tuple:

@@ -275,16 +275,16 @@ def parse_modular(obj) -> ModularData:
     r = _need(obj, "rank", int, where)
     labels = _need(obj, "labels", list, where)
     dual = _int_list(obj, "dual", where)
-    s_rows = _need(obj, "s_matrix", list, where)
+    s_lists = _need(obj, "s_matrix", list, where)
     twists = _need(obj, "twists", list, where)
     if len(labels) != r or len(dual) != r:
         raise SchemaError(f"{where}: labels/dual length disagrees with rank")
-    if len(s_rows) != r or any(not isinstance(row, list) or len(row) != r
-                               for row in s_rows):
+    if len(s_lists) != r or any(not isinstance(row, list) or len(row) != r
+                                for row in s_lists):
         raise SchemaError(f"{where}: s_matrix must be rank x rank")
     if len(twists) != r:
         raise SchemaError(f"{where}: need one twist per label")
-    flat = _scalars([v for row in s_rows for v in row], f"{where}: s_matrix")
+    flat = _scalars([v for row in s_lists for v in row], f"{where}: s_matrix")
     s = tuple(tuple(flat[i:i + r]) for i in range(0, r * r, r))
     tw = tuple(_scalars(twists, f"{where}: twists"))
     return ModularData(labels=tuple(str(x) for x in labels),

@@ -28,7 +28,9 @@ one bit finer than mp.prec bits below its largest entry.  The idempotents
 of one split attempt are refined and certified together as a stack: numpy
 object arrays of Python ints, one row per idempotent, with one exponent per
 row.  Every product is a few array passes over the ring's term plan
-(``BasedRing._plan``): one multiplication per distinct pair of basis
+(``BasedRing._plan``, the one sparse form of the ring, read through
+``ring._bilinear`` and ``ring._summed`` as ``element_product`` and the
+averaging check read it): one multiplication per distinct pair of basis
 elements, a gather of the terms sorted by target and one np.add.reduceat.
 A square runs over the unordered pairs only, and the commutators with
 every basis element are one pass over the nonzeros of N[i, j, k] -
@@ -52,7 +54,7 @@ from mpmath.libmp import from_int, from_man_exp, mpf_div, round_nearest
 
 from .cyclotomic import ROUND_TOL, TOL, as_mpc, working_tol
 from .errors import NotSemisimpleError, NumericalDegeneracyError, SchemaError
-from .ring import BasedRing
+from .ring import BasedRing, _bilinear, _summed
 
 SPLIT_SEED = 0xC0FFEE
 _MAX_SPLIT_ATTEMPTS = 8
@@ -75,24 +77,6 @@ def _take(a, rows) -> tuple:
     """The stack of the rows of the stack a at the indices rows."""
     re, im, exps = a
     return re[rows], im[rows], [exps[r] for r in rows]
-
-
-def _summed(sums, X) -> np.ndarray:
-    """The sums of the plan over the columns of X, row by row, exactly."""
-    if len(sums.scale_cols):
-        X = np.hstack([X, X[:, sums.scale_cols] * sums.scale_coef])
-    return np.add.reduceat(X[:, sums.pick], sums.starts, axis=1)
-
-
-def _bilinear(terms, A, B) -> np.ndarray:
-    """Row r is A[r] times B[r] through the terms of the ring's plan, as
-    exact integer sums: one product per pair, then one reduceat over the
-    output columns."""
-    out = np.zeros(A.shape, dtype=object)
-    if len(terms.left):
-        out[:, terms.sums.targets] = _summed(
-            terms.sums, A[:, terms.left] * B[:, terms.right])
-    return out
 
 
 def _product(terms, a, b) -> tuple:

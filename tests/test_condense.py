@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import mpmath as mp
 import numpy as np
@@ -234,7 +235,7 @@ def test_check_averaging_refuses_a_sub_that_is_not_closed(monkeypatch, sub):
     calls = _recording_is_closed(monkeypatch)
     # positive dims: closedness is read off the support of w_B * w_B
     with pytest.raises(SchemaError, match="is not a subring"):
-        _check_averaging(b.module_ring, sub, _mantissas(b.dA.values))
+        _check_averaging(b.module_ring, [sub], _mantissas(b.dA.values))
     assert calls == []
     # a module dim of 0 inside sub: is_closed decides
     dA = list(b.dA.values)
@@ -242,6 +243,40 @@ def test_check_averaging_refuses_a_sub_that_is_not_closed(monkeypatch, sub):
     with pytest.raises(SchemaError, match="is not a subring"):
         e_sub(dataclasses.replace(b, dA=dA), sub)
     assert calls == [sub]
+
+
+def _batch_around(sub):
+    """Every subring of the TY(Z/3) module ring, with sub in the middle."""
+    return [(0,), (0, 1, 2), sub, (0, 1, 2, 3)]
+
+
+@pytest.mark.parametrize("sub", [(0, 1), (0, 3), (1, 2), (0, 1, 3)])
+def test_check_averaging_refuses_a_batch_with_one_sub_that_is_not_closed(
+        sub):
+    b = ty_bundle()
+    dims = _mantissas(b.dA.values)
+    with pytest.raises(SchemaError,
+                       match=re.escape(f"{sub} is not a subring")):
+        _check_averaging(b.module_ring, _batch_around(sub), dims)
+
+
+def test_check_averaging_refuses_a_batch_with_one_repeated_index():
+    b = ty_bundle()
+    with pytest.raises(SchemaError,
+                       match=re.escape("(0, 0) repeats a basis index")):
+        _check_averaging(b.module_ring, _batch_around((0, 0)),
+                         _mantissas(b.dA.values))
+
+
+def test_check_averaging_batch_gives_each_sub_its_own_d():
+    b = ty_bundle()
+    dims = _mantissas(b.dA.values)
+    subs = [(0,), (0, 1, 2), (0, 1, 2, 3)]
+    w = dims[0]
+    want = [sum(w[y] * w[y] for y in sub) for sub in subs]
+    assert _check_averaging(b.module_ring, subs, dims) == want
+    assert [_check_averaging(b.module_ring, [sub], dims)[0]
+            for sub in subs] == want
 
 
 def test_check_averaging_with_a_non_positive_dim_passes_a_closed_sub(
@@ -441,6 +476,52 @@ def test_validate_exits_1_on_a_failed_adjunction(tmp_path, capsys):
             "d(x) = 1.0") in capsys.readouterr().out.splitlines()
 
 
+def _twisted_a2n_1():
+    """a2n 1 with theta(s+) in ambient factor 0 set from zeta_8 to
+    zeta_8^3.  The bundle passes check_bundle, but two m = 1 blocks fit no
+    ambient row (best fits 2.40) and the m = 2 block fits none (0.600)."""
+    obj = serialize.emit_any(bundle("a2n", 1))
+    twists = obj["ambient"]["product"][0]["twists"]
+    assert twists[3] == {"cyclotomic": {"order": 8, "coeffs": ["0", "1"]}}
+    twists[3] = {"cyclotomic": {"order": 8, "coeffs": ["0", "0", "0", "1"]}}
+    return serialize.parse_any(obj)
+
+
+def test_a_block_that_fits_no_ambient_row_fails_the_check():
+    b = _twisted_a2n_1()
+    assert check_bundle(b).ok
+    with pytest.raises(TheoremViolationError,
+                       match=r"block m=1 matches no ambient simple with "
+                             r"n_x = 1 \(best fit 2\.40e\+00"):
+        schur_weyl(b)
+
+
+@pytest.mark.parametrize("verb", [["analyze"], ["galois"],
+                                  ["indicators", "--x", "1.1"]])
+def test_reading_verbs_exit_1_on_a_block_that_fits_no_ambient_row(
+        verb, tmp_path, capsys):
+    path = str(tmp_path / "twisted.json")
+    serialize.write_path(_twisted_a2n_1(), path)
+    capsys.readouterr()
+    assert main([verb[0], path] + verb[1:]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("check failed: block m=1 matches no ambient simple")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("accept,reject", [
+    (0.0, MATCH_REJECT),  # every best fit lies in [accept, reject]
+    (MATCH_ACCEPT, 10.0),  # a runner-up at or below reject
+])
+def test_an_ambiguous_block_fit_is_a_numerical_degeneracy(
+        monkeypatch, accept, reject):
+    monkeypatch.setattr(condense_module, "MATCH_ACCEPT", accept)
+    monkeypatch.setattr(condense_module, "MATCH_REJECT", reject)
+    with pytest.raises(NumericalDegeneracyError,
+                       match="block m=1 is matched ambiguously"):
+        schur_weyl(bundle("a2n", 1))
+
+
 def test_twist_condition_checked():
     rep = check_bundle(toric_bundle(mult=(1, 0, 0, 1)))
     assert not rep.ok
@@ -523,8 +604,8 @@ def test_product_ambient_matches_the_flat_form(family, n):
     assert list(amb.dims) == list(flat.dims)
     assert list(amb.twists) == list(flat.twists)
     assert amb.global_dim() == flat.global_dim()
-    assert amb.has_character_rows == flat.has_character_rows
-    assert amb.has_character_rows == (family == "a2n")
+    assert amb.has_characters == flat.has_characters
+    assert amb.has_characters == (family == "a2n")
 
 
 @pytest.mark.parametrize("dps", [15, 64, 128])
@@ -556,7 +637,7 @@ def test_product_factors_are_rings_or_tables():
             Ambient.from_product(ring, bad)
     # a factor without twists leaves the product without them
     assert Ambient.from_product(ring, ring).twists is None
-    assert not Ambient.from_product(ring, ring).has_character_rows
+    assert not Ambient.from_product(ring, ring).has_characters
 
 
 # -- the exact contractions against the per-term mpmath loops they replace --
@@ -687,7 +768,7 @@ def test_exact_contractions_match_the_mpmath_loops(family, n, dps):
         amb = b.ambient
         # a2nplus1 has a table ambient and no induction, so no matching
         assert r.matching_skipped == (b.induction is None
-                                      or not amb.has_character_rows)
+                                      or not amb.has_characters)
         if not r.matching_skipped:
             dv = [abs(as_mpc(d)) for d in amb.dims.values]
             row_terms = {x: _row_terms(amb, x, dv)

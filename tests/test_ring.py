@@ -12,6 +12,7 @@ from fuscond.ring import (
     BasedRing,
     DimVector,
     closure,
+    element_product,
     enumerate_subrings,
     fp_dims,
     group_ring,
@@ -483,3 +484,13 @@ def test_dim_vector_sums_numeric_when_any_value_is_a_float():
                         (dv.dot((1, 0, 2)), 1 + 2 * mp.sqrt(2))]:
         assert isinstance(value, mp.mpf)
         assert abs(value - want) < working_tol()
+
+
+@pytest.mark.parametrize("a", [[1], [1, 0, 0, 0, 0, 0]], ids=["short", "long"])
+def test_element_product_refuses_an_element_of_the_wrong_length(a):
+    # a length-1 vector would otherwise broadcast over every coefficient
+    ring = group_ring(*cyclic(2))
+    for args in ((a, [1, 1]), ([1, 1], a)):
+        with pytest.raises(SchemaError, match=f"the element has {len(a)} "
+                           "coefficients, but the ring has rank 2"):
+            element_product(ring, *args)

@@ -10,10 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fuscond import families
-from fuscond.cyclotomic import ROUND_TOL, TOL, working_tol
+from fuscond.condense import _check_averaging
+from fuscond.cyclotomic import ROUND_TOL, TOL, Cyc, working_tol
 from fuscond.errors import NumericalDegeneracyError, SchemaError
 from fuscond.families import ty_ring
-from fuscond.ring import BasedRing, _sparse_product, group_ring, product_ring
+from fuscond.ring import (BasedRing, _bilinear, element_product,
+                          enumerate_subrings, fp_dims, group_ring,
+                          product_ring)
 from fuscond.wedderburn import (
     SPLIT_SEED,
     _MAX_SPLIT_ATTEMPTS,
@@ -320,9 +323,39 @@ def test_integer_refinement_matches_the_mpc_loop(name, digits):
                        zip(mpc_product(ring, e, e), e)) <= tol
 
 
+# A reference kernel apart from the term plan: the nonzero structure
+# constants grouped by row, rows[i] holding (j, ((k, c), ...)) for each j
+# with some c = T[i, j, k] != 0, and a product that walks them in (i, j)
+# order, skipping zero coefficients.
+def _nonzero_rows(tensor):
+    rows = [{} for _ in range(tensor.shape[0])]
+    idx = np.argwhere(tensor)
+    for (i, j, k), c in zip(idx.tolist(), tensor[tuple(idx.T)].tolist()):
+        rows[i].setdefault(j, []).append((k, int(c)))
+    return tuple(tuple((j, tuple(kc)) for j, kc in r.items()) for r in rows)
+
+
+def _is_zero(x):
+    return x.is_zero() if isinstance(x, Cyc) else x == 0
+
+
+def _sparse_product(rows, a, b):
+    out = [0] * len(rows)
+    for i, ai in enumerate(a):
+        if _is_zero(ai):
+            continue
+        for j, targets in rows[i]:
+            if _is_zero(b[j]):
+                continue
+            coef = ai * b[j]
+            for k, c in targets:
+                out[k] = out[k] + (coef if c == 1 else coef * c)
+    return out
+
+
 # The split as it ran one idempotent at a time: each Newton product from
-# the sparse kernel of ring.element_product, and each commutator check as
-# one Python pass over the nonzero structure constants.
+# the reference kernel, and each commutator check as one Python pass over
+# the nonzero structure constants.
 def _old_product(rows, a, b):
     (ar, ai, ea), (br, bi, eb) = a, b
     re = _sparse_product(rows, ar, br)
@@ -356,7 +389,7 @@ def _old_rescale(v, exp):
 
 
 def _old_refine(ring, guess, tol):
-    rows = ring._rows
+    rows = _nonzero_rows(ring.fusion)
     e = _float_mantissas(guess)
     exp = e[2]
     for _ in range(mp.mp.dps.bit_length() + 1):
@@ -396,8 +429,9 @@ def _old_certified(ring, idems, dim_z, tol):
     total = reduce(lambda a, b: _old_combine(a, 1, b, 1), idems)
     if _cmp_tol(*_old_sup(_old_combine(total, 1, unit, -1)), tol) > 0:
         return False
+    rows = _nonzero_rows(ring.fusion)
     return all(
-        _cmp_tol(max(_old_commutator_residuals(ring._rows, e)), 2 * e[2],
+        _cmp_tol(max(_old_commutator_residuals(rows, e)), 2 * e[2],
                  tol) <= 0 for e in idems)
 
 
@@ -423,6 +457,55 @@ BATCH_RINGS = dict(
        for family in ("a2n", "a2nplus1") for n in range(1, 7)})
 
 
+# Coefficient draws for the products against the reference kernel, each
+# zero about one time in four so that the skipped terms show.
+SCALARS = {
+    "int": lambda rng: rng.choice([0, rng.randint(-3, 3)]),
+    "fraction": lambda rng: rng.choice(
+        [0, Fraction(rng.randint(-3, 3), rng.randint(1, 4))]),
+    "cyc": lambda rng: rng.choice([Cyc.rational(0), rng.randint(-2, 2)
+                                   * Cyc.zeta(8, rng.randrange(8))]),
+    "float": lambda rng: rng.choice([0.0, rng.uniform(-1.0, 1.0)]),
+    "mpf": lambda rng: rng.choice([mp.mpf(0), mp.mpf(rng.uniform(-1, 1))]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SCALARS))
+@pytest.mark.parametrize("name", sorted(BATCH_RINGS))
+def test_element_product_matches_the_reference_kernel(name, kind):
+    ring = BATCH_RINGS[name]()
+    rows = _nonzero_rows(ring.fusion)
+    rng = random.Random(f"{name}-{kind}")
+    draw = SCALARS[kind]
+    for _ in range(3):
+        a = [draw(rng) for _ in range(ring.rank)]
+        b = [draw(rng) for _ in range(ring.rank)]
+        got = element_product(ring, a, b)
+        want = _sparse_product(rows, a, b)
+        # the same values, summed in the same (i, j) order, so equal
+        # floats too, in the arithmetic of the inputs
+        assert got == want
+        assert all(type(g) is type(w)
+                   for g, w in zip(got, want) if not _is_zero(w))
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_RINGS))
+def test_batched_averaging_squares_match_the_reference_kernel(name):
+    ring = BATCH_RINGS[name]()
+    rows = _nonzero_rows(ring.fusion)
+    dims = _mantissas(fp_dims(ring).values)
+    w = dims[0]
+    subs = enumerate_subrings(ring)
+    W = np.zeros((len(subs), ring.rank), dtype=object)
+    for r, sub in enumerate(subs):
+        W[r, list(sub)] = [w[y] for y in sub]
+    for X in (W, W * Fraction(1, 3)):
+        got = _bilinear(ring._plan.square, X, X).tolist()
+        assert got == [_sparse_product(rows, x, x) for x in X.tolist()]
+    assert _check_averaging(ring, subs, dims) == [
+        sum(w[y] * w[y] for y in sub) for sub in subs]
+
+
 def test_plan_scales_the_structure_constants_above_one():
     assert a4_character_ring()._plan.product.sums.scale_coef.tolist() == [2]
     coef = BATCH_RINGS["a4char_s3"]()._plan.commutator.sums.scale_coef
@@ -446,8 +529,9 @@ def test_batched_split_matches_the_per_idempotent_loop(name, digits):
             assert new == (None if None in old else old)
             if new is None:
                 continue
+            rows = _nonzero_rows(ring.fusion)
             assert (_commutators(ring, _stack(old)).tolist()
-                    == [_old_commutator_residuals(ring._rows, e) for e in old])
+                    == [_old_commutator_residuals(rows, e) for e in old])
             certified = _old_certified(ring, old, len(Z), tol)
             assert _certified(ring, new, len(Z), tol) == certified
             if certified:
