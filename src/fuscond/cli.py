@@ -5,8 +5,8 @@ Exit codes: 0 all checks pass, 1 a check failed, 2 unusable input,
 3 numerical degeneracy.  ``--digits`` below DIGITS_FLOOR, the float64
 precision the Wedderburn split starts from, is unusable input: the
 residual checks at the default ``--tol`` cannot pass honestly below it.
-So is a ``--tol`` that is not a finite number above 0, and a path that
-cannot be read or written.
+So is a ``--tol`` that is not finite or is below ``cyclotomic.tol_floor()``
+at ``--digits``, and a path that cannot be read or written.
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ import mpmath as mp
 from . import families
 from .condense import (CondensationBundle, check_bundle, codegree_check,
                        indicator, indicator_refusal, schur_weyl)
-from .cyclotomic import TOL
+from .cyclotomic import TOL, tol_floor
 from .errors import (CapabilityError, NumericalDegeneracyError, SchemaError,
                      TheoremViolationError)
 from .galois import hasse_dot, markdown_table, verify_correspondence
@@ -239,6 +239,10 @@ def main(argv=None) -> int:
         return 2
     try:
         with mp.workdps(args.digits):
+            if args.tol < tol_floor():
+                raise SchemaError(
+                    f"--tol must be at least {tol_floor():g} at --digits "
+                    f"{args.digits}, got {args.tol}")
             return args.fn(args)
     except (SchemaError, CapabilityError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)

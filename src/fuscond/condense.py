@@ -17,10 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from operator import mul
 
 import mpmath as mp
 import numpy as np
+from mpmath.libmp import from_man_exp, round_nearest
 
 from .cyclotomic import TOL, as_mpc, pair_products
 from .errors import (
@@ -32,11 +32,12 @@ from .errors import (
 )
 from .modular import (ModularData, dims as modular_dims,
                       validate as validate_modular)
-from .ring import (BasedRing, DimVector, _bilinear, basis_indices,
+from .ring import (BasedRing, DimVector, _bilinear, _dot, basis_indices,
                    check_basis, fp_dims, is_closed, product_basis, validate)
 from .wedderburn import (SPLIT_SEED, _cmp_tol, _combine, _commutators,
-                         _mantissas, _product, _quotient, _stack, _sups,
-                         _take, block_profiles, character_table)
+                         _mantissas, _on_grid, _product, _quotient, _rescale,
+                         _stack, _sups, _take, block_profiles,
+                         character_table)
 
 MATCH_ACCEPT = 1e-6
 MATCH_REJECT = 1e-3
@@ -79,7 +80,6 @@ class Ambient:
         if self.ring is not None and (self.ring.labels != labels
                                       or self.ring.dual != dual):
             raise SchemaError("ambient ring labels/dual disagree with the table")
-        object.__setattr__(self, "_numeric", {})
 
     @classmethod
     def from_modular(cls, md: ModularData) -> "Ambient":
@@ -143,54 +143,55 @@ class Ambient:
                  else tuple(f.ring for f in self.factors))
         return self.twists is not None and None not in rings
 
-    def character_row(self, x: int):
-        """The pattern y -> S(x*, y)/d(x) as numeric values.
+    def character_row(self, xs):
+        """The patterns y -> S(x*, y)/d(x) of the ambient indices xs as
+        mantissas (re, im, exp): object arrays, one row per x, each row on
+        its own grid as _mantissas puts it, then shifted to the smallest.
 
         With full modular data this is an S-matrix row.  With only a fusion
         ring, dims and twists it is recovered through the balancing
         identity S(a,b) = (1/(theta_a theta_b)) sum_c N[a,b,c] theta_c d_c,
-        which is what the ribbon structure forces.  Returns None without
-        character rows.  A product ambient takes the slice N[x*] as the
-        Kronecker product of its factors' slices.
+        which is what the ribbon structure forces, summed exactly and each
+        entry rounded once.  Returns None without character rows.  A
+        product ambient's slices N[x*] are Kronecker products.
         """
         if not self.has_characters:
             return None
-        xs = self.dual[x]
+        duals = [self.dual[x] for x in xs]
         if self.modular is not None:
             s = self.modular.s
-            dx = as_mpc(s[0][xs])
-            return [as_mpc(s[xs][y]) / dx for y in range(self.rank)]
-        # twists and dims converted once per working precision, so that no
-        # value leaks from one context into another, and the theta d
-        # mantissas shared by every x of one analysis
-        if mp.mp.prec not in self._numeric:
+            rows = [_mantissas([as_mpc(v) / as_mpc(s[0][x]) for v in s[x]])
+                    for x in duals]
+        else:
             th = [as_mpc(t) for t in self.twists]
             dv = [as_mpc(v) for v in self.dims.values]
-            self._numeric[mp.mp.prec] = (
-                th, dv, _mantissas([t * d for t, d in zip(th, dv)]),
-                _mantissas([1 / t for t in th]))
-        th, dv, (tre, tim, texp), (ire, iim, iexp) = self._numeric[mp.mp.prec]
-        # sum_z N[x*, y, z] theta_z d_z, exact over the mantissas
-        if self.factors is None:
-            F = self.ring.fusion[xs]
-        else:
-            fa, fb = self.factors
-            F = np.kron(fa.ring.fusion[xs // fb.rank],
-                        fb.ring.fusion[xs % fb.rank])
-        ys, zs = np.nonzero(F)
-        nre, nim = [0] * self.rank, [0] * self.rank
-        for y, z, c in zip(ys.tolist(), zs.tolist(), F[ys, zs].tolist()):
-            nre[y] += c * tre[z]
-            nim[y] += c * tim[z]
-        # times 1/theta_y and 1/(theta_x* d_x*), one rounding per part
-        (sre,), (sim,), sexp = _mantissas([1 / (th[xs] * dv[xs])])
-        exp = texp + iexp + sexp
-        row = []
-        for a, b, c, d in zip(nre, nim, ire, iim):
-            re, im = a * c - b * d, a * d + b * c
-            row.append(mp.mpc(mp.mpf((re * sre - im * sim, exp)),
-                              mp.mpf((re * sim + im * sre, exp))))
-        return row
+            tre, tim, texp = _mantissas([t * d for t, d in zip(th, dv)])
+            ire, iim, iexp = _mantissas([1 / t for t in th])
+            ire, iim = np.array(ire, dtype=object), np.array(iim, dtype=object)
+            if self.factors is None:
+                F = self.ring.fusion[duals]
+            else:
+                fa, fb = (f.ring.fusion for f in self.factors)
+                hi, lo = np.divmod(duals, len(fb))
+                F = np.einsum("xac,xbd->xabcd", fa[hi], fb[lo])
+            # sum_z N[x*, y, z] theta_z d_z for every x and y, then times
+            # 1/theta_y and 1/(theta_x* d_x*), one rounding per part
+            r = self.rank
+            nre, nim = _dot(np.array([tre, tim], dtype=object),
+                            F.reshape(len(duals) * r, r).T).reshape(2, -1, r)
+            are, aim = nre * ire - nim * iim, nre * iim + nim * ire
+            prec = mp.mp.prec
+            rows = []
+            for a, b, x in zip(are, aim, duals):
+                (sre,), (sim,), sexp = _mantissas([1 / (th[x] * dv[x])])
+                e = texp + iexp + sexp
+                rows.append(_on_grid([
+                    (from_man_exp(u * sre - v * sim, e, prec, round_nearest),
+                     from_man_exp(u * sim + v * sre, e, prec, round_nearest))
+                    for u, v in zip(a.tolist(), b.tolist())]))
+        exp = min((e for _, _, e in rows), default=0)
+        re, im, _ = _rescale(_stack(rows), [exp] * len(rows))
+        return re, im, exp
 
     def __repr__(self):
         kind = ("modular" if self.modular is not None
@@ -335,11 +336,13 @@ def check_bundle(b: CondensationBundle, tol=TOL) -> ValidationReport:
     return rep
 
 
-def _check_averaging(ring: BasedRing, subs, dims) -> list:
+def _check_averaging(ring: BasedRing, subs, dims) -> tuple:
     """Check that each sub in subs is a subring whose averaging idempotent
     e_B = sum_{y in B} d_y y / sum_{y in B} d_y^2 satisfies e_B^2 = e_B
-    within TOL, and return D = sum_{y in B} w_y^2 for each, given the
-    mantissas dims = _mantissas(d) = (w, _, f) of the real d.  With
+    within TOL, given the mantissas dims = _mantissas(d) = (w, _, f) of
+    the real d.  Returns the weight rows W, an object array with row
+    w_B (w on sub, 0 elsewhere) for each sub, and the list of
+    D = sum_{y in B} w_y^2.  With
     P = w_B * w_B, exactly, (e_B^2 - e_B)_k D^2 = P_k 2**(-2f) - w_k D 2**(-f).
     The weight rows w_B of all subs are squared in one pass over
     ring._plan.square."""
@@ -369,7 +372,7 @@ def _check_averaging(ring: BasedRing, subs, dims) -> list:
             raise NumericalDegeneracyError(
                 f"e_sub for {sub} failed the idempotent check, residual "
                 f"{float(value)}")
-    return D.tolist()
+    return W, D.tolist()
 
 
 def e_sub(b: CondensationBundle, sub) -> list:
@@ -490,35 +493,27 @@ def schur_weyl(b: CondensationBundle, tol=TOL, seed=SPLIT_SEED) -> SchurWeylRepo
                      "S-matrix or fusion ring with twists")
     else:
         re, im, exp = table
-        # the patterns' mantissas, aligned with the table's at one
-        # exponent f <= exp
-        pat = {x: _mantissas(amb.character_row(x))
-               for x, n in enumerate(b.mult) if n > 0}
-        f = min([exp] + [e for _, _, e in pat.values()])
-        pat = {x: ([v << (e - f) for v in pr], [v << (e - f) for v in pi])
-               for x, (pr, pi, e) in pat.items()}
-        M = b.induction
-        ind = [[(int(z), int(M[y, z])) for z in np.nonzero(M[y])[0]]
-               for y in range(amb.rank)]
-        for bi, (bp, flag) in enumerate(zip(blocks, in_ideal)):
-            if not flag:
-                continue
-            # m (M chi)_y = sum_z M[y, z] (re + 1j im)[z] 2**exp; the
-            # fit of x is sqrt(sum_y |(M chi)_y / m - row_y|^2 / rank),
-            # whose terms are exact integers times 2**(2f) / m**4
-            mre = [sum(c * re[bi][z] for z, c in r) << (exp - f) for r in ind]
-            mim = [sum(c * im[bi][z] for z, c in r) << (exp - f) for r in ind]
+        xs = [x for x, n in enumerate(b.mult) if n > 0]
+        pre, pim, pexp = amb.character_row(xs)
+        # the patterns and m M chi of every ideal block, whose entry y is
+        # sum_z M[y, z] (re + 1j im)[z] 2**exp, over one exponent f; the
+        # fit of x is sqrt(sum_y |(M chi)_y / m - row_y|^2 / rank), whose
+        # terms are exact integers times 2**(2f) / m**4
+        f = min(exp, pexp)
+        pre, pim = pre << (pexp - f), pim << (pexp - f)
+        ideal = [bi for bi, flag in enumerate(in_ideal) if flag]
+        mchi = _dot(np.vstack([re[ideal], im[ideal]]),
+                    b.induction.T) << (exp - f)
+        for bi, mre, mim in zip(ideal, mchi, mchi[len(ideal):]):
+            bp = blocks[bi]
             m2 = bp.m * bp.m
-            scored = []
-            for x, (pr, pi) in pat.items():
-                if b.mult[x] != bp.m:
-                    continue
-                d2 = (sum((a - m2 * p) ** 2 for a, p in zip(mre, pr))
-                      + sum((a - m2 * p) ** 2 for a, p in zip(mim, pi)))
-                fit = mp.sqrt(_quotient(d2, 2 * f, m2 * m2 * amb.rank))
-                scored.append((float(fit), x))
+            cand = [i for i, x in enumerate(xs) if b.mult[x] == bp.m]
+            d2 = (((mre - m2 * pre[cand]) ** 2).sum(axis=1)
+                  + ((mim - m2 * pim[cand]) ** 2).sum(axis=1))
+            scored = sorted(
+                (float(mp.sqrt(_quotient(d, 2 * f, m2 * m2 * amb.rank))),
+                 xs[i]) for d, i in zip(d2.tolist(), cand))
             # the multiset check above leaves every block a candidate
-            scored.sort()
             best, x_best = scored[0]
             second = scored[1][0] if len(scored) > 1 else None
             if best > MATCH_REJECT:
@@ -549,12 +544,6 @@ def schur_weyl(b: CondensationBundle, tol=TOL, seed=SPLIT_SEED) -> SchurWeylRepo
         matching_skipped=matching_skipped, notes=tuple(notes))
 
 
-def _unmatched(amb: Ambient, xi: int) -> CapabilityError:
-    return CapabilityError(
-        f"no block is matched to {amb.labels[xi]}; matching needs ambient "
-        "S-matrix (or ring with twists) plus the induction matrix")
-
-
 def indicator_refusal(b: CondensationBundle, xi: int):
     """The error indicator raises for the ambient index xi whatever the
     split, or None: xi does not occur in the algebra, or the bundle cannot
@@ -563,7 +552,9 @@ def indicator_refusal(b: CondensationBundle, xi: int):
         return SchemaError(f"{b.ambient.labels[xi]} does not occur in the "
                            "algebra")
     if b.induction is None or not b.ambient.has_characters:
-        return _unmatched(b.ambient, xi)
+        return CapabilityError(
+            f"no block is matched to {b.ambient.labels[xi]}; matching needs "
+            "ambient S-matrix (or ring with twists) plus the induction matrix")
     return None
 
 
@@ -576,10 +567,7 @@ def indicator(swr: SchurWeylReport, x, a):
     refusal = indicator_refusal(swr.bundle, xi)
     if refusal is not None:
         raise refusal
-    for bi, xm in swr.matched_pairs():
-        if xm == xi:
-            return swr.block_value(bi, a)
-    raise _unmatched(swr.bundle.ambient, xi)
+    return swr.block_value(swr.matched.index(xi), a)
 
 
 def block_dims(swr: SchurWeylReport, tol: float) -> dict:
@@ -616,20 +604,17 @@ def codegree_row(swr: SchurWeylReport, bi: int) -> list:
     """The codegree element phi = sum_Y chi_bi(Y) Y* of block bi on each
     block bj, sum_z chi_bi(z*) chi_bj(z) / m_bj.  Over the character
     mantissas this is s 2**(2 exp) / (m_bi m_bj^2) with the exact integer
-    s = sum_z num_bi(z*) num_bj(z), rounded once."""
+    s = sum_z num_bi(z*) num_bj(z), from one product of the table with
+    row bi at the duals, each value rounded once."""
     re, im, exp = swr.character_mantissas
-    dual = swr.bundle.module_ring.dual
-    ar = [re[bi][z] for z in dual]
-    ai = [im[bi][z] for z in dual]
+    dual = list(swr.bundle.module_ring.dual)
     m = swr.blocks[bi].m
-    out = []
-    for br, bim, bp in zip(re, im, swr.blocks):
-        den = m * bp.m * bp.m
-        sre = sum(map(mul, ar, br)) - sum(map(mul, ai, bim))
-        sim = sum(map(mul, ar, bim)) + sum(map(mul, ai, br))
-        out.append(mp.mpc(_quotient(sre, 2 * exp, den),
-                          _quotient(sim, 2 * exp, den)))
-    return out
+    n = len(re)
+    p = np.vstack([re, im]) @ np.stack([re[bi, dual], im[bi, dual]], axis=1)
+    sre, sim = p[:n, 0] - p[n:, 1], p[:n, 1] + p[n:, 0]
+    return [mp.mpc(_quotient(a, 2 * exp, m * bp.m * bp.m),
+                   _quotient(c, 2 * exp, m * bp.m * bp.m))
+            for a, c, bp in zip(sre.tolist(), sim.tolist(), swr.blocks)]
 
 
 def codegree_check(swr: SchurWeylReport, tol=TOL) -> CodegreeReport:

@@ -12,7 +12,7 @@ that order would exceed ORDER_CAP the operation falls back to
 high-precision complex floats at the caller's working precision
 (``mp.mp.dps``), which nothing in the package sets.  The package's
 tolerances are defined here: TOL for residual checks, ROUND_TOL for values
-read off as integers, and working_tol().
+read off as integers, working_tol() and tol_floor().
 """
 from __future__ import annotations
 
@@ -116,6 +116,12 @@ def _zeta_floats(order: int) -> tuple:
 def working_tol():
     """Tolerance at the working precision: eight digits short of mp.dps."""
     return mp.mpf(10) ** (8 - mp.mp.dps)
+
+
+def tol_floor() -> float:
+    """The finest tolerance the working precision resolves, 10^(3 - mp.dps),
+    as the float nearest to it, which is what --tol 1e-k parses to."""
+    return float(Fraction(10) ** (3 - mp.mp.dps))
 
 
 class Cyc:

@@ -38,9 +38,8 @@ def _trivial_block(swr: SchurWeylReport) -> int:
     # correctly rounded integer division
     re, im, exp = swr.character_mantissas
     s = max(exp, 0)
-    dens = [bp.m << (s - exp) for bp in swr.blocks]
-    chi = [[complex((r << s) / d, (i << s) / d) for r, i in zip(rr, ii)]
-           for rr, ii, d in zip(re, im, dens)]
+    d = np.array([[bp.m << (s - exp)] for bp in swr.blocks], dtype=object)
+    chi = ((re << s) / d).astype(float) + 1j * ((im << s) / d).astype(float)
     gap = np.where(swr.in_ideal,
                    np.abs(chi - b.dA.as_floats()).sum(axis=1), np.inf)
     best = int(np.argmin(gap))
@@ -79,46 +78,45 @@ def invariant_subalgebra(swr: SchurWeylReport, sub,
     sub = tuple(sorted(int(i) for i in sub))
     if dims is None:
         dims = _mantissas(swr.bundle.dA.values)
-    D, = _check_averaging(swr.bundle.module_ring, [sub], dims)
-    return _invariant(swr, sub, dims, D)
+    return next(_invariants(swr, [sub], dims))
 
 
-def _invariant(swr: SchurWeylReport, sub: tuple, dims,
-               D: int) -> InvariantSubalgebra:
-    """invariant_subalgebra for a sorted sub that _check_averaging has
-    passed with D = sum_{y in B} w_y^2."""
+def _invariants(swr: SchurWeylReport, subs, dims):
+    """invariant_subalgebra of each sorted sub of subs in turn, once
+    _check_averaging has passed them all.  The sums
+    sum_{y in B} w_y (re, im)_b[y] of every sub and ideal block b are one
+    product of its weight rows with the ideal rows of the table."""
     b = swr.bundle
-    w, _, f = dims
+    W, D = _check_averaging(b.module_ring, subs, dims)
     re, im, exp = swr.character_mantissas
-    block_indices, n_prime = [], []
-    for bi, bp in enumerate(swr.blocks):
-        if not swr.in_ideal[bi]:
-            continue
-        n = _round_quotient(sum(w[y] * re[bi][y] for y in sub),
-                            sum(w[y] * im[bi][y] for y in sub), exp - f,
-                            bp.m * D, f"block multiplicity for subring {sub}")
-        if not 0 <= n <= bp.m:
-            raise TheoremViolationError(
-                f"block multiplicity {n} outside [0, {bp.m}] for "
-                f"subring {sub}")
-        block_indices.append(bi)
-        n_prime.append(n)
-
-    vec = None
-    if all(swr.matched[bi] is not None for bi in block_indices):
-        v = [0] * b.ambient.rank
-        for bi, n in zip(block_indices, n_prime):
-            v[swr.matched[bi]] = n
-        dual = b.ambient.dual
-        for x in range(b.ambient.rank):
-            if v[x] != v[dual[x]]:
+    ideal = tuple(np.flatnonzero(swr.in_ideal).tolist())
+    sums = W @ np.vstack([re[list(ideal)], im[list(ideal)]]).T
+    dual = b.ambient.dual
+    for sub, d, row in zip(subs, D, sums.tolist()):
+        n_prime = []
+        for bi, x, y in zip(ideal, row, row[len(ideal):]):
+            m = swr.blocks[bi].m
+            n = _round_quotient(x, y, exp - dims[2], m * d,
+                                f"block multiplicity for subring {sub}")
+            if not 0 <= n <= m:
                 raise TheoremViolationError(
-                    "invariant subalgebra is not self-dual: multiplicity "
-                    f"{v[x]} at {b.ambient.labels[x]} vs {v[dual[x]]} at "
-                    f"{b.ambient.labels[dual[x]]}")
-        vec = tuple(v)
-    return InvariantSubalgebra(sub=sub, block_indices=tuple(block_indices),
-                               n_prime=tuple(n_prime), ambient_vector=vec)
+                    f"block multiplicity {n} outside [0, {m}] for "
+                    f"subring {sub}")
+            n_prime.append(n)
+        vec = None
+        if all(swr.matched[bi] is not None for bi in ideal):
+            v = [0] * b.ambient.rank
+            for bi, n in zip(ideal, n_prime):
+                v[swr.matched[bi]] = n
+            for x in range(b.ambient.rank):
+                if v[x] != v[dual[x]]:
+                    raise TheoremViolationError(
+                        "invariant subalgebra is not self-dual: multiplicity "
+                        f"{v[x]} at {b.ambient.labels[x]} vs {v[dual[x]]} "
+                        f"at {b.ambient.labels[dual[x]]}")
+            vec = tuple(v)
+        yield InvariantSubalgebra(sub=sub, block_indices=ideal,
+                                  n_prime=tuple(n_prime), ambient_vector=vec)
 
 
 @dataclass(frozen=True)
@@ -131,11 +129,14 @@ class GaloisEntry:
     residual: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaloisReport:
+    """The correspondence checks over a lattice; below[i, j] says that
+    entries[i].sub is a proper subset of entries[j].sub."""
     bundle: CondensationBundle
     swr: SchurWeylReport
     entries: tuple
+    below: np.ndarray
     trivial_block: int
     injective: bool
     collisions: tuple
@@ -179,8 +180,7 @@ def verify_correspondence(b: CondensationBundle, tol: float = TOL, *,
 
     dims = _mantissas(b.dA.values)
     entries = []
-    for sub, D in zip(subs, _check_averaging(b.module_ring, subs, dims)):
-        inv = _invariant(swr, sub, dims, D)
+    for sub, inv in zip(subs, _invariants(swr, subs, dims)):
         if inv.n_prime[triv_pos] != 1:
             problems.append(
                 f"subring {sub}: trivial-block multiplicity is "
@@ -235,26 +235,23 @@ def verify_correspondence(b: CondensationBundle, tol: float = TOL, *,
                 f"full module ring gives multiplicities {e_full.n_prime}, "
                 "expected the unit alone")
 
-    for i, ei in enumerate(entries):
-        si = set(ei.sub)
-        for ej in entries[i + 1:]:
-            sj = set(ej.sub)
-            if si < sj:
-                small, big = ei, ej
-            elif sj < si:
-                small, big = ej, ei
-            else:
-                continue
-            if small.d_invariant is None or big.d_invariant is None:
-                continue
-            if not big.d_invariant < small.d_invariant - tol:
-                problems.append(
-                    f"order reversal fails: {small.sub} < {big.sub} but "
-                    f"d {small.d_invariant:g} !> {big.d_invariant:g}")
-            if any(nb > ns for nb, ns in zip(big.n_prime, small.n_prime)):
-                problems.append(
-                    f"multiplicities not monotone: {small.sub} < {big.sub} "
-                    f"but {big.n_prime} !<= {small.n_prime}")
+    member = np.zeros((len(subs), b.module_ring.rank), dtype=np.int64)
+    for i, sub in enumerate(subs):
+        member[i, list(sub)] = 1
+    size = member.sum(axis=1)
+    below = (member @ member.T == size[:, None]) & (size[:, None] < size)
+    for i, j in np.argwhere(below):
+        small, big = entries[i], entries[j]
+        if small.d_invariant is None or big.d_invariant is None:
+            continue
+        if not big.d_invariant < small.d_invariant - tol:
+            problems.append(
+                f"order reversal fails: {small.sub} < {big.sub} but "
+                f"d {small.d_invariant:g} !> {big.d_invariant:g}")
+        if any(nb > ns for nb, ns in zip(big.n_prime, small.n_prime)):
+            problems.append(
+                f"multiplicities not monotone: {small.sub} < {big.sub} "
+                f"but {big.n_prime} !<= {small.n_prime}")
 
     groups = {}
     for e in entries:
@@ -263,7 +260,7 @@ def verify_correspondence(b: CondensationBundle, tol: float = TOL, *,
 
     residuals = [e.residual for e in entries if e.residual == e.residual]
     return GaloisReport(bundle=b, swr=swr, entries=tuple(entries),
-                        trivial_block=trivial,
+                        below=below, trivial_block=trivial,
                         injective=not collisions, collisions=collisions,
                         problems=tuple(problems),
                         max_residual=max(residuals) if residuals else 0.0)
@@ -365,19 +362,13 @@ def hasse_dot(report: GaloisReport) -> str:
     annotated with its dimension and its invariant subalgebra."""
     b = report.bundle
     entries = report.entries
-    member = np.zeros((len(entries), b.module_ring.rank), dtype=bool)
-    for i, e in enumerate(entries):
-        member[i, list(e.sub)] = True
-    size = member.sum(axis=1)
-    below = ((member[:, None, :] <= member[None, :, :]).all(axis=2)
-             & (size[:, None] < size[None, :]))
     lines = ["digraph lattice {", "  rankdir=BT;", "  node [shape=box];"]
     for i, e in enumerate(entries):
         d = "?" if e.d_invariant is None else f"{e.d_invariant:g}"
         label = (f"{_sub_name(b, e.sub)} (dim {e.dim_sub:g})"
                  f"\\ninv {_invariant_name(b, e)} (d {d})")
         lines.append(f'  n{i} [label="{label}"];')
-    for i, j in np.argwhere(below & ~(below @ below)):
+    for i, j in np.argwhere(report.below & ~(report.below @ report.below)):
         lines.append(f"  n{i} -> n{j};")
     lines.append("}")
     return "\n".join(lines) + "\n"

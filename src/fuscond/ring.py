@@ -432,6 +432,17 @@ def _bilinear(terms, A, B) -> np.ndarray:
     return out
 
 
+def _dot(X, T) -> np.ndarray:
+    """X @ T for an array X and an integer matrix T, as _summed sums over
+    the nonzeros of T, in the arithmetic of X's entries.  Columns of T
+    with no nonzero stay the int 0."""
+    out = np.zeros((len(X), T.shape[1]), dtype=object)
+    z, i = np.nonzero(T.T)
+    sums = _sums(i, T[i, z], z, len(T))
+    out[:, sums.targets] = _summed(sums, X)
+    return out
+
+
 def element_product(ring: BasedRing, a, b) -> list:
     """Product of two ring elements given as coefficient vectors.
 

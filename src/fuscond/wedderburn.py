@@ -54,7 +54,7 @@ from mpmath.libmp import from_int, from_man_exp, mpf_div, round_nearest
 
 from .cyclotomic import ROUND_TOL, TOL, as_mpc, working_tol
 from .errors import NotSemisimpleError, NumericalDegeneracyError, SchemaError
-from .ring import BasedRing, _bilinear, _summed
+from .ring import BasedRing, _bilinear, _dot, _summed
 
 SPLIT_SEED = 0xC0FFEE
 _MAX_SPLIT_ATTEMPTS = 8
@@ -116,7 +116,14 @@ def _commutators(ring: BasedRing, a) -> np.ndarray:
 def _mantissas(v):
     """A coefficient vector as integer mantissas over one exponent, mp.prec
     bits below its largest entry: v[i] = (re[i] + 1j * im[i]) * 2**exp."""
-    parts = [(x if isinstance(x, mp.mpc) else as_mpc(x))._mpc_ for x in v]
+    return _on_grid([(x if isinstance(x, mp.mpc) else as_mpc(x))._mpc_
+                     for x in v])
+
+
+def _on_grid(parts):
+    """Pairs (re, im) of mpf tuples as _mantissas gives them: integer
+    mantissas over one exponent, mp.prec bits below the largest part, each
+    part truncated toward zero onto that grid."""
     exp = max((p[2] + p[3] for z in parts for p in z if p[1]),
               default=0) - mp.mp.prec
 
@@ -381,21 +388,16 @@ def block_profiles(ring: BasedRing, seed=SPLIT_SEED) -> list:
 
 def character_table(ring: BasedRing, blocks) -> tuple:
     """Irreducible character of every block at every basis element, as
-    exact integer mantissas over one exponent: (re, im, exp) with
-    m chi_b(z) = (re[b][z] + 1j * im[b][z]) * 2**exp.  Here
+    exact integer mantissas over one exponent: (re, im, exp), with re and
+    im object arrays of one row per block, and
+    m chi_b(z) = (re[b, z] + 1j * im[b, z]) * 2**exp.  Here
     chi_b(z) = (1/m) sum_i e_b[i] W[i, z], with the integer matrix
-    W[i, z] = sum_k N[i, z, k] tr(L_k) = tr(L_{b_i b_z}), and the sums run
-    over the mantissas of each idempotent, so they are exact."""
+    W[i, z] = sum_k N[i, z, k] tr(L_k) = tr(L_{b_i b_z}): the idempotents,
+    shifted exactly to their smallest exponent, times W."""
     F = ring.fusion
     W = np.einsum("izk,k->iz", F, np.einsum("ijj->i", F))
-    cols = [[(int(i), int(W[i, z])) for i in np.nonzero(W[:, z])[0]]
-            for z in range(ring.rank)]
-    rows = []
-    for bp in blocks:
-        re, im, exp = bp.mantissas
-        rows.append((exp, [sum(re[i] * w for i, w in col) for col in cols],
-                     [sum(im[i] * w for i, w in col) for col in cols]))
-    exp = min((e for e, _, _ in rows), default=0)
-    return (tuple(tuple(x << (e - exp) for x in re) for e, re, _ in rows),
-            tuple(tuple(x << (e - exp) for x in im) for e, _, im in rows),
-            exp)
+    exp = min((bp.mantissas[2] for bp in blocks), default=0)
+    re, im, _ = _rescale(_stack([bp.mantissas for bp in blocks]),
+                         [exp] * len(blocks))
+    X = _dot(np.vstack([re, im]), W)
+    return X[:len(blocks)], X[len(blocks):], exp

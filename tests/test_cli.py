@@ -178,6 +178,31 @@ def test_tol_must_be_finite_and_positive(tmp_path, capsys, verb, tol):
                    f"{float(tol)}\n")
 
 
+@pytest.mark.parametrize("family,n", [("a2n", 2), ("vlplus-orbifold", 1)])
+def test_tol_finer_than_the_digits_resolve_is_unusable(tmp_path, capsys,
+                                                       family, n):
+    # taken at its word, this tol failed exact data: a2n 2 exited 1 on
+    # codegree residuals of 2.4e-15, vlplus-orbifold 3 in the in-ideal test
+    path = _emit(tmp_path, family, n)
+    capsys.readouterr()
+    assert main(["analyze", path, "--digits", "15", "--tol", "1e-20"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: --tol must be at least 1e-12 at --digits 15, "
+                   "got 1e-20\n")
+
+
+@pytest.mark.parametrize("digits", [15, 16, 20])
+@pytest.mark.parametrize("family,n", [("toric-code", None), ("a2n", 2)])
+def test_tol_at_the_floor_passes(tmp_path, capsys, family, n, digits):
+    path = _emit(tmp_path, family, n)
+    for verb in ("analyze", "galois"):
+        capsys.readouterr()
+        assert main([verb, path, "--digits", str(digits),
+                     "--tol", f"1e{3 - digits}"]) == 0, verb
+        assert "FAIL" not in capsys.readouterr().out
+
+
 def test_example_missing_n_is_exit_2(capsys):
     assert main(["example", "a2n"]) == 2
     assert "error" in capsys.readouterr().err

@@ -1,5 +1,7 @@
 import dataclasses
+import functools
 import re
+from operator import mul
 
 import mpmath as mp
 import numpy as np
@@ -29,7 +31,7 @@ from fuscond.errors import (CapabilityError, NumericalDegeneracyError,
 from fuscond.modular import verlinde
 from fuscond.ring import (BasedRing, DimVector, group_ring, is_closed,
                           product_ring)
-from fuscond.wedderburn import _mantissas
+from fuscond.wedderburn import _mantissas, _quotient
 
 from grouptables import cyclic, symmetric
 from cached_bundles import bundle, swr
@@ -274,9 +276,14 @@ def test_check_averaging_batch_gives_each_sub_its_own_d():
     subs = [(0,), (0, 1, 2), (0, 1, 2, 3)]
     w = dims[0]
     want = [sum(w[y] * w[y] for y in sub) for sub in subs]
-    assert _check_averaging(b.module_ring, subs, dims) == want
-    assert [_check_averaging(b.module_ring, [sub], dims)[0]
+    rows = [[w[y] if y in sub else 0 for y in range(b.module_ring.rank)]
+            for sub in subs]
+    W, D = _check_averaging(b.module_ring, subs, dims)
+    assert D == want and W.tolist() == rows
+    assert [_check_averaging(b.module_ring, [sub], dims)[1][0]
             for sub in subs] == want
+    assert [_check_averaging(b.module_ring, [sub], dims)[0].tolist()[0]
+            for sub in subs] == rows
 
 
 def test_check_averaging_with_a_non_positive_dim_passes_a_closed_sub(
@@ -563,11 +570,24 @@ def test_character_row_follows_the_working_precision():
     amb = families.build("a2n", n=2).ambient
     assert amb.modular is None and amb.twists is not None
     with mp.workdps(64):
-        amb.character_row(1)
+        amb.character_row([1])
     with mp.workdps(30):
         fresh = families.build("a2n", n=2).ambient
         for x in range(amb.rank):
-            assert amb.character_row(x) == fresh.character_row(x)
+            assert (listed(amb.character_row([x]))
+                    == listed(fresh.character_row([x])))
+
+
+def listed(mantissas):
+    """Mantissas (re, im, exp) with re and im arrays, as lists."""
+    re, im, exp = mantissas
+    return re.tolist(), im.tolist(), exp
+
+
+def one_row(amb, x):
+    """character_row of the one index x, as _mantissas lays out a row."""
+    (re,), (im,), exp = listed(amb.character_row([x]))
+    return re, im, exp
 
 
 # -- product ambients against their flat form --
@@ -615,7 +635,10 @@ def test_product_character_rows_equal_the_flat_rows(n, dps):
     flat = flat_ambient(amb)
     with mp.workdps(dps):
         for x in range(amb.rank):
-            assert amb.character_row(x) == flat.character_row(x), x
+            assert (listed(amb.character_row([x]))
+                    == listed(flat.character_row([x]))), x
+        xs = list(range(amb.rank))
+        assert listed(amb.character_row(xs)) == listed(flat.character_row(xs))
 
 
 def test_product_shares_equal_values():
@@ -760,8 +783,8 @@ def test_exact_contractions_match_the_mpmath_loops(family, n, dps):
     # Each value moves from the loop's by a few ulps of the terms the loop
     # sums.  The idempotents are refined to round-off, so the fits and the
     # codegree residual lie below working_tol().
+    r = _swr_at(family, n, dps)
     with mp.workdps(dps):
-        r = schur_weyl(bundle(family, n))
         ulp = mp.mpf(2) ** (1 - mp.mp.prec)
         tol = working_tol()
         b = r.bundle
@@ -774,10 +797,11 @@ def test_exact_contractions_match_the_mpmath_loops(family, n, dps):
             row_terms = {x: _row_terms(amb, x, dv)
                          for x, m in enumerate(b.mult) if m}
             for x, terms in row_terms.items():
-                got = amb.character_row(x)
+                row = _parent_character_row(amb, x)
                 ref = _loop_character_row(amb, x)
                 for y, t in enumerate(terms):
-                    assert abs(got[y] - ref[y]) <= 8 * ulp * t, (x, y)
+                    assert abs(row[y] - ref[y]) <= 8 * ulp * t, (x, y)
+                assert one_row(amb, x) == _mantissas(row), x
 
             fits = _loop_fits(r)
             assert r.matched == _loop_matched(r, fits)
@@ -811,6 +835,147 @@ def test_exact_contractions_match_the_mpmath_loops(family, n, dps):
                 assert abs(g - w) <= 4 * ulp * terms, (bi, bj)
         assert abs(cg.residual - ref_resid) <= 4 * ulp * worst_terms
         assert cg.residual < tol
+
+
+# -- the array readers against the parent's per-entry loops --
+#
+# character_table, Ambient.character_row, the block matching, codegree_row
+# as they were before they became array passes over the character layout,
+# kept here as references: the readers must give the same integers, notes
+# and values.
+
+
+@functools.lru_cache(maxsize=None)
+def _swr_at(family, n, dps):
+    with mp.workdps(dps):
+        return schur_weyl(bundle(family, n))
+
+
+def _parent_character_table(ring, blocks):
+    F = ring.fusion
+    W = np.einsum("izk,k->iz", F, np.einsum("ijj->i", F))
+    cols = [[(int(i), int(W[i, z])) for i in np.nonzero(W[:, z])[0]]
+            for z in range(ring.rank)]
+    rows = []
+    for bp in blocks:
+        re, im, exp = bp.mantissas
+        rows.append((exp, [sum(re[i] * w for i, w in col) for col in cols],
+                     [sum(im[i] * w for i, w in col) for col in cols]))
+    exp = min((e for e, _, _ in rows), default=0)
+    return (tuple(tuple(x << (e - exp) for x in re) for e, re, _ in rows),
+            tuple(tuple(x << (e - exp) for x in im) for e, _, im in rows),
+            exp)
+
+
+def _parent_character_row(amb, x):
+    """Ambient.character_row(x) as one mpmath row, each entry
+    mpc(mpf((re, exp)), mpf((im, exp))) from exact mantissa sums."""
+    xs = amb.dual[x]
+    if amb.modular is not None:
+        s = amb.modular.s
+        dx = as_mpc(s[0][xs])
+        return [as_mpc(s[xs][y]) / dx for y in range(amb.rank)]
+    th = [as_mpc(t) for t in amb.twists]
+    dv = [as_mpc(v) for v in amb.dims.values]
+    tre, tim, texp = _mantissas([t * d for t, d in zip(th, dv)])
+    ire, iim, iexp = _mantissas([1 / t for t in th])
+    if amb.factors is None:
+        F = amb.ring.fusion[xs]
+    else:
+        fa, fb = amb.factors
+        F = np.kron(fa.ring.fusion[xs // fb.rank],
+                    fb.ring.fusion[xs % fb.rank])
+    ys, zs = np.nonzero(F)
+    nre, nim = [0] * amb.rank, [0] * amb.rank
+    for y, z, c in zip(ys.tolist(), zs.tolist(), F[ys, zs].tolist()):
+        nre[y] += c * tre[z]
+        nim[y] += c * tim[z]
+    (sre,), (sim,), sexp = _mantissas([1 / (th[xs] * dv[xs])])
+    exp = texp + iexp + sexp
+    row = []
+    for a, b, c, d in zip(nre, nim, ire, iim):
+        re, im = a * c - b * d, a * d + b * c
+        row.append(mp.mpc(mp.mpf((re * sre - im * sim, exp)),
+                          mp.mpf((re * sim + im * sre, exp))))
+    return row
+
+
+def _parent_matching(r):
+    """The matched sectors and the fit notes of every ideal block."""
+    b = r.bundle
+    amb = b.ambient
+    re, im, exp = _parent_character_table(b.module_ring, r.blocks)
+    pat = {x: _mantissas(_parent_character_row(amb, x))
+           for x, n in enumerate(b.mult) if n > 0}
+    f = min([exp] + [e for _, _, e in pat.values()])
+    pat = {x: ([v << (e - f) for v in pr], [v << (e - f) for v in pi])
+           for x, (pr, pi, e) in pat.items()}
+    M = b.induction
+    ind = [[(int(z), int(M[y, z])) for z in np.nonzero(M[y])[0]]
+           for y in range(amb.rank)]
+    matched, notes = [None] * len(r.blocks), []
+    for bi, (bp, flag) in enumerate(zip(r.blocks, r.in_ideal)):
+        if not flag:
+            continue
+        mre = [sum(c * re[bi][z] for z, c in row) << (exp - f) for row in ind]
+        mim = [sum(c * im[bi][z] for z, c in row) << (exp - f) for row in ind]
+        m2 = bp.m * bp.m
+        scored = []
+        for x, (pr, pi) in pat.items():
+            if b.mult[x] != bp.m:
+                continue
+            d2 = (sum((a - m2 * p) ** 2 for a, p in zip(mre, pr))
+                  + sum((a - m2 * p) ** 2 for a, p in zip(mim, pi)))
+            fit = mp.sqrt(_quotient(d2, 2 * f, m2 * m2 * amb.rank))
+            scored.append((float(fit), x))
+        scored.sort()
+        best, matched[bi] = scored[0]
+        notes.append(f"block m={bp.m} matched {amb.labels[matched[bi]]} "
+                     f"(fit {best:.2e})")
+    return tuple(matched), notes
+
+
+def _parent_codegree_row(r, bi):
+    re, im, exp = _parent_character_table(r.bundle.module_ring, r.blocks)
+    dual = r.bundle.module_ring.dual
+    ar = [re[bi][z] for z in dual]
+    ai = [im[bi][z] for z in dual]
+    m = r.blocks[bi].m
+    out = []
+    for br, bim, bp in zip(re, im, r.blocks):
+        den = m * bp.m * bp.m
+        sre = sum(map(mul, ar, br)) - sum(map(mul, ai, bim))
+        sim = sum(map(mul, ar, bim)) + sum(map(mul, ai, br))
+        out.append(mp.mpc(_quotient(sre, 2 * exp, den),
+                          _quotient(sim, 2 * exp, den)))
+    return out
+
+
+@pytest.mark.parametrize("dps", [15, 64, 128])
+@pytest.mark.parametrize("family,n", CONTRACTION_CASES,
+                         ids=[f"{f}-{n}" for f, n in CONTRACTION_CASES])
+def test_array_readers_equal_the_parent_loops(family, n, dps):
+    r = _swr_at(family, n, dps)
+    b = r.bundle
+    amb = b.ambient
+    with mp.workdps(dps):
+        re, im, exp = _parent_character_table(b.module_ring, r.blocks)
+        assert listed(r.character_mantissas) == (
+            [list(row) for row in re], [list(row) for row in im], exp)
+        for bi in range(len(r.blocks)):
+            assert codegree_row(r, bi) == _parent_codegree_row(r, bi), bi
+        if not r.matching_skipped:
+            xs = [x for x, m in enumerate(b.mult) if m]
+            rows = [_mantissas(_parent_character_row(amb, x)) for x in xs]
+            for x, row in zip(xs, rows):
+                assert one_row(amb, x) == row, x
+            f = min(e for _, _, e in rows)
+            assert listed(amb.character_row(xs)) == (
+                [[v << (e - f) for v in pr] for pr, _, e in rows],
+                [[v << (e - f) for v in pi] for _, pi, e in rows], f)
+            matched, notes = _parent_matching(r)
+            assert r.matched == matched
+            assert [note for note in r.notes if "(fit " in note] == notes
 
 
 def test_codegree_row_divides_by_the_block_size():

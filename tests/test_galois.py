@@ -12,12 +12,13 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from fuscond.condense import e_sub, schur_weyl
+from fuscond.condense import _check_averaging, e_sub, schur_weyl
 from fuscond.cyclotomic import TOL, as_mpc
 from fuscond.errors import (NumericalDegeneracyError, SchemaError,
                             TheoremViolationError)
 from fuscond.galois import (
     GroupQuotient,
+    InvariantSubalgebra,
     _invariant_name,
     _sub_name,
     _trivial_block,
@@ -29,6 +30,7 @@ from fuscond.galois import (
     verify_correspondence,
 )
 from fuscond.ring import BasedRing, element_product
+from fuscond.wedderburn import _mantissas, _round_quotient
 
 from cached_bundles import bundle, swr
 from test_wedderburn import round_int
@@ -487,6 +489,67 @@ def test_invariant_subalgebra_matches_the_mpmath_path(family, n, dps):
             assert all(type(x) is int for x in inv.n_prime)
 
 
+def _parent_invariant(r, sub, dims, D):
+    """n' and the ambient vector of one subring from per-entry sums over
+    its members, as the reading was before one product served the whole
+    lattice."""
+    b = r.bundle
+    w, _, f = dims
+    re, im, exp = r.character_mantissas
+    block_indices, n_prime = [], []
+    for bi, bp in enumerate(r.blocks):
+        if not r.in_ideal[bi]:
+            continue
+        n = _round_quotient(sum(w[y] * re[bi][y] for y in sub),
+                            sum(w[y] * im[bi][y] for y in sub), exp - f,
+                            bp.m * D, f"block multiplicity for subring {sub}")
+        block_indices.append(bi)
+        n_prime.append(n)
+    vec = None
+    if all(r.matched[bi] is not None for bi in block_indices):
+        v = [0] * b.ambient.rank
+        for bi, n in zip(block_indices, n_prime):
+            v[r.matched[bi]] = n
+        vec = tuple(v)
+    return InvariantSubalgebra(sub=sub, block_indices=tuple(block_indices),
+                               n_prime=tuple(n_prime), ambient_vector=vec)
+
+
+def _parent_trivial_block(r):
+    """_trivial_block with one complex per entry, each part one correctly
+    rounded integer division."""
+    b = r.bundle
+    re, im, exp = r.character_mantissas
+    s = max(exp, 0)
+    dens = [bp.m << (s - exp) for bp in r.blocks]
+    chi = [[complex((x << s) / d, (y << s) / d) for x, y in zip(rr, ii)]
+           for rr, ii, d in zip(re.tolist(), im.tolist(), dens)]
+    gap = np.where(r.in_ideal,
+                   np.abs(chi - b.dA.as_floats()).sum(axis=1), np.inf)
+    best = int(np.argmin(gap))
+    assert gap[best] <= 1e-6 * b.module_ring.rank
+    return best
+
+
+@pytest.mark.parametrize("dps", [15, 64, 128])
+@pytest.mark.parametrize("family,n", PINNED,
+                         ids=[f"{f}-{n}" for f, n in PINNED])
+def test_n_prime_reading_equals_the_parent_loops(family, n, dps):
+    r = _swr_at(family, n, dps)
+    b = r.bundle
+    with mp.workdps(dps):
+        assert _trivial_block(r) == _parent_trivial_block(r)
+        subs = lattice(b)
+        dims = _mantissas(b.dA.values)
+        _, D = _check_averaging(b.module_ring, subs, dims)
+        want = [_parent_invariant(r, sub, dims, d) for sub, d in zip(subs, D)]
+        assert [invariant_subalgebra(r, sub) for sub in subs] == want
+        rep = verify_correspondence(b, swr=r)
+    assert [(e.sub, e.n_prime, e.ambient_vector) for e in rep.entries] == [
+        (w.sub, w.n_prime, w.ambient_vector) for w in want]
+    assert all(type(n) is int for w in want for n in w.n_prime)
+
+
 def test_perturbed_dims_fail_the_idempotent_check():
     r = swr("a2n", 1)
     values = list(r.bundle.dA.values)
@@ -504,10 +567,9 @@ def test_perturbed_dims_fail_the_idempotent_check():
 def _scaled_block(r, bi, factor):
     """The report with block bi's character mantissas times factor."""
     re, im, exp = r.character_mantissas
-    re = tuple(tuple(x * factor for x in row) if i == bi else row
-               for i, row in enumerate(re))
-    im = tuple(tuple(x * factor for x in row) if i == bi else row
-               for i, row in enumerate(im))
+    re, im = re.copy(), im.copy()
+    re[bi] *= factor
+    im[bi] *= factor
     return dataclasses.replace(r, character_mantissas=(re, im, exp))
 
 

@@ -502,8 +502,9 @@ def test_batched_averaging_squares_match_the_reference_kernel(name):
     for X in (W, W * Fraction(1, 3)):
         got = _bilinear(ring._plan.square, X, X).tolist()
         assert got == [_sparse_product(rows, x, x) for x in X.tolist()]
-    assert _check_averaging(ring, subs, dims) == [
-        sum(w[y] * w[y] for y in sub) for sub in subs]
+    weights, D = _check_averaging(ring, subs, dims)
+    assert D == [sum(w[y] * w[y] for y in sub) for sub in subs]
+    assert weights.tolist() == W.tolist()
 
 
 def test_plan_scales_the_structure_constants_above_one():
