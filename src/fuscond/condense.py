@@ -14,13 +14,14 @@ identified by its character against the ambient S-matrix row of x.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
+from operator import mul
 
 import mpmath as mp
 import numpy as np
-from mpmath.libmp import from_man_exp, round_nearest
 
 from .cyclotomic import TOL, as_mpc, pair_products
 from .errors import (
@@ -35,9 +36,9 @@ from .modular import (ModularData, dims as modular_dims,
 from .ring import (BasedRing, DimVector, _bilinear, _dot, basis_indices,
                    check_basis, fp_dims, is_closed, product_basis, validate)
 from .wedderburn import (SPLIT_SEED, _cmp_tol, _combine, _commutators,
-                         _mantissas, _on_grid, _product, _quotient, _rescale,
-                         _stack, _sups, _take, block_profiles,
-                         character_table)
+                         _mantissas, _product, _quotient, _rescale,
+                         _rounded_on_grid, _stack, _sups, _take,
+                         _tol_parts, block_profiles, character_table)
 
 MATCH_ACCEPT = 1e-6
 MATCH_REJECT = 1e-3
@@ -160,14 +161,32 @@ class Ambient:
         duals = [self.dual[x] for x in xs]
         if self.modular is not None:
             s = self.modular.s
-            rows = [_mantissas([as_mpc(v) / as_mpc(s[0][x]) for v in s[x]])
-                    for x in duals]
+            rows = _stack([_mantissas([as_mpc(v) / as_mpc(s[0][x])
+                                       for v in s[x]]) for x in duals])
         else:
-            th = [as_mpc(t) for t in self.twists]
-            dv = [as_mpc(v) for v in self.dims.values]
-            tre, tim, texp = _mantissas([t * d for t, d in zip(th, dv)])
-            ire, iim, iexp = _mantissas([1 / t for t in th])
+            # each distinct value object converted, multiplied and
+            # inverted once; a product ambient shares equal values
+            memo = {}
+
+            def once(f, *values):
+                key = (f, *map(id, values))
+                if key not in memo:
+                    memo[key] = f(*map(as_mpc, values))
+                return memo[key]
+
+            def inv(t):
+                return 1 / t
+
+            def inv_mul(t, d):
+                return 1 / (t * d)
+
+            tw, dims = self.twists, self.dims.values
+            tre, tim, texp = _mantissas([once(mul, t, d)
+                                         for t, d in zip(tw, dims)])
+            ire, iim, iexp = _mantissas([once(inv, t) for t in tw])
             ire, iim = np.array(ire, dtype=object), np.array(iim, dtype=object)
+            sre, sim, sexp = _stack([_mantissas([once(inv_mul, tw[x], dims[x])])
+                                     for x in duals])
             if self.factors is None:
                 F = self.ring.fusion[duals]
             else:
@@ -180,17 +199,10 @@ class Ambient:
             nre, nim = _dot(np.array([tre, tim], dtype=object),
                             F.reshape(len(duals) * r, r).T).reshape(2, -1, r)
             are, aim = nre * ire - nim * iim, nre * iim + nim * ire
-            prec = mp.mp.prec
-            rows = []
-            for a, b, x in zip(are, aim, duals):
-                (sre,), (sim,), sexp = _mantissas([1 / (th[x] * dv[x])])
-                e = texp + iexp + sexp
-                rows.append(_on_grid([
-                    (from_man_exp(u * sre - v * sim, e, prec, round_nearest),
-                     from_man_exp(u * sim + v * sre, e, prec, round_nearest))
-                    for u, v in zip(a.tolist(), b.tolist())]))
-        exp = min((e for _, _, e in rows), default=0)
-        re, im, _ = _rescale(_stack(rows), [exp] * len(rows))
+            rows = _rounded_on_grid(are * sre - aim * sim, are * sim + aim * sre,
+                                    [texp + iexp + e for e in sexp])
+        exp = min(rows[2], default=0)
+        re, im, _ = _rescale(rows, [exp] * len(duals))
         return re, im, exp
 
     def __repr__(self):
@@ -326,13 +338,26 @@ def check_bundle(b: CondensationBundle, tol=TOL) -> ValidationReport:
         if not np.array_equal(M[:, 0], np.asarray(mult)):
             rep.add("unit column of the induction matrix must equal the "
                     "algebra multiplicities")
-        da = [as_mpc(v).real for v in b.dA.values]
-        for x in range(amb.rank):
+        # L = M w against R = d, from the real parts of the mantissas of d_A
+        # and of the ambient dims over one exponent f <= 0:
+        # |L - R| <= tol max(1, |R|) over 2**f is the exact
+        # (L - R)^2 <= (tol max(2**-f, |R|))^2.  The numbers of a failing
+        # row are printed from the mpmath sums.
+        w, _, we = _mantissas(b.dA.values)
+        d, _, de = _mantissas(amb.dims.values)
+        f = min(we, de, 0)
+        L = _dot(np.array([w], dtype=object) << (we - f), M.T)[0].tolist()
+        R = [v << (de - f) for v in d]
+        unit = 1 << -f
+        failing = [x for x, (lhs, rhs) in enumerate(zip(L, R))
+                   if _cmp_tol((lhs - rhs) ** 2, 0, tol,
+                               max(unit, abs(rhs))) > 0]
+        da = [as_mpc(v).real for v in b.dA.values] if failing else None
+        for x in failing:
             lhs = sum(int(M[x, y]) * da[y] for y in np.nonzero(M[x])[0])
             rhs = as_mpc(amb.dims[x]).real
-            if not _near(lhs, rhs, tol):
-                rep.add(f"induction adjunction fails at {amb.labels[x]}: "
-                        f"sum M d_A = {float(lhs)}, d(x) = {float(rhs)}")
+            rep.add(f"induction adjunction fails at {amb.labels[x]}: "
+                    f"sum M d_A = {float(lhs)}, d(x) = {float(rhs)}")
     return rep
 
 
@@ -575,17 +600,21 @@ def block_dims(swr: SchurWeylReport, tol: float) -> dict:
     working precision: the matched simple's dimension, or the common
     dimension of every x with n_x equal to the block size.  None marks a
     block whose candidates differ by more than tol relative to the
-    largest."""
+    largest.  The candidates are read once per matched simple or block
+    size."""
     b = swr.bundle
-    out = {}
+    memo, out = {}, {}
     for bi, bp in enumerate(swr.blocks):
         if not swr.in_ideal[bi]:
             continue
-        xs = ([swr.matched[bi]] if swr.matched[bi] is not None
-              else [x for x, n in enumerate(b.mult) if n == bp.m])
-        cand = [as_mpc(b.ambient.dims[x]).real for x in xs]
-        agree = cand and max(cand) - min(cand) <= tol * max(1.0, max(cand))
-        out[bi] = cand[0] if agree else None
+        key = (swr.matched[bi], bp.m)
+        if key not in memo:
+            xs = ([swr.matched[bi]] if swr.matched[bi] is not None
+                  else [x for x, n in enumerate(b.mult) if n == bp.m])
+            cand = [as_mpc(b.ambient.dims[x]).real for x in xs]
+            agree = cand and max(cand) - min(cand) <= tol * max(1.0, max(cand))
+            memo[key] = cand[0] if agree else None
+        out[bi] = memo[key]
     return out
 
 
@@ -600,21 +629,32 @@ class CodegreeReport:
         return self.report.ok
 
 
+def _codegree_sums(swr: SchurWeylReport, rows) -> tuple:
+    """The exact integers s = sum_z num_bi(z*) num_bj(z) of the blocks
+    bi = rows[r] on every block bj, as the real and imaginary object
+    arrays of shape (len(rows), blocks): one product of the table's rows
+    at the duals with the table."""
+    re, im, _ = swr.character_mantissas
+    dual = list(swr.bundle.module_ring.dual)
+    ar, ai = re[rows][:, dual], im[rows][:, dual]
+    return ar @ re.T - ai @ im.T, ar @ im.T + ai @ re.T
+
+
+def _codegree_value(sre: int, sim: int, exp: int, den: int) -> mp.mpc:
+    """(sre + 1j sim) 2**(2 exp) / den, each part rounded once."""
+    return mp.mpc(_quotient(sre, 2 * exp, den), _quotient(sim, 2 * exp, den))
+
+
 def codegree_row(swr: SchurWeylReport, bi: int) -> list:
     """The codegree element phi = sum_Y chi_bi(Y) Y* of block bi on each
     block bj, sum_z chi_bi(z*) chi_bj(z) / m_bj.  Over the character
     mantissas this is s 2**(2 exp) / (m_bi m_bj^2) with the exact integer
-    s = sum_z num_bi(z*) num_bj(z), from one product of the table with
-    row bi at the duals, each value rounded once."""
-    re, im, exp = swr.character_mantissas
-    dual = list(swr.bundle.module_ring.dual)
+    s of _codegree_sums, each value rounded once."""
+    sre, sim = _codegree_sums(swr, [bi])
+    exp = swr.character_mantissas[2]
     m = swr.blocks[bi].m
-    n = len(re)
-    p = np.vstack([re, im]) @ np.stack([re[bi, dual], im[bi, dual]], axis=1)
-    sre, sim = p[:n, 0] - p[n:, 1], p[:n, 1] + p[n:, 0]
-    return [mp.mpc(_quotient(a, 2 * exp, m * bp.m * bp.m),
-                   _quotient(c, 2 * exp, m * bp.m * bp.m))
-            for a, c, bp in zip(sre.tolist(), sim.tolist(), swr.blocks)]
+    return [_codegree_value(a, c, exp, m * bp.m * bp.m)
+            for a, c, bp in zip(sre[0].tolist(), sim[0].tolist(), swr.blocks)]
 
 
 def codegree_check(swr: SchurWeylReport, tol=TOL) -> CodegreeReport:
@@ -626,22 +666,52 @@ def codegree_check(swr: SchurWeylReport, tol=TOL) -> CodegreeReport:
     Without a block matching the expected scalar still makes sense whenever
     all candidate x with n_x = m share one dimension; that covers every
     bundled family.
+
+    Each value v is exact as s 2**(2 exp) / den (codegree_row), and only
+    the entries that can show are rounded in mpmath: the diagonal, whose
+    residual cancels, and each nonzero off-diagonal entry whose exact
+    |v|^2 is within 2**(8 - mp.prec) relative of the largest of its row or
+    at least tol^2 / 2.  The two quotients, the modulus and float are
+    monotone and each off by at most 2**(1 - mp.prec) relative, so no
+    other entry can hold the largest residual or exceed tol; an exact
+    zero has residual 0.0.
     """
     b = swr.bundle
     rep = ValidationReport()
     dim_c = as_mpc(b.ambient.global_dim()).real
     d_alg = as_mpc(b.algebra.dim()).real
+    dims = block_dims(swr, tol)
+    rows = [bi for bi, dx in dims.items() if dx is not None]
+    sre, sim = _codegree_sums(swr, rows)
+    exp = swr.character_mantissas[2]
+    m = np.array([bp.m for bp in swr.blocks], dtype=object)
+    den = m[rows][:, None] * (m * m)
+    # P 2**(4 exp) / den^2 = |v|^2, and V orders the entries of a row
+    # exactly over its common denominator m_bi lcm(m_bj^2)
+    P = sre * sre + sim * sim
+    V = P * (math.lcm(*(m * m).tolist()) // (m * m)) ** 2
+    off = ~np.eye(len(m), dtype=bool)[rows]
+    top = np.where(off, V, 0).max(axis=1, initial=0)[:, None]
+    k = mp.mp.prec - 8
+    near = (top - V) << max(k, 0) <= top << max(-k, 0)
+    # 2 P 2**(4 exp) >= (tol den)^2, with tol = man 2**texp
+    man, texp = _tol_parts(tol, mp.mp.prec)
+    e = 4 * exp - 2 * texp
+    big = (2 * P) << max(e, 0) >= (man * den) ** 2 << max(-e, 0)
+    shown = ~off | ((P != 0) & (near | big))
     entries = []
     worst = 0.0
-    for bi, dx in block_dims(swr, tol).items():
+    for bi, dx in dims.items():
         if dx is None:
             rep.add(f"block {bi} (m={swr.blocks[bi].m}): candidate dimensions "
                     "differ, cannot fix the expected codegree scalar")
             continue
+        r = rows.index(bi)
         xi = swr.matched[bi]
         name = b.ambient.labels[xi] if xi is not None else f"block[{bi}]"
         scalar = dim_c / (dx * d_alg)
-        for bj, val in enumerate(codegree_row(swr, bi)):
+        for bj in np.flatnonzero(shown[r]).tolist():
+            val = _codegree_value(sre[r, bj], sim[r, bj], exp, den[r, bj])
             want = scalar if bj == bi else 0
             resid = float(abs(val - want))
             worst = max(worst, resid)

@@ -333,7 +333,14 @@ class Cyc:
     def inverse(self) -> "Cyc":
         """1/alpha = prod_{k != 1} sigma_k(alpha) / N(alpha), where the norm
         N(alpha) = alpha prod_{k != 1} sigma_k(alpha) is rational; k runs
-        over the units modulo the order."""
+        over the units modulo the order.
+
+        The cofactor prod_{k != 1} sigma_k(alpha) is taken one cyclic
+        factor <g> of order o of the unit group at a time: with beta =
+        alpha times the cofactor over the factors before, which is the
+        product of the conjugates over them, it gains
+        sigma_g(prod_{j < o - 1} sigma_g^j(beta)), formed by doubling in
+        O(log o) products."""
         if self.is_zero():
             raise ZeroDivisionError("cyclotomic division by zero")
         if self.order == 1:
@@ -341,9 +348,17 @@ class Cyc:
             return Cyc._make(1, [self.den if q > 0 else -self.den], abs(q))
         n = self.order
         cof = Cyc.rational(1)
-        for k in range(2, n):
-            if math.gcd(k, n) == 1:
-                cof = cof * self.galois(k)
+        for g, o in _unit_factors(n):
+            beta = self * cof
+            # orbit = prod_{j < t} sigma_g^j(beta), doubled up to t = o - 1
+            orbit, t = beta, 1
+            for bit in bin(o - 1)[3:]:
+                orbit = orbit * orbit.galois(pow(g, t, n))
+                t *= 2
+                if bit == "1":
+                    orbit = beta * orbit.galois(g)
+                    t += 1
+            cof = cof * orbit.galois(g)
         norm = self * cof
         if not norm.is_rational():
             raise ArithmeticError(f"the norm of {self!r} is not rational")
@@ -417,6 +432,34 @@ def _prime_factors(n: int):
     if n > 1:
         out.append(n)
     return out
+
+
+@lru_cache(maxsize=None)
+def _unit_factors(n: int) -> tuple:
+    """Pairs (g, o) such that the units modulo n are the direct product of
+    the cyclic groups generated by g, of order o > 1: one per odd prime
+    power (a primitive root), and -1 and 5 for 2**a (a >= 3), each lifted
+    to the unit congruent to 1 modulo the rest of n."""
+    out = []
+    for p in _prime_factors(n):
+        q = p
+        while n % (q * p) == 0:
+            q *= p
+        if p == 2:
+            local = ([(q - 1, 2)] if q >= 4 else []) + ([(5, q // 4)]
+                                                        if q >= 8 else [])
+        else:
+            g = next(g for g in range(2, p) if all(
+                pow(g, (p - 1) // r, p) != 1 for r in _prime_factors(p - 1)))
+            # a primitive root modulo p is one modulo every p**a unless
+            # g**(p - 1) = 1 modulo p**2, when g + p is
+            if pow(g, p - 1, p * p) == 1:
+                g += p
+            local = [(g, q // p * (p - 1))]
+        rest = n // q
+        for g, o in local:
+            out.append((1 + rest * ((g - 1) * pow(rest, -1, q) % q), o))
+    return tuple(out)
 
 
 def as_mpc(x) -> mp.mpc:

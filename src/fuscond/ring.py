@@ -8,13 +8,14 @@ lattice) consumes this shape.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .cyclotomic import as_mpc, exact_vector
+from .cyclotomic import _value_key, as_mpc, exact_vector
 from .errors import CapabilityError, NumericalDegeneracyError, SchemaError, ValidationReport
 
 SUBRING_BUDGET = 1000  # subrings enumerate_subrings finds before refusing
@@ -132,16 +133,26 @@ class DimVector:
 
     @cached_property
     def _exact_squares(self) -> tuple:
-        return tuple(d * d for d in self.exact)
+        """The square of each distinct exact value, and for each index the
+        position of its value's square."""
+        where, squares = {}, []
+        for d in self.exact:
+            k = _value_key(d)
+            if k not in where:
+                where[k] = len(squares)
+                squares.append(d * d)
+        return squares, [where[_value_key(d)] for d in self.exact]
 
     def total(self, subset=None):
         """Sum of d_i^2 over the indices in subset (default: all).  Exact
-        squares are formed once per vector, so each exact sum is additions
-        only."""
+        squares are formed once per distinct value, and each exact sum adds
+        each distinct square once, times its count."""
         idx = range(len(self.values)) if subset is None else subset
         if self.exact is not None:
-            sq = self._exact_squares
-            return sum(sq[i] for i in idx)
+            squares, which = self._exact_squares
+            counts = Counter(which[i] for i in idx)
+            return sum(squares[k] if c == 1 else c * squares[k]
+                       for k, c in counts.items())
         d = self.scalars()
         return sum(d[i] * d[i] for i in idx)
 

@@ -134,6 +134,41 @@ def _on_grid(parts):
     return [scaled(z[0]) for z in parts], [scaled(z[1]) for z in parts], exp
 
 
+_bit_length = np.frompyfunc(int.bit_length, 1, 1)
+
+
+def _rounded_on_grid(re, im, exps) -> tuple:
+    """The exact values (re + 1j im) 2**exps[r] of row r of the object
+    arrays re and im as a stack (re, im, exps) on each row's own grid:
+    every part rounded to mp.prec bits, half to even, as from_man_exp
+    rounds it, then _on_grid of the row.  With n = |N| for a part N,
+    sh = max(bitlen(n) - mp.prec, 0) and q = n / 2**sh rounded (a carry
+    may reach 2**mp.prec), the grid of a row is
+    max(exps[r] + sh + bitlen(q)) - mp.prec over its nonzero parts (0 -
+    mp.prec without one), and each part is q 2**(exps[r] + sh) truncated
+    toward zero onto it."""
+    prec = mp.mp.prec
+    N = np.stack([re, im])
+    n = abs(N)
+    sh = np.maximum(_bit_length(n) - prec, 0)
+    # half to even over t = 2n, whose low sh + 1 bits are dropped: adding
+    # 2**sh - 1, and 1 more when the last kept bit is set, carries into
+    # the kept bits exactly when the dropped part is above half, or is
+    # half with an odd kept part
+    t = n << 1
+    q = (t + (1 << sh) - 1 + ((t >> (sh + 1)) & 1)) >> (sh + 1)
+    low = np.asarray(exps, dtype=np.int64)[:, None] + sh.astype(np.int64)
+    none = np.iinfo(np.int64).min
+    top = np.where(q != 0, low + _bit_length(q).astype(np.int64),
+                   none).max(axis=(0, 2), initial=none)
+    grid = np.where(top > none, top, 0) - prec
+    s = low - grid[:, None]
+    x = np.where(s >= 0, q << np.maximum(s, 0).astype(object),
+                 q >> np.maximum(-s, 0).astype(object))
+    x = np.where(N < 0, -x, x)
+    return x[0], x[1], grid.tolist()
+
+
 def _shift(x: int, s: int) -> int:
     """x * 2**s rounded to the nearest integer."""
     return x << s if s >= 0 else (x + (1 << (-s - 1))) >> -s

@@ -991,3 +991,154 @@ def test_codegree_row_divides_by_the_block_size():
         for bj, val in enumerate(codegree_row(r, bi)):
             want = dim_c / (dx * d_alg) if bj == bi else 0
             assert abs(val - want) < working_tol(), (bi, bj)
+
+
+# -- the analyze path's scalar checks against the per-entry loops they
+# replace: the adjunction as one _near per ambient label, the dimension
+# sums as one square per index, and every codegree entry rounded in mpmath
+
+
+def _loop_adjunction(b, tol=TOL):
+    """The adjunction problems of check_bundle as one mpmath _near per
+    ambient label."""
+    amb, M = b.ambient, b.induction
+    da = [as_mpc(v).real for v in b.dA.values]
+    out = []
+    for x in range(amb.rank):
+        lhs = sum(int(M[x, y]) * da[y] for y in np.nonzero(M[x])[0])
+        rhs = as_mpc(amb.dims[x]).real
+        if not (abs(as_mpc(lhs) - as_mpc(rhs))
+                <= tol * max(1.0, abs(as_mpc(rhs)))):
+            out.append(f"induction adjunction fails at {amb.labels[x]}: "
+                       f"sum M d_A = {float(lhs)}, d(x) = {float(rhs)}")
+    return out
+
+
+def _adjunction_problems(b):
+    return [p for p in check_bundle(b).problems
+            if p.startswith("induction adjunction")]
+
+
+def _induction_entry(b, x, y, step):
+    M = np.array(b.induction)
+    M[x, y] += step
+    return dataclasses.replace(b, induction=M)
+
+
+def _scaled_dim(b, y, factor):
+    values = list(b.dA.values)
+    values[y] = values[y] * factor
+    return dataclasses.replace(b, dA=DimVector(values=tuple(values)))
+
+
+def _adjunction_mutations(b):
+    """A zeroed induction row, one entry +1 and one -1, and one d_A scaled
+    by 1 + 1e-8 (past TOL) and by 1 + 1e-10 (within it)."""
+    M = b.induction
+    x, y = (int(i) for i in np.argwhere(M[:, 1:])[-1])
+    y += 1
+    return [_zero_induction_row(b, x), _induction_entry(b, x, y, 1),
+            _induction_entry(b, x, y, -1), _scaled_dim(b, y, 1 + 1e-8),
+            _scaled_dim(b, y, 1 + 1e-10)]
+
+
+ADJUNCTION_CASES = [case for case in CONTRACTION_CASES
+                    if bundle(*case).induction is not None]
+
+
+@pytest.mark.parametrize("dps", [15, 64])
+@pytest.mark.parametrize("family,n", ADJUNCTION_CASES,
+                         ids=[f"{f}-{n}" for f, n in ADJUNCTION_CASES])
+def test_adjunction_decisions_equal_the_near_loop(family, n, dps):
+    b = bundle(family, n)
+    with mp.workdps(dps):
+        assert _adjunction_problems(b) == _loop_adjunction(b) == []
+        mutants = _adjunction_mutations(b)
+        for i, mutant in enumerate(mutants):
+            got = _adjunction_problems(mutant)
+            assert got == _loop_adjunction(mutant), i
+        # a changed induction entry always fails, the scaling within TOL
+        # never does; the 1e-8 scaling fails where d_y is large enough
+        # against d(x)
+        assert all(_adjunction_problems(m) for m in mutants[:3])
+        assert not _adjunction_problems(mutants[4])
+
+
+@pytest.mark.parametrize("family,n", CONTRACTION_CASES + [("a2n", 12)],
+                         ids=[f"{f}-{n}" for f, n in CONTRACTION_CASES]
+                         + ["a2n-12"])
+def test_dimension_sums_equal_the_square_per_index_loop(family, n):
+    # the same exact Cyc, field for field: order, numerators, denominator
+    b = bundle(family, n)
+    for dims, subsets in ((b.ambient.dims, [None]),
+                          (b.dA, [None, b.local, b.local[:1], ()])):
+        squares = [d * d for d in dims.exact]
+        for sub in subsets:
+            idx = range(len(dims)) if sub is None else sub
+            ref = sum(squares[i] for i in idx)
+            got = dims.total(sub)
+            assert type(got) is type(ref)
+            if isinstance(ref, Cyc):
+                assert (got.order, got.num, got.den) == (
+                    ref.order, ref.num, ref.den), sub
+            else:
+                assert got == ref
+
+
+def _every_codegree_entry(r, tol=TOL):
+    """codegree_check with every (block, block) entry rounded in mpmath,
+    and block_dims as one candidate list per block: the entries, the
+    residual and the problems."""
+    b = r.bundle
+    dim_c = as_mpc(b.ambient.global_dim()).real
+    d_alg = as_mpc(b.algebra.dim()).real
+    entries, problems, worst = [], [], 0.0
+    for bi, bp in enumerate(r.blocks):
+        if not r.in_ideal[bi]:
+            continue
+        xs = ([r.matched[bi]] if r.matched[bi] is not None
+              else [x for x, n in enumerate(b.mult) if n == bp.m])
+        cand = [as_mpc(b.ambient.dims[x]).real for x in xs]
+        if not (cand and max(cand) - min(cand)
+                <= tol * max(1.0, max(cand))):
+            problems.append(f"block {bi} (m={bp.m}): candidate dimensions "
+                            "differ, cannot fix the expected codegree scalar")
+            continue
+        xi = r.matched[bi]
+        name = b.ambient.labels[xi] if xi is not None else f"block[{bi}]"
+        scalar = dim_c / (cand[0] * d_alg)
+        for bj, val in enumerate(codegree_row(r, bi)):
+            want = scalar if bj == bi else 0
+            resid = float(abs(val - want))
+            worst = max(worst, resid)
+            if resid > tol:
+                problems.append(
+                    f"codegree of {name} acts on block {bj} as "
+                    f"{complex(val)}, expected {complex(want)}")
+        entries.append((name, float(scalar)))
+    return tuple(entries), worst, problems
+
+
+@pytest.mark.parametrize("dps", [15, 64, 128])
+@pytest.mark.parametrize("family,n", CONTRACTION_CASES,
+                         ids=[f"{f}-{n}" for f, n in CONTRACTION_CASES])
+def test_codegree_check_equals_every_entry_in_mpmath(family, n, dps):
+    r = _swr_at(family, n, dps)
+    with mp.workdps(dps):
+        cg = codegree_check(r)
+        assert (cg.entries, cg.residual, cg.report.problems) == \
+            _every_codegree_entry(r)
+        assert cg.ok
+
+
+def test_codegree_failures_equal_every_entry_in_mpmath():
+    # at 15 digits the residuals are about 1e-16: tol = 1e-20 fails
+    # entries off and on the diagonal, and each FAIL line must be the one
+    # the full evaluation prints
+    r = _swr_at("a2n", 2, 15)
+    with mp.workdps(15):
+        cg = codegree_check(r, tol=1e-20)
+        entries, worst, problems = _every_codegree_entry(r, tol=1e-20)
+        assert (cg.entries, cg.residual) == (entries, worst)
+        assert cg.report.problems == problems
+        assert len(problems) > 1 and not cg.ok

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fuscond.cyclotomic import Cyc, as_complex, as_mpc, cyclotomic_polynomial
+from fuscond.cyclotomic import (Cyc, _unit_factors, as_complex, as_mpc,
+                                cyclotomic_polynomial)
 from fuscond.serialize import emit_scalar, parse_scalar
 
 
@@ -313,6 +314,47 @@ def test_inverse_at_order_1200():
     inv = x.inverse()
     assert x * inv == 1
     assert inv.order == 1200
+
+
+def _sequential_inverse(x):
+    """Cyc.inverse as one product per Galois conjugate, k = 2, 3, ... in
+    turn: the cofactor prod_{k != 1} sigma_k(x) over the rational norm."""
+    n = x.order
+    cof = Cyc.rational(1)
+    for k in range(2, n):
+        if math.gcd(k, n) == 1:
+            cof = cof * x.galois(k)
+    norm = x * cof
+    assert norm.is_rational()
+    return cof * Cyc.rational(1 / norm.as_fraction())
+
+
+@pytest.mark.parametrize("order", [7, 15, 24, 60, 105])
+def test_doubled_cofactor_equals_the_sequential_product(order):
+    elements = [Cyc.zeta(order) + 2,
+                Fraction(1, 3) - 2 * Cyc.zeta(order, order - 1)
+                + 5 * Cyc.zeta(order, 2),
+                Cyc(order, [Fraction(k % 5 - 2, k + 1) for k in range(order)])]
+    for x in elements:
+        assert x.order == order
+        inv = x.inverse()
+        ref = _sequential_inverse(x)
+        assert (inv.order, inv.num, inv.den) == (ref.order, ref.num, ref.den)
+        assert x * inv == 1
+
+
+def test_unit_factors_generate_the_units():
+    # each g has order exactly o, and the products of their powers are
+    # every unit modulo n, each once
+    for n in range(1, 301):
+        units = {k % n for k in _units(n)}
+        reached = {1 % n}
+        for g, o in _unit_factors(n):
+            powers = [pow(g, j, n) for j in range(o)]
+            assert o > 1 and len(set(powers)) == o, n
+            reached = {a * b % n for a in reached for b in powers}
+        assert reached == units, n
+        assert math.prod(o for _, o in _unit_factors(n)) == len(units), n
 
 
 # numerators up to 2**40 over denominators of about 2**31: the common

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath.libmp import from_man_exp, round_nearest
 
 from fuscond import families
 from fuscond.condense import _check_averaging
@@ -27,7 +28,9 @@ from fuscond.wedderburn import (
     _float_split,
     _mantissas,
     _newton,
+    _on_grid,
     _profile_key,
+    _rounded_on_grid,
     _shift,
     _split,
     _stack,
@@ -626,3 +629,72 @@ def test_idempotent_read_on_demand_matches_the_eager_values(name, digits):
                      for c in b.idempotent]) for b in blocks]
     digest = hashlib.sha256(repr(entries).encode()).hexdigest()[:16]
     assert digest == EAGER_IDEMPOTENT_DIGESTS[name, digits]
+
+
+# -- rounding exact parts to the working precision, as array passes --
+
+
+def _rounded_rows_reference(re, im, exps):
+    """_rounded_on_grid as one from_man_exp(n, e, mp.prec, round_nearest)
+    per part, then _on_grid of each row."""
+    prec = mp.mp.prec
+    rows = [_on_grid([(from_man_exp(a, e, prec, round_nearest),
+                       from_man_exp(b, e, prec, round_nearest))
+                      for a, b in zip(ra, rb)])
+            for ra, rb, e in zip(re, im, exps)]
+    return [r[0] for r in rows], [r[1] for r in rows], [r[2] for r in rows]
+
+
+def _rounding_cases(prec, rng):
+    """Rows of parts that meet every branch of the rounding: random widths
+    around prec, exact half-way ties with an even and with an odd kept
+    part, all-ones parts that carry to 2**prec, zeros, negatives and a row
+    that is all zero."""
+    def tie(keep, sh):
+        # keep * 2**sh + 2**(sh - 1): exactly half way
+        return (keep << sh) | (1 << (sh - 1))
+    top = 1 << (prec - 1)
+    special = [tie(top + 2, 5), tie(top + 3, 5), tie(top, 1), tie(top + 1, 1),
+               (1 << (prec + 3)) - 1, (1 << (prec + 1)) - 1, (1 << prec) - 1,
+               (1 << prec) + 1, 0, 1, 3]
+    cases = []
+    for _ in range(40):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 6)
+
+        def part():
+            if rng.random() < 0.4:
+                x = rng.choice(special)
+            else:
+                x = rng.getrandbits(rng.choice(
+                    [1, 7, prec - 1, prec, prec + 1, prec + 2, 2 * prec + 5]))
+            return -x if rng.random() < 0.5 else x
+        re = [[part() for _ in range(cols)] for _ in range(rows)]
+        im = [[part() for _ in range(cols)] for _ in range(rows)]
+        if rng.random() < 0.3:
+            re[-1], im[-1] = [0] * cols, [0] * cols
+        cases.append((re, im, [rng.randint(-3 * prec, 40)
+                               for _ in range(rows)]))
+    cases.append(([[0, 0]], [[0, 0]], [7]))
+    return cases
+
+
+@pytest.mark.parametrize("prec", [53, 216, 429])
+def test_rounded_on_grid_matches_from_man_exp(prec):
+    rng = random.Random(prec)
+    seen_carry = seen_even_tie = seen_odd_tie = False
+    with mp.workprec(prec):
+        for re, im, exps in _rounding_cases(prec, rng):
+            got = _rounded_on_grid(np.array(re, dtype=object),
+                                   np.array(im, dtype=object), exps)
+            assert ([r.tolist() for r in got[0]], [r.tolist() for r in got[1]],
+                    got[2]) == _rounded_rows_reference(re, im, exps)
+            for x in (abs(v) for row in re + im for v in row):
+                sh = x.bit_length() - prec
+                if sh > 0 and x & ((1 << sh) - 1) == 1 << (sh - 1):
+                    if x >> sh & 1:
+                        seen_odd_tie = True
+                    else:
+                        seen_even_tie = True
+                if sh > 0 and (x + (1 << (sh - 1))) >> sh == 1 << prec:
+                    seen_carry = True
+    assert seen_carry and seen_even_tie and seen_odd_tie
