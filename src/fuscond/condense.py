@@ -23,7 +23,7 @@ from operator import mul
 import mpmath as mp
 import numpy as np
 
-from .cyclotomic import TOL, as_mpc, pair_products
+from .cyclotomic import FP_DIM_TOL, TOL, as_mpc, pair_products
 from .errors import (
     CapabilityError,
     NumericalDegeneracyError,
@@ -35,10 +35,9 @@ from .modular import (ModularData, dims as modular_dims,
                       validate as validate_modular)
 from .ring import (BasedRing, DimVector, _bilinear, _dot, basis_indices,
                    check_basis, fp_dims, is_closed, product_basis, validate)
-from .wedderburn import (SPLIT_SEED, _cmp_tol, _combine, _commutators,
-                         _mantissas, _product, _quotient, _rescale,
-                         _rounded_on_grid, _stack, _sups, _take,
-                         _tol_parts, block_profiles, character_table)
+from .mantissa import (aligned, cmp_tol, combine, commutators, mantissas,
+                       product, quotient, rounded_on_grid, stack, sups)
+from .wedderburn import SPLIT_SEED, block_profiles, character_table
 
 MATCH_ACCEPT = 1e-6
 MATCH_REJECT = 1e-3
@@ -147,7 +146,7 @@ class Ambient:
     def character_row(self, xs):
         """The patterns y -> S(x*, y)/d(x) of the ambient indices xs as
         mantissas (re, im, exp): object arrays, one row per x, each row on
-        its own grid as _mantissas puts it, then shifted to the smallest.
+        its own grid as mantissas puts it, then aligned.
 
         With full modular data this is an S-matrix row.  With only a fusion
         ring, dims and twists it is recovered through the balancing
@@ -161,8 +160,8 @@ class Ambient:
         duals = [self.dual[x] for x in xs]
         if self.modular is not None:
             s = self.modular.s
-            rows = _stack([_mantissas([as_mpc(v) / as_mpc(s[0][x])
-                                       for v in s[x]]) for x in duals])
+            rows = stack([mantissas([as_mpc(v) / as_mpc(s[0][x])
+                                     for v in s[x]]) for x in duals])
         else:
             # each distinct value object converted, multiplied and
             # inverted once; a product ambient shares equal values
@@ -181,17 +180,19 @@ class Ambient:
                 return 1 / (t * d)
 
             tw, dims = self.twists, self.dims.values
-            tre, tim, texp = _mantissas([once(mul, t, d)
-                                         for t, d in zip(tw, dims)])
-            ire, iim, iexp = _mantissas([once(inv, t) for t in tw])
+            tre, tim, texp = mantissas([once(mul, t, d)
+                                        for t, d in zip(tw, dims)])
+            ire, iim, iexp = mantissas([once(inv, t) for t in tw])
             ire, iim = np.array(ire, dtype=object), np.array(iim, dtype=object)
-            sre, sim, sexp = _stack([_mantissas([once(inv_mul, tw[x], dims[x])])
-                                     for x in duals])
+            sre, sim, sexp = stack([mantissas([once(inv_mul, tw[x], dims[x])])
+                                    for x in duals])
+            # one column, also without rows
+            sre, sim = sre.reshape(-1, 1), sim.reshape(-1, 1)
             if self.factors is None:
                 F = self.ring.fusion[duals]
             else:
                 fa, fb = (f.ring.fusion for f in self.factors)
-                hi, lo = np.divmod(duals, len(fb))
+                hi, lo = np.divmod(np.array(duals, dtype=np.int64), len(fb))
                 F = np.einsum("xac,xbd->xabcd", fa[hi], fb[lo])
             # sum_z N[x*, y, z] theta_z d_z for every x and y, then times
             # 1/theta_y and 1/(theta_x* d_x*), one rounding per part
@@ -199,11 +200,9 @@ class Ambient:
             nre, nim = _dot(np.array([tre, tim], dtype=object),
                             F.reshape(len(duals) * r, r).T).reshape(2, -1, r)
             are, aim = nre * ire - nim * iim, nre * iim + nim * ire
-            rows = _rounded_on_grid(are * sre - aim * sim, are * sim + aim * sre,
-                                    [texp + iexp + e for e in sexp])
-        exp = min(rows[2], default=0)
-        re, im, _ = _rescale(rows, [exp] * len(duals))
-        return re, im, exp
+            rows = rounded_on_grid(are * sre - aim * sim, are * sim + aim * sre,
+                                   [texp + iexp + e for e in sexp])
+        return aligned(rows)
 
     def __repr__(self):
         kind = ("modular" if self.modular is not None
@@ -270,10 +269,6 @@ class CondensationBundle:
         return self.algebra.mult
 
 
-def _near(a, b, tol):
-    return abs(as_mpc(a) - as_mpc(b)) <= tol * max(1.0, abs(as_mpc(b)))
-
-
 def check_bundle(b: CondensationBundle, tol=TOL) -> ValidationReport:
     """Every necessary condition that finite data can see, as a report.
 
@@ -281,7 +276,9 @@ def check_bundle(b: CondensationBundle, tol=TOL) -> ValidationReport:
     factor of a product ambient.  A flat ambient ring is not checked: its
     associativity test holds a rank**4 mask in memory.  The
     Perron-Frobenius comparison needs a module ring that satisfies the
-    axioms, and is skipped when it does not."""
+    axioms, and is skipped when it does not.  Each tolerance decision is
+    (X - Y)^2 <= (tol S)^2 over exact mantissas (cmp_tol); a failing check
+    prints its numbers from mpmath."""
     rep = ValidationReport()
     amb = b.ambient
     ring = b.module_ring
@@ -302,30 +299,37 @@ def check_bundle(b: CondensationBundle, tol=TOL) -> ValidationReport:
         if n and mult[amb.dual[x]] != n:
             rep.add(f"algebra is not self-dual at {amb.labels[x]}: "
                     f"n = {n} but n_dual = {mult[amb.dual[x]]}")
-    if amb.twists is not None:
-        for x, n in enumerate(mult):
-            if n and not _near(amb.twists[x], 1, tol):
-                rep.add(f"twist of {amb.labels[x]} is not 1 but n_x = {n} > 0")
+    # d(A), dim(C), dim(C_A), dim(local) (real parts), the module unit and
+    # the twists of A over 2**f; |v - 1| <= tol for the unit and the twists
+    xs = [x for x, n in enumerate(mult) if n and amb.twists is not None]
+    vals = [b.algebra.dim(), amb.global_dim(), b.dA.total(),
+            b.dA.total(b.local), b.dA[0]] + [amb.twists[x] for x in xs]
+    re, im, f = aligned(stack([mantissas([v]) for v in vals]))
+    (a, c, ca, loc), one = re[:4, 0], 1 << -f
+    off = cmp_tol((re[4:, 0] - one) ** 2 + im[4:, 0] ** 2, 0, tol, one) > 0
+    for x, o in zip(xs, off[1:]):
+        if o:
+            rep.add(f"twist of {amb.labels[x]} is not 1 but "
+                    f"n_x = {mult[x]} > 0")
 
-    dA_alg = as_mpc(b.algebra.dim()).real
-    if dA_alg <= tol:
-        rep.add(f"algebra dimension {float(dA_alg)} is not positive")
+    def real(i):
+        return as_mpc(vals[i]).real
+    if a <= 0 or cmp_tol(a * a, 0, tol, one) <= 0:
+        rep.add(f"algebra dimension {float(real(0))} is not positive")
         return rep
-
-    dim_c = as_mpc(amb.global_dim()).real
-    dim_ca = as_mpc(b.dA.total()).real
-    if not _near(dim_ca, dim_c / dA_alg, tol):
-        rep.add(f"dim(C_A) = {float(dim_ca)} but dim(C)/d(A) = "
-                f"{float(dim_c / dA_alg)}")
-    dim_local = as_mpc(b.dA.total(b.local)).real
-    if not _near(dim_local, dim_c / dA_alg ** 2, tol):
-        rep.add(f"dim(local) = {float(dim_local)} but dim(C)/d(A)^2 = "
-                f"{float(dim_c / dA_alg ** 2)}")
-
-    if not _near(b.dA[0], 1, tol):
+    # dim(C_A) d(A) = dim(C) over 2**(2f), dim(local) d(A)^2 = dim(C) over
+    # 2**(3f)
+    if cmp_tol((ca * a - c * one) ** 2, 0, tol, max(a, abs(c)) * one) > 0:
+        rep.add(f"dim(C_A) = {float(real(2))} but dim(C)/d(A) = "
+                f"{float(real(1) / real(0))}")
+    if cmp_tol((loc * a * a - c * one * one) ** 2, 0, tol,
+               max(a * a, abs(c) * one) * one) > 0:
+        rep.add(f"dim(local) = {float(real(3))} but dim(C)/d(A)^2 = "
+                f"{float(real(1) / real(0) ** 2)}")
+    if off[0]:
         rep.add(f"module unit must have dimension 1, got {b.dA[0]}")
     if ring_rep.ok and np.max(np.abs(b.dA.as_floats()
-                                    - fp_dims(ring).as_floats())) > 1e-8:
+                                    - fp_dims(ring).as_floats())) > FP_DIM_TOL:
         rep.add("module dims deviate from the Perron-Frobenius dimensions")
 
     if 0 not in b.local:
@@ -338,22 +342,17 @@ def check_bundle(b: CondensationBundle, tol=TOL) -> ValidationReport:
         if not np.array_equal(M[:, 0], np.asarray(mult)):
             rep.add("unit column of the induction matrix must equal the "
                     "algebra multiplicities")
-        # L = M w against R = d, from the real parts of the mantissas of d_A
-        # and of the ambient dims over one exponent f <= 0:
-        # |L - R| <= tol max(1, |R|) over 2**f is the exact
-        # (L - R)^2 <= (tol max(2**-f, |R|))^2.  The numbers of a failing
-        # row are printed from the mpmath sums.
-        w, _, we = _mantissas(b.dA.values)
-        d, _, de = _mantissas(amb.dims.values)
+        # L = M d_A against R = d(x), real parts over 2**f:
+        # |L - R| <= tol max(1, |R|)
+        w, _, we = mantissas(b.dA.values)
+        d, _, de = mantissas(amb.dims.values)
         f = min(we, de, 0)
-        L = _dot(np.array([w], dtype=object) << (we - f), M.T)[0].tolist()
-        R = [v << (de - f) for v in d]
-        unit = 1 << -f
-        failing = [x for x, (lhs, rhs) in enumerate(zip(L, R))
-                   if _cmp_tol((lhs - rhs) ** 2, 0, tol,
-                               max(unit, abs(rhs))) > 0]
-        da = [as_mpc(v).real for v in b.dA.values] if failing else None
-        for x in failing:
+        L = _dot(np.array([w], dtype=object) << (we - f), M.T)[0]
+        R = np.array(d, dtype=object) << (de - f)
+        failing = np.flatnonzero(cmp_tol((L - R) ** 2, 0, tol,
+                                         np.maximum(1 << -f, abs(R))) > 0)
+        da = [as_mpc(v).real for v in b.dA.values] if len(failing) else None
+        for x in failing.tolist():
             lhs = sum(int(M[x, y]) * da[y] for y in np.nonzero(M[x])[0])
             rhs = as_mpc(amb.dims[x]).real
             rep.add(f"induction adjunction fails at {amb.labels[x]}: "
@@ -364,7 +363,7 @@ def check_bundle(b: CondensationBundle, tol=TOL) -> ValidationReport:
 def _check_averaging(ring: BasedRing, subs, dims) -> tuple:
     """Check that each sub in subs is a subring whose averaging idempotent
     e_B = sum_{y in B} d_y y / sum_{y in B} d_y^2 satisfies e_B^2 = e_B
-    within TOL, given the mantissas dims = _mantissas(d) = (w, _, f) of
+    within TOL, given the mantissas dims = mantissas(d) = (w, _, f) of
     the real d.  Returns the weight rows W, an object array with row
     w_B (w on sub, 0 elsewhere) for each sub, and the list of
     D = sum_{y in B} w_y^2.  With
@@ -391,12 +390,13 @@ def _check_averaging(ring: BasedRing, subs, dims) -> tuple:
     # max_k of the square of that difference, exactly over the exponent e
     e = min(-2 * f, -f)
     R = (P << (-2 * f - e)) - D[:, None] * (W << (-f - e))
-    for sub, d, resid in zip(subs, D.tolist(), (R * R).max(axis=1).tolist()):
-        if _cmp_tol(resid, 2 * e, TOL, d * d) > 0:
-            value = mp.sqrt(_quotient(resid, 2 * e, d ** 4))
-            raise NumericalDegeneracyError(
-                f"e_sub for {sub} failed the idempotent check, residual "
-                f"{float(value)}")
+    resid = (R * R).max(axis=1)
+    bad = np.flatnonzero(cmp_tol(resid, 2 * e, TOL, D * D) > 0)
+    if len(bad):
+        value = mp.sqrt(quotient(resid[bad[0]], 2 * e, D[bad[0]] ** 4))
+        raise NumericalDegeneracyError(
+            f"e_sub for {subs[bad[0]]} failed the idempotent check, residual "
+            f"{float(value)}")
     return W, D.tolist()
 
 
@@ -408,7 +408,7 @@ def e_sub(b: CondensationBundle, sub) -> list:
     """
     ring = b.module_ring
     sub = tuple(sorted(int(i) for i in sub))
-    _check_averaging(ring, [sub], _mantissas(b.dA.values))
+    _check_averaging(ring, [sub], mantissas(b.dA.values))
     d = b.dA.scalars()
     inv = 1 / b.dA.total(sub)
     return [d[y] * inv if y in sub else 0 for y in range(ring.rank)]
@@ -468,28 +468,28 @@ def schur_weyl(b: CondensationBundle, tol=TOL, seed=SPLIT_SEED) -> SchurWeylRepo
     notes = []
 
     e1 = e_sub(b, b.local)
-    e1m = _stack([_mantissas(e1)])
-    for i, resid in enumerate(_commutators(ring, e1m)[0]):
-        if _cmp_tol(resid, 2 * e1m[2][0], tol) > 0:
-            raise TheoremViolationError(
-                f"local vacuum idempotent does not commute with basis element "
-                f"{ring.labels[i]}")
+    e1m = mantissas(e1)
+    bad = np.flatnonzero(cmp_tol(commutators(ring, stack([e1m]))[0],
+                                 2 * e1m[2], tol) > 0)
+    if len(bad):
+        raise TheoremViolationError(
+            f"local vacuum idempotent does not commute with basis element "
+            f"{ring.labels[bad[0]]}")
 
     blocks = block_profiles(ring, seed=seed)
     # every e_b e1 against e_b and against 0, exactly over the mantissas
-    eb = _stack([bp.mantissas for bp in blocks])
-    prod = _product(ring._plan.product, eb, _take(e1m, [0] * len(blocks)))
-    in_ideal = []
-    for to_e, to_zero in zip(_sups(_combine(prod, 1, eb, -1)), _sups(prod)):
-        if _cmp_tol(*to_e, tol) < 0:
-            in_ideal.append(True)
-        elif _cmp_tol(*to_zero, tol) < 0:
-            in_ideal.append(False)
-        else:
-            resid = [float(mp.sqrt(mp.mpf(w))) for w in (to_e, to_zero)]
-            raise NumericalDegeneracyError(
-                "a block idempotent is neither inside nor orthogonal to the "
-                f"local ideal (residuals {resid[0]}, {resid[1]})")
+    eb = stack([bp.mantissas for bp in blocks])
+    prod = product(ring._plan.product, eb, stack([e1m] * len(blocks)))
+    to_e, to_zero = sups(combine(prod, 1, eb, -1)), sups(prod)
+    in_ideal = cmp_tol(*to_e, tol) < 0
+    bad = np.flatnonzero(~in_ideal & (cmp_tol(*to_zero, tol) >= 0))
+    if len(bad):
+        resid = [float(mp.sqrt(mp.mpf((w[bad[0]], wexp[bad[0]]))))
+                 for w, wexp in (to_e, to_zero)]
+        raise NumericalDegeneracyError(
+            "a block idempotent is neither inside nor orthogonal to the "
+            f"local ideal (residuals {resid[0]}, {resid[1]})")
+    in_ideal = in_ideal.tolist()
 
     ideal_dim = sum(bp.block_dim for bp, f in zip(blocks, in_ideal) if f)
     kernel_dim = ring.rank - ideal_dim
@@ -536,7 +536,7 @@ def schur_weyl(b: CondensationBundle, tol=TOL, seed=SPLIT_SEED) -> SchurWeylRepo
             d2 = (((mre - m2 * pre[cand]) ** 2).sum(axis=1)
                   + ((mim - m2 * pim[cand]) ** 2).sum(axis=1))
             scored = sorted(
-                (float(mp.sqrt(_quotient(d, 2 * f, m2 * m2 * amb.rank))),
+                (float(mp.sqrt(quotient(d, 2 * f, m2 * m2 * amb.rank))),
                  xs[i]) for d, i in zip(d2.tolist(), cand))
             # the multiset check above leaves every block a candidate
             best, x_best = scored[0]
@@ -611,9 +611,11 @@ def block_dims(swr: SchurWeylReport, tol: float) -> dict:
         if key not in memo:
             xs = ([swr.matched[bi]] if swr.matched[bi] is not None
                   else [x for x, n in enumerate(b.mult) if n == bp.m])
-            cand = [as_mpc(b.ambient.dims[x]).real for x in xs]
-            agree = cand and max(cand) - min(cand) <= tol * max(1.0, max(cand))
-            memo[key] = cand[0] if agree else None
+            re, _, f = mantissas([b.ambient.dims[x] for x in xs])
+            d2 = (max(re) - min(re)) ** 2
+            agree = (cmp_tol(d2, 2 * f, tol) <= 0
+                     or cmp_tol(d2, 0, tol, max(re)) <= 0)
+            memo[key] = as_mpc(b.ambient.dims[xs[0]]).real if agree else None
         out[bi] = memo[key]
     return out
 
@@ -642,7 +644,7 @@ def _codegree_sums(swr: SchurWeylReport, rows) -> tuple:
 
 def _codegree_value(sre: int, sim: int, exp: int, den: int) -> mp.mpc:
     """(sre + 1j sim) 2**(2 exp) / den, each part rounded once."""
-    return mp.mpc(_quotient(sre, 2 * exp, den), _quotient(sim, 2 * exp, den))
+    return mp.mpc(quotient(sre, 2 * exp, den), quotient(sim, 2 * exp, den))
 
 
 def codegree_row(swr: SchurWeylReport, bi: int) -> list:
@@ -694,10 +696,8 @@ def codegree_check(swr: SchurWeylReport, tol=TOL) -> CodegreeReport:
     top = np.where(off, V, 0).max(axis=1, initial=0)[:, None]
     k = mp.mp.prec - 8
     near = (top - V) << max(k, 0) <= top << max(-k, 0)
-    # 2 P 2**(4 exp) >= (tol den)^2, with tol = man 2**texp
-    man, texp = _tol_parts(tol, mp.mp.prec)
-    e = 4 * exp - 2 * texp
-    big = (2 * P) << max(e, 0) >= (man * den) ** 2 << max(-e, 0)
+    # 2 P 2**(4 exp) >= (tol den)^2
+    big = cmp_tol(2 * P, 4 * exp, tol, den) >= 0
     shown = ~off | ((P != 0) & (near | big))
     entries = []
     worst = 0.0

@@ -29,6 +29,8 @@ TOL = 1e-9
 # Absolute, not derived from mp.dps: float64-encoded inputs carry about
 # 1e-15 of error whatever the working precision.
 ROUND_TOL = 1e-6
+# Absolute: fp_dims is a float64 power iteration stopped at ring.FP_TOL.
+FP_DIM_TOL = 1e-8
 
 # Little-endian integer coefficients: cyclotomic polynomials and Cyc
 # numerators.

@@ -17,10 +17,10 @@ import numpy as np
 
 from .condense import (CondensationBundle, SchurWeylReport, _check_averaging,
                        block_dims)
-from .cyclotomic import TOL, as_mpc
+from .cyclotomic import ROUND_TOL, TOL, as_mpc
 from .errors import NumericalDegeneracyError, TheoremViolationError
+from .mantissa import mantissas, round_quotient
 from .ring import enumerate_subrings
-from .wedderburn import _mantissas, _round_quotient
 
 
 def lattice(b: CondensationBundle) -> list:
@@ -43,7 +43,7 @@ def _trivial_block(swr: SchurWeylReport) -> int:
     gap = np.where(swr.in_ideal,
                    np.abs(chi - b.dA.as_floats()).sum(axis=1), np.inf)
     best = int(np.argmin(gap))
-    if gap[best] > 1e-6 * b.module_ring.rank:
+    if gap[best] > ROUND_TOL * b.module_ring.rank:
         raise TheoremViolationError(
             "no block carries the dimension character; the ideal cut by the "
             "algebra idempotent must contain the trivial block")
@@ -63,7 +63,7 @@ def invariant_subalgebra(swr: SchurWeylReport, sub,
                          dims=None) -> InvariantSubalgebra:
     """Multiplicities n'_b = chi_b(e_B) of the invariant subalgebra.
 
-    With the module dims as d_y = w_y 2**f (dims = _mantissas(b.dA.values),
+    With the module dims as d_y = w_y 2**f (dims = mantissas(b.dA.values),
     computed here when not given) and m chi_b(y) = (re + 1j im)_b[y] 2**exp
     from the character table,
     n'_b = sum_{y in B} w_y (re + 1j im)_b[y] 2**(exp - f)
@@ -77,7 +77,7 @@ def invariant_subalgebra(swr: SchurWeylReport, sub,
     """
     sub = tuple(sorted(int(i) for i in sub))
     if dims is None:
-        dims = _mantissas(swr.bundle.dA.values)
+        dims = mantissas(swr.bundle.dA.values)
     return next(_invariants(swr, [sub], dims))
 
 
@@ -96,7 +96,7 @@ def _invariants(swr: SchurWeylReport, subs, dims):
         n_prime = []
         for bi, x, y in zip(ideal, row, row[len(ideal):]):
             m = swr.blocks[bi].m
-            n = _round_quotient(x, y, exp - dims[2], m * d,
+            n = round_quotient(x, y, exp - dims[2], m * d,
                                 f"block multiplicity for subring {sub}")
             if not 0 <= n <= m:
                 raise TheoremViolationError(
@@ -178,7 +178,7 @@ def verify_correspondence(b: CondensationBundle, tol: float = TOL, *,
     ideal_idx = tuple(bi for bi, f in enumerate(swr.in_ideal) if f)
     triv_pos = ideal_idx.index(trivial)
 
-    dims = _mantissas(b.dA.values)
+    dims = mantissas(b.dA.values)
     entries = []
     for sub, inv in zip(subs, _invariants(swr, subs, dims)):
         if inv.n_prime[triv_pos] != 1:

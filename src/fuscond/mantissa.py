@@ -1,0 +1,217 @@
+"""Fixed-point arithmetic on exact integer mantissas.
+
+A vector is integer mantissas over one exponent, (re, im, exp) with
+v[i] = (re[i] + 1j im[i]) 2**exp, mp.prec bits below its largest entry.
+Vectors computed together are a stack: numpy object arrays of Python ints,
+one row per vector, with one exponent per row.  Products and commutators
+are array passes over the ring's term plan (``BasedRing._plan``, read
+through ``ring._bilinear`` and ``ring._summed``); their sums are exact, and
+``rescale`` rounds back to a fixed exponent once per entry.  ``cmp_tol``,
+elementwise over object arrays, is the one tolerance test.
+"""
+from __future__ import annotations
+
+import math
+from functools import lru_cache
+
+import mpmath as mp
+import numpy as np
+from mpmath.libmp import from_int, from_man_exp, mpf_div, round_nearest
+
+from .cyclotomic import ROUND_TOL, as_mpc
+from .errors import NumericalDegeneracyError
+from .ring import BasedRing, _bilinear, _summed
+
+
+def stack(vectors) -> tuple:
+    """Mantissa vectors (re, im, exp) as one stack (re, im, exps): row r of
+    the object arrays re and im holds the Python-int mantissas of vector r,
+    over the exponent exps[r]."""
+    def rows(part):
+        return np.array([v[part] for v in vectors], dtype=object)
+    return rows(0), rows(1), [v[2] for v in vectors]
+
+
+def product(terms, a, b) -> tuple:
+    """The exact row-wise products of two stacks over terms, which is
+    ring._plan.product, or ring._plan.square when a is b.  Row r is over
+    the exponent ea[r] + eb[r].  An all-real pair of stacks takes one real
+    product; otherwise Gauss's three real products give the real and
+    imaginary parts."""
+    (ar, ai, ea), (br, bi, eb) = a, b
+    exps = [x + y for x, y in zip(ea, eb)]
+    if not (ai.any() or bi.any()):
+        return _bilinear(terms, ar, br), np.zeros(ar.shape, dtype=object), exps
+    m = len(ar)
+    p = _bilinear(terms, np.vstack([ar, ai, ar + ai]),
+                  np.vstack([br, bi, br + bi]))
+    rr, ii = p[:m], p[m:2 * m]
+    return rr - ii, p[2 * m:] - rr - ii, exps
+
+
+def commutators(ring: BasedRing, a) -> np.ndarray:
+    """max_k |(v b_i - b_i v)_k|^2 for every row v of the stack a and every
+    basis element b_i: exact integers, row r over the exponent 2 exps[r],
+    from one pass over the nonzeros of N[j, i, k] - N[i, j, k]."""
+    re, im, _ = a
+    t = ring._plan.commutator
+    out = np.zeros(re.shape, dtype=object)
+    if len(t.basis):
+        m = len(re)
+        D = _summed(t.sums, np.vstack([re, im]) if im.any() else re)
+        W = D[:m] * D[:m]
+        if len(D) > m:
+            W += D[m:] * D[m:]
+        out[:, t.basis] = np.maximum.reduceat(W, t.basis_starts, axis=1)
+    return out
+
+
+def mantissas(v):
+    """A coefficient vector as integer mantissas over one exponent, mp.prec
+    bits below its largest entry, each part truncated toward zero onto that
+    grid: v[i] = (re[i] + 1j * im[i]) * 2**exp."""
+    parts = [(x if isinstance(x, mp.mpc) else as_mpc(x))._mpc_ for x in v]
+    exp = max((p[2] + p[3] for z in parts for p in z if p[1]),
+              default=0) - mp.mp.prec
+
+    def scaled(p):
+        sign, man, e, _ = p
+        x = man << (e - exp) if e >= exp else man >> (exp - e)
+        return -x if sign else x
+    return [scaled(z[0]) for z in parts], [scaled(z[1]) for z in parts], exp
+
+
+def aligned(a) -> tuple:
+    """The stack a shifted exactly to its smallest row exponent, or to 0
+    when that is smaller: (re, im, exp) over one exponent exp <= 0, where
+    1 is 1 << -exp."""
+    exp = min(a[2] + [0])
+    re, im, _ = rescale(a, [exp] * len(a[2]))
+    return re, im, exp
+
+
+_bit_length = np.frompyfunc(int.bit_length, 1, 1)
+
+
+def rounded_on_grid(re, im, exps) -> tuple:
+    """The exact values (re + 1j im) 2**exps[r] of row r of the object
+    arrays re and im as a stack (re, im, exps) on each row's own grid:
+    every part rounded to mp.prec bits, half to even, as from_man_exp
+    rounds it, then mantissas of the row.  With n = |N| for a part N,
+    sh = max(bitlen(n) - mp.prec, 0) and q = n / 2**sh rounded (a carry
+    may reach 2**mp.prec), the grid of a row is
+    max(exps[r] + sh + bitlen(q)) - mp.prec over its nonzero parts (0 -
+    mp.prec without one), and each part is q 2**(exps[r] + sh) truncated
+    toward zero onto it."""
+    prec = mp.mp.prec
+    N = np.stack([re, im])
+    n = abs(N)
+    sh = np.maximum(_bit_length(n) - prec, 0)
+    # half to even over t = 2n, whose low sh + 1 bits are dropped: adding
+    # 2**sh - 1, and 1 more when the last kept bit is set, carries into
+    # the kept bits exactly when the dropped part is above half, or is
+    # half with an odd kept part
+    t = n << 1
+    q = (t + (1 << sh) - 1 + ((t >> (sh + 1)) & 1)) >> (sh + 1)
+    low = np.asarray(exps, dtype=np.int64)[:, None] + sh.astype(np.int64)
+    none = np.iinfo(np.int64).min
+    top = np.where(q != 0, low + _bit_length(q).astype(np.int64),
+                   none).max(axis=(0, 2), initial=none)
+    grid = np.where(top > none, top, 0) - prec
+    s = low - grid[:, None]
+    x = np.where(s >= 0, q << np.maximum(s, 0).astype(object),
+                 q >> np.maximum(-s, 0).astype(object))
+    x = np.where(N < 0, -x, x)
+    return x[0], x[1], grid.tolist()
+
+
+def float_mantissas(v) -> tuple:
+    """A float64 or complex128 vector as mantissas over one exponent, one
+    bit finer than mp.prec bits below its largest entry.  The guard bit
+    keeps the step no coarser than that if Newton moves the largest entry
+    just below a power of two."""
+    parts = [(z.real, z.imag) for z in map(complex, v)]
+    top = max((math.frexp(x)[1] for z in parts for x in z if x), default=0)
+    exp = top - mp.mp.prec - 1
+
+    def scaled(x):
+        num, den = x.as_integer_ratio()
+        s = -exp - (den.bit_length() - 1)
+        return num << s if s >= 0 else (num + (1 << (-s - 1))) >> -s
+    return ([scaled(x) for x, _ in parts], [scaled(y) for _, y in parts], exp)
+
+
+def rescale(a, exps) -> tuple:
+    """The stack a over the row exponents exps, each entry times
+    2**(exp - exps[r]) rounded to the nearest integer, half up."""
+    re, im, e = a
+    re, im = re.copy(), im.copy()
+    for r, s in enumerate(x - y for x, y in zip(e, exps)):
+        if s > 0:
+            re[r], im[r] = re[r] << s, im[r] << s
+        elif s < 0:
+            h = 1 << (-s - 1)
+            re[r], im[r] = (re[r] + h) >> -s, (im[r] + h) >> -s
+    return re, im, list(exps)
+
+
+def combine(a, ca: int, b, cb: int) -> tuple:
+    """ca * a + cb * b for stacks a and b, row by row and exactly, over the
+    smaller of the two row exponents."""
+    e = [min(x, y) for x, y in zip(a[2], b[2])]
+    (ar, ai, _), (br, bi, _) = rescale(a, e), rescale(b, e)
+    return ca * ar + cb * br, ca * ai + cb * bi, e
+
+
+def sups(a) -> tuple:
+    """max_i |v_i|^2 for every row v of the stack a, as the object array w
+    and the exponents wexp with max_i |v_i|^2 = w[r] * 2**wexp[r]."""
+    re, im, exps = a
+    return (re * re + im * im).max(axis=1), [2 * x for x in exps]
+
+
+@lru_cache
+def tol_parts(tol, prec: int) -> tuple:
+    """The mantissa and exponent of mpf(tol) at precision prec."""
+    _, man, texp, _ = mp.mpf(tol)._mpf_
+    return man, texp
+
+
+def _sign(w: int, d: int, t2: int) -> int:
+    """The sign of w * 2**d - t2."""
+    lhs, rhs = (w << d, t2) if d >= 0 else (w, t2 << -d)
+    return (lhs > rhs) - (lhs < rhs)
+
+
+_signs = np.frompyfunc(_sign, 3, 1)
+
+
+def cmp_tol(w, wexp, tol, den=1):
+    """The sign of w * 2**wexp - (tol * den)**2, from exact integers, for
+    w >= 0, an mpmath or float tolerance tol >= 0 and an integer den.  On
+    object arrays w it is elementwise, with wexp and den broadcast; a
+    Python int w, with int wexp and den, skips the ufunc call."""
+    man, texp = tol_parts(tol, mp.mp.prec)
+    if type(w) is int:
+        return _sign(w, wexp - 2 * texp, (man * den) ** 2)
+    return _signs(w, np.subtract(wexp, 2 * texp), (man * den) ** 2)
+
+
+def quotient(num: int, exp: int, den: int) -> mp.mpf:
+    """num * 2**exp / den, rounded once at the working precision."""
+    return mp.mp.make_mpf(mpf_div(from_man_exp(num, exp), from_int(den),
+                                  mp.mp.prec, round_nearest))
+
+
+def round_quotient(re: int, im: int, exp: int, den: int, what: str) -> int:
+    """The integer nearest to v = (re + 1j im) 2**exp / den, for den > 0,
+    which must lie within ROUND_TOL of it, tested as one exact integer
+    comparison; what names the value in the error."""
+    s = max(exp, 0)
+    re, im, den = re << s, im << s, den << (s - exp)
+    n = (2 * re + den) // (2 * den)
+    if cmp_tol((re - n * den) ** 2 + im * im, 0, ROUND_TOL, den) > 0:
+        val = mp.mpc(quotient(re, 0, den), quotient(im, 0, den))
+        raise NumericalDegeneracyError(
+            f"{what} = {complex(val)} is not within {ROUND_TOL} of an integer")
+    return n

@@ -22,39 +22,24 @@ A split whose eigenvalues are not separated, or whose idempotents fail
 certification, uses up one seeded attempt; a non-semisimple ring fails
 every attempt.
 
-From the float64 guess on, each idempotent is held as integer mantissas
-over one fixed exponent, (re, im, exp) with e[i] = (re[i] + 1j im[i]) 2**exp,
-one bit finer than mp.prec bits below its largest entry.  The idempotents
-of one split attempt are refined and certified together as a stack: numpy
-object arrays of Python ints, one row per idempotent, with one exponent per
-row.  Every product is a few array passes over the ring's term plan
-(``BasedRing._plan``, the one sparse form of the ring, read through
-``ring._bilinear`` and ``ring._summed`` as ``element_product`` and the
-averaging check read it): one multiplication per distinct pair of basis
-elements, a gather of the terms sorted by target and one np.add.reduceat.
-A square runs over the unordered pairs only, and the commutators with
-every basis element are one pass over the nonzeros of N[i, j, k] -
-N[j, i, k].  The sums are exact integers, and each Newton step rounds
-back to the fixed exponent once per entry.  The refinement's stopping
-rule, every certification check and the block traces compare exact
-integers against the tolerance.  A ``BlockProfile`` holds only the
-mantissas; its mpmath ``idempotent`` is built on first read, and nothing
-on the verdict path reads it.
+From the float64 guess on, the idempotents of an attempt are one stack of
+exact mantissas (``mantissa``), refined and certified together.
 """
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import mpmath as mp
 import numpy as np
-from mpmath.libmp import from_int, from_man_exp, mpf_div, round_nearest
 
-from .cyclotomic import ROUND_TOL, TOL, as_mpc, working_tol
+from .cyclotomic import TOL, working_tol
 from .errors import NotSemisimpleError, NumericalDegeneracyError, SchemaError
-from .ring import BasedRing, _bilinear, _dot, _summed
+from .mantissa import (aligned, cmp_tol, combine, commutators,
+                       float_mantissas, product, rescale, round_quotient,
+                       stack, sups)
+from .ring import BasedRing, _dot
 
 SPLIT_SEED = 0xC0FFEE
 _MAX_SPLIT_ATTEMPTS = 8
@@ -62,207 +47,6 @@ _MAX_SPLIT_ATTEMPTS = 8
 # be told apart in float64 from a defective (non-semisimple) eigenvalue,
 # which a perturbation of eps splits by about sqrt(eps).
 _FLOAT_GAP = float(np.sqrt(np.finfo(np.float64).eps))
-
-
-def _stack(vectors) -> tuple:
-    """Mantissa vectors (re, im, exp) as one stack (re, im, exps): row r of
-    the object arrays re and im holds the Python-int mantissas of vector r,
-    over the exponent exps[r]."""
-    def rows(part):
-        return np.array([v[part] for v in vectors], dtype=object)
-    return rows(0), rows(1), [v[2] for v in vectors]
-
-
-def _take(a, rows) -> tuple:
-    """The stack of the rows of the stack a at the indices rows."""
-    re, im, exps = a
-    return re[rows], im[rows], [exps[r] for r in rows]
-
-
-def _product(terms, a, b) -> tuple:
-    """The exact row-wise products of two stacks over terms, which is
-    ring._plan.product, or ring._plan.square when a is b.  Row r is over
-    the exponent ea[r] + eb[r].  An all-real pair of stacks takes one real
-    product; otherwise Gauss's three real products give the real and
-    imaginary parts."""
-    (ar, ai, ea), (br, bi, eb) = a, b
-    exps = [x + y for x, y in zip(ea, eb)]
-    if not (ai.any() or bi.any()):
-        return _bilinear(terms, ar, br), np.zeros(ar.shape, dtype=object), exps
-    m = len(ar)
-    p = _bilinear(terms, np.vstack([ar, ai, ar + ai]),
-                  np.vstack([br, bi, br + bi]))
-    rr, ii = p[:m], p[m:2 * m]
-    return rr - ii, p[2 * m:] - rr - ii, exps
-
-
-def _commutators(ring: BasedRing, a) -> np.ndarray:
-    """max_k |(v b_i - b_i v)_k|^2 for every row v of the stack a and every
-    basis element b_i: exact integers, row r over the exponent 2 exps[r],
-    from one pass over the nonzeros of N[j, i, k] - N[i, j, k]."""
-    re, im, _ = a
-    t = ring._plan.commutator
-    out = np.zeros(re.shape, dtype=object)
-    if len(t.basis):
-        m = len(re)
-        D = _summed(t.sums, np.vstack([re, im]) if im.any() else re)
-        W = D[:m] * D[:m]
-        if len(D) > m:
-            W += D[m:] * D[m:]
-        out[:, t.basis] = np.maximum.reduceat(W, t.basis_starts, axis=1)
-    return out
-
-
-def _mantissas(v):
-    """A coefficient vector as integer mantissas over one exponent, mp.prec
-    bits below its largest entry: v[i] = (re[i] + 1j * im[i]) * 2**exp."""
-    return _on_grid([(x if isinstance(x, mp.mpc) else as_mpc(x))._mpc_
-                     for x in v])
-
-
-def _on_grid(parts):
-    """Pairs (re, im) of mpf tuples as _mantissas gives them: integer
-    mantissas over one exponent, mp.prec bits below the largest part, each
-    part truncated toward zero onto that grid."""
-    exp = max((p[2] + p[3] for z in parts for p in z if p[1]),
-              default=0) - mp.mp.prec
-
-    def scaled(p):
-        sign, man, e, _ = p
-        x = man << (e - exp) if e >= exp else man >> (exp - e)
-        return -x if sign else x
-    return [scaled(z[0]) for z in parts], [scaled(z[1]) for z in parts], exp
-
-
-_bit_length = np.frompyfunc(int.bit_length, 1, 1)
-
-
-def _rounded_on_grid(re, im, exps) -> tuple:
-    """The exact values (re + 1j im) 2**exps[r] of row r of the object
-    arrays re and im as a stack (re, im, exps) on each row's own grid:
-    every part rounded to mp.prec bits, half to even, as from_man_exp
-    rounds it, then _on_grid of the row.  With n = |N| for a part N,
-    sh = max(bitlen(n) - mp.prec, 0) and q = n / 2**sh rounded (a carry
-    may reach 2**mp.prec), the grid of a row is
-    max(exps[r] + sh + bitlen(q)) - mp.prec over its nonzero parts (0 -
-    mp.prec without one), and each part is q 2**(exps[r] + sh) truncated
-    toward zero onto it."""
-    prec = mp.mp.prec
-    N = np.stack([re, im])
-    n = abs(N)
-    sh = np.maximum(_bit_length(n) - prec, 0)
-    # half to even over t = 2n, whose low sh + 1 bits are dropped: adding
-    # 2**sh - 1, and 1 more when the last kept bit is set, carries into
-    # the kept bits exactly when the dropped part is above half, or is
-    # half with an odd kept part
-    t = n << 1
-    q = (t + (1 << sh) - 1 + ((t >> (sh + 1)) & 1)) >> (sh + 1)
-    low = np.asarray(exps, dtype=np.int64)[:, None] + sh.astype(np.int64)
-    none = np.iinfo(np.int64).min
-    top = np.where(q != 0, low + _bit_length(q).astype(np.int64),
-                   none).max(axis=(0, 2), initial=none)
-    grid = np.where(top > none, top, 0) - prec
-    s = low - grid[:, None]
-    x = np.where(s >= 0, q << np.maximum(s, 0).astype(object),
-                 q >> np.maximum(-s, 0).astype(object))
-    x = np.where(N < 0, -x, x)
-    return x[0], x[1], grid.tolist()
-
-
-def _shift(x: int, s: int) -> int:
-    """x * 2**s rounded to the nearest integer."""
-    return x << s if s >= 0 else (x + (1 << (-s - 1))) >> -s
-
-
-def _float_mantissas(v) -> tuple:
-    """A float64 or complex128 vector as mantissas over one exponent, one
-    bit finer than mp.prec bits below its largest entry.  The guard bit
-    keeps the step no coarser than that if Newton moves the largest entry
-    just below a power of two."""
-    parts = [(z.real, z.imag) for z in map(complex, v)]
-    top = max((math.frexp(x)[1] for z in parts for x in z if x), default=0)
-    exp = top - mp.mp.prec - 1
-
-    def scaled(x):
-        num, den = x.as_integer_ratio()
-        return _shift(num, -exp - (den.bit_length() - 1))
-    return ([scaled(x) for x, _ in parts], [scaled(y) for _, y in parts], exp)
-
-
-def _shifted(X, shifts) -> np.ndarray:
-    """Row r of X times 2**shifts[r], rounded to the nearest integer as
-    _shift rounds."""
-    out = X.copy()
-    for r, s in enumerate(shifts):
-        if s > 0:
-            out[r] = X[r] << s
-        elif s < 0:
-            out[r] = (X[r] + (1 << (-s - 1))) >> -s
-    return out
-
-
-def _rescale(a, exps) -> tuple:
-    """The stack a over the row exponents exps, each entry rounded to the
-    nearest once."""
-    re, im, e = a
-    s = [x - y for x, y in zip(e, exps)]
-    return _shifted(re, s), _shifted(im, s), list(exps)
-
-
-def _combine(a, ca: int, b, cb: int) -> tuple:
-    """ca * a + cb * b for stacks a and b, row by row and exactly, over the
-    smaller of the two row exponents."""
-    (ar, ai, ea), (br, bi, eb) = a, b
-    e = [min(x, y) for x, y in zip(ea, eb)]
-    sa = [x - y for x, y in zip(ea, e)]
-    sb = [x - y for x, y in zip(eb, e)]
-    return (ca * _shifted(ar, sa) + cb * _shifted(br, sb),
-            ca * _shifted(ai, sa) + cb * _shifted(bi, sb), e)
-
-
-def _sups(a) -> list:
-    """max_i |v_i|^2 for every row v of the stack a, as the integer w and
-    exponent wexp with max_i |v_i|^2 = w * 2**wexp."""
-    re, im, exps = a
-    return list(zip((re * re + im * im).max(axis=1).tolist(),
-                    [2 * x for x in exps]))
-
-
-@lru_cache
-def _tol_parts(tol, prec: int) -> tuple:
-    """The mantissa and exponent of mpf(tol) at precision prec."""
-    _, man, texp, _ = mp.mpf(tol)._mpf_
-    return man, texp
-
-
-def _cmp_tol(w: int, wexp: int, tol, den: int = 1) -> int:
-    """The sign of w * 2**wexp - (tol * den)**2, from exact integers, for
-    w >= 0, an mpmath or float tolerance tol >= 0 and an integer den."""
-    man, texp = _tol_parts(tol, mp.mp.prec)
-    d = wexp - 2 * texp
-    t2 = (man * den) ** 2
-    lhs, rhs = (w << d, t2) if d >= 0 else (w, t2 << -d)
-    return (lhs > rhs) - (lhs < rhs)
-
-
-def _quotient(num: int, exp: int, den: int) -> mp.mpf:
-    """num * 2**exp / den, rounded once at the working precision."""
-    return mp.mp.make_mpf(mpf_div(from_man_exp(num, exp), from_int(den),
-                                  mp.mp.prec, round_nearest))
-
-
-def _round_quotient(re: int, im: int, exp: int, den: int, what: str) -> int:
-    """The integer nearest to v = (re + 1j im) 2**exp / den, for den > 0,
-    which must lie within ROUND_TOL of it, tested as one exact integer
-    comparison; what names the value in the error."""
-    s = max(exp, 0)
-    re, im, den = re << s, im << s, den << (s - exp)
-    n = (2 * re + den) // (2 * den)
-    if _cmp_tol((re - n * den) ** 2 + im * im, 0, ROUND_TOL, den) > 0:
-        val = mp.mpc(_quotient(re, 0, den), _quotient(im, 0, den))
-        raise NumericalDegeneracyError(
-            f"{what} = {complex(val)} is not within {ROUND_TOL} of an integer")
-    return n
 
 
 def center_basis(ring: BasedRing) -> np.ndarray:
@@ -307,23 +91,22 @@ def _newton(ring: BasedRing, guesses, tol):
     leaves the stack.  Convergence is quadratic, so log2(mp.dps) steps
     reach tol from any float64 start."""
     plan = ring._plan
-    e = _stack([_float_mantissas(g) for g in guesses])
+    e = stack([float_mantissas(g) for g in guesses])
     out = [None] * len(guesses)
     live = list(range(len(guesses)))
     for _ in range(mp.mp.dps.bit_length() + 1):
         exps = e[2]
-        sq = _product(plan.square, e, e)
-        done = [_cmp_tol(*w, tol) <= 0 for w in _sups(_combine(sq, 1, e, -1))]
-        sq = _rescale(sq, exps)
-        e = _rescale(_combine(sq, 3, _product(plan.product, sq, e), -2), exps)
-        for r, d in enumerate(done):
-            if d:
-                out[live[r]] = (e[0][r].tolist(), e[1][r].tolist(), exps[r])
-        rest = [r for r, d in enumerate(done) if not d]
+        sq = product(plan.square, e, e)
+        done = cmp_tol(*sups(combine(sq, 1, e, -1)), tol) <= 0
+        sq = rescale(sq, exps)
+        e = rescale(combine(sq, 3, product(plan.product, sq, e), -2), exps)
+        for r in np.flatnonzero(done).tolist():
+            out[live[r]] = (e[0][r].tolist(), e[1][r].tolist(), exps[r])
+        rest = np.flatnonzero(~done).tolist()
         if not rest:
             return out
         live = [live[r] for r in rest]
-        e = _take(e, rest)
+        e = e[0][rest], e[1][rest], [e[2][r] for r in rest]
     return None
 
 
@@ -332,17 +115,18 @@ def _certified(ring: BasedRing, idems, dim_z, tol) -> bool:
     central, that sum to the unit."""
     if len(idems) != dim_z:
         return False
-    e = _stack(idems)
-    if any(_cmp_tol(*w, tol) <= 0 for w in _sups(e)):
+    e = stack(idems)
+    w, wexp = sups(e)
+    if (cmp_tol(w, wexp, tol) <= 0).any():
         return False
     lo = min(e[2] + [0])
-    s = [x - lo for x in e[2]]
-    re, im = _shifted(e[0], s).sum(axis=0), _shifted(e[1], s).sum(axis=0)
+    re, im, _ = rescale(e, [lo] * dim_z)
+    re, im = re.sum(axis=0), im.sum(axis=0)
     re[0] -= 1 << -lo
-    if _cmp_tol(*_sups(_stack([(re, im, lo)]))[0], tol) > 0:
+    if cmp_tol((re * re + im * im).max(), 2 * lo, tol) > 0:
         return False
-    return all(_cmp_tol(w, 2 * x, tol) <= 0 for w, x in
-               zip(_commutators(ring, e).max(axis=1).tolist(), e[2]))
+    return bool((cmp_tol(commutators(ring, e).max(axis=1), wexp, tol)
+                 <= 0).all())
 
 
 def _split(ring: BasedRing, seed) -> list:
@@ -408,7 +192,7 @@ def block_profiles(ring: BasedRing, seed=SPLIT_SEED) -> list:
     tr = [(i, int(t)) for i, t in enumerate(np.einsum("ijj->i", F)) if t]
     out = []
     for re, im, exp in _split(ring, seed):
-        bd = _round_quotient(sum(re[i] * t for i, t in tr),
+        bd = round_quotient(sum(re[i] * t for i, t in tr),
                              sum(im[i] * t for i, t in tr), exp, 1,
                              "block dimension trace")
         m = int(round(bd ** 0.5))
@@ -428,11 +212,9 @@ def character_table(ring: BasedRing, blocks) -> tuple:
     m chi_b(z) = (re[b, z] + 1j * im[b, z]) * 2**exp.  Here
     chi_b(z) = (1/m) sum_i e_b[i] W[i, z], with the integer matrix
     W[i, z] = sum_k N[i, z, k] tr(L_k) = tr(L_{b_i b_z}): the idempotents,
-    shifted exactly to their smallest exponent, times W."""
+    aligned exactly, times W."""
     F = ring.fusion
     W = np.einsum("izk,k->iz", F, np.einsum("ijj->i", F))
-    exp = min((bp.mantissas[2] for bp in blocks), default=0)
-    re, im, _ = _rescale(_stack([bp.mantissas for bp in blocks]),
-                         [exp] * len(blocks))
+    re, im, exp = aligned(stack([bp.mantissas for bp in blocks]))
     X = _dot(np.vstack([re, im]), W)
     return X[:len(blocks)], X[len(blocks):], exp

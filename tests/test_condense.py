@@ -31,7 +31,7 @@ from fuscond.errors import (CapabilityError, NumericalDegeneracyError,
 from fuscond.modular import verlinde
 from fuscond.ring import (BasedRing, DimVector, group_ring, is_closed,
                           product_ring)
-from fuscond.wedderburn import _mantissas, _quotient
+from fuscond.mantissa import mantissas, quotient
 
 from grouptables import cyclic, symmetric
 from cached_bundles import bundle, swr
@@ -237,7 +237,7 @@ def test_check_averaging_refuses_a_sub_that_is_not_closed(monkeypatch, sub):
     calls = _recording_is_closed(monkeypatch)
     # positive dims: closedness is read off the support of w_B * w_B
     with pytest.raises(SchemaError, match="is not a subring"):
-        _check_averaging(b.module_ring, [sub], _mantissas(b.dA.values))
+        _check_averaging(b.module_ring, [sub], mantissas(b.dA.values))
     assert calls == []
     # a module dim of 0 inside sub: is_closed decides
     dA = list(b.dA.values)
@@ -256,7 +256,7 @@ def _batch_around(sub):
 def test_check_averaging_refuses_a_batch_with_one_sub_that_is_not_closed(
         sub):
     b = ty_bundle()
-    dims = _mantissas(b.dA.values)
+    dims = mantissas(b.dA.values)
     with pytest.raises(SchemaError,
                        match=re.escape(f"{sub} is not a subring")):
         _check_averaging(b.module_ring, _batch_around(sub), dims)
@@ -267,12 +267,12 @@ def test_check_averaging_refuses_a_batch_with_one_repeated_index():
     with pytest.raises(SchemaError,
                        match=re.escape("(0, 0) repeats a basis index")):
         _check_averaging(b.module_ring, _batch_around((0, 0)),
-                         _mantissas(b.dA.values))
+                         mantissas(b.dA.values))
 
 
 def test_check_averaging_batch_gives_each_sub_its_own_d():
     b = ty_bundle()
-    dims = _mantissas(b.dA.values)
+    dims = mantissas(b.dA.values)
     subs = [(0,), (0, 1, 2), (0, 1, 2, 3)]
     w = dims[0]
     want = [sum(w[y] * w[y] for y in sub) for sub in subs]
@@ -578,6 +578,15 @@ def test_character_row_follows_the_working_precision():
                     == listed(fresh.character_row([x])))
 
 
+@pytest.mark.parametrize("family,n", [("a2n", 2), ("vlplus-orbifold", 1)])
+def test_character_row_of_no_index_is_the_empty_stack(family, n):
+    # a product ambient (a2n) and a ring ambient (the orbifold)
+    amb = bundle(family, n).ambient
+    assert amb.factors is not None or amb.ring is not None
+    re, im, exp = amb.character_row([])
+    assert re.shape == im.shape == (0, amb.rank) and exp == 0
+
+
 def listed(mantissas):
     """Mantissas (re, im, exp) with re and im arrays, as lists."""
     re, im, exp = mantissas
@@ -585,7 +594,7 @@ def listed(mantissas):
 
 
 def one_row(amb, x):
-    """character_row of the one index x, as _mantissas lays out a row."""
+    """character_row of the one index x, as mantissas lays out a row."""
     (re,), (im,), exp = listed(amb.character_row([x]))
     return re, im, exp
 
@@ -801,7 +810,7 @@ def test_exact_contractions_match_the_mpmath_loops(family, n, dps):
                 ref = _loop_character_row(amb, x)
                 for y, t in enumerate(terms):
                     assert abs(row[y] - ref[y]) <= 8 * ulp * t, (x, y)
-                assert one_row(amb, x) == _mantissas(row), x
+                assert one_row(amb, x) == mantissas(row), x
 
             fits = _loop_fits(r)
             assert r.matched == _loop_matched(r, fits)
@@ -877,8 +886,8 @@ def _parent_character_row(amb, x):
         return [as_mpc(s[xs][y]) / dx for y in range(amb.rank)]
     th = [as_mpc(t) for t in amb.twists]
     dv = [as_mpc(v) for v in amb.dims.values]
-    tre, tim, texp = _mantissas([t * d for t, d in zip(th, dv)])
-    ire, iim, iexp = _mantissas([1 / t for t in th])
+    tre, tim, texp = mantissas([t * d for t, d in zip(th, dv)])
+    ire, iim, iexp = mantissas([1 / t for t in th])
     if amb.factors is None:
         F = amb.ring.fusion[xs]
     else:
@@ -890,7 +899,7 @@ def _parent_character_row(amb, x):
     for y, z, c in zip(ys.tolist(), zs.tolist(), F[ys, zs].tolist()):
         nre[y] += c * tre[z]
         nim[y] += c * tim[z]
-    (sre,), (sim,), sexp = _mantissas([1 / (th[xs] * dv[xs])])
+    (sre,), (sim,), sexp = mantissas([1 / (th[xs] * dv[xs])])
     exp = texp + iexp + sexp
     row = []
     for a, b, c, d in zip(nre, nim, ire, iim):
@@ -905,7 +914,7 @@ def _parent_matching(r):
     b = r.bundle
     amb = b.ambient
     re, im, exp = _parent_character_table(b.module_ring, r.blocks)
-    pat = {x: _mantissas(_parent_character_row(amb, x))
+    pat = {x: mantissas(_parent_character_row(amb, x))
            for x, n in enumerate(b.mult) if n > 0}
     f = min([exp] + [e for _, _, e in pat.values()])
     pat = {x: ([v << (e - f) for v in pr], [v << (e - f) for v in pi])
@@ -926,7 +935,7 @@ def _parent_matching(r):
                 continue
             d2 = (sum((a - m2 * p) ** 2 for a, p in zip(mre, pr))
                   + sum((a - m2 * p) ** 2 for a, p in zip(mim, pi)))
-            fit = mp.sqrt(_quotient(d2, 2 * f, m2 * m2 * amb.rank))
+            fit = mp.sqrt(quotient(d2, 2 * f, m2 * m2 * amb.rank))
             scored.append((float(fit), x))
         scored.sort()
         best, matched[bi] = scored[0]
@@ -946,8 +955,8 @@ def _parent_codegree_row(r, bi):
         den = m * bp.m * bp.m
         sre = sum(map(mul, ar, br)) - sum(map(mul, ai, bim))
         sim = sum(map(mul, ar, bim)) + sum(map(mul, ai, br))
-        out.append(mp.mpc(_quotient(sre, 2 * exp, den),
-                          _quotient(sim, 2 * exp, den)))
+        out.append(mp.mpc(quotient(sre, 2 * exp, den),
+                          quotient(sim, 2 * exp, den)))
     return out
 
 
@@ -966,7 +975,7 @@ def test_array_readers_equal_the_parent_loops(family, n, dps):
             assert codegree_row(r, bi) == _parent_codegree_row(r, bi), bi
         if not r.matching_skipped:
             xs = [x for x, m in enumerate(b.mult) if m]
-            rows = [_mantissas(_parent_character_row(amb, x)) for x in xs]
+            rows = [mantissas(_parent_character_row(amb, x)) for x in xs]
             for x, row in zip(xs, rows):
                 assert one_row(amb, x) == row, x
             f = min(e for _, _, e in rows)
@@ -1062,6 +1071,127 @@ def test_adjunction_decisions_equal_the_near_loop(family, n, dps):
         # against d(x)
         assert all(_adjunction_problems(m) for m in mutants[:3])
         assert not _adjunction_problems(mutants[4])
+
+
+def _near(a, b, tol):
+    return abs(as_mpc(a) - as_mpc(b)) <= tol * max(1.0, abs(as_mpc(b)))
+
+
+def _loop_scalar_problems(b, tol=TOL):
+    """The twist, d(A), dimension-identity and module-unit problems of
+    check_bundle as one mpmath _near per decision."""
+    amb, out = b.ambient, []
+    if amb.twists is not None:
+        for x, n in enumerate(b.mult):
+            if n and not _near(amb.twists[x], 1, tol):
+                out.append(f"twist of {amb.labels[x]} is not 1 but n_x = "
+                           f"{n} > 0")
+    dA_alg = as_mpc(b.algebra.dim()).real
+    if dA_alg <= tol:
+        return out + [f"algebra dimension {float(dA_alg)} is not positive"]
+    dim_c = as_mpc(amb.global_dim()).real
+    dim_ca = as_mpc(b.dA.total()).real
+    if not _near(dim_ca, dim_c / dA_alg, tol):
+        out.append(f"dim(C_A) = {float(dim_ca)} but dim(C)/d(A) = "
+                   f"{float(dim_c / dA_alg)}")
+    dim_local = as_mpc(b.dA.total(b.local)).real
+    if not _near(dim_local, dim_c / dA_alg ** 2, tol):
+        out.append(f"dim(local) = {float(dim_local)} but dim(C)/d(A)^2 = "
+                   f"{float(dim_c / dA_alg ** 2)}")
+    if not _near(b.dA[0], 1, tol):
+        out.append(f"module unit must have dimension 1, got {b.dA[0]}")
+    return out
+
+
+def _scalar_problems(b):
+    return [p for p in check_bundle(b).problems
+            if p.startswith(("twist of ", "algebra dimension ", "dim(C_A) ",
+                             "dim(local) ", "module unit "))]
+
+
+def _with_ambient(b, **fields):
+    amb = dataclasses.replace(b.ambient, **fields)
+    return dataclasses.replace(
+        b, algebra=dataclasses.replace(b.algebra, ambient=amb))
+
+
+def _scaled_ambient_dim(b, x, factor):
+    dims = list(b.ambient.dims.values)
+    dims[x] = dims[x] * factor
+    return _with_ambient(b, dims=DimVector(values=tuple(dims)))
+
+
+def _scalar_mutations(b, factor):
+    """The twist of the last x in A, d_A of the unit and of the largest
+    module dim, and the ambient dim of that x, each times factor."""
+    x = max(x for x, n in enumerate(b.mult) if n)
+    twists = list(b.ambient.twists)
+    twists[x] = twists[x] * factor
+    big = max(range(len(b.dA)), key=lambda y: as_mpc(b.dA[y]).real)
+    return [_with_ambient(b, twists=tuple(twists)),
+            _scaled_dim(b, 0, factor), _scaled_dim(b, big, factor),
+            _scaled_ambient_dim(b, x, factor)]
+
+
+@pytest.mark.parametrize("dps", [15, 64])
+@pytest.mark.parametrize("family,n", CONTRACTION_CASES,
+                         ids=[f"{f}-{n}" for f, n in CONTRACTION_CASES])
+def test_scalar_decisions_equal_the_near_loop(family, n, dps):
+    b = bundle(family, n)
+    with mp.workdps(dps):
+        assert _scalar_problems(b) == _loop_scalar_problems(b) == []
+        # 1 + 1e-8 is past TOL and must fail the check, 1 + 1e-10 is
+        # within it and must pass
+        for factor, ok in ((1 + 1e-8, False), (1 + 1e-10, True)):
+            for i, mutant in enumerate(_scalar_mutations(b, factor)):
+                got = _scalar_problems(mutant)
+                assert got == _loop_scalar_problems(mutant), (factor, i)
+                assert check_bundle(mutant).ok == ok, (factor, i)
+
+
+def _loop_block_dims(r, tol=TOL):
+    """block_dims as one mpmath candidate list per block."""
+    b = r.bundle
+    out = {}
+    for bi, bp in enumerate(r.blocks):
+        if not r.in_ideal[bi]:
+            continue
+        xs = ([r.matched[bi]] if r.matched[bi] is not None
+              else [x for x, n in enumerate(b.mult) if n == bp.m])
+        cand = [as_mpc(b.ambient.dims[x]).real for x in xs]
+        agree = cand and max(cand) - min(cand) <= tol * max(1.0, max(cand))
+        out[bi] = cand[0] if agree else None
+    return out
+
+
+def _pulled_apart(r, factor):
+    """r with no block matched and the ambient dims of the candidates x of
+    one ideal block set to d, d factor, d, ..., with d the first one's;
+    and that block's index."""
+    b = r.bundle
+    bi = next(bi for bi, bp in enumerate(r.blocks)
+              if r.in_ideal[bi] and b.mult.count(bp.m) > 1)
+    xs = [x for x, n in enumerate(b.mult) if n == r.blocks[bi].m]
+    dims = list(b.ambient.dims.values)
+    for x in xs[1:]:
+        dims[x] = dims[xs[0]]
+    dims[xs[1]] = dims[xs[0]] * factor
+    b = _with_ambient(b, dims=DimVector(values=tuple(dims)))
+    return dataclasses.replace(r, bundle=b, matched=(None,) * len(r.blocks)), bi
+
+
+@pytest.mark.parametrize("dps", [15, 64])
+@pytest.mark.parametrize("family,n", CONTRACTION_CASES,
+                         ids=[f"{f}-{n}" for f, n in CONTRACTION_CASES])
+def test_block_dims_agreement_equals_the_near_loop(family, n, dps):
+    r = swr(family, n)
+    with mp.workdps(dps):
+        assert block_dims(r, TOL) == _loop_block_dims(r)
+        for factor, apart in ((1 + 1e-8, True), (1 + 1e-10, False)):
+            mutant, bi = _pulled_apart(r, factor)
+            got = block_dims(mutant, TOL)
+            assert got == _loop_block_dims(mutant), factor
+            assert (got[bi] is None) == apart, factor
 
 
 @pytest.mark.parametrize("family,n", CONTRACTION_CASES + [("a2n", 12)],

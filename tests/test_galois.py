@@ -30,7 +30,7 @@ from fuscond.galois import (
     verify_correspondence,
 )
 from fuscond.ring import BasedRing, element_product
-from fuscond.wedderburn import _mantissas, _round_quotient
+from fuscond.mantissa import mantissas, round_quotient
 
 from cached_bundles import bundle, swr
 from test_wedderburn import round_int
@@ -500,9 +500,9 @@ def _parent_invariant(r, sub, dims, D):
     for bi, bp in enumerate(r.blocks):
         if not r.in_ideal[bi]:
             continue
-        n = _round_quotient(sum(w[y] * re[bi][y] for y in sub),
-                            sum(w[y] * im[bi][y] for y in sub), exp - f,
-                            bp.m * D, f"block multiplicity for subring {sub}")
+        n = round_quotient(sum(w[y] * re[bi][y] for y in sub),
+                           sum(w[y] * im[bi][y] for y in sub), exp - f,
+                           bp.m * D, f"block multiplicity for subring {sub}")
         block_indices.append(bi)
         n_prime.append(n)
     vec = None
@@ -540,7 +540,7 @@ def test_n_prime_reading_equals_the_parent_loops(family, n, dps):
     with mp.workdps(dps):
         assert _trivial_block(r) == _parent_trivial_block(r)
         subs = lattice(b)
-        dims = _mantissas(b.dA.values)
+        dims = mantissas(b.dA.values)
         _, D = _check_averaging(b.module_ring, subs, dims)
         want = [_parent_invariant(r, sub, dims, d) for sub, d in zip(subs, D)]
         assert [invariant_subalgebra(r, sub) for sub in subs] == want

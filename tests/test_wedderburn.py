@@ -18,22 +18,16 @@ from fuscond.families import ty_ring
 from fuscond.ring import (BasedRing, _bilinear, element_product,
                           enumerate_subrings, fp_dims, group_ring,
                           product_ring)
+from fuscond.mantissa import (cmp_tol, commutators, float_mantissas,
+                              mantissas, rounded_on_grid, stack)
 from fuscond.wedderburn import (
     SPLIT_SEED,
     _MAX_SPLIT_ATTEMPTS,
     _certified,
-    _cmp_tol,
-    _commutators,
-    _float_mantissas,
     _float_split,
-    _mantissas,
     _newton,
-    _on_grid,
     _profile_key,
-    _rounded_on_grid,
-    _shift,
     _split,
-    _stack,
     block_profiles,
     center_basis,
 )
@@ -385,19 +379,23 @@ def _old_sup(v):
     return max(x * x + y * y for x, y in zip(re, im)), 2 * exp
 
 
+def _shift(x, s):
+    return x << s if s >= 0 else (x + (1 << (-s - 1))) >> -s
+
+
 def _old_rescale(v, exp):
     re, im, e = v
-    return ([_shift(x, e - exp) for x in re], [_shift(x, e - exp) for x in im],
-            exp)
+    return ([_shift(x, e - exp) for x in re],
+            [_shift(x, e - exp) for x in im], exp)
 
 
 def _old_refine(ring, guess, tol):
     rows = _nonzero_rows(ring.fusion)
-    e = _float_mantissas(guess)
+    e = float_mantissas(guess)
     exp = e[2]
     for _ in range(mp.mp.dps.bit_length() + 1):
         sq = _old_product(rows, e, e)
-        done = _cmp_tol(*_old_sup(_old_combine(sq, 1, e, -1)), tol) <= 0
+        done = cmp_tol(*_old_sup(_old_combine(sq, 1, e, -1)), tol) <= 0
         sq = _old_rescale(sq, exp)
         e = _old_rescale(_old_combine(sq, 3, _old_product(rows, sq, e), -2),
                          exp)
@@ -425,17 +423,17 @@ def _old_commutator_residuals(rows, v):
 def _old_certified(ring, idems, dim_z, tol):
     if len(idems) != dim_z or None in idems:
         return False
-    if any(_cmp_tol(*_old_sup(e), tol) <= 0 for e in idems):
+    if any(cmp_tol(*_old_sup(e), tol) <= 0 for e in idems):
         return False
     n = ring.rank
     unit = ([1] + [0] * (n - 1), [0] * n, 0)
     total = reduce(lambda a, b: _old_combine(a, 1, b, 1), idems)
-    if _cmp_tol(*_old_sup(_old_combine(total, 1, unit, -1)), tol) > 0:
+    if cmp_tol(*_old_sup(_old_combine(total, 1, unit, -1)), tol) > 0:
         return False
     rows = _nonzero_rows(ring.fusion)
     return all(
-        _cmp_tol(max(_old_commutator_residuals(rows, e)), 2 * e[2],
-                 tol) <= 0 for e in idems)
+        cmp_tol(max(_old_commutator_residuals(rows, e)), 2 * e[2],
+                tol) <= 0 for e in idems)
 
 
 def a4_character_ring():
@@ -496,7 +494,7 @@ def test_element_product_matches_the_reference_kernel(name, kind):
 def test_batched_averaging_squares_match_the_reference_kernel(name):
     ring = BATCH_RINGS[name]()
     rows = _nonzero_rows(ring.fusion)
-    dims = _mantissas(fp_dims(ring).values)
+    dims = mantissas(fp_dims(ring).values)
     w = dims[0]
     subs = enumerate_subrings(ring)
     W = np.zeros((len(subs), ring.rank), dtype=object)
@@ -534,7 +532,7 @@ def test_batched_split_matches_the_per_idempotent_loop(name, digits):
             if new is None:
                 continue
             rows = _nonzero_rows(ring.fusion)
-            assert (_commutators(ring, _stack(old)).tolist()
+            assert (commutators(ring, stack(old)).tolist()
                     == [_old_commutator_residuals(rows, e) for e in old])
             certified = _old_certified(ring, old, len(Z), tol)
             assert _certified(ring, new, len(Z), tol) == certified
@@ -559,7 +557,7 @@ def test_certification_refuses_a_noncentral_idempotent():
     plus, minus = [0] * ring.rank, [0] * ring.rank
     plus[0] = minus[0] = half
     plus[s], minus[s] = half, -half
-    idems = [_mantissas(plus), _mantissas(minus)]
+    idems = [mantissas(plus), mantissas(minus)]
     tol = min(mp.mpf(TOL), working_tol())
     assert not _certified(ring, idems, 2, tol)
 
@@ -635,12 +633,14 @@ def test_idempotent_read_on_demand_matches_the_eager_values(name, digits):
 
 
 def _rounded_rows_reference(re, im, exps):
-    """_rounded_on_grid as one from_man_exp(n, e, mp.prec, round_nearest)
-    per part, then _on_grid of each row."""
+    """rounded_on_grid as one from_man_exp(n, e, mp.prec, round_nearest)
+    per part, then mantissas of each row."""
     prec = mp.mp.prec
-    rows = [_on_grid([(from_man_exp(a, e, prec, round_nearest),
-                       from_man_exp(b, e, prec, round_nearest))
-                      for a, b in zip(ra, rb)])
+
+    def part(n, e):
+        return mp.mp.make_mpf(from_man_exp(n, e, prec, round_nearest))
+    rows = [mantissas([mp.mpc(part(a, e), part(b, e))
+                       for a, b in zip(ra, rb)])
             for ra, rb, e in zip(re, im, exps)]
     return [r[0] for r in rows], [r[1] for r in rows], [r[2] for r in rows]
 
@@ -684,8 +684,8 @@ def test_rounded_on_grid_matches_from_man_exp(prec):
     seen_carry = seen_even_tie = seen_odd_tie = False
     with mp.workprec(prec):
         for re, im, exps in _rounding_cases(prec, rng):
-            got = _rounded_on_grid(np.array(re, dtype=object),
-                                   np.array(im, dtype=object), exps)
+            got = rounded_on_grid(np.array(re, dtype=object),
+                                  np.array(im, dtype=object), exps)
             assert ([r.tolist() for r in got[0]], [r.tolist() for r in got[1]],
                     got[2]) == _rounded_rows_reference(re, im, exps)
             for x in (abs(v) for row in re + im for v in row):
