@@ -160,8 +160,10 @@ class Ambient:
         duals = [self.dual[x] for x in xs]
         if self.modular is not None:
             s = self.modular.s
-            rows = stack([mantissas([as_mpc(v) / as_mpc(s[0][x])
-                                     for v in s[x]]) for x in duals])
+            re, im, exps = stack([mantissas([as_mpc(v) / as_mpc(s[0][x])
+                                             for v in s[x]]) for x in duals])
+            # shaped (0, rank) also without rows, as the other paths are
+            rows = re.reshape(-1, self.rank), im.reshape(-1, self.rank), exps
         else:
             # each distinct value object converted, multiplied and
             # inverted once; a product ambient shares equal values

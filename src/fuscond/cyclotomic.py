@@ -497,12 +497,28 @@ def exact_scalar(x):
     return None
 
 
-def _value_key(x) -> tuple:
-    # equal keys mean equal values of one type; a Cyc by its reduced
-    # fields, floats by repr, which tells 0.0 from -0.0
+def value_key(x) -> tuple:
+    """The package's one key for telling scalars apart: equal keys mean
+    equal values of one type; a Cyc by its reduced fields, floats by repr,
+    which tells 0.0 from -0.0."""
     if isinstance(x, Cyc):
         return (Cyc, x.order, x.num, x.den)
     return (type(x), repr(x) if isinstance(x, (float, complex)) else x)
+
+
+def distinct(values) -> tuple:
+    """(firsts, index): the first value of each distinct value_key in
+    values, in order, and for each value the position of its key in
+    firsts, so that a per-value step runs once per distinct value."""
+    where, firsts, index = {}, [], []
+    for v in values:
+        k = value_key(v)
+        i = where.get(k)
+        if i is None:
+            i = where[k] = len(firsts)
+            firsts.append(v)
+        index.append(i)
+    return firsts, index
 
 
 def pair_products(xs, ys) -> list:
@@ -511,20 +527,12 @@ def pair_products(xs, ys) -> list:
     Each distinct pair of values is multiplied once, and equal products
     are one shared object, so a Cyc among them converts to mpmath once.
     """
-    kx = [_value_key(x) for x in xs]
-    ky = [_value_key(y) for y in ys]
-    memo, shared = {}, {}
-    out = []
-    for x, a in zip(xs, kx):
-        row = []
-        for y, b in zip(ys, ky):
-            p = memo.get((a, b))
-            if p is None:
-                p = x * y
-                p = memo[(a, b)] = shared.setdefault(_value_key(p), p)
-            row.append(p)
-        out.append(row)
-    return out
+    fx, ix = distinct(xs)
+    fy, iy = distinct(ys)
+    shared = {}
+    table = [[shared.setdefault(value_key(p), p) for p in (x * y for y in fy)]
+             for x in fx]
+    return [[table[a][b] for b in iy] for a in ix]
 
 
 def exact_vector(values):

@@ -8,6 +8,8 @@ the numeric tolerance.
 """
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -15,7 +17,7 @@ from itertools import chain
 import mpmath as mp
 import numpy as np
 
-from .cyclotomic import (ROUND_TOL, TOL, Cyc, as_complex, as_mpc,
+from .cyclotomic import (ROUND_TOL, TOL, Cyc, as_complex, as_mpc, distinct,
                          exact_scalar as _exact, exact_vector, pair_products)
 from .errors import NumericalDegeneracyError, SchemaError, ValidationReport
 from .ring import BasedRing, DimVector, check_basis, product_basis
@@ -60,9 +62,11 @@ class ModularData:
         return [[as_mpc(v) for v in row] for row in self.s]
 
     def s_complex(self) -> np.ndarray:
-        """The S-matrix as one complex128 array, whatever mp.dps is."""
-        return np.array([[as_complex(v) for v in row] for row in self.s],
-                        dtype=complex)
+        """The S-matrix as one complex128 array, whatever mp.dps is; each
+        distinct entry is converted once."""
+        firsts, index = distinct(chain.from_iterable(self.s))
+        z = np.array([as_complex(v) for v in firsts], dtype=complex)
+        return z[index].reshape(self.rank, self.rank)
 
     def reverse(self) -> "ModularData":
         """Same fusion with the braiding reversed: conjugate S and twists."""
@@ -81,8 +85,18 @@ def dims(md: ModularData) -> DimVector:
 def _is_root_of_unity(t, tol):
     te = _exact(t)
     if te is not None:
+        # The roots of unity of Q(zeta_n) are the zeta_m^j, m = lcm(2, n).
+        # The float64 phase names the one j that te can be, and one exact
+        # comparison decides.  The candidate is built at te's own order n:
+        # for odd n, zeta_2n = -zeta_n^((n + 1) / 2), and an order 2n above
+        # ORDER_CAP would leave Cyc.__eq__ to its float path.
         n = te.order
-        return (te ** (2 * n if n % 2 else n)) == 1
+        m = n if n % 2 == 0 else 2 * n
+        j = round(m * cmath.phase(as_complex(te)) / (2 * math.pi))
+        if m == n:
+            return te == Cyc.zeta(n, j)
+        cand = Cyc.zeta(n, j * (n + 1) // 2)
+        return te == (-cand if j % 2 else cand)
     tn = as_mpc(t)
     if abs(abs(tn) - 1) > tol:
         return False
@@ -102,13 +116,15 @@ def _bad_pairs(mask) -> list:
 def validate(md: ModularData, tol=TOL) -> ValidationReport:
     """Axioms for unnormalized pseudounitary modular data.
 
-    The unit, dimension and twist checks touch R values and run at the
-    working precision.  Symmetry, unitarity (S conj(S)^T = dim I) and
-    duality (S^2 = dim C) run in float64 on s_complex(); the last two are
-    bounded by max(tol, 16 R eps) * max(1, dim), so a tol below the
-    float64 rounding error does not fail exact data.  The comparisons are
-    NaN-safe, so a NaN entry fails them.  The last check is Verlinde
-    integrality: the coefficient verlinde refuses is one more problem.
+    The unit and dimension checks touch R values and run at the working
+    precision.  The twist check runs once per distinct twist: one exact
+    comparison for an exact twist, powers at tol for a float one.
+    Symmetry, unitarity (S conj(S)^T = dim I) and duality (S^2 = dim C)
+    run in float64 on s_complex(); the last two are bounded by
+    max(tol, 16 R eps) * max(1, dim), so a tol below the float64 rounding
+    error does not fail exact data.  The comparisons are NaN-safe, so a
+    NaN entry fails them.  The last check is Verlinde integrality: the
+    coefficient verlinde refuses is one more problem.
     """
     rep = ValidationReport()
     r = md.rank
@@ -150,8 +166,10 @@ def validate(md: ModularData, tol=TOL) -> ValidationReport:
         if bad:
             rep.add(f"S^2 does not implement the declared duality at {bad}")
 
-    for j, t in enumerate(md.twists):
-        if not _is_root_of_unity(t, tol):
+    firsts, index = distinct(md.twists)
+    roots = [_is_root_of_unity(t, tol) for t in firsts]
+    for j, i in enumerate(index):
+        if not roots[i]:
             rep.add(f"twist {j} is not a root of unity (order cap {TWIST_ORDER_CAP})")
 
     try:

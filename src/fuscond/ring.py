@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cyclotomic import _value_key, as_mpc, exact_vector
+from .cyclotomic import as_mpc, distinct, exact_vector
 from .errors import CapabilityError, NumericalDegeneracyError, SchemaError, ValidationReport
 
 SUBRING_BUDGET = 1000  # subrings enumerate_subrings finds before refusing
@@ -135,13 +135,8 @@ class DimVector:
     def _exact_squares(self) -> tuple:
         """The square of each distinct exact value, and for each index the
         position of its value's square."""
-        where, squares = {}, []
-        for d in self.exact:
-            k = _value_key(d)
-            if k not in where:
-                where[k] = len(squares)
-                squares.append(d * d)
-        return squares, [where[_value_key(d)] for d in self.exact]
+        firsts, index = distinct(self.exact)
+        return [d * d for d in firsts], index
 
     def total(self, subset=None):
         """Sum of d_i^2 over the indices in subset (default: all).  Exact

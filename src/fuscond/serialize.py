@@ -2,7 +2,9 @@
 
 Emission is canonical: fixed key order, floats printed with 17 significant
 digits, exact scalars as cyclotomic coefficient vectors.  emit -> parse ->
-emit is byte-identical.
+emit is byte-identical.  Equal scalars of one emitted tree may be one
+shared encoding object, which dumps renders once; the tree is still plain
+JSON.  Reading a document reads each distinct cyclotomic encoding once.
 
 A bundle's ambient is written in one of four forms: {"mtc": ...},
 {"ring": ..., "dims": ..., "twists": ...}, {"table": ...}, or
@@ -26,7 +28,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .condense import Ambient, CondensableAlgebra, CondensationBundle
-from .cyclotomic import ORDER_CAP, Cyc, as_mpc, exact_scalar
+from .cyclotomic import ORDER_CAP, Cyc, as_mpc, exact_scalar, value_key
 from .errors import SchemaError
 from .modular import ModularData
 from .ring import BasedRing, DimVector, fp_dims
@@ -51,6 +53,19 @@ def emit_scalar(x) -> dict:
                                "coeffs": [_ratio(c, ex.den) for c in ex.num]}}
     z = as_mpc(x)
     return {"re": float(z.real), "im": float(z.imag)}
+
+
+def _encodings(values, memo: dict) -> list:
+    """emit_scalar of each value, where equal values (value_key) share the
+    one encoding in memo, which lives for one emitted document."""
+    out = []
+    for v in values:
+        k = value_key(v)
+        enc = memo.get(k)
+        if enc is None:
+            enc = memo[k] = emit_scalar(v)
+        out.append(enc)
+    return out
 
 
 def _read_cyclotomic(body, where: str, memo: dict) -> Cyc:
@@ -82,24 +97,27 @@ def _read_cyclotomic(body, where: str, memo: dict) -> Cyc:
 
 
 def _parse_scalar(obj, where: str, memo: dict):
-    if isinstance(obj, bool):
+    # the encoding an emitted document holds throughout comes first
+    if isinstance(obj, dict):
+        keys = set(obj)
+        if keys == {"cyclotomic"}:
+            return _read_cyclotomic(obj["cyclotomic"], where, memo)
+        if keys == {"re", "im"}:
+            try:
+                z = complex(float(obj["re"]), float(obj["im"]))
+            except (TypeError, ValueError):
+                raise SchemaError(f"{where}: re/im must be numbers")
+            if not cmath.isfinite(z):
+                raise SchemaError(f"{where}: scalar must be finite, got {z}")
+            return z.real if z.imag == 0.0 else z
+    elif isinstance(obj, bool):
         raise SchemaError(f"{where}: booleans are not scalars")
-    if isinstance(obj, int):
+    elif isinstance(obj, int):
         return Cyc.rational(obj)
-    if isinstance(obj, float):
+    elif isinstance(obj, float):
         if not cmath.isfinite(obj):
             raise SchemaError(f"{where}: scalar must be finite, got {obj}")
         return obj
-    if isinstance(obj, dict) and set(obj) == {"cyclotomic"}:
-        return _read_cyclotomic(obj["cyclotomic"], where, memo)
-    if isinstance(obj, dict) and set(obj) == {"re", "im"}:
-        try:
-            z = complex(float(obj["re"]), float(obj["im"]))
-        except (TypeError, ValueError):
-            raise SchemaError(f"{where}: re/im must be numbers")
-        if not cmath.isfinite(z):
-            raise SchemaError(f"{where}: scalar must be finite, got {z}")
-        return z.real if z.imag == 0.0 else z
     raise SchemaError(f"{where}: not a recognized scalar encoding")
 
 
@@ -107,20 +125,19 @@ def parse_scalar(obj, where: str = "scalar"):
     return _parse_scalar(obj, where, {})
 
 
-def _scalars(raw, where: str) -> list:
+def _scalars(raw, where: str, memo: dict) -> list:
     """The scalars of a list of encodings.  Equal cyclotomic encodings are
     read once and give one shared Cyc, so its to_mpc cache serves them all;
-    the memo lives for this one call."""
+    memo lives for one document."""
     if not isinstance(raw, list):
         raise SchemaError(f"{where}: expected a list of scalars")
-    memo = {}
     return [_parse_scalar(v, where, memo) for v in raw]
 
 
 # ---------------------------------------------------------------- canonical
 
 
-def _canon(obj) -> str:
+def _canon(obj, memo: dict) -> str:
     t = type(obj)
     # the exact JSON types first; None, bool, numpy ints, floats and
     # subclasses take the isinstance chain below
@@ -142,15 +159,23 @@ def _canon(obj) -> str:
         if not isinstance(obj, (dict, list, tuple)):
             raise SchemaError(f"cannot serialize {type(obj).__name__}")
     if isinstance(obj, dict):
-        inner = ", ".join(f"{encode_basestring_ascii(str(k))}: {_canon(v)}"
-                          for k, v in obj.items())
-        return "{" + inner + "}"
-    return "[" + ", ".join(map(_canon, obj)) + "]"
+        # a dict that occurs more than once, as a shared scalar encoding
+        # does, is rendered once
+        out = memo.get(id(obj))
+        if out is None:
+            inner = ", ".join(
+                f"{encode_basestring_ascii(str(k))}: {_canon(v, memo)}"
+                for k, v in obj.items())
+            out = memo[id(obj)] = "{" + inner + "}"
+        return out
+    return "[" + ", ".join([_canon(v, memo) for v in obj]) + "]"
 
 
 def dumps(obj) -> str:
-    """Canonical single-line JSON with a trailing newline."""
-    return _canon(obj) + "\n"
+    """Canonical single-line JSON with a trailing newline.  The memo on
+    the identity of each dict lives for this one call, while obj keeps
+    every dict in it alive."""
+    return _canon(obj, {}) + "\n"
 
 
 # ------------------------------------------------------------------ helpers
@@ -262,13 +287,21 @@ def parse_ring(obj) -> BasedRing:
 
 
 def emit_modular(md: ModularData) -> dict:
+    return _emit_modular(md, {})
+
+
+def _emit_modular(md: ModularData, memo: dict) -> dict:
     return {"schema": "mtc.v1", "rank": md.rank, "labels": list(md.labels),
             "dual": list(md.dual),
-            "s_matrix": [[emit_scalar(v) for v in row] for row in md.s],
-            "twists": [emit_scalar(t) for t in md.twists]}
+            "s_matrix": [_encodings(row, memo) for row in md.s],
+            "twists": _encodings(md.twists, memo)}
 
 
 def parse_modular(obj) -> ModularData:
+    return _parse_modular(obj, {})
+
+
+def _parse_modular(obj, memo: dict) -> ModularData:
     where = "mtc.v1"
     if not isinstance(obj, dict):
         raise SchemaError(f"{where}: expected an object")
@@ -284,9 +317,10 @@ def parse_modular(obj) -> ModularData:
         raise SchemaError(f"{where}: s_matrix must be rank x rank")
     if len(twists) != r:
         raise SchemaError(f"{where}: need one twist per label")
-    flat = _scalars([v for row in s_lists for v in row], f"{where}: s_matrix")
+    flat = _scalars([v for row in s_lists for v in row], f"{where}: s_matrix",
+                    memo)
     s = tuple(tuple(flat[i:i + r]) for i in range(0, r * r, r))
-    tw = tuple(_scalars(twists, f"{where}: twists"))
+    tw = tuple(_scalars(twists, f"{where}: twists", memo))
     return ModularData(labels=tuple(str(x) for x in labels),
                        dual=tuple(dual), s=s, twists=tw)
 
@@ -294,25 +328,25 @@ def parse_modular(obj) -> ModularData:
 # ----------------------------------------------------------------- bundle.v1
 
 
-def _emit_ambient(amb: Ambient) -> dict:
+def _emit_ambient(amb: Ambient, memo: dict) -> dict:
     if amb.modular is not None:
-        return {"mtc": emit_modular(amb.modular)}
+        return {"mtc": _emit_modular(amb.modular, memo)}
     if amb.factors is not None:
-        return {"product": [_emit_ambient(f) for f in amb.factors]}
-    dims = [emit_scalar(v) for v in amb.dims.values]
+        return {"product": [_emit_ambient(f, memo) for f in amb.factors]}
+    dims = _encodings(amb.dims.values, memo)
     twists = (None if amb.twists is None
-              else [emit_scalar(t) for t in amb.twists])
+              else _encodings(amb.twists, memo))
     if amb.ring is not None:
         return {"ring": emit_ring(amb.ring), "dims": dims, "twists": twists}
     return {"table": {"labels": list(amb.labels), "dual": list(amb.dual),
                       "dims": dims, "twists": twists}}
 
 
-def _parse_dims(raw, where) -> DimVector:
-    return DimVector(values=tuple(_scalars(raw, where)))
+def _parse_dims(raw, where, memo: dict) -> DimVector:
+    return DimVector(values=tuple(_scalars(raw, where, memo)))
 
 
-def _parse_ambient(obj) -> Ambient:
+def _parse_ambient(obj, memo: dict) -> Ambient:
     where = "bundle.v1: ambient"
     if not isinstance(obj, dict):
         raise SchemaError(f"{where}: expected an object")
@@ -321,15 +355,15 @@ def _parse_ambient(obj) -> Ambient:
         if type(pair) is not list or len(pair) != 2:
             raise SchemaError(f"{where}: product must be a list of two "
                               "factors")
-        return Ambient.from_product(*map(_parse_ambient, pair))
+        return Ambient.from_product(*(_parse_ambient(f, memo) for f in pair))
     if set(obj) == {"mtc"}:
-        return Ambient.from_modular(parse_modular(obj["mtc"]))
+        return Ambient.from_modular(_parse_modular(obj["mtc"], memo))
     if set(obj) == {"ring", "dims", "twists"}:
         ring = parse_ring(obj["ring"])
-        dims = _parse_dims(_need(obj, "dims", list, where), where)
+        dims = _parse_dims(_need(obj, "dims", list, where), where, memo)
         tw = obj["twists"]
         twists = (None if tw is None
-                  else tuple(_scalars(tw, f"{where}: twists")))
+                  else tuple(_scalars(tw, f"{where}: twists", memo)))
         return Ambient.from_ring(ring, dims, twists=twists)
     if set(obj) == {"table"}:
         t = obj["table"]
@@ -337,10 +371,10 @@ def _parse_ambient(obj) -> Ambient:
             raise SchemaError(f"{where}: table must be an object")
         labels = _need(t, "labels", list, where)
         dual = _int_list(t, "dual", where)
-        dims = _parse_dims(_need(t, "dims", list, where), where)
+        dims = _parse_dims(_need(t, "dims", list, where), where, memo)
         tw = t.get("twists")
         twists = (None if tw is None
-                  else tuple(_scalars(tw, f"{where}: twists")))
+                  else tuple(_scalars(tw, f"{where}: twists", memo)))
         if twists is None:
             raise SchemaError(f"{where}: a bare table needs twists")
         return Ambient.from_table(labels, dual, dims, twists)
@@ -350,11 +384,12 @@ def _parse_ambient(obj) -> Ambient:
 def emit_bundle(b: CondensationBundle) -> dict:
     induction = (None if b.induction is None
                  else [[int(v) for v in row] for row in np.asarray(b.induction)])
+    memo = {}
     return {"schema": "bundle.v1",
-            "ambient": _emit_ambient(b.ambient),
+            "ambient": _emit_ambient(b.ambient, memo),
             "mult": [int(v) for v in b.mult],
             "module_ring": emit_ring(b.module_ring),
-            "dA": [emit_scalar(v) for v in b.dA.values],
+            "dA": _encodings(b.dA.values, memo),
             "induction": induction,
             "local": [int(v) for v in b.local]}
 
@@ -363,14 +398,15 @@ def parse_bundle(obj) -> CondensationBundle:
     where = "bundle.v1"
     if not isinstance(obj, dict):
         raise SchemaError(f"{where}: expected an object")
-    amb = _parse_ambient(_need(obj, "ambient", dict, where))
+    memo = {}
+    amb = _parse_ambient(_need(obj, "ambient", dict, where), memo)
     mult = tuple(_int_list(obj, "mult", where))
     module = parse_ring(_need(obj, "module_ring", dict, where))
     raw_da = obj.get("dA")
     if raw_da is None:
         dA = fp_dims(module)
     else:
-        dA = _parse_dims(raw_da, f"{where}: dA")
+        dA = _parse_dims(raw_da, f"{where}: dA", memo)
     raw_m = obj.get("induction")
     if raw_m is None:
         induction = None

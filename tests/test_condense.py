@@ -578,11 +578,12 @@ def test_character_row_follows_the_working_precision():
                     == listed(fresh.character_row([x])))
 
 
-@pytest.mark.parametrize("family,n", [("a2n", 2), ("vlplus-orbifold", 1)])
+@pytest.mark.parametrize("family,n", [("a2n", 2), ("vlplus-orbifold", 1),
+                                      ("toric-code", None)])
 def test_character_row_of_no_index_is_the_empty_stack(family, n):
-    # a product ambient (a2n) and a ring ambient (the orbifold)
+    # a product ambient (a2n), a ring ambient (the orbifold) and a modular
+    # one (the toric code)
     amb = bundle(family, n).ambient
-    assert amb.factors is not None or amb.ring is not None
     re, im, exp = amb.character_row([])
     assert re.shape == im.shape == (0, amb.rank) and exp == 0
 

@@ -1,4 +1,5 @@
 import importlib.util
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath as mp
@@ -156,6 +157,55 @@ def test_twist_must_be_root_of_unity():
     rep = validate(bad)
     assert not rep.ok
     assert any("twist" in p for p in rep.problems)
+
+
+# The roots of unity of Q(zeta_N) are the zeta_lcm(2, N)^a.  The orders
+# run up to ORDER_CAP, with odd orders whose double passes it.
+ROOT_ORDERS = (1, 2, 3, 5, 8, 12, 24, 1199, 2399, 2400)
+
+
+def _exponents(n):
+    return sorted({0, 1, 2 % n, n // 3, n // 2, n - 1, 7 % n, 5 * n // 7})
+
+
+@pytest.mark.parametrize("n", ROOT_ORDERS)
+def test_powers_of_zeta_are_roots_of_unity(n):
+    for a in _exponents(n):
+        assert _is_root_of_unity(Cyc.zeta(n, a), TOL), a
+        assert _is_root_of_unity(-Cyc.zeta(n, a), TOL), a
+
+
+@pytest.mark.parametrize("n", [1, 3, 5, 7, 1199, 2399])
+def test_minus_zeta_of_odd_order_is_a_root_of_unity(n):
+    # a root of unity of order 2n written at the odd order n
+    assert _is_root_of_unity(-Cyc.zeta(n), TOL)
+
+
+@pytest.mark.parametrize("n", ROOT_ORDERS)
+def test_twice_a_root_of_unity_is_not_one(n):
+    assert not _is_root_of_unity(2 * Cyc.zeta(n), TOL)
+
+
+@pytest.mark.parametrize("dps", [15, 64])
+def test_values_of_modulus_one_or_near_a_root_are_not_roots(dps):
+    with mp.workdps(dps):
+        # (3 + 4i)/5 has modulus 1 but no power of it is 1
+        assert not _is_root_of_unity(Cyc(4, [Fraction(3, 5), Fraction(4, 5)]),
+                                     TOL)
+        # 1e-70 away from zeta_2399: only an exact comparison tells
+        near = Cyc.zeta(2399) + Fraction(1, 10 ** 70)
+        assert near.order == 2399
+        assert not _is_root_of_unity(near, TOL)
+
+
+def test_each_index_of_a_repeated_bad_twist_is_reported():
+    bad = Cyc(4, [Fraction(3, 5), Fraction(4, 5)])
+    one = Cyc.rational(1)
+    md = ModularData(labels=("1", "e", "m", "f"), dual=(0, 1, 2, 3),
+                     s=toric_data().s, twists=(one, bad, one, bad))
+    assert validate(md).problems == [
+        f"twist {j} is not a root of unity (order cap {TWIST_ORDER_CAP})"
+        for j in (1, 3)]
 
 
 def test_negative_dim_rejected():
@@ -431,6 +481,18 @@ def test_s_complex_matches_s_numeric(dps):
             got = md.s_complex()
             assert got.dtype == np.complex128
             assert np.max(np.abs(got - want)) <= 1e-12, name
+
+
+@pytest.mark.parametrize("dps", [15, 64])
+def test_s_complex_is_the_per_entry_conversion_bit_for_bit(dps):
+    # one conversion per distinct entry fills the same array
+    cases = [(name, md) for name, md, _ in PINNING]
+    cases.append(("coset-su2-10", families.coset_su2(10).ambient.modular))
+    with mp.workdps(dps):
+        for name, md in cases:
+            want = np.array([[as_complex(v) for v in row] for row in md.s],
+                            dtype=complex)
+            assert md.s_complex().tobytes() == want.tobytes(), name
 
 
 @pytest.mark.parametrize("md", [families.su2(k) for k in range(1, 7)]

@@ -21,6 +21,7 @@ from fuscond.serialize import (
     FUSION_ENTRY_CAP,
     detect,
     dumps,
+    emit_any,
     emit_bundle,
     emit_modular,
     emit_ring,
@@ -111,13 +112,13 @@ def test_bad_coefficient_after_a_valid_duplicate_keeps_the_message(bad):
     # ["1", 1] == ["1", True] as JSON values; the memo keys on strings
     raw = [_cyc(4, ["1", 1]), _cyc(4, ["1", 1]), _cyc(4, ["1", bad])]
     with pytest.raises(SchemaError) as info:
-        _scalars(raw, "scalar")
+        _scalars(raw, "scalar", {})
     assert str(info.value) == _fraction_message(bad)
 
 
 def test_memo_does_not_confuse_one_with_true():
     with pytest.raises(SchemaError) as info:
-        _scalars([_cyc(1, ["1", 1]), _cyc(1, ["1", True])], "scalar")
+        _scalars([_cyc(1, ["1", 1]), _cyc(1, ["1", True])], "scalar", {})
     assert str(info.value) == _fraction_message(True)
 
 
@@ -125,7 +126,7 @@ def test_equal_encodings_in_one_call_share_one_cyc():
     raw = json.loads(json.dumps([_cyc(8, ["0", "1"]), _cyc(8, ["0", "1/2"]),
                                  _cyc(8, ["0", "1"]), 3, _cyc(8, ["0", "1"]),
                                  _cyc(8, ["0", "2/4"])]))
-    got = _scalars(raw, "x")
+    got = _scalars(raw, "x", {})
     assert got[0] is got[2] is got[4]
     assert got[0] == Cyc.zeta(8) and got[1] == Cyc.zeta(8) / 2
     # equal values under different strings are read apart
@@ -554,6 +555,76 @@ def test_modular_rejects_ragged_s():
     obj["s_matrix"] = obj["s_matrix"][:2]
     with pytest.raises(SchemaError):
         parse_modular(obj)
+
+
+def _built_ins():
+    out = [(f"{family}-{n}", (family, n)) for family in ("a2n", "a2nplus1")
+           for n in range(1, FAMILY_CAP + 1)]
+    out += [(f"coset-su2-{k}", ("coset-su2", k)) for k in range(1, 11)]
+    out += [(name, (name, None)) for name in ("toric-code", "ising-square")]
+    return out + [("vlplus-orbifold-1", ("vlplus-orbifold", 1)),
+                  ("toric-mtc", toric_modular), ("ising-mtc", ising_modular)]
+
+
+_BUILT_INS = _built_ins()
+
+
+@pytest.mark.parametrize("make", [m for _, m in _BUILT_INS],
+                         ids=[name for name, _ in _BUILT_INS])
+def test_shared_scalar_encodings_do_not_show_in_the_bytes(make):
+    value = bundle(*make) if isinstance(make, tuple) else make()
+    obj = emit_any(value)
+    plain = json.loads(json.dumps(obj))
+    assert plain == obj
+    assert dumps(obj) == dumps(plain)
+
+
+def test_equal_scalars_of_one_document_share_one_encoding():
+    obj = emit_bundle(bundle("coset-su2", 4))
+    mtc = obj["ambient"]["mtc"]
+    entries = [e for row in mtc["s_matrix"] for e in row]
+    entries += mtc["twists"] + obj["dA"]
+    assert len({id(e) for e in entries}) == len({dumps(e) for e in entries})
+    # the unit entry of S and the dA of the unit are one object
+    assert mtc["s_matrix"][0][0] is obj["dA"][0]
+
+
+def test_float_and_re_im_scalars_parse_and_emit_as_before():
+    # equal floats and complex values, and 0.0 beside -0.0, as the
+    # emission read them before equal scalars shared one encoding
+    mtc = {"schema": "mtc.v1", "rank": 2, "labels": ["1", "s"],
+           "dual": [0, 1],
+           "s_matrix": [[1.0, {"re": 1.0, "im": 0.0}], [1, -1.0]],
+           "twists": [{"re": -0.0, "im": 1.0}, {"re": 0.0, "im": 1.0}]}
+    table = {"schema": "bundle.v1",
+             "ambient": {"table": {
+                 "labels": ["1", "a"], "dual": [0, 1], "dims": [1, 1.0],
+                 "twists": [{"re": 1.0, "im": 0.0},
+                            {"re": -1.0, "im": 0.0}]}},
+             "mult": [1, 1],
+             "module_ring": {"schema": "ring.v1", "rank": 1, "labels": ["1"],
+                             "unit": 0, "dual": [0], "fusion": [1]},
+             "dA": [2.0], "induction": None, "local": [0]}
+    one = '{"cyclotomic": {"order": 1, "coeffs": ["1"]}}'
+    assert dumps(emit_any(loads(json.dumps(mtc)))) == (
+        '{"schema": "mtc.v1", "rank": 2, "labels": ["1", "s"], '
+        '"dual": [0, 1], "s_matrix": [[{"re": 1, "im": 0}, '
+        '{"re": 1, "im": 0}], [' + one + ', {"re": -1, "im": 0}]], '
+        '"twists": [{"re": 0, "im": 1}, {"re": 0, "im": 1}]}\n')
+    assert dumps(emit_any(loads(json.dumps(table)))) == (
+        '{"schema": "bundle.v1", "ambient": {"table": {"labels": ["1", "a"], '
+        '"dual": [0, 1], "dims": [' + one + ', {"re": 1, "im": 0}], '
+        '"twists": [{"re": 1, "im": 0}, {"re": -1, "im": 0}]}}, '
+        '"mult": [1, 1], "module_ring": {"schema": "ring.v1", "rank": 1, '
+        '"labels": ["1"], "unit": 0, "dual": [0], "fusion": [1]}, '
+        '"dA": [{"re": 2, "im": 0}], "induction": null, "local": [0]}\n')
+
+
+def test_one_document_reads_each_encoding_once():
+    # the S-matrix, the twists and dA of one bundle share the memo
+    back = loads(dumps(emit_bundle(bundle("coset-su2", 2))))
+    s = back.ambient.modular.s
+    assert s[0][0] is back.ambient.modular.twists[0] is back.dA.values[0]
 
 
 # ------------------------------------------------------------------ bundles
