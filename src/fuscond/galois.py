@@ -19,7 +19,7 @@ from .condense import (CondensationBundle, SchurWeylReport, _check_averaging,
                        block_dims)
 from .cyclotomic import ROUND_TOL, TOL, as_mpc
 from .errors import NumericalDegeneracyError, TheoremViolationError
-from .mantissa import mantissas, round_quotient
+from .mantissa import mantissas, nearest, round_quotient
 from .ring import enumerate_subrings
 
 
@@ -85,38 +85,50 @@ def _invariants(swr: SchurWeylReport, subs, dims):
     """invariant_subalgebra of each sorted sub of subs in turn, once
     _check_averaging has passed them all.  The sums
     sum_{y in B} w_y (re, im)_b[y] of every sub and ideal block b are one
-    product of its weight rows with the ideal rows of the table."""
+    product of its weight rows with the ideal rows of the table, and every
+    n'_b is rounded and checked in one elementwise pass over them.  A
+    failing sub raises when its turn comes: the first of its blocks that
+    is fuzzy or out of range, else its self-duality."""
     b = swr.bundle
     W, D = _check_averaging(b.module_ring, subs, dims)
     re, im, exp = swr.character_mantissas
     ideal = tuple(np.flatnonzero(swr.in_ideal).tolist())
+    k = len(ideal)
     sums = W @ np.vstack([re[list(ideal)], im[list(ideal)]]).T
-    dual = b.ambient.dual
-    for sub, d, row in zip(subs, D, sums.tolist()):
-        n_prime = []
-        for bi, x, y in zip(ideal, row, row[len(ideal):]):
-            m = swr.blocks[bi].m
-            n = round_quotient(x, y, exp - dims[2], m * d,
-                                f"block multiplicity for subring {sub}")
-            if not 0 <= n <= m:
-                raise TheoremViolationError(
-                    f"block multiplicity {n} outside [0, {m}] for "
-                    f"subring {sub}")
-            n_prime.append(n)
+    ms = np.array([swr.blocks[bi].m for bi in ideal], dtype=object)
+    dens = np.array(D, dtype=object)[:, None] * ms
+    N, far = nearest(sums[:, :k], sums[:, k:], exp - dims[2], dens)
+    bad = far | (N < 0) | (N > ms)
+    matched = [swr.matched[bi] for bi in ideal]
+    V = None
+    if None not in matched:
+        V = np.zeros((len(subs), b.ambient.rank), dtype=object)
+        V[:, matched] = N
+        skew = V != V[:, list(b.ambient.dual)]
+    for r, sub in enumerate(subs):
+        if bad[r].any():
+            c = int(np.argmax(bad[r]))
+            if far[r, c]:
+                # the same rounding of that one value, which raises
+                round_quotient(sums[r, c], sums[r, k + c], exp - dims[2],
+                               dens[r, c],
+                               f"block multiplicity for subring {sub}")
+            raise TheoremViolationError(
+                f"block multiplicity {N[r, c]} outside [0, {ms[c]}] for "
+                f"subring {sub}")
         vec = None
-        if all(swr.matched[bi] is not None for bi in ideal):
-            v = [0] * b.ambient.rank
-            for bi, n in zip(ideal, n_prime):
-                v[swr.matched[bi]] = n
-            for x in range(b.ambient.rank):
-                if v[x] != v[dual[x]]:
-                    raise TheoremViolationError(
-                        "invariant subalgebra is not self-dual: multiplicity "
-                        f"{v[x]} at {b.ambient.labels[x]} vs {v[dual[x]]} "
-                        f"at {b.ambient.labels[dual[x]]}")
-            vec = tuple(v)
+        if V is not None:
+            if skew[r].any():
+                x = int(np.argmax(skew[r]))
+                v, labels, dual = V[r], b.ambient.labels, b.ambient.dual
+                raise TheoremViolationError(
+                    "invariant subalgebra is not self-dual: multiplicity "
+                    f"{v[x]} at {labels[x]} vs {v[dual[x]]} at "
+                    f"{labels[dual[x]]}")
+            vec = tuple(V[r].tolist())
         yield InvariantSubalgebra(sub=sub, block_indices=ideal,
-                                  n_prime=tuple(n_prime), ambient_vector=vec)
+                                  n_prime=tuple(N[r].tolist()),
+                                  ambient_vector=vec)
 
 
 @dataclass(frozen=True)
@@ -153,6 +165,31 @@ class GaloisReport:
             if e.sub == key:
                 return e
         raise KeyError(f"no lattice entry for {key}")
+
+
+def _order_problems(entries, below, tol: float) -> list:
+    """The order-reversal and monotonicity failures of the pairs
+    below[i, j] whose entries both have a known dimension, row-major,
+    with the reversal of a pair before its monotonicity."""
+    known = np.array([e.d_invariant is not None for e in entries])
+    small, big = np.nonzero(below & known[:, None] & known)
+    d = np.array([e.d_invariant if k else 0.0
+                  for e, k in zip(entries, known)])
+    n = np.array([e.n_prime for e in entries])
+    reversal = ~(d[big] < d[small] - tol)
+    monotone = (n[big] > n[small]).any(axis=1)
+    problems = []
+    for p in np.flatnonzero(reversal | monotone):
+        lo, hi = entries[small[p]], entries[big[p]]
+        if reversal[p]:
+            problems.append(
+                f"order reversal fails: {lo.sub} < {hi.sub} but "
+                f"d {lo.d_invariant:g} !> {hi.d_invariant:g}")
+        if monotone[p]:
+            problems.append(
+                f"multiplicities not monotone: {lo.sub} < {hi.sub} "
+                f"but {hi.n_prime} !<= {lo.n_prime}")
+    return problems
 
 
 def verify_correspondence(b: CondensationBundle, tol: float = TOL, *,
@@ -240,18 +277,7 @@ def verify_correspondence(b: CondensationBundle, tol: float = TOL, *,
         member[i, list(sub)] = 1
     size = member.sum(axis=1)
     below = (member @ member.T == size[:, None]) & (size[:, None] < size)
-    for i, j in np.argwhere(below):
-        small, big = entries[i], entries[j]
-        if small.d_invariant is None or big.d_invariant is None:
-            continue
-        if not big.d_invariant < small.d_invariant - tol:
-            problems.append(
-                f"order reversal fails: {small.sub} < {big.sub} but "
-                f"d {small.d_invariant:g} !> {big.d_invariant:g}")
-        if any(nb > ns for nb, ns in zip(big.n_prime, small.n_prime)):
-            problems.append(
-                f"multiplicities not monotone: {small.sub} < {big.sub} "
-                f"but {big.n_prime} !<= {small.n_prime}")
+    problems += _order_problems(entries, below, tol)
 
     groups = {}
     for e in entries:

@@ -203,15 +203,24 @@ def quotient(num: int, exp: int, den: int) -> mp.mpf:
                                   mp.mp.prec, round_nearest))
 
 
-def round_quotient(re: int, im: int, exp: int, den: int, what: str) -> int:
-    """The integer nearest to v = (re + 1j im) 2**exp / den, for den > 0,
-    which must lie within ROUND_TOL of it, tested as one exact integer
-    comparison; what names the value in the error."""
+def nearest(re, im, exp: int, den) -> tuple:
+    """(n, far): the integer n nearest to v = (re + 1j im) 2**exp / den, for
+    den > 0, and whether v lies farther than ROUND_TOL from n, tested as one
+    exact integer comparison.  On object arrays re, im and den it is
+    elementwise; on Python ints it returns an int and a bool."""
     s = max(exp, 0)
     re, im, den = re << s, im << s, den << (s - exp)
     n = (2 * re + den) // (2 * den)
-    if cmp_tol((re - n * den) ** 2 + im * im, 0, ROUND_TOL, den) > 0:
-        val = mp.mpc(quotient(re, 0, den), quotient(im, 0, den))
+    return n, cmp_tol((re - n * den) ** 2 + im * im, 0, ROUND_TOL, den) > 0
+
+
+def round_quotient(re: int, im: int, exp: int, den: int, what: str) -> int:
+    """The integer nearest to v = (re + 1j im) 2**exp / den, for den > 0,
+    which must lie within ROUND_TOL of it; what names the value in the
+    error."""
+    n, far = nearest(re, im, exp, den)
+    if far:
+        val = mp.mpc(quotient(re, exp, den), quotient(im, exp, den))
         raise NumericalDegeneracyError(
             f"{what} = {complex(val)} is not within {ROUND_TOL} of an integer")
     return n

@@ -72,29 +72,19 @@ class BasedRing:
         return _term_plan(self.fusion)
 
     @cached_property
-    def _closure_table(self) -> tuple:
-        """Bitmask tables for closure, one per basis element x and 4-bit
-        chunk c of the basis (elements 4c..4c+3): entry v of chunks[x][c]
-        is the union of the supports of x*y and y*x over the y of chunk c
-        whose bits are set in v, read off the nonzero N[x, y, k] of the
-        fusion tensor.  duals[x] is the bit of x's dual."""
-        r = self.rank
-        # prod[x][y]: the support of x*y and of y*x, padded to whole chunks
-        prod = [[0] * (r + 3) for _ in range(r)]
-        for i, j, k in zip(*(a.tolist() for a in np.nonzero(self.fusion))):
-            prod[i][j] |= 1 << k
-            prod[j][i] |= 1 << k
-        chunks = []
-        for px in prod:
-            tables = []
-            for c in range(0, r, 4):
-                t = [0] * 16
-                for v in range(1, 16):
-                    low = v & -v
-                    t[v] = t[v ^ low] | px[c + low.bit_length() - 1]
-                tables.append(tuple(t))
-            chunks.append(tuple(tables))
-        return tuple(chunks), tuple(1 << self.dual[i] for i in range(r))
+    def _closure_pairs(self) -> tuple:
+        """(i, j, ks) for each unordered basis pair i <= j, with ks the union
+        of the supports of i*j and j*i, read off the nonzero N[i, j, k] of
+        the fusion tensor.  A pair whose ks lies inside {i, j} adds nothing
+        to a closure and is left out."""
+        S = self.fusion > 0
+        S |= S.transpose(1, 0, 2)
+        S &= np.triu(np.ones((self.rank,) * 2, dtype=bool))[:, :, None]
+        pairs = {}
+        for i, j, k in zip(*(a.tolist() for a in np.nonzero(S))):
+            pairs.setdefault((i, j), []).append(k)
+        return tuple((i, j, tuple(ks)) for (i, j), ks in pairs.items()
+                     if not set(ks) <= {i, j})
 
     def __repr__(self):
         return f"BasedRing(rank={self.rank}, labels={list(self.labels)})"
@@ -240,33 +230,37 @@ def fp_dims(ring: BasedRing) -> DimVector:
     return DimVector(values=tuple(float(x) for x in d))
 
 
-def _grow(table, s: int, new: int) -> int:
-    """The closure of the bitmask s | new under fusion products and duals,
-    given that s alone is closed: each newly added element x is multiplied,
-    on both sides, with every element added so far, by one lookup in x's
-    table per nonzero 4-bit chunk of s, until nothing new appears."""
-    chunks, duals = table
-    s |= new
-    while new:
-        parts = []
-        rest, c = s, 0
-        while rest:
-            if rest & 15:
-                parts.append((c, rest & 15))
-            rest >>= 4
-            c += 1
-        add = 0
-        while new:
-            low = new & -new
-            new ^= low
-            x = low.bit_length() - 1
-            tx = chunks[x]
-            add |= duals[x]
-            for c, v in parts:
-                add |= tx[c][v]
-        new = add & ~s
-        s |= new
-    return s
+def _transpose(rows, width: int) -> list:
+    """The bit matrix with row c the int rows[c], of width bits, as its
+    width columns: bit c of column e is bit e of rows[c]."""
+    nbytes = (width + 7) // 8
+    raw = b"".join(x.to_bytes(nbytes, "little") for x in rows)
+    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(
+        len(rows), nbytes), axis=1, count=width, bitorder="little")
+    return [int.from_bytes(col.tobytes(), "little")
+            for col in np.packbits(bits.T, axis=1, bitorder="little")]
+
+
+def _close(ring: BasedRing, seeds) -> list:
+    """The closure of each bitmask of seeds under fusion products and duals,
+    all at once, bit-sliced: col[e] holds bit c when closure c holds basis
+    element e.  Each sweep adds col[e] to col[e*], and col[i] & col[j] to
+    col[k] for each k in the support of i*j or j*i, until a sweep changes
+    nothing."""
+    col = _transpose(seeds, ring.rank)
+    duals = [(e, d) for e, d in enumerate(ring.dual) if e != d]
+    pairs = ring._closure_pairs
+    while True:
+        before = col[:]
+        for e, d in duals:
+            col[d] |= col[e]
+        for i, j, ks in pairs:
+            v = col[i] & col[j]
+            if v:
+                for k in ks:
+                    col[k] |= v
+        if col == before:
+            return _transpose(col, len(seeds))
 
 
 def _mask(indices) -> int:
@@ -292,13 +286,13 @@ def closure(ring: BasedRing, seed) -> frozenset:
     fusion products and duals.  A seed index outside the basis raises
     SchemaError."""
     seed = _mask(basis_indices(ring, seed)) | 1
-    return frozenset(_members(_grow(ring._closure_table, 0, seed)))
+    return frozenset(_members(_close(ring, [seed])[0]))
 
 
 def is_closed(ring: BasedRing, sub) -> bool:
     """Whether sub holds the unit and the dual of each member, and every
-    product of two members is supported inside sub.  Builds no closure
-    table."""
+    product of two members is supported inside sub.  Builds no
+    BasedRing._closure_pairs."""
     inside = np.zeros(ring.rank, dtype=bool)
     inside[basis_indices(ring, sub)] = True
     idx = np.flatnonzero(inside)
@@ -309,32 +303,27 @@ def is_closed(ring: BasedRing, sub) -> bool:
 def enumerate_subrings(ring: BasedRing, must_contain=()) -> list:
     """All based subrings containing ``must_contain``, as sorted index tuples.
 
-    Works by closure-driven search: grow each known subring by one extra
-    basis element and close up.  Every subring of the given ring arises this
+    Works by breadth-first closure: each level grows every subring found
+    at the level before by one extra basis element, and closes all of
+    these candidates together.  Every subring of the given ring arises this
     way, so the enumeration is exhaustive.  A lattice of more than
     SUBRING_BUDGET subrings is refused rather than enumerated to the end.
     """
-    table = ring._closure_table
-    base = _grow(table, 0, _mask(basis_indices(ring, must_contain)) | 1)
+    base = _close(ring, [_mask(basis_indices(ring, must_contain)) | 1])[0]
     found = {base}
-    stack = [base]
+    level = [base]
     # a closed s holds x exactly when it holds x*, and s with x or with x*
     # closes to the same subring, so one of each dual pair is tried
-    firsts = _mask(x for x, d in enumerate(ring.dual) if x <= d)
-    while stack:
-        s = stack.pop()
-        rest = firsts & ~s
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            t = _grow(table, s, low)
-            if t not in found:
-                found.add(t)
-                if len(found) > SUBRING_BUDGET:
-                    raise CapabilityError(
-                        "subring enumeration stops at a budget of "
-                        f"{SUBRING_BUDGET} subrings; this ring has more")
-                stack.append(t)
+    firsts = [1 << x for x, d in enumerate(ring.dual) if x <= d]
+    while level:
+        grown = list({s | x for s in level for x in firsts if not s & x}
+                     - found)
+        level = list(set(_close(ring, grown)) - found)
+        found.update(level)
+        if len(found) > SUBRING_BUDGET:
+            raise CapabilityError(
+                "subring enumeration stops at a budget of "
+                f"{SUBRING_BUDGET} subrings; this ring has more")
     return sorted(map(_members, found), key=lambda t: (len(t), t))
 
 

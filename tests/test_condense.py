@@ -29,8 +29,8 @@ from fuscond.cyclotomic import TOL, Cyc, as_mpc, working_tol
 from fuscond.errors import (CapabilityError, NumericalDegeneracyError,
                              SchemaError, TheoremViolationError)
 from fuscond.modular import verlinde
-from fuscond.ring import (BasedRing, DimVector, group_ring, is_closed,
-                          product_ring)
+from fuscond.ring import (BasedRing, DimVector, enumerate_subrings,
+                          group_ring, is_closed, product_ring)
 from fuscond.mantissa import mantissas, quotient
 
 from grouptables import cyclic, symmetric
@@ -307,7 +307,10 @@ def test_verdict_path_builds_no_closure_table():
     b = ty_bundle()
     assert check_bundle(b).ok
     schur_weyl(b)
-    assert "_closure_table" not in vars(b.module_ring)
+    assert "_closure_pairs" not in vars(b.module_ring)
+    # the name is the one the subring search builds and caches
+    enumerate_subrings(b.module_ring)
+    assert "_closure_pairs" in vars(b.module_ring)
 
 
 def test_schur_weyl_builds_no_mpmath_idempotent():

@@ -17,9 +17,12 @@ from fuscond.cyclotomic import TOL, as_mpc
 from fuscond.errors import (NumericalDegeneracyError, SchemaError,
                             TheoremViolationError)
 from fuscond.galois import (
+    GaloisEntry,
     GroupQuotient,
     InvariantSubalgebra,
     _invariant_name,
+    _invariants,
+    _order_problems,
     _sub_name,
     _trivial_block,
     group_quotient,
@@ -595,3 +598,155 @@ def test_fuzzy_multiplicity_is_a_numerical_failure():
                              "integer"):
         invariant_subalgebra(dataclasses.replace(r, blocks=tuple(blocks)),
                              r.bundle.local)
+
+
+# ------------------------------------------ order reversal and monotonicity
+
+
+def _loop_order_problems(entries, below, tol):
+    """_order_problems as one test per pair of np.argwhere(below)."""
+    problems = []
+    for i, j in np.argwhere(below):
+        small, big = entries[i], entries[j]
+        if small.d_invariant is None or big.d_invariant is None:
+            continue
+        if not big.d_invariant < small.d_invariant - tol:
+            problems.append(
+                f"order reversal fails: {small.sub} < {big.sub} but "
+                f"d {small.d_invariant:g} !> {big.d_invariant:g}")
+        if any(nb > ns for nb, ns in zip(big.n_prime, small.n_prime)):
+            problems.append(
+                f"multiplicities not monotone: {small.sub} < {big.sub} "
+                f"but {big.n_prime} !<= {small.n_prime}")
+    return problems
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_order_problems_match_the_pair_loop(seed):
+    # random strict orders over entries with random dimensions, some
+    # unknown, and random multiplicities, so both checks fail on some
+    # pairs and pass on others
+    rng = np.random.default_rng(seed)
+    size = int(rng.integers(1, 12))
+    entries = [GaloisEntry(sub=(0, i), n_prime=tuple(rng.integers(0, 3, 3)
+                                                      .tolist()),
+                           ambient_vector=None,
+                           d_invariant=(None if rng.random() < 0.2
+                                        else float(rng.integers(1, 6))),
+                           dim_sub=1.0, residual=0.0)
+               for i in range(size)]
+    below = np.triu(rng.random((size, size)) < 0.5, k=1)
+    tol = float(rng.choice([1e-9, 0.5, 2.0]))
+    assert _order_problems(entries, below, tol) == \
+        _loop_order_problems(entries, below, tol)
+
+
+# ------------------------------ which error the batched n' pass raises first
+#
+# On a2n 1 the ideal blocks are 0..4, of sizes 1, 1, 1, 1, 2, and
+# n' = (1, 1, 1, 1, 2) on the local subring (0,) and (0, 0, 1, 1, 1) on
+# (0, 3).  TheoremViolationError is exit 1 and NumericalDegeneracyError
+# exit 3 of the CLI.
+
+
+def _sized_block(r, bi, m):
+    """The report with block bi taken for one of size m."""
+    blocks = list(r.blocks)
+    blocks[bi] = dataclasses.replace(blocks[bi], m=m)
+    return dataclasses.replace(r, blocks=tuple(blocks))
+
+
+def _first_error(r, subs):
+    with pytest.raises((TheoremViolationError,
+                        NumericalDegeneracyError)) as err:
+        list(_invariants(r, subs, mantissas(r.bundle.dA.values)))
+    return err
+
+
+def _range_then_fuzzy():
+    """n'_0 = -1 on (0,) and 0 on (0, 3); n'_4 = 1 on (0,) and 1/2 on
+    (0, 3)."""
+    return _sized_block(_scaled_block(swr("a2n", 1), 0, -1), 4, 4)
+
+
+def test_an_out_of_range_subring_before_a_fuzzy_one_is_a_violation():
+    r = _range_then_fuzzy()
+    err = _first_error(r, [(0,), (0, 3)])
+    assert err.type is TheoremViolationError
+    assert str(err.value) == ("block multiplicity -1 outside [0, 1] for "
+                              "subring (0,)")
+    # the lattice takes (0,) first too
+    with pytest.raises(TheoremViolationError, match=r"for subring \(0,\)$"):
+        verify_correspondence(r.bundle, swr=r)
+
+
+def test_a_fuzzy_subring_before_an_out_of_range_one_is_numerical():
+    err = _first_error(_range_then_fuzzy(), [(0, 3), (0,)])
+    assert err.type is NumericalDegeneracyError
+    # the module dims are floats, so n'_4 = 1/2 reads one ulp low
+    assert str(err.value) == (
+        "block multiplicity for subring (0, 3) = (0.49999999999999994+0j) "
+        "is not within 1e-06 of an integer")
+
+
+@pytest.mark.parametrize("edit,kind,text", [
+    # a fuzzy block 4 after an out-of-range block 0
+    (lambda r: _sized_block(_scaled_block(r, 0, -1), 4, 3),
+     TheoremViolationError, "block multiplicity -1 outside [0, 1]"),
+    # a fuzzy block 0 before an out-of-range block 4
+    (lambda r: _scaled_block(_sized_block(r, 0, 2), 4, -1),
+     NumericalDegeneracyError, "= (0.5+0j) is not within"),
+    # block 0 both fuzzy and out of range: its rounding is checked first
+    (lambda r: _scaled_block(_sized_block(r, 0, 2), 0, -1),
+     NumericalDegeneracyError, "= (-0.5+0j) is not within"),
+], ids=["range-then-fuzzy", "fuzzy-then-range", "both"])
+def test_blocks_of_one_subring_are_checked_in_order(edit, kind, text):
+    err = _first_error(edit(swr("a2n", 1)), [(0,)])
+    assert err.type is kind
+    assert text in str(err.value)
+
+
+def _swapped_dual(r, x, y):
+    """The report with ambient simples x and y taken for each other's
+    duals."""
+    dual = list(r.bundle.ambient.dual)
+    dual[x], dual[y] = y, x
+    ambient = dataclasses.replace(r.bundle.ambient, dual=tuple(dual))
+    algebra = dataclasses.replace(r.bundle.algebra, ambient=ambient)
+    return dataclasses.replace(
+        r, bundle=dataclasses.replace(r.bundle, algebra=algebra))
+
+
+def test_a_skew_ambient_vector_is_a_self_duality_violation():
+    # blocks 0 and 4 sit at 1.j and m1.m1: n' 1 and 2 on (0,), 0 and 1 on
+    # (0, 3)
+    r = _swapped_dual(swr("a2n", 1), 1, 12)
+    with pytest.raises(TheoremViolationError) as err:
+        verify_correspondence(r.bundle, swr=r)
+    assert str(err.value) == (
+        "invariant subalgebra is not self-dual: multiplicity 1 at 1.j vs 2 "
+        "at m1.m1")
+    # the self-duality of a subring is checked before the blocks of a
+    # later one, and after its own blocks
+    r = _scaled_block(r, 0, -1)
+    err = _first_error(r, [(0, 3), (0,)])
+    assert str(err.value) == (
+        "invariant subalgebra is not self-dual: multiplicity 0 at 1.j vs 1 "
+        "at m1.m1")
+    err = _first_error(r, [(0,)])
+    assert str(err.value) == ("block multiplicity -1 outside [0, 1] for "
+                              "subring (0,)")
+
+
+# ----------------------------------------------------------- lattice sizes
+
+LATTICE_SIZES = {
+    "a2n": (9, 11, 13, 19, 17, 19, 31, 23, 25, 39, 29, 37),
+    "a2nplus1": (21, 27, 30, 33, 45, 39, 47, 56, 59, 51, 79, 57),
+}
+
+
+@pytest.mark.parametrize("family,n", [(f, n) for f in LATTICE_SIZES
+                                      for n in range(1, 13)])
+def test_lattice_sizes_are_pinned(family, n):
+    assert len(lattice(bundle(family, n))) == LATTICE_SIZES[family][n - 1]

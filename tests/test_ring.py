@@ -386,7 +386,7 @@ def test_indices_outside_the_basis_are_refused(bad):
             call()
 
 
-# ------------------------- closure past one 4-bit chunk and past 64 bits
+# ------------------------------------------------ closure past 64 bits
 
 
 def _fixed_point_closure(ring, seed):
@@ -458,6 +458,43 @@ def test_closure_matches_a_fixed_point_closure(ring, data):
     assert is_closed(ring, got)
     for s in (seed, got, got - {max(got)}, seed | {0}):
         assert is_closed(ring, s) == (closure(ring, s) == frozenset(s))
+
+
+def _breadth_first_subrings(ring, seed, budget):
+    """Every closed subset containing the seed, found by growing each one
+    by every other basis element and closing with _fixed_point_closure,
+    or None when there are more than budget of them."""
+    base = _fixed_point_closure(ring, seed)
+    found, todo = {base}, [base]
+    while todo:
+        s = todo.pop()
+        for x in set(range(ring.rank)) - s:
+            t = _fixed_point_closure(ring, s | {x})
+            if t not in found:
+                found.add(t)
+                todo.append(t)
+                if len(found) > budget:
+                    return None
+    return sorted((tuple(sorted(t)) for t in found),
+                  key=lambda t: (len(t), t))
+
+
+@settings(max_examples=15, deadline=None)
+@given(larger_rings(), st.data())
+def test_subrings_match_a_breadth_first_search(ring, data):
+    seed = data.draw(st.sets(st.integers(min_value=0,
+                                         max_value=ring.rank - 1),
+                             max_size=2))
+    budget = data.draw(st.integers(min_value=1, max_value=40))
+    want = _breadth_first_subrings(ring, seed, budget)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ring_module, "SUBRING_BUDGET", budget)
+        if want is None:
+            with pytest.raises(CapabilityError,
+                               match=f"budget of {budget} subrings"):
+                enumerate_subrings(ring, must_contain=seed)
+        else:
+            assert enumerate_subrings(ring, must_contain=seed) == want
 
 
 def test_dim_vector_floats():
