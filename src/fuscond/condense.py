@@ -34,7 +34,8 @@ from .errors import (
 from .modular import (ModularData, dims as modular_dims,
                       validate as validate_modular)
 from .ring import (BasedRing, DimVector, _bilinear, _dot, basis_indices,
-                   check_basis, fp_dims, is_closed, product_basis, validate)
+                   check_basis, fp_dims, is_closed, product_basis,
+                   real_floats, validate)
 from .mantissa import (aligned, cmp_tol, combine, commutators, mantissas,
                        product, quotient, rounded_on_grid, stack, sups)
 from .wedderburn import SPLIT_SEED, block_profiles, character_table
@@ -430,6 +431,14 @@ class SchurWeylReport:
 
     def ideal_blocks(self):
         return [bp for bp, f in zip(self.blocks, self.in_ideal) if f]
+
+    @cached_property
+    def _e1_floats(self) -> dict:
+        return {}
+
+    def e1_floats(self) -> np.ndarray:
+        """The real parts of e1 as a read-only float64 array."""
+        return real_floats(self.e1, self._e1_floats)
 
     def matched_pairs(self):
         return [(i, x) for i, x in enumerate(self.matched) if x is not None]

@@ -12,6 +12,7 @@ multiplicity vector.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -158,6 +159,11 @@ class GaloisReport:
     @property
     def ok(self) -> bool:
         return not self.problems
+
+    @cached_property
+    def invariant_names(self) -> tuple:
+        """The name of each entry's invariant subalgebra, named once."""
+        return tuple(_invariant_name(self.bundle, e) for e in self.entries)
 
     def entry(self, sub) -> GaloisEntry:
         key = tuple(sorted(int(i) for i in sub))
@@ -333,8 +339,8 @@ def group_quotient(swr: SchurWeylReport, tol: float = TOL) -> GroupQuotient:
 
     # normalized cosets e1 * rep / d(rep), their products, and the
     # projection of each product onto the (disjointly supported) cosets
-    e1 = np.array([float(as_mpc(c).real) for c in swr.e1])
-    E = np.einsum("a,ack->ck", e1, F[:, reps, :]) / b.dA.as_floats()[reps, None]
+    E = (np.einsum("a,ack->ck", swr.e1_floats(), F[:, reps, :])
+         / b.dA.as_floats()[reps, None])
     prod = np.einsum("jb,ibc->ijc", E, np.tensordot(E, F, (1, 0)))
     coeffs = (prod @ E.T) / np.einsum("ck,ck->c", E, E)
     residual = float(np.max(np.abs(prod - coeffs @ E)))
@@ -389,10 +395,10 @@ def hasse_dot(report: GaloisReport) -> str:
     b = report.bundle
     entries = report.entries
     lines = ["digraph lattice {", "  rankdir=BT;", "  node [shape=box];"]
-    for i, e in enumerate(entries):
+    for i, (e, name) in enumerate(zip(entries, report.invariant_names)):
         d = "?" if e.d_invariant is None else f"{e.d_invariant:g}"
         label = (f"{_sub_name(b, e.sub)} (dim {e.dim_sub:g})"
-                 f"\\ninv {_invariant_name(b, e)} (d {d})")
+                 f"\\ninv {name} (d {d})")
         lines.append(f'  n{i} [label="{label}"];')
     for i, j in np.argwhere(report.below & ~(report.below @ report.below)):
         lines.append(f"  n{i} -> n{j};")
@@ -404,9 +410,9 @@ def markdown_table(report: GaloisReport) -> str:
     b = report.bundle
     out = ["| subring | dim | invariant subalgebra | d | residual |",
            "|---|---|---|---|---|"]
-    for e in report.entries:
+    for e, name in zip(report.entries, report.invariant_names):
         d = "?" if e.d_invariant is None else f"{e.d_invariant:g}"
         res = "n/a" if e.residual != e.residual else f"{e.residual:.2e}"
         out.append(f"| {_sub_name(b, e.sub)} | {e.dim_sub:g} "
-                   f"| {_invariant_name(b, e)} | {d} | {res} |")
+                   f"| {name} | {d} | {res} |")
     return "\n".join(out) + "\n"

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
+import mpmath as mp
 import numpy as np
 
 from .cyclotomic import as_mpc, distinct, exact_vector
@@ -145,14 +146,24 @@ class DimVector:
         """Sum of w_i d_i over the nonzero weights."""
         return sum(w * d for w, d in zip(weights, self.scalars()) if w)
 
+    @cached_property
+    def _floats(self) -> dict:
+        return {}
+
     def as_floats(self) -> np.ndarray:
-        out = np.empty(len(self.values), dtype=np.float64)
-        for i, v in enumerate(self.values):
-            if isinstance(v, float):
-                out[i] = v
-            else:
-                out[i] = float(as_mpc(v).real)
-        return out
+        return real_floats(self.values, self._floats)
+
+
+def real_floats(values, memo: dict) -> np.ndarray:
+    """The real parts of values as a read-only float64 array, converted
+    once per working precision and kept in memo under mp.mp.prec."""
+    prec = mp.mp.prec
+    if prec not in memo:
+        out = np.array([v if isinstance(v, float) else float(as_mpc(v).real)
+                        for v in values], dtype=np.float64)
+        out.setflags(write=False)
+        memo[prec] = out
+    return memo[prec]
 
 
 def _offenders(mask, limit=_MAX_REPORTED):

@@ -1,21 +1,24 @@
-"""Shared, memoized family bundles for the test suite.
-
-Bundles and reports are immutable, so tests can safely share one instance;
-this keeps the repeated spectral work (the expensive part) to one run per
-family size across all test modules.
-"""
+"""Shared, memoized family bundles and Schur-Weyl reports: they are
+immutable, so the tests share one of each per family size and precision,
+and the spectral work runs once across all test modules."""
 import functools
+
+import mpmath as mp
 
 from fuscond import families
 from fuscond.condense import schur_weyl
 
 
+# Every built-in bundle, and the diagonal cosets of SU(2)_1..6.
+BUILT_INS = ([("a2n", n) for n in range(1, 7)]
+             + [("a2nplus1", n) for n in range(1, 7)]
+             + [("vlplus-orbifold", 1), ("toric-code", None),
+                ("ising-square", None)]
+             + [("coset-su2", k) for k in range(1, 7)])
+
+
 @functools.lru_cache(maxsize=None)
 def bundle(family: str, n: int | None = None):
-    if family == "ising-square":
-        return families.ising_square()
-    if family == "toric-code":
-        return families.toric_code()
     if family == "coset-toric":
         return families.coset_diagonal(families.toric_modular())
     return families.build(family, n=n)
@@ -24,3 +27,12 @@ def bundle(family: str, n: int | None = None):
 @functools.lru_cache(maxsize=None)
 def swr(family: str, n: int | None = None):
     return schur_weyl(bundle(family, n))
+
+
+@functools.lru_cache(maxsize=None)
+def swr_at(family: str, n: int | None, dps: int):
+    """swr at dps digits of working precision."""
+    if dps == 15:
+        return swr(family, n)
+    with mp.workdps(dps):
+        return schur_weyl(bundle(family, n))

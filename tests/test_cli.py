@@ -22,6 +22,7 @@ from fuscond.modular import ModularData
 from fuscond.ring import BasedRing, DimVector
 from fuscond.wedderburn import SPLIT_SEED, _profile_key, block_profiles
 
+from cached_bundles import BUILT_INS
 from test_condense import flat_ambient
 
 
@@ -542,11 +543,8 @@ def test_a2nplus1_splits_at_collision_prone_seeds(tmp_path, monkeypatch,
     assert _verdict_lines(capsys.readouterr().out) == want
 
 
-# Every built-in bundle, at every size its family accepts.
-ALL_MEMBERS = ([("a2n", n) for n in range(1, 7)]
-               + [("a2nplus1", n) for n in range(1, 7)]
-               + [("vlplus-orbifold", 1), ("toric-code", None),
-                  ("ising-square", None)])
+# Every built-in bundle but the cosets.
+ALL_MEMBERS = BUILT_INS[:15]
 ALL_IDS = [f"{f}-{n}" for f, n in ALL_MEMBERS]
 
 
@@ -587,7 +585,7 @@ def test_analyze_is_precision_independent(tmp_path, capsys, family, n):
 
 
 # The 15 built-in bundles and coset SU(2)_1..4.
-RESIDUAL_MEMBERS = ALL_MEMBERS + [("coset-su2", k) for k in range(1, 5)]
+RESIDUAL_MEMBERS = BUILT_INS[:19]
 
 
 @pytest.mark.parametrize("family,n", RESIDUAL_MEMBERS,

@@ -6,25 +6,16 @@ averaging idempotents evaluated in explicit block characters, and dimension
 counts via dim(B) * d(A^B) * d(A) = dim(C).
 """
 import dataclasses
-import functools
 
-import mpmath as mp
 import numpy as np
 import pytest
 
-from fuscond.condense import _check_averaging, e_sub, schur_weyl
-from fuscond.cyclotomic import TOL, as_mpc
+from fuscond.condense import e_sub
+from fuscond.cyclotomic import as_mpc
 from fuscond.errors import (NumericalDegeneracyError, SchemaError,
                             TheoremViolationError)
 from fuscond.galois import (
-    GaloisEntry,
-    GroupQuotient,
-    InvariantSubalgebra,
-    _invariant_name,
     _invariants,
-    _order_problems,
-    _sub_name,
-    _trivial_block,
     group_quotient,
     hasse_dot,
     invariant_subalgebra,
@@ -33,10 +24,9 @@ from fuscond.galois import (
     verify_correspondence,
 )
 from fuscond.ring import BasedRing, element_product
-from fuscond.mantissa import mantissas, round_quotient
+from fuscond.mantissa import mantissas
 
 from cached_bundles import bundle, swr
-from test_wedderburn import round_int
 
 
 def named_vector(b, entry):
@@ -276,165 +266,6 @@ def test_markdown_table_contents():
     assert "| {1,r1,r2,X} | 6 | 1.1 + j.1 | 2 |" in md
 
 
-# ------------------------------------------------------- loop reference pins
-#
-# The loop versions that group_quotient, _trivial_block and hasse_dot had
-# before they became array operations, kept here as references.
-
-
-def _loop_trivial_block(swr):
-    b = swr.bundle
-    dv = b.dA.as_floats()
-    best, best_gap = None, None
-    for bi, bp in enumerate(swr.blocks):
-        if not swr.in_ideal[bi]:
-            continue
-        gap = sum(abs(complex(swr.characters[bi][y]) - dv[y])
-                  for y in range(b.module_ring.rank))
-        if best_gap is None or gap < best_gap:
-            best, best_gap = bi, gap
-    if best is None or best_gap > 1e-6 * b.module_ring.rank:
-        raise TheoremViolationError("no block carries the dimension character")
-    return best
-
-
-def _loop_group_quotient(swr, tol=TOL):
-    b = swr.bundle
-    ring = b.module_ring
-    r = ring.rank
-    parent = list(range(r))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for l in b.local:
-        for y in range(r):
-            for z in np.nonzero(ring.fusion[l, y])[0]:
-                parent[find(y)] = find(int(z))
-    groups = {}
-    for y in range(r):
-        groups.setdefault(find(y), []).append(y)
-    cosets = sorted((tuple(sorted(v)) for v in groups.values()),
-                    key=lambda c: c[0])
-    k = len(cosets)
-    coset_of = {y: ci for ci, c in enumerate(cosets) for y in c}
-
-    dv = b.dA.as_floats()
-    e1 = [float(as_mpc(c).real) for c in swr.e1]
-    ebar = []
-    for c in cosets:
-        vec = [0.0] * r
-        vec[c[0]] = 1.0
-        prod = element_product(ring, e1, vec)
-        ebar.append(np.array([float(x) for x in prod]) / dv[c[0]])
-
-    residual = 0.0
-    coeffs = np.zeros((k, k, k))
-    for i in range(k):
-        for j in range(k):
-            p = np.array([float(x) for x in
-                          element_product(ring, list(ebar[i]), list(ebar[j]))])
-            recon = np.zeros(r)
-            for ci in range(k):
-                c = float(p @ ebar[ci]) / float(ebar[ci] @ ebar[ci])
-                coeffs[i, j, ci] = c
-                recon += c * ebar[ci]
-            residual = max(residual, float(np.max(np.abs(p - recon))))
-    if residual > tol:
-        raise NumericalDegeneracyError("coset products do not decompose")
-
-    def single_target(i, j):
-        row = coeffs[i, j]
-        hits = [ci for ci in range(k) if abs(row[ci] - 1.0) <= TOL]
-        if len(hits) == 1 and all(abs(row[ci]) <= TOL
-                                  for ci in range(k) if ci != hits[0]):
-            return hits[0]
-        return None
-
-    table = tuple(tuple(single_target(i, j) for j in range(k))
-                  for i in range(k))
-    if any(t is None for row in table for t in row):
-        table = None
-    pointed = tuple(i for i, c in enumerate(cosets)
-                    if single_target(i, coset_of[ring.dual[c[0]]])
-                    == coset_of[0])
-    ptable = []
-    for i in pointed:
-        row = []
-        for j in pointed:
-            t = single_target(i, j)
-            if t is None or t not in pointed:
-                raise TheoremViolationError("pointed cosets do not close")
-            row.append(t)
-        ptable.append(tuple(row))
-    return GroupQuotient(cosets=tuple(cosets), table=table, pointed=pointed,
-                         pointed_table=tuple(ptable), residual=residual)
-
-
-def _loop_hasse_dot(report):
-    b = report.bundle
-    entries = report.entries
-    n = len(entries)
-    below = [[set(entries[i].sub) < set(entries[j].sub) for j in range(n)]
-             for i in range(n)]
-    lines = ["digraph lattice {", "  rankdir=BT;", "  node [shape=box];"]
-    for i, e in enumerate(entries):
-        d = "?" if e.d_invariant is None else f"{e.d_invariant:g}"
-        label = (f"{_sub_name(b, e.sub)} (dim {e.dim_sub:g})"
-                 f"\\ninv {_invariant_name(b, e)} (d {d})")
-        lines.append(f'  n{i} [label="{label}"];')
-    for i in range(n):
-        for j in range(n):
-            if not below[i][j]:
-                continue
-            if any(below[i][m] and below[m][j] for m in range(n)):
-                continue
-            lines.append(f"  n{i} -> n{j};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-# Every built-in bundle, and the diagonal cosets of SU(2)_1..6.
-PINNED = ([("a2n", n) for n in range(1, 7)]
-          + [("a2nplus1", n) for n in range(1, 7)]
-          + [("vlplus-orbifold", 1), ("toric-code", None),
-             ("ising-square", None)]
-          + [("coset-su2", k) for k in range(1, 7)])
-
-
-@functools.lru_cache(maxsize=None)
-def _swr_at(family, n, dps):
-    if dps == 15:
-        return swr(family, n)
-    with mp.workdps(dps):
-        return schur_weyl(bundle(family, n))
-
-
-def _python_ints(value):
-    if isinstance(value, tuple):
-        return all(_python_ints(v) for v in value)
-    return type(value) is int
-
-
-@pytest.mark.parametrize("dps", [15, 64])
-@pytest.mark.parametrize("family,n", PINNED,
-                         ids=[f"{f}-{n}" for f, n in PINNED])
-def test_array_bookkeeping_matches_the_loops(family, n, dps):
-    r = _swr_at(family, n, dps)
-    with mp.workdps(dps):
-        got, want = group_quotient(r), _loop_group_quotient(r)
-        assert _trivial_block(r) == _loop_trivial_block(r)
-        rep = verify_correspondence(r.bundle, swr=r)
-    for field in ("cosets", "table", "pointed", "pointed_table"):
-        assert getattr(got, field) == getattr(want, field), field
-        assert getattr(got, field) is None or _python_ints(getattr(got, field))
-    assert abs(got.residual - want.residual) <= 1e-12
-    assert hasse_dot(rep).encode() == _loop_hasse_dot(rep).encode()
-
-
 def test_overlapping_local_orbits_are_refused():
     # local (0, 1) with 1 * 1 = 0 + 2 and 1 * 2 = 0: the orbits {0, 1},
     # {0, 1, 2} and {2} overlap, which no based ring allows
@@ -451,106 +282,6 @@ def test_overlapping_local_orbits_are_refused():
 
 
 # ------------------------------------------- n' from the character mantissas
-
-# The members of the galois-lattice benchmark workload.
-LATTICE_MEMBERS = ([("a2n", n) for n in range(1, 6)]
-                   + [("a2nplus1", n) for n in range(1, 5)]
-                   + [("vlplus-orbifold", 1), ("toric-code", None),
-                      ("ising-square", None)])
-
-
-def _mpmath_invariant(r, sub):
-    """n' and the ambient vector as computed before the integer path: the
-    exact averaging idempotent, converted to mpmath numbers and evaluated
-    in each ideal block's character by block_value."""
-    b = r.bundle
-    d = b.dA.scalars()
-    inv = 1 / b.dA.total(sub)
-    evec = [as_mpc(d[y] * inv) if y in sub else 0
-            for y in range(b.module_ring.rank)]
-    ideal = [bi for bi, f in enumerate(r.in_ideal) if f]
-    n_prime = tuple(round_int(r.block_value(bi, evec), "n'") for bi in ideal)
-    vec = None
-    if all(r.matched[bi] is not None for bi in ideal):
-        v = [0] * b.ambient.rank
-        for bi, n in zip(ideal, n_prime):
-            v[r.matched[bi]] = n
-        vec = tuple(v)
-    return n_prime, vec
-
-
-@pytest.mark.parametrize("dps", [15, 64, 128])
-@pytest.mark.parametrize("family,n", LATTICE_MEMBERS,
-                         ids=[f"{f}-{n}" for f, n in LATTICE_MEMBERS])
-def test_invariant_subalgebra_matches_the_mpmath_path(family, n, dps):
-    r = _swr_at(family, n, dps)
-    with mp.workdps(dps):
-        for sub in lattice(r.bundle):
-            inv = invariant_subalgebra(r, sub)
-            assert (inv.n_prime, inv.ambient_vector) == \
-                _mpmath_invariant(r, sub), sub
-            assert all(type(x) is int for x in inv.n_prime)
-
-
-def _parent_invariant(r, sub, dims, D):
-    """n' and the ambient vector of one subring from per-entry sums over
-    its members, as the reading was before one product served the whole
-    lattice."""
-    b = r.bundle
-    w, _, f = dims
-    re, im, exp = r.character_mantissas
-    block_indices, n_prime = [], []
-    for bi, bp in enumerate(r.blocks):
-        if not r.in_ideal[bi]:
-            continue
-        n = round_quotient(sum(w[y] * re[bi][y] for y in sub),
-                           sum(w[y] * im[bi][y] for y in sub), exp - f,
-                           bp.m * D, f"block multiplicity for subring {sub}")
-        block_indices.append(bi)
-        n_prime.append(n)
-    vec = None
-    if all(r.matched[bi] is not None for bi in block_indices):
-        v = [0] * b.ambient.rank
-        for bi, n in zip(block_indices, n_prime):
-            v[r.matched[bi]] = n
-        vec = tuple(v)
-    return InvariantSubalgebra(sub=sub, block_indices=tuple(block_indices),
-                               n_prime=tuple(n_prime), ambient_vector=vec)
-
-
-def _parent_trivial_block(r):
-    """_trivial_block with one complex per entry, each part one correctly
-    rounded integer division."""
-    b = r.bundle
-    re, im, exp = r.character_mantissas
-    s = max(exp, 0)
-    dens = [bp.m << (s - exp) for bp in r.blocks]
-    chi = [[complex((x << s) / d, (y << s) / d) for x, y in zip(rr, ii)]
-           for rr, ii, d in zip(re.tolist(), im.tolist(), dens)]
-    gap = np.where(r.in_ideal,
-                   np.abs(chi - b.dA.as_floats()).sum(axis=1), np.inf)
-    best = int(np.argmin(gap))
-    assert gap[best] <= 1e-6 * b.module_ring.rank
-    return best
-
-
-@pytest.mark.parametrize("dps", [15, 64, 128])
-@pytest.mark.parametrize("family,n", PINNED,
-                         ids=[f"{f}-{n}" for f, n in PINNED])
-def test_n_prime_reading_equals_the_parent_loops(family, n, dps):
-    r = _swr_at(family, n, dps)
-    b = r.bundle
-    with mp.workdps(dps):
-        assert _trivial_block(r) == _parent_trivial_block(r)
-        subs = lattice(b)
-        dims = mantissas(b.dA.values)
-        _, D = _check_averaging(b.module_ring, subs, dims)
-        want = [_parent_invariant(r, sub, dims, d) for sub, d in zip(subs, D)]
-        assert [invariant_subalgebra(r, sub) for sub in subs] == want
-        rep = verify_correspondence(b, swr=r)
-    assert [(e.sub, e.n_prime, e.ambient_vector) for e in rep.entries] == [
-        (w.sub, w.n_prime, w.ambient_vector) for w in want]
-    assert all(type(n) is int for w in want for n in w.n_prime)
 
 
 def test_perturbed_dims_fail_the_idempotent_check():
@@ -598,47 +329,6 @@ def test_fuzzy_multiplicity_is_a_numerical_failure():
                              "integer"):
         invariant_subalgebra(dataclasses.replace(r, blocks=tuple(blocks)),
                              r.bundle.local)
-
-
-# ------------------------------------------ order reversal and monotonicity
-
-
-def _loop_order_problems(entries, below, tol):
-    """_order_problems as one test per pair of np.argwhere(below)."""
-    problems = []
-    for i, j in np.argwhere(below):
-        small, big = entries[i], entries[j]
-        if small.d_invariant is None or big.d_invariant is None:
-            continue
-        if not big.d_invariant < small.d_invariant - tol:
-            problems.append(
-                f"order reversal fails: {small.sub} < {big.sub} but "
-                f"d {small.d_invariant:g} !> {big.d_invariant:g}")
-        if any(nb > ns for nb, ns in zip(big.n_prime, small.n_prime)):
-            problems.append(
-                f"multiplicities not monotone: {small.sub} < {big.sub} "
-                f"but {big.n_prime} !<= {small.n_prime}")
-    return problems
-
-
-@pytest.mark.parametrize("seed", range(20))
-def test_order_problems_match_the_pair_loop(seed):
-    # random strict orders over entries with random dimensions, some
-    # unknown, and random multiplicities, so both checks fail on some
-    # pairs and pass on others
-    rng = np.random.default_rng(seed)
-    size = int(rng.integers(1, 12))
-    entries = [GaloisEntry(sub=(0, i), n_prime=tuple(rng.integers(0, 3, 3)
-                                                      .tolist()),
-                           ambient_vector=None,
-                           d_invariant=(None if rng.random() < 0.2
-                                        else float(rng.integers(1, 6))),
-                           dim_sub=1.0, residual=0.0)
-               for i in range(size)]
-    below = np.triu(rng.random((size, size)) < 0.5, k=1)
-    tol = float(rng.choice([1e-9, 0.5, 2.0]))
-    assert _order_problems(entries, below, tol) == \
-        _loop_order_problems(entries, below, tol)
 
 
 # ------------------------------ which error the batched n' pass raises first

@@ -31,3 +31,28 @@ def test_no_module_defines_near(path):
     names = {node.name for node in ast.walk(_tree(path))
              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
     assert "_near" not in names
+
+
+TESTS = sorted(pathlib.Path(__file__).parent.glob("test_*.py"))
+# what the reference may import from the package: data types and scalars
+REFERENCE_READS = {"Cyc", "as_mpc", "as_complex", "BasedRing", "DimVector",
+                   "Ambient", "CondensableAlgebra", "CondensationBundle",
+                   "ModularData"}
+
+
+def test_the_reference_reads_only_data_types_and_scalars():
+    for node in ast.walk(_tree(pathlib.Path(__file__).parent / "reference.py")):
+        names = {a.name for a in getattr(node, "names", ())}
+        if "fuscond" in str(getattr(node, "module", names)):
+            assert names <= REFERENCE_READS, names - REFERENCE_READS
+        # no private member of the package, such as ring._plan
+        assert not getattr(node, "attr", "x").startswith("_"), node.attr
+
+
+@pytest.mark.parametrize("path", TESTS, ids=[p.name for p in TESTS])
+def test_no_copy_of_an_earlier_implementation(path):
+    # a fast path is checked against tests/reference.py or a digest, not
+    # against a copy of the code it replaced
+    assert not [node.name for node in ast.walk(_tree(path))
+                if isinstance(node, ast.FunctionDef)
+                and node.name.startswith(("_old_", "_parent_", "_loop_"))]

@@ -1,7 +1,7 @@
+import dataclasses
 import hashlib
 import random
 from fractions import Fraction
-from functools import reduce
 
 import mpmath as mp
 import numpy as np
@@ -12,26 +12,17 @@ from mpmath.libmp import from_man_exp, round_nearest
 
 from fuscond import families
 from fuscond.condense import _check_averaging
-from fuscond.cyclotomic import ROUND_TOL, TOL, Cyc, working_tol
+from fuscond.cyclotomic import TOL, Cyc, working_tol
 from fuscond.errors import NumericalDegeneracyError, SchemaError
 from fuscond.families import ty_ring
 from fuscond.ring import (BasedRing, _bilinear, element_product,
                           enumerate_subrings, fp_dims, group_ring,
                           product_ring)
-from fuscond.mantissa import (cmp_tol, commutators, float_mantissas,
-                              mantissas, rounded_on_grid, stack)
-from fuscond.wedderburn import (
-    SPLIT_SEED,
-    _MAX_SPLIT_ATTEMPTS,
-    _certified,
-    _float_split,
-    _newton,
-    _profile_key,
-    _split,
-    block_profiles,
-    center_basis,
-)
+from fuscond.mantissa import mantissas, rounded_on_grid
+from fuscond.wedderburn import (SPLIT_SEED, _certified, _split,
+                                block_profiles, center_basis)
 
+import reference as ref
 from cached_bundles import bundle
 from grouptables import alternating, cyclic, dihedral, quaternion, symmetric
 from test_ring import _relabel, d3_xy_ring, ising_ring
@@ -51,36 +42,16 @@ GROUP_DEGREES = [
 
 
 def mpc_product(ring, a, b):
-    """a * b in mpmath numbers, term by term over the nonzero structure
-    constants of the fusion tensor: a reference apart from the sparse
-    kernel."""
-    F = ring.fusion
-    out = [mp.mpc(0)] * ring.rank
-    for i, j, k in np.argwhere(F).tolist():
-        out[k] += a[i] * b[j] * int(F[i, j, k])
-    return out
+    return ref.product(ref.exact(ring).terms, a, b)
 
 
 def left_trace(ring, a):
-    """tr(L_a) = sum_i a_i sum_k N[i, k, k]."""
-    tr = np.einsum("ijj->i", ring.fusion)
-    return sum(c * int(t) for c, t in zip(a, tr) if c != 0)
-
-
-def round_int(val, what):
-    """The integer nearest to the mpmath value val, which must lie within
-    ROUND_TOL of it: the rounding rule in mpmath numbers, a reference apart
-    from the exact integer comparison of the package."""
-    n = int(mp.nint(mp.re(val)))
-    if abs(val - n) > ROUND_TOL:
-        raise NumericalDegeneracyError(
-            f"{what} = {complex(val)} is not within {ROUND_TOL} of an integer")
-    return n
+    """tr(L_a) = sum_i a_i tr(L_i)."""
+    return mp.fdot(a, ref.exact(ring).tr)
 
 
 def block_trace(ring, block, a):
-    """(1/m) tr(L_{e a}): the irreducible trace of a in the block's m x m
-    matrix factor."""
+    """(1/m) tr(L_{e a}): the trace of a in the block's m x m factor."""
     return left_trace(ring, mpc_product(ring, block.idempotent, a)) / block.m
 
 
@@ -264,178 +235,6 @@ def test_group_ring_split_properties(case, seed):
             assert max(abs(x - y) for x, y in zip(sq, e)) <= tol
 
 
-# The refinement loop as it ran over mpmath numbers: Newton over the mpc
-# product, stopped by the entrywise abs of e^2 - e; and the block order key
-# as it was read off those mpmath numbers.
-def _mpc_refine(ring, guess, tol):
-    e = [mp.mpc(complex(x)) for x in guess]
-    for _ in range(mp.mp.dps.bit_length() + 1):
-        sq = mpc_product(ring, e, e)
-        if max(abs(s - x) for s, x in zip(sq, e)) <= tol:
-            return e
-        cube = mpc_product(ring, sq, e)
-        e = [3 * s - 2 * c for s, c in zip(sq, cube)]
-    return None
-
-
-def _mpc_profile_key(m, e):
-    return (m, tuple((round(float(mp.re(c)), 9) + 0.0,
-                      round(float(mp.im(c)), 9) + 0.0) for c in e))
-
-
-REFINE_RINGS = {
-    "z3": lambda: group_ring(*cyclic(3)),
-    "s3": lambda: group_ring(*symmetric(3)),
-    "d4": lambda: group_ring(*dihedral(4)),
-    "a4": lambda: group_ring(*alternating(4)),
-    "ty5": lambda: ty_ring(5),
-    "vlplus": lambda: families.build("vlplus-orbifold", n=1).module_ring,
-}
-
-
-@pytest.mark.parametrize("digits", [15, 64, 128])
-@pytest.mark.parametrize("name", sorted(REFINE_RINGS))
-def test_integer_refinement_matches_the_mpc_loop(name, digits):
-    ring = REFINE_RINGS[name]()
-    with mp.workdps(digits):
-        tol = min(mp.mpf(TOL), working_tol())
-        guesses = _float_split(ring, center_basis(ring),
-                               random.Random(SPLIT_SEED))
-        want = [_mpc_refine(ring, g, tol) for g in guesses]
-        assert None not in want
-        ref = []
-        for e in want:
-            bd = round_int(left_trace(ring, e), "block dimension trace")
-            ref.append((int(round(bd ** 0.5)), bd, e))
-        ref.sort(key=lambda r: _mpc_profile_key(r[0], r[2]))
-        blocks = block_profiles(ring)
-        assert ([_profile_key(b) for b in blocks]
-                == [_mpc_profile_key(m, e) for m, _, e in ref])
-        for b, (m, bd, e) in zip(blocks, ref):
-            assert (b.m, b.block_dim) == (m, bd)
-            assert max(abs(x - y) for x, y in
-                       zip(b.idempotent, e)) <= working_tol()
-            e = list(b.idempotent)
-            assert max(abs(s - x) for s, x in
-                       zip(mpc_product(ring, e, e), e)) <= tol
-
-
-# A reference kernel apart from the term plan: the nonzero structure
-# constants grouped by row, rows[i] holding (j, ((k, c), ...)) for each j
-# with some c = T[i, j, k] != 0, and a product that walks them in (i, j)
-# order, skipping zero coefficients.
-def _nonzero_rows(tensor):
-    rows = [{} for _ in range(tensor.shape[0])]
-    idx = np.argwhere(tensor)
-    for (i, j, k), c in zip(idx.tolist(), tensor[tuple(idx.T)].tolist()):
-        rows[i].setdefault(j, []).append((k, int(c)))
-    return tuple(tuple((j, tuple(kc)) for j, kc in r.items()) for r in rows)
-
-
-def _is_zero(x):
-    return x.is_zero() if isinstance(x, Cyc) else x == 0
-
-
-def _sparse_product(rows, a, b):
-    out = [0] * len(rows)
-    for i, ai in enumerate(a):
-        if _is_zero(ai):
-            continue
-        for j, targets in rows[i]:
-            if _is_zero(b[j]):
-                continue
-            coef = ai * b[j]
-            for k, c in targets:
-                out[k] = out[k] + (coef if c == 1 else coef * c)
-    return out
-
-
-# The split as it ran one idempotent at a time: each Newton product from
-# the reference kernel, and each commutator check as one Python pass over
-# the nonzero structure constants.
-def _old_product(rows, a, b):
-    (ar, ai, ea), (br, bi, eb) = a, b
-    re = _sparse_product(rows, ar, br)
-    im = [0] * len(ar)
-    if any(bi):
-        im = _sparse_product(rows, ar, bi)
-    if any(ai):
-        im = [x + y for x, y in zip(im, _sparse_product(rows, ai, br))]
-        if any(bi):
-            re = [x - y for x, y in zip(re, _sparse_product(rows, ai, bi))]
-    return re, im, ea + eb
-
-
-def _old_combine(a, ca, b, cb):
-    (ar, ai, ea), (br, bi, eb) = a, b
-    e = min(ea, eb)
-    ca, cb = ca << (ea - e), cb << (eb - e)
-    return ([ca * x + cb * y for x, y in zip(ar, br)],
-            [ca * x + cb * y for x, y in zip(ai, bi)], e)
-
-
-def _old_sup(v):
-    re, im, exp = v
-    return max(x * x + y * y for x, y in zip(re, im)), 2 * exp
-
-
-def _shift(x, s):
-    return x << s if s >= 0 else (x + (1 << (-s - 1))) >> -s
-
-
-def _old_rescale(v, exp):
-    re, im, e = v
-    return ([_shift(x, e - exp) for x in re],
-            [_shift(x, e - exp) for x in im], exp)
-
-
-def _old_refine(ring, guess, tol):
-    rows = _nonzero_rows(ring.fusion)
-    e = float_mantissas(guess)
-    exp = e[2]
-    for _ in range(mp.mp.dps.bit_length() + 1):
-        sq = _old_product(rows, e, e)
-        done = cmp_tol(*_old_sup(_old_combine(sq, 1, e, -1)), tol) <= 0
-        sq = _old_rescale(sq, exp)
-        e = _old_rescale(_old_combine(sq, 3, _old_product(rows, sq, e), -2),
-                         exp)
-        if done:
-            return e
-    return None
-
-
-def _old_commutator_residuals(rows, v):
-    re, im, _ = v
-    n = len(re)
-    dre = [[0] * n for _ in range(n)]
-    dim = [[0] * n for _ in range(n)]
-    for i, row in enumerate(rows):
-        for j, targets in row:
-            for k, c in targets:
-                dre[j][k] += re[i] * c
-                dre[i][k] -= re[j] * c
-                dim[j][k] += im[i] * c
-                dim[i][k] -= im[j] * c
-    return [max(x * x + y * y for x, y in zip(r, s))
-            for r, s in zip(dre, dim)]
-
-
-def _old_certified(ring, idems, dim_z, tol):
-    if len(idems) != dim_z or None in idems:
-        return False
-    if any(cmp_tol(*_old_sup(e), tol) <= 0 for e in idems):
-        return False
-    n = ring.rank
-    unit = ([1] + [0] * (n - 1), [0] * n, 0)
-    total = reduce(lambda a, b: _old_combine(a, 1, b, 1), idems)
-    if cmp_tol(*_old_sup(_old_combine(total, 1, unit, -1)), tol) > 0:
-        return False
-    rows = _nonzero_rows(ring.fusion)
-    return all(
-        cmp_tol(max(_old_commutator_residuals(rows, e)), 2 * e[2],
-                tol) <= 0 for e in idems)
-
-
 def a4_character_ring():
     """The representation ring of A4: 1' 1' = 1'', 1' 1'' = 1, 1' 3 = 3 and
     3 3 = 1 + 1' + 1'' + 2 * 3."""
@@ -449,7 +248,12 @@ def a4_character_ring():
 
 
 BATCH_RINGS = dict(
-    REFINE_RINGS,
+    z3=lambda: group_ring(*cyclic(3)),
+    s3=lambda: group_ring(*symmetric(3)),
+    d4=lambda: group_ring(*dihedral(4)),
+    a4=lambda: group_ring(*alternating(4)),
+    ty5=lambda: ty_ring(5),
+    vlplus=lambda: families.build("vlplus-orbifold", n=1).module_ring,
     a4char=a4_character_ring,
     # noncommutative, with structure constants 2 and commutator terms +-2
     a4char_s3=lambda: product_ring(a4_character_ring(),
@@ -475,25 +279,25 @@ SCALARS = {
 @pytest.mark.parametrize("name", sorted(BATCH_RINGS))
 def test_element_product_matches_the_reference_kernel(name, kind):
     ring = BATCH_RINGS[name]()
-    rows = _nonzero_rows(ring.fusion)
+    terms = ref.exact(ring).terms
     rng = random.Random(f"{name}-{kind}")
     draw = SCALARS[kind]
     for _ in range(3):
         a = [draw(rng) for _ in range(ring.rank)]
         b = [draw(rng) for _ in range(ring.rank)]
         got = element_product(ring, a, b)
-        want = _sparse_product(rows, a, b)
+        want = ref.product(terms, a, b)
         # the same values, summed in the same (i, j) order, so equal
         # floats too, in the arithmetic of the inputs
         assert got == want
         assert all(type(g) is type(w)
-                   for g, w in zip(got, want) if not _is_zero(w))
+                   for g, w in zip(got, want) if w != 0)
 
 
 @pytest.mark.parametrize("name", sorted(BATCH_RINGS))
 def test_batched_averaging_squares_match_the_reference_kernel(name):
     ring = BATCH_RINGS[name]()
-    rows = _nonzero_rows(ring.fusion)
+    terms = ref.exact(ring).terms
     dims = mantissas(fp_dims(ring).values)
     w = dims[0]
     subs = enumerate_subrings(ring)
@@ -502,7 +306,7 @@ def test_batched_averaging_squares_match_the_reference_kernel(name):
         W[r, list(sub)] = [w[y] for y in sub]
     for X in (W, W * Fraction(1, 3)):
         got = _bilinear(ring._plan.square, X, X).tolist()
-        assert got == [_sparse_product(rows, x, x) for x in X.tolist()]
+        assert got == [ref.product(terms, x, x) for x in X.tolist()]
     weights, D = _check_averaging(ring, subs, dims)
     assert D == [sum(w[y] * w[y] for y in sub) for sub in subs]
     assert weights.tolist() == W.tolist()
@@ -514,33 +318,40 @@ def test_plan_scales_the_structure_constants_above_one():
     assert {-2, -1, 2} <= set(coef.tolist())
 
 
+def _exact(x):
+    """x with every mpmath number as its exact parts, and every array,
+    dict and dataclass as a tuple."""
+    if isinstance(x, mp.mpf):
+        s, man, e, bc = x._mpf_
+        return (s, int(man), e, bc)
+    if isinstance(x, mp.mpc):
+        return tuple(map(_exact, (x.real, x.imag)))
+    if isinstance(x, dict):
+        return tuple(sorted((k, _exact(v)) for k, v in x.items()))
+    if dataclasses.is_dataclass(x):
+        x = dataclasses.astuple(x)
+    x = x.tolist() if isinstance(x, np.ndarray) else x
+    return tuple(map(_exact, x)) if isinstance(x, (list, tuple)) else x
+
+
+def digest(x) -> str:
+    return hashlib.sha256(repr(_exact(x)).encode()).hexdigest()[:16]
+
+
+# Digests of the block profiles (mantissas, size, dimension) of every ring
+# of BATCH_RINGS, recorded when the batched split was checked against a
+# copy of the per-idempotent split it replaced.
+SPLIT_DIGESTS = {15: "1ba90af4ca401f04", 64: "19454001706bfe3b",
+                 128: "6f87ca4eecdca908"}
+
+
 @pytest.mark.parametrize("digits", [15, 64, 128])
-@pytest.mark.parametrize("name", sorted(BATCH_RINGS))
-def test_batched_split_matches_the_per_idempotent_loop(name, digits):
-    ring = BATCH_RINGS[name]()
+def test_split_mantissas_are_pinned(digits):
     with mp.workdps(digits):
-        tol = min(mp.mpf(TOL), working_tol())
-        Z = center_basis(ring)
-        want = None
-        for attempt in range(_MAX_SPLIT_ATTEMPTS):
-            guesses = _float_split(ring, Z, random.Random(SPLIT_SEED + attempt))
-            if guesses is None:
-                continue
-            old = [_old_refine(ring, g, tol) for g in guesses]
-            new = _newton(ring, guesses, tol)
-            assert new == (None if None in old else old)
-            if new is None:
-                continue
-            rows = _nonzero_rows(ring.fusion)
-            assert (commutators(ring, stack(old)).tolist()
-                    == [_old_commutator_residuals(rows, e) for e in old])
-            certified = _old_certified(ring, old, len(Z), tol)
-            assert _certified(ring, new, len(Z), tol) == certified
-            if certified:
-                want = old
-                break
-        assert want is not None
-        assert _split(ring, SPLIT_SEED) == want
+        values = [[(b.mantissas, b.m, b.block_dim)
+                   for b in block_profiles(BATCH_RINGS[name]())]
+                  for name in sorted(BATCH_RINGS)]
+    assert digest(values) == SPLIT_DIGESTS[digits]
 
 
 def _s3_and_involution():
