@@ -472,6 +472,10 @@ def as_mpc(x) -> mp.mpc:
         return mp.mpc(mp.mpf(x.numerator) / x.denominator)
     if isinstance(x, numbers.Integral):
         return mp.mpc(int(x))
+    # an mpf registers as numbers.Real; read it at the working precision,
+    # not through float64 as the numpy floats below
+    if isinstance(x, mp.mpf):
+        return mp.mpc(x)
     if isinstance(x, numbers.Real) and not isinstance(x, float):
         return mp.mpc(float(x))
     return mp.mpc(x)

@@ -13,15 +13,17 @@ from fuscond.condense import (
     CondensableAlgebra,
     CondensationBundle,
     _check_averaging,
+    block_dims,
     check_bundle,
     codegree_check,
+    codegree_row,
     e_sub,
     indicator,
     schur_weyl,
 )
 from fuscond import families, serialize
 from fuscond.cli import main
-from fuscond.cyclotomic import Cyc, as_mpc
+from fuscond.cyclotomic import TOL, Cyc, as_mpc, working_tol
 from fuscond.errors import (CapabilityError, NumericalDegeneracyError,
                              SchemaError, TheoremViolationError)
 from fuscond.modular import verlinde
@@ -29,8 +31,11 @@ from fuscond.ring import (BasedRing, DimVector, enumerate_subrings,
                           group_ring, is_closed, product_ring)
 from fuscond.mantissa import mantissas
 
+import reference as ref
 from grouptables import cyclic, symmetric
-from cached_bundles import BUILT_INS, bundle, swr
+from cached_bundles import BUILT_INS, bundle, swr, swr_at
+from differential import (check_blocks, check_codegrees, check_rows, kinds,
+                          mpc_values, same_checks, verdict)
 from test_modular import toric_data
 from test_wedderburn import block_trace, left_trace, mpc_product
 
@@ -683,3 +688,199 @@ def test_dimension_sums_equal_the_square_per_index_loop(family, n):
                     ref.order, ref.num, ref.den), sub
             else:
                 assert got == ref
+
+
+# -- the readers and the scalar checks against the reference, case by case
+
+# Every built-in bundle, and the diagonal cosets of SU(2)_1..4.
+CONTRACTION_CASES = BUILT_INS[:19]
+CASE_IDS = [f"{f}-{n}" for f, n in CONTRACTION_CASES]
+
+
+@pytest.mark.parametrize("dps", [15, 64, 128])
+@pytest.mark.parametrize("family,n", CONTRACTION_CASES, ids=CASE_IDS)
+def test_exact_contractions_match_the_mpmath_loops(family, n, dps):
+    # Ambient.character_row of each x in A against S(x*, y) / d(x), and the
+    # matching that the fits against those rows decide
+    b, r = bundle(family, n), swr_at(family, n, dps)
+    with mp.workdps(dps):
+        # a2nplus1 has a table ambient and no induction, so no matching
+        assert r.matching_skipped == (b.induction is None
+                                      or not b.ambient.has_characters)
+        if not r.matching_skipped:
+            xs = [x for x, m in enumerate(b.mult) if m]
+            re_, im, exp = b.ambient.character_row(xs)
+            for x, a, c, row in zip(xs, re_, im,
+                                    ref.ambient_rows(b.ambient, xs)):
+                assert all(map(ref.close, mpc_values((a, c, exp)), row)), x
+            fits = [float(note.rsplit("fit ", 1)[1][:-1])
+                    for note in r.notes if "(fit " in note]
+            assert len(fits) == sum(r.in_ideal)
+            assert max(fits) < working_tol()
+        check_blocks(b, r, verdict(family, n, dps))
+
+
+@pytest.mark.parametrize("dps", [15, 64, 128])
+@pytest.mark.parametrize("family,n", CONTRACTION_CASES, ids=CASE_IDS)
+def test_array_readers_equal_the_parent_loops(family, n, dps):
+    # the character table, block_dims and every codegree_row
+    b, r = bundle(family, n), swr_at(family, n, dps)
+    with mp.workdps(dps):
+        v = verdict(family, n, dps)
+        check_rows(r, v, check_blocks(b, r, v))
+
+
+def test_codegree_row_divides_by_the_block_size():
+    # a2n n=1 has an ideal block of size m = 2, whose codegree scalar
+    # needs the 1 / m_bj of sum_z chi_bi(z*) chi_bj(z) / m_bj
+    r = swr("a2n", 1)
+    b = r.bundle
+    dim_c = as_mpc(b.ambient.global_dim()).real
+    d_alg = as_mpc(b.algebra.dim()).real
+    dims = block_dims(r, TOL)
+    assert 2 in [r.blocks[bi].m for bi in dims]
+    for bi, dx in dims.items():
+        for bj, val in enumerate(codegree_row(r, bi)):
+            want = dim_c / (dx * d_alg) if bj == bi else 0
+            assert abs(val - want) < working_tol(), (bi, bj)
+
+
+FACTORS = (1 + 1e-8, 1 + 1e-10)
+
+
+def _with_ambient(b, **fields):
+    amb = dataclasses.replace(b.ambient, **fields)
+    return dataclasses.replace(
+        b, algebra=dataclasses.replace(b.algebra, ambient=amb))
+
+
+def _scaled(values, i, factor):
+    return tuple(v * factor if j == i else v for j, v in enumerate(values))
+
+
+def _mutations(b, factor):
+    """The twist of the last x in A, d_A of the unit and of the largest
+    module dim, and the ambient dim of that x, each times factor; with an
+    induction matrix also one entry +1 and -1 and a zeroed row."""
+    x = max(x for x, n in enumerate(b.mult) if n)
+    big = int(np.argmax(b.dA.as_floats()))
+    out = [_with_ambient(b, twists=_scaled(b.ambient.twists, x, factor)),
+           dataclasses.replace(b, dA=_scaled(b.dA.values, 0, factor)),
+           dataclasses.replace(b, dA=_scaled(b.dA.values, big, factor)),
+           _with_ambient(b, dims=_scaled(b.ambient.dims.values, x, factor))]
+    if b.induction is not None:
+        y, z = (int(i) for i in np.argwhere(b.induction[:, 1:])[-1])
+        for step in (1, -1):
+            M = np.array(b.induction)
+            M[y, z + 1] += step
+            out.append(dataclasses.replace(b, induction=M))
+        out.append(_zero_induction_row(b, y))
+    return out
+
+
+ADJUNCTION_CASES = [case for case in CONTRACTION_CASES
+                    if bundle(*case).induction is not None]
+
+
+@pytest.mark.parametrize("dps", [15, 64])
+@pytest.mark.parametrize("family,n", ADJUNCTION_CASES,
+                         ids=[f"{f}-{n}" for f, n in ADJUNCTION_CASES])
+def test_adjunction_decisions_equal_the_near_loop(family, n, dps):
+    # a changed induction entry or row, and d_A scaled past TOL and within
+    b = bundle(family, n)
+    with mp.workdps(dps):
+        edits = _mutations(b, 1)[4:]
+        for mutant in edits + [m for f in FACTORS
+                               for m in _mutations(b, f)[1:3]]:
+            same_checks(mutant)
+        # a changed induction entry always fails the adjunction
+        assert all(any(k and k[0] == "adjunction"
+                       for k in kinds(check_bundle(m).problems))
+                   for m in edits)
+
+
+@pytest.mark.parametrize("dps", [15, 64])
+@pytest.mark.parametrize("family,n", CONTRACTION_CASES, ids=CASE_IDS)
+def test_scalar_decisions_equal_the_near_loop(family, n, dps):
+    b = bundle(family, n)
+    with mp.workdps(dps):
+        same_checks(b)
+        assert check_bundle(b).ok
+        # 1 + 1e-8 is past TOL and must fail the check, 1 + 1e-10 is
+        # within it and must pass
+        for factor, ok in zip(FACTORS, (False, True)):
+            for i, mutant in enumerate(_mutations(b, factor)[:4]):
+                same_checks(mutant)
+                assert check_bundle(mutant).ok == ok, (factor, i)
+
+
+def _pulled_apart(r, factor):
+    """r with no block matched and the ambient dims of the candidates x of
+    one ideal block set to d, d factor, d, ..., with d the first one's;
+    and that block's index."""
+    b = r.bundle
+    bi = next(bi for bi, bp in enumerate(r.blocks)
+              if r.in_ideal[bi] and b.mult.count(bp.m) > 1)
+    xs = [x for x, n in enumerate(b.mult) if n == r.blocks[bi].m]
+    dims = [b.ambient.dims[xs[0]] if x in xs else d
+            for x, d in enumerate(b.ambient.dims.values)]
+    b = _with_ambient(b, dims=_scaled(dims, xs[1], factor))
+    return dataclasses.replace(r, bundle=b, matched=(None,) * len(r.blocks)), bi
+
+
+@pytest.mark.parametrize("dps", [15, 64])
+@pytest.mark.parametrize("family,n", CONTRACTION_CASES, ids=CASE_IDS)
+def test_block_dims_agreement_equals_the_near_loop(family, n, dps):
+    # unmatched, a block takes the common dimension of its candidates
+    # when they agree within TOL
+    b, r = bundle(family, n), swr_at(family, n, dps)
+    with mp.workdps(dps):
+        v = verdict(family, n, dps)
+        pair = check_blocks(b, r, v)
+        for factor, apart in zip(FACTORS, (True, False)):
+            mutant, bi = _pulled_apart(r, factor)
+            got = block_dims(mutant, TOL)
+            want = ref.block_dims(mutant.bundle, v.blocks, v.in_ideal,
+                                  [None] * len(v.blocks))
+            for k, d in got.items():
+                w = want[pair[k]]
+                assert (d is None) == (w is None), (factor, k)
+                assert d is None or ref.close(d, w), (factor, k)
+            assert (got[bi] is None) == apart, factor
+
+
+@pytest.mark.parametrize("dps", [15, 64, 128])
+@pytest.mark.parametrize("family,n", CONTRACTION_CASES, ids=CASE_IDS)
+def test_codegree_check_equals_every_entry_in_mpmath(family, n, dps):
+    b, r = bundle(family, n), swr_at(family, n, dps)
+    with mp.workdps(dps):
+        v = verdict(family, n, dps)
+        check_codegrees(b, r, v, check_blocks(b, r, v))
+
+
+FAIL = re.compile(r"codegree of (.+) acts on block (\d+) as (.+), "
+                  r"expected (.+)")
+
+
+def test_codegree_failures_equal_every_entry_in_mpmath():
+    # at 15 digits the residuals are about 1e-16: tol = 1e-20 fails
+    # entries off and on the diagonal, and each FAIL line must name an
+    # entry of codegree_row past it, with the reference's value
+    b, r = bundle("a2n", 2), swr("a2n", 2)
+    with mp.workdps(15):
+        v = verdict("a2n", 2, 15)
+        pair = check_blocks(b, r, v)
+        cg = codegree_check(r, tol=1e-20)
+        assert not cg.ok and cg.entries == codegree_check(r).entries
+        named = [k for k, j in enumerate(pair)
+                 if r.in_ideal[k] and v.dims[j] is not None]
+        past = [(k, c) for k, (_, s) in zip(named, cg.entries)
+                for c, val in enumerate(codegree_row(r, k))
+                if abs(val - (s if c == k else 0)) > 1e-20]
+        fails = [FAIL.fullmatch(p) for p in cg.report.problems]
+        assert len(fails) == len(past) > 1
+        for f, (k, c) in zip(fails, past):
+            assert (f[1], int(f[2])) == (cg.entries[named.index(k)][0], c)
+            val = codegree_row(r, k)[c]
+            assert complex(f[3]) == complex(val)
+            assert ref.close(val, v.phi[pair[k]][pair[c]])

@@ -7,15 +7,19 @@ counts via dim(B) * d(A^B) * d(A) = dim(C).
 """
 import dataclasses
 
+import mpmath as mp
 import numpy as np
 import pytest
 
+import reference as ref
 from fuscond.condense import e_sub
-from fuscond.cyclotomic import as_mpc
+from fuscond.cyclotomic import TOL, as_mpc
 from fuscond.errors import (NumericalDegeneracyError, SchemaError,
                             TheoremViolationError)
 from fuscond.galois import (
+    GaloisEntry,
     _invariants,
+    _order_problems,
     group_quotient,
     hasse_dot,
     invariant_subalgebra,
@@ -26,7 +30,9 @@ from fuscond.galois import (
 from fuscond.ring import BasedRing, element_product
 from fuscond.mantissa import mantissas
 
-from cached_bundles import bundle, swr
+from cached_bundles import BUILT_INS, bundle, swr, swr_at
+from differential import (check_blocks, check_lattice, check_quotient,
+                          ideal_order, kinds, verdict)
 
 
 def named_vector(b, entry):
@@ -266,6 +272,33 @@ def test_markdown_table_contents():
     assert "| {1,r1,r2,X} | 6 | 1.1 + j.1 | 2 |" in md
 
 
+# ------------------------------------------- the bookkeeping, case by case
+
+# Every built-in bundle, and the diagonal cosets of SU(2)_1..6.
+PINNED = BUILT_INS
+PINNED_IDS = [f"{f}-{n}" for f, n in PINNED]
+
+
+def _int_leaves(value):
+    if isinstance(value, tuple):
+        return all(map(_int_leaves, value))
+    return type(value) is int
+
+
+@pytest.mark.parametrize("dps", [15, 64])
+@pytest.mark.parametrize("family,n", PINNED, ids=PINNED_IDS)
+def test_array_bookkeeping_matches_the_loops(family, n, dps):
+    # the cosets of the local part, their tables and the pointed part
+    # against the reference, as Python ints
+    r = swr_at(family, n, dps)
+    with mp.workdps(dps):
+        check_quotient(r)
+        gq = group_quotient(r)
+    assert _int_leaves((gq.cosets, gq.pointed, gq.pointed_table))
+    assert gq.table is None or _int_leaves(gq.table)
+    assert gq.residual <= TOL
+
+
 def test_overlapping_local_orbits_are_refused():
     # local (0, 1) with 1 * 1 = 0 + 2 and 1 * 2 = 0: the orbits {0, 1},
     # {0, 1, 2} and {2} overlap, which no based ring allows
@@ -282,6 +315,39 @@ def test_overlapping_local_orbits_are_refused():
 
 
 # ------------------------------------------- n' from the character mantissas
+
+# The members of the galois-lattice benchmark workload.
+LATTICE_MEMBERS = ([("a2n", n) for n in range(1, 6)]
+                   + [("a2nplus1", n) for n in range(1, 5)]
+                   + [("vlplus-orbifold", 1), ("toric-code", None),
+                      ("ising-square", None)])
+
+
+@pytest.mark.parametrize("dps", [15, 64, 128])
+@pytest.mark.parametrize("family,n", LATTICE_MEMBERS,
+                         ids=[f"{f}-{n}" for f, n in LATTICE_MEMBERS])
+def test_invariant_subalgebra_matches_the_mpmath_path(family, n, dps):
+    # n' = chi_b(e_B) and the ambient vector of every subring
+    b, r = bundle(family, n), swr_at(family, n, dps)
+    with mp.workdps(dps):
+        v = verdict(family, n, dps)
+        order = ideal_order(r, v, check_blocks(b, r, v))
+        subs = lattice(b)
+        for sub, w in zip(subs, ref.correspondence(b, v, subs)[0]):
+            inv = invariant_subalgebra(r, sub)
+            assert inv.n_prime == tuple(w.n_prime[i] for i in order), sub
+            assert inv.ambient_vector == w.vector, sub
+            assert all(type(x) is int for x in inv.n_prime)
+
+
+@pytest.mark.parametrize("dps", [15, 64, 128])
+@pytest.mark.parametrize("family,n", PINNED, ids=PINNED_IDS)
+def test_n_prime_reading_equals_the_parent_loops(family, n, dps):
+    # verify_correspondence: every entry and every problem
+    b, r = bundle(family, n), swr_at(family, n, dps)
+    with mp.workdps(dps):
+        v = verdict(family, n, dps)
+        check_lattice(b, r, v, check_blocks(b, r, v))
 
 
 def test_perturbed_dims_fail_the_idempotent_check():
@@ -330,6 +396,28 @@ def test_fuzzy_multiplicity_is_a_numerical_failure():
         invariant_subalgebra(dataclasses.replace(r, blocks=tuple(blocks)),
                              r.bundle.local)
 
+
+# ------------------------------------------ order reversal and monotonicity
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_order_problems_match_the_pair_loop(seed):
+    # random strict orders over entries with random dimensions, some
+    # unknown, and random multiplicities, so both checks fail on some
+    # pairs and pass on others
+    rng = np.random.default_rng(seed)
+    size = int(rng.integers(1, 12))
+    entries = [GaloisEntry(sub=(0, i), n_prime=tuple(rng.integers(0, 3, 3)
+                                                      .tolist()),
+                           ambient_vector=None,
+                           d_invariant=(None if rng.random() < 0.2
+                                        else float(rng.integers(1, 6))),
+                           dim_sub=1.0, residual=0.0)
+               for i in range(size)]
+    below = np.triu(rng.random((size, size)) < 0.5, k=1)
+    tol = float(rng.choice([1e-9, 0.5, 2.0]))
+    assert kinds(_order_problems(entries, below, tol)) == ref.order_problems(
+        [(entries[i], entries[j]) for i, j in np.argwhere(below)], tol)
 
 # ------------------------------ which error the batched n' pass raises first
 #

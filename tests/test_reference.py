@@ -1,18 +1,17 @@
-"""The fast path against the independent reference of tests/reference.py,
-stage by stage.  A change to a fast path adds a case here, or a digest pin
-of a bit-exact value, not a copy of the code it replaces.
+"""The split on drawn rings against tests/reference.py, a seeded defect
+in each stage of the fast path against the comparisons of
+tests/differential.py, and digests of the bit-exact values the reference
+compares only within its bound.  The built-ins are compared case by case
+in test_condense.py and test_galois.py.
 """
-import dataclasses
-import re
-
 import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import reference as ref
 from cached_bundles import BUILT_INS, bundle, swr_at
+from differential import agree, check_ring
 from fuscond import condense, galois, wedderburn
 from fuscond.condense import (block_dims, check_bundle, codegree_check,
                               codegree_row, schur_weyl)
@@ -20,122 +19,10 @@ from fuscond.cyclotomic import TOL
 from fuscond.families import ty_ring
 from fuscond.galois import group_quotient, hasse_dot, verify_correspondence
 from fuscond.ring import group_ring, product_ring
-from fuscond.wedderburn import block_profiles, character_table
+from fuscond.wedderburn import character_table
 from grouptables import cyclic, symmetric
-from test_condense import _zero_induction_row
+from test_condense import FACTORS, _mutations, _pulled_apart
 from test_wedderburn import BATCH_RINGS, digest, group_rings
-
-
-def _values(mantissas, m=1):
-    re, im, exp = mantissas
-    return [mp.mpc(mp.mpf((int(a), exp)), mp.mpf((int(c), exp))) / m
-            for a, c in zip(re, im)]
-
-
-def check_split(ring, blocks, table) -> list:
-    """The reference block of each fast block, found by its idempotent;
-    sizes and characters must agree."""
-    rb = ref.split(ring)
-    assert len(blocks) == len(rb), "number of blocks"
-    pair = []
-    for bp in blocks:
-        e = _values(bp.mantissas)
-        pair.append(min(range(len(rb)), key=lambda j: max(
-            abs(x - y) for x, y in zip(e, rb[j].e))))
-        assert all(map(ref.close, e, rb[pair[-1]].e)), "idempotent"
-    assert sorted(pair) == list(range(len(rb))), "pairing"
-    for bp, j, re_, im in zip(blocks, pair, *table[:2]):
-        assert (bp.m, bp.block_dim) == (rb[j].m, rb[j].m ** 2)
-        chi = _values((re_, im, table[2]), bp.m)
-        assert all(map(ref.close, chi, rb[j].chi)), "character"
-    return pair
-
-
-def check_ring(ring):
-    blocks = block_profiles(ring)
-    check_split(ring, blocks, character_table(ring, blocks))
-
-
-# the problems of check_bundle and verify_correspondence as the
-# reference's keys: a kind and the labels or subrings it names
-_KINDS = [(re.compile(p), k) for p, k in [
-    (r"twist of (.+) is not 1", "twist"),
-    (r"algebra dimension", "algebra dimension"), (r"dim\(C_A\)", "dim(C_A)"),
-    (r"dim\(local\)", "dim(local)"), (r"module unit", "module unit"),
-    (r"induction adjunction fails at (.+?): ", "adjunction"),
-    (r"trivial block is matched", "unit"),
-    (r"subring (\(.*?\)): trivial-block", "trivial"),
-    (r"subring (\(.*?\)): no consistent", "skipped"),
-    (r"subring (\(.*?\)): dimension formula", "formula"),
-    (r"local subring multiplicities", "local"),
-    (r"full module ring gives", "full"),
-    (r"order reversal fails: (\(.*?\)) < (\(.*?\)) ", "reversal"),
-    (r"multiplicities not monotone: (\(.*?\)) < (\(.*?\)) ", "monotone")]]
-
-
-def kinds(problems) -> list:
-    """Each problem's key, or None for one the reference does not check."""
-    return [next(((k, *h.groups()) for r, k in _KINDS if (h := r.match(p))),
-                 None) for p in problems]
-
-
-def agree(b, r):
-    """Every stage of the fast path on bundle b, with its Schur-Weyl report
-    r, against the reference, at the working precision."""
-    assert [k for k in kinds(check_bundle(b).problems) if k] == \
-        ref.bundle_problems(b)
-    v = ref.verdict(b)
-    assert v.problems == []
-    pair = check_split(b.module_ring, r.blocks, r.character_mantissas)
-    assert [v.in_ideal[j] for j in pair] == list(r.in_ideal), "ideal"
-    assert [v.matched[j] for j in pair] == list(r.matched), "matching"
-    cg, dims, want = codegree_check(r), block_dims(r, TOL), []
-    for k, j in ((k, j) for k, j in enumerate(pair) if r.in_ideal[k]):
-        assert (dims[k] is None) == (v.dims[j] is None), f"dimension {k}"
-        assert dims[k] is None or ref.close(dims[k], v.dims[j])
-        phi = [v.phi[j][i] for i in pair]
-        assert all(map(ref.close, codegree_row(r, k), phi)), f"codegree {k}"
-        if dims[k] is not None:
-            x = r.matched[k]
-            want.append((f"block[{k}]" if x is None else b.ambient.labels[x],
-                         phi[k]))
-    assert cg.ok and [n for n, _ in cg.entries] == [n for n, _ in want]
-    assert all(ref.close(f, g) for (_, f), (_, g) in zip(cg.entries, want))
-    assert ref.close(cg.residual, v.residual)
-
-    rep = verify_correspondence(b, swr=r)
-    entries, problems = ref.correspondence(b, v, [e.sub for e in rep.entries])
-    assert kinds(rep.problems) == problems
-    ideal = [j for j, f in enumerate(v.in_ideal) if f]
-    order = [ideal.index(j) for k, j in enumerate(pair) if r.in_ideal[k]]
-    for e, w in zip(rep.entries, entries):
-        assert e.n_prime == tuple(w.n_prime[i] for i in order), e.sub
-        assert all(type(n) is int for n in e.n_prime)
-        assert e.ambient_vector == w.vector, e.sub
-        assert ref.close(e.dim_sub, w.dim_sub), e.sub
-        assert (e.d_invariant is None) == (w.d_invariant is None), e.sub
-        if w.d_invariant is not None:
-            assert ref.close(e.d_invariant, w.d_invariant), e.sub
-            assert ref.close(e.residual, w.residual), e.sub
-    gq = group_quotient(r)
-    assert (gq.cosets, gq.table, gq.pointed, gq.pointed_table) == \
-        ref.group_quotient(b)
-
-
-# Every built-in at 64 digits, and this subset at 15 and 128.
-SUBSET = [("a2n", 1), ("a2n", 2), ("a2nplus1", 1), ("a2nplus1", 2),
-          ("vlplus-orbifold", 1), ("toric-code", None), ("ising-square", None),
-          ("coset-su2", 2)]
-CASES = ([(f, n, 64) for f, n in BUILT_INS]
-         + [(f, n, d) for d in (15, 128) for f, n in SUBSET])
-
-
-@pytest.mark.parametrize("family,n,dps", CASES,
-                         ids=[f"{f}-{n}-{d}" for f, n, d in CASES])
-def test_fast_path_agrees_with_the_reference(family, n, dps):
-    r = swr_at(family, n, dps)
-    with mp.workdps(dps):
-        agree(bundle(family, n), r)
 
 
 # the rings of the split digests, group rings and products of two,
@@ -154,58 +41,6 @@ RINGS = st.one_of(
 def test_split_agrees_with_the_reference(ring, dps):
     with mp.workdps(dps):
         check_ring(ring)
-
-
-# -- the bundle's scalar checks on mutants past TOL and within it
-
-FACTORS = (1 + 1e-8, 1 + 1e-10)
-
-
-def _with_ambient(b, **fields):
-    amb = dataclasses.replace(b.ambient, **fields)
-    return dataclasses.replace(
-        b, algebra=dataclasses.replace(b.algebra, ambient=amb))
-
-
-def _scaled(values, i, factor):
-    return tuple(v * factor if j == i else v for j, v in enumerate(values))
-
-
-def _mutations(b, factor):
-    """The twist of the last x in A, d_A of the unit and of the largest
-    module dim, and the ambient dim of that x, each times factor; with an
-    induction matrix also one entry +1 and -1 and a zeroed row."""
-    x = max(x for x, n in enumerate(b.mult) if n)
-    big = int(np.argmax(b.dA.as_floats()))
-    out = [_with_ambient(b, twists=_scaled(b.ambient.twists, x, factor)),
-           dataclasses.replace(b, dA=_scaled(b.dA.values, 0, factor)),
-           dataclasses.replace(b, dA=_scaled(b.dA.values, big, factor)),
-           _with_ambient(b, dims=_scaled(b.ambient.dims.values, x, factor))]
-    if b.induction is not None:
-        y, z = (int(i) for i in np.argwhere(b.induction[:, 1:])[-1])
-        for step in (1, -1):
-            M = np.array(b.induction)
-            M[y, z + 1] += step
-            out.append(dataclasses.replace(b, induction=M))
-        out.append(_zero_induction_row(b, y))
-    return out
-
-
-# as_mpc reads an mpmath mpf through float64, so check_bundle decides the
-# inexact dim(C_A) of a2n 2 with d_A of the unit times 1 + 1e-8, 1e-18
-# relative inside TOL, in float64 and fails it
-MUTATED = [pytest.param(f, n, d, id=f"{f}-{n}-{d}", marks=pytest.mark.xfail(
-    strict=True, reason="as_mpc rounds an mpf to float64 (CHANGES.md)")
-    if (f, n) == ("a2n", 2) else ()) for d in (64, 128) for f, n in BUILT_INS]
-
-
-@pytest.mark.parametrize("family,n,dps", MUTATED)
-def test_mutants_fail_the_checks_of_the_reference(family, n, dps):
-    b = bundle(family, n)
-    with mp.workdps(dps):
-        for mutant in (m for f in FACTORS for m in _mutations(b, f)):
-            assert [k for k in kinds(check_bundle(mutant).problems) if k] \
-                == ref.bundle_problems(mutant)
 
 
 # -- a seeded defect in each stage must fail the differential test
@@ -252,23 +87,11 @@ def test_a_seeded_defect_fails_the_differential_test(monkeypatch, stage):
 
 
 # -- digests of bit-exact values the reference compares within its bound,
-# recorded before it replaced the copies of earlier implementations
-READER_DIGESTS = {15: "a07d02be55b0cb88", 64: "7b96f0fdfb702231",
-                  128: "b9a555d4f97a8b04"}
-
-
-def _pulled_apart(r, factor):
-    """block_dims of r unmatched, with the dims of the simples of the size
-    of one ideal block set to d, d factor, d, ..."""
-    b = r.bundle
-    m = next(bp.m for bp, f in zip(r.blocks, r.in_ideal)
-             if f and b.mult.count(bp.m) > 1)
-    xs = [x for x, n in enumerate(b.mult) if n == m]
-    dims = [b.ambient.dims[xs[0]] if x in xs else d
-            for x, d in enumerate(b.ambient.dims.values)]
-    b = _with_ambient(b, dims=_scaled(dims, xs[1], factor))
-    return block_dims(dataclasses.replace(
-        r, bundle=b, matched=(None,) * len(r.blocks)), TOL)
+# recorded before it replaced the copies of earlier implementations; at 64
+# and 128 digits again once as_mpc read an mpf at the working precision,
+# which changed only the problem text of the mutants
+READER_DIGESTS = {15: "a07d02be55b0cb88", 64: "af481374616d943e",
+                  128: "2eae8e188ef85fa7"}
 
 
 def reader_values(dps) -> list:
@@ -288,7 +111,7 @@ def reader_values(dps) -> list:
                 group_quotient(r), hasse_dot(verify_correspondence(b, swr=r)),
                 [check_bundle(m).problems for f in FACTORS
                  for m in _mutations(b, f)],
-                [_pulled_apart(r, f) for f in FACTORS]))
+                [block_dims(_pulled_apart(r, f)[0], TOL) for f in FACTORS]))
     return values
 
 

@@ -19,11 +19,12 @@ from fuscond.ring import (BasedRing, _bilinear, element_product,
                           enumerate_subrings, fp_dims, group_ring,
                           product_ring)
 from fuscond.mantissa import mantissas, rounded_on_grid
-from fuscond.wedderburn import (SPLIT_SEED, _certified, _split,
-                                block_profiles, center_basis)
+from fuscond.wedderburn import (SPLIT_SEED, _certified, _profile_key,
+                                _split, block_profiles, center_basis)
 
 import reference as ref
 from cached_bundles import bundle
+from differential import check_ring
 from grouptables import alternating, cyclic, dihedral, quaternion, symmetric
 from test_ring import _relabel, d3_xy_ring, ising_ring
 
@@ -261,6 +262,33 @@ BATCH_RINGS = dict(
     **{f"{family}-{n}": (lambda f=family, n=n: bundle(f, n).module_ring)
        for family in ("a2n", "a2nplus1") for n in range(1, 7)})
 
+# The rings the Newton refinement of the split was first checked on.
+REFINE_RINGS = ["z3", "s3", "d4", "a4", "ty5", "vlplus"]
+
+
+@pytest.mark.parametrize("digits", [15, 64, 128])
+@pytest.mark.parametrize("name", sorted(REFINE_RINGS))
+def test_integer_refinement_matches_the_mpc_loop(name, digits):
+    # the refined idempotents square to themselves within the stopping
+    # tolerance and sum to the unit in the reference's arithmetic, give
+    # the block sizes by tr(L_e) = m^2, and come in the order of their
+    # profile keys
+    ring = BATCH_RINGS[name]()
+    with mp.workdps(digits):
+        tol = min(mp.mpf(TOL), working_tol())
+        blocks = block_profiles(ring)
+        keys = [_profile_key(b) for b in blocks]
+        assert keys == sorted(keys)
+        for b in blocks:
+            e = list(b.idempotent)
+            assert max(abs(s - x) for s, x in
+                       zip(mpc_product(ring, e, e), e)) <= tol
+            assert b.block_dim == b.m ** 2
+            assert abs(left_trace(ring, e) - b.block_dim) <= ref.NEAR
+        unit = [mp.fsum(b.idempotent[i] for b in blocks)
+                for i in range(ring.rank)]
+        assert max(abs(u - (i == 0)) for i, u in enumerate(unit)) <= tol
+
 
 # Coefficient draws for the products against the reference kernel, each
 # zero about one time in four so that the skipped terms show.
@@ -337,6 +365,19 @@ def _exact(x):
 def digest(x) -> str:
     return hashlib.sha256(repr(_exact(x)).encode()).hexdigest()[:16]
 
+
+
+@pytest.mark.parametrize("digits", [15, 64, 128])
+@pytest.mark.parametrize("name", sorted(BATCH_RINGS))
+def test_batched_split_matches_the_per_idempotent_loop(name, digits):
+    # the certified split of the seed: its idempotents, sizes and
+    # characters against the reference's
+    ring = BATCH_RINGS[name]()
+    with mp.workdps(digits):
+        tol = min(mp.mpf(TOL), working_tol())
+        assert _certified(ring, _split(ring, SPLIT_SEED),
+                          len(center_basis(ring)), tol)
+        check_ring(ring)
 
 # Digests of the block profiles (mantissas, size, dimension) of every ring
 # of BATCH_RINGS, recorded when the batched split was checked against a
