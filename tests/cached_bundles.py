@@ -9,12 +9,14 @@ from fuscond import families
 from fuscond.condense import schur_weyl
 
 
-# Every built-in bundle, and the diagonal cosets of SU(2)_1..6.
-BUILT_INS = ([("a2n", n) for n in range(1, 7)]
-             + [("a2nplus1", n) for n in range(1, 7)]
-             + [("vlplus-orbifold", 1), ("toric-code", None),
-                ("ising-square", None)]
-             + [("coset-su2", k) for k in range(1, 7)])
+# The a2n and a2nplus1 members 1..6, the three bundles of fixed size, and
+# the diagonal cosets of SU(2)_1..4 and of SU(2)_5..6.
+FAMILY_MEMBERS = [(f, n) for f in ("a2n", "a2nplus1") for n in range(1, 7)]
+FIXED_BUNDLES = [("vlplus-orbifold", 1), ("toric-code", None),
+                 ("ising-square", None)]
+SMALL_COSETS = [("coset-su2", k) for k in range(1, 5)]
+LARGE_COSETS = [("coset-su2", k) for k in range(5, 7)]
+BUILT_INS = FAMILY_MEMBERS + FIXED_BUNDLES + SMALL_COSETS + LARGE_COSETS
 
 
 @functools.lru_cache(maxsize=None)

@@ -18,11 +18,12 @@ and computes the rest itself:
   d(A^B') < d(A^B) and n'(B') <= n'(B);
 - the cosets of the local part and the products of e_1 y / d_y.
 
-The exact parts are cached per ring, the rest runs at the working
-precision plus GUARD digits.  Integers and labels must equal the fast
-path's, and a float v agrees with the reference value r when
-|v - r| <= bound(v) max(1, |r|): the fast path refines to round-off and
-decides within 10**(8 - dps).  A scalar check whose excess over its
+The exact parts are cached per ring and the split per ring and
+precision; the rest runs at the working precision plus GUARD digits.
+Integers and labels must equal the fast path's, and a float v agrees with
+the reference value r, computed at dps digits, when
+|v - r| <= bound(v, dps) max(1, |r|): the fast path refines to round-off
+and decides within 10**(8 - dps).  A scalar check whose excess over its
 tolerance lies within 10**(2 - dps) relative of zero is a knife edge that
 the rounding at the working precision decides either way, so the
 comparisons of tests/differential.py leave it out.
@@ -41,13 +42,15 @@ TOL = 1e-9       # the default tolerance of the paper's checks
 NEAR = 1e-6      # an integer, a unit coefficient or a match is this close
 
 
-def bound(v):
-    """10**(8 - d), with d = 15 for a float64 v and mp.dps for an mpmath v."""
-    return mp.mpf(10) ** (8 - (15 if isinstance(v, float) else mp.mp.dps))
+def bound(v, dps=math.inf):
+    """10**(8 - d), with d = 15 for a float64 v, and for an mpmath v the
+    lower of mp.dps and the precision dps of the reference value."""
+    return mp.mpf(10) ** (8 - (15 if isinstance(v, float)
+                               else min(mp.mp.dps, dps)))
 
 
-def close(v, r) -> bool:
-    return abs(v - r) <= bound(v) * max(1, abs(r))
+def close(v, r, dps=math.inf) -> bool:
+    return abs(v - r) <= bound(v, dps) * max(1, abs(r))
 
 
 def _integer(x, what) -> int:
@@ -68,8 +71,9 @@ def _dims(b) -> tuple:
 
 # terms (i, j) -> [(k, N[i, j, k]), ...] over N != 0, tr(L_i), W[i][z] =
 # tr(L_{i z}), the free columns f of the center and the integer vector u_f
-# of each (0 at the other f), and seed -> [z u_f for each f], z central
-Exact = namedtuple("Exact", "terms tr W free center actions")
+# of each (0 at the other f), seed -> [z u_f for each f], z central, and
+# dps -> the blocks of the split at dps digits
+Exact = namedtuple("Exact", "terms tr W free center actions splits")
 
 
 def _nullspace(rows, n):
@@ -113,7 +117,7 @@ def exact(ring) -> Exact:
         C = (F.transpose(1, 2, 0) - F.transpose(0, 2, 1)).reshape(-1, len(F))
         rows = sorted({tuple(r) for r in C.tolist() if any(r)})
         _EXACT[key] = Exact(terms, tr, (F @ np.array(tr)).tolist(),
-                            *_nullspace(rows, len(F)), {})
+                            *_nullspace(rows, len(F)), {}, {})
     return _EXACT[key]
 
 
@@ -136,6 +140,12 @@ Block = namedtuple("Block", "e m chi")
 def split(ring) -> list:
     """The blocks of the ring, in no particular order."""
     ex = exact(ring)
+    if mp.mp.dps not in ex.splits:
+        ex.splits[mp.mp.dps] = _split(ring, ex)
+    return ex.splits[mp.mp.dps]
+
+
+def _split(ring, ex) -> list:
     with mp.workdps(mp.mp.dps + GUARD):
         for seed in range(1, 9):
             if seed not in ex.actions:
@@ -198,10 +208,10 @@ def ambient_rows(amb, xs):
 
 
 # per block: in the ideal, the matched ambient index or None, the ambient
-# dimension of an ideal block or None, phi[b][c] of an ideal b; and the
-# largest |phi[b][c] - delta_bc dim(C) / (d_b d(A))|
+# dimension of an ideal block or None, phi[b][c] of an ideal b; the
+# largest |phi[b][c] - delta_bc dim(C) / (d_b d(A))|; and the precision
 Verdict = namedtuple("Verdict", "blocks in_ideal matched dims phi residual "
-                                "problems")
+                                "problems dps")
 
 
 def block_dims(b, blocks, ideal, matched, tol=TOL) -> list:
@@ -249,8 +259,8 @@ def verdict(b, tol=TOL) -> Verdict:
                for j, p in enumerate(phi[i])]
         if max(off, default=0) > tol:
             problems.append("a codegree is not dim(C) / (d_x d(A))")
-        return Verdict(blocks, ideal, matched, dims, phi,
-                       max(off, default=mp.mpf(0)), problems)
+    return Verdict(blocks, ideal, matched, dims, phi,
+                   max(off, default=mp.mpf(0)), problems, mp.mp.dps)
 
 
 def scalar_checks(b, tol=TOL) -> list:

@@ -22,7 +22,7 @@ from fuscond.modular import ModularData
 from fuscond.ring import BasedRing, DimVector
 from fuscond.wedderburn import SPLIT_SEED, _profile_key, block_profiles
 
-from cached_bundles import BUILT_INS
+from cached_bundles import FAMILY_MEMBERS, FIXED_BUNDLES, SMALL_COSETS
 from test_condense import flat_ambient
 
 
@@ -544,7 +544,7 @@ def test_a2nplus1_splits_at_collision_prone_seeds(tmp_path, monkeypatch,
 
 
 # Every built-in bundle but the cosets.
-ALL_MEMBERS = BUILT_INS[:15]
+ALL_MEMBERS = FAMILY_MEMBERS + FIXED_BUNDLES
 ALL_IDS = [f"{f}-{n}" for f, n in ALL_MEMBERS]
 
 
@@ -585,7 +585,7 @@ def test_analyze_is_precision_independent(tmp_path, capsys, family, n):
 
 
 # The 15 built-in bundles and coset SU(2)_1..4.
-RESIDUAL_MEMBERS = BUILT_INS[:19]
+RESIDUAL_MEMBERS = FAMILY_MEMBERS + FIXED_BUNDLES + SMALL_COSETS
 
 
 @pytest.mark.parametrize("family,n", RESIDUAL_MEMBERS,

@@ -33,9 +33,10 @@ from fuscond.mantissa import mantissas
 
 import reference as ref
 from grouptables import cyclic, symmetric
-from cached_bundles import BUILT_INS, bundle, swr, swr_at
-from differential import (check_blocks, check_codegrees, check_rows, kinds,
-                          mpc_values, same_checks, verdict)
+from cached_bundles import (BUILT_INS, FAMILY_MEMBERS, FIXED_BUNDLES,
+                            SMALL_COSETS, bundle, swr)
+from differential import (case, check_codegrees, check_rows, kinds,
+                          mpc_values, same_checks)
 from test_modular import toric_data
 from test_wedderburn import block_trace, left_trace, mpc_product
 
@@ -617,7 +618,7 @@ def flat_ambient(amb):
     return Ambient.from_table(labels, dual, dims, twists)
 
 
-PRODUCT_CASES = BUILT_INS[:12]
+PRODUCT_CASES = FAMILY_MEMBERS
 
 
 @pytest.mark.parametrize("family,n", PRODUCT_CASES,
@@ -691,43 +692,46 @@ def test_dimension_sums_equal_the_square_per_index_loop(family, n):
 
 
 # -- the readers and the scalar checks against the reference, case by case
+# (tests/differential.py), each stage once per case and precision.  The
+# test names are those of the comparisons with earlier implementations
+# that these replace.
 
-# Every built-in bundle, and the diagonal cosets of SU(2)_1..4.
-CONTRACTION_CASES = BUILT_INS[:19]
+CONTRACTION_CASES = FAMILY_MEMBERS + FIXED_BUNDLES + SMALL_COSETS
 CASE_IDS = [f"{f}-{n}" for f, n in CONTRACTION_CASES]
 
 
 @pytest.mark.parametrize("dps", [15, 64, 128])
 @pytest.mark.parametrize("family,n", CONTRACTION_CASES, ids=CASE_IDS)
 def test_exact_contractions_match_the_mpmath_loops(family, n, dps):
-    # Ambient.character_row of each x in A against S(x*, y) / d(x), and the
-    # matching that the fits against those rows decide
-    b, r = bundle(family, n), swr_at(family, n, dps)
-    with mp.workdps(dps):
-        # a2nplus1 has a table ambient and no induction, so no matching
-        assert r.matching_skipped == (b.induction is None
-                                      or not b.ambient.has_characters)
-        if not r.matching_skipped:
-            xs = [x for x, m in enumerate(b.mult) if m]
+    # the split, the characters, the ideal and the matching; the ambient
+    # character rows of A against S(x*, y) / d(x) and the fit notes
+    c = case(family, n, dps)
+    b, r = c.b, c.r
+    # a2nplus1 has a table ambient and no induction, so no matching
+    assert r.matching_skipped == (b.induction is None
+                                  or not b.ambient.has_characters)
+    if not r.matching_skipped:
+        xs = [x for x, m in enumerate(b.mult) if m]
+        with mp.workdps(c.ref.v.dps):
+            rows = ref.ambient_rows(b.ambient, xs)
+        with mp.workdps(dps):
             re_, im, exp = b.ambient.character_row(xs)
-            for x, a, c, row in zip(xs, re_, im,
-                                    ref.ambient_rows(b.ambient, xs)):
-                assert all(map(ref.close, mpc_values((a, c, exp)), row)), x
+            for x, a, z, row in zip(xs, re_, im, rows):
+                assert all(ref.close(u, w, c.ref.v.dps) for u, w in
+                           zip(mpc_values((a, z, exp)), row)), x
             fits = [float(note.rsplit("fit ", 1)[1][:-1])
                     for note in r.notes if "(fit " in note]
             assert len(fits) == sum(r.in_ideal)
             assert max(fits) < working_tol()
-        check_blocks(b, r, verdict(family, n, dps))
 
 
 @pytest.mark.parametrize("dps", [15, 64, 128])
 @pytest.mark.parametrize("family,n", CONTRACTION_CASES, ids=CASE_IDS)
 def test_array_readers_equal_the_parent_loops(family, n, dps):
-    # the character table, block_dims and every codegree_row
-    b, r = bundle(family, n), swr_at(family, n, dps)
+    # block_dims and every codegree_row
+    c = case(family, n, dps)
     with mp.workdps(dps):
-        v = verdict(family, n, dps)
-        check_rows(r, v, check_blocks(b, r, v))
+        check_rows(c.r, c.ref.v, c.pair)
 
 
 def test_codegree_row_divides_by_the_block_size():
@@ -778,8 +782,7 @@ def _mutations(b, factor):
     return out
 
 
-ADJUNCTION_CASES = [case for case in CONTRACTION_CASES
-                    if bundle(*case).induction is not None]
+ADJUNCTION_CASES = [c for c in CONTRACTION_CASES if c[0] != "a2nplus1"]
 
 
 @pytest.mark.parametrize("dps", [15, 64])
@@ -788,6 +791,7 @@ ADJUNCTION_CASES = [case for case in CONTRACTION_CASES
 def test_adjunction_decisions_equal_the_near_loop(family, n, dps):
     # a changed induction entry or row, and d_A scaled past TOL and within
     b = bundle(family, n)
+    assert b.induction is not None
     with mp.workdps(dps):
         edits = _mutations(b, 1)[4:]
         for mutant in edits + [m for f in FACTORS
@@ -833,29 +837,27 @@ def _pulled_apart(r, factor):
 def test_block_dims_agreement_equals_the_near_loop(family, n, dps):
     # unmatched, a block takes the common dimension of its candidates
     # when they agree within TOL
-    b, r = bundle(family, n), swr_at(family, n, dps)
+    c = case(family, n, dps)
+    v = c.ref.v
     with mp.workdps(dps):
-        v = verdict(family, n, dps)
-        pair = check_blocks(b, r, v)
         for factor, apart in zip(FACTORS, (True, False)):
-            mutant, bi = _pulled_apart(r, factor)
+            mutant, bi = _pulled_apart(c.r, factor)
             got = block_dims(mutant, TOL)
             want = ref.block_dims(mutant.bundle, v.blocks, v.in_ideal,
                                   [None] * len(v.blocks))
             for k, d in got.items():
-                w = want[pair[k]]
+                w = want[c.pair[k]]
                 assert (d is None) == (w is None), (factor, k)
-                assert d is None or ref.close(d, w), (factor, k)
+                assert d is None or ref.close(d, w, v.dps), (factor, k)
             assert (got[bi] is None) == apart, factor
 
 
 @pytest.mark.parametrize("dps", [15, 64, 128])
 @pytest.mark.parametrize("family,n", CONTRACTION_CASES, ids=CASE_IDS)
 def test_codegree_check_equals_every_entry_in_mpmath(family, n, dps):
-    b, r = bundle(family, n), swr_at(family, n, dps)
+    c = case(family, n, dps)
     with mp.workdps(dps):
-        v = verdict(family, n, dps)
-        check_codegrees(b, r, v, check_blocks(b, r, v))
+        check_codegrees(c.b, c.r, c.ref.v, c.pair)
 
 
 FAIL = re.compile(r"codegree of (.+) acts on block (\d+) as (.+), "
@@ -866,21 +868,20 @@ def test_codegree_failures_equal_every_entry_in_mpmath():
     # at 15 digits the residuals are about 1e-16: tol = 1e-20 fails
     # entries off and on the diagonal, and each FAIL line must name an
     # entry of codegree_row past it, with the reference's value
-    b, r = bundle("a2n", 2), swr("a2n", 2)
+    c = case("a2n", 2, 15)
+    r, v, pair = c.r, c.ref.v, c.pair
     with mp.workdps(15):
-        v = verdict("a2n", 2, 15)
-        pair = check_blocks(b, r, v)
         cg = codegree_check(r, tol=1e-20)
         assert not cg.ok and cg.entries == codegree_check(r).entries
         named = [k for k, j in enumerate(pair)
                  if r.in_ideal[k] and v.dims[j] is not None]
-        past = [(k, c) for k, (_, s) in zip(named, cg.entries)
-                for c, val in enumerate(codegree_row(r, k))
-                if abs(val - (s if c == k else 0)) > 1e-20]
+        past = [(k, j) for k, (_, s) in zip(named, cg.entries)
+                for j, val in enumerate(codegree_row(r, k))
+                if abs(val - (s if j == k else 0)) > 1e-20]
         fails = [FAIL.fullmatch(p) for p in cg.report.problems]
         assert len(fails) == len(past) > 1
-        for f, (k, c) in zip(fails, past):
-            assert (f[1], int(f[2])) == (cg.entries[named.index(k)][0], c)
-            val = codegree_row(r, k)[c]
+        for f, (k, j) in zip(fails, past):
+            assert (f[1], int(f[2])) == (cg.entries[named.index(k)][0], j)
+            val = codegree_row(r, k)[j]
             assert complex(f[3]) == complex(val)
-            assert ref.close(val, v.phi[pair[k]][pair[c]])
+            assert ref.close(val, v.phi[pair[k]][pair[j]])

@@ -82,6 +82,8 @@ def test_as_mpc_coercions():
     assert abs(as_mpc(Fraction(1, 3)) - mp.mpf(1) / 3) < mp.mpf("1e-60")
     assert abs(as_mpc(2) - 2) == 0
     assert abs(as_mpc(Cyc.zeta(4)) - mp.mpc(0, 1)) < mp.mpf("1e-60")
+    # an mpf at the working precision, not through float64
+    assert abs(as_mpc(mp.mpf(1) / 3) - mp.mpf(1) / 3) < mp.mpf("1e-60")
 
 
 def test_numpy_integers_stay_exact():

@@ -30,9 +30,9 @@ from fuscond.galois import (
 from fuscond.ring import BasedRing, element_product
 from fuscond.mantissa import mantissas
 
-from cached_bundles import BUILT_INS, bundle, swr, swr_at
-from differential import (check_blocks, check_lattice, check_quotient,
-                          ideal_order, kinds, verdict)
+from cached_bundles import BUILT_INS, FIXED_BUNDLES, bundle, swr, swr_at
+from differential import (case, check_lattice, check_quotient, ideal_order,
+                          kinds, reference)
 
 
 def named_vector(b, entry):
@@ -273,8 +273,9 @@ def test_markdown_table_contents():
 
 
 # ------------------------------------------- the bookkeeping, case by case
+# against tests/differential.py; the test names here and below are those of
+# the comparisons with earlier implementations that these replace
 
-# Every built-in bundle, and the diagonal cosets of SU(2)_1..6.
 PINNED = BUILT_INS
 PINNED_IDS = [f"{f}-{n}" for f, n in PINNED]
 
@@ -292,7 +293,7 @@ def test_array_bookkeeping_matches_the_loops(family, n, dps):
     # against the reference, as Python ints
     r = swr_at(family, n, dps)
     with mp.workdps(dps):
-        check_quotient(r)
+        check_quotient(r, reference(family, n, dps))
         gq = group_quotient(r)
     assert _int_leaves((gq.cosets, gq.pointed, gq.pointed_table))
     assert gq.table is None or _int_leaves(gq.table)
@@ -318,25 +319,22 @@ def test_overlapping_local_orbits_are_refused():
 
 # The members of the galois-lattice benchmark workload.
 LATTICE_MEMBERS = ([("a2n", n) for n in range(1, 6)]
-                   + [("a2nplus1", n) for n in range(1, 5)]
-                   + [("vlplus-orbifold", 1), ("toric-code", None),
-                      ("ising-square", None)])
+                   + [("a2nplus1", n) for n in range(1, 5)] + FIXED_BUNDLES)
 
 
 @pytest.mark.parametrize("dps", [15, 64, 128])
 @pytest.mark.parametrize("family,n", LATTICE_MEMBERS,
                          ids=[f"{f}-{n}" for f, n in LATTICE_MEMBERS])
 def test_invariant_subalgebra_matches_the_mpmath_path(family, n, dps):
-    # n' = chi_b(e_B) and the ambient vector of every subring
-    b, r = bundle(family, n), swr_at(family, n, dps)
+    # invariant_subalgebra on its own: n' = chi_b(e_B) and the ambient
+    # vector of every subring
+    c = case(family, n, dps)
+    order = ideal_order(c.r, c.ref.v, c.pair)
     with mp.workdps(dps):
-        v = verdict(family, n, dps)
-        order = ideal_order(r, v, check_blocks(b, r, v))
-        subs = lattice(b)
-        for sub, w in zip(subs, ref.correspondence(b, v, subs)[0]):
-            inv = invariant_subalgebra(r, sub)
-            assert inv.n_prime == tuple(w.n_prime[i] for i in order), sub
-            assert inv.ambient_vector == w.vector, sub
+        for w in c.ref.entries:
+            inv = invariant_subalgebra(c.r, w.sub)
+            assert inv.n_prime == tuple(w.n_prime[i] for i in order), w.sub
+            assert inv.ambient_vector == w.vector, w.sub
             assert all(type(x) is int for x in inv.n_prime)
 
 
@@ -344,10 +342,9 @@ def test_invariant_subalgebra_matches_the_mpmath_path(family, n, dps):
 @pytest.mark.parametrize("family,n", PINNED, ids=PINNED_IDS)
 def test_n_prime_reading_equals_the_parent_loops(family, n, dps):
     # verify_correspondence: every entry and every problem
-    b, r = bundle(family, n), swr_at(family, n, dps)
+    c = case(family, n, dps)
     with mp.workdps(dps):
-        v = verdict(family, n, dps)
-        check_lattice(b, r, v, check_blocks(b, r, v))
+        check_lattice(c.b, c.r, c.ref, c.pair)
 
 
 def test_perturbed_dims_fail_the_idempotent_check():

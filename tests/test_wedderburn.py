@@ -19,8 +19,8 @@ from fuscond.ring import (BasedRing, _bilinear, element_product,
                           enumerate_subrings, fp_dims, group_ring,
                           product_ring)
 from fuscond.mantissa import mantissas, rounded_on_grid
-from fuscond.wedderburn import (SPLIT_SEED, _certified, _profile_key,
-                                _split, block_profiles, center_basis)
+from fuscond.wedderburn import (SPLIT_SEED, _certified, _split,
+                                block_profiles, center_basis)
 
 import reference as ref
 from cached_bundles import bundle
@@ -262,7 +262,9 @@ BATCH_RINGS = dict(
     **{f"{family}-{n}": (lambda f=family, n=n: bundle(f, n).module_ring)
        for family in ("a2n", "a2nplus1") for n in range(1, 7)})
 
-# The rings the Newton refinement of the split was first checked on.
+# The rings the Newton refinement of the split was first checked on.  This
+# test and test_batched_split_matches_the_per_idempotent_loop keep the names
+# of the comparisons with earlier implementations that they replace.
 REFINE_RINGS = ["z3", "s3", "d4", "a4", "ty5", "vlplus"]
 
 
@@ -270,15 +272,12 @@ REFINE_RINGS = ["z3", "s3", "d4", "a4", "ty5", "vlplus"]
 @pytest.mark.parametrize("name", sorted(REFINE_RINGS))
 def test_integer_refinement_matches_the_mpc_loop(name, digits):
     # the refined idempotents square to themselves within the stopping
-    # tolerance and sum to the unit in the reference's arithmetic, give
-    # the block sizes by tr(L_e) = m^2, and come in the order of their
-    # profile keys
+    # tolerance and sum to the unit in the reference's arithmetic, and
+    # give the block sizes by tr(L_e) = m^2
     ring = BATCH_RINGS[name]()
     with mp.workdps(digits):
         tol = min(mp.mpf(TOL), working_tol())
         blocks = block_profiles(ring)
-        keys = [_profile_key(b) for b in blocks]
-        assert keys == sorted(keys)
         for b in blocks:
             e = list(b.idempotent)
             assert max(abs(s - x) for s, x in
@@ -378,6 +377,7 @@ def test_batched_split_matches_the_per_idempotent_loop(name, digits):
         assert _certified(ring, _split(ring, SPLIT_SEED),
                           len(center_basis(ring)), tol)
         check_ring(ring)
+
 
 # Digests of the block profiles (mantissas, size, dimension) of every ring
 # of BATCH_RINGS, recorded when the batched split was checked against a
