@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property
 
 import mpmath as mp
 import numpy as np
@@ -155,14 +154,6 @@ class BlockProfile:
     mantissas: tuple
     block_dim: int
     m: int
-
-    @cached_property
-    def idempotent(self) -> tuple:
-        """The idempotent as mpmath numbers at the working precision of
-        the first read, each entry rounded once."""
-        re, im, exp = self.mantissas
-        return tuple(mp.mpc(mp.mpf((r, exp)), mp.mpf((i, exp)))
-                     for r, i in zip(re, im))
 
 
 def _profile_key(b: BlockProfile):

@@ -26,7 +26,7 @@ the reference value r, computed at dps digits, when
 and decides within 10**(8 - dps).  A scalar check whose excess over its
 tolerance lies within 10**(2 - dps) relative of zero is a knife edge that
 the rounding at the working precision decides either way, so the
-comparisons of tests/differential.py leave it out.
+comparisons of tests/test_reference.py leave it out.
 """
 import math
 import random

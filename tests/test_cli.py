@@ -1,5 +1,8 @@
 """End-to-end tests of the fuscond command line, run in-process."""
+import contextlib
+import functools
 import hashlib
+import io
 import json
 import os
 import re
@@ -329,24 +332,6 @@ def test_each_global_dimension_is_summed_once(tmp_path, monkeypatch, capsys,
     assert len(summed) == len({id(d) for d in summed}) == 2
 
 
-@pytest.mark.parametrize("family,n", [("vlplus-orbifold", 1), ("a2n", 1)])
-def test_analyze_builds_no_mpmath_idempotent(tmp_path, monkeypatch, capsys,
-                                             family, n):
-    # every verdict reads the exact mantissas of each block
-    blocks = []
-    split = condense_module.block_profiles
-
-    def recorded(*args, **kwargs):
-        out = split(*args, **kwargs)
-        blocks.extend(out)
-        return out
-    monkeypatch.setattr(condense_module, "block_profiles", recorded)
-    assert main(["analyze", _emit(tmp_path, family, n)]) == 0
-    assert "FAIL" not in capsys.readouterr().out
-    assert blocks
-    assert not any("idempotent" in vars(bp) for bp in blocks)
-
-
 def test_indicators_bad_label_splits_nothing(tmp_path, monkeypatch, capsys):
     calls = []
     _count_calls(monkeypatch, condense_module, "block_profiles", calls)
@@ -548,6 +533,30 @@ ALL_MEMBERS = FAMILY_MEMBERS + FIXED_BUNDLES
 ALL_IDS = [f"{f}-{n}" for f, n in ALL_MEMBERS]
 
 
+@pytest.fixture(scope="module")
+def analyze_at(tmp_path_factory):
+    """(exit code, stdout, stderr) of `analyze b.json --digits D` on a
+    built-in at the default split seed, run once per member and precision
+    in the directory of b.json and shared by the tests that read it."""
+    @functools.cache
+    def written(family, n):
+        where = tmp_path_factory.mktemp(f"{family}-{n}")
+        serialize.write_path(families.build(family, n=n), str(where / "b.json"))
+        return where
+
+    @functools.cache
+    def run(family, n, digits):
+        out, err = io.StringIO(), io.StringIO()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.chdir(written(family, n))
+            patch.delenv("FUSCOND_SEED", raising=False)
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                code = main(["analyze", "b.json", "--digits", str(digits)])
+        return code, out.getvalue(), err.getvalue()
+    return run
+
+
 def test_every_public_name_resolves():
     assert [n for n in fuscond.__all__ if not hasattr(fuscond, n)] == []
 
@@ -573,13 +582,11 @@ def test_schur_weyl_is_precision_independent(family, n):
 
 
 @pytest.mark.parametrize("family,n", ALL_MEMBERS, ids=ALL_IDS)
-def test_analyze_is_precision_independent(tmp_path, capsys, family, n):
-    path = _emit(tmp_path, family, n)
+def test_analyze_is_precision_independent(analyze_at, family, n):
     seen = []
     for digits in (DIGITS_FLOOR, 64, 128):
-        capsys.readouterr()
-        code = main(["analyze", path, "--digits", str(digits)])
-        seen.append((code, _stable_lines(capsys.readouterr().out)))
+        code, out, _ = analyze_at(family, n, digits)
+        seen.append((code, _stable_lines(out)))
     assert seen[0][0] == 0 and seen[0][1]
     assert seen[1] == seen[0] and seen[2] == seen[0]
 
@@ -590,15 +597,12 @@ RESIDUAL_MEMBERS = FAMILY_MEMBERS + FIXED_BUNDLES + SMALL_COSETS
 
 @pytest.mark.parametrize("family,n", RESIDUAL_MEMBERS,
                          ids=[f"{f}-{n}" for f, n in RESIDUAL_MEMBERS])
-def test_printed_residuals_are_below_working_tol(tmp_path, capsys, family,
-                                                 n):
+def test_printed_residuals_are_below_working_tol(analyze_at, family, n):
     # the idempotents are refined to round-off, so no printed match fit or
     # codegree residual carries the refinement's stopping tolerance
-    path = _emit(tmp_path, family, n)
     for digits in (DIGITS_FLOOR, 64, 128):
-        capsys.readouterr()
-        assert main(["analyze", path, "--digits", str(digits)]) == 0
-        out = capsys.readouterr().out
+        code, out, _ = analyze_at(family, n, digits)
+        assert code == 0
         shown = re.findall(r"fit ([^)]+)\)", out) + re.findall(
             r"^- codegree residual: (\S+)$", out, re.M)
         assert shown
@@ -730,15 +734,10 @@ ANALYZE_GOLDEN = {
 
 
 @pytest.mark.parametrize("family,n", ALL_MEMBERS, ids=ALL_IDS)
-def test_analyze_bytes_are_pinned(tmp_path, monkeypatch, capsys, family, n):
-    monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("FUSCOND_SEED", raising=False)
-    serialize.write_path(families.build(family, n=n), "b.json")
+def test_analyze_bytes_are_pinned(analyze_at, family, n):
     for digits, want in zip((DIGITS_FLOOR, 64, 128),
                             ANALYZE_GOLDEN[family, n]):
-        capsys.readouterr()
-        code = main(["analyze", "b.json", "--digits", str(digits)])
-        out, err = capsys.readouterr()
+        code, out, err = analyze_at(family, n, digits)
         digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
         assert (code, err, digest) == (0, "", want), digits
 
@@ -843,14 +842,16 @@ def test_broken_modular_ambient_exit_codes(tmp_path, capsys, edit, verb,
 
 
 @pytest.mark.parametrize("tol", ["1e-16", "1e-20"])
-@pytest.mark.parametrize("verb", ["validate", "analyze"])
+@pytest.mark.parametrize("verb", ["validate", "analyze", "galois"])
 @pytest.mark.parametrize("family,n", [("ising-square", None),
-                                      ("coset-su2", 3), ("coset-su2", 10)])
+                                      ("coset-su2", 3), ("coset-su2", 5),
+                                      ("coset-su2", 10)])
 def test_tol_below_float64_rounding_passes_exact_data(tmp_path, capsys,
                                                       family, n, verb, tol):
     # the float64 unitarity and S^2 residuals of this exact data are
-    # 2.2e-15 (Ising) to 1.5e-11 (SU(2)_10); the bound never goes below
-    # the rounding error they can carry
+    # 2.2e-15 (Ising) to 1.5e-11 (SU(2)_10), and the dimension formula's
+    # of SU(2)_5 1.6e-16; no bound goes below the rounding error they can
+    # carry
     path = _emit(tmp_path, family, n)
     capsys.readouterr()
     assert main([verb, path, "--tol", tol]) == 0

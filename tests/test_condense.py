@@ -35,9 +35,10 @@ import reference as ref
 from grouptables import cyclic, symmetric
 from cached_bundles import (BUILT_INS, FAMILY_MEMBERS, FIXED_BUNDLES,
                             SMALL_COSETS, bundle, swr)
-from differential import (case, check_codegrees, check_rows, kinds,
-                          mpc_values, same_checks)
 from test_modular import toric_data
+from test_reference import (FACTORS, case, check_ambient_rows,
+                            check_codegrees, check_rows, kinds, mutations,
+                            pulled_apart, zero_induction_row)
 from test_wedderburn import block_trace, left_trace, mpc_product
 
 
@@ -315,12 +316,6 @@ def test_verdict_path_builds_no_closure_table():
     assert "_closure_pairs" in vars(b.module_ring)
 
 
-def test_schur_weyl_builds_no_mpmath_idempotent():
-    swr = schur_weyl(ty_bundle())
-    assert swr.blocks
-    assert not any("idempotent" in vars(bp) for bp in swr.blocks)
-
-
 def test_e_sub_refuses_a_repeated_index():
     # a repeated index would count its weight twice in sum w_y^2
     with pytest.raises(SchemaError, match=r"\(0, 0\) repeats a basis index"):
@@ -439,12 +434,6 @@ def _mult(b, mult):
         b, algebra=CondensableAlgebra(ambient=b.ambient, mult=mult))
 
 
-def _zero_induction_row(b, x):
-    M = np.array(b.induction)
-    M[x] = 0
-    return dataclasses.replace(b, induction=M)
-
-
 # One mutation of a valid bundle per failure branch of check_bundle, with
 # the problems it must report.
 CHECK_BUNDLE_FAILURES = [
@@ -461,7 +450,7 @@ CHECK_BUNDLE_FAILURES = [
                                                local=(1,)),
      ["local part must contain the unit",
       "local part is not closed under fusion and duals"]),
-    ("adjunction", lambda: _zero_induction_row(families.toric_code(), 2),
+    ("adjunction", lambda: zero_induction_row(families.toric_code(), 2),
      ["induction adjunction fails at m: sum M d_A = 0.0, d(x) = 1.0"]),
     ("local-closure", lambda: dataclasses.replace(families.a2n(1),
                                                   local=(0, 6)),
@@ -480,7 +469,7 @@ def test_check_bundle_failure_branches(mutate, messages):
 
 def test_validate_exits_1_on_a_failed_adjunction(tmp_path, capsys):
     path = tmp_path / "bad.json"
-    serialize.write_path(_zero_induction_row(families.toric_code(), 2),
+    serialize.write_path(zero_induction_row(families.toric_code(), 2),
                          str(path))
     capsys.readouterr()
     assert main(["validate", str(path)]) == 1
@@ -692,46 +681,38 @@ def test_dimension_sums_equal_the_square_per_index_loop(family, n):
 
 
 # -- the readers and the scalar checks against the reference, case by case
-# (tests/differential.py), each stage once per case and precision.  The
+# (tests/test_reference.py), each stage once per case and precision.  The
 # test names are those of the comparisons with earlier implementations
-# that these replace.
+# that these replace, kept so that their ids stay the same.
 
-CONTRACTION_CASES = FAMILY_MEMBERS + FIXED_BUNDLES + SMALL_COSETS
-CASE_IDS = [f"{f}-{n}" for f, n in CONTRACTION_CASES]
+CASE_IDS = [f"{f}-{n}" for f, n in BUILT_INS]
 
 
 @pytest.mark.parametrize("dps", [15, 64, 128])
-@pytest.mark.parametrize("family,n", CONTRACTION_CASES, ids=CASE_IDS)
+@pytest.mark.parametrize("family,n", BUILT_INS, ids=CASE_IDS)
 def test_exact_contractions_match_the_mpmath_loops(family, n, dps):
-    # the split, the characters, the ideal and the matching; the ambient
-    # character rows of A against S(x*, y) / d(x) and the fit notes
+    # the ambient character rows of A against S(x*, y) / d(x) and the fit
+    # notes; case() compares the split, the ideal and the matching
     c = case(family, n, dps)
-    b, r = c.b, c.r
-    # a2nplus1 has a table ambient and no induction, so no matching
-    assert r.matching_skipped == (b.induction is None
-                                  or not b.ambient.has_characters)
-    if not r.matching_skipped:
-        xs = [x for x, m in enumerate(b.mult) if m]
-        with mp.workdps(c.ref.v.dps):
-            rows = ref.ambient_rows(b.ambient, xs)
-        with mp.workdps(dps):
-            re_, im, exp = b.ambient.character_row(xs)
-            for x, a, z, row in zip(xs, re_, im, rows):
-                assert all(ref.close(u, w, c.ref.v.dps) for u, w in
-                           zip(mpc_values((a, z, exp)), row)), x
-            fits = [float(note.rsplit("fit ", 1)[1][:-1])
-                    for note in r.notes if "(fit " in note]
-            assert len(fits) == sum(r.in_ideal)
-            assert max(fits) < working_tol()
+    with mp.workdps(dps):
+        check_ambient_rows(c.b, c.r, c.ref.v.dps)
 
 
 @pytest.mark.parametrize("dps", [15, 64, 128])
-@pytest.mark.parametrize("family,n", CONTRACTION_CASES, ids=CASE_IDS)
+@pytest.mark.parametrize("family,n", BUILT_INS, ids=CASE_IDS)
 def test_array_readers_equal_the_parent_loops(family, n, dps):
     # block_dims and every codegree_row
     c = case(family, n, dps)
     with mp.workdps(dps):
         check_rows(c.r, c.ref.v, c.pair)
+
+
+@pytest.mark.parametrize("dps", [15, 64, 128])
+@pytest.mark.parametrize("family,n", BUILT_INS, ids=CASE_IDS)
+def test_codegree_check_equals_every_entry_in_mpmath(family, n, dps):
+    c = case(family, n, dps)
+    with mp.workdps(dps):
+        check_codegrees(c.b, c.r, c.ref.v, c.pair)
 
 
 def test_codegree_row_divides_by_the_block_size():
@@ -747,117 +728,6 @@ def test_codegree_row_divides_by_the_block_size():
         for bj, val in enumerate(codegree_row(r, bi)):
             want = dim_c / (dx * d_alg) if bj == bi else 0
             assert abs(val - want) < working_tol(), (bi, bj)
-
-
-FACTORS = (1 + 1e-8, 1 + 1e-10)
-
-
-def _with_ambient(b, **fields):
-    amb = dataclasses.replace(b.ambient, **fields)
-    return dataclasses.replace(
-        b, algebra=dataclasses.replace(b.algebra, ambient=amb))
-
-
-def _scaled(values, i, factor):
-    return tuple(v * factor if j == i else v for j, v in enumerate(values))
-
-
-def _mutations(b, factor):
-    """The twist of the last x in A, d_A of the unit and of the largest
-    module dim, and the ambient dim of that x, each times factor; with an
-    induction matrix also one entry +1 and -1 and a zeroed row."""
-    x = max(x for x, n in enumerate(b.mult) if n)
-    big = int(np.argmax(b.dA.as_floats()))
-    out = [_with_ambient(b, twists=_scaled(b.ambient.twists, x, factor)),
-           dataclasses.replace(b, dA=_scaled(b.dA.values, 0, factor)),
-           dataclasses.replace(b, dA=_scaled(b.dA.values, big, factor)),
-           _with_ambient(b, dims=_scaled(b.ambient.dims.values, x, factor))]
-    if b.induction is not None:
-        y, z = (int(i) for i in np.argwhere(b.induction[:, 1:])[-1])
-        for step in (1, -1):
-            M = np.array(b.induction)
-            M[y, z + 1] += step
-            out.append(dataclasses.replace(b, induction=M))
-        out.append(_zero_induction_row(b, y))
-    return out
-
-
-ADJUNCTION_CASES = [c for c in CONTRACTION_CASES if c[0] != "a2nplus1"]
-
-
-@pytest.mark.parametrize("dps", [15, 64])
-@pytest.mark.parametrize("family,n", ADJUNCTION_CASES,
-                         ids=[f"{f}-{n}" for f, n in ADJUNCTION_CASES])
-def test_adjunction_decisions_equal_the_near_loop(family, n, dps):
-    # a changed induction entry or row, and d_A scaled past TOL and within
-    b = bundle(family, n)
-    assert b.induction is not None
-    with mp.workdps(dps):
-        edits = _mutations(b, 1)[4:]
-        for mutant in edits + [m for f in FACTORS
-                               for m in _mutations(b, f)[1:3]]:
-            same_checks(mutant)
-        # a changed induction entry always fails the adjunction
-        assert all(any(k and k[0] == "adjunction"
-                       for k in kinds(check_bundle(m).problems))
-                   for m in edits)
-
-
-@pytest.mark.parametrize("dps", [15, 64])
-@pytest.mark.parametrize("family,n", CONTRACTION_CASES, ids=CASE_IDS)
-def test_scalar_decisions_equal_the_near_loop(family, n, dps):
-    b = bundle(family, n)
-    with mp.workdps(dps):
-        same_checks(b)
-        assert check_bundle(b).ok
-        # 1 + 1e-8 is past TOL and must fail the check, 1 + 1e-10 is
-        # within it and must pass
-        for factor, ok in zip(FACTORS, (False, True)):
-            for i, mutant in enumerate(_mutations(b, factor)[:4]):
-                same_checks(mutant)
-                assert check_bundle(mutant).ok == ok, (factor, i)
-
-
-def _pulled_apart(r, factor):
-    """r with no block matched and the ambient dims of the candidates x of
-    one ideal block set to d, d factor, d, ..., with d the first one's;
-    and that block's index."""
-    b = r.bundle
-    bi = next(bi for bi, bp in enumerate(r.blocks)
-              if r.in_ideal[bi] and b.mult.count(bp.m) > 1)
-    xs = [x for x, n in enumerate(b.mult) if n == r.blocks[bi].m]
-    dims = [b.ambient.dims[xs[0]] if x in xs else d
-            for x, d in enumerate(b.ambient.dims.values)]
-    b = _with_ambient(b, dims=_scaled(dims, xs[1], factor))
-    return dataclasses.replace(r, bundle=b, matched=(None,) * len(r.blocks)), bi
-
-
-@pytest.mark.parametrize("dps", [15, 64])
-@pytest.mark.parametrize("family,n", CONTRACTION_CASES, ids=CASE_IDS)
-def test_block_dims_agreement_equals_the_near_loop(family, n, dps):
-    # unmatched, a block takes the common dimension of its candidates
-    # when they agree within TOL
-    c = case(family, n, dps)
-    v = c.ref.v
-    with mp.workdps(dps):
-        for factor, apart in zip(FACTORS, (True, False)):
-            mutant, bi = _pulled_apart(c.r, factor)
-            got = block_dims(mutant, TOL)
-            want = ref.block_dims(mutant.bundle, v.blocks, v.in_ideal,
-                                  [None] * len(v.blocks))
-            for k, d in got.items():
-                w = want[c.pair[k]]
-                assert (d is None) == (w is None), (factor, k)
-                assert d is None or ref.close(d, w, v.dps), (factor, k)
-            assert (got[bi] is None) == apart, factor
-
-
-@pytest.mark.parametrize("dps", [15, 64, 128])
-@pytest.mark.parametrize("family,n", CONTRACTION_CASES, ids=CASE_IDS)
-def test_codegree_check_equals_every_entry_in_mpmath(family, n, dps):
-    c = case(family, n, dps)
-    with mp.workdps(dps):
-        check_codegrees(c.b, c.r, c.ref.v, c.pair)
 
 
 FAIL = re.compile(r"codegree of (.+) acts on block (\d+) as (.+), "
@@ -885,3 +755,68 @@ def test_codegree_failures_equal_every_entry_in_mpmath():
             val = codegree_row(r, k)[j]
             assert complex(f[3]) == complex(val)
             assert ref.close(val, v.phi[pair[k]][pair[j]])
+
+
+def same_checks(b):
+    """check_bundle's scalar problems of b against the reference's, leaving
+    out a check within 10**(2 - dps) relative of its tolerance: the
+    rounding of its sums at the working precision decides it either way."""
+    edge = mp.mpf(10) ** (2 - mp.mp.dps)
+    checks = ref.scalar_checks(b)
+    unsure = {key for key, e in checks if abs(e) <= edge}
+    got = [k for k in kinds(check_bundle(b).problems) if k and k not in unsure]
+    assert got == [key for key, e in checks if e > edge]
+
+
+MUTANT_CASES = FAMILY_MEMBERS + FIXED_BUNDLES + SMALL_COSETS
+MUTANT_IDS = [f"{f}-{n}" for f, n in MUTANT_CASES]
+# a2nplus1 has no induction matrix
+ADJUNCTION_CASES = [c for c in MUTANT_CASES if c[0] != "a2nplus1"]
+
+
+@pytest.mark.parametrize("dps", [15, 64])
+@pytest.mark.parametrize("family,n", ADJUNCTION_CASES,
+                         ids=[f"{f}-{n}" for f, n in ADJUNCTION_CASES])
+def test_adjunction_decisions_equal_the_near_loop(family, n, dps):
+    # a changed induction entry or row always fails the adjunction
+    b = bundle(family, n)
+    with mp.workdps(dps):
+        for mutant in mutations(b, 1)[4:]:
+            same_checks(mutant)
+            assert any(k and k[0] == "adjunction"
+                       for k in kinds(check_bundle(mutant).problems))
+
+
+@pytest.mark.parametrize("dps", [15, 64])
+@pytest.mark.parametrize("family,n", MUTANT_CASES, ids=MUTANT_IDS)
+def test_scalar_decisions_equal_the_near_loop(family, n, dps):
+    b = bundle(family, n)
+    with mp.workdps(dps):
+        same_checks(b)
+        assert check_bundle(b).ok
+        # 1 + 1e-8 is past TOL and must fail the check, 1 + 1e-10 is
+        # within it and must pass
+        for factor, ok in zip(FACTORS, (False, True)):
+            for i, mutant in enumerate(mutations(b, factor)[:4]):
+                same_checks(mutant)
+                assert check_bundle(mutant).ok == ok, (factor, i)
+
+
+@pytest.mark.parametrize("dps", [15, 64])
+@pytest.mark.parametrize("family,n", MUTANT_CASES, ids=MUTANT_IDS)
+def test_block_dims_agreement_equals_the_near_loop(family, n, dps):
+    # unmatched, a block takes the common dimension of its candidates
+    # when they agree within TOL; the reference's rule on the same blocks
+    c = case(family, n, dps)
+    v = c.ref.v
+    with mp.workdps(dps):
+        for factor, apart in zip(FACTORS, (True, False)):
+            mutant, bi = pulled_apart(c.r, factor)
+            got = block_dims(mutant, TOL)
+            want = ref.block_dims(mutant.bundle, v.blocks, v.in_ideal,
+                                  [None] * len(v.blocks))
+            for k, d in got.items():
+                w = want[c.pair[k]]
+                assert (d is None) == (w is None), (factor, k)
+                assert d is None or ref.close(d, w, v.dps), (factor, k)
+            assert (got[bi] is None) == apart, factor

@@ -13,7 +13,7 @@ import pytest
 
 import reference as ref
 from fuscond.condense import e_sub
-from fuscond.cyclotomic import TOL, as_mpc
+from fuscond.cyclotomic import as_mpc
 from fuscond.errors import (NumericalDegeneracyError, SchemaError,
                             TheoremViolationError)
 from fuscond.galois import (
@@ -30,9 +30,9 @@ from fuscond.galois import (
 from fuscond.ring import BasedRing, element_product
 from fuscond.mantissa import mantissas
 
-from cached_bundles import BUILT_INS, FIXED_BUNDLES, bundle, swr, swr_at
-from differential import (case, check_lattice, check_quotient, ideal_order,
-                          kinds, reference)
+from cached_bundles import BUILT_INS, FIXED_BUNDLES, bundle, swr
+from test_reference import (case, check_lattice, check_quotient, ideal_order,
+                            kinds)
 
 
 def named_vector(b, entry):
@@ -248,6 +248,21 @@ def test_a2nplus1_quotient_pointed_order8():
     assert t[1][4] != t[4][1]  # dihedral, not abelian
 
 
+def test_overlapping_local_orbits_are_refused():
+    # local (0, 1) with 1 * 1 = 0 + 2 and 1 * 2 = 0: the orbits {0, 1},
+    # {0, 1, 2} and {2} overlap, which no based ring allows
+    F = np.zeros((3, 3, 3), dtype=np.int64)
+    for y in range(3):
+        F[0, y, y] = F[y, 0, y] = 1
+    F[1, 1, 0] = F[1, 1, 2] = 1
+    ring = BasedRing(labels=("1", "a", "b"), fusion=F, dual=(0, 1, 2))
+    base = swr("ising-square")
+    b = dataclasses.replace(base.bundle, module_ring=ring, dA=(1, 1, 1),
+                            induction=None, local=(0, 1))
+    with pytest.raises(TheoremViolationError, match="partition"):
+        group_quotient(dataclasses.replace(base, bundle=b))
+
+
 # --------------------------------------------------------------------- output
 
 
@@ -272,50 +287,32 @@ def test_markdown_table_contents():
     assert "| {1,r1,r2,X} | 6 | 1.1 + j.1 | 2 |" in md
 
 
-# ------------------------------------------- the bookkeeping, case by case
-# against tests/differential.py; the test names here and below are those of
-# the comparisons with earlier implementations that these replace
+# ------------------------------------------------- the reference, case by case
+# Each stage of tests/test_reference.py once per case and precision.  The
+# test names here and below are those of the comparisons with earlier
+# implementations that these replace, kept so that their ids stay the same.
 
-PINNED = BUILT_INS
-PINNED_IDS = [f"{f}-{n}" for f, n in PINNED]
-
-
-def _int_leaves(value):
-    if isinstance(value, tuple):
-        return all(map(_int_leaves, value))
-    return type(value) is int
+PINNED_IDS = [f"{f}-{n}" for f, n in BUILT_INS]
 
 
-@pytest.mark.parametrize("dps", [15, 64])
-@pytest.mark.parametrize("family,n", PINNED, ids=PINNED_IDS)
+@pytest.mark.parametrize("dps", [15, 64, 128])
+@pytest.mark.parametrize("family,n", BUILT_INS, ids=PINNED_IDS)
 def test_array_bookkeeping_matches_the_loops(family, n, dps):
     # the cosets of the local part, their tables and the pointed part
     # against the reference, as Python ints
-    r = swr_at(family, n, dps)
+    c = case(family, n, dps)
     with mp.workdps(dps):
-        check_quotient(r, reference(family, n, dps))
-        gq = group_quotient(r)
-    assert _int_leaves((gq.cosets, gq.pointed, gq.pointed_table))
-    assert gq.table is None or _int_leaves(gq.table)
-    assert gq.residual <= TOL
+        check_quotient(c.r, c.ref)
 
 
-def test_overlapping_local_orbits_are_refused():
-    # local (0, 1) with 1 * 1 = 0 + 2 and 1 * 2 = 0: the orbits {0, 1},
-    # {0, 1, 2} and {2} overlap, which no based ring allows
-    F = np.zeros((3, 3, 3), dtype=np.int64)
-    for y in range(3):
-        F[0, y, y] = F[y, 0, y] = 1
-    F[1, 1, 0] = F[1, 1, 2] = 1
-    ring = BasedRing(labels=("1", "a", "b"), fusion=F, dual=(0, 1, 2))
-    base = swr("ising-square")
-    b = dataclasses.replace(base.bundle, module_ring=ring, dA=(1, 1, 1),
-                            induction=None, local=(0, 1))
-    with pytest.raises(TheoremViolationError, match="partition"):
-        group_quotient(dataclasses.replace(base, bundle=b))
+@pytest.mark.parametrize("dps", [15, 64, 128])
+@pytest.mark.parametrize("family,n", BUILT_INS, ids=PINNED_IDS)
+def test_n_prime_reading_equals_the_parent_loops(family, n, dps):
+    # verify_correspondence: every entry and every problem
+    c = case(family, n, dps)
+    with mp.workdps(dps):
+        check_lattice(c.b, c.r, c.ref, c.pair)
 
-
-# ------------------------------------------- n' from the character mantissas
 
 # The members of the galois-lattice benchmark workload.
 LATTICE_MEMBERS = ([("a2n", n) for n in range(1, 6)]
@@ -338,13 +335,7 @@ def test_invariant_subalgebra_matches_the_mpmath_path(family, n, dps):
             assert all(type(x) is int for x in inv.n_prime)
 
 
-@pytest.mark.parametrize("dps", [15, 64, 128])
-@pytest.mark.parametrize("family,n", PINNED, ids=PINNED_IDS)
-def test_n_prime_reading_equals_the_parent_loops(family, n, dps):
-    # verify_correspondence: every entry and every problem
-    c = case(family, n, dps)
-    with mp.workdps(dps):
-        check_lattice(c.b, c.r, c.ref, c.pair)
+# -------------------------------------------------- n' of a broken report
 
 
 def test_perturbed_dims_fail_the_idempotent_check():
@@ -415,6 +406,7 @@ def test_order_problems_match_the_pair_loop(seed):
     tol = float(rng.choice([1e-9, 0.5, 2.0]))
     assert kinds(_order_problems(entries, below, tol)) == ref.order_problems(
         [(entries[i], entries[j]) for i, j in np.argwhere(below)], tol)
+
 
 # ------------------------------ which error the batched n' pass raises first
 #

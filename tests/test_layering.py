@@ -56,3 +56,27 @@ def test_no_copy_of_an_earlier_implementation(path):
     assert not [node.name for node in ast.walk(_tree(path))
                 if isinstance(node, ast.FunctionDef)
                 and node.name.startswith(("_old_", "_parent_", "_loop_"))]
+
+
+# parts of the names of comparisons with code that is deleted, and the
+# tests that keep such a name so that their ids stay the same
+DELETED_CODE_NAMES = ("parent", "near_loop", "mpc_loop", "mpmath_loop")
+KEPT_NAMES = {
+    "test_exact_contractions_match_the_mpmath_loops",
+    "test_array_readers_equal_the_parent_loops",
+    "test_adjunction_decisions_equal_the_near_loop",
+    "test_scalar_decisions_equal_the_near_loop",
+    "test_block_dims_agreement_equals_the_near_loop",
+    "test_n_prime_reading_equals_the_parent_loops",
+    "test_integer_refinement_matches_the_mpc_loop",
+}
+
+
+@pytest.mark.parametrize("path", TESTS, ids=[p.name for p in TESTS])
+def test_no_test_is_named_after_deleted_code(path):
+    # a new test says what it checks, not which old code it compared with
+    assert not [node.name for node in ast.walk(_tree(path))
+                if isinstance(node, ast.FunctionDef)
+                and node.name.startswith("test_")
+                and node.name not in KEPT_NAMES
+                and any(part in node.name for part in DELETED_CODE_NAMES)]

@@ -20,11 +20,11 @@ from fuscond.ring import (BasedRing, _bilinear, element_product,
                           product_ring)
 from fuscond.mantissa import mantissas, rounded_on_grid
 from fuscond.wedderburn import (SPLIT_SEED, _certified, _split,
-                                block_profiles, center_basis)
+                                block_profiles, center_basis,
+                                character_table)
 
 import reference as ref
 from cached_bundles import bundle
-from differential import check_ring
 from grouptables import alternating, cyclic, dihedral, quaternion, symmetric
 from test_ring import _relabel, d3_xy_ring, ising_ring
 
@@ -42,6 +42,14 @@ GROUP_DEGREES = [
 ]
 
 
+def mpc_values(mantissas) -> list:
+    """Exact mantissas (re, im, exp) as mpmath numbers at the working
+    precision, each part rounded once."""
+    re_, im, exp = mantissas
+    return [mp.mpc(mp.mpf((int(a), exp)), mp.mpf((int(c), exp)))
+            for a, c in zip(re_, im)]
+
+
 def mpc_product(ring, a, b):
     return ref.product(ref.exact(ring).terms, a, b)
 
@@ -53,7 +61,8 @@ def left_trace(ring, a):
 
 def block_trace(ring, block, a):
     """(1/m) tr(L_{e a}): the trace of a in the block's m x m factor."""
-    return left_trace(ring, mpc_product(ring, block.idempotent, a)) / block.m
+    e = mpc_values(block.mantissas)
+    return left_trace(ring, mpc_product(ring, e, a)) / block.m
 
 
 @pytest.mark.parametrize("grp,degrees", GROUP_DEGREES,
@@ -75,7 +84,7 @@ def test_center_dimension_counts_conjugacy_classes():
 def test_idempotents_orthogonal_and_complete():
     ring = group_ring(*symmetric(3))
     n = ring.rank
-    idems = [b.idempotent for b in block_profiles(ring)]
+    idems = [mpc_values(b.mantissas) for b in block_profiles(ring)]
     total = [sum(col) for col in zip(*idems)]
     assert abs(total[0] - 1) < 1e-20
     assert all(abs(total[k]) < 1e-20 for k in range(1, n))
@@ -103,7 +112,8 @@ def test_determinism():
     for _ in range(2):
         blocks = block_profiles(ring)
         runs.append([
-            (b.m, tuple(round(float(mp.re(c)), 9) for c in b.idempotent))
+            (b.m, tuple(round(float(mp.re(c)), 9)
+                        for c in mpc_values(b.mantissas)))
             for b in blocks
         ])
     assert runs[0] == runs[1]
@@ -231,7 +241,7 @@ def test_group_ring_split_properties(case, seed):
         assert sum(b.m * b.m for b in blocks) == ring.rank
         tol = mp.mpf(10) ** -56
         for b in blocks:
-            e = list(b.idempotent)
+            e = mpc_values(b.mantissas)
             sq = mpc_product(ring, e, e)
             assert max(abs(x - y) for x, y in zip(sq, e)) <= tol
 
@@ -264,7 +274,8 @@ BATCH_RINGS = dict(
 
 # The rings the Newton refinement of the split was first checked on.  This
 # test and test_batched_split_matches_the_per_idempotent_loop keep the names
-# of the comparisons with earlier implementations that they replace.
+# of the comparisons with earlier implementations that they replace, so
+# that their ids stay the same.
 REFINE_RINGS = ["z3", "s3", "d4", "a4", "ty5", "vlplus"]
 
 
@@ -278,14 +289,13 @@ def test_integer_refinement_matches_the_mpc_loop(name, digits):
     with mp.workdps(digits):
         tol = min(mp.mpf(TOL), working_tol())
         blocks = block_profiles(ring)
-        for b in blocks:
-            e = list(b.idempotent)
+        idems = [mpc_values(b.mantissas) for b in blocks]
+        for b, e in zip(blocks, idems):
             assert max(abs(s - x) for s, x in
                        zip(mpc_product(ring, e, e), e)) <= tol
             assert b.block_dim == b.m ** 2
             assert abs(left_trace(ring, e) - b.block_dim) <= ref.NEAR
-        unit = [mp.fsum(b.idempotent[i] for b in blocks)
-                for i in range(ring.rank)]
+        unit = [mp.fsum(e[i] for e in idems) for i in range(ring.rank)]
         assert max(abs(u - (i == 0)) for i, u in enumerate(unit)) <= tol
 
 
@@ -365,6 +375,44 @@ def digest(x) -> str:
     return hashlib.sha256(repr(_exact(x)).encode()).hexdigest()[:16]
 
 
+# -- the split against the reference: the reference runs at the precision
+# of the comparison on rings of rank at most SMALL_RANK, and at 64 digits
+# on larger ones, compared within the bound of the lower precision
+
+SMALL_RANK = 16
+
+
+def reference_dps(ring, dps) -> int:
+    return dps if ring.rank <= SMALL_RANK else 64
+
+
+def check_split(blocks, table, rb, dps) -> list:
+    """The reference block rb[j] of each block, found by its idempotent;
+    sizes and characters must agree."""
+    assert len(blocks) == len(rb), "number of blocks"
+    pair = []
+    for bp in blocks:
+        e = mpc_values(bp.mantissas)
+        pair.append(min(range(len(rb)), key=lambda j: max(
+            abs(x - y) for x, y in zip(e, rb[j].e))))
+        assert all(ref.close(x, y, dps) for x, y in zip(e, rb[pair[-1]].e)), \
+            "idempotent"
+    assert sorted(pair) == list(range(len(rb))), "pairing"
+    for bp, j, re_, im in zip(blocks, pair, *table[:2]):
+        assert (bp.m, bp.block_dim) == (rb[j].m, rb[j].m ** 2)
+        chi = mpc_values((re_, im, table[2]))
+        assert all(ref.close(x / bp.m, y, dps)
+                   for x, y in zip(chi, rb[j].chi)), "character"
+    return pair
+
+
+def check_ring(ring):
+    """The split and the characters of a ring at the working precision."""
+    blocks, dps = block_profiles(ring), reference_dps(ring, mp.mp.dps)
+    with mp.workdps(dps):
+        rb = ref.split(ring)
+    check_split(blocks, character_table(ring, blocks), rb, dps)
+
 
 @pytest.mark.parametrize("digits", [15, 64, 128])
 @pytest.mark.parametrize("name", sorted(BATCH_RINGS))
@@ -429,8 +477,8 @@ def test_certification_refuses_a_partial_set_and_a_zero_vector():
 
 # Digests of the mpmath idempotents as block_profiles once built them
 # eagerly, at the working precision of the split: each block's
-# (m, block_dim, entries as mpf tuples), in block order.  Read on demand
-# at the same precision, BlockProfile.idempotent must give the same bits.
+# (m, block_dim, entries as mpf tuples), in block order.  Converted from
+# the mantissas at the same precision, they must give the same bits.
 EAGER_IDEMPOTENT_DIGESTS = {
     ("a2n-2", 15): "3da02b98a4599b0f",
     ("a2n-2", 64): "0b82226580be9050",
@@ -473,10 +521,9 @@ DIGEST_RINGS = {
 def test_idempotent_read_on_demand_matches_the_eager_values(name, digits):
     with mp.workdps(digits):
         blocks = block_profiles(DIGEST_RINGS[name]())
-        assert not any("idempotent" in vars(b) for b in blocks)
         entries = [(b.m, b.block_dim,
                     [tuple((p[0], int(p[1]), p[2], p[3]) for p in c._mpc_)
-                     for c in b.idempotent]) for b in blocks]
+                     for c in mpc_values(b.mantissas)]) for b in blocks]
     digest = hashlib.sha256(repr(entries).encode()).hexdigest()[:16]
     assert digest == EAGER_IDEMPOTENT_DIGESTS[name, digits]
 
