@@ -77,7 +77,8 @@ def _gate(args, target=None, summary=False):
     header (with summary, the ranks and a passing verdict too); returns
     None after failed checks (exit 1), else the bundle and its
     SchurWeylReport.  Once the checks pass, an unknown --x and an
-    unwritable target are refused before anything is printed or split."""
+    unwritable target are refused before anything is printed or split;
+    the probe writes nothing, so a later refusal keeps the target."""
     b = read_path(args.input)
     if not isinstance(b, CondensationBundle):
         raise SchemaError(f"{args.input} does not hold a bundle.v1 object")
@@ -85,7 +86,7 @@ def _gate(args, target=None, summary=False):
     x = getattr(args, "x", None)
     xi = None if x is None or problems else b.ambient.index(x)
     if target and not problems:
-        open(target, "w", encoding="utf-8").close()
+        open(target, "a", encoding="utf-8").close()
     print(f"## {args.verb} {args.input}" + ("" if x is None else f" x={x}"))
     if summary:
         print(f"- ambient rank {b.ambient.rank}, module rank "
@@ -160,8 +161,9 @@ def cmd_example(args) -> int:
             return 1
         mtc = value
     if args.emit:
-        # an unwritable path is refused before anything is built or printed
-        open(args.emit, "w", encoding="utf-8").close()
+        # an unwritable path is refused before anything is built or
+        # printed; the probe writes nothing, so a refused build keeps it
+        open(args.emit, "a", encoding="utf-8").close()
     b = families.build(args.name, n=args.n, mtc=mtc)
     print(header)
     print(f"- ambient rank {b.ambient.rank}, module rank "

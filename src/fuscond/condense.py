@@ -658,18 +658,6 @@ def _codegree_value(sre: int, sim: int, exp: int, den: int) -> mp.mpc:
     return mp.mpc(quotient(sre, 2 * exp, den), quotient(sim, 2 * exp, den))
 
 
-def codegree_row(swr: SchurWeylReport, bi: int) -> list:
-    """The codegree element phi = sum_Y chi_bi(Y) Y* of block bi on each
-    block bj, sum_z chi_bi(z*) chi_bj(z) / m_bj.  Over the character
-    mantissas this is s 2**(2 exp) / (m_bi m_bj^2) with the exact integer
-    s of _codegree_sums, each value rounded once."""
-    sre, sim = _codegree_sums(swr, [bi])
-    exp = swr.character_mantissas[2]
-    m = swr.blocks[bi].m
-    return [_codegree_value(a, c, exp, m * bp.m * bp.m)
-            for a, c, bp in zip(sre[0].tolist(), sim[0].tolist(), swr.blocks)]
-
-
 def codegree_check(swr: SchurWeylReport, tol=TOL) -> CodegreeReport:
     """Formal codegree identity: phi_x = sum_Y chi_x(Y) Y*, built from the
     trace chi_x on the simple block module W_x, acts on W_x as the scalar
@@ -680,14 +668,17 @@ def codegree_check(swr: SchurWeylReport, tol=TOL) -> CodegreeReport:
     all candidate x with n_x = m share one dimension; that covers every
     bundled family.
 
-    Each value v is exact as s 2**(2 exp) / den (codegree_row), and only
-    the entries that can show are rounded in mpmath: the diagonal, whose
-    residual cancels, and each nonzero off-diagonal entry whose exact
-    |v|^2 is within 2**(8 - mp.prec) relative of the largest of its row or
-    at least tol^2 / 2.  The two quotients, the modulus and float are
-    monotone and each off by at most 2**(1 - mp.prec) relative, so no
-    other entry can hold the largest residual or exceed tol; an exact
-    zero has residual 0.0.
+    The codegree element phi = sum_Y chi_bi(Y) Y* of block bi acts on
+    block bj as sum_z chi_bi(z*) chi_bj(z) / m_bj.  Over the character
+    mantissas each value v is exact as s 2**(2 exp) / den, with the integer
+    s of _codegree_sums and den = m_bi m_bj^2, and only the entries that
+    can show are rounded in mpmath: the diagonal, whose residual cancels,
+    and each nonzero off-diagonal entry whose exact |v|^2 is within
+    2**(8 - mp.prec) relative of the largest of its row or at least
+    tol^2 / 2.  The two quotients, the modulus and float are monotone and
+    each off by at most 2**(1 - mp.prec) relative, so no other entry can
+    hold the largest residual or exceed tol; an exact zero has residual
+    0.0.
     """
     b = swr.bundle
     rep = ValidationReport()

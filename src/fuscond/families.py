@@ -333,11 +333,16 @@ FAMILIES = {
 
 
 def build(family: str, n: int | None = None, mtc: ModularData | None = None):
-    """Materialize a built-in bundle by family name."""
+    """Materialize a built-in bundle by family name.  An n or mtc that the
+    family does not take is refused, not ignored."""
     if family not in FAMILIES:
         known = ", ".join(sorted(FAMILIES))
         raise CapabilityError(f"unknown family {family!r}; known: {known}")
     entry = FAMILIES[family]
+    for name, given in (("n", n), ("mtc", mtc)):
+        if given is not None and entry["needs"] != name:
+            raise CapabilityError(
+                f"family {family} takes no parameter {name}")
     if entry["needs"] == "n":
         if n is None:
             raise CapabilityError(f"family {family} needs a parameter n")

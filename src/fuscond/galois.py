@@ -51,51 +51,27 @@ def _trivial_block(swr: SchurWeylReport) -> int:
     return best
 
 
-@dataclass(frozen=True)
-class InvariantSubalgebra:
-    """Block multiplicities of A^B for one subring B."""
-    sub: tuple
-    block_indices: tuple
-    n_prime: tuple
-    ambient_vector: tuple | None
-
-
-def invariant_subalgebra(swr: SchurWeylReport, sub,
-                         dims=None) -> InvariantSubalgebra:
-    """Multiplicities n'_b = chi_b(e_B) of the invariant subalgebra.
-
-    With the module dims as d_y = w_y 2**f (dims = mantissas(b.dA.values),
-    computed here when not given) and m chi_b(y) = (re + 1j im)_b[y] 2**exp
-    from the character table,
-    n'_b = sum_{y in B} w_y (re + 1j im)_b[y] 2**(exp - f)
-    / (m sum_{y in B} w_y^2), read off from exact integer sums.
-
-    Each value must round to an integer between 0 and the block size; a
-    fuzzy value is a numerical failure, an out-of-range one contradicts the
-    correspondence.  When every ideal block is matched to an ambient simple
-    the result is also expressed as an ambient multiplicity vector, which
-    must be self-dual.
-    """
-    sub = tuple(sorted(int(i) for i in sub))
-    if dims is None:
-        dims = mantissas(swr.bundle.dA.values)
-    return next(_invariants(swr, [sub], dims))
-
-
 def _invariants(swr: SchurWeylReport, subs, dims):
-    """invariant_subalgebra of each sorted sub of subs in turn, once
-    _check_averaging has passed them all.  The sums
-    sum_{y in B} w_y (re, im)_b[y] of every sub and ideal block b are one
-    product of its weight rows with the ideal rows of the table, and every
-    n'_b is rounded and checked in one elementwise pass over them.  A
-    failing sub raises when its turn comes: the first of its blocks that
-    is fuzzy or out of range, else its self-duality."""
+    """(n', ambient vector) of A^B for each sorted sub B of subs in turn,
+    once _check_averaging has passed them all.  n'_b = chi_b(e_B) on each
+    ideal block b: with d_y = w_y 2**f (dims = mantissas(b.dA.values)) and
+    m chi_b(y) = (re + 1j im)_b[y] 2**exp from the character table,
+    n'_b = sum_{y in B} w_y (re + 1j im)_b[y] 2**(exp - f)
+    / (m sum_{y in B} w_y^2).  The sums of every sub and block are one
+    product of its weight rows with the ideal rows of the table.
+
+    Each n'_b must round to an integer in [0, m]: a fuzzy value is a
+    numerical failure, an out-of-range one contradicts the correspondence.
+    When every ideal block is matched, n' is also an ambient multiplicity
+    vector, which must be self-dual; else the vector is None.  A failing
+    sub raises when its turn comes: the first of its blocks that is fuzzy
+    or out of range, else its self-duality."""
     b = swr.bundle
     W, D = _check_averaging(b.module_ring, subs, dims)
     re, im, exp = swr.character_mantissas
-    ideal = tuple(np.flatnonzero(swr.in_ideal).tolist())
+    ideal = np.flatnonzero(swr.in_ideal).tolist()
     k = len(ideal)
-    sums = W @ np.vstack([re[list(ideal)], im[list(ideal)]]).T
+    sums = W @ np.vstack([re[ideal], im[ideal]]).T
     ms = np.array([swr.blocks[bi].m for bi in ideal], dtype=object)
     dens = np.array(D, dtype=object)[:, None] * ms
     N, far = nearest(sums[:, :k], sums[:, k:], exp - dims[2], dens)
@@ -127,9 +103,7 @@ def _invariants(swr: SchurWeylReport, subs, dims):
                     f"{v[x]} at {labels[x]} vs {v[dual[x]]} at "
                     f"{labels[dual[x]]}")
             vec = tuple(V[r].tolist())
-        yield InvariantSubalgebra(sub=sub, block_indices=ideal,
-                                  n_prime=tuple(N[r].tolist()),
-                                  ambient_vector=vec)
+        yield tuple(N[r].tolist()), vec
 
 
 @dataclass(frozen=True)
@@ -203,8 +177,8 @@ def verify_correspondence(b: CondensationBundle, tol: float = TOL, *,
     """Run the correspondence checks over the whole subring lattice.
 
     Fails are collected in the report rather than raised, except for the
-    hard ones: a non-positive invariant dimension and the errors
-    invariant_subalgebra itself raises.
+    hard ones: a non-positive invariant dimension and the errors the
+    reading of each subring's block multiplicities (_invariants) raises.
 
     The dimension formula runs in float64.  With u = eps / 2, dim(C),
     d(A), dim(B) and each block dimension are rounded once, each product
@@ -234,13 +208,13 @@ def verify_correspondence(b: CondensationBundle, tol: float = TOL, *,
 
     dims = mantissas(b.dA.values)
     entries = []
-    for sub, inv in zip(subs, _invariants(swr, subs, dims)):
-        if inv.n_prime[triv_pos] != 1:
+    for sub, (n_prime, vec) in zip(subs, _invariants(swr, subs, dims)):
+        if n_prime[triv_pos] != 1:
             problems.append(
                 f"subring {sub}: trivial-block multiplicity is "
-                f"{inv.n_prime[triv_pos]}, not 1")
+                f"{n_prime[triv_pos]}, not 1")
         d_inv = 0.0
-        for bi, n in zip(inv.block_indices, inv.n_prime):
+        for bi, n in zip(ideal_idx, n_prime):
             if n == 0:
                 continue
             if bdims[bi] is None:
@@ -262,8 +236,8 @@ def verify_correspondence(b: CondensationBundle, tol: float = TOL, *,
             if residual > bound:
                 problems.append(
                     f"subring {sub}: dimension formula residual {residual:.3e}")
-        entries.append(GaloisEntry(sub=sub, n_prime=inv.n_prime,
-                                   ambient_vector=inv.ambient_vector,
+        entries.append(GaloisEntry(sub=sub, n_prime=n_prime,
+                                   ambient_vector=vec,
                                    d_invariant=d_inv, dim_sub=dim_sub,
                                    residual=residual))
 
@@ -323,10 +297,6 @@ class GroupQuotient:
     pointed: tuple
     pointed_table: tuple
     residual: float
-
-    @property
-    def is_group(self) -> bool:
-        return self.table is not None
 
 
 def group_quotient(swr: SchurWeylReport, tol: float = TOL) -> GroupQuotient:

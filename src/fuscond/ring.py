@@ -292,14 +292,6 @@ def basis_indices(ring: BasedRing, indices) -> list:
     return out
 
 
-def closure(ring: BasedRing, seed) -> frozenset:
-    """Smallest subset containing the unit and the seed that is closed under
-    fusion products and duals.  A seed index outside the basis raises
-    SchemaError."""
-    seed = _mask(basis_indices(ring, seed)) | 1
-    return frozenset(_members(_close(ring, [seed])[0]))
-
-
 def is_closed(ring: BasedRing, sub) -> bool:
     """Whether sub holds the unit and the dual of each member, and every
     product of two members is supported inside sub.  Builds no

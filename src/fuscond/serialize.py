@@ -121,10 +121,6 @@ def _parse_scalar(obj, where: str, memo: dict):
     raise SchemaError(f"{where}: not a recognized scalar encoding")
 
 
-def parse_scalar(obj, where: str = "scalar"):
-    return _parse_scalar(obj, where, {})
-
-
 def _scalars(raw, where: str, memo: dict) -> list:
     """The scalars of a list of encodings.  Equal cyclotomic encodings are
     read once and give one shared Cyc, so its to_mpc cache serves them all;
@@ -449,11 +445,6 @@ _PARSERS = {"ring.v1": parse_ring, "ring.v2": parse_ring,
             "bundle.v1": parse_bundle}
 _EMITTERS = {BasedRing: emit_ring, ModularData: emit_modular,
              CondensationBundle: emit_bundle}
-
-
-def parse_any(obj):
-    """Parse a JSON object into the matching domain type."""
-    return _PARSERS[detect(obj)](obj)
 
 
 def emit_any(value) -> dict:

@@ -167,6 +167,25 @@ def test_unwritable_path_is_exit_2(tmp_path, monkeypatch, capsys, argv):
     assert calls == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["example", "a2n", "--n", "13", "--emit"],
+    ["example", "toric-code", "--n", "5", "--emit"],
+    ["galois", "--dot"],
+], ids=["example-past-the-cap", "example-unused-n", "galois-bad-seed"])
+def test_a_refused_verb_keeps_the_bytes_of_its_target(tmp_path, monkeypatch,
+                                                      argv):
+    # the writability probe truncates nothing, so a refusal after it (the
+    # family's cap, a parameter the family does not take, an unparsable
+    # FUSCOND_SEED) leaves an existing target as it was
+    target = tmp_path / "old"
+    target.write_bytes(b"old bytes\n")
+    if argv[0] == "galois":
+        argv = ["galois", _emit(tmp_path, "toric-code", None), "--dot"]
+        monkeypatch.setenv("FUSCOND_SEED", "x")
+    assert main(argv + [str(target)]) == 2
+    assert target.read_bytes() == b"old bytes\n"
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
 @pytest.mark.parametrize("verb", ["validate", "analyze", "galois",
                                   "indicators", "example"])
@@ -228,6 +247,20 @@ def test_example_coset_needs_and_takes_mtc(tmp_path, capsys):
     capsys.readouterr()
     assert main(["analyze", str(out)]) == 0
     assert "kernel_dim: 0" in capsys.readouterr().out
+
+
+def test_example_refuses_a_parameter_the_family_does_not_take(tmp_path,
+                                                              capsys):
+    mtc = tmp_path / "toric.mtc.json"
+    serialize.write_path(families.toric_modular(), str(mtc))
+    for argv, name in ((["toric-code", "--n", "5"], "n"),
+                       (["a2n", "--n", "1", "--mtc", str(mtc)], "mtc")):
+        capsys.readouterr()
+        assert main(["example"] + argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"error: family {argv[0]} takes no parameter "
+                       f"{name}\n")
 
 
 def test_indicators_row(tmp_path, capsys):
@@ -367,7 +400,8 @@ def _floats(obj):
     {"re", "im"} floats."""
     if isinstance(obj, dict):
         if set(obj) == {"cyclotomic"}:
-            return serialize.emit_scalar(complex(serialize.parse_scalar(obj)))
+            return serialize.emit_scalar(
+                complex(serialize._parse_scalar(obj, "scalar", {})))
         return {k: _floats(v) for k, v in obj.items()}
     if isinstance(obj, list):
         return [_floats(v) for v in obj]

@@ -16,7 +16,6 @@ from fuscond.condense import (
     block_dims,
     check_bundle,
     codegree_check,
-    codegree_row,
     e_sub,
     indicator,
     schur_weyl,
@@ -37,8 +36,8 @@ from cached_bundles import (BUILT_INS, FAMILY_MEMBERS, FIXED_BUNDLES,
                             SMALL_COSETS, bundle, swr)
 from test_modular import toric_data
 from test_reference import (FACTORS, case, check_ambient_rows,
-                            check_codegrees, check_rows, kinds, mutations,
-                            pulled_apart, zero_induction_row)
+                            check_codegrees, check_rows, codegree_row, kinds,
+                            mutations, pulled_apart, zero_induction_row)
 from test_wedderburn import block_trace, left_trace, mpc_product
 
 
@@ -485,7 +484,7 @@ def _twisted_a2n_1():
     twists = obj["ambient"]["product"][0]["twists"]
     assert twists[3] == {"cyclotomic": {"order": 8, "coeffs": ["0", "1"]}}
     twists[3] = {"cyclotomic": {"order": 8, "coeffs": ["0", "0", "0", "1"]}}
-    return serialize.parse_any(obj)
+    return serialize.parse_bundle(obj)
 
 
 def test_a_block_that_fits_no_ambient_row_fails_the_check():

@@ -480,3 +480,19 @@ def test_build_dispatch():
         build("a2n")
     with pytest.raises(CapabilityError):
         build("coset-diagonal")
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_build_refuses_a_parameter_the_family_does_not_take(family):
+    # each parameter the family does not need is refused, even when the
+    # one it needs is given too
+    needs = FAMILIES[family]["needs"]
+    given = {"n": 1, "mtc": ising_modular()}
+    for name in set(given) - {needs}:
+        kwargs = {name: given[name]}
+        if needs is not None:
+            kwargs[needs] = given[needs]
+        with pytest.raises(CapabilityError,
+                           match=f"family {family} takes no parameter "
+                                 f"{name}$"):
+            build(family, **kwargs)

@@ -22,7 +22,6 @@ from fuscond.galois import (
     _order_problems,
     group_quotient,
     hasse_dot,
-    invariant_subalgebra,
     lattice,
     markdown_table,
     verify_correspondence,
@@ -39,6 +38,13 @@ def named_vector(b, entry):
     assert entry.ambient_vector is not None
     return {b.ambient.labels[x]: n
             for x, n in enumerate(entry.ambient_vector) if n}
+
+
+def invariants_of(r, subs) -> list:
+    """(n', ambient vector) of each sorted sub, read as
+    verify_correspondence reads them: one _invariants pass at the module
+    dims of the bundle."""
+    return list(_invariants(r, subs, mantissas(r.bundle.dA.values)))
 
 
 # ------------------------------------------------------- frozen small tables
@@ -186,12 +192,12 @@ def test_averaging_idempotents_absorb(family, n):
 
 def test_invariant_subalgebra_rejects_non_closed_sets():
     with pytest.raises(SchemaError):
-        invariant_subalgebra(swr("a2n", 1), (0, 3, 4))
+        invariants_of(swr("a2n", 1), [(0, 3, 4)])
 
 
 def test_invariant_subalgebra_rejects_a_repeated_index():
     with pytest.raises(SchemaError, match=r"\(0, 0\) repeats a basis index"):
-        invariant_subalgebra(swr("toric-code"), (0, 0))
+        invariants_of(swr("toric-code"), [(0, 0)])
 
 
 def test_trivial_block_has_multiplicity_one_everywhere():
@@ -207,7 +213,7 @@ def test_trivial_block_has_multiplicity_one_everywhere():
 
 def test_toric_quotient_is_z2():
     q = group_quotient(swr("toric-code"))
-    assert q.is_group
+    assert q.table is not None
     assert q.cosets == ((0,), (1,))
     assert q.table == ((0, 1), (1, 0))
     assert q.pointed == (0, 1)
@@ -215,14 +221,14 @@ def test_toric_quotient_is_z2():
 
 def test_vlplus_quotient_is_z2():
     q = group_quotient(swr("vlplus-orbifold", 1))
-    assert q.is_group
+    assert q.table is not None
     assert q.cosets == ((0, 1, 2), (3,))
     assert q.table == ((0, 1), (1, 0))
 
 
 def test_a2n1_quotient_not_group_pointed_dihedral():
     q = group_quotient(swr("a2n", 1))
-    assert not q.is_group
+    assert q.table is None
     assert len(q.cosets) == 8
     assert q.pointed == (0, 1, 2, 3, 4, 5)
     t = q.pointed_table
@@ -233,14 +239,14 @@ def test_a2n1_quotient_not_group_pointed_dihedral():
 
 def test_ising_square_quotient():
     q = group_quotient(swr("ising-square"))
-    assert not q.is_group
+    assert q.table is None
     assert q.pointed == (0, 1)
     assert q.pointed_table == ((0, 1), (1, 0))
 
 
 def test_a2nplus1_quotient_pointed_order8():
     q = group_quotient(swr("a2nplus1", 1))
-    assert not q.is_group
+    assert q.table is None
     assert len(q.cosets) == 12
     assert len(q.pointed) == 8
     t = q.pointed_table
@@ -323,16 +329,16 @@ LATTICE_MEMBERS = ([("a2n", n) for n in range(1, 6)]
 @pytest.mark.parametrize("family,n", LATTICE_MEMBERS,
                          ids=[f"{f}-{n}" for f, n in LATTICE_MEMBERS])
 def test_invariant_subalgebra_matches_the_mpmath_path(family, n, dps):
-    # invariant_subalgebra on its own: n' = chi_b(e_B) and the ambient
-    # vector of every subring
+    # the n' pass on its own: n' = chi_b(e_B) and the ambient vector of
+    # every subring
     c = case(family, n, dps)
     order = ideal_order(c.r, c.ref.v, c.pair)
     with mp.workdps(dps):
-        for w in c.ref.entries:
-            inv = invariant_subalgebra(c.r, w.sub)
-            assert inv.n_prime == tuple(w.n_prime[i] for i in order), w.sub
-            assert inv.ambient_vector == w.vector, w.sub
-            assert all(type(x) is int for x in inv.n_prime)
+        got = invariants_of(c.r, [w.sub for w in c.ref.entries])
+        for w, (n_prime, vec) in zip(c.ref.entries, got, strict=True):
+            assert n_prime == tuple(w.n_prime[i] for i in order), w.sub
+            assert vec == w.vector, w.sub
+            assert all(type(x) is int for x in n_prime)
 
 
 # -------------------------------------------------- n' of a broken report
@@ -346,7 +352,7 @@ def test_perturbed_dims_fail_the_idempotent_check():
     full = tuple(range(b.module_ring.rank))
     with pytest.raises(NumericalDegeneracyError,
                        match="failed the idempotent check"):
-        invariant_subalgebra(dataclasses.replace(r, bundle=b), full)
+        invariants_of(dataclasses.replace(r, bundle=b), [full])
     with pytest.raises(NumericalDegeneracyError,
                        match="failed the idempotent check"):
         e_sub(b, full)
@@ -367,7 +373,7 @@ def test_out_of_range_multiplicity_is_a_theorem_violation():
     r = swr("a2n", 1)
     bi = r.in_ideal.index(True)
     with pytest.raises(TheoremViolationError, match=r"outside \[0, "):
-        invariant_subalgebra(_scaled_block(r, bi, -1), r.bundle.local)
+        invariants_of(_scaled_block(r, bi, -1), [r.bundle.local])
 
 
 def test_fuzzy_multiplicity_is_a_numerical_failure():
@@ -381,8 +387,8 @@ def test_fuzzy_multiplicity_is_a_numerical_failure():
     with pytest.raises(NumericalDegeneracyError,
                        match=r"= \(0\.5\+0j\) is not within 1e-06 of an "
                              "integer"):
-        invariant_subalgebra(dataclasses.replace(r, blocks=tuple(blocks)),
-                             r.bundle.local)
+        invariants_of(dataclasses.replace(r, blocks=tuple(blocks)),
+                      [r.bundle.local])
 
 
 # ------------------------------------------ order reversal and monotonicity
@@ -426,7 +432,7 @@ def _sized_block(r, bi, m):
 def _first_error(r, subs):
     with pytest.raises((TheoremViolationError,
                         NumericalDegeneracyError)) as err:
-        list(_invariants(r, subs, mantissas(r.bundle.dA.values)))
+        invariants_of(r, subs)
     return err
 
 

@@ -1,6 +1,7 @@
 """Module boundaries, read from the source with ast."""
 import ast
 import pathlib
+import re
 
 import pytest
 
@@ -31,6 +32,49 @@ def test_no_module_defines_near(path):
     names = {node.name for node in ast.walk(_tree(path))
              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
     assert "_near" not in names
+
+
+ROOT = pathlib.Path(__file__).parent.parent
+# the users of the package besides the package itself: the demos, the
+# benchmark ops, the acceptance gate and the reference, read with ast,
+# and the inline Python of the CI steps, read as words
+USERS = [*sorted((ROOT / "demos").glob("*.py")),
+         *sorted((ROOT / "perfbench").glob("*.py")),
+         ROOT / "tests" / "test_acceptance.py",
+         ROOT / "tests" / "reference.py"]
+CI = ROOT / ".github" / "workflows" / "tier1.yml"
+
+
+def _named(nodes) -> set:
+    """Every identifier the nodes name: bare names, attributes, imports."""
+    out = set()
+    for node in (n for top in nodes for n in ast.walk(top)):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name)
+    return out
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_every_public_name_has_a_user(path):
+    # a public function or class is named by package code outside its own
+    # definition (cli.py holds the verbs; __init__.py only re-exports), by
+    # a demo, a benchmark op, a CI step, the acceptance gate or the
+    # reference; code no user reaches is deleted, not kept for the tests
+    users = set(re.findall(r"\w+", CI.read_text(encoding="utf-8")))
+    users |= _named(_tree(p) for p in USERS)
+    users |= _named(_tree(p) for p in SOURCES
+                    if p.name not in (path.name, "__init__.py"))
+    body = _tree(path).body
+    defs = [node for node in body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+    assert not [node.name for node in defs
+                if node.name not in users
+                | _named(n for n in body if n is not node)]
 
 
 TESTS = sorted(pathlib.Path(__file__).parent.glob("test_*.py"))

@@ -27,7 +27,7 @@ import reference as ref
 from cached_bundles import BUILT_INS, bundle, swr_at
 from fuscond import condense, galois, wedderburn
 from fuscond.condense import (block_dims, check_bundle, codegree_check,
-                              codegree_row, schur_weyl)
+                              schur_weyl)
 from fuscond.cyclotomic import TOL, working_tol
 from fuscond.families import ty_ring
 from fuscond.galois import (group_quotient, hasse_dot, lattice,
@@ -151,6 +151,17 @@ def check_ambient_rows(b, r, dps):
     fits = [float(note.rsplit("fit ", 1)[1][:-1])
             for note in r.notes if "(fit " in note]
     assert len(fits) == sum(r.in_ideal) and max(fits) < working_tol()
+
+
+def codegree_row(r, bi) -> list:
+    """phi of block bi on every block bj, by the two calls codegree_check
+    makes: the exact sums of _codegree_sums, each rounded once by
+    _codegree_value over m_bi m_bj^2, read off the module so that a
+    seeded defect reaches them."""
+    sre, sim = condense._codegree_sums(r, [bi])
+    exp, m = r.character_mantissas[2], r.blocks[bi].m
+    return [condense._codegree_value(a, c, exp, m * bp.m * bp.m)
+            for a, c, bp in zip(sre[0].tolist(), sim[0].tolist(), r.blocks)]
 
 
 def check_rows(r, v, pair):

@@ -11,7 +11,6 @@ from fuscond.families import ty_ring, xy2_module_ring, xy_module_ring
 from fuscond.ring import (
     BasedRing,
     DimVector,
-    closure,
     element_product,
     enumerate_subrings,
     fp_dims,
@@ -225,6 +224,13 @@ def test_structural_rejection():
     ring = fibonacci_ring()
     with pytest.raises(SchemaError):
         BasedRing(labels=ring.labels, fusion=ring.fusion, dual=(1, 1))
+
+
+def closure(ring, seed) -> frozenset:
+    """The smallest subring containing the unit and the seed: the first
+    subring enumerate_subrings finds, which also refuses a seed index
+    outside the basis."""
+    return frozenset(enumerate_subrings(ring, must_contain=seed)[0])
 
 
 def test_closure_and_generated():

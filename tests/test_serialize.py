@@ -30,9 +30,9 @@ from fuscond.serialize import (
     parse_bundle,
     parse_modular,
     parse_ring,
-    parse_scalar,
     read_path,
     write_path,
+    _parse_scalar,
     _ratio,
     _scalars,
 )
@@ -47,7 +47,7 @@ from cached_bundles import bundle
 def test_scalar_exact_form():
     enc = emit_scalar(Cyc.zeta(8))
     assert enc == {"cyclotomic": {"order": 8, "coeffs": ["0", "1"]}}
-    back = parse_scalar(enc)
+    back = _parse_scalar(enc, "scalar", {})
     assert back == Cyc.zeta(8)
 
 
@@ -55,24 +55,25 @@ def test_scalar_rational_and_zero():
     assert emit_scalar(1) == {"cyclotomic": {"order": 1, "coeffs": ["1"]}}
     assert emit_scalar(Cyc.rational(0)) == {
         "cyclotomic": {"order": 1, "coeffs": []}}
-    half = parse_scalar({"cyclotomic": {"order": 1, "coeffs": ["1/2"]}})
+    half = _parse_scalar({"cyclotomic": {"order": 1, "coeffs": ["1/2"]}},
+                         "scalar", {})
     assert half == Cyc.rational("1/2")
 
 
 def test_scalar_float_form():
     enc = emit_scalar(0.1 + 0.2j)
     assert set(enc) == {"re", "im"}
-    z = parse_scalar(enc)
+    z = _parse_scalar(enc, "scalar", {})
     assert z == 0.1 + 0.2j
     # pure real floats come back as floats
-    assert parse_scalar({"re": 2.5, "im": 0.0}) == 2.5
+    assert _parse_scalar({"re": 2.5, "im": 0.0}, "scalar", {}) == 2.5
 
 
 def test_scalar_rejects_garbage():
     for bad in ("x", True, {"cyclotomic": {"order": 4}}, {"re": 1.0},
                 {"cyclotomic": {"order": 4, "coeffs": ["1/0"]}}):
         with pytest.raises(SchemaError):
-            parse_scalar(bad)
+            _parse_scalar(bad, "scalar", {})
 
 
 @pytest.mark.parametrize("coeffs", [
@@ -81,7 +82,8 @@ def test_scalar_rejects_garbage():
 @pytest.mark.parametrize("order", [1, 4, 5, 12])
 def test_cyclotomic_coefficients_parse_as_fractions(order, coeffs):
     # every string Fraction reads gives the Cyc built from the Fractions
-    got = parse_scalar({"cyclotomic": {"order": order, "coeffs": coeffs}})
+    got = _parse_scalar({"cyclotomic": {"order": order, "coeffs": coeffs}},
+                        "scalar", {})
     want = Cyc(order, [Fraction(c) for c in coeffs])
     assert (got.order, got.num, got.den) == (want.order, want.num, want.den)
 
@@ -103,7 +105,8 @@ def _cyc(order, coeffs):
 @pytest.mark.parametrize("bad", _BAD_COEFFS)
 def test_bad_cyclotomic_coefficients_keep_the_fraction_message(bad):
     with pytest.raises(SchemaError) as info:
-        parse_scalar({"cyclotomic": {"order": 4, "coeffs": ["1", bad]}})
+        _parse_scalar({"cyclotomic": {"order": 4, "coeffs": ["1", bad]}},
+                      "scalar", {})
     assert str(info.value) == _fraction_message(bad)
 
 
@@ -205,14 +208,14 @@ def test_emitted_coefficients_are_the_fraction_strings(order, num, den):
     x = Cyc.from_numerators(order, num, den)
     coeffs = emit_scalar(x)["cyclotomic"]["coeffs"]
     assert coeffs == [str(q) for q in x.coeffs]
-    assert parse_scalar(emit_scalar(x)) == x
+    assert _parse_scalar(emit_scalar(x), "scalar", {}) == x
 
 
 @pytest.mark.parametrize("x", [float("nan"), float("inf"), float("-inf")])
 def test_scalar_rejects_non_finite(x):
     for bad in (x, {"re": x, "im": 0.0}, {"re": 0.0, "im": x}):
         with pytest.raises(SchemaError, match="scalar must be finite"):
-            parse_scalar(bad)
+            _parse_scalar(bad, "scalar", {})
 
 
 def test_canonical_float_formatting():
