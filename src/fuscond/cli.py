@@ -11,6 +11,7 @@ at ``--digits``, and a path that cannot be read or written.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -72,13 +73,25 @@ def cmd_validate(args) -> int:
     return 1 if problems else 0
 
 
+def _probe(args, target) -> None:
+    """Refuse an unwritable target before any work.  The probe writes
+    nothing, so a later refusal keeps an existing target's bytes; a target
+    it creates is kept in args.created, which _run removes again if the
+    verb refuses."""
+    fresh = not os.path.exists(target)
+    open(target, "a", encoding="utf-8").close()
+    if fresh:
+        args.created = target
+
+
 def _gate(args, target=None, summary=False):
     """Read, check, refuse and split a reading verb's bundle.  Prints the
     header (with summary, the ranks and a passing verdict too); returns
     None after failed checks (exit 1), else the bundle and its
-    SchurWeylReport.  Once the checks pass, an unknown --x and an
-    unwritable target are refused before anything is printed or split;
-    the probe writes nothing, so a later refusal keeps the target."""
+    SchurWeylReport.  FUSCOND_SEED is read first; once the checks pass,
+    an unknown --x and an unwritable target are refused before anything
+    is printed or split."""
+    seed = _seed()
     b = read_path(args.input)
     if not isinstance(b, CondensationBundle):
         raise SchemaError(f"{args.input} does not hold a bundle.v1 object")
@@ -86,7 +99,7 @@ def _gate(args, target=None, summary=False):
     x = getattr(args, "x", None)
     xi = None if x is None or problems else b.ambient.index(x)
     if target and not problems:
-        open(target, "a", encoding="utf-8").close()
+        _probe(args, target)
     print(f"## {args.verb} {args.input}" + ("" if x is None else f" x={x}"))
     if summary:
         print(f"- ambient rank {b.ambient.rank}, module rank "
@@ -98,7 +111,7 @@ def _gate(args, target=None, summary=False):
     refusal = xi is not None and indicator_refusal(b, xi)
     if refusal:
         raise refusal
-    return b, schur_weyl(b, tol=args.tol, seed=_seed())
+    return b, schur_weyl(b, tol=args.tol, seed=seed)
 
 
 def cmd_analyze(args) -> int:
@@ -148,6 +161,8 @@ def cmd_galois(args) -> int:
 
 def cmd_example(args) -> int:
     header = f"## example {args.name}" + (f" n={args.n}" if args.n else "")
+    # a parameter the family does not take is refused before --mtc is read
+    families.check_parameters(args.name, args.n, args.mtc)
     mtc = None
     if args.mtc is not None:
         value = read_path(args.mtc)
@@ -161,9 +176,8 @@ def cmd_example(args) -> int:
             return 1
         mtc = value
     if args.emit:
-        # an unwritable path is refused before anything is built or
-        # printed; the probe writes nothing, so a refused build keeps it
-        open(args.emit, "a", encoding="utf-8").close()
+        # an unwritable path is refused before anything is built or printed
+        _probe(args, args.emit)
     b = families.build(args.name, n=args.n, mtc=mtc)
     print(header)
     print(f"- ambient rank {b.ambient.rank}, module rank "
@@ -185,6 +199,24 @@ def cmd_indicators(args) -> int:
         vec[y] = 1
         print(f"- {label}: {_fmt(indicator(swr, args.x, vec))}")
     return 0
+
+
+def _run(args) -> int:
+    """The verb at --digits, once --tol passes its floor.  A target that
+    the verb's probe created is removed again if the verb raises."""
+    args.created = None
+    try:
+        with mp.workdps(args.digits):
+            if args.tol < tol_floor():
+                raise SchemaError(
+                    f"--tol must be at least {tol_floor():g} at --digits "
+                    f"{args.digits}, got {args.tol}")
+            return args.fn(args)
+    except BaseException:
+        if args.created is not None:
+            with contextlib.suppress(OSError):
+                os.remove(args.created)
+        raise
 
 
 def main(argv=None) -> int:
@@ -240,12 +272,7 @@ def main(argv=None) -> int:
               f"{args.tol}", file=sys.stderr)
         return 2
     try:
-        with mp.workdps(args.digits):
-            if args.tol < tol_floor():
-                raise SchemaError(
-                    f"--tol must be at least {tol_floor():g} at --digits "
-                    f"{args.digits}, got {args.tol}")
-            return args.fn(args)
+        return _run(args)
     except (SchemaError, CapabilityError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

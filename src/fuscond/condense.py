@@ -36,8 +36,9 @@ from .modular import (ModularData, dims as modular_dims,
 from .ring import (BasedRing, DimVector, _bilinear, _dot, basis_indices,
                    check_basis, fp_dims, is_closed, product_basis,
                    real_floats, validate)
-from .mantissa import (aligned, cmp_tol, combine, commutators, mantissas,
-                       product, quotient, rounded_on_grid, stack, sups)
+from .mantissa import (U, aligned, band_limit, cmp_tol, combine, commutators,
+                       floats, mantissas, product, quotient, rounded_on_grid,
+                       stack, sups)
 from .wedderburn import SPLIT_SEED, block_profiles, character_table
 
 MATCH_ACCEPT = 1e-6
@@ -369,38 +370,91 @@ def _check_averaging(ring: BasedRing, subs, dims) -> tuple:
     within TOL, given the mantissas dims = mantissas(d) = (w, _, f) of
     the real d.  Returns the weight rows W, an object array with row
     w_B (w on sub, 0 elsewhere) for each sub, and the list of
-    D = sum_{y in B} w_y^2.  With
-    P = w_B * w_B, exactly, (e_B^2 - e_B)_k D^2 = P_k 2**(-2f) - w_k D 2**(-f).
-    The weight rows w_B of all subs are squared in one pass over
-    ring._plan.square."""
+    D = sum_{y in B} w_y^2.
+
+    A float64 filter decides each row it can: it passes a row when every
+    entry k has |res_k| + (8r + 16) u ((e_B^2)_k + e_k) <= band_limit(TOL),
+    with r the rank, u = 2**-53 and res = e_B^2 - e_B formed in float64
+    from weights rounded once from their mantissas.  _averaging derives
+    that bound by counting the roundings of each product and sum; every
+    row it does not pass takes the exact test."""
+    return _averaging(ring, subs, dims)[:2]
+
+
+# weights x_y outside [2**-100, 2**100] could take a float64 step below
+# float64's normal range; their rows go to the exact test
+_SCALE = 2.0 ** 100
+
+
+def _averaging(ring: BasedRing, subs, dims) -> tuple:
+    """_check_averaging's checks.  Returns W and D, the float64 rows e of
+    e_B, and whether each row is tame (below).
+
+    The exact test: with P = w_B * w_B, exactly, (e_B^2 - e_B)_k D^2 =
+    P_k 2**(-2f) - w_k D 2**(-f), and max_k of its square is compared with
+    (TOL D^2)^2 by cmp_tol.  The weight rows are squared in one pass over
+    ring._plan.square.
+
+    The float64 filter in front of it reads the same values.  Each weight
+    x_y = w_y 2**f is rounded once from its mantissa, so the truncation of
+    d at mp.prec is part of the value the exact test reads, not an error;
+    x_y is off by at most u = 2**-53 relative.  A row is tame when its x_y
+    lie in [2**-100, 2**100]: then no step below leaves float64's normal
+    range.  With r the rank and g_n = n u / (1 - n u), S = sum x_y^2 (r
+    terms) is off by g_{r+2} relative, each e_y = x_y / S by g_{r+4}, and
+    (e_B^2)_k = sum_j e_j (sum_i e_i N[i, j, k]), two dot products of
+    length r over nonnegative terms, by g_{4r+8}.  So the float64 entry
+    res_k = (e_B^2)_k - e_k is within g_{4r+8} (e_B^2)_k + g_{r+4} e_k + u
+    |res_k|, at most (5r + 10) u ((e_B^2)_k + e_k) in the computed values,
+    of the exact one.  The filter takes E_k = (8r + 16) u ((e_B^2)_k + e_k),
+    whose excess covers the roundings of forming it, and passes a tame row
+    when every |res_k| + E_k is at most band_limit(TOL).  On a tame row
+    (e_B^2)_k > 0 exactly where P_k != 0, which decides its closure
+    support.  Every other row goes through the exact test unchanged, so
+    each verdict and each error text is the exact test's."""
     w, _, f = dims
-    inside = np.zeros((len(subs), ring.rank), dtype=bool)
-    for r, sub in enumerate(subs):
-        inside[r, basis_indices(ring, sub)] = True
-        if np.count_nonzero(inside[r]) != len(sub):
+    r = ring.rank
+    inside = np.zeros((len(subs), r), dtype=bool)
+    for i, sub in enumerate(subs):
+        inside[i, basis_indices(ring, sub)] = True
+        if np.count_nonzero(inside[i]) != len(sub):
             raise SchemaError(f"{sub} repeats a basis index")
     W = np.where(inside, np.array(w, dtype=object), 0)
-    P = _bilinear(ring._plan.square, W, W)
+    D = (W * W).sum(axis=1)
+    x = np.where(inside, floats(w, f), 0.0)
+    tame = (~inside | ((x >= 1 / _SCALE) & (x <= _SCALE))).all(axis=1)
+    with np.errstate(all="ignore"):
+        e = x / (x * x).sum(axis=1)[:, None]
+        sq = np.einsum("sj,sjk->sk", e,
+                       (e @ ring.fusion.reshape(r, r * r)).reshape(-1, r, r))
+        bound = np.abs(sq - e) + (8 * r + 16) * U * (sq + e)
+    exact = np.flatnonzero(~(tame & (bound <= band_limit(TOL)).all(axis=1)))
+    support = sq > 0
+    if len(exact):
+        P = _bilinear(ring._plan.square, W[exact], W[exact])
+        support[exact] = P != 0
     # with every weight of sub positive and F >= 0, P_k != 0 exactly when
     # k is in the support of a product of two members
-    positive = ~(inside & (W <= 0)).any(axis=1)
+    positive = ~(inside & (x <= 0)).any(axis=1)
     closed = (inside[:, 0] & (inside == inside[:, list(ring.dual)]).all(axis=1)
-              & ~((P != 0) & ~inside).any(axis=1))
+              & ~(support & ~inside).any(axis=1))
     for sub, pos, c in zip(subs, positive, closed):
         if not (c if pos else is_closed(ring, sub)):
             raise SchemaError(f"{sub} is not a subring of the module ring")
-    D = (W * W).sum(axis=1)
-    # max_k of the square of that difference, exactly over the exponent e
-    e = min(-2 * f, -f)
-    R = (P << (-2 * f - e)) - D[:, None] * (W << (-f - e))
-    resid = (R * R).max(axis=1)
-    bad = np.flatnonzero(cmp_tol(resid, 2 * e, TOL, D * D) > 0)
-    if len(bad):
-        value = mp.sqrt(quotient(resid[bad[0]], 2 * e, D[bad[0]] ** 4))
-        raise NumericalDegeneracyError(
-            f"e_sub for {subs[bad[0]]} failed the idempotent check, residual "
-            f"{float(value)}")
-    return W, D.tolist()
+    if len(exact):
+        # max_k of the square of that difference, exactly over the
+        # exponent ex
+        We, De = W[exact], D[exact]
+        ex = min(-2 * f, -f)
+        R = (P << (-2 * f - ex)) - De[:, None] * (We << (-f - ex))
+        resid = (R * R).max(axis=1)
+        bad = np.flatnonzero(cmp_tol(resid, 2 * ex, TOL, De * De) > 0)
+        if len(bad):
+            value = mp.sqrt(quotient(resid[bad[0]], 2 * ex, De[bad[0]] ** 4))
+            raise NumericalDegeneracyError(
+                f"e_sub for {subs[exact[bad[0]]]} failed the idempotent "
+                f"check, residual {float(value)}")
+    return W, D.tolist(), e, tame
 
 
 def e_sub(b: CondensationBundle, sub) -> list:

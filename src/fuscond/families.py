@@ -332,9 +332,11 @@ FAMILIES = {
 }
 
 
-def build(family: str, n: int | None = None, mtc: ModularData | None = None):
-    """Materialize a built-in bundle by family name.  An n or mtc that the
-    family does not take is refused, not ignored."""
+def check_parameters(family: str, n=None, mtc=None) -> dict:
+    """The FAMILIES entry of family, once the given parameters fit it: an
+    unknown family, an n or mtc that the family does not take, and a
+    missing one it needs are refused with CapabilityError.  Only whether
+    n and mtc are given is read."""
     if family not in FAMILIES:
         known = ", ".join(sorted(FAMILIES))
         raise CapabilityError(f"unknown family {family!r}; known: {known}")
@@ -343,12 +345,19 @@ def build(family: str, n: int | None = None, mtc: ModularData | None = None):
         if given is not None and entry["needs"] != name:
             raise CapabilityError(
                 f"family {family} takes no parameter {name}")
+    if entry["needs"] == "n" and n is None:
+        raise CapabilityError(f"family {family} needs a parameter n")
+    if entry["needs"] == "mtc" and mtc is None:
+        raise CapabilityError(f"family {family} needs modular data")
+    return entry
+
+
+def build(family: str, n: int | None = None, mtc: ModularData | None = None):
+    """Materialize a built-in bundle by family name.  An n or mtc that the
+    family does not take is refused, not ignored (check_parameters)."""
+    entry = check_parameters(family, n, mtc)
     if entry["needs"] == "n":
-        if n is None:
-            raise CapabilityError(f"family {family} needs a parameter n")
         return entry["build"](n)
     if entry["needs"] == "mtc":
-        if mtc is None:
-            raise CapabilityError(f"family {family} needs modular data")
         return entry["build"](mtc)
     return entry["build"]()

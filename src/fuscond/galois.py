@@ -16,11 +16,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .condense import (CondensationBundle, SchurWeylReport, _check_averaging,
+from .condense import (CondensationBundle, SchurWeylReport, _averaging,
                        block_dims)
 from .cyclotomic import ROUND_TOL, TOL, as_mpc
 from .errors import NumericalDegeneracyError, TheoremViolationError
-from .mantissa import mantissas, nearest, round_quotient
+from .mantissa import U, floats, mantissas, nearest, round_quotient
 from .ring import enumerate_subrings
 
 
@@ -31,34 +31,54 @@ def lattice(b: CondensationBundle) -> list:
     return enumerate_subrings(b.module_ring, must_contain=b.local)
 
 
-def _trivial_block(swr: SchurWeylReport) -> int:
-    """The ideal block whose character is the dimension function itself:
-    the block of the invariant subalgebra of the full module ring."""
-    b = swr.bundle
-    # chi_b(z) = (re + 1j im)_b[z] 2**exp / m_b in float64, each part one
-    # correctly rounded integer division
+def _ideal_characters(swr: SchurWeylReport) -> tuple:
+    """(ideal, chi): the ideal blocks in order, and their characters
+    chi_b(y) = (re + 1j im)_b[y] 2**exp / m_b from the table's mantissas
+    as a complex128 array, each part one correctly rounded integer
+    division (mantissa.floats)."""
     re, im, exp = swr.character_mantissas
-    s = max(exp, 0)
-    d = np.array([[bp.m << (s - exp)] for bp in swr.blocks], dtype=object)
-    chi = ((re << s) / d).astype(float) + 1j * ((im << s) / d).astype(float)
-    gap = np.where(swr.in_ideal,
-                   np.abs(chi - b.dA.as_floats()).sum(axis=1), np.inf)
-    best = int(np.argmin(gap))
-    if gap[best] > ROUND_TOL * b.module_ring.rank:
+    ideal = np.flatnonzero(swr.in_ideal).tolist()
+    m = np.array([[swr.blocks[bi].m] for bi in ideal], dtype=object)
+    return ideal, floats(re[ideal], exp, m) + 1j * floats(im[ideal], exp, m)
+
+
+def _trivial_block(swr: SchurWeylReport, table) -> int:
+    """The ideal block whose character is the dimension function itself:
+    the block of the invariant subalgebra of the full module ring.  table
+    is _ideal_characters(swr)."""
+    b = swr.bundle
+    ideal, chi = table
+    gap = np.abs(chi - b.dA.as_floats()).sum(axis=1)
+    if not len(gap) or gap.min() > ROUND_TOL * b.module_ring.rank:
         raise TheoremViolationError(
             "no block carries the dimension character; the ideal cut by the "
             "algebra idempotent must contain the trivial block")
-    return best
+    return ideal[int(np.argmin(gap))]
 
 
-def _invariants(swr: SchurWeylReport, subs, dims):
+def _invariants(swr: SchurWeylReport, subs, dims, table=None):
     """(n', ambient vector) of A^B for each sorted sub B of subs in turn,
     once _check_averaging has passed them all.  n'_b = chi_b(e_B) on each
     ideal block b: with d_y = w_y 2**f (dims = mantissas(b.dA.values)) and
     m chi_b(y) = (re + 1j im)_b[y] 2**exp from the character table,
     n'_b = sum_{y in B} w_y (re + 1j im)_b[y] 2**(exp - f)
-    / (m sum_{y in B} w_y^2).  The sums of every sub and block are one
-    product of its weight rows with the ideal rows of the table.
+    / (m sum_{y in B} w_y^2).  table is _ideal_characters(swr), built
+    here when not given.
+
+    A float64 filter reads n' first, as X = e chi^T with the rows e of
+    _averaging and chi of table: one dot product of length r (the rank)
+    per part.  On a tame row e_y is off by g_{r+4} relative (see
+    _averaging), each part of chi by u, and the products and sums add
+    g_r, so each part of X is within g_{2r+5} sum_y e_y |chi_b(y)| of the
+    exact n' that the exact test reads, at most (3r + 6) u times that sum
+    in float64.  Table entries below float64's normal range add at most
+    r 2**-974, since e_y <= 2**100 on a tame row.  The filter takes
+    E = (4r + 12) u sum_y e_y |chi_b(y)| + r 2**-960 for each part, and
+    nearest passes an entry when every value within E of it is within
+    ROUND_TOL of one integer.  A row with any entry not passed, or that is
+    not tame, is summed exactly, one product of its weight row with the
+    ideal rows of the table, and read by the exact nearest; so every n'
+    is the exact test's.
 
     Each n'_b must round to an integer in [0, m]: a fuzzy value is a
     numerical failure, an out-of-range one contradicts the correspondence.
@@ -67,14 +87,26 @@ def _invariants(swr: SchurWeylReport, subs, dims):
     sub raises when its turn comes: the first of its blocks that is fuzzy
     or out of range, else its self-duality."""
     b = swr.bundle
-    W, D = _check_averaging(b.module_ring, subs, dims)
-    re, im, exp = swr.character_mantissas
-    ideal = np.flatnonzero(swr.in_ideal).tolist()
+    r = b.module_ring.rank
+    W, D, e, tame = _averaging(b.module_ring, subs, dims)
+    ideal, chi = _ideal_characters(swr) if table is None else table
     k = len(ideal)
-    sums = W @ np.vstack([re[ideal], im[ideal]]).T
+    C = np.vstack([chi.real, chi.imag])
+    with np.errstate(all="ignore"):
+        X = e @ C.T
+        err = (4 * r + 12) * U * (e @ np.abs(C).T) + r * 2.0 ** -960
+    err[~tame] = np.inf
+    N, far = nearest(X[:, :k], X[:, k:], 0, 1, (err[:, :k], err[:, k:]))
+    N = N.astype(object)
     ms = np.array([swr.blocks[bi].m for bi in ideal], dtype=object)
-    dens = np.array(D, dtype=object)[:, None] * ms
-    N, far = nearest(sums[:, :k], sums[:, k:], exp - dims[2], dens)
+    # the rows the filter left, summed and rounded exactly
+    redo = np.flatnonzero(far.any(axis=1))
+    if len(redo):
+        re, im, exp = swr.character_mantissas
+        sums = W[redo] @ np.vstack([re[ideal], im[ideal]]).T
+        dens = np.array(D, dtype=object)[redo, None] * ms
+        N[redo], far[redo] = nearest(sums[:, :k], sums[:, k:], exp - dims[2],
+                                     dens)
     bad = far | (N < 0) | (N > ms)
     matched = [swr.matched[bi] for bi in ideal]
     V = None
@@ -82,28 +114,29 @@ def _invariants(swr: SchurWeylReport, subs, dims):
         V = np.zeros((len(subs), b.ambient.rank), dtype=object)
         V[:, matched] = N
         skew = V != V[:, list(b.ambient.dual)]
-    for r, sub in enumerate(subs):
-        if bad[r].any():
-            c = int(np.argmax(bad[r]))
-            if far[r, c]:
+    for i, sub in enumerate(subs):
+        if bad[i].any():
+            c = int(np.argmax(bad[i]))
+            if far[i, c]:
                 # the same rounding of that one value, which raises
-                round_quotient(sums[r, c], sums[r, k + c], exp - dims[2],
-                               dens[r, c],
+                j = int(np.searchsorted(redo, i))
+                round_quotient(sums[j, c], sums[j, k + c], exp - dims[2],
+                               dens[j, c],
                                f"block multiplicity for subring {sub}")
             raise TheoremViolationError(
-                f"block multiplicity {N[r, c]} outside [0, {ms[c]}] for "
+                f"block multiplicity {N[i, c]} outside [0, {ms[c]}] for "
                 f"subring {sub}")
         vec = None
         if V is not None:
-            if skew[r].any():
-                x = int(np.argmax(skew[r]))
-                v, labels, dual = V[r], b.ambient.labels, b.ambient.dual
+            if skew[i].any():
+                x = int(np.argmax(skew[i]))
+                v, labels, dual = V[i], b.ambient.labels, b.ambient.dual
                 raise TheoremViolationError(
                     "invariant subalgebra is not self-dual: multiplicity "
                     f"{v[x]} at {labels[x]} vs {v[dual[x]]} at "
                     f"{labels[dual[x]]}")
-            vec = tuple(V[r].tolist())
-        yield tuple(N[r].tolist()), vec
+            vec = tuple(V[i].tolist())
+        yield tuple(N[i].tolist()), vec
 
 
 @dataclass(frozen=True)
@@ -189,10 +222,23 @@ def verify_correspondence(b: CondensationBundle, tol: float = TOL, *,
     first order.  The check's bound max(tol, (k + 8) eps) leaves a factor
     of two above that, so a tol below the float64 rounding error does not
     fail exact data.
+
+    The averaging check and n' of every subring are decided in float64
+    behind proven error bands, derived by counting the roundings of each
+    product and sum (_averaging, _invariants): a residual passes when
+    |res_k| + (8r + 16) u ((e_B^2)_k + e_k) is at most TOL, an n'_b when
+    every value within (4r + 12) u sum_y e_y |chi_b(y)| of it is within
+    ROUND_TOL of an integer (r the rank, u = 2**-53, each threshold read
+    as mpf at the working precision and shrunk by 2**-40 relative).  A
+    row inside a band goes through the exact mantissa tests unchanged, so
+    each verdict, n' and error text is theirs.  One float64 character
+    table serves _trivial_block and n'.  dim(B) stays exact (Cyc, then
+    as_mpc), summed once per DimVector.total_key.
     """
     subs = lattice(b)
     problems = []
-    trivial = _trivial_block(swr)
+    table = _ideal_characters(swr)
+    trivial = _trivial_block(swr, table)
     if swr.matched[trivial] is not None and swr.matched[trivial] != 0:
         problems.append(
             "trivial block is matched to "
@@ -208,7 +254,9 @@ def verify_correspondence(b: CondensationBundle, tol: float = TOL, *,
 
     dims = mantissas(b.dA.values)
     entries = []
-    for sub, (n_prime, vec) in zip(subs, _invariants(swr, subs, dims)):
+    dim_subs = {}
+    for sub, (n_prime, vec) in zip(subs, _invariants(swr, subs, dims,
+                                                      table)):
         if n_prime[triv_pos] != 1:
             problems.append(
                 f"subring {sub}: trivial-block multiplicity is "
@@ -228,7 +276,10 @@ def verify_correspondence(b: CondensationBundle, tol: float = TOL, *,
             raise TheoremViolationError(
                 f"invariant subalgebra of {sub} has non-positive "
                 f"dimension {d_inv}")
-        dim_sub = float(as_mpc(b.dA.total(sub)).real)
+        key = b.dA.total_key(sub)
+        if key not in dim_subs:
+            dim_subs[key] = float(as_mpc(b.dA.total(sub)).real)
+        dim_sub = dim_subs[key]
         if d_inv is None:
             residual = float("nan")
         else:

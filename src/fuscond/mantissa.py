@@ -8,6 +8,11 @@ are array passes over the ring's term plan (``BasedRing._plan``, read
 through ``ring._bilinear`` and ``ring._summed``); their sums are exact, and
 ``rescale`` rounds back to a fixed exponent once per entry.  ``cmp_tol``,
 elementwise over object arrays, is the one tolerance test.
+
+The lattice pass puts a float64 filter in front of it: ``floats`` rounds
+mantissas to float64 once each, a caller bounds its float64 value's
+distance E from the exact one, and only a value that ``band_limit`` cannot
+decide goes through the exact test.
 """
 from __future__ import annotations
 
@@ -197,17 +202,52 @@ def cmp_tol(w, wexp, tol, den=1):
     return _signs(w, np.subtract(wexp, 2 * texp), (man * den) ** 2)
 
 
+# float64's unit roundoff
+U = 2.0 ** -53
+
+
+def floats(n, exp: int, den=1) -> np.ndarray:
+    """n 2**exp / den as float64, for an object array n of Python ints and
+    integers den > 0 broadcast against it: one correctly rounded integer
+    division per entry, off by at most U relative, or 2**-1075 below
+    float64's normal range."""
+    s = max(exp, 0)
+    n, den = np.asarray(n, dtype=object), np.asarray(den, dtype=object)
+    return ((n << s) / (den << (s - exp))).astype(float)
+
+
+def band_limit(tol) -> float:
+    """The threshold cmp_tol reads, mpf(tol) at the working precision, as a
+    float64 shrunk by 2**-40 relative.  A float64 bound at most this proves
+    the exact value within tol: the shrink covers the few roundings, each
+    at most U relative, of forming the bound itself."""
+    man, texp = tol_parts(tol, mp.mp.prec)
+    return math.ldexp(man, texp) * (1 - 2.0 ** -40)
+
+
 def quotient(num: int, exp: int, den: int) -> mp.mpf:
     """num * 2**exp / den, rounded once at the working precision."""
     return mp.mp.make_mpf(mpf_div(from_man_exp(num, exp), from_int(den),
                                   mp.mp.prec, round_nearest))
 
 
-def nearest(re, im, exp: int, den) -> tuple:
+def nearest(re, im, exp: int, den, err=None) -> tuple:
     """(n, far): the integer n nearest to v = (re + 1j im) 2**exp / den, for
     den > 0, and whether v lies farther than ROUND_TOL from n, tested as one
     exact integer comparison.  On object arrays re, im and den it is
-    elementwise; on Python ints it returns an int and a bool."""
+    elementwise; on Python ints it returns an int and a bool.
+
+    Given err = (err_re, err_im), it is the float64 filter instead: re and
+    im are float64 arrays (exp 0, den 1), each part within err of the
+    matching part of an exact value v; n is int64, and far is False only
+    where every value in that box is within ROUND_TOL of n, which is then
+    the exact test's n.  A far entry is for the exact test to decide."""
+    if err is not None:
+        with np.errstate(all="ignore"):
+            n = np.rint(re)
+            a, b = np.abs(re - n) + err[0], np.abs(im) + err[1]
+            near = a * a + b * b <= band_limit(ROUND_TOL) ** 2
+        return np.where(near, n, 0).astype(np.int64), ~near
     s = max(exp, 0)
     re, im, den = re << s, im << s, den << (s - exp)
     n = (2 * re + den) // (2 * den)

@@ -135,12 +135,20 @@ class DimVector:
         each distinct square once, times its count."""
         idx = range(len(self.values)) if subset is None else subset
         if self.exact is not None:
-            squares, which = self._exact_squares
-            counts = Counter(which[i] for i in idx)
+            squares, _ = self._exact_squares
             return sum(squares[k] if c == 1 else c * squares[k]
-                       for k, c in counts.items())
+                       for k, c in self.total_key(idx))
         d = self.scalars()
         return sum(d[i] * d[i] for i in idx)
+
+    def total_key(self, subset) -> tuple:
+        """A key that fixes total(subset): with exact values, each distinct
+        square's position and count, in the order total() adds them; else
+        the subset itself.  Equal keys give the same sum."""
+        if self.exact is None:
+            return tuple(subset)
+        _, which = self._exact_squares
+        return tuple(Counter(which[i] for i in subset).items())
 
     def dot(self, weights):
         """Sum of w_i d_i over the nonzero weights."""
@@ -285,10 +293,11 @@ def _members(mask: int) -> tuple:
 def basis_indices(ring: BasedRing, indices) -> list:
     """indices as ints, each of which must be a basis index of ring."""
     out = [int(i) for i in indices]
+    rank = ring.rank
     for i in out:
-        if not 0 <= i < ring.rank:
+        if not 0 <= i < rank:
             raise SchemaError(f"index {i} is not a basis index of a ring "
-                              f"of rank {ring.rank}")
+                              f"of rank {rank}")
     return out
 
 

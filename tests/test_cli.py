@@ -186,6 +186,25 @@ def test_a_refused_verb_keeps_the_bytes_of_its_target(tmp_path, monkeypatch,
     assert target.read_bytes() == b"old bytes\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["example", "a2n", "--n", "13", "--emit"],
+    ["galois", "--dot"],
+], ids=["example-past-the-cap", "galois-bad-seed"])
+def test_a_refused_verb_leaves_no_file_on_a_fresh_path(tmp_path, monkeypatch,
+                                                      capsys, argv):
+    # the probe creates a target that did not exist, and a refusal after
+    # it removes that target again; an unparsable FUSCOND_SEED is refused
+    # before the header is printed
+    target = tmp_path / "fresh"
+    if argv[0] == "galois":
+        argv = ["galois", _emit(tmp_path, "toric-code", None), "--dot"]
+        monkeypatch.setenv("FUSCOND_SEED", "abc")
+    capsys.readouterr()
+    assert main(argv + [str(target)]) == 2
+    assert capsys.readouterr().out == ""
+    assert not target.exists()
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
 @pytest.mark.parametrize("verb", ["validate", "analyze", "galois",
                                   "indicators", "example"])
@@ -261,6 +280,22 @@ def test_example_refuses_a_parameter_the_family_does_not_take(tmp_path,
         assert out == ""
         assert err == (f"error: family {argv[0]} takes no parameter "
                        f"{name}\n")
+
+
+def test_example_refuses_an_mtc_it_does_not_take_before_reading_it(tmp_path,
+                                                                   capsys):
+    # the file's twist (3 + 4i)/5 is no root of unity, so reading it would
+    # fail validation (exit 1); the parameter is refused first
+    mtc = tmp_path / "bad.mtc.json"
+    serialize.write_path(families.toric_modular(), str(mtc))
+    obj = json.loads(mtc.read_text(encoding="utf-8"))
+    obj["twists"][-1] = {"cyclotomic": {"order": 4, "coeffs": ["3/5", "4/5"]}}
+    mtc.write_text(json.dumps(obj), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["example", "a2n", "--n", "1", "--mtc", str(mtc)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: family a2n takes no parameter mtc\n"
 
 
 def test_indicators_row(tmp_path, capsys):

@@ -6,14 +6,16 @@ averaging idempotents evaluated in explicit block characters, and dimension
 counts via dim(B) * d(A^B) * d(A) = dim(C).
 """
 import dataclasses
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 import pytest
 
 import reference as ref
-from fuscond.condense import e_sub
-from fuscond.cyclotomic import as_mpc
+from fuscond import condense, galois, mantissa
+from fuscond.condense import _check_averaging, e_sub
+from fuscond.cyclotomic import ROUND_TOL, TOL, as_mpc
 from fuscond.errors import (NumericalDegeneracyError, SchemaError,
                             TheoremViolationError)
 from fuscond.galois import (
@@ -27,9 +29,9 @@ from fuscond.galois import (
     verify_correspondence,
 )
 from fuscond.ring import BasedRing, element_product
-from fuscond.mantissa import mantissas
+from fuscond.mantissa import U, mantissas
 
-from cached_bundles import BUILT_INS, FIXED_BUNDLES, bundle, swr
+from cached_bundles import BUILT_INS, FIXED_BUNDLES, bundle, swr, swr_at
 from test_reference import (case, check_lattice, check_quotient, ideal_order,
                             kinds)
 
@@ -523,3 +525,156 @@ LATTICE_SIZES = {
                                       for n in range(1, 13)])
 def test_lattice_sizes_are_pinned(family, n):
     assert len(lattice(bundle(family, n))) == LATTICE_SIZES[family][n - 1]
+
+
+# ------------------------------------------ the float64 filter of the lattice
+#
+# _averaging and _invariants decide each row in float64 when the bound E of
+# their docstrings proves the exact verdict; the exact tests take the rest.
+
+
+def _exact_calls(monkeypatch) -> list:
+    """Record each call of the exact tests behind the filter: the exact
+    square of _averaging and the exact nearest of _invariants, with their
+    row counts."""
+    calls = []
+    square, near = condense._bilinear, galois.nearest
+
+    def bilinear(terms, a, b):
+        calls.append(("averaging", len(a)))
+        return square(terms, a, b)
+
+    def nearest(*args):
+        if len(args) == 4:
+            calls.append(("n'", len(args[0])))
+        return near(*args)
+    monkeypatch.setattr(condense, "_bilinear", bilinear)
+    monkeypatch.setattr(galois, "nearest", nearest)
+    return calls
+
+
+def _no_filter(monkeypatch):
+    """A float64 limit that no bound passes, NaN: every row takes the
+    exact test."""
+    monkeypatch.setattr(condense, "band_limit", lambda tol: float("nan"))
+    monkeypatch.setattr(mantissa, "band_limit", lambda tol: float("nan"))
+
+
+FILTER_MEMBERS = ([(f, n) for f in ("a2n", "a2nplus1") for n in range(1, 13)]
+                  + [("coset-su2", k) for k in range(1, 11)] + FIXED_BUNDLES)
+
+
+@pytest.mark.parametrize("dps", [15, 64, 128])
+@pytest.mark.parametrize("family,n", FILTER_MEMBERS,
+                         ids=[f"{f}-{n}" for f, n in FILTER_MEMBERS])
+def test_the_filter_decides_every_lattice_entry_as_the_exact_test(
+        monkeypatch, family, n, dps):
+    b, r = bundle(family, n), swr_at(family, n, dps)
+    subs = lattice(b)
+    with mp.workdps(dps):
+        dims = mantissas(b.dA.values)
+        calls = _exact_calls(monkeypatch)
+        W, D = _check_averaging(b.module_ring, subs, dims)
+        got = list(_invariants(r, subs, dims))
+        assert calls == []
+        _no_filter(monkeypatch)
+        W_exact, D_exact = _check_averaging(b.module_ring, subs, dims)
+        want = list(_invariants(r, subs, dims))
+    assert calls == [("averaging", len(subs))] * 2 + [("n'", len(subs))]
+    assert W.tolist() == W_exact.tolist() and D == D_exact
+    for sub, g, w in zip(subs, got, want, strict=True):
+        assert g == w, sub
+        assert all(type(x) is int for x in g[0])
+
+
+def _unit_character(r, value):
+    """The report with the character of its first ideal block of size 1
+    moved to value at the unit, and that block's ideal position."""
+    bi = next(bi for bi, f in enumerate(r.in_ideal)
+              if f and r.blocks[bi].m == 1)
+    re, im, exp = r.character_mantissas
+    re = re.copy()
+    re[bi, 0] = round(value * 2 ** -exp)
+    assert im[bi, 0] == 0
+    return (dataclasses.replace(r, character_mantissas=(re, im, exp)),
+            sum(r.in_ideal[:bi]))
+
+
+@pytest.mark.parametrize("offset,decided_by", [
+    (-2, "filter"), (-0.5, "exact"), (0.5, "exact")])
+def test_an_n_prime_inside_the_band_is_decided_exactly(monkeypatch, offset,
+                                                       decided_by):
+    # on the unit subring e_B is the unit, so n'_b = chi_b(1); at
+    # ROUND_TOL + offset E from 1, with the filter's E for that entry, the
+    # filter passes it only from 2 E below, and the exact test decides
+    # inside the band
+    r = swr("toric-code")
+    rank = r.bundle.module_ring.rank
+    E = (4 * rank + 12) * U * (1 + ROUND_TOL) + rank * 2.0 ** -960
+    value = Fraction(1) + Fraction(ROUND_TOL) + offset * Fraction(E)
+    moved, pos = _unit_character(r, value)
+    calls = _exact_calls(monkeypatch)
+    if offset > 0:
+        with pytest.raises(NumericalDegeneracyError,
+                           match=r"for subring \(0,\) = \(1\.000001"):
+            invariants_of(moved, [(0,)])
+    else:
+        [(n_prime, _)] = invariants_of(moved, [(0,)])
+        assert n_prime[pos] == 1
+    assert calls == ([] if decided_by == "filter" else [("n'", 1)])
+
+
+def _unit_dims(ring, residual):
+    """Mantissas (w, _, f) of module dims whose unit subring has
+    e_B^2 - e_B = -residual at the unit: with x = w_0 2**f, e_B = 1 / x
+    and the residual is (1 - x) / x^2, so x = 1 + t with
+    t = residual (1 + t)^2."""
+    f = -80
+    with mp.workdps(60):
+        t = mp.mpf(0)
+        for _ in range(10):
+            t = residual * (1 + t) ** 2
+        w0 = int(mp.nint((1 + t) * 2 ** -f))
+    return [w0] + [1 << -f] * (ring.rank - 1), [0] * ring.rank, f
+
+
+@pytest.mark.parametrize("offset,decided_by", [
+    (-2, "filter"), (-0.5, "exact"), (0.5, "exact")])
+def test_a_residual_inside_the_band_is_decided_exactly(monkeypatch, offset,
+                                                       decided_by):
+    # the unit subring's residual at TOL + offset E, with the filter's
+    # E = (8r + 16) u ((e_B^2)_0 + e_0) = (8r + 16) u (1/x^2 + 1/x)
+    ring = bundle("toric-code").module_ring
+    r = ring.rank
+    E = (8 * r + 16) * U * 2
+    dims = _unit_dims(ring, mp.mpf(TOL) + offset * mp.mpf(E))
+    calls = _exact_calls(monkeypatch)
+    if offset > 0:
+        with pytest.raises(NumericalDegeneracyError,
+                           match=r"e_sub for \(0,\) failed the idempotent"):
+            _check_averaging(ring, [(0,)], dims)
+    else:
+        _check_averaging(ring, [(0,)], dims)
+    assert calls == ([] if decided_by == "filter" else [("averaging", 1)])
+
+
+@pytest.mark.parametrize("edit", [
+    # module dims moved off the Perron-Frobenius ones (the idempotent
+    # check), and a block of size 1 taken for one of size 2 (n' = 1/2)
+    lambda r: dataclasses.replace(r, bundle=dataclasses.replace(
+        r.bundle, dA=[v if y != 1 else float(as_mpc(v).real) + 1e-6
+                      for y, v in enumerate(r.bundle.dA.values)])),
+    lambda r: _sized_block(r, next(bi for bi, f in enumerate(r.in_ideal)
+                                   if f and r.blocks[bi].m == 1), 2),
+], ids=["averaging", "n'"])
+def test_a_row_the_filter_rejects_raises_the_exact_text(monkeypatch, edit):
+    r = edit(swr("a2n", 1))
+    full = [tuple(range(r.bundle.module_ring.rank)), r.bundle.local]
+    calls = _exact_calls(monkeypatch)
+    with pytest.raises(NumericalDegeneracyError) as filtered:
+        invariants_of(r, full)
+    assert calls
+    _no_filter(monkeypatch)
+    with pytest.raises(NumericalDegeneracyError) as exact:
+        invariants_of(r, full)
+    assert str(filtered.value) == str(exact.value)
