@@ -34,8 +34,7 @@ from .errors import (
 from .modular import (ModularData, dims as modular_dims,
                       validate as validate_modular)
 from .ring import (BasedRing, DimVector, _bilinear, _dot, basis_indices,
-                   check_basis, fp_dims, is_closed, product_basis,
-                   real_floats, validate)
+                   check_basis, fp_dims, is_closed, product_basis, validate)
 from .mantissa import (U, aligned, band_limit, cmp_tol, combine, commutators,
                        floats, mantissas, product, quotient, rounded_on_grid,
                        stack, sups)
@@ -276,9 +275,8 @@ class CondensationBundle:
 def check_bundle(b: CondensationBundle, tol=TOL) -> ValidationReport:
     """Every necessary condition that finite data can see, as a report.
 
-    The based-ring axioms are checked on the module ring and on each ring
-    factor of a product ambient.  A flat ambient ring is not checked: its
-    associativity test holds a rank**4 mask in memory.  The
+    The based-ring axioms are checked on the module ring, on a flat
+    ambient ring and on each ring factor of a product ambient.  The
     Perron-Frobenius comparison needs a module ring that satisfies the
     axioms, and is skipped when it does not.  Each tolerance decision is
     (X - Y)^2 <= (tol S)^2 over exact mantissas (cmp_tol); a failing check
@@ -290,6 +288,8 @@ def check_bundle(b: CondensationBundle, tol=TOL) -> ValidationReport:
     rep.extend(ring_rep, prefix="module ring: ")
     if amb.modular is not None:
         rep.extend(validate_modular(amb.modular, tol), prefix="ambient: ")
+    if amb.ring is not None:
+        rep.extend(validate(amb.ring), prefix="ambient: ")
     for i, f in enumerate(amb.factors or ()):
         if f.ring is not None:
             rep.extend(validate(f.ring), prefix=f"ambient factor {i}: ")
@@ -364,31 +364,19 @@ def check_bundle(b: CondensationBundle, tol=TOL) -> ValidationReport:
     return rep
 
 
-def _check_averaging(ring: BasedRing, subs, dims) -> tuple:
-    """Check that each sub in subs is a subring whose averaging idempotent
-    e_B = sum_{y in B} d_y y / sum_{y in B} d_y^2 satisfies e_B^2 = e_B
-    within TOL, given the mantissas dims = mantissas(d) = (w, _, f) of
-    the real d.  Returns the weight rows W, an object array with row
-    w_B (w on sub, 0 elsewhere) for each sub, and the list of
-    D = sum_{y in B} w_y^2.
-
-    A float64 filter decides each row it can: it passes a row when every
-    entry k has |res_k| + (8r + 16) u ((e_B^2)_k + e_k) <= band_limit(TOL),
-    with r the rank, u = 2**-53 and res = e_B^2 - e_B formed in float64
-    from weights rounded once from their mantissas.  _averaging derives
-    that bound by counting the roundings of each product and sum; every
-    row it does not pass takes the exact test."""
-    return _averaging(ring, subs, dims)[:2]
-
-
 # weights x_y outside [2**-100, 2**100] could take a float64 step below
 # float64's normal range; their rows go to the exact test
 _SCALE = 2.0 ** 100
 
 
 def _averaging(ring: BasedRing, subs, dims) -> tuple:
-    """_check_averaging's checks.  Returns W and D, the float64 rows e of
-    e_B, and whether each row is tame (below).
+    """Check that each sub in subs is a subring whose averaging idempotent
+    e_B = sum_{y in B} d_y y / sum_{y in B} d_y^2 satisfies e_B^2 = e_B
+    within TOL, given the mantissas dims = mantissas(d) = (w, _, f) of
+    the real d.  Returns the weight rows W, an object array with row
+    w_B (w on sub, 0 elsewhere) for each sub, the list of
+    D = sum_{y in B} w_y^2, the float64 rows e of e_B, and whether each
+    row is tame (below).
 
     The exact test: with P = w_B * w_B, exactly, (e_B^2 - e_B)_k D^2 =
     P_k 2**(-2f) - w_k D 2**(-f), and max_k of its square is compared with
@@ -461,11 +449,11 @@ def e_sub(b: CondensationBundle, sub) -> list:
     """The integral idempotent of a subring: (1/dim sub) sum d_A(Y) Y.
 
     Exact coefficients whenever dA is exact.  Verified idempotent under the
-    module ring multiplication by _check_averaging.
+    module ring multiplication by _averaging.
     """
     ring = b.module_ring
     sub = tuple(sorted(int(i) for i in sub))
-    _check_averaging(ring, [sub], mantissas(b.dA.values))
+    _averaging(ring, [sub], mantissas(b.dA.values))
     d = b.dA.scalars()
     inv = 1 / b.dA.total(sub)
     return [d[y] * inv if y in sub else 0 for y in range(ring.rank)]
@@ -485,14 +473,6 @@ class SchurWeylReport:
 
     def ideal_blocks(self):
         return [bp for bp, f in zip(self.blocks, self.in_ideal) if f]
-
-    @cached_property
-    def _e1_floats(self) -> dict:
-        return {}
-
-    def e1_floats(self) -> np.ndarray:
-        """The real parts of e1 as a read-only float64 array."""
-        return real_floats(self.e1, self._e1_floats)
 
     def matched_pairs(self):
         return [(i, x) for i, x in enumerate(self.matched) if x is not None]

@@ -12,7 +12,9 @@ that order would exceed ORDER_CAP the operation falls back to
 high-precision complex floats at the caller's working precision
 (``mp.mp.dps``), which nothing in the package sets.  The package's
 tolerances are defined here: TOL for residual checks, ROUND_TOL for values
-read off as integers, working_tol() and tol_floor().
+read off as integers, working_tol() and tol_floor().  Every float64
+reading of a real value is as_float, at a fixed precision; as_complex is
+the complex128 view the S-matrix checks read.
 """
 from __future__ import annotations
 
@@ -31,6 +33,8 @@ TOL = 1e-9
 ROUND_TOL = 1e-6
 # Absolute: fp_dims is a float64 power iteration stopped at ring.FP_TOL.
 FP_DIM_TOL = 1e-8
+# Bits at which as_float reads a value before rounding it to float64.
+FLOAT_PREC = 113
 
 # Little-endian integer coefficients: cyclotomic polynomials and Cyc
 # numerators.
@@ -277,17 +281,8 @@ class Cyc:
         return self.galois(-1)
 
     # -- arithmetic ---------------------------------------------------------
-    def _coerce(self, other):
-        if isinstance(other, Cyc):
-            return other
-        if isinstance(other, numbers.Integral):  # int and numpy ints
-            return Cyc._make(1, [int(other)], 1)
-        if isinstance(other, numbers.Rational):
-            return Cyc.rational(Fraction(other))
-        return None
-
     def __add__(self, other):
-        o = self._coerce(other)
+        o = exact_scalar(other)
         if o is None:
             return self.to_mpc() + other
         n = math.lcm(self.order, o.order)
@@ -312,7 +307,7 @@ class Cyc:
         return Cyc._make(self.order, [-c for c in self.num], self.den)
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = exact_scalar(other)
         if o is None:
             return self.to_mpc() - other
         return self + (-o)
@@ -321,7 +316,7 @@ class Cyc:
         return (-self) + other
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = exact_scalar(other)
         if o is None:
             return self.to_mpc() * other
         n = math.lcm(self.order, o.order)
@@ -367,7 +362,7 @@ class Cyc:
         return cof * norm.inverse()
 
     def __truediv__(self, other):
-        o = self._coerce(other)
+        o = exact_scalar(other)
         if o is None:
             return self.to_mpc() / other
         if o.is_zero():
@@ -390,7 +385,7 @@ class Cyc:
         return out
 
     def __eq__(self, other):
-        o = self._coerce(other)
+        o = exact_scalar(other)
         if o is None:
             return NotImplemented
         n = math.lcm(self.order, o.order)
@@ -481,6 +476,16 @@ def as_mpc(x) -> mp.mpc:
     return mp.mpc(x)
 
 
+def as_float(x) -> float:
+    """The real part of any supported scalar as a float64, read at a fixed
+    FLOAT_PREC bits and then rounded, so the same at every mp.dps.  A
+    float is returned as it is."""
+    if isinstance(x, float):
+        return x
+    with mp.workprec(FLOAT_PREC):
+        return float(as_mpc(x).real)
+
+
 def as_complex(x) -> complex:
     """Any supported scalar as a complex128; a Cyc sums its rational
     coefficients over float64 roots of unity, at no mpmath precision."""
@@ -494,8 +499,8 @@ def exact_scalar(x):
     """View of x as a Cyc when exactly representable, else None."""
     if isinstance(x, Cyc):
         return x
-    if isinstance(x, numbers.Integral):
-        return Cyc.rational(int(x))
+    if isinstance(x, numbers.Integral):  # int and numpy ints
+        return Cyc._make(1, [int(x)], 1)
     if isinstance(x, numbers.Rational):
         return Cyc.rational(Fraction(x))
     return None

@@ -14,12 +14,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
+import mpmath as mp
 import numpy as np
 
 from .condense import (CondensationBundle, SchurWeylReport, _averaging,
                        block_dims)
-from .cyclotomic import ROUND_TOL, TOL, as_mpc
-from .errors import NumericalDegeneracyError, TheoremViolationError
+from .cyclotomic import FLOAT_PREC, ROUND_TOL, TOL, as_float
+from .errors import (NumericalDegeneracyError, SchemaError,
+                     TheoremViolationError)
 from .mantissa import U, floats, mantissas, nearest, round_quotient
 from .ring import enumerate_subrings
 
@@ -58,7 +60,7 @@ def _trivial_block(swr: SchurWeylReport, table) -> int:
 
 def _invariants(swr: SchurWeylReport, subs, dims, table=None):
     """(n', ambient vector) of A^B for each sorted sub B of subs in turn,
-    once _check_averaging has passed them all.  n'_b = chi_b(e_B) on each
+    once _averaging has passed them all.  n'_b = chi_b(e_B) on each
     ideal block b: with d_y = w_y 2**f (dims = mantissas(b.dA.values)) and
     m chi_b(y) = (re + 1j im)_b[y] 2**exp from the character table,
     n'_b = sum_{y in B} w_y (re + 1j im)_b[y] 2**(exp - f)
@@ -212,29 +214,29 @@ def verify_correspondence(b: CondensationBundle, tol: float = TOL, *,
     Fails are collected in the report rather than raised, except for the
     hard ones: a non-positive invariant dimension and the errors the
     reading of each subring's block multiplicities (_invariants) raises.
+    A report of another bundle than b is refused with SchemaError.
 
-    The dimension formula runs in float64.  With u = eps / 2, dim(C),
-    d(A), dim(B) and each block dimension are rounded once, each product
-    n d_b once, and d(A^B) sums at most k such products (k ideal blocks),
-    so d(A^B) is off by at most (k + 1) u relative.  dim(B) and d(A) add
-    2 u, the two products 2 u and dim(C) u, so on exact data, where
-    dim(B) d(A^B) d(A) = dim(C), the residual is at most (k + 6) u to
-    first order.  The check's bound max(tol, (k + 8) eps) leaves a factor
-    of two above that, so a tol below the float64 rounding error does not
-    fail exact data.
+    The dimension formula runs in float64.  dim(C), d(A), dim(B) and each
+    block dimension are read by as_float, so on exact data every printed
+    value is the same at every working precision.  With u = eps / 2, each reading is
+    the value rounded once (its 113-bit sum adds an error far below u),
+    each product n d_b is rounded once, and d(A^B) sums at most k such
+    products (k ideal blocks), so d(A^B) is off by at most (k + 1) u
+    relative.  dim(B) and d(A) add 2 u, the two products 2 u and dim(C) u,
+    so on exact data, where dim(B) d(A^B) d(A) = dim(C), the residual is
+    at most (k + 6) u to first order.  The check's bound
+    max(tol, (k + 8) eps) leaves a factor of two above that, so a tol
+    below the float64 rounding error does not fail exact data.
 
     The averaging check and n' of every subring are decided in float64
-    behind proven error bands, derived by counting the roundings of each
-    product and sum (_averaging, _invariants): a residual passes when
-    |res_k| + (8r + 16) u ((e_B^2)_k + e_k) is at most TOL, an n'_b when
-    every value within (4r + 12) u sum_y e_y |chi_b(y)| of it is within
-    ROUND_TOL of an integer (r the rank, u = 2**-53, each threshold read
-    as mpf at the working precision and shrunk by 2**-40 relative).  A
-    row inside a band goes through the exact mantissa tests unchanged, so
-    each verdict, n' and error text is theirs.  One float64 character
-    table serves _trivial_block and n'.  dim(B) stays exact (Cyc, then
-    as_mpc), summed once per DimVector.total_key.
+    behind the proven error bands of _averaging and _invariants; a row
+    inside a band goes through the exact mantissa tests unchanged.  One
+    float64 character table serves _trivial_block and n'.  dim(B) is
+    summed exactly once per DimVector.total_key.
     """
+    if swr.bundle is not b:
+        raise SchemaError("the Schur-Weyl report was built from another "
+                          "bundle than the one given")
     subs = lattice(b)
     problems = []
     table = _ideal_characters(swr)
@@ -244,10 +246,12 @@ def verify_correspondence(b: CondensationBundle, tol: float = TOL, *,
             "trivial block is matched to "
             f"{b.ambient.labels[swr.matched[trivial]]}, not the unit")
 
-    dim_c = float(as_mpc(b.ambient.global_dim()).real)
-    d_alg = float(as_mpc(b.algebra.dim()).real)
-    bdims = {bi: None if d is None else float(d)
-             for bi, d in block_dims(swr, tol).items()}
+    dim_c = as_float(b.ambient.global_dim())
+    d_alg = as_float(b.algebra.dim())
+    # each dimension read at as_float's precision
+    with mp.workprec(FLOAT_PREC):
+        bdims = {bi: None if d is None else float(d)
+                 for bi, d in block_dims(swr, tol).items()}
     ideal_idx = tuple(bi for bi, f in enumerate(swr.in_ideal) if f)
     triv_pos = ideal_idx.index(trivial)
     bound = max(tol, (len(ideal_idx) + 8) * np.finfo(float).eps)
@@ -278,7 +282,7 @@ def verify_correspondence(b: CondensationBundle, tol: float = TOL, *,
                 f"dimension {d_inv}")
         key = b.dA.total_key(sub)
         if key not in dim_subs:
-            dim_subs[key] = float(as_mpc(b.dA.total(sub)).real)
+            dim_subs[key] = as_float(b.dA.total(sub))
         dim_sub = dim_subs[key]
         if d_inv is None:
             residual = float("nan")
@@ -303,16 +307,13 @@ def verify_correspondence(b: CondensationBundle, tol: float = TOL, *,
         problems.append(
             f"local subring multiplicities {e_local.n_prime} differ from "
             f"block sizes {ms}")
-    e_full = by_sub.get(full)
-    if e_full is None:
-        problems.append("lattice does not contain the full module ring")
-    else:
-        want = tuple(1 if i == triv_pos else 0
-                     for i in range(len(e_full.n_prime)))
-        if e_full.n_prime != want:
-            problems.append(
-                f"full module ring gives multiplicities {e_full.n_prime}, "
-                "expected the unit alone")
+    # the full basis is a closed subring that holds the local part
+    e_full = by_sub[full]
+    want = tuple(1 if i == triv_pos else 0 for i in range(len(ms)))
+    if e_full.n_prime != want:
+        problems.append(
+            f"full module ring gives multiplicities {e_full.n_prime}, "
+            "expected the unit alone")
 
     member = np.zeros((len(subs), b.module_ring.rank), dtype=np.int64)
     for i, sub in enumerate(subs):
@@ -369,10 +370,13 @@ def group_quotient(swr: SchurWeylReport, tol: float = TOL) -> GroupQuotient:
         coset_of[list(c)] = ci
     reps = [c[0] for c in cosets]
 
-    # normalized cosets e1 * rep / d(rep), their products, and the
-    # projection of each product onto the (disjointly supported) cosets
-    E = (np.einsum("a,ack->ck", swr.e1_floats(), F[:, reps, :])
-         / b.dA.as_floats()[reps, None])
+    # normalized cosets e1 * rep / d(rep), with e1 = d / dim(local) on
+    # the local part and 0 elsewhere, their products, and the projection
+    # of each product onto the (disjointly supported) cosets
+    d = b.dA.as_floats()
+    e1 = np.zeros(r)
+    e1[list(b.local)] = d[list(b.local)] / (d[list(b.local)] ** 2).sum()
+    E = np.einsum("a,ack->ck", e1, F[:, reps, :]) / d[reps, None]
     prod = np.einsum("jb,ibc->ijc", E, np.tensordot(E, F, (1, 0)))
     coeffs = (prod @ E.T) / np.einsum("ck,ck->c", E, E)
     residual = float(np.max(np.abs(prod - coeffs @ E)))
@@ -383,8 +387,8 @@ def group_quotient(swr: SchurWeylReport, tol: float = TOL) -> GroupQuotient:
 
     # target[i, j] is the one coset the product of i and j hits with
     # coefficient 1, or -1 when the product is not a single coset
-    hit = np.abs(coeffs - 1.0) <= TOL
-    single = (hit.sum(axis=2) == 1) & (hit | (np.abs(coeffs) <= TOL)).all(axis=2)
+    hit = np.abs(coeffs - 1.0) <= tol
+    single = (hit.sum(axis=2) == 1) & (hit | (np.abs(coeffs) <= tol)).all(axis=2)
     target = np.where(single, hit.argmax(axis=2), -1)
     table = (tuple(tuple(row) for row in target.tolist())
              if single.all() else None)

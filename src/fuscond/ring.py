@@ -13,10 +13,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-import mpmath as mp
 import numpy as np
 
-from .cyclotomic import as_mpc, distinct, exact_vector
+from .cyclotomic import as_float, as_mpc, distinct, exact_vector
 from .errors import CapabilityError, NumericalDegeneracyError, SchemaError, ValidationReport
 
 SUBRING_BUDGET = 1000  # subrings enumerate_subrings finds before refusing
@@ -155,31 +154,27 @@ class DimVector:
         return sum(w * d for w, d in zip(weights, self.scalars()) if w)
 
     @cached_property
-    def _floats(self) -> dict:
-        return {}
+    def _floats(self) -> np.ndarray:
+        out = np.array([as_float(v) for v in self.values], dtype=np.float64)
+        out.setflags(write=False)
+        return out
 
     def as_floats(self) -> np.ndarray:
-        return real_floats(self.values, self._floats)
+        """The values read by as_float, as a read-only float64 array."""
+        return self._floats
 
 
-def real_floats(values, memo: dict) -> np.ndarray:
-    """The real parts of values as a read-only float64 array, converted
-    once per working precision and kept in memo under mp.mp.prec."""
-    prec = mp.mp.prec
-    if prec not in memo:
-        out = np.array([v if isinstance(v, float) else float(as_mpc(v).real)
-                        for v in values], dtype=np.float64)
-        out.setflags(write=False)
-        memo[prec] = out
-    return memo[prec]
+def _listed(shown, count: int) -> str:
+    """The offender positions shown, of count in all, as text."""
+    out = ", ".join(str(tuple(int(x) for x in row))
+                    for row in shown[:_MAX_REPORTED])
+    if count > _MAX_REPORTED:
+        out += f", and {count - _MAX_REPORTED} more"
+    return out
 
 
-def _offenders(mask, limit=_MAX_REPORTED):
-    idx = np.argwhere(mask)
-    shown = ", ".join(str(tuple(int(x) for x in row)) for row in idx[:limit])
-    if len(idx) > limit:
-        shown += f", and {len(idx) - limit} more"
-    return shown
+def _offenders(mask) -> str:
+    return _listed(np.argwhere(mask), np.count_nonzero(mask))
 
 
 def validate(ring: BasedRing) -> ValidationReport:
@@ -209,16 +204,20 @@ def validate(ring: BasedRing) -> ValidationReport:
     if bad.any():
         rep.add("transpose-duality fails at (i, j, k): " + _offenders(bad))
 
-    # (i j) k against i (j k), one slice i at a time: only the bool mask is
-    # rank^4
+    # (i j) k against i (j k), one slice i at a time, keeping the first
+    # offenders and a count
     Ff = F.astype(np.float64)
     left, right = Ff.reshape(r, r * r), Ff.reshape(r * r, r)
-    bad = np.empty((r,) * 4, dtype=bool)
+    shown, count = [], 0
     for i in range(r):
-        np.not_equal((Ff[i] @ left).reshape(r, r, r),
-                     (right @ Ff[i]).reshape(r, r, r), out=bad[i])
-    if bad.any():
-        rep.add("associativity fails at (i, j, k, l): " + _offenders(bad))
+        bad = (Ff[i] @ left).reshape(r, r, r) != (right @ Ff[i]).reshape(r, r, r)
+        n = np.count_nonzero(bad)
+        if n and len(shown) < _MAX_REPORTED:
+            shown += [(i, *row) for row in np.argwhere(bad)[:_MAX_REPORTED]]
+        count += n
+    if count:
+        rep.add("associativity fails at (i, j, k, l): "
+                + _listed(shown, count))
 
     return rep
 

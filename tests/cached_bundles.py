@@ -19,15 +19,25 @@ LARGE_COSETS = [("coset-su2", k) for k in range(5, 7)]
 BUILT_INS = FAMILY_MEMBERS + FIXED_BUNDLES + SMALL_COSETS + LARGE_COSETS
 
 
-@functools.lru_cache(maxsize=None)
 def bundle(family: str, n: int | None = None):
+    # one cache key for bundle(f) and bundle(f, None), so that a report
+    # from swr(f) is built from the very bundle bundle(f) returns
+    return _bundle(family, n)
+
+
+@functools.lru_cache(maxsize=None)
+def _bundle(family: str, n: int | None):
     if family == "coset-toric":
         return families.coset_diagonal(families.toric_modular())
     return families.build(family, n=n)
 
 
-@functools.lru_cache(maxsize=None)
 def swr(family: str, n: int | None = None):
+    return _swr(family, n)
+
+
+@functools.lru_cache(maxsize=None)
+def _swr(family: str, n: int | None):
     return schur_weyl(bundle(family, n))
 
 

@@ -531,6 +531,35 @@ def test_broken_factor_ring_fails_the_checks(tmp_path, capsys):
         assert "ambient factor 1" not in out
 
 
+# N[i, j, k] += 1 in the flat ambient ring of vlplus-orbifold: each breaks
+# associativity, and (2, 3, 2), (3, 4, 1) and (2, 3, 4) transpose-duality
+AMBIENT_MUTANTS = [(2, 2, 3), (3, 3, 2), (2, 3, 2), (3, 4, 1), (4, 4, 4),
+                   (2, 3, 4)]
+
+
+@pytest.mark.parametrize("i,j,k", AMBIENT_MUTANTS)
+def test_broken_flat_ambient_ring_fails_every_verb(tmp_path, capsys, i, j,
+                                                   k):
+    obj = serialize.emit_bundle(families.build("vlplus-orbifold", n=1))
+    ring = serialize.parse_ring(obj["ambient"]["ring"])
+    F = ring.fusion.copy()
+    F[i, j, k] += 1
+    broken = BasedRing(labels=ring.labels, fusion=F, dual=ring.dual)
+    obj["ambient"]["ring"] = serialize.emit_ring(broken)
+    path = tmp_path / "bad.json"
+    path.write_text(serialize.dumps(obj), encoding="utf-8")
+    want = [f"- FAIL: ambient: {p}"
+            for p in ring_module.validate(broken).problems]
+    assert "- FAIL: ambient: associativity fails at " in want[-1]
+    for verb in ("validate", "analyze", "galois"):
+        capsys.readouterr()
+        assert main([verb, str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert [line for line in out.splitlines()
+                if line.startswith("- FAIL")] == want
+        assert err == ""
+
+
 def test_zero_module_ring_fails_the_checks(tmp_path, capsys):
     # an all-zero module ring breaks the unit and duality axioms; the
     # Perron-Frobenius comparison, whose power iteration would collapse to
@@ -800,6 +829,28 @@ ANALYZE_GOLDEN = {
         "9d776557c1589e46669dad086b0d331a9247f515412ad197a637707260b764b9",
     ),
 }
+
+
+# coset SU(2)_1..10: every value galois prints is read at one fixed
+# precision, so its bytes cannot depend on --digits
+COSETS = [("coset-su2", k) for k in range(1, 11)]
+
+
+@pytest.mark.parametrize("family,n", COSETS,
+                         ids=[f"{f}-{n}" for f, n in COSETS])
+def test_galois_bytes_are_the_same_at_every_digits(tmp_path, monkeypatch,
+                                                   capsys, family, n):
+    monkeypatch.chdir(tmp_path)
+    serialize.write_path(families.build(family, n=n), "b.json")
+    seen = []
+    for digits in (DIGITS_FLOOR, 64, 128):
+        capsys.readouterr()
+        code = main(["galois", "b.json", "--digits", str(digits),
+                     "--dot", "l.dot"])
+        out, err = capsys.readouterr()
+        seen.append((code, err, out + (tmp_path / "l.dot").read_text()))
+    assert seen[0][:2] == (0, "")
+    assert seen[1] == seen[0] and seen[2] == seen[0]
 
 
 @pytest.mark.parametrize("family,n", ALL_MEMBERS, ids=ALL_IDS)

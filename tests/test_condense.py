@@ -12,7 +12,7 @@ from fuscond.condense import (
     Ambient,
     CondensableAlgebra,
     CondensationBundle,
-    _check_averaging,
+    _averaging,
     block_dims,
     check_bundle,
     codegree_check,
@@ -239,7 +239,7 @@ def test_check_averaging_refuses_a_sub_that_is_not_closed(monkeypatch, sub):
     calls = _recording_is_closed(monkeypatch)
     # positive dims: closedness is read off the support of w_B * w_B
     with pytest.raises(SchemaError, match="is not a subring"):
-        _check_averaging(b.module_ring, [sub], mantissas(b.dA.values))
+        _averaging(b.module_ring, [sub], mantissas(b.dA.values))
     assert calls == []
     # a module dim of 0 inside sub: is_closed decides
     dA = list(b.dA.values)
@@ -261,15 +261,15 @@ def test_check_averaging_refuses_a_batch_with_one_sub_that_is_not_closed(
     dims = mantissas(b.dA.values)
     with pytest.raises(SchemaError,
                        match=re.escape(f"{sub} is not a subring")):
-        _check_averaging(b.module_ring, _batch_around(sub), dims)
+        _averaging(b.module_ring, _batch_around(sub), dims)
 
 
 def test_check_averaging_refuses_a_batch_with_one_repeated_index():
     b = ty_bundle()
     with pytest.raises(SchemaError,
                        match=re.escape("(0, 0) repeats a basis index")):
-        _check_averaging(b.module_ring, _batch_around((0, 0)),
-                         mantissas(b.dA.values))
+        _averaging(b.module_ring, _batch_around((0, 0)),
+                   mantissas(b.dA.values))
 
 
 def test_check_averaging_batch_gives_each_sub_its_own_d():
@@ -280,11 +280,11 @@ def test_check_averaging_batch_gives_each_sub_its_own_d():
     want = [sum(w[y] * w[y] for y in sub) for sub in subs]
     rows = [[w[y] if y in sub else 0 for y in range(b.module_ring.rank)]
             for sub in subs]
-    W, D = _check_averaging(b.module_ring, subs, dims)
+    W, D = _averaging(b.module_ring, subs, dims)[:2]
     assert D == want and W.tolist() == rows
-    assert [_check_averaging(b.module_ring, [sub], dims)[1][0]
+    assert [_averaging(b.module_ring, [sub], dims)[1][0]
             for sub in subs] == want
-    assert [_check_averaging(b.module_ring, [sub], dims)[0].tolist()[0]
+    assert [_averaging(b.module_ring, [sub], dims)[0].tolist()[0]
             for sub in subs] == rows
 
 

@@ -14,7 +14,7 @@ import pytest
 
 import reference as ref
 from fuscond import condense, galois, mantissa
-from fuscond.condense import _check_averaging, e_sub
+from fuscond.condense import _averaging, e_sub
 from fuscond.cyclotomic import ROUND_TOL, TOL, as_mpc
 from fuscond.errors import (NumericalDegeneracyError, SchemaError,
                             TheoremViolationError)
@@ -210,6 +210,13 @@ def test_trivial_block_has_multiplicity_one_everywhere():
         assert e.n_prime[pos] == 1
 
 
+@pytest.mark.parametrize("given,built", [(("a2n", 1), ("toric-code",)),
+                                         (("toric-code",), ("a2n", 1))])
+def test_a_report_of_another_bundle_is_refused(given, built):
+    with pytest.raises(SchemaError, match="built from another bundle"):
+        verify_correspondence(bundle(*given), swr=swr(*built))
+
+
 # ------------------------------------------------------------------ quotients
 
 
@@ -219,6 +226,17 @@ def test_toric_quotient_is_z2():
     assert q.cosets == ((0,), (1,))
     assert q.table == ((0, 1), (1, 0))
     assert q.pointed == (0, 1)
+
+
+def test_group_quotient_reads_coefficients_against_its_tol():
+    # dA = (1, 1 + 1e-7): M M is 1 / (1 + 1e-7)^2 times the unit coset, a
+    # coefficient 2e-7 away from 1, with a residual of 0
+    r = swr("toric-code")
+    r = dataclasses.replace(r, bundle=dataclasses.replace(
+        r.bundle, dA=(1.0, 1.0 + 1e-7)))
+    assert group_quotient(r).table is None
+    q = group_quotient(r, tol=1e-6)
+    assert q.residual == 0.0 and q.table == ((0, 1), (1, 0))
 
 
 def test_vlplus_quotient_is_z2():
@@ -574,11 +592,11 @@ def test_the_filter_decides_every_lattice_entry_as_the_exact_test(
     with mp.workdps(dps):
         dims = mantissas(b.dA.values)
         calls = _exact_calls(monkeypatch)
-        W, D = _check_averaging(b.module_ring, subs, dims)
+        W, D = _averaging(b.module_ring, subs, dims)[:2]
         got = list(_invariants(r, subs, dims))
         assert calls == []
         _no_filter(monkeypatch)
-        W_exact, D_exact = _check_averaging(b.module_ring, subs, dims)
+        W_exact, D_exact = _averaging(b.module_ring, subs, dims)[:2]
         want = list(_invariants(r, subs, dims))
     assert calls == [("averaging", len(subs))] * 2 + [("n'", len(subs))]
     assert W.tolist() == W_exact.tolist() and D == D_exact
@@ -652,9 +670,9 @@ def test_a_residual_inside_the_band_is_decided_exactly(monkeypatch, offset,
     if offset > 0:
         with pytest.raises(NumericalDegeneracyError,
                            match=r"e_sub for \(0,\) failed the idempotent"):
-            _check_averaging(ring, [(0,)], dims)
+            _averaging(ring, [(0,)], dims)
     else:
-        _check_averaging(ring, [(0,)], dims)
+        _averaging(ring, [(0,)], dims)
     assert calls == ([] if decided_by == "filter" else [("averaging", 1)])
 
 
