@@ -33,8 +33,9 @@ from .errors import (
 )
 from .modular import (ModularData, dims as modular_dims,
                       validate as validate_modular)
-from .ring import (BasedRing, DimVector, _bilinear, _dot, basis_indices,
-                   check_basis, fp_dims, is_closed, product_basis, validate)
+from .ring import (BasedRing, DimVector, _bilinear, _dot, _right_terms,
+                   basis_indices, check_basis, fp_dims, is_closed,
+                   product_basis, validate)
 from .mantissa import (U, aligned, band_limit, cmp_tol, combine, commutators,
                        floats, mantissas, product, quotient, rounded_on_grid,
                        stack, sups)
@@ -228,6 +229,14 @@ class CondensableAlgebra:
                 f"{self.ambient.rank}")
 
     def dim(self):
+        """d(A) = sum_x n_x d_x.  Exact dims are summed once per algebra;
+        numeric ones at each call, at the working precision."""
+        if self.ambient.dims.exact is None:
+            return self.ambient.dims.dot(self.mult)
+        return self._exact_dim
+
+    @cached_property
+    def _exact_dim(self):
         return self.ambient.dims.dot(self.mult)
 
 
@@ -522,9 +531,12 @@ def schur_weyl(b: CondensationBundle, tol=TOL, seed=SPLIT_SEED) -> SchurWeylRepo
             f"{ring.labels[bad[0]]}")
 
     blocks = block_profiles(ring, seed=seed)
-    # every e_b e1 against e_b and against 0, exactly over the mantissas
+    # every e_b e1 against e_b and against 0, exactly over the mantissas;
+    # e1 is zero off the local part, so only the pairs (i, j) with j local
+    # add a term
     eb = stack([bp.mantissas for bp in blocks])
-    prod = product(ring._plan.product, eb, stack([e1m] * len(blocks)))
+    prod = product(_right_terms(ring, b.local), eb,
+                   stack([e1m] * len(blocks)))
     to_e, to_zero = sups(combine(prod, 1, eb, -1)), sups(prod)
     in_ideal = cmp_tol(*to_e, tol) < 0
     bad = np.flatnonzero(~in_ideal & (cmp_tol(*to_zero, tol) >= 0))

@@ -246,10 +246,11 @@ def verify_correspondence(b: CondensationBundle, tol: float = TOL, *,
             "trivial block is matched to "
             f"{b.ambient.labels[swr.matched[trivial]]}, not the unit")
 
-    dim_c = as_float(b.ambient.global_dim())
-    d_alg = as_float(b.algebra.dim())
-    # each dimension read at as_float's precision
+    # each dimension summed and read at as_float's precision, so that
+    # numeric dims give the same sums at every mp.dps
     with mp.workprec(FLOAT_PREC):
+        dim_c = as_float(b.ambient.global_dim())
+        d_alg = as_float(b.algebra.dim())
         bdims = {bi: None if d is None else float(d)
                  for bi, d in block_dims(swr, tol).items()}
     ideal_idx = tuple(bi for bi, f in enumerate(swr.in_ideal) if f)
@@ -282,7 +283,8 @@ def verify_correspondence(b: CondensationBundle, tol: float = TOL, *,
                 f"dimension {d_inv}")
         key = b.dA.total_key(sub)
         if key not in dim_subs:
-            dim_subs[key] = as_float(b.dA.total(sub))
+            with mp.workprec(FLOAT_PREC):
+                dim_subs[key] = as_float(b.dA.total(sub))
         dim_sub = dim_subs[key]
         if d_inv is None:
             residual = float("nan")

@@ -39,7 +39,8 @@ def stack(vectors) -> tuple:
 
 def product(terms, a, b) -> tuple:
     """The exact row-wise products of two stacks over terms, which is
-    ring._plan.product, or ring._plan.square when a is b.  Row r is over
+    ring._plan.product, ring._plan.square when a is b, or ring._right_terms
+    when b is zero off its pairs.  Row r is over
     the exponent ea[r] + eb[r].  An all-real pair of stacks takes one real
     product; otherwise Gauss's three real products give the real and
     imaginary parts."""

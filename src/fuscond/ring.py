@@ -177,8 +177,55 @@ def _offenders(mask) -> str:
     return _listed(np.argwhere(mask), np.count_nonzero(mask))
 
 
+def _generators(F) -> list:
+    """A set G of basis indices whose left-normed words ((1 g1) g2) ... gn
+    span the ring over Q, found by peeling.  The unit is known.  A basis
+    element is known once it is in G, or once it is the only unknown
+    element in the support of x g for a known x and a g in G: x g lies in
+    the span of the words, and its coefficients are positive integers, so
+    that element does too.  When nothing more peels, the smallest unknown
+    index joins G."""
+    r = len(F)
+    full = (1 << r) - 1
+    known, gens, supports = 1, [], []
+    while known != full:
+        unknown = full & ~known
+        gens.append((unknown & -unknown).bit_length() - 1)
+        known |= unknown & -unknown
+        # bit k of supports[t][x] when N[x, g_t, k] > 0
+        supports.append([int.from_bytes(row.tobytes(), "little") for row in
+                         np.packbits(F[:, gens[-1]] > 0, axis=1,
+                                     bitorder="little")])
+        grew = True
+        while grew:
+            grew = False
+            for x in _members(known):
+                for sup in supports:
+                    u = sup[x] & ~known
+                    if u and not u & (u - 1):
+                        known |= u
+                        grew = True
+    return gens
+
+
 def validate(ring: BasedRing) -> ValidationReport:
-    """Check the based-ring axioms and report every violation found."""
+    """Check the based-ring axioms and report every violation found.
+
+    Associativity is proved on a generating set (Light's test; Clifford
+    and Preston, The Algebraic Theory of Semigroups I, 1961, 1.2).  The
+    associator A(x, y, z) = (x y) z - x (y z) is linear over Q in x, and
+    A(1, y, z) = 0 by the left unit axiom.  For any w and g the identity
+
+        A(w g, y, z) = w A(g, y, z) + A(w, g, y) z + A(w, g y, z)
+                       - A(w, g, y z)
+
+    holds in every bilinear algebra, so A(w, ., .) = A(g, ., .) = 0 gives
+    A(w g, ., .) = 0.  Hence A vanishes in its first argument on every
+    left-normed word over G and on their span, which _generators makes the
+    whole ring: the |G| slices (g j) k = g (j k) prove associativity.  Only
+    when one of them differs, or an earlier axiom failed, are all rank
+    slices compared, which lists the offenders and their count.
+    """
     rep = ValidationReport()
     F = ring.fusion
     r = ring.rank
@@ -204,22 +251,34 @@ def validate(ring: BasedRing) -> ValidationReport:
     if bad.any():
         rep.add("transpose-duality fails at (i, j, k): " + _offenders(bad))
 
-    # (i j) k against i (j k), one slice i at a time, keeping the first
-    # offenders and a count
     Ff = F.astype(np.float64)
-    left, right = Ff.reshape(r, r * r), Ff.reshape(r * r, r)
+    if rep.ok and not any(_associator(Ff, g).any() for g in _generators(F)):
+        return rep
+    listed = _every_associator(Ff)
+    if listed:
+        rep.add("associativity fails at (i, j, k, l): " + listed)
+    return rep
+
+
+def _associator(Ff, i) -> np.ndarray:
+    """Where (i j) k and i (j k) differ, over (j, k, l), for the structure
+    constants Ff as float64."""
+    r = len(Ff)
+    return ((Ff[i] @ Ff.reshape(r, r * r)).reshape(r, r, r)
+            != (Ff.reshape(r * r, r) @ Ff[i]).reshape(r, r, r))
+
+
+def _every_associator(Ff) -> str:
+    """The offenders (i, j, k, l) of every slice i, the first few and their
+    count, as validate lists them; empty when there are none."""
     shown, count = [], 0
-    for i in range(r):
-        bad = (Ff[i] @ left).reshape(r, r, r) != (right @ Ff[i]).reshape(r, r, r)
+    for i in range(len(Ff)):
+        bad = _associator(Ff, i)
         n = np.count_nonzero(bad)
         if n and len(shown) < _MAX_REPORTED:
             shown += [(i, *row) for row in np.argwhere(bad)[:_MAX_REPORTED]]
         count += n
-    if count:
-        rep.add("associativity fails at (i, j, k, l): "
-                + _listed(shown, count))
-
-    return rep
+    return _listed(shown, count) if count else ""
 
 
 def fp_dims(ring: BasedRing) -> DimVector:
@@ -353,15 +412,20 @@ class _Sums(NamedTuple):
 
 def _sums(cols, coef, targets, width: int) -> _Sums:
     """The terms coef[t] * X[:, cols[t]] of output targets[t], given sorted
-    by target, for an X of width columns."""
+    by target, for an X of width columns.  Each distinct (column,
+    coefficient) is one int64 key, column * span + coefficient - lo, whose
+    order is theirs."""
     scaled = coef != 1
-    keys, inverse = np.unique(np.stack([cols[scaled], coef[scaled]]), axis=1,
+    c = coef[scaled]
+    lo = int(c.min(initial=0))
+    span = int(c.max(initial=0)) - lo + 1
+    keys, inverse = np.unique(cols[scaled] * span + (c - lo),
                               return_inverse=True)
     pick = cols.copy()
     pick[scaled] = width + inverse.ravel()
     targets, starts = np.unique(targets, return_index=True)
-    return _Sums(keys[0], np.array(keys[1].tolist(), dtype=object), pick,
-                 targets, starts)
+    return _Sums(keys // span, np.array((keys % span + lo).tolist(),
+                                        dtype=object), pick, targets, starts)
 
 
 class _Terms(NamedTuple):
@@ -390,33 +454,51 @@ class _Plan(NamedTuple):
     commutator: _Commutators
 
 
-def _bilinear_terms(T) -> _Terms:
-    """The terms T[i, j, k] * a_i * b_j of output column k."""
-    i, j, k = np.nonzero(T)
-    order = np.lexsort((j, i, k))
-    i, j, k = i[order], j[order], k[order]
-    r = len(T)
-    pairs, pair = np.unique(i * r + j, return_inverse=True)
+def _merged(keys, coef) -> tuple:
+    """The distinct keys in sorted order, each with the sum of its
+    coefficients, leaving out the keys whose sum is 0."""
+    order = np.argsort(keys)
+    keys, coef = keys[order], coef[order]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    keys, coef = keys[starts], np.add.reduceat(coef, starts)
+    return keys[coef != 0], coef[coef != 0]
+
+
+def _bilinear_terms(keys, coef, r: int) -> _Terms:
+    """The terms coef[t] * a_i * b_j of output column k, for the sorted
+    keys[t] = (k r + i) r + j."""
+    k, pair = np.divmod(keys, r * r)
+    pairs, at = np.unique(pair, return_inverse=True)
     return _Terms(pairs // r, pairs % r,
-                  _sums(pair.ravel(), T[i, j, k], k, len(pairs)))
+                  _sums(at.ravel(), coef, k, len(pairs)))
 
 
 def _term_plan(F) -> _Plan:
+    """The plan, from one list of the nonzero N[i, j, k]."""
     r = len(F)
-    # (a a)_k = sum_{i <= j} a_i a_j S[i, j, k] with S = N + N^T off the
-    # diagonal and N on it
-    S = F + F.transpose(1, 0, 2)
-    diag = np.arange(r)
-    S[diag, diag] = F[diag, diag]
-    S *= np.triu(np.ones((r, r), dtype=S.dtype))[:, :, None]
-    T = F - F.transpose(1, 0, 2)
-    j, i, k = np.nonzero(T)
-    order = np.lexsort((j, k, i))
-    j, i, k = j[order], i[order], k[order]
-    sums = _sums(j, T[j, i, k], i * r + k, r)
+    i, j, k = np.nonzero(F)
+    c = F[i, j, k]
+    # (a a)_k = sum_{i <= j} a_i a_j S[i, j, k] with S[i, j] = N[i, j] +
+    # N[j, i] off the diagonal and N[i, i] on it
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    # T[j, i, k] = N[j, i, k] - N[i, j, k], keyed (i r + k) r + j
+    keys, coef = _merged(np.r_[(j * r + k) * r + i, (i * r + k) * r + j],
+                         np.r_[c, -c])
+    sums = _sums(keys % r, coef, keys // r, r)
     basis, basis_starts = np.unique(sums.targets // r, return_index=True)
-    return _Plan(_bilinear_terms(F), _bilinear_terms(S),
+    return _Plan(_bilinear_terms(*_merged((k * r + i) * r + j, c), r),
+                 _bilinear_terms(*_merged((k * r + lo) * r + hi, c), r),
                  _Commutators(sums, basis, basis_starts))
+
+
+def _right_terms(ring: BasedRing, right) -> _Terms:
+    """ring._plan.product over the pairs (i, j) with j in right only: the
+    same sums for a b with b zero off right."""
+    r, right = ring.rank, np.asarray(right, dtype=np.int64)
+    i, j, k = np.nonzero(ring.fusion[:, right])
+    j = right[j]
+    return _bilinear_terms(*_merged((k * r + i) * r + j,
+                                    ring.fusion[i, j, k]), r)
 
 
 def _summed(sums, X) -> np.ndarray:

@@ -407,10 +407,10 @@ def parse_bundle(obj) -> CondensationBundle:
     if raw_m is None:
         induction = None
     else:
-        if (not isinstance(raw_m, list)
-                or any(not isinstance(row, list) for row in raw_m)
-                or any(isinstance(v, bool) or not isinstance(v, int)
-                       for row in raw_m for v in row)):
+        # the exact type tests also reject bool, a subclass of int
+        if not (type(raw_m) is list and set(map(type, raw_m)) <= {list}
+                and len(set(map(len, raw_m))) <= 1
+                and set(map(type, chain.from_iterable(raw_m))) <= {int}):
             raise SchemaError(f"{where}: induction must be an integer matrix")
         induction = _int64(raw_m, where)
     local = tuple(_int_list(obj, "local", where))

@@ -400,6 +400,23 @@ def test_each_global_dimension_is_summed_once(tmp_path, monkeypatch, capsys,
     assert len(summed) == len({id(d) for d in summed}) == 2
 
 
+@pytest.mark.parametrize("verb", ["analyze", "galois"])
+def test_the_algebra_dimension_is_summed_once(tmp_path, monkeypatch, capsys,
+                                              verb):
+    # check_bundle, codegree_check and verify_correspondence all need the
+    # exact d(A) = sum_x n_x d_x; it is formed once per algebra
+    summed = []
+    dot = DimVector.dot
+
+    def counted(self, weights):
+        summed.append(self)
+        return dot(self, weights)
+    monkeypatch.setattr(DimVector, "dot", counted)
+    assert main([verb, _emit(tmp_path, "a2n", 1)]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+    assert len(summed) == 1
+
+
 def test_indicators_bad_label_splits_nothing(tmp_path, monkeypatch, capsys):
     calls = []
     _count_calls(monkeypatch, condense_module, "block_profiles", calls)
@@ -473,6 +490,27 @@ def test_float_encoding_gives_the_exact_verdict(tmp_path, capsys, family, n):
         assert _stable_lines(capsys.readouterr().out) == want
 
 
+@pytest.mark.parametrize("family,n", SMALL_MEMBERS,
+                         ids=[f"{f}-{n}" for f, n in SMALL_MEMBERS])
+def test_float_encoded_galois_bytes_are_the_same_at_every_digits(
+        tmp_path, monkeypatch, capsys, family, n):
+    # numeric dims are summed at as_float's precision, so the residuals
+    # galois prints cannot depend on --digits either
+    monkeypatch.chdir(tmp_path)
+    with open(_emit(tmp_path, family, n), encoding="utf-8") as fh:
+        obj = _floats(json.load(fh))
+    (tmp_path / "f.json").write_text(json.dumps(obj), encoding="utf-8")
+    seen = []
+    for digits in (DIGITS_FLOOR, 64, 128):
+        capsys.readouterr()
+        code = main(["galois", "f.json", "--digits", str(digits),
+                     "--dot", "l.dot"])
+        out, err = capsys.readouterr()
+        seen.append((code, err, out + (tmp_path / "l.dot").read_text()))
+    assert seen[0][:2] == (0, "")
+    assert seen[1] == seen[0] and seen[2] == seen[0]
+
+
 @pytest.mark.parametrize("verb", ["validate", "analyze"])
 def test_table_ambient_rejects_bad_labels(tmp_path, capsys, verb):
     # a2nplus1's ambient is a product of two tables
@@ -529,6 +567,29 @@ def test_broken_factor_ring_fails_the_checks(tmp_path, capsys):
         out = capsys.readouterr().out
         assert "- FAIL: ambient factor 0: associativity fails at " in out
         assert "ambient factor 1" not in out
+
+
+def test_broken_module_ring_fails_every_verb(tmp_path, capsys):
+    # r1 r1 = 2 r2 and r2 r2 = 2 r1 in the module ring of a2n n=1 keep the
+    # unit, duality and transpose-duality axioms but break associativity
+    obj = serialize.emit_bundle(families.build("a2n", n=1))
+    ring = serialize.parse_ring(obj["module_ring"])
+    assert ring.labels[1:3] == ("r1", "r2")
+    F = ring.fusion.copy()
+    F[1, 1, 2] += 1
+    F[2, 2, 1] += 1
+    broken = BasedRing(labels=ring.labels, fusion=F, dual=ring.dual)
+    obj["module_ring"] = serialize.emit_ring(broken)
+    path = tmp_path / "bad.json"
+    path.write_text(serialize.dumps(obj), encoding="utf-8")
+    problems = ring_module.validate(broken).problems
+    assert len(problems) == 1 and problems[0].startswith("associativity")
+    for verb in ("validate", "analyze", "galois"):
+        capsys.readouterr()
+        assert main([verb, str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert f"- FAIL: module ring: {problems[0]}" in out.splitlines()
+        assert err == ""
 
 
 # N[i, j, k] += 1 in the flat ambient ring of vlplus-orbifold: each breaks

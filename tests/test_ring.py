@@ -20,6 +20,7 @@ from fuscond.ring import (
     validate,
 )
 
+from cached_bundles import BUILT_INS, bundle
 from grouptables import cyclic, dihedral, quaternion, symmetric
 
 
@@ -184,17 +185,142 @@ def _broken_xy2():
     return ring, F
 
 
-@pytest.mark.parametrize(
-    "broken", [_broken_z3, _broken_s3, _broken_d3_xy, _broken_xy2])
+def _associativity_report(idx) -> list:
+    """validate's associativity line for the offenders idx, if any."""
+    if not len(idx):
+        return []
+    shown = ", ".join(str(tuple(int(x) for x in row)) for row in idx[:5])
+    more = f", and {len(idx) - 5} more" if len(idx) > 5 else ""
+    return [f"associativity fails at (i, j, k, l): {shown}{more}"]
+
+
+def _built_in_rings():
+    """name -> the module ring, the flat ambient ring and each ambient
+    factor ring of the cached built-ins, and the group rings of the tables
+    in tests/grouptables.py."""
+    rings = {}
+    for family, n in BUILT_INS:
+        b = bundle(family, n)
+        parts = {"module": b.module_ring, "ambient": b.ambient.ring,
+                 **{f"factor{t}": f.ring
+                    for t, f in enumerate(b.ambient.factors or ())}}
+        rings.update({f"{family}-{n}-{part}": ring
+                      for part, ring in parts.items() if ring is not None})
+    tables = {**{f"z{n}": cyclic(n) for n in range(2, 7)},
+              "d3": dihedral(3), "d4": dihedral(4), "q8": quaternion(),
+              "s3": symmetric(3), "s4": symmetric(4)}
+    rings.update({name: group_ring(*t) for name, t in tables.items()})
+    return rings
+
+
+BUILT_IN_RINGS = _built_in_rings()
+
+
+def _mutant(name, seed):
+    """1 added to N[i, j, k], for a seeded i, j, k != 0, and to its
+    transpose-dual partner N[j*, i*, k*]: the unit, duality and
+    transpose-duality axioms still hold."""
+    ring = BUILT_IN_RINGS[name]
+    i, j, k = np.random.default_rng(seed).integers(1, ring.rank, size=3)
+    d = ring.dual
+    F = ring.fusion.copy()
+    F[i, j, k] += 1
+    if (d[j], d[i], d[k]) != (i, j, k):
+        F[d[j], d[i], d[k]] += 1
+    return ring, F
+
+
+BROKEN = [_broken_z3, _broken_s3, _broken_d3_xy, _broken_xy2]
+MUTANTS = [pytest.param(lambda name=name, seed=seed: _mutant(name, seed),
+                        id=f"{name}-mutant{seed}")
+           for name in BUILT_IN_RINGS for seed in (0, 1)]
+
+
+@pytest.mark.parametrize("broken", BROKEN + MUTANTS)
 def test_associativity_report_lists_the_offenders(broken):
     ring, F = broken()
     idx = _ref_associativity_offenders(F)
-    assert len(idx) > 5
-    shown = ", ".join(str(tuple(int(x) for x in row)) for row in idx[:5])
-    want = (f"associativity fails at (i, j, k, l): {shown}, "
-            f"and {len(idx) - 5} more")
     rep = validate(BasedRing(labels=ring.labels, fusion=F, dual=ring.dual))
-    assert [p for p in rep.problems if p.startswith("associativity")] == [want]
+    if broken in BROKEN:
+        # each breaks another axiom too, and has more offenders than shown
+        assert len(idx) > 5
+        assert [p for p in rep.problems
+                if p.startswith("associativity")] == _associativity_report(idx)
+    else:
+        assert rep.problems == _associativity_report(idx)
+
+
+def _words_span(F, gens) -> int:
+    """The rank over GF(p) of the left-normed words ((1 g1) g2) ... over
+    gens; rank r there means the words span the ring over Q."""
+    p, r = 32749, len(F)
+    pivots = {}
+
+    def reduce(v):
+        for c in sorted(pivots):
+            if v[c]:
+                v = (v - v[c] * pivots[c]) % p
+        return v
+    todo = [np.eye(r, dtype=np.int64)[0]]
+    while todo:
+        v = reduce(todo.pop())
+        nz = np.flatnonzero(v)
+        if len(nz):
+            v = v * pow(int(v[nz[0]]), -1, p) % p
+            pivots[int(nz[0])] = v
+            todo += [v @ F[:, g] % p for g in gens]
+    return len(pivots)
+
+
+@pytest.mark.parametrize("name", [*BUILT_IN_RINGS, "a2n1-x-a2n2"])
+def test_generators_span_every_built_in_ring(name):
+    if name == "a2n1-x-a2n2":
+        ring = product_ring(bundle("a2n", 1).module_ring,
+                            bundle("a2n", 2).module_ring)
+    else:
+        ring = BUILT_IN_RINGS[name]
+    gens = ring_module._generators(ring.fusion)
+    assert len(gens) <= (6 if name == "a2n1-x-a2n2" else 3)
+    assert _words_span(ring.fusion, gens) == ring.rank
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_generators_span_a_random_left_unital_tensor(seed):
+    # the peeling holds for any product with a left unit, associative or
+    # not: sparse random tensors with 1 x = x
+    rng = np.random.default_rng(seed)
+    for _ in range(40):
+        r = int(rng.integers(2, 9))
+        F = rng.integers(0, 3, size=(r, r, r)) * (rng.random((r, r, r)) < 0.2)
+        F[0] = np.eye(r, dtype=F.dtype)
+        assert _words_span(F, ring_module._generators(F)) == r
+
+
+@pytest.mark.parametrize("name", list(BUILT_IN_RINGS))
+def test_a_ring_that_passes_every_axiom_checks_only_its_generators(
+        monkeypatch, name):
+    def every_slice(Ff):
+        raise AssertionError("every slice compared")
+    monkeypatch.setattr(ring_module, "_every_associator", every_slice)
+    assert validate(BUILT_IN_RINGS[name]).ok
+
+
+def test_a_ring_that_fails_the_unit_axiom_lists_every_associativity_offender():
+    # 1 1 = 1 + t, 1 t = 1 and t x = 0: the unit axioms fail, and so does
+    # associativity, but only on the slice of 1, which is in no generating
+    # set; every slice is compared all the same
+    F = np.zeros((2, 2, 2), dtype=np.int64)
+    F[0, 0] = 1, 1
+    F[0, 1, 0] = 1
+    Ff = F.astype(np.float64)
+    assert not any(ring_module._associator(Ff, g).any()
+                   for g in ring_module._generators(F))
+    rep = validate(BasedRing(labels=("1", "t"), fusion=F, dual=(0, 1)))
+    assert rep.problems[0].startswith("unit axiom fails on the left")
+    idx = _ref_associativity_offenders(F)
+    assert len(idx)
+    assert [p for p in rep.problems
+            if p.startswith("associativity")] == _associativity_report(idx)
 
 
 def test_transpose_duality_violation_reported():

@@ -729,6 +729,31 @@ def test_bundle_rejects_bad_induction():
         parse_bundle(obj)
 
 
+INDUCTION_SPOILS = {
+    "bool": lambda obj: obj["induction"][-1].__setitem__(-1, True),
+    "float": lambda obj: obj["induction"][-1].__setitem__(-1, 1.0),
+    "str": lambda obj: obj["induction"][-1].__setitem__(-1, "1"),
+    "row-not-a-list": lambda obj: obj["induction"].__setitem__(-1, 1),
+    "ragged": lambda obj: obj["induction"][-1].pop(),
+    "not-a-list": lambda obj: obj.__setitem__("induction", {"0": [1]}),
+}
+
+
+@pytest.mark.parametrize("case", list(INDUCTION_SPOILS))
+def test_induction_must_be_an_integer_matrix(case, tmp_path, capsys):
+    obj = json.loads(dumps(emit_bundle(bundle("toric-code"))))
+    INDUCTION_SPOILS[case](obj)
+    message = "bundle.v1: induction must be an integer matrix"
+    with pytest.raises(SchemaError) as err:
+        parse_bundle(obj)
+    assert str(err.value) == message
+    path = tmp_path / "b.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("bad", [True, 1.0, "1"], ids=["bool", "float", "str"])
 @pytest.mark.parametrize("field", ["fusion", "dual", "local", "mult"])
 def test_integer_fields_reject_other_types(field, bad):
