@@ -37,8 +37,8 @@ from .ring import (BasedRing, DimVector, _bilinear, _dot, _right_terms,
                    basis_indices, check_basis, fp_dims, is_closed,
                    product_basis, validate)
 from .mantissa import (U, aligned, band_limit, cmp_tol, combine, commutators,
-                       floats, mantissas, product, quotient, rounded_on_grid,
-                       stack, sups)
+                       floats, mantissas, parts, product, quotient,
+                       rounded_on_grid, stack, sups)
 from .wedderburn import SPLIT_SEED, block_profiles, character_table
 
 MATCH_ACCEPT = 1e-6
@@ -584,9 +584,11 @@ def schur_weyl(b: CondensationBundle, tol=TOL, seed=SPLIT_SEED) -> SchurWeylRepo
         f = min(exp, pexp)
         pre, pim = pre << (pexp - f), pim << (pexp - f)
         ideal = [bi for bi, flag in enumerate(in_ideal) if flag]
-        mchi = _dot(np.vstack([re[ideal], im[ideal]]),
+        mchi = _dot(np.vstack(parts(re[ideal], im[ideal])),
                     b.induction.T) << (exp - f)
-        for bi, mre, mim in zip(ideal, mchi, mchi[len(ideal):]):
+        mims = (mchi[len(ideal):] if len(mchi) > len(ideal)
+                else np.zeros_like(mchi))
+        for bi, mre, mim in zip(ideal, mchi, mims):
             bp = blocks[bi]
             m2 = bp.m * bp.m
             cand = [i for i, x in enumerate(xs) if b.mult[x] == bp.m]
@@ -695,7 +697,11 @@ def _codegree_sums(swr: SchurWeylReport, rows) -> tuple:
     at the duals with the table."""
     re, im, _ = swr.character_mantissas
     dual = list(swr.bundle.module_ring.dual)
-    ar, ai = re[rows][:, dual], im[rows][:, dual]
+    ar = re[rows][:, dual]
+    if not im.any():
+        sre = ar @ re.T
+        return sre, np.zeros_like(sre)
+    ai = im[rows][:, dual]
     return ar @ re.T - ai @ im.T, ar @ im.T + ai @ re.T
 
 

@@ -6,7 +6,9 @@ Vectors computed together are a stack: numpy object arrays of Python ints,
 one row per vector, with one exponent per row.  Products and commutators
 are array passes over the ring's term plan (``BasedRing._plan``, read
 through ``ring._bilinear`` and ``ring._summed``); their sums are exact, and
-``rescale`` rounds back to a fixed exponent once per entry.  ``cmp_tol``,
+``rescale`` rounds back to a fixed exponent once per entry, through
+``shifted``, one pass over a whole part.  A real stack computes with
+``parts``, which leaves out its imaginary half of zeros.  ``cmp_tol``,
 elementwise over object arrays, is the one tolerance test.
 
 The lattice pass puts a float64 filter in front of it: ``floats`` rounds
@@ -35,6 +37,12 @@ def stack(vectors) -> tuple:
     def rows(part):
         return np.array([v[part] for v in vectors], dtype=object)
     return rows(0), rows(1), [v[2] for v in vectors]
+
+
+def parts(re, im) -> list:
+    """The parts of a stack to compute with: [re, im], or [re] when every
+    imaginary mantissa is 0, as on a real ring."""
+    return [re, im] if im.any() else [re]
 
 
 def product(terms, a, b) -> tuple:
@@ -131,34 +139,60 @@ def rounded_on_grid(re, im, exps) -> tuple:
     return x[0], x[1], grid.tolist()
 
 
-def float_mantissas(v) -> tuple:
-    """A float64 or complex128 vector as mantissas over one exponent, one
-    bit finer than mp.prec bits below its largest entry.  The guard bit
-    keeps the step no coarser than that if Newton moves the largest entry
-    just below a power of two."""
-    parts = [(z.real, z.imag) for z in map(complex, v)]
-    top = max((math.frexp(x)[1] for z in parts for x in z if x), default=0)
-    exp = top - mp.mp.prec - 1
+def float_stack(G) -> tuple:
+    """The rows of a float64 or complex128 array as a stack on their own
+    grids, and the grid of each row: one bit finer than mp.prec bits below
+    its largest entry.  The guard bit keeps the step no coarser than that
+    if Newton moves the largest entry just below a power of two.  Each
+    part is rounded onto its row's grid, half up, and row r of the stack
+    (re, im, exps) holds those values exactly over the largest exponent
+    exps[r] >= grid[r] that does: the grid with the trailing zero bits
+    every part of the row shares taken off."""
+    G = np.asarray(G)
+    frac, ex = np.frexp(np.hstack([G.real, G.imag]).astype(np.float64))
+    m, ex = np.ldexp(frac, 53).astype(np.int64), ex.astype(np.int64)
+    nz, rows = m != 0, (m != 0).any(axis=1)
+    top = np.where(nz, ex, np.iinfo(np.int64).min).max(axis=1)
+    grid = np.where(rows, top, 0) - mp.mp.prec - 1
+    # the part over the grid is m 2**s; below it, m is rounded, and 62
+    # bits down leave 0 of any 53-bit m, as every longer shift does
+    s = ex - 53 - grid[:, None]
+    t = np.clip(-s, 0, 62)
+    v = (m + np.where(t > 0, np.left_shift(1, np.maximum(t - 1, 0)), 0)) >> t
+    sh = np.maximum(s, 0)
+    # the row's common trailing zero bits: v 2**sh has those of v, plus sh
+    tz = np.frexp((v & -v).astype(np.float64))[1] - 1 + sh
+    low = np.where(v != 0, tz, np.iinfo(np.int64).max).min(axis=1)
+    low = np.where(rows, low, 0)[:, None]
+    x = (v >> np.clip(low - sh, 0, 63)).astype(object) << np.maximum(
+        sh - low, 0).astype(object)
+    n = x.shape[1] // 2
+    return x[:, :n], x[:, n:], (grid + low[:, 0]).tolist(), grid.tolist()
 
-    def scaled(x):
-        num, den = x.as_integer_ratio()
-        s = -exp - (den.bit_length() - 1)
-        return num << s if s >= 0 else (num + (1 << (-s - 1))) >> -s
-    return ([scaled(x) for x, _ in parts], [scaled(y) for _, y in parts], exp)
+
+def shifted(x, s) -> np.ndarray:
+    """Row r of the object array x times 2**s[r], rounded to the nearest
+    integer, half up, where s[r] < 0: one pass over the whole array per
+    direction, and x itself when no shift is needed."""
+    if not any(s):
+        return x
+
+    def column(v):
+        return np.array(v, dtype=object).reshape(-1, 1)
+    up, down = [max(v, 0) for v in s], [max(-v, 0) for v in s]
+    if any(up):
+        x = x << column(up)
+    if any(down):
+        x = (x + column([(1 << d) >> 1 for d in down])) >> column(down)
+    return x
 
 
 def rescale(a, exps) -> tuple:
     """The stack a over the row exponents exps, each entry times
     2**(exp - exps[r]) rounded to the nearest integer, half up."""
     re, im, e = a
-    re, im = re.copy(), im.copy()
-    for r, s in enumerate(x - y for x, y in zip(e, exps)):
-        if s > 0:
-            re[r], im[r] = re[r] << s, im[r] << s
-        elif s < 0:
-            h = 1 << (-s - 1)
-            re[r], im[r] = (re[r] + h) >> -s, (im[r] + h) >> -s
-    return re, im, list(exps)
+    s = [x - y for x, y in zip(e, exps)]
+    return shifted(re, s), shifted(im, s), list(exps)
 
 
 def combine(a, ca: int, b, cb: int) -> tuple:

@@ -13,7 +13,9 @@ found float first and certified at the working precision (``mp.mp.dps``):
   to float64 accuracy (randomized central-element splitting, after
   Eberly and Giesbrecht);
 - the Newton step e <- 3e^2 - 2e^3 refines them at the working
-  precision;
+  precision, as exact integers on a fixed grid per idempotent; the cube
+  is q e = e e + r e with q = round(e^2), so besides the square it
+  multiplies only by the residual r = q - e, which shrinks every step;
 - certification checks e^2 = e, e != 0, sum e = 1 and that every e
   commutes with every basis element.  With k = dim Z idempotents these
   imply that they are orthogonal and primitive.
@@ -35,10 +37,9 @@ import numpy as np
 
 from .cyclotomic import TOL, working_tol
 from .errors import NotSemisimpleError, NumericalDegeneracyError, SchemaError
-from .mantissa import (aligned, cmp_tol, combine, commutators,
-                       float_mantissas, product, rescale, round_quotient,
-                       stack, sups)
-from .ring import BasedRing, _dot
+from .mantissa import (aligned, cmp_tol, commutators, float_stack, parts,
+                       product, round_quotient, shifted, stack)
+from .ring import BasedRing, _bilinear, _dot
 
 SPLIT_SEED = 0xC0FFEE
 _MAX_SPLIT_ATTEMPTS = 8
@@ -88,24 +89,60 @@ def _newton(ring: BasedRing, guesses, tol):
     vectors, or None if some guess does not converge.  Once
     |e^2 - e| <= tol, one more step takes e from there to round-off and e
     leaves the stack.  Convergence is quadratic, so log2(mp.dps) steps
-    reach tol from any float64 start."""
+    reach tol from any float64 start.
+
+    Each row has a grid, the exponent float_stack gives its guess, and
+    every step is round(3 q - 2 q e) on that grid, half up, with
+    q = round(e^2) there.  The cube goes through the residual r = q - e,
+    exact on the grid: q e = e e + r e, where e e is the square of the
+    stopping test, so the second product multiplies by r, whose mantissas
+    shrink every step.  The first step multiplies the guesses on their
+    own grid, and a real stack carries no imaginary part; neither changes
+    an integer of any iterate."""
     plan = ring._plan
-    e = stack([float_mantissas(g) for g in guesses])
+    re, im, exps, grid = float_stack(guesses)
+    e = parts(re, im)
+
+    def mul(terms, a, b):
+        """The exact row-wise product of the parts a and b."""
+        if len(a) == 1:
+            return [_bilinear(terms, a[0], b[0])]
+        return product(terms, (*a, ()), (*b, ()))[:2]
+
+    def at(x, src, dst):
+        """x over the row exponents src as mantissas over dst."""
+        return shifted(x, [s - d for s, d in zip(src, dst)])
+
     out = [None] * len(guesses)
     live = list(range(len(guesses)))
     for _ in range(mp.mp.dps.bit_length() + 1):
-        exps = e[2]
-        sq = product(plan.square, e, e)
-        done = cmp_tol(*sups(combine(sq, 1, e, -1)), tol) <= 0
-        sq = rescale(sq, exps)
-        e = rescale(combine(sq, 3, product(plan.product, sq, e), -2), exps)
-        for r in np.flatnonzero(done).tolist():
-            out[live[r]] = (e[0][r].tolist(), e[1][r].tolist(), exps[r])
+        sq, e2 = mul(plan.square, e, e), [2 * x for x in exps]
+        # the stopping test, |e^2 - e|^2 exactly over m
+        m = [min(x, y) for x, y in zip(e2, exps)]
+        d = [at(s, e2, m) - at(p, exps, m) for s, p in zip(sq, e)]
+        done = cmp_tol(sum(x * x for x in d).max(axis=1),
+                       [2 * x for x in m], tol) <= 0
+        # q = round(e^2) and r = q - e on the grid, and r e
+        q = [at(s, e2, grid) for s in sq]
+        rp = mul(plan.product, [x - at(p, exps, grid) for x, p in zip(q, e)],
+                 e)
+        # 3 q - 2 q e = q + 2 (q - e e - r e): the second term is exact
+        # over n, and rounding it onto the grid rounds the sum, as q lies
+        # on the grid
+        ge = [g + x for g, x in zip(grid, exps)]
+        n = [min(x, y, z) for x, y, z in zip(grid, e2, ge)]
+        e = [x + at(at(x, grid, n) - at(s, e2, n) - at(t, ge, n),
+                    [y + 1 for y in n], grid) for x, s, t in zip(q, sq, rp)]
+        exps = list(grid)
+        im = e[1] if len(e) > 1 else np.zeros_like(e[0])
+        for i in np.flatnonzero(done).tolist():
+            out[live[i]] = (e[0][i].tolist(), im[i].tolist(), grid[i])
         rest = np.flatnonzero(~done).tolist()
         if not rest:
             return out
-        live = [live[r] for r in rest]
-        e = e[0][rest], e[1][rest], [e[2][r] for r in rest]
+        live = [live[i] for i in rest]
+        e = [p[rest] for p in e]
+        grid = exps = [grid[i] for i in rest]
     return None
 
 
@@ -115,14 +152,13 @@ def _certified(ring: BasedRing, idems, dim_z, tol) -> bool:
     if len(idems) != dim_z:
         return False
     e = stack(idems)
-    w, wexp = sups(e)
-    if (cmp_tol(w, wexp, tol) <= 0).any():
+    ps, wexp = parts(*e[:2]), [2 * x for x in e[2]]
+    if (cmp_tol(sum(p * p for p in ps).max(axis=1), wexp, tol) <= 0).any():
         return False
     lo = min(e[2] + [0])
-    re, im, _ = rescale(e, [lo] * dim_z)
-    re, im = re.sum(axis=0), im.sum(axis=0)
-    re[0] -= 1 << -lo
-    if cmp_tol((re * re + im * im).max(), 2 * lo, tol) > 0:
+    total = [shifted(p, [x - lo for x in e[2]]).sum(axis=0) for p in ps]
+    total[0][0] -= 1 << -lo
+    if cmp_tol(sum(t * t for t in total).max(), 2 * lo, tol) > 0:
         return False
     return bool((cmp_tol(commutators(ring, e).max(axis=1), wexp, tol)
                  <= 0).all())
@@ -207,5 +243,6 @@ def character_table(ring: BasedRing, blocks) -> tuple:
     F = ring.fusion
     W = np.einsum("izk,k->iz", F, np.einsum("ijj->i", F))
     re, im, exp = aligned(stack([bp.mantissas for bp in blocks]))
-    X = _dot(np.vstack([re, im]), W)
-    return X[:len(blocks)], X[len(blocks):], exp
+    X = _dot(np.vstack(parts(re, im)), W)
+    k = len(blocks)
+    return X[:k], X[k:] if len(X) > k else np.zeros_like(X), exp

@@ -1,7 +1,10 @@
 import dataclasses
 import hashlib
+import math
 import random
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 
 import mpmath as mp
 import numpy as np
@@ -10,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath.libmp import from_man_exp, round_nearest
 
-from fuscond import families
+from fuscond import families, wedderburn
 from fuscond.condense import _averaging
 from fuscond.cyclotomic import TOL, Cyc, working_tol
 from fuscond.errors import NumericalDegeneracyError, SchemaError
@@ -18,8 +21,9 @@ from fuscond.families import ty_ring
 from fuscond.ring import (BasedRing, _bilinear, element_product,
                           enumerate_subrings, fp_dims, group_ring,
                           product_ring)
-from fuscond.mantissa import mantissas, rounded_on_grid
-from fuscond.wedderburn import (SPLIT_SEED, _certified, _split,
+from fuscond.mantissa import (cmp_tol, float_stack, mantissas, product,
+                              rescale, rounded_on_grid, stack, sups)
+from fuscond.wedderburn import (SPLIT_SEED, _certified, _float_split, _split,
                                 block_profiles, center_basis,
                                 character_table)
 
@@ -526,6 +530,221 @@ def test_idempotent_read_on_demand_matches_the_eager_values(name, digits):
                      for c in mpc_values(b.mantissas)]) for b in blocks]
     digest = hashlib.sha256(repr(entries).encode()).hexdigest()[:16]
     assert digest == EAGER_IDEMPOTENT_DIGESTS[name, digits]
+
+
+# -- the Newton refinement against the loop it replaces: the same mantissa
+# lists and the same number of steps for every row
+
+
+def _seed_float_mantissas(v) -> tuple:
+    """A float64 or complex128 vector as mantissas over one exponent, one
+    bit finer than mp.prec bits below its largest entry, each part
+    rounded onto that grid, half up."""
+    parts = [(z.real, z.imag) for z in map(complex, v)]
+    top = max((math.frexp(x)[1] for z in parts for x in z if x), default=0)
+    exp = top - mp.mp.prec - 1
+
+    def scaled(x):
+        num, den = x.as_integer_ratio()
+        s = -exp - (den.bit_length() - 1)
+        return num << s if s >= 0 else (num + (1 << (-s - 1))) >> -s
+    return [scaled(x) for x, _ in parts], [scaled(y) for _, y in parts], exp
+
+
+def _seed_rescale(a, exps) -> tuple:
+    re, im, e = a
+    re, im = re.copy(), im.copy()
+    for r, s in enumerate(x - y for x, y in zip(e, exps)):
+        if s > 0:
+            re[r], im[r] = re[r] << s, im[r] << s
+        elif s < 0:
+            h = 1 << (-s - 1)
+            re[r], im[r] = (re[r] + h) >> -s, (im[r] + h) >> -s
+    return re, im, list(exps)
+
+
+def _seed_combine(a, ca, b, cb) -> tuple:
+    e = [min(x, y) for x, y in zip(a[2], b[2])]
+    (ar, ai, _), (br, bi, _) = _seed_rescale(a, e), _seed_rescale(b, e)
+    return ca * ar + cb * br, ca * ai + cb * bi, e
+
+
+def seed_newton(ring, guesses, tol):
+    """The refinement as first written, from the guesses on the full grid:
+    e <- round(3 s - 2 s e) with s = round(e^2), two full-width products a
+    step.  The mantissa vectors and the number of steps of each row, or
+    None."""
+    plan = ring._plan
+    e = stack([_seed_float_mantissas(g) for g in guesses])
+    out, steps = [None] * len(guesses), [0] * len(guesses)
+    live = list(range(len(guesses)))
+    for step in range(1, mp.mp.dps.bit_length() + 2):
+        exps = e[2]
+        sq = product(plan.square, e, e)
+        done = cmp_tol(*sups(_seed_combine(sq, 1, e, -1)), tol) <= 0
+        sq = _seed_rescale(sq, exps)
+        e = _seed_rescale(
+            _seed_combine(sq, 3, product(plan.product, sq, e), -2), exps)
+        for r in np.flatnonzero(done).tolist():
+            out[live[r]], steps[live[r]] = (e[0][r].tolist(),
+                                            e[1][r].tolist(), exps[r]), step
+        rest = np.flatnonzero(~done).tolist()
+        if not rest:
+            return out, steps
+        live = [live[r] for r in rest]
+        e = e[0][rest], e[1][rest], [e[2][r] for r in rest]
+    return None
+
+
+def package_newton(monkeypatch, ring, guesses, tol):
+    """wedderburn._newton's result and the number of steps of each row,
+    read off the stopping test it makes once a step, or None."""
+    tests = []
+
+    def recorded(*args):
+        signs = cmp_tol(*args)
+        tests.append(signs <= 0)
+        return signs
+    monkeypatch.setattr(wedderburn, "cmp_tol", recorded)
+    out = wedderburn._newton(ring, guesses, tol)
+    monkeypatch.undo()
+    if out is None:
+        return None
+    steps, live = [0] * len(guesses), list(range(len(guesses)))
+    for step, done in enumerate(tests, 1):
+        for r in np.flatnonzero(done).tolist():
+            steps[live[r]] = step
+        live = [x for x, d in zip(live, done) if not d]
+    assert not live
+    return out, steps
+
+
+def _seeded_group_ring(grp, seed):
+    """A group ring with its basis shuffled by seed, the unit kept at 0."""
+    rest = list(range(1, len(grp[0])))
+    random.Random(seed).shuffle(rest)
+    return _relabel(group_ring(*grp), [0] + rest)
+
+
+# every ring of both digest sets, seeded cyclic group rings, whose
+# idempotents are complex, and seeded dihedral ones, each with the seed of
+# its split
+NEWTON_RINGS = {
+    **{name: (f, SPLIT_SEED) for name, f in {**DIGEST_RINGS,
+                                             **BATCH_RINGS}.items()},
+    **{f"c{n}-{seed}": (lambda n=n, seed=seed: _seeded_group_ring(
+        cyclic(n), seed), seed) for n, seed in ((4, 1), (5, 2), (7, 3),
+                                                (8, 4))},
+    **{f"d{n}-{seed}": (lambda n=n, seed=seed: _seeded_group_ring(
+        dihedral(n), seed), seed) for n, seed in ((3, 5), (5, 6), (6, 7))}}
+
+
+@pytest.mark.parametrize("digits", [15, 64, 128])
+@pytest.mark.parametrize("name", sorted(NEWTON_RINGS))
+def test_newton_matches_the_seed_loop(name, digits, monkeypatch):
+    build, seed = NEWTON_RINGS[name]
+    ring = build()
+    with mp.workdps(digits):
+        tol = min(mp.mpf(TOL), working_tol())
+        Z = center_basis(ring)
+        guesses = next(g for g in (_float_split(ring, Z, random.Random(
+            seed + a)) for a in range(8)) if g is not None)
+        want = seed_newton(ring, guesses, tol)
+        assert want is not None
+        assert package_newton(monkeypatch, ring, guesses, tol) == want
+        assert wedderburn._newton(ring, guesses, tol) == want[0]
+
+
+@pytest.mark.parametrize("prec", [10, 53, 216, 429])
+def test_float_stack_is_the_full_grid_without_its_common_zero_bits(prec):
+    # rows with zeros, subnormals, parts far below the grid (rounded half
+    # up onto it, or to 0) and exact powers of two, real and complex
+    rng = random.Random(prec)
+
+    def value():
+        return rng.choice([0.0, 1.0, -0.5, 3.0, 2.0 ** -1074, -2.0 ** -1070,
+                           rng.uniform(-1, 1) * 2.0 ** rng.randint(-1074, 0),
+                           rng.randint(-2 ** 20, 2 ** 20) * 2.0 ** -40,
+                           rng.uniform(-1, 1) * 2.0 ** rng.randint(-60, 3)])
+    with mp.workprec(prec):
+        for complex_ in (False, True):
+            for _ in range(60):
+                G = np.array([[complex(value(), value()) if complex_
+                               else value() for _ in range(5)]
+                              for _ in range(3)])
+                G[0] *= rng.random() < 0.2
+                re, im, exps, grid = float_stack(G)
+                for r, row in enumerate(G):
+                    full = _seed_float_mantissas(row)
+                    z = reduce(or_, full[0] + full[1], 0)
+                    z = (z & -z).bit_length() - 1 if z else 0
+                    assert (re[r].tolist(), im[r].tolist(), exps[r],
+                            grid[r]) == ([x >> z for x in full[0]],
+                                         [x >> z for x in full[1]],
+                                         full[2] + z, full[2])
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_cube_through_the_residual_is_exact(complex_):
+    # round(e^2) e = e e + r e with r = round(e^2) - e, as integers over
+    # one exponent, on random integer stacks of widths up to 300 bits
+    rng = random.Random(int(complex_))
+    for name in ("s3", "a4char_s3", "a2n-3", "vlplus"):
+        ring = BATCH_RINGS[name]()
+        plan, n = ring._plan, ring.rank
+        for _ in range(5):
+            k = rng.randint(1, 4)
+
+            def part(bits):
+                return np.array([[rng.getrandbits(bits) - (1 << (bits - 1))
+                                  for _ in range(n)] for _ in range(k)],
+                                dtype=object)
+            bits = rng.choice([1, 53, 217, 300])
+            e = (part(bits), part(bits) if complex_ else
+                 np.zeros((k, n), dtype=object),
+                 [rng.randint(-300, 5) for _ in range(k)])
+            sq = product(plan.square, e, e)
+            q = rescale(sq, e[2])
+            r = q[0] - e[0], q[1] - e[1], e[2]
+            qe, re_ = product(plan.product, q, e), product(plan.product, r, e)
+            assert qe[2] == sq[2] == re_[2]
+            assert (qe[0] == sq[0] + re_[0]).all()
+            assert (qe[1] == sq[1] + re_[1]).all()
+
+
+def test_newton_gives_up_on_a_fixed_point_that_is_not_idempotent(
+        monkeypatch):
+    # e = unit / 2 is fixed by 3 e^2 - 2 e^3 = 3/4 - 1/4, with
+    # |e^2 - e| = 1/4 at every step
+    ring = group_ring(*symmetric(3))
+    half = np.zeros(ring.rank)
+    half[0] = 0.5
+    tol = min(mp.mpf(TOL), working_tol())
+    assert wedderburn._newton(ring, [half], tol) is None
+    assert seed_newton(ring, [half], tol) is None
+    # _split spends one attempt on it and goes on with the next seed, and
+    # fails once every attempt starts there
+    states, results = [], []
+    split, newton = wedderburn._float_split, wedderburn._newton
+
+    def float_split(ring, Z, rng):
+        states.append(rng.getstate())
+        return [half] * len(Z) if len(states) == 1 else split(ring, Z, rng)
+
+    def recorded(*args):
+        results.append(newton(*args))
+        return results[-1]
+    want = wedderburn._split(ring, SPLIT_SEED + 1)
+    monkeypatch.setattr(wedderburn, "_float_split", float_split)
+    monkeypatch.setattr(wedderburn, "_newton", recorded)
+    assert wedderburn._split(ring, SPLIT_SEED) == want
+    assert states == [random.Random(SPLIT_SEED + a).getstate()
+                      for a in (0, 1)]
+    assert results == [None, want]
+    monkeypatch.setattr(wedderburn, "_float_split",
+                        lambda ring, Z, rng: [half] * len(Z))
+    with pytest.raises(NumericalDegeneracyError, match="8 seeded attempts"):
+        wedderburn._split(ring, SPLIT_SEED)
 
 
 # -- rounding exact parts to the working precision, as array passes --
