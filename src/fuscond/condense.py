@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import chain
-from operator import mul
+from operator import mul, truediv
 
 import mpmath as mp
 import numpy as np
@@ -34,8 +34,8 @@ from .errors import (
 from .modular import (ModularData, dims as modular_dims,
                       validate as validate_modular)
 from .ring import (BasedRing, DimVector, _bilinear, _dot, _right_terms,
-                   basis_indices, check_basis, fp_dims, is_closed,
-                   product_basis, validate)
+                   _summed, _sums, basis_indices, check_basis, fp_dims,
+                   is_closed, product_basis, validate)
 from .mantissa import (U, aligned, band_limit, cmp_tol, combine, commutators,
                        floats, mantissas, parts, product, quotient,
                        rounded_on_grid, stack, sups)
@@ -54,7 +54,8 @@ class Ambient:
 
     A product ambient (from_product) keeps its two ring or table factors
     in factors and no flat ring; its labels, dual, dims and twists are the
-    flat tuples of the product, index (a, b) at a * rank_b + b."""
+    flat tuples of the product, index (a, b) at a * rank_b + b.  A flat
+    ambient is its own one factor to rings, which reads both kinds alike."""
     labels: tuple
     dual: tuple
     dims: DimVector
@@ -136,14 +137,16 @@ class Ambient:
         return self.dims.total()
 
     @property
+    def rings(self) -> tuple:
+        """The ring of each factor, None for a table factor: (ring,) for a
+        flat ambient, () with modular data."""
+        return () if self.modular is not None else tuple(
+            f.ring for f in self.factors or (self,))
+
+    @property
     def has_characters(self) -> bool:
-        """Modular data, or a ring (or two ring factors) with twists:
-        character_row's inputs."""
-        if self.modular is not None:
-            return True
-        rings = ((self.ring,) if self.factors is None
-                 else tuple(f.ring for f in self.factors))
-        return self.twists is not None and None not in rings
+        """Twists, and no table factor in rings: character_row's inputs."""
+        return self.twists is not None and None not in self.rings
 
     def character_row(self, xs):
         """The patterns y -> S(x*, y)/d(x) of the ambient indices xs as
@@ -154,12 +157,14 @@ class Ambient:
         ring, dims and twists it is recovered through the balancing
         identity S(a,b) = (1/(theta_a theta_b)) sum_c N[a,b,c] theta_c d_c,
         which is what the ribbon structure forces, summed exactly and each
-        entry rounded once.  Returns None without character rows.  A
-        product ambient's slices N[x*] are Kronecker products.
+        entry rounded once.  Returns None without character rows.  Each
+        slice N[x*] is formed on its own, the Kronecker product of its
+        factors' slices in the order of rings, and the nonzeros of all
+        slices are summed in one pass: no (rows, rank, rank) array.
         """
         if not self.has_characters:
             return None
-        duals = [self.dual[x] for x in xs]
+        duals = np.array([self.dual[x] for x in xs], dtype=np.int64)
         if self.modular is not None:
             s = self.modular.s
             re, im, exps = stack([mantissas([as_mpc(v) / as_mpc(s[0][x])
@@ -177,32 +182,30 @@ class Ambient:
                     memo[key] = f(*map(as_mpc, values))
                 return memo[key]
 
-            def inv(t):
-                return 1 / t
-
-            def inv_mul(t, d):
-                return 1 / (t * d)
-
-            tw, dims = self.twists, self.dims.values
-            tre, tim, texp = mantissas([once(mul, t, d)
-                                        for t, d in zip(tw, dims)])
-            ire, iim, iexp = mantissas([once(inv, t) for t in tw])
+            td = [once(mul, t, d) for t, d in zip(self.twists, self.dims)]
+            tre, tim, texp = mantissas(td)
+            ire, iim, iexp = mantissas([once(truediv, 1, t)
+                                        for t in self.twists])
             ire, iim = np.array(ire, dtype=object), np.array(iim, dtype=object)
-            sre, sim, sexp = stack([mantissas([once(inv_mul, tw[x], dims[x])])
+            sre, sim, sexp = stack([mantissas([once(truediv, 1, td[x])])
                                     for x in duals])
             # one column, also without rows
             sre, sim = sre.reshape(-1, 1), sim.reshape(-1, 1)
-            if self.factors is None:
-                F = self.ring.fusion[duals]
-            else:
-                fa, fb = (f.ring.fusion for f in self.factors)
-                hi, lo = np.divmod(np.array(duals, dtype=np.int64), len(fb))
-                F = np.einsum("xac,xbd->xabcd", fa[hi], fb[lo])
-            # sum_z N[x*, y, z] theta_z d_z for every x and y, then times
+            # sum_z N[x*, y, z] theta_z d_z slice by slice, then times
             # 1/theta_y and 1/(theta_x* d_x*), one rounding per part
-            r = self.rank
-            nre, nim = _dot(np.array([tre, tim], dtype=object),
-                            F.reshape(len(duals) * r, r).T).reshape(2, -1, r)
+            r, rings = self.rank, self.rings
+            terms = [np.zeros((3, 0), dtype=np.int64)]
+            for k, ix in enumerate(zip(*np.unravel_index(
+                    duals, [g.rank for g in rings]))):
+                N = reduce(np.kron, [g.fusion[i] for g, i in zip(rings, ix)])
+                y, z = np.nonzero(N)
+                terms.append((k * r + y, z, N[y, z]))
+            t, z, c = np.hstack(terms)
+            sums = _sums(z, c, t, r)
+            n = np.zeros((2, len(duals) * r), dtype=object)
+            n[:, sums.targets] = _summed(sums, np.array([tre, tim],
+                                                        dtype=object))
+            nre, nim = n.reshape(2, -1, r)
             are, aim = nre * ire - nim * iim, nre * iim + nim * ire
             rows = rounded_on_grid(are * sre - aim * sim, are * sim + aim * sre,
                                    [texp + iexp + e for e in sexp])
@@ -297,11 +300,10 @@ def check_bundle(b: CondensationBundle, tol=TOL) -> ValidationReport:
     rep.extend(ring_rep, prefix="module ring: ")
     if amb.modular is not None:
         rep.extend(validate_modular(amb.modular, tol), prefix="ambient: ")
-    if amb.ring is not None:
-        rep.extend(validate(amb.ring), prefix="ambient: ")
-    for i, f in enumerate(amb.factors or ()):
-        if f.ring is not None:
-            rep.extend(validate(f.ring), prefix=f"ambient factor {i}: ")
+    for i, g in enumerate(amb.rings):
+        if g is not None:
+            rep.extend(validate(g), prefix="ambient: " if amb.factors is None
+                       else f"ambient factor {i}: ")
 
     mult = b.mult
     if any(n < 0 for n in mult):

@@ -37,8 +37,8 @@ import numpy as np
 
 from .cyclotomic import TOL, working_tol
 from .errors import NotSemisimpleError, NumericalDegeneracyError, SchemaError
-from .mantissa import (aligned, cmp_tol, commutators, float_stack, parts,
-                       product, round_quotient, shifted, stack)
+from .mantissa import (aligned, cmp_tol, commutators, float_stack, floats,
+                       parts, product, round_quotient, shifted, stack)
 from .ring import BasedRing, _bilinear, _dot
 
 SPLIT_SEED = 0xC0FFEE
@@ -196,10 +196,8 @@ def _profile_key(b: BlockProfile):
     """The matrix size, then each coefficient of the idempotent as float64,
     rounded once from the mantissas, and then to 9 decimals."""
     re, im, exp = b.mantissas
-
-    def rounded(x):
-        return round(x / 2 ** -exp if exp < 0 else float(x << exp), 9) + 0.0
-    return (b.m, tuple((rounded(r), rounded(i)) for r, i in zip(re, im)))
+    return (b.m, tuple((round(r, 9) + 0.0, round(i, 9) + 0.0)
+                       for r, i in floats([re, im], exp).T.tolist()))
 
 
 def block_profiles(ring: BasedRing, seed=SPLIT_SEED) -> list:

@@ -561,12 +561,12 @@ def test_broken_factor_ring_fails_the_checks(tmp_path, capsys):
         BasedRing(labels=ring.labels, fusion=F, dual=ring.dual))
     path = tmp_path / "bad.json"
     path.write_text(serialize.dumps(obj), encoding="utf-8")
-    for verb in ("validate", "analyze"):
+    for verb in ("validate", "analyze", "galois"):
         capsys.readouterr()
         assert main([verb, str(path)]) == 1
-        out = capsys.readouterr().out
+        out, err = capsys.readouterr()
         assert "- FAIL: ambient factor 0: associativity fails at " in out
-        assert "ambient factor 1" not in out
+        assert "ambient factor 1" not in out and err == ""
 
 
 def test_broken_module_ring_fails_every_verb(tmp_path, capsys):

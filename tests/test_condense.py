@@ -1,5 +1,7 @@
 import dataclasses
+import random
 import re
+from functools import reduce
 
 import mpmath as mp
 import numpy as np
@@ -26,9 +28,10 @@ from fuscond.cyclotomic import TOL, Cyc, as_mpc, working_tol
 from fuscond.errors import (CapabilityError, NumericalDegeneracyError,
                              SchemaError, TheoremViolationError)
 from fuscond.modular import verlinde
-from fuscond.ring import (BasedRing, DimVector, enumerate_subrings,
+from fuscond.families import ty_ring
+from fuscond.ring import (BasedRing, DimVector, _dot, enumerate_subrings,
                           group_ring, is_closed, product_ring)
-from fuscond.mantissa import mantissas
+from fuscond.mantissa import aligned, mantissas, rounded_on_grid, stack
 
 import reference as ref
 from grouptables import cyclic, symmetric
@@ -635,6 +638,94 @@ def test_product_character_rows_equal_the_flat_rows(n, dps):
                     == listed(flat.character_row([x]))), x
         xs = list(range(amb.rank))
         assert listed(amb.character_row(xs)) == listed(flat.character_row(xs))
+
+
+def flat_formula_rows(amb, xs):
+    """character_row through the flat fusion tensor F of the product_ring
+    of the factor rings: sum_z F[x*, y, z] theta_z d_z for every x and y
+    as one _dot over F[duals], then times 1/theta_y and 1/(theta_x* d_x*),
+    each entry rounded once."""
+    F = reduce(product_ring, amb.rings).fusion
+    r, duals = amb.rank, [amb.dual[x] for x in xs]
+    td = [as_mpc(t) * as_mpc(d) for t, d in zip(amb.twists, amb.dims)]
+    tre, tim, texp = mantissas(td)
+    ire, iim, iexp = mantissas([1 / as_mpc(t) for t in amb.twists])
+    ire, iim = np.array(ire, dtype=object), np.array(iim, dtype=object)
+    sre, sim, sexp = stack([mantissas([1 / td[x]]) for x in duals])
+    sre, sim = sre.reshape(-1, 1), sim.reshape(-1, 1)
+    T = np.array([tre, tim], dtype=object)
+    nre, nim = _dot(T, F[duals].reshape(-1, r).T).reshape(2, -1, r)
+    are, aim = nre * ire - nim * iim, nre * iim + nim * ire
+    return aligned(rounded_on_grid(are * sre - aim * sim,
+                                   are * sim + aim * sre,
+                                   [texp + iexp + e for e in sexp]))
+
+
+def ring_factor(rng):
+    """A seeded ring ambient: a group ring or a Tambara-Yamagami ring with
+    its exact dims and random root-of-unity twists, the unit's 1."""
+    kind = rng.choice(["cyclic", "symmetric", "ty"])
+    if kind == "ty":
+        m = rng.randint(2, 4)
+        ring = ty_ring(m)
+        dims = (Cyc.rational(1),) * m + (Cyc.sqrt_int(m),)
+    else:
+        ring = group_ring(*(cyclic(rng.randint(2, 5)) if kind == "cyclic"
+                            else symmetric(3)))
+        dims = (Cyc.rational(1),) * ring.rank
+    twists = (Cyc.rational(1),) + tuple(
+        Cyc.zeta(o, rng.randrange(o))
+        for o in (rng.choice([1, 2, 3, 4, 5, 8, 12])
+                  for _ in range(ring.rank - 1)))
+    return Ambient.from_ring(ring, dims, twists=twists)
+
+
+def seeded_product(seed):
+    rng = random.Random(seed)
+    return Ambient.from_product(ring_factor(rng), ring_factor(rng))
+
+
+ROW_AMBIENTS = ([(f"a2n-{n}", lambda n=n: bundle("a2n", n).ambient)
+                 for n in range(1, 7)]
+                + [("vlplus-orbifold",
+                    lambda: bundle("vlplus-orbifold", 1).ambient)]
+                + [(f"seed-{s}", lambda s=s: seeded_product(s))
+                   for s in range(6)])
+
+
+@pytest.mark.parametrize("dps", [15, 64, 128])
+@pytest.mark.parametrize("make", [make for _, make in ROW_AMBIENTS],
+                         ids=[name for name, _ in ROW_AMBIENTS])
+def test_character_rows_equal_the_flat_formula(make, dps):
+    # each row alone, all rows at once, no row, a repeated index and the
+    # x that are not self-dual, against one contraction over the flat
+    # product tensor
+    amb = make()
+    r = amb.rank
+    odd = [x for x in range(r) if amb.dual[x] != x]
+    with mp.workdps(dps):
+        for xs in ([[x] for x in range(r)]
+                   + [list(range(r)), [], [r - 1, 0, r - 1], odd]):
+            assert (listed(amb.character_row(xs))
+                    == listed(flat_formula_rows(amb, xs))), xs
+
+
+def test_rings_and_characters_of_each_ambient_kind():
+    ring = families.half_ring(1)[0]
+    dims = (1,) * ring.rank
+    flat = Ambient.from_ring(ring, dims, twists=(1,) * ring.rank)
+    bare = Ambient.from_ring(ring, dims)
+    table = Ambient.from_table(ring.labels, ring.dual, dims, (1,) * ring.rank)
+    a2n, a2nplus1 = bundle("a2n", 1).ambient, bundle("a2nplus1", 1).ambient
+    kinds = [(Ambient.from_modular(toric_data()), (), True),
+             (flat, (ring,), True), (bare, (ring,), False),
+             (table, (None,), False),
+             (a2n, tuple(f.ring for f in a2n.factors), True),
+             (a2nplus1, (None, None), False)]
+    for amb, rings, chars in kinds:
+        assert amb.rings == rings and amb.has_characters == chars, amb
+        assert (amb.character_row([0]) is None) == (not chars)
+    assert all(isinstance(g, BasedRing) for g in a2n.rings)
 
 
 def test_product_shares_equal_values():

@@ -447,6 +447,42 @@ def test_split_mantissas_are_pinned(digits):
     assert digest(values) == SPLIT_DIGESTS[digits]
 
 
+def per_entry_key(b):
+    """The sort key of block_profiles, each coefficient converted alone:
+    x / 2**-exp or float(x << exp), then round(., 9) + 0.0."""
+    re, im, exp = b.mantissas
+
+    def rounded(x):
+        return round(x / 2 ** -exp if exp < 0 else float(x << exp), 9) + 0.0
+    return (b.m, tuple((rounded(r), rounded(i)) for r, i in zip(re, im)))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_profile_key_matches_the_per_entry_conversion(seed):
+    # seeded signed mantissas of up to 300 bits with zeros, over negative
+    # and positive exponents; below 2**-10 also odd multiples of 2**-10,
+    # each exactly on a tie of the 9th decimal (k / 1024 has ten decimals,
+    # the last a 5)
+    rng = random.Random(seed)
+    for exp in (-1100, -400, -200, -75, -60, -10, -1, 0, 1, 7, 40, 700):
+        n = rng.randint(1, 12)
+
+        def part():
+            return tuple(rng.choice((0, 1, -1))
+                         * rng.getrandbits(rng.randint(1, 300))
+                         for _ in range(n))
+        parts = [part(), part()]
+        if exp <= -10:
+            ties = [2 * rng.randrange(-2 ** 20, 2 ** 20) + 1
+                    for _ in range(n)]
+            assert all((Fraction(k, 1024) * 10 ** 9).denominator == 2
+                       for k in ties)
+            parts[rng.randrange(2)] = tuple(k << (-10 - exp) for k in ties)
+        b = wedderburn.BlockProfile(mantissas=(*parts, exp), block_dim=4,
+                                    m=2)
+        assert repr(wedderburn._profile_key(b)) == repr(per_entry_key(b))
+
+
 def _s3_and_involution():
     table, inverse = symmetric(3)
     s = next(g for g in range(1, len(table)) if inverse[g] == g)
