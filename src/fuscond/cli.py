@@ -220,47 +220,38 @@ def _run(args) -> int:
 
 
 def main(argv=None) -> int:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=TOL,
-                        help="residual tolerance (default %(default)g)")
-    common.add_argument("--digits", type=int, default=64,
-                        help="working precision in decimal digits "
-                             f"(default 64, at least {DIGITS_FLOOR})")
-
     parser = argparse.ArgumentParser(
         prog="fuscond",
         description="fusion rings, modular data, and condensable algebras")
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    p = sub.add_parser("validate", parents=[common],
-                       help="check a ring/mtc/bundle file against its axioms")
-    p.add_argument("input")
-    p.set_defaults(fn=cmd_validate)
-
-    p = sub.add_parser("analyze", parents=[common],
-                       help="run the condensation analysis on a bundle file")
-    p.add_argument("input")
-    p.set_defaults(fn=cmd_analyze)
-
-    p = sub.add_parser("galois", parents=[common],
-                       help="verify the subring correspondence")
-    p.add_argument("input")
-    p.add_argument("--dot", help="write the lattice Hasse diagram here")
-    p.set_defaults(fn=cmd_galois)
-
-    p = sub.add_parser("example", parents=[common],
-                       help="materialize a built-in bundle")
+    verbs = {}
+    for name, fn, text in (
+            ("validate", cmd_validate,
+             "check a ring/mtc/bundle file against its axioms"),
+            ("analyze", cmd_analyze,
+             "run the condensation analysis on a bundle file"),
+            ("galois", cmd_galois, "verify the subring correspondence"),
+            ("example", cmd_example, "materialize a built-in bundle"),
+            ("indicators", cmd_indicators,
+             "print the character row of one ambient sector")):
+        p = verbs[name] = sub.add_parser(name, help=text)
+        p.add_argument("--tol", type=float, default=TOL,
+                       help="residual tolerance (default %(default)g)")
+        p.add_argument("--digits", type=int, default=64,
+                       help="working precision in decimal digits "
+                            f"(default 64, at least {DIGITS_FLOOR})")
+        p.set_defaults(fn=fn)
+    for name in ("validate", "analyze", "galois", "indicators"):
+        verbs[name].add_argument("input")
+    verbs["galois"].add_argument("--dot",
+                                 help="write the lattice Hasse diagram here")
+    p = verbs["example"]
     p.add_argument("name", choices=sorted(families.FAMILIES))
     p.add_argument("--n", type=int)
     p.add_argument("--mtc", help="mtc.v1 file for coset-diagonal")
     p.add_argument("--emit", help="write the bundle.v1 file here")
-    p.set_defaults(fn=cmd_example)
-
-    p = sub.add_parser("indicators", parents=[common],
-                       help="print the character row of one ambient sector")
-    p.add_argument("input")
-    p.add_argument("--x", required=True, help="ambient label with n_x > 0")
-    p.set_defaults(fn=cmd_indicators)
+    verbs["indicators"].add_argument(
+        "--x", required=True, help="ambient label with n_x > 0")
 
     args = parser.parse_args(argv)
     if args.digits < DIGITS_FLOOR:

@@ -33,12 +33,12 @@ from .errors import (
 )
 from .modular import (ModularData, dims as modular_dims,
                       validate as validate_modular)
-from .ring import (BasedRing, DimVector, _bilinear, _dot, _right_terms,
-                   _summed, _sums, basis_indices, check_basis, fp_dims,
-                   is_closed, product_basis, validate)
-from .mantissa import (U, aligned, band_limit, cmp_tol, combine, commutators,
-                       floats, mantissas, parts, product, quotient,
-                       rounded_on_grid, stack, sups)
+from .ring import (BasedRing, DimVector, _bilinear, _dot, _summed, _sums,
+                   basis_indices, check_basis, fp_dims, is_closed,
+                   product_basis, validate)
+from .mantissa import (U, aligned, band_limit, cmp_tol, commutators, floats,
+                       mantissas, parts, quotient, rescale, rounded_on_grid,
+                       stack, sups)
 from .wedderburn import SPLIT_SEED, block_profiles, character_table
 
 MATCH_ACCEPT = 1e-6
@@ -534,12 +534,19 @@ def schur_weyl(b: CondensationBundle, tol=TOL, seed=SPLIT_SEED) -> SchurWeylRepo
 
     blocks = block_profiles(ring, seed=seed)
     # every e_b e1 against e_b and against 0, exactly over the mantissas;
-    # e1 is zero off the local part, so only the pairs (i, j) with j local
-    # add a term
+    # e1 is zero off the local part, so e_b e1 sums e1_j (e_b b_j) over the
+    # local j, and one _dot against the columns N[:, j] gives every e_b b_j
     eb = stack([bp.mantissas for bp in blocks])
-    prod = product(_right_terms(ring, b.local), eb,
-                   stack([e1m] * len(blocks)))
-    to_e, to_zero = sups(combine(prod, 1, eb, -1)), sups(prod)
+    r, nloc = ring.rank, len(b.local)
+    Y = _dot(np.vstack(parts(*eb[:2])), ring.fusion[:, b.local].reshape(
+        r, nloc * r)).reshape(-1, len(blocks), nloc, r)
+    yr, yi = Y[0], Y[1] if len(Y) > 1 else np.zeros_like(Y[0])
+    xr, xi = (np.array(x, dtype=object)[b.local, None] for x in e1m[:2])
+    prod = ((yr * xr - yi * xi).sum(axis=1), (yr * xi + yi * xr).sum(axis=1),
+            [e + e1m[2] for e in eb[2]])
+    # e1's exponent is below 0, so e_b moves onto prod's exponents exactly
+    er, ei, _ = rescale(eb, prod[2])
+    to_e, to_zero = sups((prod[0] - er, prod[1] - ei, prod[2])), sups(prod)
     in_ideal = cmp_tol(*to_e, tol) < 0
     bad = np.flatnonzero(~in_ideal & (cmp_tol(*to_zero, tol) >= 0))
     if len(bad):

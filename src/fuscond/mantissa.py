@@ -47,8 +47,7 @@ def parts(re, im) -> list:
 
 def product(terms, a, b) -> tuple:
     """The exact row-wise products of two stacks over terms, which is
-    ring._plan.product, ring._plan.square when a is b, or ring._right_terms
-    when b is zero off its pairs.  Row r is over
+    ring._plan.product, or ring._plan.square when a is b.  Row r is over
     the exponent ea[r] + eb[r].  An all-real pair of stacks takes one real
     product; otherwise Gauss's three real products give the real and
     imaginary parts."""
@@ -193,14 +192,6 @@ def rescale(a, exps) -> tuple:
     re, im, e = a
     s = [x - y for x, y in zip(e, exps)]
     return shifted(re, s), shifted(im, s), list(exps)
-
-
-def combine(a, ca: int, b, cb: int) -> tuple:
-    """ca * a + cb * b for stacks a and b, row by row and exactly, over the
-    smaller of the two row exponents."""
-    e = [min(x, y) for x, y in zip(a[2], b[2])]
-    (ar, ai, _), (br, bi, _) = rescale(a, e), rescale(b, e)
-    return ca * ar + cb * br, ca * ai + cb * bi, e
 
 
 def sups(a) -> tuple:

@@ -491,16 +491,6 @@ def _term_plan(F) -> _Plan:
                  _Commutators(sums, basis, basis_starts))
 
 
-def _right_terms(ring: BasedRing, right) -> _Terms:
-    """ring._plan.product over the pairs (i, j) with j in right only: the
-    same sums for a b with b zero off right."""
-    r, right = ring.rank, np.asarray(right, dtype=np.int64)
-    i, j, k = np.nonzero(ring.fusion[:, right])
-    j = right[j]
-    return _bilinear_terms(*_merged((k * r + i) * r + j,
-                                    ring.fusion[i, j, k]), r)
-
-
 def _summed(sums, X) -> np.ndarray:
     """The sums of the plan over the columns of X, row by row, in the
     arithmetic of X's entries."""

@@ -69,7 +69,8 @@ def _encodings(values, memo: dict) -> list:
 
 
 def _read_cyclotomic(body, where: str, memo: dict) -> Cyc:
-    if not isinstance(body, dict) or set(body) != {"order", "coeffs"}:
+    if not (isinstance(body, dict) and len(body) == 2 and "order" in body
+            and "coeffs" in body):
         raise SchemaError(f"{where}: cyclotomic needs order and coeffs")
     order, coeffs = body["order"], body["coeffs"]
     # the exact type test also rejects bool, a subclass of int
@@ -99,10 +100,9 @@ def _read_cyclotomic(body, where: str, memo: dict) -> Cyc:
 def _parse_scalar(obj, where: str, memo: dict):
     # the encoding an emitted document holds throughout comes first
     if isinstance(obj, dict):
-        keys = set(obj)
-        if keys == {"cyclotomic"}:
+        if len(obj) == 1 and "cyclotomic" in obj:
             return _read_cyclotomic(obj["cyclotomic"], where, memo)
-        if keys == {"re", "im"}:
+        if len(obj) == 2 and "re" in obj and "im" in obj:
             try:
                 z = complex(float(obj["re"]), float(obj["im"]))
             except (TypeError, ValueError):

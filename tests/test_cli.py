@@ -256,6 +256,31 @@ def test_example_unknown_name_is_usage_error():
     assert exc.value.code == 2
 
 
+# every verb declares -h, --tol and --digits first, then its own arguments
+COMMON_USAGE = "[-h] [--tol TOL] [--digits DIGITS]"
+USAGE = {
+    "validate": f"{COMMON_USAGE} input",
+    "analyze": f"{COMMON_USAGE} input",
+    "galois": f"{COMMON_USAGE} [--dot DOT] input",
+    "example": f"{COMMON_USAGE} [--n N] [--mtc MTC] [--emit EMIT] "
+               "{" + ",".join(sorted(families.FAMILIES)) + "}",
+    "indicators": f"{COMMON_USAGE} --x X input",
+}
+
+
+@pytest.mark.parametrize("verb", sorted(USAGE))
+def test_each_verb_usage_line(verb, monkeypatch, capsys):
+    # wide enough that argparse keeps the usage on one line
+    monkeypatch.setenv("COLUMNS", "200")
+    with pytest.raises(SystemExit) as exc:
+        main([verb, "-h"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[0] == f"usage: fuscond {verb} {USAGE[verb]}"
+    for option in ("--tol TOL  ", "--digits DIGITS  "):
+        assert out.count(option) == 1
+
+
 def test_example_coset_needs_and_takes_mtc(tmp_path, capsys):
     mp_ = tmp_path / "toric.json"
     serialize.write_path(families.toric_modular(), str(mp_))

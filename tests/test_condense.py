@@ -29,14 +29,16 @@ from fuscond.errors import (CapabilityError, NumericalDegeneracyError,
                              SchemaError, TheoremViolationError)
 from fuscond.modular import verlinde
 from fuscond.families import ty_ring
-from fuscond.ring import (BasedRing, DimVector, _dot, enumerate_subrings,
-                          group_ring, is_closed, product_ring)
-from fuscond.mantissa import aligned, mantissas, rounded_on_grid, stack
+from fuscond.ring import (BasedRing, DimVector, _bilinear_terms, _dot,
+                          _merged, enumerate_subrings, group_ring, is_closed,
+                          product_ring)
+from fuscond.mantissa import (aligned, cmp_tol, mantissas, product, rescale,
+                              rounded_on_grid, stack, sups)
 
 import reference as ref
 from grouptables import cyclic, symmetric
 from cached_bundles import (BUILT_INS, FAMILY_MEMBERS, FIXED_BUNDLES,
-                            SMALL_COSETS, bundle, swr)
+                            SMALL_COSETS, bundle, swr, swr_at)
 from test_modular import toric_data
 from test_reference import (FACTORS, case, check_ambient_rows,
                             check_codegrees, check_rows, codegree_row, kinds,
@@ -803,6 +805,42 @@ def test_codegree_check_equals_every_entry_in_mpmath(family, n, dps):
     c = case(family, n, dps)
     with mp.workdps(dps):
         check_codegrees(c.b, c.r, c.ref.v, c.pair)
+
+
+def local_pair_decision(r, tol=TOL) -> list:
+    """Which blocks of the report r lie in the local ideal, decided by a
+    second product: the term plan of the pairs (i, j) with j local, through
+    mantissa.product against |blocks| copies of e1, and e_b e1 - e_b over
+    the smaller of the two row exponents.  No block may be neither inside
+    nor orthogonal."""
+    ring, local = r.bundle.module_ring, np.asarray(r.bundle.local)
+    n = ring.rank
+    i, j, k = np.nonzero(ring.fusion[:, local])
+    j = local[j]
+    terms = _bilinear_terms(*_merged((k * n + i) * n + j,
+                                     ring.fusion[i, j, k]), n)
+    eb = stack([bp.mantissas for bp in r.blocks])
+    prod = product(terms, eb, stack([mantissas(r.e1)] * len(r.blocks)))
+    e = [min(x, y) for x, y in zip(prod[2], eb[2])]
+    (pr, pi, _), (br, bi, _) = rescale(prod, e), rescale(eb, e)
+    inside = cmp_tol(*sups((pr - br, pi - bi, e)), tol) < 0
+    assert (inside | (cmp_tol(*sups(prod), tol) < 0)).all()
+    return inside.tolist()
+
+
+@pytest.mark.parametrize("dps", [15, 64, 128])
+@pytest.mark.parametrize("family,n", BUILT_INS, ids=CASE_IDS)
+def test_in_ideal_equals_the_local_pair_product(family, n, dps):
+    # schur_weyl sums e1_j (e_b b_j) over the local j from one _dot; every
+    # local column counts, and vlplus-orbifold has three
+    r = swr_at(family, n, dps)
+    with mp.workdps(dps):
+        inside = local_pair_decision(r)
+    assert r.in_ideal == tuple(inside)
+    ideal = [bp for bp, f in zip(r.blocks, inside) if f]
+    assert r.ideal_blocks() == ideal
+    assert r.kernel_dim == r.bundle.module_ring.rank - sum(
+        bp.block_dim for bp in ideal)
 
 
 def test_codegree_row_divides_by_the_block_size():
