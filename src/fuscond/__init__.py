@@ -3,7 +3,7 @@ data, plus the checks built on them: Wedderburn splitting of the condensed
 ring, the multiplicity-space matching, and the subring correspondence.
 """
 from .condense import (Ambient, CondensableAlgebra, CondensationBundle,
-                       SchurWeylReport, check_bundle, codegree_check, e_sub,
+                       SchurWeylReport, check_bundle, codegree_check,
                        indicator, schur_weyl)
 from .cyclotomic import Cyc, as_mpc, exact_scalar
 from .errors import (CapabilityError, NotSemisimpleError,
@@ -28,7 +28,7 @@ __all__ = [
     "NumericalDegeneracyError", "SPLIT_SEED", "SchemaError",
     "SchurWeylReport", "TheoremViolationError", "ValidationReport",
     "as_mpc", "block_profiles", "build", "check_bundle", "codegree_check",
-    "deligne", "dumps", "e_sub", "element_product", "enumerate_subrings",
+    "deligne", "dumps", "element_product", "enumerate_subrings",
     "exact_scalar", "fp_dims", "group_quotient", "group_ring", "hasse_dot",
     "indicator", "lattice", "markdown_table", "modular_dims", "product_ring",
     "read_path", "schur_weyl", "validate_modular", "validate_ring",

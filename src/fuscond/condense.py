@@ -37,8 +37,7 @@ from .ring import (BasedRing, DimVector, _bilinear, _dot, _summed, _sums,
                    basis_indices, check_basis, fp_dims, is_closed,
                    product_basis, validate)
 from .mantissa import (U, aligned, band_limit, cmp_tol, commutators, floats,
-                       mantissas, parts, quotient, rescale, rounded_on_grid,
-                       stack, sups)
+                       mantissas, parts, quotient, rounded_on_grid, stack)
 from .wedderburn import SPLIT_SEED, block_profiles, character_table
 
 MATCH_ACCEPT = 1e-6
@@ -451,29 +450,14 @@ def _averaging(ring: BasedRing, subs, dims) -> tuple:
         if len(bad):
             value = mp.sqrt(quotient(resid[bad[0]], 2 * ex, De[bad[0]] ** 4))
             raise NumericalDegeneracyError(
-                f"e_sub for {subs[exact[bad[0]]]} failed the idempotent "
+                f"e_B for {subs[exact[bad[0]]]} failed the idempotent "
                 f"check, residual {float(value)}")
     return W, D.tolist(), e, tame
-
-
-def e_sub(b: CondensationBundle, sub) -> list:
-    """The integral idempotent of a subring: (1/dim sub) sum d_A(Y) Y.
-
-    Exact coefficients whenever dA is exact.  Verified idempotent under the
-    module ring multiplication by _averaging.
-    """
-    ring = b.module_ring
-    sub = tuple(sorted(int(i) for i in sub))
-    _averaging(ring, [sub], mantissas(b.dA.values))
-    d = b.dA.scalars()
-    inv = 1 / b.dA.total(sub)
-    return [d[y] * inv if y in sub else 0 for y in range(ring.rank)]
 
 
 @dataclass(frozen=True, eq=False)
 class SchurWeylReport:
     bundle: CondensationBundle
-    e1: tuple
     blocks: tuple
     in_ideal: tuple
     character_mantissas: tuple
@@ -518,43 +502,51 @@ def schur_weyl(b: CondensationBundle, tol=TOL, seed=SPLIT_SEED) -> SchurWeylRepo
     """Decompose K(C_A), cut out the ideal of the local vacuum idempotent,
     and verify the commutant picture: ideal dimension sum n_x^2, block size
     multiset {n_x}, and (with enough ambient data) the block-to-x matching.
-    """
+
+    The local vacuum idempotent e1 is the averaging idempotent of the local
+    part, checked central; then e_b e1 is e_b or 0 for each block, and the
+    character table tells which: chi_b(e1) is m or 0, else the block is a
+    numerical degeneracy."""
     ring = b.module_ring
     amb = b.ambient
     notes = []
 
-    e1 = e_sub(b, b.local)
-    e1m = mantissas(e1)
-    bad = np.flatnonzero(cmp_tol(commutators(ring, stack([e1m]))[0],
-                                 2 * e1m[2], tol) > 0)
+    # e1 = w 2**-f / D from the averaging check's weight row w, so
+    # [e1, b_i] = [w, b_i] 2**-f / D
+    dims = mantissas(b.dA.values)
+    W, (D,) = _averaging(ring, [b.local], dims)[:2]
+    f = dims[2]
+    bad = np.flatnonzero(cmp_tol(commutators(ring, (W, 0 * W, [f]))[0],
+                                 -2 * f, tol, D) > 0)
     if len(bad):
         raise TheoremViolationError(
             f"local vacuum idempotent does not commute with basis element "
             f"{ring.labels[bad[0]]}")
 
     blocks = block_profiles(ring, seed=seed)
-    # every e_b e1 against e_b and against 0, exactly over the mantissas;
-    # e1 is zero off the local part, so e_b e1 sums e1_j (e_b b_j) over the
-    # local j, and one _dot against the columns N[:, j] gives every e_b b_j
-    eb = stack([bp.mantissas for bp in blocks])
-    r, nloc = ring.rank, len(b.local)
-    Y = _dot(np.vstack(parts(*eb[:2])), ring.fusion[:, b.local].reshape(
-        r, nloc * r)).reshape(-1, len(blocks), nloc, r)
-    yr, yi = Y[0], Y[1] if len(Y) > 1 else np.zeros_like(Y[0])
-    xr, xi = (np.array(x, dtype=object)[b.local, None] for x in e1m[:2])
-    prod = ((yr * xr - yi * xi).sum(axis=1), (yr * xi + yi * xr).sum(axis=1),
-            [e + e1m[2] for e in eb[2]])
-    # e1's exponent is below 0, so e_b moves onto prod's exponents exactly
-    er, ei, _ = rescale(eb, prod[2])
-    to_e, to_zero = sups((prod[0] - er, prod[1] - ei, prod[2])), sups(prod)
-    in_ideal = cmp_tol(*to_e, tol) < 0
-    bad = np.flatnonzero(~in_ideal & (cmp_tol(*to_zero, tol) >= 0))
+    # irreducible character of every block at every basis element, as exact
+    # mantissas; all later trace computations are linear combinations of
+    # these
+    table = character_table(ring, blocks)
+    re, im, exp = table
+    # m chi_b(e1) = sum_y w_y (re + 1j im)[b, y] 2**g / D with g = exp - f,
+    # compared with m^2 D and with 0 exactly over the exponent s = min(g, 0)
+    loc = list(b.local)
+    g = exp - f
+    s = min(g, 0)
+    sr, si = ((x[:, loc] * W[0, loc]).sum(axis=1) << (g - s) for x in (re, im))
+    m = np.array([bp.m for bp in blocks], dtype=object)
+    den = D * m
+    in_ideal = cmp_tol((sr - (m * m * D << -s)) ** 2 + si * si, 2 * s, tol,
+                       den) <= 0
+    bad = np.flatnonzero(~in_ideal & (cmp_tol(sr * sr + si * si, 2 * s, tol,
+                                              den) > 0))
     if len(bad):
-        resid = [float(mp.sqrt(mp.mpf((w[bad[0]], wexp[bad[0]]))))
-                 for w, wexp in (to_e, to_zero)]
+        i = bad[0]
+        chi = mp.mpc(quotient(sr[i], s, den[i]), quotient(si[i], s, den[i]))
         raise NumericalDegeneracyError(
             "a block idempotent is neither inside nor orthogonal to the "
-            f"local ideal (residuals {resid[0]}, {resid[1]})")
+            f"local ideal (chi(e1) = {complex(chi)}, m = {m[i]})")
     in_ideal = in_ideal.tolist()
 
     ideal_dim = sum(bp.block_dim for bp, f in zip(blocks, in_ideal) if f)
@@ -572,18 +564,12 @@ def schur_weyl(b: CondensationBundle, tol=TOL, seed=SPLIT_SEED) -> SchurWeylRepo
     notes.append(f"kernel_dim = {kernel_dim} = rank - sum n_x^2")
     notes.append(f"block sizes {got} match multiplicities")
 
-    # irreducible character of every block at every basis element, as exact
-    # mantissas; all later trace computations are linear combinations of
-    # these
-    table = character_table(ring, blocks)
-
     matched = [None] * len(blocks)
     matching_skipped = b.induction is None or not amb.has_characters
     if matching_skipped:
         notes.append("matching skipped: needs induction plus ambient "
                      "S-matrix or fusion ring with twists")
     else:
-        re, im, exp = table
         xs = [x for x, n in enumerate(b.mult) if n > 0]
         pre, pim, pexp = amb.character_row(xs)
         # the patterns and m M chi of every ideal block, whose entry y is
@@ -631,7 +617,7 @@ def schur_weyl(b: CondensationBundle, tol=TOL, seed=SPLIT_SEED) -> SchurWeylRepo
                 "Theorem blocks must be distinct")
 
     return SchurWeylReport(
-        bundle=b, e1=tuple(e1), blocks=tuple(blocks),
+        bundle=b, blocks=tuple(blocks),
         in_ideal=tuple(in_ideal), character_mantissas=table,
         matched=tuple(matched), kernel_dim=kernel_dim,
         matching_skipped=matching_skipped, notes=tuple(notes))

@@ -194,13 +194,6 @@ def rescale(a, exps) -> tuple:
     return shifted(re, s), shifted(im, s), list(exps)
 
 
-def sups(a) -> tuple:
-    """max_i |v_i|^2 for every row v of the stack a, as the object array w
-    and the exponents wexp with max_i |v_i|^2 = w[r] * 2**wexp[r]."""
-    re, im, exps = a
-    return (re * re + im * im).max(axis=1), [2 * x for x in exps]
-
-
 @lru_cache
 def tol_parts(tol, prec: int) -> tuple:
     """The mantissa and exponent of mpf(tol) at precision prec."""

@@ -18,7 +18,6 @@ from fuscond.condense import (
     block_dims,
     check_bundle,
     codegree_check,
-    e_sub,
     indicator,
     schur_weyl,
 )
@@ -33,7 +32,7 @@ from fuscond.ring import (BasedRing, DimVector, _bilinear_terms, _dot,
                           _merged, enumerate_subrings, group_ring, is_closed,
                           product_ring)
 from fuscond.mantissa import (aligned, cmp_tol, mantissas, product, rescale,
-                              rounded_on_grid, stack, sups)
+                              rounded_on_grid, stack)
 
 import reference as ref
 from grouptables import cyclic, symmetric
@@ -43,7 +42,7 @@ from test_modular import toric_data
 from test_reference import (FACTORS, case, check_ambient_rows,
                             check_codegrees, check_rows, codegree_row, kinds,
                             mutations, pulled_apart, zero_induction_row)
-from test_wedderburn import block_trace, left_trace, mpc_product
+from test_wedderburn import block_trace, left_trace, mpc_product, sups
 
 
 def toric_bundle(mult=(1, 1, 0, 0), ambient=None):
@@ -215,16 +214,29 @@ def test_trivial_algebra_bundle():
     assert [round(v, 9) for _, v in cg.entries] == [4.0]
 
 
+def check_averaging(b, sub) -> tuple:
+    """condense._averaging on the one subring sub, with b's module dims."""
+    return _averaging(b.module_ring, [sub], mantissas(b.dA.values))
+
+
+def exact_idempotent(b, sub) -> list:
+    """e_B = sum_{y in B} d_y y / sum_{y in B} d_y^2 with exact Cyc
+    coefficients, once check_averaging has passed B."""
+    check_averaging(b, sub)
+    d, inv = b.dA.scalars(), 1 / b.dA.total(sub)
+    return [d[y] * inv if y in sub else 0 for y in range(b.module_ring.rank)]
+
+
 def test_ty_e_sub():
     b = ty_bundle()
-    e1 = e_sub(b, (0, 1, 2))
+    e1 = exact_idempotent(b, (0, 1, 2))
     third = Cyc.rational(1) / 3
     assert e1[0] == third and e1[1] == third and e1[2] == third
     assert e1[3] == 0 or (isinstance(e1[3], Cyc) and e1[3].is_zero())
-    unit = e_sub(b, (0,))
+    unit = exact_idempotent(b, (0,))
     assert unit[0] == 1 and all(
         c == 0 or (isinstance(c, Cyc) and c.is_zero()) for c in unit[1:])
-    whole = e_sub(b, (0, 1, 2, 3))
+    whole = exact_idempotent(b, (0, 1, 2, 3))
     assert whole[0] == Cyc.rational(1) / 6
 
 
@@ -250,7 +262,7 @@ def test_check_averaging_refuses_a_sub_that_is_not_closed(monkeypatch, sub):
     dA = list(b.dA.values)
     dA[sub[-1]] = 0
     with pytest.raises(SchemaError, match="is not a subring"):
-        e_sub(dataclasses.replace(b, dA=dA), sub)
+        check_averaging(dataclasses.replace(b, dA=dA), sub)
     assert calls == [sub]
 
 
@@ -301,13 +313,13 @@ def test_check_averaging_with_a_non_positive_dim_passes_a_closed_sub(
     dA[1] = 0
     # closed, so only the idempotent check can fail
     with pytest.raises(NumericalDegeneracyError, match="idempotent check"):
-        e_sub(dataclasses.replace(b, dA=dA), (0, 1, 2))
+        check_averaging(dataclasses.replace(b, dA=dA), (0, 1, 2))
     assert calls == [(0, 1, 2)]
 
 
 def test_e_sub_refuses_an_index_outside_the_basis():
     with pytest.raises(SchemaError, match="index 4 is not a basis index"):
-        e_sub(ty_bundle(), (0, 4))
+        check_averaging(ty_bundle(), (0, 4))
 
 
 def test_verdict_path_builds_no_closure_table():
@@ -323,7 +335,7 @@ def test_verdict_path_builds_no_closure_table():
 def test_e_sub_refuses_a_repeated_index():
     # a repeated index would count its weight twice in sum w_y^2
     with pytest.raises(SchemaError, match=r"\(0, 0\) repeats a basis index"):
-        e_sub(toric_bundle(), (0, 0))
+        check_averaging(toric_bundle(), (0, 0))
 
 
 def test_ty_schur_weyl():
@@ -352,7 +364,7 @@ def test_indicator_trace_sum_identity():
     for bundle in (toric_bundle(), ty_bundle(), trivial_toric_bundle()):
         swr = schur_weyl(bundle)
         ring = bundle.module_ring
-        e1 = [as_mpc(c) for c in swr.e1]
+        e1 = [as_mpc(c) for c in exact_idempotent(bundle, bundle.local)]
         for i in range(ring.rank):
             a = [0] * ring.rank
             a[i] = 1
@@ -810,9 +822,9 @@ def test_codegree_check_equals_every_entry_in_mpmath(family, n, dps):
 def local_pair_decision(r, tol=TOL) -> list:
     """Which blocks of the report r lie in the local ideal, decided by a
     second product: the term plan of the pairs (i, j) with j local, through
-    mantissa.product against |blocks| copies of e1, and e_b e1 - e_b over
-    the smaller of the two row exponents.  No block may be neither inside
-    nor orthogonal."""
+    mantissa.product against |blocks| copies of the exact e1, and
+    e_b e1 - e_b over the smaller of the two row exponents.  No block may
+    be neither inside nor orthogonal."""
     ring, local = r.bundle.module_ring, np.asarray(r.bundle.local)
     n = ring.rank
     i, j, k = np.nonzero(ring.fusion[:, local])
@@ -820,7 +832,8 @@ def local_pair_decision(r, tol=TOL) -> list:
     terms = _bilinear_terms(*_merged((k * n + i) * n + j,
                                      ring.fusion[i, j, k]), n)
     eb = stack([bp.mantissas for bp in r.blocks])
-    prod = product(terms, eb, stack([mantissas(r.e1)] * len(r.blocks)))
+    e1 = mantissas(exact_idempotent(r.bundle, r.bundle.local))
+    prod = product(terms, eb, stack([e1] * len(r.blocks)))
     e = [min(x, y) for x, y in zip(prod[2], eb[2])]
     (pr, pi, _), (br, bi, _) = rescale(prod, e), rescale(eb, e)
     inside = cmp_tol(*sups((pr - br, pi - bi, e)), tol) < 0
@@ -831,8 +844,8 @@ def local_pair_decision(r, tol=TOL) -> list:
 @pytest.mark.parametrize("dps", [15, 64, 128])
 @pytest.mark.parametrize("family,n", BUILT_INS, ids=CASE_IDS)
 def test_in_ideal_equals_the_local_pair_product(family, n, dps):
-    # schur_weyl sums e1_j (e_b b_j) over the local j from one _dot; every
-    # local column counts, and vlplus-orbifold has three
+    # schur_weyl reads chi_b(e1) off the character table, summing the
+    # weight of every local label; vlplus-orbifold has three
     r = swr_at(family, n, dps)
     with mp.workdps(dps):
         inside = local_pair_decision(r)
@@ -841,6 +854,45 @@ def test_in_ideal_equals_the_local_pair_product(family, n, dps):
     assert r.ideal_blocks() == ideal
     assert r.kernel_dim == r.bundle.module_ring.rank - sum(
         bp.block_dim for bp in ideal)
+
+
+def _halve_an_ideal_row(monkeypatch):
+    """condense.character_table with the row of toric-code's first ideal
+    block halved exactly, so that its chi(e1) is m / 2."""
+    bi = swr("toric-code").in_ideal.index(True)
+    table = condense_module.character_table
+
+    def halved(ring, blocks):
+        re, im, exp = table(ring, blocks)
+        keep = np.arange(len(re)) != bi
+        re, im = re.copy(), im.copy()
+        re[keep], im[keep] = re[keep] << 1, im[keep] << 1
+        return re, im, exp - 1
+    monkeypatch.setattr(condense_module, "character_table", halved)
+
+
+NEITHER = ("a block idempotent is neither inside nor orthogonal to the "
+           "local ideal")
+
+
+def test_a_block_neither_inside_nor_orthogonal_is_a_degeneracy(monkeypatch):
+    _halve_an_ideal_row(monkeypatch)
+    with pytest.raises(NumericalDegeneracyError,
+                       match=re.escape(f"{NEITHER} (chi(e1) = (0.5+0j), "
+                                       "m = 1)")):
+        schur_weyl(bundle("toric-code"))
+
+
+def test_analyze_exits_3_on_a_block_neither_inside_nor_orthogonal(
+        monkeypatch, tmp_path, capsys):
+    path = str(tmp_path / "toric.json")
+    serialize.write_path(bundle("toric-code"), path)
+    _halve_an_ideal_row(monkeypatch)
+    capsys.readouterr()
+    assert main(["analyze", path]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"numerical degeneracy: {NEITHER}")
+    assert "Traceback" not in err
 
 
 def test_codegree_row_divides_by_the_block_size():

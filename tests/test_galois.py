@@ -14,7 +14,7 @@ import pytest
 
 import reference as ref
 from fuscond import condense, galois, mantissa
-from fuscond.condense import _averaging, e_sub
+from fuscond.condense import _averaging
 from fuscond.cyclotomic import ROUND_TOL, TOL, as_mpc
 from fuscond.errors import (NumericalDegeneracyError, SchemaError,
                             TheoremViolationError)
@@ -32,6 +32,7 @@ from fuscond.ring import BasedRing, element_product
 from fuscond.mantissa import U, mantissas
 
 from cached_bundles import BUILT_INS, FIXED_BUNDLES, bundle, swr, swr_at
+from test_condense import check_averaging, exact_idempotent
 from test_reference import (case, check_lattice, check_quotient, ideal_order,
                             kinds)
 
@@ -184,9 +185,9 @@ def test_order_reversal_strict_on_comparable_pairs():
 def test_averaging_idempotents_absorb(family, n):
     # e_B e_loc = e_B whenever B contains the local part
     b = bundle(family, n)
-    e_loc = e_sub(b, tuple(sorted(b.local)))
+    e_loc = exact_idempotent(b, b.local)
     for sub in lattice(b):
-        eb = e_sub(b, sub)
+        eb = exact_idempotent(b, sub)
         prod = element_product(b.module_ring, list(eb), list(e_loc))
         for got, want in zip(prod, eb):
             assert abs(complex(as_mpc(got) - as_mpc(want))) < 1e-12
@@ -375,7 +376,7 @@ def test_perturbed_dims_fail_the_idempotent_check():
         invariants_of(dataclasses.replace(r, bundle=b), [full])
     with pytest.raises(NumericalDegeneracyError,
                        match="failed the idempotent check"):
-        e_sub(b, full)
+        check_averaging(b, full)
 
 
 def _scaled_block(r, bi, factor):
@@ -669,7 +670,7 @@ def test_a_residual_inside_the_band_is_decided_exactly(monkeypatch, offset,
     calls = _exact_calls(monkeypatch)
     if offset > 0:
         with pytest.raises(NumericalDegeneracyError,
-                           match=r"e_sub for \(0,\) failed the idempotent"):
+                           match=r"e_B for \(0,\) failed the idempotent"):
             _averaging(ring, [(0,)], dims)
     else:
         _averaging(ring, [(0,)], dims)

@@ -124,3 +124,20 @@ def test_no_test_is_named_after_deleted_code(path):
                 and node.name.startswith("test_")
                 and node.name not in KEPT_NAMES
                 and any(part in node.name for part in DELETED_CODE_NAMES)]
+
+
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_every_imported_name_is_used(path):
+    # __init__.py only re-exports; in any other module a name that is
+    # imported and never read is deleted
+    tree = _tree(path)
+    imported = {(a.asname or a.name).split(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for a in node.names}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert not sorted(imported - read)

@@ -22,7 +22,7 @@ from fuscond.ring import (BasedRing, _bilinear, element_product,
                           enumerate_subrings, fp_dims, group_ring,
                           product_ring)
 from fuscond.mantissa import (cmp_tol, float_stack, mantissas, product,
-                              rescale, rounded_on_grid, stack, sups)
+                              rescale, rounded_on_grid, stack)
 from fuscond.wedderburn import (SPLIT_SEED, _certified, _float_split, _split,
                                 block_profiles, center_basis,
                                 character_table)
@@ -585,6 +585,13 @@ def _seed_float_mantissas(v) -> tuple:
         s = -exp - (den.bit_length() - 1)
         return num << s if s >= 0 else (num + (1 << (-s - 1))) >> -s
     return [scaled(x) for x, _ in parts], [scaled(y) for _, y in parts], exp
+
+
+def sups(a) -> tuple:
+    """max_i |v_i|^2 for every row v of the stack a, as the object array w
+    and the exponents wexp with max_i |v_i|^2 = w[r] * 2**wexp[r]."""
+    re, im, exps = a
+    return (re * re + im * im).max(axis=1), [2 * x for x in exps]
 
 
 def _seed_rescale(a, exps) -> tuple:
