@@ -473,29 +473,24 @@ class SchurWeylReport:
         return [(i, x) for i, x in enumerate(self.matched) if x is not None]
 
     @cached_property
-    def characters(self) -> tuple:
-        """The character table as mpmath numbers at the working precision
-        of the first read: chi_b(z) = mpc(re 2**exp, im 2**exp) / m."""
+    def characters(self) -> np.ndarray:
+        """The character table as a read-only complex128 array, blocks by
+        rank: chi_b(z) = (re + 1j im)[b, z] 2**exp / m_b, each part one
+        correctly rounded integer division (mantissa.floats)."""
         re, im, exp = self.character_mantissas
-        return tuple(
-            tuple(mp.mpc(mp.mpf((r, exp)), mp.mpf((i, exp))) / bp.m
-                  for r, i in zip(rr, ii))
-            for rr, ii, bp in zip(re, im, self.blocks))
+        m = np.array([[bp.m] for bp in self.blocks], dtype=object)
+        chi = floats(re, exp, m) + 1j * floats(im, exp, m)
+        chi.flags.writeable = False
+        return chi
 
-    def block_value(self, bi: int, a) -> mp.mpc:
+    def block_value(self, bi: int, a) -> complex:
         """Irreducible character of block bi at the element a, computed
-        from the per-basis character table by linearity."""
+        from the per-basis character table by linearity in float64."""
         rank = self.bundle.module_ring.rank
         if len(a) != rank:
             raise SchemaError(f"the element has {len(a)} coefficients, but "
                               f"the module ring has rank {rank}")
-        row = self.characters[bi]
-        tot = mp.mpc(0)
-        for z, c in enumerate(a):
-            if isinstance(c, (int, float)) and c == 0:
-                continue
-            tot += (c if isinstance(c, mp.mpc) else as_mpc(c)) * row[z]
-        return tot
+        return complex(self.characters[bi] @ [complex(c) for c in a])
 
 
 def schur_weyl(b: CondensationBundle, tol=TOL, seed=SPLIT_SEED) -> SchurWeylReport:
@@ -637,12 +632,17 @@ def indicator_refusal(b: CondensationBundle, xi: int):
     return None
 
 
-def indicator(swr: SchurWeylReport, x, a):
+def indicator(swr: SchurWeylReport, x, a) -> complex:
     """Character of the multiplicity space W_x at the element a of K(C_A):
-    the normalized trace of a in the block matched to x.  At the unit this
-    is n_x; on local elements it is n_x d_A; on an induction column alpha(y)
-    it reproduces n_x S(x*, y)/d(x)."""
-    xi = swr.bundle.ambient.index(x) if isinstance(x, str) else int(x)
+    the normalized trace of a in the block matched to x, as a complex
+    (block_value).  At the unit this is n_x; on local elements it is
+    n_x d_A; on an induction column alpha(y) it reproduces
+    n_x S(x*, y)/d(x).  x is an ambient label or an index in [0, rank)."""
+    amb = swr.bundle.ambient
+    xi = amb.index(x) if isinstance(x, str) else int(x)
+    if not 0 <= xi < amb.rank:
+        raise SchemaError(f"no ambient index {xi}; the ambient has rank "
+                          f"{amb.rank}")
     refusal = indicator_refusal(swr.bundle, xi)
     if refusal is not None:
         raise refusal

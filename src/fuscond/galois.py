@@ -19,10 +19,10 @@ import numpy as np
 
 from .condense import (CondensationBundle, SchurWeylReport, _averaging,
                        block_dims)
-from .cyclotomic import FLOAT_PREC, ROUND_TOL, TOL, as_float
+from .cyclotomic import FLOAT_PREC, TOL, as_float
 from .errors import (NumericalDegeneracyError, SchemaError,
                      TheoremViolationError)
-from .mantissa import U, floats, mantissas, nearest, round_quotient
+from .mantissa import U, mantissas, nearest, round_quotient
 from .ring import enumerate_subrings
 
 
@@ -33,48 +33,23 @@ def lattice(b: CondensationBundle) -> list:
     return enumerate_subrings(b.module_ring, must_contain=b.local)
 
 
-def _ideal_characters(swr: SchurWeylReport) -> tuple:
-    """(ideal, chi): the ideal blocks in order, and their characters
-    chi_b(y) = (re + 1j im)_b[y] 2**exp / m_b from the table's mantissas
-    as a complex128 array, each part one correctly rounded integer
-    division (mantissa.floats)."""
-    re, im, exp = swr.character_mantissas
-    ideal = np.flatnonzero(swr.in_ideal).tolist()
-    m = np.array([[swr.blocks[bi].m] for bi in ideal], dtype=object)
-    return ideal, floats(re[ideal], exp, m) + 1j * floats(im[ideal], exp, m)
-
-
-def _trivial_block(swr: SchurWeylReport, table) -> int:
-    """The ideal block whose character is the dimension function itself:
-    the block of the invariant subalgebra of the full module ring.  table
-    is _ideal_characters(swr)."""
-    b = swr.bundle
-    ideal, chi = table
-    gap = np.abs(chi - b.dA.as_floats()).sum(axis=1)
-    if not len(gap) or gap.min() > ROUND_TOL * b.module_ring.rank:
-        raise TheoremViolationError(
-            "no block carries the dimension character; the ideal cut by the "
-            "algebra idempotent must contain the trivial block")
-    return ideal[int(np.argmin(gap))]
-
-
-def _invariants(swr: SchurWeylReport, subs, dims, table=None):
-    """(n', ambient vector) of A^B for each sorted sub B of subs in turn,
-    once _averaging has passed them all.  n'_b = chi_b(e_B) on each
+def _invariants(swr: SchurWeylReport, subs, dims) -> list:
+    """The list of (n', ambient vector) of A^B for each sorted sub B of
+    subs, once _averaging has passed them all.  n'_b = chi_b(e_B) on each
     ideal block b: with d_y = w_y 2**f (dims = mantissas(b.dA.values)) and
     m chi_b(y) = (re + 1j im)_b[y] 2**exp from the character table,
     n'_b = sum_{y in B} w_y (re + 1j im)_b[y] 2**(exp - f)
-    / (m sum_{y in B} w_y^2).  table is _ideal_characters(swr), built
-    here when not given.
+    / (m sum_{y in B} w_y^2).
 
     A float64 filter reads n' first, as X = e chi^T with the rows e of
-    _averaging and chi of table: one dot product of length r (the rank)
-    per part.  On a tame row e_y is off by g_{r+4} relative (see
-    _averaging), each part of chi by u, and the products and sums add
-    g_r, so each part of X is within g_{2r+5} sum_y e_y |chi_b(y)| of the
-    exact n' that the exact test reads, at most (3r + 6) u times that sum
-    in float64.  Table entries below float64's normal range add at most
-    r 2**-974, since e_y <= 2**100 on a tame row.  The filter takes
+    _averaging and chi the ideal rows of swr.characters: one dot product
+    of length r (the rank) per part.  On a tame row e_y is off by g_{r+4}
+    relative (see _averaging), each part of chi by u, and the products
+    and sums add g_r, so each part of X is within g_{2r+5}
+    sum_y e_y |chi_b(y)| of the exact n' that the exact test reads, at
+    most (3r + 6) u times that sum in float64.  Table entries below
+    float64's normal range add at most r 2**-974, since e_y <= 2**100 on
+    a tame row.  The filter takes
     E = (4r + 12) u sum_y e_y |chi_b(y)| + r 2**-960 for each part, and
     nearest passes an entry when every value within E of it is within
     ROUND_TOL of one integer.  A row with any entry not passed, or that is
@@ -85,14 +60,15 @@ def _invariants(swr: SchurWeylReport, subs, dims, table=None):
     Each n'_b must round to an integer in [0, m]: a fuzzy value is a
     numerical failure, an out-of-range one contradicts the correspondence.
     When every ideal block is matched, n' is also an ambient multiplicity
-    vector, which must be self-dual; else the vector is None.  A failing
-    sub raises when its turn comes: the first of its blocks that is fuzzy
-    or out of range, else its self-duality."""
+    vector, which must be self-dual; else the vector is None.  The first
+    failing sub raises: the first of its blocks that is fuzzy or out of
+    range, else its self-duality."""
     b = swr.bundle
     r = b.module_ring.rank
     W, D, e, tame = _averaging(b.module_ring, subs, dims)
-    ideal, chi = _ideal_characters(swr) if table is None else table
+    ideal = np.flatnonzero(swr.in_ideal).tolist()
     k = len(ideal)
+    chi = swr.characters[ideal]
     C = np.vstack([chi.real, chi.imag])
     with np.errstate(all="ignore"):
         X = e @ C.T
@@ -116,6 +92,7 @@ def _invariants(swr: SchurWeylReport, subs, dims, table=None):
         V = np.zeros((len(subs), b.ambient.rank), dtype=object)
         V[:, matched] = N
         skew = V != V[:, list(b.ambient.dual)]
+    out = []
     for i, sub in enumerate(subs):
         if bad[i].any():
             c = int(np.argmax(bad[i]))
@@ -138,7 +115,8 @@ def _invariants(swr: SchurWeylReport, subs, dims, table=None):
                     f"{v[x]} at {labels[x]} vs {v[dual[x]]} at "
                     f"{labels[dual[x]]}")
             vec = tuple(V[i].tolist())
-        yield tuple(N[i].tolist()), vec
+        out.append((tuple(N[i].tolist()), vec))
+    return out
 
 
 @dataclass(frozen=True)
@@ -212,9 +190,10 @@ def verify_correspondence(b: CondensationBundle, tol: float = TOL, *,
     """Run the correspondence checks over the whole subring lattice.
 
     Fails are collected in the report rather than raised, except for the
-    hard ones: a non-positive invariant dimension and the errors the
-    reading of each subring's block multiplicities (_invariants) raises.
-    A report of another bundle than b is refused with SchemaError.
+    hard ones, in this order: the errors the reading of the lattice's
+    block multiplicities (_invariants) raises, a full module ring with
+    n' = 1 on no block, and a non-positive invariant dimension.  A report
+    of another bundle than b is refused with SchemaError.
 
     The dimension formula runs in float64.  dim(C), d(A), dim(B) and each
     block dimension are read by as_float, so on exact data every printed
@@ -230,17 +209,29 @@ def verify_correspondence(b: CondensationBundle, tol: float = TOL, *,
 
     The averaging check and n' of every subring are decided in float64
     behind the proven error bands of _averaging and _invariants; a row
-    inside a band goes through the exact mantissa tests unchanged.  One
-    float64 character table serves _trivial_block and n'.  dim(B) is
-    summed exactly once per DimVector.total_key.
+    inside a band goes through the exact mantissa tests unchanged.  n' is
+    read for the whole lattice first.  The trivial block is the ideal
+    block where the full module ring, the last subring, has n' = 1: its
+    e_B = sum_y d_y y / dim(B) satisfies y e_B = d_y e_B, so it is the
+    idempotent of the block whose character is the dimension function,
+    and n' is 1 there and 0 on every other block.  dim(B) is summed
+    exactly once per DimVector.total_key.
     """
     if swr.bundle is not b:
         raise SchemaError("the Schur-Weyl report was built from another "
                           "bundle than the one given")
     subs = lattice(b)
     problems = []
-    table = _ideal_characters(swr)
-    trivial = _trivial_block(swr, table)
+    dims = mantissas(b.dA.values)
+    invariants = _invariants(swr, subs, dims)
+    ideal_idx = tuple(bi for bi, f in enumerate(swr.in_ideal) if f)
+    full_n = invariants[-1][0]
+    if 1 not in full_n:
+        raise TheoremViolationError(
+            "no block carries the dimension character; the ideal cut by the "
+            "algebra idempotent must contain the trivial block")
+    triv_pos = full_n.index(1)
+    trivial = ideal_idx[triv_pos]
     if swr.matched[trivial] is not None and swr.matched[trivial] != 0:
         problems.append(
             "trivial block is matched to "
@@ -253,15 +244,11 @@ def verify_correspondence(b: CondensationBundle, tol: float = TOL, *,
         d_alg = as_float(b.algebra.dim())
         bdims = {bi: None if d is None else float(d)
                  for bi, d in block_dims(swr, tol).items()}
-    ideal_idx = tuple(bi for bi, f in enumerate(swr.in_ideal) if f)
-    triv_pos = ideal_idx.index(trivial)
     bound = max(tol, (len(ideal_idx) + 8) * np.finfo(float).eps)
 
-    dims = mantissas(b.dA.values)
     entries = []
     dim_subs = {}
-    for sub, (n_prime, vec) in zip(subs, _invariants(swr, subs, dims,
-                                                      table)):
+    for sub, (n_prime, vec) in zip(subs, invariants):
         if n_prime[triv_pos] != 1:
             problems.append(
                 f"subring {sub}: trivial-block multiplicity is "

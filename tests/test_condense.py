@@ -177,6 +177,21 @@ def test_indicator_refuses_an_element_of_the_wrong_length(a):
         indicator(swr, 0, a)
 
 
+@pytest.mark.parametrize("x", [99, -1, 4])
+def test_indicator_refuses_an_ambient_index_out_of_range(x):
+    r = swr("toric-code")
+    with pytest.raises(SchemaError,
+                       match=f"no ambient index {x}; the ambient has rank 4"):
+        indicator(r, x, [1, 0])
+
+
+def test_indicator_reads_an_ambient_index_in_range():
+    r = swr("toric-code")
+    value = indicator(r, 1, [0, 1])
+    assert type(value) is complex
+    assert value == indicator(r, "e", [0, 1]) == -1
+
+
 @pytest.mark.parametrize("a", [[1], [1, 0, 0, 0, 0, 0]], ids=["short", "long"])
 def test_block_value_refuses_an_element_of_the_wrong_length(a):
     swr = schur_weyl(toric_bundle())

@@ -37,6 +37,12 @@ from test_reference import (case, check_lattice, check_quotient, ideal_order,
                             kinds)
 
 
+# every built-in family member
+FILTER_MEMBERS = ([(f, n) for f in ("a2n", "a2nplus1") for n in range(1, 13)]
+                  + [("coset-su2", k) for k in range(1, 11)] + FIXED_BUNDLES)
+FILTER_IDS = [f"{f}-{n}" for f, n in FILTER_MEMBERS]
+
+
 def named_vector(b, entry):
     assert entry.ambient_vector is not None
     return {b.ambient.labels[x]: n
@@ -209,6 +215,47 @@ def test_trivial_block_has_multiplicity_one_everywhere():
     pos = ideal_idx.index(rep.trivial_block)
     for e in rep.entries:
         assert e.n_prime[pos] == 1
+
+
+@pytest.mark.parametrize("family,n", FILTER_MEMBERS, ids=FILTER_IDS)
+def test_the_trivial_block_is_the_one_block_of_the_dimension_character(
+        family, n):
+    # an independent reading of the trivial block: the one ideal block of
+    # size 1 whose character is within ROUND_TOL rank of d_A in L1
+    b, r = bundle(family, n), swr(family, n)
+    gap = np.abs(r.characters - b.dA.as_floats()).sum(axis=1)
+    hits = [bi for bi, bp in enumerate(r.blocks) if r.in_ideal[bi]
+            and bp.m == 1 and gap[bi] <= ROUND_TOL * b.module_ring.rank]
+    assert hits == [verify_correspondence(b, swr=r).trivial_block]
+
+
+@pytest.mark.parametrize("family,n", [("toric-code", None), ("a2n", 1),
+                                      ("ising-square", None)])
+def test_an_ideal_without_the_trivial_block_is_refused(family, n):
+    b, r = bundle(family, n), swr(family, n)
+    in_ideal = list(r.in_ideal)
+    in_ideal[verify_correspondence(b, swr=r).trivial_block] = False
+    cut = dataclasses.replace(r, in_ideal=tuple(in_ideal))
+    with pytest.raises(TheoremViolationError,
+                       match="no block carries the dimension character"):
+        verify_correspondence(b, swr=cut)
+
+
+@pytest.mark.parametrize("dps", [15, 64, 128])
+@pytest.mark.parametrize("family,n", FILTER_MEMBERS, ids=FILTER_IDS)
+def test_the_character_table_is_a_read_only_float_view(family, n, dps):
+    # each part within 2 ulp of the table's mantissas read in mpmath at
+    # the report's precision
+    r = swr_at(family, n, dps)
+    chi = r.characters
+    assert chi.dtype == np.complex128 and not chi.flags.writeable
+    re, im, exp = r.character_mantissas
+    with mp.workdps(dps):
+        want = np.array([[complex(mp.mpc(mp.mpf((x, exp)), mp.mpf((y, exp)))
+                                  / bp.m) for x, y in zip(xs, ys)]
+                         for xs, ys, bp in zip(re, im, r.blocks)])
+    for got, exact in ((chi.real, want.real), (chi.imag, want.imag)):
+        assert (np.abs(got - exact) <= 2 * np.spacing(np.abs(exact))).all()
 
 
 @pytest.mark.parametrize("given,built", [(("a2n", 1), ("toric-code",)),
@@ -579,13 +626,8 @@ def _no_filter(monkeypatch):
     monkeypatch.setattr(mantissa, "band_limit", lambda tol: float("nan"))
 
 
-FILTER_MEMBERS = ([(f, n) for f in ("a2n", "a2nplus1") for n in range(1, 13)]
-                  + [("coset-su2", k) for k in range(1, 11)] + FIXED_BUNDLES)
-
-
 @pytest.mark.parametrize("dps", [15, 64, 128])
-@pytest.mark.parametrize("family,n", FILTER_MEMBERS,
-                         ids=[f"{f}-{n}" for f, n in FILTER_MEMBERS])
+@pytest.mark.parametrize("family,n", FILTER_MEMBERS, ids=FILTER_IDS)
 def test_the_filter_decides_every_lattice_entry_as_the_exact_test(
         monkeypatch, family, n, dps):
     b, r = bundle(family, n), swr_at(family, n, dps)

@@ -7,10 +7,11 @@ of an induction row moved between two non-unit columns of equal d_A, one
 non-unit label of the local part toggled, and two unequal d_A entries
 swapped.  At most PER_CLASS mutants per bundle and class are drawn with
 random.Random(1) from every change of the class that differs in value
-from the original, and each mutant goes through validate, analyze and
-galois in process.  The pinned table records, per bundle and class, the
-number of mutants and how often each verb exits with each code; an exit
-outside 0-3 or a traceback fails the sweep.
+from the original, and each mutant goes through validate, analyze,
+galois and indicators at the ambient unit in process.  The pinned tables
+record, per bundle and class, the number of mutants and how often each
+verb exits with each code; an exit outside 0-3 or a traceback fails the
+sweep.
 """
 import contextlib
 import copy
@@ -22,7 +23,7 @@ from collections import Counter
 from fractions import Fraction
 
 from fuscond.cli import main
-from fuscond.serialize import _parse_scalar
+from fuscond.serialize import _parse_scalar, read_path
 
 BUNDLES = {
     "toric-code": ["toric-code"],
@@ -33,7 +34,7 @@ BUNDLES = {
     "a2nplus1-1": ["a2nplus1", "--n", "1"],
 }
 CLASSES = ("twist", "s-sign", "mult", "induction", "local", "dA")
-VERBS = ("validate", "analyze", "galois")
+VERBS = ("validate", "analyze", "galois", "indicators")
 PER_CLASS = 5
 # the new twists: the primitive roots of unity of these orders, each value
 # once
@@ -76,6 +77,42 @@ PINNED = {
     ("a2nplus1-1", "mult"): (5, {1: 5}, {1: 5}, {1: 5}),
     ("a2nplus1-1", "local"): (5, {1: 5}, {1: 5}, {1: 5}),
     ("a2nplus1-1", "dA"): (5, {1: 5}, {1: 5}, {1: 5}),
+}
+
+# (bundle, class): exit counts of indicators at the ambient unit.  It
+# exits 1 wherever analyze does and 0 elsewhere, but on a2nplus1 1, whose
+# table ambient matches no block: there every mutant that passes the
+# check is refused with exit 2.
+INDICATORS = {
+    ("toric-code", "twist"): {0: 4, 1: 1},
+    ("toric-code", "s-sign"): {1: 5},
+    ("toric-code", "mult"): {1: 5},
+    ("toric-code", "local"): {1: 1},
+    ("ising-square", "twist"): {0: 4, 1: 1},
+    ("ising-square", "s-sign"): {1: 5},
+    ("ising-square", "mult"): {1: 5},
+    ("ising-square", "local"): {1: 2},
+    ("ising-square", "dA"): {1: 2},
+    ("vlplus-orbifold", "twist"): {0: 1, 1: 4},
+    ("vlplus-orbifold", "mult"): {1: 5},
+    ("vlplus-orbifold", "induction"): {0: 2},
+    ("vlplus-orbifold", "local"): {1: 3},
+    ("vlplus-orbifold", "dA"): {1: 3},
+    ("a2n-1", "twist"): {1: 5},
+    ("a2n-1", "mult"): {1: 5},
+    ("a2n-1", "induction"): {0: 3, 1: 2},
+    ("a2n-1", "local"): {1: 5},
+    ("a2n-1", "dA"): {1: 5},
+    ("coset-su2-3", "twist"): {0: 3, 1: 2},
+    ("coset-su2-3", "s-sign"): {1: 5},
+    ("coset-su2-3", "mult"): {1: 5},
+    ("coset-su2-3", "induction"): {1: 5},
+    ("coset-su2-3", "local"): {1: 3},
+    ("coset-su2-3", "dA"): {1: 4},
+    ("a2nplus1-1", "twist"): {1: 2, 2: 3},
+    ("a2nplus1-1", "mult"): {1: 5},
+    ("a2nplus1-1", "local"): {1: 5},
+    ("a2nplus1-1", "dA"): {1: 5},
 }
 
 
@@ -175,6 +212,8 @@ def sweep(tmp_path) -> dict:
         assert run(["example", *spec, "--emit", path])[0] == 0
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
+        # no class edits the ambient labels, so each mutant keeps this unit
+        extra = {"indicators": ["--x", read_path(path).ambient.labels[0]]}
         for cls in CLASSES:
             found = list(changes(doc, cls))
             picked = rng.sample(found, min(PER_CLASS, len(found)))
@@ -186,7 +225,7 @@ def sweep(tmp_path) -> dict:
                 with open(target, "w", encoding="utf-8") as fh:
                     json.dump(mutant(doc, edits), fh)
                 for verb in VERBS:
-                    code, err = run([verb, target])
+                    code, err = run([verb, target, *extra.get(verb, [])])
                     assert code in (0, 1, 2, 3), (name, cls, edits, verb)
                     assert "Traceback" not in err, (name, cls, edits, verb)
                     exits[verb][code] += 1
@@ -196,4 +235,6 @@ def sweep(tmp_path) -> dict:
 
 
 def test_mutation_sweep_exit_codes(tmp_path):
-    assert sweep(tmp_path) == PINNED
+    table = sweep(tmp_path)
+    assert {key: row[:4] for key, row in table.items()} == PINNED
+    assert {key: row[4] for key, row in table.items()} == INDICATORS
