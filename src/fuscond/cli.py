@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import math
 import os
 import sys
@@ -211,7 +212,10 @@ def _run(args) -> int:
                 raise SchemaError(
                     f"--tol must be at least {tol_floor():g} at --digits "
                     f"{args.digits}, got {args.tol}")
-            return args.fn(args)
+            # looked up per call, so a wrapped or patched command runs
+            return {"validate": cmd_validate, "analyze": cmd_analyze,
+                    "galois": cmd_galois, "example": cmd_example,
+                    "indicators": cmd_indicators}[args.verb](args)
     except BaseException:
         if args.created is not None:
             with contextlib.suppress(OSError):
@@ -219,28 +223,27 @@ def _run(args) -> int:
         raise
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command line's parser, built on the first call and kept for the
+    life of the process.  It holds no command: _run picks the verb's."""
     parser = argparse.ArgumentParser(
         prog="fuscond",
         description="fusion rings, modular data, and condensable algebras")
     sub = parser.add_subparsers(dest="verb", required=True)
     verbs = {}
-    for name, fn, text in (
-            ("validate", cmd_validate,
-             "check a ring/mtc/bundle file against its axioms"),
-            ("analyze", cmd_analyze,
-             "run the condensation analysis on a bundle file"),
-            ("galois", cmd_galois, "verify the subring correspondence"),
-            ("example", cmd_example, "materialize a built-in bundle"),
-            ("indicators", cmd_indicators,
-             "print the character row of one ambient sector")):
+    for name, text in (
+            ("validate", "check a ring/mtc/bundle file against its axioms"),
+            ("analyze", "run the condensation analysis on a bundle file"),
+            ("galois", "verify the subring correspondence"),
+            ("example", "materialize a built-in bundle"),
+            ("indicators", "print the character row of one ambient sector")):
         p = verbs[name] = sub.add_parser(name, help=text)
         p.add_argument("--tol", type=float, default=TOL,
                        help="residual tolerance (default %(default)g)")
         p.add_argument("--digits", type=int, default=64,
                        help="working precision in decimal digits "
                             f"(default 64, at least {DIGITS_FLOOR})")
-        p.set_defaults(fn=fn)
     for name in ("validate", "analyze", "galois", "indicators"):
         verbs[name].add_argument("input")
     verbs["galois"].add_argument("--dot",
@@ -252,8 +255,15 @@ def main(argv=None) -> int:
     p.add_argument("--emit", help="write the bundle.v1 file here")
     verbs["indicators"].add_argument(
         "--x", required=True, help="ambient label with n_x > 0")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    """Run one verb of the command line on argv (sys.argv[1:] if None) and
+    return its exit code; a usage error raises SystemExit(2) from argparse.
+    It may be called any number of times in one process: each call prints
+    and writes what a cold `python -m fuscond.cli` run of argv would."""
+    args = _parser().parse_args(argv)
     if args.digits < DIGITS_FLOOR:
         print(f"error: --digits must be at least {DIGITS_FLOOR}, got "
               f"{args.digits}", file=sys.stderr)

@@ -1,4 +1,5 @@
 """End-to-end tests of the fuscond command line, run in-process."""
+import argparse
 import contextlib
 import functools
 import hashlib
@@ -15,9 +16,10 @@ import pytest
 
 import fuscond
 from fuscond import families, serialize
+from fuscond import cli as cli_module
 from fuscond import condense as condense_module
 from fuscond import ring as ring_module
-from fuscond.cli import DIGITS_FLOOR, main
+from fuscond.cli import DIGITS_FLOOR, _parser, main
 from fuscond.condense import (CondensableAlgebra, CondensationBundle,
                               schur_weyl)
 from fuscond.cyclotomic import working_tol
@@ -279,6 +281,113 @@ def test_each_verb_usage_line(verb, monkeypatch, capsys):
     assert out.splitlines()[0] == f"usage: fuscond {verb} {USAGE[verb]}"
     for option in ("--tol TOL  ", "--digits DIGITS  "):
         assert out.count(option) == 1
+
+
+# One parser serves every main call of a process; no call may leave state
+# in it that a later call reads.
+def test_a_repeated_example_writes_only_when_asked(tmp_path, capsys):
+    p = tmp_path / "p.json"
+    assert main(["example", "toric-code", "--emit", str(p)]) == 0
+    assert f"- wrote {p}\n" in capsys.readouterr().out
+    written = p.read_bytes()
+    assert main(["example", "toric-code"]) == 0
+    assert "- wrote" not in capsys.readouterr().out
+    assert p.read_bytes() == written
+
+
+def test_a_repeated_galois_draws_only_when_asked(tmp_path, capsys):
+    path = _emit(tmp_path, "toric-code", None)
+    dot = tmp_path / "d.dot"
+    assert main(["galois", path, "--dot", str(dot)]) == 0
+    assert "- wrote Hasse diagram" in capsys.readouterr().out
+    drawn = dot.read_bytes()
+    assert main(["galois", path]) == 0
+    assert "Hasse" not in capsys.readouterr().out
+    assert dot.read_bytes() == drawn
+
+
+def test_a_repeated_indicators_still_requires_x(tmp_path, capsys):
+    path = _emit(tmp_path, "toric-code", None)
+    assert main(["indicators", path, "--x", "1"]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["indicators", path])
+    assert exc.value.code == 2
+    assert "the following arguments are required: --x" in \
+        capsys.readouterr().err
+
+
+def test_a_usage_error_leaves_the_next_call_alone(tmp_path, monkeypatch,
+                                                  capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("FUSCOND_SEED", raising=False)
+    serialize.write_path(families.build("toric-code"), "b.json")
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "b.json", "--digits", "abc"])
+    assert exc.value.code == 2
+    assert "invalid int value: 'abc'" in capsys.readouterr().err
+    assert main(["analyze", "b.json"]) == 0
+    out, err = capsys.readouterr()
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert (err, digest) == ("", ANALYZE_GOLDEN["toric-code", None][1])
+
+
+def _help(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["-h"])
+    assert exc.value.code == 0
+    return capsys.readouterr()
+
+
+def test_help_follows_the_width_of_each_call(monkeypatch, capsys):
+    # argparse reads COLUMNS when it formats, so a parser built at one
+    # width prints at the width of the call
+    argvs = [[]] + [[verb] for verb in sorted(USAGE)]
+    fresh = {}
+    for columns in ("60", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        for argv in argvs:
+            _parser.cache_clear()
+            fresh[columns, tuple(argv)] = _help(argv, capsys)
+    assert fresh["60", ("example",)] != fresh["200", ("example",)]
+    _parser.cache_clear()
+    for columns in ("60", "200", "60"):
+        monkeypatch.setenv("COLUMNS", columns)
+        for argv in argvs:
+            assert _help(argv, capsys) == fresh[columns, tuple(argv)], \
+                (columns, argv)
+
+
+def test_a_command_patched_in_after_a_first_call_is_the_one_run(
+        tmp_path, monkeypatch, capsys):
+    path = _emit(tmp_path, "toric-code", None)
+    _parser.cache_clear()
+    assert main(["analyze", path]) == 0
+    seen = []
+
+    def patched(args):
+        seen.append(args.input)
+        return 1
+    monkeypatch.setattr(cli_module, "cmd_analyze", patched)
+    assert main(["analyze", path]) == 1
+    assert seen == [path]
+
+
+def test_the_parser_is_built_once_per_process(tmp_path, monkeypatch):
+    path = _emit(tmp_path, "toric-code", None)
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    _parser.cache_clear()
+    assert main(["validate", path]) == 0
+    verbs = ["validate", "analyze", "galois", "example", "indicators"]
+    assert built == ["fuscond"] + [f"fuscond {verb}" for verb in verbs]
+    assert main(["validate", path]) == 0
+    assert len(built) == 6
 
 
 def test_example_coset_needs_and_takes_mtc(tmp_path, capsys):
