@@ -31,7 +31,7 @@ from .errors import (
     TheoremViolationError,
     ValidationReport,
 )
-from .modular import (ModularData, dims as modular_dims,
+from .modular import (ModularData, check_twists, dims as modular_dims,
                       validate as validate_modular)
 from .ring import (BasedRing, DimVector, _bilinear, _dot, _summed, _sums,
                    basis_indices, check_basis, fp_dims, is_closed,
@@ -48,8 +48,9 @@ MATCH_REJECT = 1e-3
 class Ambient:
     """What we know about the ambient category, at one of three levels:
     full modular data, fusion ring plus dims and twists, or a bare table of
-    labels, dims and twists.  A modular ambient holds no fusion ring:
-    nothing reads one, and modular.validate checks Verlinde integrality.
+    labels, dims and twists (the plain constructor): every kind has
+    twists.  A modular ambient holds no fusion ring: modular.validate
+    checks Verlinde integrality.
 
     A product ambient (from_product) keeps its two ring or table factors
     in factors and no flat ring; its labels, dual, dims and twists are the
@@ -58,7 +59,7 @@ class Ambient:
     labels: tuple
     dual: tuple
     dims: DimVector
-    twists: tuple | None = None
+    twists: tuple
     ring: BasedRing | None = None
     modular: ModularData | None = None
     factors: tuple | None = None
@@ -74,11 +75,10 @@ class Ambient:
         object.__setattr__(self, "dims", d)
         if len(d) != r:
             raise SchemaError(f"need {r} ambient dims, got {len(d)}")
-        if self.twists is not None:
-            tw = tuple(self.twists)
-            object.__setattr__(self, "twists", tw)
-            if len(tw) != r:
-                raise SchemaError(f"need {r} ambient twists, got {len(tw)}")
+        tw = tuple(self.twists)
+        object.__setattr__(self, "twists", tw)
+        if len(tw) != r:
+            raise SchemaError(f"need {r} ambient twists, got {len(tw)}")
         if self.ring is not None and (self.ring.labels != labels
                                       or self.ring.dual != dual):
             raise SchemaError("ambient ring labels/dual disagree with the table")
@@ -89,28 +89,21 @@ class Ambient:
                    twists=md.twists, modular=md)
 
     @classmethod
-    def from_ring(cls, ring: BasedRing, dims, twists=None) -> "Ambient":
+    def from_ring(cls, ring: BasedRing, dims, twists) -> "Ambient":
         return cls(labels=ring.labels, dual=ring.dual, dims=dims,
                    twists=twists, ring=ring)
-
-    @classmethod
-    def from_table(cls, labels, dual, dims, twists) -> "Ambient":
-        return cls(labels=tuple(labels), dual=tuple(dual), dims=dims,
-                   twists=tuple(twists))
 
     @classmethod
     def from_product(cls, a: "Ambient", b: "Ambient") -> "Ambient":
         """The product of two ring or table ambients: labels la.lb, duals
         and values paired, each distinct pair of factor values multiplied
-        once.  Twists only when both factors have them."""
+        once, twists as dims."""
         for i, f in enumerate((a, b)):
             if f.modular is not None or f.factors is not None:
                 raise SchemaError(f"ambient factor {i} must be a ring or "
                                   "a table")
         labels, dual = product_basis(a, b)
-        twists = None
-        if a.twists is not None and b.twists is not None:
-            twists = chain.from_iterable(pair_products(a.twists, b.twists))
+        twists = chain.from_iterable(pair_products(a.twists, b.twists))
         dims = chain.from_iterable(pair_products(a.dims.values, b.dims.values))
         return cls(labels=labels, dual=dual, dims=DimVector(values=tuple(dims)),
                    twists=twists, factors=(a, b))
@@ -144,8 +137,8 @@ class Ambient:
 
     @property
     def has_characters(self) -> bool:
-        """Twists, and no table factor in rings: character_row's inputs."""
-        return self.twists is not None and None not in self.rings
+        """No table factor in rings: character_row's inputs are there."""
+        return None not in self.rings
 
     def character_row(self, xs):
         """The patterns y -> S(x*, y)/d(x) of the ambient indices xs as
@@ -156,7 +149,7 @@ class Ambient:
         ring, dims and twists it is recovered through the balancing
         identity S(a,b) = (1/(theta_a theta_b)) sum_c N[a,b,c] theta_c d_c,
         which is what the ribbon structure forces, summed exactly and each
-        entry rounded once.  Returns None without character rows.  Each
+        entry rounded once.  Returns None with a table factor.  Each
         slice N[x*] is formed on its own, the Kronecker product of its
         factors' slices in the order of rings, and the nonzeros of all
         slices are summed in one pass: no (rows, rank, rank) array.
@@ -286,8 +279,9 @@ class CondensationBundle:
 def check_bundle(b: CondensationBundle, tol=TOL) -> ValidationReport:
     """Every necessary condition that finite data can see, as a report.
 
-    The based-ring axioms are checked on the module ring, on a flat
-    ambient ring and on each ring factor of a product ambient.  The
+    The based-ring axioms are checked on the module ring and on the ring
+    of a flat ambient or of each factor of a product, and check_twists
+    on their twists; modular.validate checks a modular ambient.  The
     Perron-Frobenius comparison needs a module ring that satisfies the
     axioms, and is skipped when it does not.  Each tolerance decision is
     (X - Y)^2 <= (tol S)^2 over exact mantissas (cmp_tol); a failing check
@@ -297,12 +291,12 @@ def check_bundle(b: CondensationBundle, tol=TOL) -> ValidationReport:
     ring = b.module_ring
     ring_rep = validate(ring)
     rep.extend(ring_rep, prefix="module ring: ")
-    if amb.modular is not None:
-        rep.extend(validate_modular(amb.modular, tol), prefix="ambient: ")
-    for i, g in enumerate(amb.rings):
-        if g is not None:
-            rep.extend(validate(g), prefix="ambient: " if amb.factors is None
-                       else f"ambient factor {i}: ")
+    for i, f in enumerate(amb.factors or (amb,)):
+        where = "ambient: " if amb.factors is None else f"ambient factor {i}: "
+        if f.ring is not None:
+            rep.extend(validate(f.ring), prefix=where)
+        rep.extend(check_twists(f.twists, tol) if f.modular is None
+                   else validate_modular(f.modular, tol), prefix=where)
 
     mult = b.mult
     if any(n < 0 for n in mult):
@@ -315,7 +309,7 @@ def check_bundle(b: CondensationBundle, tol=TOL) -> ValidationReport:
                     f"n = {n} but n_dual = {mult[amb.dual[x]]}")
     # d(A), dim(C), dim(C_A), dim(local) (real parts), the module unit and
     # the twists of A over 2**f; |v - 1| <= tol for the unit and the twists
-    xs = [x for x, n in enumerate(mult) if n and amb.twists is not None]
+    xs = [x for x, n in enumerate(mult) if n]
     vals = [b.algebra.dim(), amb.global_dim(), b.dA.total(),
             b.dA.total(b.local), b.dA[0]] + [amb.twists[x] for x in xs]
     re, im, f = aligned(stack([mantissas([v]) for v in vals]))

@@ -201,8 +201,8 @@ def a2nplus1(n: int) -> CondensationBundle:
     r = len(labels)
     dims = DimVector(values=dims)
     amb = Ambient.from_product(
-        Ambient.from_table(labels, dual, dims, twists),
-        Ambient.from_table(labels, dual, dims, _conjugate_twists(twists)))
+        Ambient(labels, dual, dims, twists),
+        Ambient(labels, dual, dims, _conjugate_twists(twists)))
 
     mult = [0] * amb.rank
     for a in (0, 1):

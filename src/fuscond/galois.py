@@ -134,7 +134,6 @@ class GaloisReport:
     """The correspondence checks over a lattice; below[i, j] says that
     entries[i].sub is a proper subset of entries[j].sub."""
     bundle: CondensationBundle
-    swr: SchurWeylReport
     entries: tuple
     below: np.ndarray
     trivial_block: int
@@ -317,10 +316,9 @@ def verify_correspondence(b: CondensationBundle, tol: float = TOL, *,
     collisions = tuple(tuple(v) for v in groups.values() if len(v) > 1)
 
     residuals = [e.residual for e in entries if e.residual == e.residual]
-    return GaloisReport(bundle=b, swr=swr, entries=tuple(entries),
-                        below=below, trivial_block=trivial,
-                        injective=not collisions, collisions=collisions,
-                        problems=tuple(problems),
+    return GaloisReport(bundle=b, entries=tuple(entries), below=below,
+                        trivial_block=trivial, injective=not collisions,
+                        collisions=collisions, problems=tuple(problems),
                         max_residual=max(residuals) if residuals else 0.0)
 
 

@@ -108,6 +108,17 @@ def _is_root_of_unity(t, tol):
     return False
 
 
+def check_twists(twists, tol=TOL) -> ValidationReport:
+    """A problem for each twist that is not a root of unity, each distinct
+    value tested once: one exact comparison for an exact twist, powers at
+    tol for a float one.  Every ambient's twists are held to this."""
+    firsts, index = distinct(twists)
+    roots = [_is_root_of_unity(t, tol) for t in firsts]
+    return ValidationReport([f"twist {j} is not a root of unity (order cap "
+                             f"{TWIST_ORDER_CAP})"
+                             for j, i in enumerate(index) if not roots[i]])
+
+
 def _bad_pairs(mask) -> list:
     """The first five True positions of mask, row-major, as int pairs."""
     return [(int(i), int(j)) for i, j in np.argwhere(mask)[:5]]
@@ -117,14 +128,13 @@ def validate(md: ModularData, tol=TOL) -> ValidationReport:
     """Axioms for unnormalized pseudounitary modular data.
 
     The unit and dimension checks touch R values and run at the working
-    precision.  The twist check runs once per distinct twist: one exact
-    comparison for an exact twist, powers at tol for a float one.
-    Symmetry, unitarity (S conj(S)^T = dim I) and duality (S^2 = dim C)
-    run in float64 on s_complex(); the last two are bounded by
-    max(tol, 16 R eps) * max(1, dim), so a tol below the float64 rounding
-    error does not fail exact data.  The comparisons are NaN-safe, so a
-    NaN entry fails them.  The last check is Verlinde integrality: the
-    coefficient verlinde refuses is one more problem.
+    precision.  The twists are held to check_twists.  Symmetry, unitarity
+    (S conj(S)^T = dim I) and duality (S^2 = dim C) run in float64 on
+    s_complex(); the last two are bounded by max(tol, 16 R eps) *
+    max(1, dim), so a tol below the float64 rounding error does not fail
+    exact data.  The comparisons are NaN-safe, so a NaN entry fails them.
+    The last check is Verlinde integrality: the coefficient verlinde
+    refuses is one more problem.
     """
     rep = ValidationReport()
     r = md.rank
@@ -166,11 +176,7 @@ def validate(md: ModularData, tol=TOL) -> ValidationReport:
         if bad:
             rep.add(f"S^2 does not implement the declared duality at {bad}")
 
-    firsts, index = distinct(md.twists)
-    roots = [_is_root_of_unity(t, tol) for t in firsts]
-    for j, i in enumerate(index):
-        if not roots[i]:
-            rep.add(f"twist {j} is not a root of unity (order cap {TWIST_ORDER_CAP})")
+    rep.extend(check_twists(md.twists, tol))
 
     try:
         _verlinde_tensor(S)

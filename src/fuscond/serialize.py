@@ -28,7 +28,8 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .condense import Ambient, CondensableAlgebra, CondensationBundle
-from .cyclotomic import ORDER_CAP, Cyc, as_mpc, exact_scalar, value_key
+from .cyclotomic import (ORDER_CAP, Cyc, as_complex, as_mpc, exact_scalar,
+                         value_key)
 from .errors import SchemaError
 from .modular import ModularData
 from .ring import BasedRing, DimVector, fp_dims
@@ -91,7 +92,10 @@ def _read_cyclotomic(body, where: str, memo: dict) -> Cyc:
             den = math.lcm(*(q.denominator for q in qs))
             out = Cyc.from_numerators(
                 order, [q.numerator * (den // q.denominator) for q in qs], den)
-        except (ValueError, ZeroDivisionError) as err:
+            # the S-matrix checks read every value in complex128
+            if not cmath.isfinite(as_complex(out)):
+                raise OverflowError("past the float64 range")
+        except (ValueError, ZeroDivisionError, OverflowError) as err:
             raise SchemaError(f"{where}: bad cyclotomic value ({err})")
         memo[key] = out
     return out
@@ -113,7 +117,8 @@ def _parse_scalar(obj, where: str, memo: dict):
     elif isinstance(obj, bool):
         raise SchemaError(f"{where}: booleans are not scalars")
     elif isinstance(obj, int):
-        return Cyc.rational(obj)
+        # the order-1 cyclotomic, read and range-checked as one
+        return _read_cyclotomic({"order": 1, "coeffs": [obj]}, where, memo)
     elif isinstance(obj, float):
         if not cmath.isfinite(obj):
             raise SchemaError(f"{where}: scalar must be finite, got {obj}")
@@ -330,8 +335,7 @@ def _emit_ambient(amb: Ambient, memo: dict) -> dict:
     if amb.factors is not None:
         return {"product": [_emit_ambient(f, memo) for f in amb.factors]}
     dims = _encodings(amb.dims.values, memo)
-    twists = (None if amb.twists is None
-              else _encodings(amb.twists, memo))
+    twists = _encodings(amb.twists, memo)
     if amb.ring is not None:
         return {"ring": emit_ring(amb.ring), "dims": dims, "twists": twists}
     return {"table": {"labels": list(amb.labels), "dual": list(amb.dual),
@@ -340,6 +344,13 @@ def _emit_ambient(amb: Ambient, memo: dict) -> dict:
 
 def _parse_dims(raw, where, memo: dict) -> DimVector:
     return DimVector(values=tuple(_scalars(raw, where, memo)))
+
+
+def _dims_and_twists(obj, where, memo: dict) -> tuple:
+    """A ring or table ambient's dims and twists, both required lists."""
+    return (_parse_dims(_need(obj, "dims", list, where), where, memo),
+            _scalars(_need(obj, "twists", None, where), f"{where}: twists",
+                     memo))
 
 
 def _parse_ambient(obj, memo: dict) -> Ambient:
@@ -355,25 +366,15 @@ def _parse_ambient(obj, memo: dict) -> Ambient:
     if set(obj) == {"mtc"}:
         return Ambient.from_modular(_parse_modular(obj["mtc"], memo))
     if set(obj) == {"ring", "dims", "twists"}:
-        ring = parse_ring(obj["ring"])
-        dims = _parse_dims(_need(obj, "dims", list, where), where, memo)
-        tw = obj["twists"]
-        twists = (None if tw is None
-                  else tuple(_scalars(tw, f"{where}: twists", memo)))
-        return Ambient.from_ring(ring, dims, twists=twists)
+        return Ambient.from_ring(parse_ring(obj["ring"]),
+                                 *_dims_and_twists(obj, where, memo))
     if set(obj) == {"table"}:
         t = obj["table"]
         if not isinstance(t, dict):
             raise SchemaError(f"{where}: table must be an object")
         labels = _need(t, "labels", list, where)
         dual = _int_list(t, "dual", where)
-        dims = _parse_dims(_need(t, "dims", list, where), where, memo)
-        tw = t.get("twists")
-        twists = (None if tw is None
-                  else tuple(_scalars(tw, f"{where}: twists", memo)))
-        if twists is None:
-            raise SchemaError(f"{where}: a bare table needs twists")
-        return Ambient.from_table(labels, dual, dims, twists)
+        return Ambient(labels, dual, *_dims_and_twists(t, where, memo))
     raise SchemaError(f"{where}: expected mtc, ring, table or product form")
 
 

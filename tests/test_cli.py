@@ -1221,6 +1221,97 @@ def test_non_finite_dimension_is_exit_2(tmp_path, capsys, verb):
     assert "scalar must be finite, got (nan+0j)" in capsys.readouterr().err
 
 
+_NO_ROOT = {"cyclotomic": {"order": 4, "coeffs": ["3/5", "4/5"]}}
+
+# A twist of a ring or table ambient off the roots of unity, each on a
+# label outside A, so that no check of A reads it: the zero twist of s+
+# in a2n's factor 1, on which Ambient.character_row would divide; (3 + 4i)/5,
+# of modulus 1, on s+ of the flat vlplus-orbifold ring and on the first
+# spinor of a2nplus1's table factor 0.
+BROKEN_TWISTS = [
+    ("a2n", ("product", 1), 3,
+     {"cyclotomic": {"order": 8, "coeffs": ["0", "0", "0"]}},
+     "ambient factor 1: twist 3"),
+    ("vlplus-orbifold", (), 3, _NO_ROOT, "ambient: twist 3"),
+    ("a2nplus1", ("product", 0, "table"), 5, _NO_ROOT,
+     "ambient factor 0: twist 5"),
+]
+
+
+def _holder(obj, path):
+    """The ambient object at path in the bundle object obj."""
+    out = obj["ambient"]
+    for key in path:
+        out = out[key]
+    return out
+
+
+@pytest.mark.parametrize("verb", ["validate", "analyze", "galois"])
+@pytest.mark.parametrize("family,path,j,twist,where", BROKEN_TWISTS,
+                         ids=[c[0] for c in BROKEN_TWISTS])
+def test_ring_and_table_twists_must_be_roots_of_unity(
+        tmp_path, capsys, family, path, j, twist, where, verb):
+    obj = serialize.emit_bundle(families.build(family, n=1))
+    _holder(obj, path)["twists"][j] = twist
+    p = tmp_path / "twisted.json"
+    p.write_text(serialize.dumps(obj), encoding="utf-8")
+    capsys.readouterr()
+    assert main([verb, str(p)]) == 1
+    out, err = capsys.readouterr()
+    assert (f"- FAIL: {where} is not a root of unity (order cap 10000)"
+            in out.splitlines())
+    assert err == ""
+
+
+@pytest.mark.parametrize("verb", ["validate", "analyze", "galois",
+                                  "indicators"])
+@pytest.mark.parametrize("family,path", [
+    ("a2n", ("product", 0)), ("vlplus-orbifold", ()),
+    ("a2nplus1", ("product", 1, "table"))],
+    ids=["ring-factor", "flat-ring", "table-factor"])
+def test_an_ambient_without_twists_is_exit_2(tmp_path, capsys, family, path,
+                                             verb):
+    obj = serialize.emit_bundle(families.build(family, n=1))
+    _holder(obj, path)["twists"] = None
+    p = tmp_path / "bare.json"
+    p.write_text(serialize.dumps(obj), encoding="utf-8")
+    extra = ["--x", "1"] if verb == "indicators" else []
+    capsys.readouterr()
+    assert main([verb, str(p)] + extra) == 2
+    assert capsys.readouterr() == (
+        "", "error: bundle.v1: ambient: twists: expected a list of "
+        "scalars\n")
+
+
+_HUGE = "15" + "0" * 307
+
+# Values that complex128 cannot hold: a coefficient of 401 digits, as a
+# cyclotomic or a JSON integer, and 1.5e308 (1 + zeta_6), whose
+# coefficients fit but whose real part, 2.25e308, does not.
+PAST_FLOAT64 = [
+    ({"cyclotomic": {"order": 1, "coeffs": ["1" + "0" * 400]}},
+     "integer division result too large for a float"),
+    (10 ** 400, "integer division result too large for a float"),
+    ({"cyclotomic": {"order": 6, "coeffs": [_HUGE, _HUGE]}},
+     "past the float64 range")]
+
+
+@pytest.mark.parametrize("verb", ["validate", "analyze", "galois"])
+@pytest.mark.parametrize("value,why", PAST_FLOAT64,
+                         ids=["cyclotomic", "integer", "sum"])
+def test_a_value_past_the_float64_range_is_exit_2(tmp_path, capsys, value,
+                                                  why, verb):
+    # the S-matrix checks read every entry in complex128
+    obj = serialize.emit_bundle(families.build("coset-su2", n=2))
+    obj["ambient"]["mtc"]["s_matrix"][1][1] = value
+    p = tmp_path / "huge.json"
+    p.write_text(serialize.dumps(obj), encoding="utf-8")
+    capsys.readouterr()
+    assert main([verb, str(p)]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: mtc.v1: s_matrix: bad cyclotomic value ({why})\n")
+
+
 @pytest.mark.parametrize("k", range(1, 11))
 def test_coset_su2_runs_every_verb(tmp_path, capsys, k):
     path = str(tmp_path / "coset.json")

@@ -412,8 +412,7 @@ def test_indicator_multiplicative_on_linear_blocks():
 
 def test_table_only_ambient_skips_matching():
     md = toric_data()
-    ambient = Ambient.from_table(md.labels, md.dual, (1, 1, 1, 1),
-                                 md.twists)
+    ambient = Ambient(md.labels, md.dual, (1, 1, 1, 1), md.twists)
     b = toric_bundle(ambient=ambient)
     assert check_bundle(b).ok
     swr = schur_weyl(b)
@@ -445,7 +444,7 @@ def test_nonnormal_local_subgroup_does_not_commute():
     s = next(g for g in range(1, len(table)) if inverse[g] == g)
     b = CondensationBundle(
         algebra=CondensableAlgebra(
-            ambient=Ambient.from_table(("1",), (0,), (1,), (1,)), mult=(1,)),
+            ambient=Ambient(("1",), (0,), (1,), (1,)), mult=(1,)),
         module_ring=group_ring(table, inverse), dA=(1,) * len(table),
         induction=None, local=(0, s))
     with pytest.raises(TheoremViolationError, match="does not commute"):
@@ -586,7 +585,7 @@ def test_self_duality_checked():
 
 def test_table_ambient_needs_a_self_dual_unit():
     with pytest.raises(SchemaError, match="unit at index 0 must be self-dual"):
-        Ambient.from_table(("1", "a"), (1, 0), (1, 1), (1, 1))
+        Ambient(("1", "a"), (1, 0), (1, 1), (1, 1))
 
 
 def test_character_row_follows_the_working_precision():
@@ -635,7 +634,7 @@ def flat_ambient(amb):
     if a.ring is not None and b.ring is not None:
         return Ambient.from_ring(product_ring(a.ring, b.ring), dims,
                                  twists=twists)
-    return Ambient.from_table(labels, dual, dims, twists)
+    return Ambient(labels, dual, dims, twists)
 
 
 PRODUCT_CASES = FAMILY_MEMBERS
@@ -743,12 +742,10 @@ def test_rings_and_characters_of_each_ambient_kind():
     ring = families.half_ring(1)[0]
     dims = (1,) * ring.rank
     flat = Ambient.from_ring(ring, dims, twists=(1,) * ring.rank)
-    bare = Ambient.from_ring(ring, dims)
-    table = Ambient.from_table(ring.labels, ring.dual, dims, (1,) * ring.rank)
+    table = Ambient(ring.labels, ring.dual, dims, (1,) * ring.rank)
     a2n, a2nplus1 = bundle("a2n", 1).ambient, bundle("a2nplus1", 1).ambient
     kinds = [(Ambient.from_modular(toric_data()), (), True),
-             (flat, (ring,), True), (bare, (ring,), False),
-             (table, (None,), False),
+             (flat, (ring,), True), (table, (None,), False),
              (a2n, tuple(f.ring for f in a2n.factors), True),
              (a2nplus1, (None, None), False)]
     for amb, rings, chars in kinds:
@@ -768,15 +765,29 @@ def test_product_shares_equal_values():
 
 
 def test_product_factors_are_rings_or_tables():
-    ring = Ambient.from_ring(families.half_ring(1)[0], (1,) * 5)
+    ring = Ambient.from_ring(*families.half_ring(1))
     modular = Ambient.from_modular(toric_data())
     nested = Ambient.from_product(ring, ring)
     for bad in (modular, nested):
         with pytest.raises(SchemaError, match="ring or a table"):
             Ambient.from_product(ring, bad)
-    # a factor without twists leaves the product without them
-    assert Ambient.from_product(ring, ring).twists is None
-    assert not Ambient.from_product(ring, ring).has_characters
+    # the product's twists are the factor twists multiplied
+    assert nested.twists == tuple(a * b for a in ring.twists
+                                  for b in ring.twists)
+    assert nested.has_characters
+
+
+@pytest.mark.parametrize("factor,problems", [
+    (FACTORS[0], ["ambient: twist 1 is not a root of unity (order cap 10000)",
+                  "twist of j is not 1 but n_x = 1 > 0"]),
+    (FACTORS[1], [])])
+def test_a_flat_ring_twist_meets_the_root_test(factor, problems):
+    # the first mutant of test_reference.mutations: vlplus-orbifold's flat
+    # ring with the twist of j times factor.  At 1 + 1e-8 it is off the
+    # unit circle by more than TOL, and the root test names it before the
+    # check of A does; at 1 + 1e-10 both pass within TOL
+    m = mutations(bundle("vlplus-orbifold", 1), factor)[0]
+    assert check_bundle(m).problems == problems
 
 
 @pytest.mark.parametrize("family,n", BUILT_INS + [("a2n", 12)],
